@@ -133,54 +133,6 @@ def run_cell(
     }
 
 
-def run_edge_cache_cell(
-    graph: Graph, algorithm: str, n_partitions: int, repeat: int = 1
-) -> dict[str, Any]:
-    """Edge-cache ablation: superstep seconds with the cross-superstep
-    edge sub-batch cache on vs off (union input format, batch compute)."""
-    cells = {}
-    for cached in (True, False):
-        vx = Vertexica(
-            config=VertexicaConfig(n_partitions=n_partitions, cache_edges=cached)
-        )
-        handle = vx.load_graph(
-            graph.name,
-            graph.src,
-            graph.dst,
-            num_vertices=graph.num_vertices,
-            symmetrize=algorithm == "cc",
-        )
-        best: dict[str, Any] | None = None
-        for _ in range(max(repeat, 1)):
-            result = vx.run(handle, _program_for(algorithm, graph))
-            step_secs = sum(s.seconds for s in result.stats.supersteps)
-            cell = {
-                "superstep_seconds": round(step_secs, 6),
-                "fingerprint": _fingerprint(result.values),
-                "rows_in_per_superstep": [s.rows_in for s in result.stats.supersteps],
-            }
-            if best is None or step_secs < best["superstep_seconds"]:
-                best = cell
-        cells["cached" if cached else "uncached"] = best
-    ratio = (
-        cells["uncached"]["superstep_seconds"] / cells["cached"]["superstep_seconds"]
-        if cells["cached"]["superstep_seconds"]
-        else float("inf")
-    )
-    return {
-        "graph": graph.name,
-        "algorithm": algorithm,
-        "speedup_uncached_over_cached": round(ratio, 2),
-        "fingerprints_match": abs(
-            cells["cached"]["fingerprint"] - cells["uncached"]["fingerprint"]
-        )
-        <= 1e-9 * max(1.0, abs(cells["uncached"]["fingerprint"])),
-        **{f"{k}_superstep_seconds": v["superstep_seconds"] for k, v in cells.items()},
-        "rows_in_cached": cells["cached"]["rows_in_per_superstep"][:3],
-        "rows_in_uncached": cells["uncached"]["rows_in_per_superstep"][:3],
-    }
-
-
 def run_workers_scaling_cell(
     graph: Graph,
     algorithm: str,
@@ -208,8 +160,8 @@ def run_workers_scaling_cell(
     cells: dict[str, dict[str, float]] = {}
     fingerprints: list[float] = []
     sweeps = (
-        ("sql", "sql", "auto"),
-        ("shards", "shards", "auto"),
+        ("sql", "sql", "threads"),
+        ("shards", "shards", "threads"),
         ("shards_processes", "shards", "processes"),
     )
     for label, plane, executor in sweeps:
@@ -737,20 +689,20 @@ def run_extraction_scaling_cell(repeat: int = 1, quick: bool = False) -> dict[st
     variants = {
         "selfjoin_pushdown": run_variant(
             "selfjoin_pushdown",
-            ExtractionOptions(executor="serial", co_mode="selfjoin"), True),
+            ExtractionOptions(co_mode="selfjoin"), True),
         "selfjoin_no_pushdown": run_variant(
             "selfjoin_no_pushdown",
-            ExtractionOptions(executor="serial", co_mode="selfjoin"), False),
+            ExtractionOptions(co_mode="selfjoin"), False),
         "exact_serial": run_variant(
             "exact_serial",
-            ExtractionOptions(executor="serial", co_mode="exact"), True),
+            ExtractionOptions(co_mode="exact"), True),
         "exact_threads": run_variant(
             "exact_threads",
             ExtractionOptions(executor="threads", n_workers=4, co_mode="exact",
                               slice_min_rows=slice_rows), True),
         "capped": run_variant(
             "capped",
-            ExtractionOptions(executor="serial", co_mode="capped", co_cap=32), True),
+            ExtractionOptions(co_mode="capped", co_cap=32), True),
     }
     exact_labels = [
         "selfjoin_pushdown", "selfjoin_no_pushdown", "exact_serial", "exact_threads"
@@ -960,26 +912,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"({ratio:.1f}x, {batch['vertices_per_sec']:,.0f} v/s)"
             )
 
-    # Edge-cache ablation (union format, batch compute) and graph-view
-    # extraction timings — the PR-2 trajectory additions.
-    edge_cache_cells = []
+    # Graph-view extraction timings — the PR-2 trajectory addition.
     extraction_cells = []
     for graph_name in graph_names:
         graph = graphs.by_name(graph_name)
-        cache_cell = run_edge_cache_cell(
-            graph, "pagerank", args.partitions, args.repeat
-        )
-        edge_cache_cells.append(cache_cell)
-        if not cache_cell["fingerprints_match"]:
-            failures.append(
-                f"{graph_name}/pagerank: cached and uncached edge paths disagree"
-            )
-        print(
-            f"{graph_name:<12} edge-cache ablation: "
-            f"cached {cache_cell['cached_superstep_seconds']:.3f}s  "
-            f"uncached {cache_cell['uncached_superstep_seconds']:.3f}s  "
-            f"({cache_cell['speedup_uncached_over_cached']:.2f}x)"
-        )
         extraction_cell = run_extraction_cell(graph, args.repeat)
         extraction_cells.append(extraction_cell)
         if not extraction_cell["matches_direct_load"]:
@@ -1168,7 +1104,6 @@ def main(argv: list[str] | None = None) -> int:
         "n_partitions": args.partitions,
         "repeat": args.repeat,
         "speedup_scalar_over_batch_superstep_seconds": speedups,
-        "edge_cache_ablation": edge_cache_cells,
         "graph_view_extraction": extraction_cells,
         "incremental_refresh": refresh_cells,
         "workers_scaling": workers_cells,

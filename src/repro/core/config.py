@@ -19,7 +19,9 @@ __all__ = ["VertexicaConfig"]
 
 @dataclass(frozen=True)
 class VertexicaConfig:
-    """Knobs for one Vertexica run.
+    """Knobs for one Vertexica run: 17 flat fields, read by the one
+    superstep loop in :mod:`repro.core.coordinator` and by whichever
+    data plane it drives.
 
     Attributes:
         n_partitions: how many vertex batches the worker input is hash
@@ -29,16 +31,19 @@ class VertexicaConfig:
             keeps execution serial; any setting is fully deterministic
             (the parity suite holds every executor to bit-identical
             results), parallelism only changes wall-clock.
-        executor: which execution strategy runs the per-superstep
-            partition/shard tasks.  ``"auto"`` (default) picks serial
-            execution for ``n_workers=1`` and a thread pool otherwise;
-            ``"serial"`` / ``"threads"`` force those; ``"processes"``
-            runs shard tasks on ``n_workers`` persistent worker
-            *processes* over shared-memory shard state — sidestepping
-            the GIL for pure-Python compute — and requires
-            ``data_plane="shards"`` (the SQL plane's staging is
-            engine-resident and cannot cross process boundaries).
+        executor: what runs the per-superstep partition/shard tasks when
+            ``n_workers > 1``.  ``"threads"`` (default) uses one thread
+            pool held for the whole run; ``"processes"`` runs shard tasks
+            on ``n_workers`` persistent worker *processes* over
+            shared-memory shard state — sidestepping the GIL for
+            pure-Python compute — and requires ``data_plane="shards"``
+            (the SQL plane's staging is engine-resident and cannot cross
+            process boundaries).  ``n_workers=1`` runs serially under
+            either.
         input_strategy: ``"union"`` or ``"join"`` (see module docstring).
+            Under ``"union"`` the immutable edge relation is decoded once
+            and later supersteps read the cached per-partition CSR arrays
+            instead of re-projecting the edge table through SQL.
         compute_strategy: ``"auto"`` runs the vectorized batch data plane
             for programs implementing ``compute_batch`` and falls back to
             the per-vertex scalar path otherwise; ``"batch"`` requires the
@@ -58,24 +63,17 @@ class VertexicaConfig:
             bit-identical (the parity suite holds all shipped programs
             to it); the sharded plane skips the per-superstep union
             query, the global partition lexsort, and the message-table
-            round trip.  The SQL-plane ablation knobs —
-            ``input_strategy``, ``cache_edges``, ``update_strategy``,
-            and ``replace_threshold`` — describe stages the sharded
-            plane does not have and are ignored under ``"shards"``; run
-            those ablations on the ``"sql"`` plane.
+            round trip.  ``input_strategy``, ``update_strategy`` and
+            ``replace_threshold`` are the paper's SQL-plane ablations —
+            stages the sharded plane does not have.
         superstep_sync: how eagerly the sharded plane mirrors its state
             back to the relational tables.  ``"every"`` (default) writes
             the vertex and message tables after each superstep — the
             legacy plane's observable behavior, so hybrid SQL, the demo
             console, and checkpoints see fresh state at any point;
             ``"halt"`` materializes only once the run completes (the
-            fast path).  Ignored under ``data_plane="sql"``.
-        cache_edges: under the ``"union"`` input strategy, decode the
-            immutable edge relation once at superstep 0 and reuse the
-            per-partition CSR edge arrays for every later superstep
-            instead of re-projecting the edge table through SQL each
-            time.  ``False`` re-reads edges every superstep (the
-            pre-cache behavior, kept for the ablation).
+            fast path).  The SQL plane's tables are always current, so
+            the policy changes nothing there.
         replace_threshold: fraction of the vertex table below which the
             in-place update path is used under ``"auto"``.
         use_combiner: honor the program's combiner declaration (pushed into
@@ -107,13 +105,12 @@ class VertexicaConfig:
 
     n_partitions: int = 4
     n_workers: int = 1
-    executor: str = "auto"
+    executor: str = "threads"
     input_strategy: str = "union"
     compute_strategy: str = "auto"
     update_strategy: str = "auto"
     data_plane: str = "sql"
     superstep_sync: str = "every"
-    cache_edges: bool = True
     replace_threshold: float = 0.05
     use_combiner: bool = True
     max_supersteps: int | None = None
@@ -134,10 +131,11 @@ class VertexicaConfig:
             raise VertexicaError("n_partitions must be >= 1")
         if self.n_workers < 1:
             raise VertexicaError("n_workers must be >= 1")
-        if self.executor not in ("auto", "serial", "threads", "processes"):
+        if self.executor not in ("threads", "processes"):
             raise VertexicaError(
-                "executor must be 'auto', 'serial', 'threads', or "
-                f"'processes', got {self.executor!r}"
+                f"executor must be 'threads' or 'processes', got "
+                f"{self.executor!r} ('auto' is now spelled 'threads'; for "
+                "'serial' set n_workers=1)"
             )
         if self.executor == "processes" and self.data_plane != "shards":
             raise VertexicaError(

@@ -1,64 +1,90 @@
 """The coordinator: the stored procedure driving supersteps.
 
 Per Figure 1 / §2.2 of the paper, the coordinator (a) builds the worker
-input relation (union or join strategy), (b) fans it out to parallel
-workers as a partitioned transform UDF, (c) applies the staged vertex
-updates and messages (choosing the update or replace path), and (d) loops
-"as long as there is any message for the next superstep" — extended, as in
-Pregel, to also stop only when every vertex has voted to halt.
+input relation, (b) fans it out to parallel workers, (c) applies the
+resulting vertex updates and messages, and (d) loops "as long as there
+is any message for the next superstep" — extended, as in Pregel, to also
+stop only when every vertex has voted to halt.
 
-Two data planes implement that loop (``config.data_plane``):
+That loop exists once, in :meth:`Coordinator.run`.  It owns termination,
+the superstep cap, rollback-and-replay, checkpoint-due and the
+per-superstep stats, and drives steps (a)–(c) through the small
+:class:`DataPlane` protocol, chosen once per run by
+``config.data_plane``:
 
-* ``"sql"`` — the paper's architecture verbatim: every superstep runs the
-  union/join input SQL, hash-partitions and sorts it inside
-  ``TransformOp``, stages worker output into a table, and applies it with
-  SQL (:meth:`Coordinator._run_sql`).
-* ``"shards"`` — the graph is partitioned **once** at run setup into
-  resident vid-hash shards; supersteps run shard-local compute and route
-  messages between shards in-plane, touching the SQL tables only per the
-  ``superstep_sync`` policy (:meth:`Coordinator._run_shards`, state in
-  :mod:`repro.core.shards`).  Bit-identical to the SQL plane.
+* ``"sql"`` — :class:`~repro.core.sqlplane.SqlDataPlane`, the paper's
+  architecture verbatim: input SQL, partitioned worker transform, staging
+  table, SQL apply.  Its tables are always current, so ``sync_tables``
+  is a no-op.
+* ``"shards"`` — :class:`~repro.core.shards.ShardedDataPlane`: the graph
+  is partitioned **once** into resident vid-hash shards, which reach the
+  SQL tables only when the loop calls ``sync_tables`` (per the
+  ``superstep_sync`` policy).  Bit-identical to the SQL plane.
 
-Either way, ``n_workers > 1`` executes partition/shard tasks on one
-thread pool held for the whole run.
+Either way, ``n_workers > 1`` executes partition/shard tasks on one pool
+(threads, or worker processes) held for the whole run.
 
-Fault tolerance (PR 6) wraps the superstep loops of both planes in the
-Giraph contract: with ``checkpoint_every=N`` the run snapshots its
-durable state every N completed supersteps (:mod:`repro.core.recovery`),
-transient faults roll the tables back to the last checkpoint and replay
-(bounded by ``task_retries``), deterministic faults fail fast *after*
-the rollback leaves the tables consistent, and ``resume=True`` continues
-a killed run from its last checkpoint — bit-identical to an
-uninterrupted run on either plane.
+Fault tolerance is the Giraph contract: with ``checkpoint_every=N`` the
+run snapshots its durable state every N completed supersteps
+(:mod:`repro.core.recovery`), transient faults roll the tables back to
+the last checkpoint, rebuild the plane from them and replay (bounded by
+``task_retries``), deterministic faults fail fast *after* the rollback
+leaves the tables consistent, and ``resume=True`` continues a killed run
+from its last checkpoint — bit-identical to an uninterrupted run on
+either plane.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from typing import Protocol
 
 from repro.core import faults
 from repro.core.config import VertexicaConfig
-from repro.core.metrics import RunStats, SuperstepStats
+from repro.core.metrics import RunStats, StepStats, SuperstepStats
 from repro.core.program import VertexProgram, supports_batch
 from repro.core.recovery import CheckpointPolicy, RunRecovery
 from repro.core.shards import ShardedDataPlane
+from repro.core.sqlplane import SqlDataPlane
 from repro.core.storage import GraphHandle, GraphStorage
-from repro.core.worker import EdgeCache, VertexWorker
 from repro.engine.database import Database
-from repro.engine.parallel import (
-    PartitionExecutor,
-    ProcessExecutor,
-    make_thread_executor,
-    serial_executor,
-)
-from repro.errors import ProgramError, VertexicaError
+from repro.engine.parallel import PartitionExecutor, ProcessExecutor, ThreadExecutor
+from repro.errors import VertexicaError
 
-__all__ = ["Coordinator", "register_coordinator", "SUPERSTEP_SAFETY_LIMIT"]
+__all__ = ["Coordinator", "DataPlane", "register_coordinator", "SUPERSTEP_SAFETY_LIMIT"]
 
 #: Hard cap when neither the program nor the config bounds supersteps;
 #: prevents a buggy never-halting program from spinning forever.
 SUPERSTEP_SAFETY_LIMIT = 10_000
+
+
+class DataPlane(Protocol):
+    """What the superstep loop needs from a data plane.  The plane holds
+    the run's vertex / message state between supersteps (relational
+    tables or resident shards); the loop holds everything else."""
+
+    #: global aggregator values produced by the last :meth:`run_superstep`
+    aggregated: dict[str, float]
+
+    @property
+    def pending_messages(self) -> int: ...
+
+    @property
+    def active_vertices(self) -> int: ...
+
+    def run_superstep(
+        self,
+        superstep: int,
+        aggregated: dict[str, float],
+        executor: PartitionExecutor,
+    ) -> StepStats: ...
+
+    def sync_tables(self, superstep: int | None = None) -> float:
+        """Make the relational tables reflect the plane's state; returns
+        the seconds spent (0.0 when they always do)."""
+        ...
+
+    def close(self) -> None: ...
 
 
 class Coordinator:
@@ -81,21 +107,6 @@ class Coordinator:
         """
         program.validate()
         config = self.config
-        if config.data_plane != "shards" and config.input_strategy == "join":
-            # Fail before setup_run: the three-way join projects a single
-            # ``value`` column per table, which vector codecs don't have —
-            # without this check the mismatch surfaces deep inside decode.
-            for role, codec in (
-                ("vertex", program.vertex_codec),
-                ("message", program.message_codec),
-            ):
-                if codec.is_vector:
-                    raise ProgramError(
-                        f"the join input format cannot carry vector codec "
-                        f"payloads ({role} codec {codec.name!r}, width "
-                        f"{codec.width}); use input_strategy='union' "
-                        "(or data_plane='shards')"
-                    )
         stats = RunStats(program=program.name, graph=graph.name)
         started = time.perf_counter()
 
@@ -113,12 +124,12 @@ class Coordinator:
         restored = recovery.load() if (recovery is not None and config.resume) else None
 
         self.storage.setup_run(graph, program)
-        start_superstep = 0
+        superstep = 0
         aggregated: dict[str, float] = {}
         if restored is not None:
             recovery.restore(restored)
             aggregated = dict(restored.aggregated)
-            start_superstep = restored.completed
+            superstep = restored.completed
             stats.recovered_supersteps += restored.completed
         elif recovery is not None and recovery.policy.enabled:
             # Baseline snapshot (0 completed supersteps): rollback and
@@ -128,288 +139,122 @@ class Coordinator:
         limit = config.max_supersteps or program.max_supersteps
         hard_cap = limit if limit is not None else SUPERSTEP_SAFETY_LIMIT
         use_batch = self._resolve_compute_path(program)
+        compute_path = "batch" if use_batch else "scalar"
+        sync_every = config.superstep_sync == "every"
+        rollbacks_left = config.task_retries
         # One pool for the whole run (closed on exit); a fresh pool per
         # superstep would put thread (or process) spawns on the hot loop.
-        with self._make_executor() as executor:
-            if config.data_plane == "shards":
-                self._run_shards(
-                    graph, program, stats, executor, limit, hard_cap, use_batch,
-                    recovery, start_superstep, aggregated,
-                )
-            else:
-                self._run_sql(
-                    graph, program, stats, executor, limit, hard_cap, use_batch,
-                    recovery, start_superstep, aggregated,
-                )
+        # With one worker neither kind spawns anything: tasks run serially.
+        pool = ProcessExecutor if config.executor == "processes" else ThreadExecutor
+        with pool(config.n_workers) as executor:
+            plane = self._build_plane(graph, program, use_batch, executor)
+            # The plane may hold shared-memory segments or a registered
+            # transform; `plane` is rebound on rollback rebuilds and the
+            # finally closes whichever one is current, even on a failed run.
+            try:
+                while True:
+                    messages_in = plane.pending_messages
+                    active = plane.active_vertices
+                    if superstep > 0 and messages_in == 0 and active == 0:
+                        break
+                    if limit is not None and superstep >= limit:
+                        break
+                    if superstep >= hard_cap:
+                        raise VertexicaError(
+                            f"superstep safety limit ({hard_cap}) exceeded by "
+                            f"{program.name}; declare max_supersteps"
+                        )
+                    step_started = time.perf_counter()
+
+                    try:
+                        step = plane.run_superstep(superstep, aggregated, executor)
+                        aggregated = dict(plane.aggregated)
+                        sync_seconds = plane.sync_tables(superstep) if sync_every else 0.0
+                    except Exception as exc:
+                        # A fault that escaped the plane may have left its
+                        # state half-stepped; the rollback restores the
+                        # tables, then the plane is rebuilt from them
+                        # (anything a plane holds beyond them is cache).
+                        superstep, aggregated = self._rollback_or_raise(
+                            exc, recovery, stats, rollbacks_left
+                        )
+                        rollbacks_left -= 1
+                        plane.close()
+                        plane = self._build_plane(graph, program, use_batch, executor)
+                        continue
+                    stats.retries += step.retries
+
+                    seconds = time.perf_counter() - step_started
+                    checkpoint_seconds = 0.0
+                    if recovery is not None and recovery.policy.due(superstep + 1):
+                        if not sync_every:
+                            # The halt policy's promise to the checkpoint
+                            # layer: plane state hits the tables at
+                            # boundaries only.
+                            checkpoint_seconds += plane.sync_tables(superstep)
+                        checkpoint_seconds += recovery.write(superstep + 1, aggregated)
+                        stats.checkpoint_seconds += checkpoint_seconds
+
+                    if config.track_metrics:
+                        stats.supersteps.append(
+                            SuperstepStats(
+                                superstep=superstep,
+                                active_vertices=step.vertices_ran,
+                                messages_in=messages_in,
+                                messages_out=step.messages_out,
+                                vertex_updates=step.vertex_updates,
+                                update_path=step.update_path,
+                                seconds=seconds,
+                                aggregated=tuple(sorted(aggregated.items())),
+                                rows_in=step.rows_in,
+                                rows_out=step.rows_out,
+                                compute_path=compute_path,
+                                shard_seconds=step.shard_seconds,
+                                sync_seconds=sync_seconds,
+                                checkpoint_seconds=checkpoint_seconds,
+                                messages_precombine=step.messages_precombine,
+                            )
+                        )
+                    superstep += 1
+
+                if not sync_every:
+                    # The halt policy's single materialization: final
+                    # vertex values (and any messages still pending under a
+                    # superstep cap) become visible to SQL exactly once.
+                    plane.sync_tables(superstep)
+            finally:
+                plane.close()
         stats.total_seconds = time.perf_counter() - started
         return stats
 
-    def _make_executor(self):
-        """The run's partition/shard task executor as a context manager.
-
-        ``"auto"`` keeps the historical behavior: serial for one worker,
-        a thread pool otherwise.  ``"processes"`` builds a
-        :class:`ProcessExecutor` — persistent spawn-context worker
-        processes that the shard plane binds its shared-memory state to
-        (see :meth:`ShardedDataPlane.bind_executor`); with one worker it
-        never spawns and degrades to serial execution.
-        """
-        config = self.config
-        choice = config.executor
-        if choice == "auto":
-            choice = "serial" if config.n_workers == 1 else "threads"
-        if choice == "processes":
-            return ProcessExecutor(config.n_workers)
-        if choice == "threads" and config.n_workers > 1:
-            return make_thread_executor(config.n_workers)
-        return nullcontext(serial_executor)
-
-    # ------------------------------------------------------------------
-    # The SQL-staged plane (the paper's architecture verbatim)
-    # ------------------------------------------------------------------
-    def _run_sql(
+    def _build_plane(
         self,
         graph: GraphHandle,
         program: VertexProgram,
-        stats: RunStats,
-        executor: PartitionExecutor,
-        limit: int | None,
-        hard_cap: int,
         use_batch: bool,
-        recovery: RunRecovery | None,
-        start_superstep: int,
-        aggregated: dict[str, float],
-    ) -> None:
-        config = self.config
-        storage = self.storage
-        transform_name = f"{graph.name}_worker"
-        # The edge relation never changes during a run: under the union
-        # strategy the workers decode it once (superstep 0) and every
-        # later superstep reads the cached CSR arrays instead of
-        # re-projecting the edge table through SQL.  It survives rollback
-        # too — edges are immutable and the vertex set is stable.
-        edge_cache = (
-            EdgeCache()
-            if config.cache_edges and config.input_strategy == "union"
-            else None
-        )
-
-        superstep = start_superstep
-        rollbacks_left = config.task_retries
-        while True:
-            messages_in = storage.pending_messages(graph)
-            active = storage.active_vertices(graph)
-            if superstep > 0 and messages_in == 0 and active == 0:
-                break
-            if limit is not None and superstep >= limit:
-                break
-            self._check_safety_cap(superstep, hard_cap, program)
-            step_started = time.perf_counter()
-
-            try:
-                worker = VertexWorker(
-                    program,
-                    superstep,
-                    graph.num_vertices,
-                    input_format=config.input_strategy,
-                    aggregated=aggregated,
-                    use_batch=use_batch,
-                    edge_cache=edge_cache,
-                )
-                self.db.register_transform(transform_name, worker, worker.schema)
-                if config.input_strategy == "union":
-                    input_sql = storage.union_input_sql(
-                        graph,
-                        program,
-                        include_edges=edge_cache is None or not edge_cache.primed,
-                    )
-                    order_by = ("vid", "kind")
-                else:
-                    input_sql = storage.join_input_sql(graph)
-                    order_by = ("vid", "edst", "msrc")
-                output = self.db.run_transform(
-                    transform_name,
-                    input_sql,
-                    partition_by=("vid",),
-                    order_by=order_by,
-                    n_partitions=config.n_partitions,
-                    executor=executor,
-                )
-                storage.stage_worker_output(graph, output)
-                if edge_cache is not None:
-                    # All non-empty partitions have now decoded their
-                    # edges; later supersteps skip the edge relation.
-                    edge_cache.primed = True
-
-                vertex_updates = storage.count_staged(graph, 0)
-                replace, path = self._choose_path(vertex_updates, graph.num_vertices)
-                storage.apply_vertex_updates(graph, program, replace, superstep=superstep)
-                messages_staged = storage.count_staged(graph, 1)
-                messages_out = storage.apply_messages(
-                    graph, program, config.use_combiner, replace=replace
-                )
-                aggregated = storage.reduce_aggregators(graph, program)
-            except Exception as exc:
-                superstep, aggregated = self._rollback_or_raise(
-                    exc, recovery, program, stats, rollbacks_left
-                )
-                rollbacks_left -= 1
-                continue
-
-            seconds = time.perf_counter() - step_started
-            checkpoint_seconds = self._maybe_checkpoint(
-                recovery, superstep + 1, aggregated, stats
-            )
-            if config.track_metrics:
-                stats.supersteps.append(
-                    SuperstepStats(
-                        superstep=superstep,
-                        active_vertices=worker.vertices_ran,
-                        messages_in=messages_in,
-                        messages_out=messages_out,
-                        vertex_updates=vertex_updates,
-                        update_path=path if vertex_updates else "none",
-                        seconds=seconds,
-                        aggregated=tuple(sorted(aggregated.items())),
-                        rows_in=worker.rows_in,
-                        rows_out=output.num_rows,
-                        compute_path="batch" if use_batch else "scalar",
-                        checkpoint_seconds=checkpoint_seconds,
-                        messages_precombine=messages_staged,
-                    )
-                )
-            superstep += 1
-
-    # ------------------------------------------------------------------
-    # The shard-resident plane (partition once, route in-plane)
-    # ------------------------------------------------------------------
-    def _run_shards(
-        self,
-        graph: GraphHandle,
-        program: VertexProgram,
-        stats: RunStats,
         executor: PartitionExecutor,
-        limit: int | None,
-        hard_cap: int,
-        use_batch: bool,
-        recovery: RunRecovery | None,
-        start_superstep: int,
-        aggregated: dict[str, float],
-    ) -> None:
-        config = self.config
-
-        def build_plane() -> ShardedDataPlane:
-            # Adopts pending messages from the message table, so a plane
-            # built over restored checkpoint state resumes mid-run with
-            # the exact inboxes (and delivery order) of the original.
-            return ShardedDataPlane(
-                self.storage,
-                graph,
-                program,
-                config.n_partitions,
-                config.use_combiner,
-                task_retries=config.task_retries,
-                retry_backoff=config.retry_backoff,
-            )
-
-        plane = build_plane()
-        # Under executor="processes" this moves the resident shard
-        # arrays into shared memory and installs the plane bootstrap in
-        # the worker pool (no-op for serial/thread executors).
+    ) -> DataPlane:
+        """The run's data plane over the current table state — the one
+        place ``config.data_plane`` is consulted."""
+        if self.config.data_plane == "sql":
+            return SqlDataPlane(self.storage, graph, program, self.config, use_batch)
+        # Adopts pending messages from the message table, so a plane built
+        # over restored checkpoint state resumes mid-run with the exact
+        # inboxes (and delivery order) of the original.
+        plane = ShardedDataPlane(self.storage, graph, program, self.config, use_batch)
+        # Under executor="processes" this moves the resident shard arrays
+        # into shared memory and installs the plane bootstrap in the
+        # worker pool (no-op for serial/thread executors).
         plane.bind_executor(executor)
-        sync_every = config.superstep_sync == "every"
-
-        superstep = start_superstep
-        rollbacks_left = config.task_retries
-        # From here on the plane may hold shared-memory segments; the
-        # finally guarantees they are unlinked even on a failed run (the
-        # `plane` local is rebound on rollback rebuilds, and `finally`
-        # closes whichever plane is current).
-        try:
-            while True:
-                messages_in = plane.pending_messages
-                active = plane.active_vertices
-                if superstep > 0 and messages_in == 0 and active == 0:
-                    break
-                if limit is not None and superstep >= limit:
-                    break
-                self._check_safety_cap(superstep, hard_cap, program)
-                step_started = time.perf_counter()
-
-                try:
-                    worker = VertexWorker(
-                        program,
-                        superstep,
-                        graph.num_vertices,
-                        aggregated=aggregated,
-                        use_batch=use_batch,
-                    )
-                    step = plane.run_superstep(worker, executor)
-                    aggregated = dict(plane.aggregated)
-                    sync_seconds = plane.sync_tables(superstep) if sync_every else 0.0
-                except Exception as exc:
-                    # A fault that escaped the in-task retry loop may have
-                    # left resident shard state half-stepped; the rollback
-                    # restores the tables, then the plane is rebuilt from
-                    # them (resident state is pure cache).
-                    superstep, aggregated = self._rollback_or_raise(
-                        exc, recovery, program, stats, rollbacks_left
-                    )
-                    rollbacks_left -= 1
-                    plane.close()
-                    plane = build_plane()
-                    plane.bind_executor(executor)
-                    continue
-                stats.retries += step.retries
-
-                seconds = time.perf_counter() - step_started
-                checkpoint_seconds = 0.0
-                if recovery is not None and recovery.policy.due(superstep + 1):
-                    if not sync_every:
-                        # The halt policy's promise to the checkpoint layer:
-                        # resident arrays hit the tables at boundaries only.
-                        checkpoint_seconds += plane.sync_tables(superstep)
-                    checkpoint_seconds += recovery.write(superstep + 1, aggregated)
-                    stats.checkpoint_seconds += checkpoint_seconds
-
-                if config.track_metrics:
-                    stats.supersteps.append(
-                        SuperstepStats(
-                            superstep=superstep,
-                            active_vertices=step.vertices_ran,
-                            messages_in=messages_in,
-                            messages_out=step.messages_out,
-                            vertex_updates=step.vertex_updates,
-                            update_path="memory" if step.vertex_updates else "none",
-                            seconds=seconds,
-                            aggregated=tuple(sorted(aggregated.items())),
-                            rows_in=step.rows_in,
-                            rows_out=step.rows_out,
-                            compute_path="batch" if use_batch else "scalar",
-                            shard_seconds=step.shard_seconds,
-                            sync_seconds=sync_seconds,
-                            checkpoint_seconds=checkpoint_seconds,
-                            messages_precombine=step.messages_precombine,
-                        )
-                    )
-                superstep += 1
-
-            if not sync_every:
-                # The halt policy's single materialization: final vertex
-                # values (and any messages still pending under a superstep
-                # cap) become visible to SQL exactly once.
-                plane.sync_tables(superstep)
-        finally:
-            plane.close()
+        return plane
 
     # ------------------------------------------------------------------
-    # Fault handling (shared by both planes)
+    # Fault handling
     # ------------------------------------------------------------------
     def _rollback_or_raise(
         self,
         exc: Exception,
         recovery: RunRecovery | None,
-        program: VertexProgram,
         stats: RunStats,
         rollbacks_left: int,
     ) -> tuple[int, dict[str, float]]:
@@ -438,29 +283,6 @@ class Coordinator:
         stats.recovered_supersteps += restored.completed
         return restored.completed, dict(restored.aggregated)
 
-    def _maybe_checkpoint(
-        self,
-        recovery: RunRecovery | None,
-        completed: int,
-        aggregated: dict[str, float],
-        stats: RunStats,
-    ) -> float:
-        """Write a checkpoint if one is due at ``completed``; returns the
-        seconds spent (also accumulated into ``stats``)."""
-        if recovery is None or not recovery.policy.due(completed):
-            return 0.0
-        seconds = recovery.write(completed, aggregated)
-        stats.checkpoint_seconds += seconds
-        return seconds
-
-    @staticmethod
-    def _check_safety_cap(superstep: int, hard_cap: int, program: VertexProgram) -> None:
-        if superstep >= hard_cap:
-            raise VertexicaError(
-                f"superstep safety limit ({hard_cap}) exceeded by "
-                f"{program.name}; declare max_supersteps"
-            )
-
     # ------------------------------------------------------------------
     def _resolve_compute_path(self, program: VertexProgram) -> bool:
         """Pick the vectorized batch path when the program supports it
@@ -481,20 +303,6 @@ class Coordinator:
                 )
             return True
         return supports_batch(program)
-
-    # ------------------------------------------------------------------
-    def _choose_path(self, updates: int, table_size: int) -> tuple[bool, str]:
-        """The paper's Update-vs-Replace rule: replace the table unless the
-        updated-tuple count is below the threshold."""
-        strategy = self.config.update_strategy
-        if strategy == "replace":
-            return True, "replace"
-        if strategy == "update":
-            return False, "update"
-        threshold = self.config.replace_threshold * max(table_size, 1)
-        if updates <= threshold:
-            return False, "update"
-        return True, "replace"
 
 
 def register_coordinator(db: Database) -> None:

@@ -12,7 +12,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["SuperstepStats", "RunStats"]
+__all__ = ["StepStats", "SuperstepStats", "RunStats"]
+
+
+@dataclass(frozen=True)
+class StepStats:
+    """What one superstep did on a data plane — the counts either plane
+    hands the coordinator, which adds timing and builds
+    :class:`SuperstepStats` from them."""
+
+    vertices_ran: int
+    vertex_updates: int
+    messages_out: int
+    rows_in: int
+    rows_out: int
+    #: "update" | "replace" (SQL plane) | "memory" (shard plane) | "none"
+    update_path: str
+    #: message rows before the combiner ran (== ``messages_out`` when
+    #: combining is off)
+    messages_precombine: int
+    #: per-shard compute seconds (empty on the SQL plane, whose
+    #: partition work is not individually timed)
+    shard_seconds: tuple[float, ...] = ()
+    #: transient shard-task faults retried in place this superstep
+    retries: int = 0
 
 
 @dataclass(frozen=True)

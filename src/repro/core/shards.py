@@ -65,6 +65,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import faults
+from repro.core.config import VertexicaConfig
+from repro.core.metrics import StepStats
 from repro.core.program import VertexProgram
 from repro.core.shmem import GroupDescriptor, SharedArrayGroup, new_segment_name
 from repro.core.storage import GraphHandle, GraphStorage
@@ -81,7 +83,6 @@ from repro.engine.types import VARCHAR
 __all__ = [
     "ShardedDataPlane",
     "VertexShard",
-    "ShardStepStats",
     "ShardTaskOutput",
     "PlaneMeta",
 ]
@@ -155,23 +156,6 @@ class VertexShard:
         self.msg_dst = empty_i64
         self.msg_raw = empty_raw
         self.msg_valid = np.empty(0, dtype=bool)
-
-
-@dataclass(frozen=True)
-class ShardStepStats:
-    """What one sharded superstep did (feeds ``SuperstepStats``)."""
-
-    vertices_ran: int
-    vertex_updates: int
-    messages_out: int
-    rows_in: int
-    rows_out: int
-    shard_seconds: tuple[float, ...]
-    #: transient shard-task faults retried in place this superstep
-    retries: int = 0
-    #: routed message rows before the combiner ran (== messages_out when
-    #: combining is off)
-    messages_precombine: int = 0
 
 
 @dataclass(frozen=True)
@@ -374,16 +358,16 @@ class ShardedDataPlane:
         storage: GraphStorage,
         graph: GraphHandle,
         program: VertexProgram,
-        n_shards: int,
-        use_combiner: bool,
-        task_retries: int = 0,
-        retry_backoff: float = 0.01,
+        config: VertexicaConfig,
+        use_batch: bool | None = None,
     ) -> None:
         self.storage = storage
         self.graph = graph
         self.program = program
-        self.n_shards = max(1, int(n_shards))
-        self.use_combiner = bool(use_combiner and program.combiner is not None)
+        #: compute path of every superstep's worker (``None`` auto-detects)
+        self.use_batch = use_batch
+        self.n_shards = config.n_partitions
+        self.use_combiner = config.use_combiner and program.combiner is not None
         self.aggregated: dict[str, float] = {}
         v_codec = program.vertex_codec
         m_codec = program.message_codec
@@ -391,8 +375,8 @@ class ShardedDataPlane:
         m_sql = m_codec.sql_type
         self.meta = PlaneMeta(
             n_shards=self.n_shards,
-            task_retries=max(0, int(task_retries)),
-            retry_backoff=retry_backoff,
+            task_retries=config.task_retries,
+            retry_backoff=config.retry_backoff,
             value_width=v_codec.width,
             msg_width=m_codec.width,
             value_is_varchar=v_sql is VARCHAR,
@@ -650,17 +634,28 @@ class ShardedDataPlane:
     # One superstep
     # ------------------------------------------------------------------
     def run_superstep(
-        self, worker: VertexWorker, executor: PartitionExecutor
-    ) -> ShardStepStats:
+        self,
+        superstep: int,
+        aggregated: dict[str, float],
+        executor: PartitionExecutor,
+    ) -> StepStats:
         """Compute every shard (optionally in parallel), then apply
-        vertex updates, route messages, and reduce aggregators — the
-        synchronous superstep barrier, minus all the SQL.
+        vertex updates, route messages, and reduce aggregators (into
+        :attr:`aggregated`) — the synchronous superstep barrier, minus
+        all the SQL.
 
         Each shard task also *pre-buckets* its own emitted messages by
         destination shard (one stable sort per source shard, inside the
         parallel section), so the barrier-side router only concatenates
         per-destination inboxes and segment-sorts them.
         """
+        worker = VertexWorker(
+            self.program,
+            superstep,
+            self.graph.num_vertices,
+            aggregated=aggregated,
+            use_batch=self.use_batch,
+        )
         if self._proc_executor is not None:
             return self._run_superstep_processes(worker)
         messages_in = self.pending_messages
@@ -676,7 +671,7 @@ class ShardedDataPlane:
         )
         return self._finish_superstep(worker, outputs, messages_in)
 
-    def _run_superstep_processes(self, worker: VertexWorker) -> ShardStepStats:
+    def _run_superstep_processes(self, worker: VertexWorker) -> StepStats:
         """One superstep on the bound :class:`ProcessExecutor`: publish
         inboxes, dispatch tiny task descriptors, gather
         :class:`ShardTaskOutput` results, then run the exact same
@@ -701,7 +696,7 @@ class ShardedDataPlane:
         worker: VertexWorker,
         outputs: list[ShardTaskOutput],
         messages_in: int,
-    ) -> ShardStepStats:
+    ) -> StepStats:
         """The superstep barrier: apply updates, route, reduce — same
         order for every executor (which is what parity rests on)."""
         vertex_updates = self._apply_vertex_updates([out.updates for out in outputs])
@@ -715,15 +710,16 @@ class ShardedDataPlane:
         rows_in = self.graph.num_vertices + messages_in
         if worker.superstep == 0:
             rows_in += self.graph.num_edges
-        return ShardStepStats(
+        return StepStats(
             vertices_ran=worker.vertices_ran,
             vertex_updates=vertex_updates,
             messages_out=messages_out,
             rows_in=rows_in,
             rows_out=sum(out.rows_out for out in outputs),
+            update_path="memory" if vertex_updates else "none",
+            messages_precombine=messages_precombine,
             shard_seconds=tuple(out.seconds for out in outputs),
             retries=sum(out.retried for out in outputs),
-            messages_precombine=messages_precombine,
         )
 
     # ------------------------------------------------------------------

@@ -700,11 +700,6 @@ class VertexWorker:
         self.edge_cache = edge_cache
         self.aggregated = aggregated or {}
         self.payload_width = payload_width(program)
-        if self.payload_width and input_format == "join":
-            raise ProgramError(
-                "the join input format cannot carry vector codec payloads; "
-                "use input_strategy='union' (or data_plane='shards')"
-            )
         self.schema = worker_output_schema(self.payload_width)
         self._lock = threading.Lock()
         #: vertices whose compute function ran this superstep

@@ -358,6 +358,11 @@ class Database:
         """Register a transform (table) UDF — the worker container."""
         self.udfs.register_transform(TransformUdf(name, fn, output_schema))
 
+    def unregister_transform(self, name: str) -> None:
+        """Drop a transform UDF, releasing whatever its callable holds
+        (idempotent: unknown names are ignored)."""
+        self.udfs.unregister_transform(name)
+
     def run_transform(
         self,
         name: str,

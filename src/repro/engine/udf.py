@@ -55,6 +55,12 @@ class UdfCatalog:
         """Register (or replace) a transform UDF."""
         self._transforms[udf.name.lower()] = udf
 
+    def unregister_transform(self, name: str) -> None:
+        """Drop a transform UDF (and the callable it pins); a name that
+        is not registered is ignored, so teardown paths can call this
+        unconditionally."""
+        self._transforms.pop(name.lower(), None)
+
     def get_transform(self, name: str) -> TransformUdf:
         """Look up a transform UDF.
 

@@ -75,7 +75,7 @@ __all__ = [
     "lower_view",
 ]
 
-EXECUTOR_CHOICES = ("auto", "serial", "threads", "processes")
+EXECUTOR_CHOICES = ("threads", "processes")
 CO_MODES = ("exact", "capped", "selfjoin")
 
 #: Pair buffer size above which the streamed expansion compacts its
@@ -95,8 +95,8 @@ class ExtractionOptions:
     """How a view's extraction is executed.
 
     Attributes:
-        executor: ``"auto"`` (serial for one worker, threads otherwise),
-            ``"serial"``, ``"threads"``, or ``"processes"``.
+        executor: ``"threads"`` (default) or ``"processes"``; one worker
+            runs serially under either.
         n_workers: parallel lowering tasks in flight; ``0`` means "use
             every usable core" (affinity-aware).
         co_mode: how :class:`CoEdgeSpec` co-occurrence is lowered —
@@ -114,7 +114,7 @@ class ExtractionOptions:
             per-task overhead beats the parallelism).
     """
 
-    executor: str = "auto"
+    executor: str = "threads"
     n_workers: int = 1
     co_mode: str = "exact"
     co_cap: int | None = None
@@ -125,7 +125,8 @@ class ExtractionOptions:
         if self.executor not in EXECUTOR_CHOICES:
             raise GraphViewError(
                 f"extraction executor must be one of {EXECUTOR_CHOICES}, "
-                f"got {self.executor!r}"
+                f"got {self.executor!r} ('auto' is now spelled 'threads'; "
+                "for 'serial' set n_workers=1)"
             )
         if self.co_mode not in CO_MODES:
             raise GraphViewError(
@@ -142,11 +143,6 @@ class ExtractionOptions:
         if self.n_workers == 0:
             return recommended_process_count()
         return self.n_workers
-
-    def resolved_executor(self) -> str:
-        if self.executor == "auto":
-            return "serial" if self.resolved_workers() == 1 else "threads"
-        return self.executor
 
 
 @dataclass
@@ -569,12 +565,11 @@ def lower_view(
     options = options or ExtractionOptions()
     options.validate()
     jobs = _build_jobs(view, options)
-    choice = options.resolved_executor()
     workers = options.resolved_workers()
-    if choice == "serial" or workers == 1:
+    if workers == 1:
         per_job, num_queries = _run_serial(db, jobs)
         parallelism = 1
-    elif choice == "threads":
+    elif options.executor == "threads":
         per_job, num_queries = _run_threads(db, jobs, workers, options)
         parallelism = workers
     else:

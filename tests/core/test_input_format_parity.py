@@ -2,8 +2,9 @@
 
 The batch/scalar compute axis is pinned by ``test_batch_parity``; this
 suite pins the other data-plane axis: the ``union`` input format (the
-paper's Table Unions optimization, with and without the cross-superstep
-edge cache) and the naive three-way ``join`` foil must decode into
+paper's Table Unions optimization, reading edges from the
+cross-superstep edge cache) and the naive three-way ``join`` foil (which
+re-reads them through SQL every superstep) must decode into
 identical per-vertex context, so every program must produce identical
 values, aggregates, and superstep behavior on both.
 """
@@ -117,36 +118,22 @@ class TestUnionVsJoinAllPrograms:
         join = run_with("join", program_factory, symmetrize, matching)
         assert_runs_identical(union, join)
 
-    @pytest.mark.parametrize("program_factory,symmetrize,matching", ALL_PROGRAMS)
-    def test_union_edge_cache_is_transparent(
-        self, program_factory, symmetrize, matching
-    ):
-        """cache_edges only skips redundant work — never changes results."""
-        cached = run_with(
-            "union", program_factory, symmetrize, matching, cache_edges=True
-        )
-        uncached = run_with(
-            "union", program_factory, symmetrize, matching, cache_edges=False
-        )
-        assert_runs_identical(cached, uncached)
-
-    def test_cached_union_reads_fewer_rows(self):
-        cached = run_with("union", lambda: PageRank(iterations=5), False)
-        uncached = run_with(
-            "union", lambda: PageRank(iterations=5), False, cache_edges=False
-        )
+    def test_cached_union_drops_edge_rows_after_first_superstep(self):
+        run = run_with("union", lambda: PageRank(iterations=5), False)
+        steps = run.stats.supersteps
+        vertices, edges = 96, 450
         # Superstep 0 decodes (and caches) the edge relation...
-        assert cached.stats.supersteps[0].rows_in == uncached.stats.supersteps[0].rows_in
+        assert steps[0].rows_in == vertices + edges
         # ...after which the edge rows disappear from the worker input.
-        for c, u in zip(cached.stats.supersteps[1:], uncached.stats.supersteps[1:]):
-            assert c.rows_in < u.rows_in
+        for step in steps[1:]:
+            assert step.rows_in == vertices + step.messages_in
 
 
 class TestEdgeCacheEmptyPartitions:
     def test_ghost_message_to_vertexless_bucket(self):
         """A message to a nonexistent id can hash to a bucket that held no
         rows at superstep 0 (hence no cache entry); the cached decode must
-        drop it like the uncached path does, not crash."""
+        drop it like the cache-less join format does, not crash."""
         from repro.core.program import VertexProgram
 
         class GhostToEmptyBucket(VertexProgram):
@@ -165,10 +152,10 @@ class TestEdgeCacheEmptyPartitions:
                 vertex.vote_to_halt()
 
         results = {}
-        for cached in (True, False):
+        for strategy in ("union", "join"):
             vx = Vertexica(
-                config=VertexicaConfig(n_partitions=4, cache_edges=cached)
+                config=VertexicaConfig(n_partitions=4, input_strategy=strategy)
             )
             graph = vx.load_graph("g", [0, 1], [1, 2], num_vertices=3)
-            results[cached] = vx.run(graph, GhostToEmptyBucket())
-        assert results[True].values == results[False].values == {0: 0.0, 1: 1.0, 2: 2.0}
+            results[strategy] = vx.run(graph, GhostToEmptyBucket())
+        assert results["union"].values == results["join"].values == {0: 0.0, 1: 1.0, 2: 2.0}

@@ -146,10 +146,16 @@ class TestExecutorConfig:
         with pytest.raises(VertexicaError, match="executor"):
             VertexicaConfig(executor="fibers").validated()
 
-    def test_explicit_thread_and_serial_choices(self, vx):
+    @pytest.mark.parametrize(
+        "removed,replacement", [("auto", "'threads'"), ("serial", "n_workers=1")]
+    )
+    def test_removed_executor_values_name_their_replacement(self, removed, replacement):
+        with pytest.raises(VertexicaError, match=replacement):
+            VertexicaConfig(executor=removed).validated()
+
+    def test_threads_match_one_serial_worker(self, vx):
         g = _graph(vx)
-        serial = vx.run(g, ShortestPaths(source=0), data_plane="shards",
-                        executor="serial", n_workers=4)
+        serial = vx.run(g, ShortestPaths(source=0), data_plane="shards", n_workers=1)
         threaded = vx.run(g, ShortestPaths(source=0), data_plane="shards",
                           executor="threads", n_workers=4)
         assert serial.values == threaded.values

@@ -148,7 +148,9 @@ class TestShardPartitioning:
         graph = vx.load_graph("g", src, dst, weights=weights, num_vertices=64)
         storage = GraphStorage(vx.db)
         storage.setup_run(graph, PageRank(iterations=1))
-        plane = ShardedDataPlane(storage, graph, PageRank(iterations=1), 4, True)
+        plane = ShardedDataPlane(
+            storage, graph, PageRank(iterations=1), VertexicaConfig(n_partitions=4)
+        )
         assert len(plane.shards) == 4
         seen = 0
         for shard in plane.shards:

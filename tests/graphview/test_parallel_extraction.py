@@ -80,7 +80,7 @@ class TestExecutorParity:
         schema = social(vx)
         view = full_view(schema)
         vx.create_graph_view(
-            "base", view, extraction=ExtractionOptions(executor="serial")
+            "base", view, extraction=ExtractionOptions(n_workers=1)
         )
         vx.create_graph_view("par", view, extraction=options)
         assert_tables_identical(
@@ -267,7 +267,12 @@ class TestOptionsValidation:
         with pytest.raises(GraphViewError, match="co_cap"):
             ExtractionOptions(co_cap=0).validate()
 
-    def test_auto_resolves_by_worker_count(self):
-        assert ExtractionOptions(executor="auto", n_workers=1).resolved_executor() == "serial"
-        assert ExtractionOptions(executor="auto", n_workers=3).resolved_executor() == "threads"
+    @pytest.mark.parametrize(
+        "removed,replacement", [("auto", "'threads'"), ("serial", "n_workers=1")]
+    )
+    def test_removed_executor_values_name_their_replacement(self, removed, replacement):
+        with pytest.raises(GraphViewError, match=replacement):
+            ExtractionOptions(executor=removed).validate()
+
+    def test_zero_workers_resolves_to_core_count(self):
         assert ExtractionOptions(n_workers=0).resolved_workers() >= 1

@@ -83,22 +83,23 @@ class TestResultsMatchFreshExtraction:
 
 class TestEdgeCacheFreshness:
     def test_cached_runs_see_refreshed_edges(self):
-        """Two ``vx.run`` calls with ``cache_edges=True`` around a refresh:
-        the second run must compute on the refreshed edge relation, and
-        agree exactly with a cache-less run on the same tables."""
+        """Two ``vx.run`` calls (each with its edge cache) around a
+        refresh: the second run must compute on the refreshed edge
+        relation, and agree exactly with a run over a freshly extracted
+        graph that no earlier run ever cached."""
         vx = make_vx(seed=33)
         live = vx.create_graph_view("live", social_view())
         program = PageRank(iterations=6)
-        before = vx.run(live, program, cache_edges=True).values
+        before = vx.run(live, program).values
 
         apply_dml(vx)
         live.refresh()
         assert live.last_extraction.mode == "incremental"
 
-        after_cached = vx.run(live, program, cache_edges=True).values
-        after_uncached = vx.run(live, program, cache_edges=False).values
-        assert after_cached == after_uncached
-        assert after_cached != before  # the DML genuinely moved the ranks
+        after = vx.run(live, program).values
+        fresh = vx.create_graph_view("fresh", social_view())
+        assert after == vx.run(fresh, program).values
+        assert after != before  # the DML genuinely moved the ranks
 
     def test_isolated_vertex_appears_after_refresh(self):
         vx = make_vx(seed=34)
@@ -106,7 +107,7 @@ class TestEdgeCacheFreshness:
         vx.sql("INSERT INTO users VALUES (300, 'de', 9.9)")
         live.refresh()
         assert live.last_extraction.mode == "incremental"
-        values = vx.run(live, ConnectedComponents(), cache_edges=True).values
+        values = vx.run(live, ConnectedComponents()).values
         assert 300 in values
 
     def test_vertex_disappears_when_last_derivation_goes(self):
