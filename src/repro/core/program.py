@@ -264,7 +264,9 @@ class VertexBatch:
         self._out_degrees: np.ndarray | None = None
         self._msg_counts: np.ndarray | None = None
         self._halt = np.zeros(len(ids), dtype=bool)
-        self._msg_blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._msg_blocks: list[
+            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]
+        ] = []
         self._agg_blocks: list[tuple[str, np.ndarray]] = []
 
     # ------------------------------------------------------------------
@@ -396,18 +398,20 @@ class VertexBatch:
         (``mask`` selects which vertices send)."""
         degrees = self.out_degrees
         values = np.asarray(per_vertex)
+        self._check_length("send_to_all_neighbors", "per_vertex", values, self.size, "vertices")
+        sending = self._sender_mask("send_to_all_neighbors", mask)
         if mask is None:
             payload = np.repeat(values, degrees, axis=0)
             targets = self.edge_targets
             senders = np.repeat(self.ids, degrees)
         else:
-            counts = np.where(mask, degrees, 0)
+            counts = np.where(sending, degrees, 0)
             payload = np.repeat(values, counts, axis=0)
-            edge_mask = np.repeat(mask, degrees)
+            edge_mask = np.repeat(sending, degrees)
             targets = self.edge_targets[edge_mask]
             senders = np.repeat(self.ids, counts)
         if len(targets):
-            self._msg_blocks.append((senders, targets, payload))
+            self._msg_blocks.append((senders, targets, payload, sending))
 
     def send_along_edges(
         self, per_edge: np.ndarray | Sequence[Any], mask: np.ndarray | None = None
@@ -415,16 +419,42 @@ class VertexBatch:
         """Queue one message per out-edge with edge-aligned payloads
         (``mask`` is per-vertex and selects whose edges send)."""
         values = np.asarray(per_edge)
+        self._check_length(
+            "send_along_edges", "per_edge", values, len(self.edge_targets), "edges"
+        )
+        sending = self._sender_mask("send_along_edges", mask)
         if mask is None:
             targets = self.edge_targets
             senders = np.repeat(self.ids, self.out_degrees)
         else:
-            edge_mask = np.repeat(mask, self.out_degrees)
+            edge_mask = np.repeat(sending, self.out_degrees)
             values = values[edge_mask]
             targets = self.edge_targets[edge_mask]
-            senders = np.repeat(self.ids, np.where(mask, self.out_degrees, 0))
+            senders = np.repeat(self.ids, np.where(sending, self.out_degrees, 0))
         if len(targets):
-            self._msg_blocks.append((senders, targets, values))
+            self._msg_blocks.append((senders, targets, values, sending))
+
+    def _check_length(
+        self, method: str, arg: str, array: np.ndarray, expected: int, unit: str
+    ) -> None:
+        given = len(array) if array.ndim else 1
+        if given != expected:
+            raise ProgramError(
+                f"{method}() needs {arg} of length {expected} (the batch's "
+                f"{unit}), got length {given}"
+            )
+
+    def _sender_mask(self, method: str, mask: np.ndarray | None) -> np.ndarray:
+        """The per-vertex bool mask of an edge-aligned send (all vertices
+        when ``mask`` is ``None``) — the block's *edge-aligned tag*: the
+        block holds exactly one row per out-edge of the selected
+        vertices, in CSR order, which is what lets the shard plane route
+        it through a sort-once plan instead of sorting it."""
+        if mask is None:
+            return np.ones(self.size, dtype=bool)
+        sending = np.asarray(mask, dtype=bool)
+        self._check_length(method, "mask", sending, self.size, "vertices")
+        return sending
 
     def send(
         self,
@@ -439,7 +469,7 @@ class VertexBatch:
         if not (len(senders) == len(targets) == len(values)):
             raise ProgramError("send() requires equally long sender/target/value arrays")
         if len(targets):
-            self._msg_blocks.append((senders, targets, values))
+            self._msg_blocks.append((senders, targets, values, None))
 
     def aggregate(
         self, name: str, values: np.ndarray | Sequence[float], mask: np.ndarray | None = None
@@ -462,8 +492,13 @@ class VertexBatch:
         """Per-vertex halt votes."""
         return self._halt
 
-    def collect_message_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Staged (senders, targets, values) blocks in send order."""
+    def collect_message_blocks(
+        self,
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
+        """Staged ``(senders, targets, values, sending)`` blocks in send
+        order.  ``sending`` is the per-vertex sender mask of an
+        edge-aligned block (:meth:`send_to_all_neighbors` /
+        :meth:`send_along_edges`) and ``None`` for :meth:`send`."""
         return self._msg_blocks
 
     def collect_aggregates(self) -> list[tuple[str, np.ndarray]]:

@@ -322,6 +322,12 @@ class StagedRows:
     halted: np.ndarray  # bool halt votes (kind 0 only)
     pay: np.ndarray | None = None  # float64 (n, K) vector payload block
     pay_valid: np.ndarray | None = None  # bool (n,) whole-vector validity
+    #: Per-vertex bool mask (partition positions) of who sent, set only
+    #: when *all* kind-1 rows are one edge-aligned block — one row per
+    #: out-edge of the masked vertices, in the partition's CSR edge order
+    #: (``VertexBatch.send_to_all_neighbors`` / ``send_along_edges``).
+    #: ``None`` for ``send()``, several blocks, or the scalar path.
+    route_senders: np.ndarray | None = None
 
     @classmethod
     def empty(cls, pay_width: int = 0) -> "StagedRows":
@@ -358,6 +364,7 @@ class _Outputs:
     __slots__ = (
         "_blocks", "kind", "vid", "dst", "f1", "s1", "halted", "pay",
         "agg_partials", "pay_width", "vertex_width", "message_width",
+        "route_senders",
     )
 
     def __init__(
@@ -376,6 +383,8 @@ class _Outputs:
         self.pay_width = pay_width
         self.vertex_width = vertex_width
         self.message_width = message_width
+        #: see :attr:`StagedRows.route_senders` (set by the batch path)
+        self.route_senders: np.ndarray | None = None
 
     # Scalar-path appends ----------------------------------------------
     def add_vertex_update(
@@ -569,6 +578,7 @@ class _Outputs:
             s1, s1_valid,
             np.asarray(halted, dtype=bool),
             pay, pay_valid,
+            self.route_senders,
         )
 
     def to_batch(self, schema: Schema) -> RecordBatch:
@@ -957,10 +967,17 @@ class VertexWorker:
         out.add_vertex_block(
             ctx.ids, f1, f1v, s1, s1v, ctx.collect_halt_votes(), pay, payv
         )
-        for senders, targets, payload in ctx.collect_message_blocks():
+        blocks = ctx.collect_message_blocks()
+        for senders, targets, payload, _ in blocks:
             pv = np.ones(len(payload), dtype=bool)
             f1, f1v, s1, s1v, pay, payv = _encoded_payload(m_codec, payload, pv)
             out.add_message_block(senders, targets, f1, f1v, s1, s1v, pay, payv)
+        if len(blocks) == 1 and blocks[0][3] is not None:
+            # The task's kind-1 rows are exactly one edge-aligned block:
+            # name its senders by partition position (the batch only
+            # holds the active vertices).
+            out.route_senders = np.zeros(part.num_vertices, dtype=bool)
+            out.route_senders[act] = blocks[0][3]
         for name, contributions in ctx.collect_aggregates():
             out.agg_partials.extend(
                 (name, value) for value in contributions.tolist()
