@@ -87,7 +87,7 @@ from repro.core.worker import (
     _csr_align,
     _DecodedPartition,
 )
-from repro.engine.operators import hash_bucket_order
+from repro.engine.operators import hash_bucket_order, stable_int_order
 from repro.engine.parallel import PartitionExecutor, ProcessExecutor
 from repro.engine.types import VARCHAR
 
@@ -854,7 +854,7 @@ class ShardedDataPlane:
                 dst = np.concatenate([p[1] for p in parts])
                 values = np.concatenate([p[2] for p in parts])
                 valid = np.concatenate([p[3] for p in parts])
-                order = np.argsort(dst, kind="stable")
+                order = stable_int_order((dst,))
                 inbox = (senders[order], dst[order], values[order], valid[order])
             staged += sum(len(p[1]) for p in parts)
             if self.use_combiner:
@@ -952,7 +952,7 @@ class ShardedDataPlane:
         values = np.concatenate([s.raw_values for s in shards])
         value_valid = np.concatenate([s.value_valid for s in shards])
         halted = np.concatenate([s.halted for s in shards])
-        order = np.argsort(ids, kind="stable")
+        order = stable_int_order((ids,))
         self.storage.sync_vertex_state(
             self.graph,
             self.program,
@@ -965,7 +965,7 @@ class ShardedDataPlane:
         dst = np.concatenate([s.msg_dst for s in shards])
         raw = np.concatenate([s.msg_raw for s in shards])
         valid = np.concatenate([s.msg_valid for s in shards])
-        morder = np.argsort(dst, kind="stable")
+        morder = stable_int_order((dst,))
         self.storage.sync_message_state(
             self.graph,
             self.program,

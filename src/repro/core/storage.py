@@ -415,10 +415,11 @@ class GraphStorage:
 
     def out_degrees(self, graph: GraphHandle) -> dict[int, int]:
         """Out-degree per vertex (absent = 0), computed in SQL."""
-        rows = self.db.execute(
+        batch = self.db.query_batch(
             f"SELECT src, COUNT(*) AS deg FROM {graph.edge_table} GROUP BY src"
-        ).rows()
-        return {src: deg for src, deg in rows}
+        )
+        src, deg = batch.column("src"), batch.column("deg")
+        return dict(zip(src.values.tolist(), deg.values.tolist()))
 
     # ------------------------------------------------------------------
     # Worker input queries (the §2.3 Table Unions optimization + its foil)

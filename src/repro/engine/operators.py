@@ -9,6 +9,8 @@ Python: all heavy lifting happens inside numpy.
 The join, aggregation, and sort algorithms are implemented with
 factorize/searchsorted/reduceat patterns rather than per-row Python loops;
 string columns fall back to per-group loops only where numpy cannot help.
+Every stable sort over integer keys goes through one kernel,
+:func:`stable_int_order` (radix passes, or a merge of presorted runs).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "TransformOp",
     "factorize_columns",
     "hash_bucket_order",
+    "stable_int_order",
     "explain_tree",
     "analyze_tree",
 ]
@@ -57,6 +60,88 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Shared vectorized helpers
 # ---------------------------------------------------------------------------
+#: Below this many rows :func:`stable_int_order` lexsorts: the radix
+#: passes' fixed cost (~10-20 µs a call) loses to a comparison sort of
+#: fewer than ~1.3 k int64 rows (measured, one and two keys).
+_RADIX_MIN_ROWS = 1536
+#: Above this many 16-bit passes over all keys, :func:`stable_int_order`
+#: lexsorts (spans of up to one full int64 key, or two 32-bit keys).
+_RADIX_MAX_PASSES = 4
+#: A key that arrives in at most this many ascending runs is merged
+#: (numpy's stable int64 sort is a timsort, O(n log runs)) instead of
+#: radix-sorted: measured at 0.14-0.84 M rows, 8 runs merge in about half
+#: the time of two 16-bit passes and 32 runs break even.
+_MERGE_MAX_RUNS = 8
+
+
+def stable_int_order(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """The stable sort permutation of rows keyed on ``keys``, ``keys[0]``
+    primary — exactly ``np.lexsort(tuple(reversed(keys)))``.
+
+    Integer and bool keys are sorted one at a time, last key first, each
+    key's stable sort applied to the order the later keys left: a stable
+    sort keeps equal keys in their incoming order, so after the pass on
+    key ``j`` rows are ordered by keys ``j, j + 1, ...`` with ties in
+    input order, and after the pass on key 0 that is the lexsort order.
+    Each key's pass is one of:
+
+    * nothing, when the key has one distinct value or arrives sorted;
+    * a merge, when it arrives in at most ``_MERGE_MAX_RUNS`` ascending
+      runs (a union of sorted tables, per-shard buckets, an already
+      sorted column) — timsort finds the runs and merges them;
+    * otherwise least-significant-digit radix passes, the same argument
+      one digit down: the key is shifted by its minimum (the difference
+      is taken modulo 2^64 and read unsigned, so any span up to 2^64 - 1
+      is exact), split into 16-bit digits, and numpy's stable argsort of
+      a ``uint16`` (or, for a top digit of at most 8 bits, ``uint8``)
+      array — an O(n) radix sort — runs once per digit, low digit first.
+
+    Falls back to ``np.lexsort`` (same permutation) for fewer than
+    ``_RADIX_MIN_ROWS`` rows, where the passes' fixed cost loses; for more
+    than ``_RADIX_MAX_PASSES`` digits over all keys; and for any
+    non-integer key.
+    """
+    keys = [np.asarray(k) for k in keys]
+    n = len(keys[0]) if keys else 0
+    if n < _RADIX_MIN_ROWS or any(k.dtype.kind not in "biu" for k in keys):
+        return np.lexsort(tuple(reversed(keys)))
+    spans = []  # (key, minimum, bit length of its span)
+    for key in keys:
+        if key.dtype.kind == "b":
+            key = key.view(np.uint8)
+        lo = int(key.min())
+        spans.append((key, lo, (int(key.max()) - lo).bit_length()))
+    if sum(-(-bits // 16) for _, _, bits in spans) > _RADIX_MAX_PASSES:
+        return np.lexsort(tuple(reversed(keys)))
+    order: np.ndarray | None = None
+    for key, lo, bits in reversed(spans):
+        if not bits:
+            continue
+        if order is not None:
+            key = key[order]
+        descents = np.count_nonzero(key[1:] < key[:-1])
+        if descents == 0:
+            continue  # already in order: its stable sort is the identity
+        if descents < _MERGE_MAX_RUNS:
+            step = np.argsort(key, kind="stable")
+        else:
+            # Wraps in the key's own width; read unsigned it is key - lo.
+            shifted = (key - key.dtype.type(lo)).view(f"u{key.itemsize}")
+            step = None
+            for shift in range(0, bits, 16):
+                # numpy radix-sorts a byte per pass: a top digit of at
+                # most 8 bits takes one pass as uint8, not two.
+                width = np.uint8 if bits - shift <= 8 else np.uint16
+                digit = (shifted >> shift if shift else shifted).astype(width)
+                step = (
+                    np.argsort(digit, kind="stable")
+                    if step is None
+                    else step[np.argsort(digit[step], kind="stable")]
+                )
+        order = step if order is None else order[step]
+    return np.arange(n) if order is None else order
+
+
 def _column_codes(column: Column) -> np.ndarray:
     """Dense group codes for one column; NULLs form their own group."""
     n = len(column)
@@ -98,8 +183,9 @@ def hash_bucket_order(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stable row order grouping by bucket, plus per-bucket slice bounds.
 
-    One lexsort keyed on ``(bucket, *sort_keys)`` replaces filtering the
-    input once per bucket; because the sort is stable, rows within a
+    One stable sort keyed on ``(bucket, *sort_keys)``
+    (:func:`stable_int_order`) replaces filtering the input once per
+    bucket; because the sort is stable, rows within a
     bucket keep their relative input order (after the optional per-bucket
     sort keys).  This is the partitioning primitive shared by
     :class:`TransformOp` and the shard-resident data plane's message
@@ -109,7 +195,7 @@ def hash_bucket_order(
         ``(order, bounds)`` — bucket ``b`` owns
         ``order[bounds[b]:bounds[b + 1]]``.
     """
-    order = np.lexsort(tuple(reversed(tuple(sort_keys))) + (bucket_ids,))
+    order = stable_int_order((bucket_ids, *sort_keys))
     bounds = np.searchsorted(
         bucket_ids[order], np.arange(n_buckets + 1), side="left"
     )
@@ -129,7 +215,9 @@ def _sort_key_ranks(column: Column, ascending: bool) -> np.ndarray:
     if column.dtype is INTEGER and bool(mask.all()):
         # Fast path: non-null integers are already a valid sort key —
         # skip the np.unique rank compaction (an extra full sort).
-        return column.values if ascending else -column.values
+        # ``~x == -x - 1`` reverses the order without negation's
+        # overflow at the int64 minimum.
+        return column.values if ascending else ~column.values
     ranks = np.zeros(n, dtype=np.int64)
     if mask.any():
         _, inverse = np.unique(column.values[mask], return_inverse=True)
@@ -363,7 +451,7 @@ def _expand_matches(
     left_codes: np.ndarray, right_codes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """All matching (left_index, right_index) pairs via sort + searchsorted."""
-    order = np.argsort(right_codes, kind="stable")
+    order = stable_int_order((right_codes,))
     sorted_codes = right_codes[order]
     start = np.searchsorted(sorted_codes, left_codes, side="left")
     end = np.searchsorted(sorted_codes, left_codes, side="right")
@@ -548,7 +636,14 @@ class AggregateSpec:
 
 
 class AggregateOp(Operator):
-    """Vectorized GROUP BY: factorize keys, sort once, reduceat per agg.
+    """Vectorized GROUP BY: one stable integer sort, reduceat per agg.
+
+    A single non-NULL ``INTEGER`` key is its own group code, so it is
+    sorted directly (:func:`stable_int_order`) — the SQL plane's message
+    ``GROUP BY dst`` every superstep; any other key set is factorized
+    into dense codes first and the codes are sorted.  Either way groups
+    come out in ascending key order (factorize codes are value ranks),
+    rows within a group in input order.
 
     Output columns are the group keys (in ``group_exprs`` order) followed
     by the aggregates (in ``specs`` order), named by ``names``.
@@ -594,24 +689,30 @@ class AggregateOp(Operator):
     def execute(self) -> RecordBatch:
         batch = self.child.execute()
         n = batch.num_rows
-        if self.group_exprs:
-            key_cols = [evaluate(e, batch, self.registry) for e in self.group_exprs]
-            if n == 0:
-                return RecordBatch.empty(self.schema)
+        key_cols = [evaluate(e, batch, self.registry) for e in self.group_exprs]
+        if key_cols and n == 0:
+            return RecordBatch.empty(self.schema)
+        n_groups: int | None
+        if len(key_cols) == 1 and key_cols[0].dtype is INTEGER and key_cols[0].valid.all():
+            codes, n_groups = key_cols[0].values, None  # counted below
+        elif key_cols:
             codes, n_groups = factorize_columns(key_cols)
         else:
-            key_cols = []
             codes = np.zeros(n, dtype=np.int64)
             n_groups = 1  # global aggregate: one output row even on empty input
-        order = np.argsort(codes, kind="stable")
+        order = stable_int_order((codes,))
         sorted_codes = codes[order]
         boundaries = (
-            np.flatnonzero(np.diff(sorted_codes, prepend=sorted_codes[0] - 1))
+            np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
             if n
             else np.empty(0, dtype=np.int64)
         )
         group_sizes = np.diff(np.append(boundaries, n))
-        present = sorted_codes[boundaries] if n else np.empty(0, dtype=np.int64)
+        if n_groups is None:
+            n_groups = len(boundaries)
+            present = np.arange(n_groups)
+        else:
+            present = sorted_codes[boundaries]
 
         out_columns: list[Column] = []
         for key_col, coldef in zip(key_cols, self.schema):
@@ -659,6 +760,14 @@ class AggregateOp(Operator):
         if spec.func == "COUNT":
             return Column(INTEGER, counts, np.ones(n_out, dtype=bool))
 
+        if spec.func == "SUM" and out_type is INTEGER:
+            # Exact int64 sums: through float64 they round above 2^53.
+            values = np.where(sorted_valid, sorted_values, 0).astype(np.int64, copy=False)
+            sums_int = np.zeros(n_out, dtype=np.int64)
+            if len(boundaries):
+                sums_int[present] = np.add.reduceat(values, boundaries)
+            return Column(INTEGER, sums_int, counts > 0)
+
         if spec.func in ("SUM", "AVG", "STDDEV"):
             values = sorted_values.astype(np.float64)
             values = np.where(sorted_valid, values, 0.0)
@@ -666,10 +775,7 @@ class AggregateOp(Operator):
             if len(boundaries):
                 sums[present] = np.add.reduceat(values, boundaries)
             if spec.func == "SUM":
-                valid = counts > 0
-                if out_type is INTEGER:
-                    return Column(INTEGER, sums.astype(np.int64), valid)
-                return Column(FLOAT, sums, valid)
+                return Column(FLOAT, sums, counts > 0)
             if spec.func == "AVG":
                 valid = counts > 0
                 safe = np.where(valid, counts, 1)
@@ -713,20 +819,22 @@ class AggregateOp(Operator):
                 if items:
                     out[present[g]] = min(items) if func == "MIN" else max(items)
             return Column(VARCHAR, out, valid)
-        values = sorted_values.astype(np.float64)
-        if func == "MIN":
-            values = np.where(sorted_valid, values, np.inf)
-            agg = np.full(n_out, np.inf)
-            if len(boundaries):
-                agg[present] = np.minimum.reduceat(values, boundaries)
-        else:
-            values = np.where(sorted_valid, values, -np.inf)
-            agg = np.full(n_out, -np.inf)
-            if len(boundaries):
-                agg[present] = np.maximum.reduceat(values, boundaries)
-        agg = np.where(valid, agg, 0.0)
+        ufunc = np.minimum if func == "MIN" else np.maximum
         if out_type is INTEGER:
-            return Column(INTEGER, agg.astype(np.int64), valid)
+            # Exact in int64 (through float64, ids above 2^53 round).
+            values = sorted_values.astype(np.int64, copy=False)
+            info = np.iinfo(np.int64)
+            identity = info.max if func == "MIN" else info.min
+        else:
+            values = sorted_values.astype(np.float64)
+            identity = np.inf if func == "MIN" else -np.inf
+        values = np.where(sorted_valid, values, identity)
+        agg = np.full(n_out, identity, dtype=values.dtype)
+        if len(boundaries):
+            agg[present] = ufunc.reduceat(values, boundaries)
+        agg = np.where(valid, agg, 0)
+        if out_type is INTEGER:
+            return Column(INTEGER, agg, valid)
         if out_type is BOOLEAN:
             return Column(BOOLEAN, agg.astype(bool), valid)
         return Column(FLOAT, agg, valid)
@@ -763,7 +871,8 @@ class AggregateOp(Operator):
 # Sort / limit / distinct
 # ---------------------------------------------------------------------------
 class SortOp(Operator):
-    """ORDER BY via rank conversion + a single stable lexsort."""
+    """ORDER BY via rank conversion + one stable integer sort
+    (:func:`stable_int_order`; every rank array is int64)."""
 
     def __init__(
         self,
@@ -795,9 +904,7 @@ class SortOp(Operator):
             _sort_key_ranks(evaluate(key, batch, self.registry), asc)
             for key, asc in zip(self.keys, self.ascending)
         ]
-        # lexsort's last key is primary, so reverse.
-        order = np.lexsort(tuple(reversed(rank_arrays)))
-        return batch.take(order)
+        return batch.take(stable_int_order(rank_arrays))
 
 
 class LimitOp(Operator):
@@ -903,7 +1010,7 @@ class TransformOp(Operator):
 
         Instead of filtering the batch once per partition and argsorting
         each bucket (``n_partitions`` full-column gathers), the rows are
-        ordered by a single stable lexsort keyed on (partition id,
+        ordered by a single stable sort keyed on (partition id,
         sort keys...), after which every bucket is a zero-copy slice of
         the reordered batch.  Row order within a bucket is identical to
         the filter-then-sort formulation because both are stable.
@@ -917,8 +1024,7 @@ class TransformOp(Operator):
         ]
         if hashes is None:
             if sort_keys:
-                order = np.lexsort(tuple(reversed(sort_keys)))
-                batch = batch.take(order)
+                batch = batch.take(stable_int_order(sort_keys))
             return [(batch, 0)]
         order, bounds = hash_bucket_order(hashes, self.n_partitions, sort_keys)
         ordered = batch.take(order)

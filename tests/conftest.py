@@ -10,6 +10,23 @@ from repro.core import Vertexica, VertexicaConfig
 from repro.datasets.generators import power_law_graph
 from repro.engine import Database
 
+try:
+    from hypothesis import settings
+except ImportError:  # the fuzz CI jobs install numpy + pytest only
+    settings = None
+else:
+    # Hypothesis budgets: ``repro`` keeps every property fast in tier-1;
+    # CI's property-sweep job runs ``--hypothesis-profile=sweep``.
+    settings.register_profile("repro", max_examples=40, deadline=None)
+    settings.register_profile("sweep", max_examples=500, deadline=None)
+
+
+def pytest_configure(config):
+    # Runs whenever this conftest is registered, so an explicit
+    # --hypothesis-profile wins even if the plugin configured first.
+    if settings is not None:
+        settings.load_profile(config.getoption("--hypothesis-profile") or "repro")
+
 
 @pytest.fixture
 def db() -> Database:

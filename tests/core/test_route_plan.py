@@ -35,7 +35,8 @@ from repro.engine.operators import hash_bucket_order
 from repro.errors import ProgramError
 from repro.programs import ConnectedComponents, PageRank, ShortestPaths
 
-PROPERTY = settings(max_examples=120, deadline=None)
+#: At least 120 examples; more under a larger profile (CI's ``sweep``).
+PROPERTY = settings(max_examples=max(120, settings().max_examples), deadline=None)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,24 @@ class TestEverySyncObservability:
         assert message_rows(shard_vx) == message_rows(sql_vx)
         assert vertex_rows(shard_vx) == vertex_rows(sql_vx)
 
+    def test_message_senders_match_above_2_53(self):
+        # The SQL plane's MIN(vid) AS src once ran through float64: it
+        # read 2^53 + 4 / 2^53 (not even a vertex id) where the shard
+        # plane's exact minimum.reduceat read 2^53 + 3 / 2^53 + 1.
+        base = 2**53 + 1
+        src = np.array([0, 1, 2, 3, 2, 0]) + base
+        dst = np.array([1, 2, 3, 0, 0, 2]) + base
+        tables = []
+        for plane in ("sql", "shards"):
+            vx = Vertexica(config=VertexicaConfig(data_plane=plane, n_partitions=2))
+            vx.run(vx.load_graph("g", src, dst), PageRank(iterations=5), max_supersteps=1)
+            tables.append(message_rows(vx))
+        sql_rows, shard_rows = tables
+        assert shard_rows == sql_rows
+        assert [(s, d) for s, d, _ in sql_rows] == [
+            (base + 2, base), (base, base + 1), (base, base + 2), (base + 2, base + 3)
+        ]
+
     def test_table_written_every_superstep(self):
         vx, graph, result = run_plane(
             "shards", PageRank(iterations=4), superstep_sync="every"

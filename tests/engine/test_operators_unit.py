@@ -138,6 +138,24 @@ class TestAggregateUnit:
         assert rows[1] == (2, 40, 20.0, 10, 30)
         assert rows[2] == (1, 5, 5.0, 5, 5)
 
+    @pytest.mark.parametrize("grouped", [True, False], ids=["group-by", "global"])
+    def test_integer_aggregates_are_exact_above_2_53(self, grouped):
+        # Through float64, MIN/MAX/SUM round to (2^53, 2^53 + 4, 2^54 + 4).
+        big = 2**53
+        op = AggregateOp(
+            source([(1, big + 1), (1, None), (1, big + 3)]),
+            [ColumnRef("k")] if grouped else [],
+            [
+                AggregateSpec("MIN", ColumnRef("v")),
+                AggregateSpec("MAX", ColumnRef("v")),
+                AggregateSpec("SUM", ColumnRef("v")),
+            ],
+            (["k"] if grouped else []) + ["lo", "hi", "total"],
+            REGISTRY,
+        )
+        (row,) = op.execute().to_rows()
+        assert row[-3:] == (big + 1, big + 3, 2 * big + 4)
+
     def test_min_max_varchar(self):
         op = AggregateOp(
             source([(1, "pear"), (1, "apple")], dtypes=(INTEGER, VARCHAR)),
@@ -178,6 +196,12 @@ class TestSortLimitDistinctUnit:
             REGISTRY,
         )
         assert [r[0] for r in op.execute().to_rows()] == [2, 1, 3]
+
+    def test_sort_desc_int64_minimum_sorts_last(self):
+        # Negating the key overflows at the int64 minimum: it sorted first.
+        lo = int(np.iinfo(np.int64).min)
+        op = SortOp(source([(1, lo), (2, 0), (3, -1)]), [ColumnRef("v")], [False], REGISTRY)
+        assert [r[1] for r in op.execute().to_rows()] == [0, -1, lo]
 
     def test_limit_beyond_rows(self):
         op = LimitOp(source([(1, 1)]), 100, 0)

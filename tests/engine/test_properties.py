@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.engine import Database
@@ -20,11 +20,13 @@ from repro.engine.column import Column, concat_columns
 from repro.engine.operators import factorize_columns
 from repro.engine.types import FLOAT, INTEGER, VARCHAR
 
-# Reasonable defaults: keep each property fast so the suite stays snappy.
-settings.register_profile("repro", max_examples=40, deadline=None)
-settings.load_profile("repro")
+# Example budgets are the ``repro`` / ``sweep`` profiles of tests/conftest.py.
 
-int_or_none = st.one_of(st.none(), st.integers(min_value=-1000, max_value=1000))
+INT64 = np.iinfo(np.int64)
+int64s = st.integers(min_value=int(INT64.min), max_value=int(INT64.max))
+int_or_none = st.one_of(st.none(), int64s)
+#: Addends no 64 of which can overflow an int64 SUM.
+summable = st.integers(min_value=int(INT64.min) // 64, max_value=int(INT64.max) // 64)
 small_text = st.text(alphabet="abcxyz", max_size=4)
 
 
@@ -104,15 +106,20 @@ class TestSqlAgainstPythonOracles:
     @given(st.lists(int_or_none, max_size=40))
     def test_aggregates(self, values):
         db = fresh_db_with(values)
-        row = db.execute("SELECT COUNT(*), COUNT(x), SUM(x), MIN(x), MAX(x) FROM t").rows()[0]
+        row = db.execute("SELECT COUNT(*), COUNT(x), MIN(x), MAX(x) FROM t").rows()[0]
         non_null = [v for v in values if v is not None]
         assert row[0] == len(values)
         assert row[1] == len(non_null)
-        assert row[2] == (sum(non_null) if non_null else None)
-        assert row[3] == (min(non_null) if non_null else None)
-        assert row[4] == (max(non_null) if non_null else None)
+        assert row[2] == (min(non_null) if non_null else None)
+        assert row[3] == (max(non_null) if non_null else None)
 
-    @given(st.lists(st.integers(-50, 50), max_size=40))
+    @given(st.lists(st.one_of(st.none(), summable), max_size=40))
+    def test_sum(self, values):
+        db = fresh_db_with(values)
+        non_null = [v for v in values if v is not None]
+        assert db.execute("SELECT SUM(x) FROM t").scalar() == (sum(non_null) if non_null else None)
+
+    @given(st.lists(int64s, max_size=40))
     def test_order_by_matches_sorted(self, values):
         db = fresh_db_with(values)
         rows = db.execute("SELECT x FROM t ORDER BY x").rows()
@@ -132,22 +139,25 @@ class TestSqlAgainstPythonOracles:
         count = db.execute("SELECT COUNT(*) FROM t WHERE x > ?", params=(pivot,)).scalar()
         assert count == len([v for v in values if v > pivot])
 
-    @given(
-        st.lists(st.tuples(st.integers(0, 5), st.integers(-10, 10)), max_size=40)
-    )
-    def test_group_by_matches_dict(self, pairs):
+    @given(st.lists(int_or_none, min_size=1, max_size=6), st.data())
+    def test_group_by_matches_dict(self, key_pool, data):
+        pairs = data.draw(
+            st.lists(st.tuples(st.sampled_from(key_pool), summable), max_size=40)
+        )
         db = Database()
         db.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
         for k, v in pairs:
             db.execute("INSERT INTO t VALUES (?, ?)", params=(k, v))
-        rows = db.execute("SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k").rows()
-        oracle: dict[int, list[int]] = {}
+        rows = db.execute(
+            "SELECT k, SUM(v), COUNT(*), MIN(v), MAX(v) FROM t GROUP BY k"
+        ).rows()
+        oracle: dict[int | None, list[int]] = {}
         for k, v in pairs:
             oracle.setdefault(k, []).append(v)
         assert len(rows) == len(oracle)
-        for k, total, count in rows:
-            assert total == sum(oracle[k])
-            assert count == len(oracle[k])
+        for k, total, count, lo, hi in rows:
+            group = oracle[k]
+            assert (total, count, lo, hi) == (sum(group), len(group), min(group), max(group))
 
     @given(
         st.lists(st.integers(0, 8), max_size=25),
