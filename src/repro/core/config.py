@@ -49,10 +49,16 @@ class VertexicaConfig:
             the per-vertex scalar path otherwise; ``"batch"`` requires the
             batch path (raising for programs without it); ``"scalar"``
             forces the per-vertex path (the parity/ablation foil).
-        update_strategy: ``"auto"`` applies the paper's rule — replace the
-            table unless the updated-tuple count is below
-            ``replace_threshold`` × table size; ``"update"`` / ``"replace"``
-            force one path (for the ablation).
+        update_strategy: how the SQL plane applies a superstep's vertex
+            updates.  ``"replace"`` rebuilds the vertex table with one
+            ``LEFT JOIN`` against the staged rows and swaps it in;
+            ``"update"`` writes the staged rows into the existing table as
+            one set-oriented keyed scatter (one version bump however many
+            rows change).  ``"auto"`` applies the paper's rule — replace
+            the table unless the updated-tuple count is below
+            ``replace_threshold`` × table size.  Both paths leave the same
+            rows; ``"update"`` / ``"replace"`` force one (for the
+            ablation).
         data_plane: ``"sql"`` stages every superstep through the
             relational engine (the paper's architecture: union input SQL,
             transform UDF, staging table, SQL apply); ``"shards"`` keeps
@@ -74,8 +80,12 @@ class VertexicaConfig:
             ``"halt"`` materializes only once the run completes (the
             fast path).  The SQL plane's tables are always current, so
             the policy changes nothing there.
-        replace_threshold: fraction of the vertex table below which the
-            in-place update path is used under ``"auto"``.
+        replace_threshold: fraction of the vertex table below which
+            ``"auto"`` takes the set-oriented update path.  The default
+            0.05 is the paper's kind of rule, not a measured crossover: on
+            this engine the update path is the cheaper one at every
+            density measured, 1 % to 100 %
+            (``benchmarks/test_ablation_update_replace.py``).
         use_combiner: honor the program's combiner declaration (pushed into
             SQL aggregation between supersteps).
         max_supersteps: overrides the program's cap when not ``None``.

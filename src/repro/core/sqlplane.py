@@ -135,9 +135,7 @@ class SqlDataPlane:
         replace = self._use_replace_path(vertex_updates)
         storage.apply_vertex_updates(graph, program, replace, superstep=superstep)
         messages_staged = storage.count_staged(graph, 1)
-        messages_out = storage.apply_messages(
-            graph, program, config.use_combiner, replace=replace
-        )
+        messages_out = storage.apply_messages(graph, program, config.use_combiner)
         self.aggregated = storage.reduce_aggregators(graph, program)
         update_path = "replace" if replace else "update"
         return StepStats(

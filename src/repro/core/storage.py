@@ -26,7 +26,7 @@ extra FLOAT columns ``p0..p{K-1}``.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.core.program import VertexProgram
 from repro.engine.batch import RecordBatch
 from repro.engine.column import Column
 from repro.engine.database import Database
+from repro.engine.operators import stable_int_order
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.types import BOOLEAN, FLOAT, INTEGER, VARCHAR
 from repro.errors import GraphLoadError
@@ -519,10 +520,12 @@ class GraphStorage:
         return int(np.count_nonzero(data.column("kind").values == kind))
 
     def apply_messages(
-        self, graph: GraphHandle, program: VertexProgram, use_combiner: bool, replace: bool
+        self, graph: GraphHandle, program: VertexProgram, use_combiner: bool
     ) -> int:
         """Replace the message table with staged kind-1 rows, applying the
-        program's combiner in SQL (a GROUP BY) when enabled.
+        program's combiner in SQL (a GROUP BY) when enabled.  Every
+        superstep's messages are new, so the table is always swapped in
+        wholesale (:meth:`~repro.engine.table.Table.replace_data`).
 
         Returns the number of messages now pending.
         """
@@ -555,14 +558,8 @@ class GraphStorage:
                 f"SELECT vid AS src, dst, {value_list} "
                 f"FROM {graph.output_table} WHERE kind = 1"
             )
-        fresh = db.query_batch(select)
         message_table = db.table(graph.message_table)
-        if replace:
-            message_table.replace_data(fresh)
-        else:
-            # The slow tuple-DML path: DELETE then INSERT through SQL.
-            db.execute(f"DELETE FROM {graph.message_table}")
-            message_table.insert_batch(fresh.with_schema(message_table.schema))
+        message_table.replace_data(db.query_batch(select))
         return message_table.num_rows
 
     def apply_vertex_updates(
@@ -574,10 +571,18 @@ class GraphStorage:
     ) -> int:
         """Apply staged kind-0 rows to the vertex table.
 
-        Replace path (paper's fast path): rebuild the whole table with one
-        LEFT JOIN against the staged updates and swap it in.  Update path:
-        one UPDATE statement per staged tuple — genuine tuple-at-a-time
-        DML, which is exactly what the optimization avoids.
+        Replace path: rebuild the whole table with one LEFT JOIN against
+        the staged updates and swap it in.  Update path: one set-oriented
+        write, the ``UPDATE … FROM`` of the Vertica follow-up — read the
+        staged rows with one query (payloads cast as the replace path casts
+        them), find each ``vid``'s row by ``searchsorted`` over the id
+        column's stable order (one linear check when the table is
+        id-ordered, as ``setup_run`` and ``sync_vertex_state`` leave it;
+        after a replace step, whose join emits the updated rows first, a
+        merge of a few ascending runs), and scatter every
+        touched column through one :meth:`~repro.engine.table.Table.update_rows`
+        call: one version bump, one changelog record, one constraint check.
+        The worker stages at most one kind-0 row per existing vertex.
 
         Returns the number of vertex rows updated.  ``superstep`` only
         feeds the ``storage.apply`` fault-injection site.
@@ -585,15 +590,15 @@ class GraphStorage:
         faults.trip("storage.apply", superstep=superstep)
         db = self.db
         codec = program.vertex_codec
-        if codec.is_vector:
-            staged_cols = [f"p{j}" for j in range(codec.width)]
-        else:
-            staged_cols = ["s1" if codec.sql_type is VARCHAR else "f1"]
         value_names = codec.column_names()
         updates = self.count_staged(graph, 0)
         if updates == 0:
             return 0
         if replace:
+            if codec.is_vector:
+                staged_cols = [f"p{j}" for j in range(codec.width)]
+            else:
+                staged_cols = ["s1" if codec.sql_type is VARCHAR else "f1"]
             value_cases = ", ".join(
                 f"CASE WHEN w.vid IS NULL THEN v.{name} ELSE {expr} END AS {name}"
                 for name, expr in zip(
@@ -610,21 +615,34 @@ class GraphStorage:
             )
             db.table(graph.vertex_table).replace_data(fresh)
             return updates
-        staged = db.execute(
-            f"SELECT vid, {', '.join(staged_cols)}, halted "
+        value_list = ", ".join(
+            f"{expr} AS {name}"
+            for expr, name in zip(_staged_value_exprs(codec, alias=None), value_names)
+        )
+        staged = db.query_batch(
+            f"SELECT vid, {value_list}, halted "
             f"FROM {graph.output_table} WHERE kind = 0"
-        ).rows()
-        integral = codec.sql_type is INTEGER and not codec.is_vector
-        set_clause = ", ".join(f"{name} = ?" for name in value_names)
-        for row in staged:
-            vid, values, halted = row[0], list(row[1:-1]), row[-1]
-            if integral and values[0] is not None:
-                values[0] = int(values[0])
-            db.execute(
-                f"UPDATE {graph.vertex_table} SET {set_clause}, halted = ? "
-                "WHERE id = ?",
-                params=(*values, halted, vid),
-            )
+        )
+        table = db.table(graph.vertex_table)
+        ids = table.data().column("id").values
+        by_id = stable_int_order([ids])
+        rows = by_id[np.searchsorted(ids[by_id], staged.column("vid").values)]
+        mask = np.zeros(len(ids), dtype=bool)
+        mask[rows] = True
+
+        def scattered(name: str) -> Callable[[RecordBatch], Column]:
+            # update_rows reads only the masked positions of the column.
+            column = staged.column(name)
+            values = np.empty(len(ids), dtype=column.values.dtype)
+            valid = np.zeros(len(ids), dtype=bool)
+            values[rows] = column.values
+            valid[rows] = column.valid
+            fresh = Column(column.dtype, values, valid)
+            return lambda _current: fresh
+
+        table.update_rows(
+            mask, {name: scattered(name) for name in (*value_names, "halted")}
+        )
         return updates
 
     # ------------------------------------------------------------------

@@ -150,8 +150,12 @@ class Table:
         the given builder (only masked positions are taken from it).
 
         This is the engine's "Update" path from the paper's Update-vs-Replace
-        optimization — it rewrites only the touched columns but must merge
-        old and new values position by position.
+        optimization — it rewrites only the touched columns, merging old
+        and new values position by position.  SQL ``UPDATE`` runs through
+        it, and so does the SQL plane's per-superstep vertex update, which
+        scatters all staged rows in one call: however many rows change,
+        one call is one version bump, one changelog record and one
+        constraint check.
 
         Returns the number of rows updated.
         """
