@@ -47,29 +47,65 @@ __all__ = [
     "WORKER_OUTPUT_COLUMNS",
     "canonical_edge_order",
     "payload_width",
+    "weight_order_key",
     "worker_output_columns",
 ]
+
+
+def weight_order_key(weight: np.ndarray) -> np.ndarray:
+    """An int64 key whose order is a *total* order of float64 weights.
+
+    The float's bits read as int64 already order non-negative values;
+    flipping the 63 low bits of a negative one reverses its magnitude's
+    order below zero.  So ``-0.0`` sorts just before ``+0.0`` (a plain
+    float comparison ties them), and every NaN maps to the largest key —
+    NaNs sort last and tie with each other, as ``np.argsort`` puts them.
+    Equal keys therefore mean identical bytes for every non-NaN weight.
+    """
+    weight = np.ascontiguousarray(weight, dtype=np.float64)
+    bits = weight.view(np.int64)
+    key = bits ^ ((bits >> 63) & np.int64(0x7FFF_FFFF_FFFF_FFFF))
+    nan = np.isnan(weight)
+    if nan.any():
+        key[nan] = np.iinfo(np.int64).max
+    return key
 
 
 def canonical_edge_order(
     src: np.ndarray, dst: np.ndarray, weight: np.ndarray
 ) -> np.ndarray:
-    """The permutation sorting edges by ``(src, dst, weight)``.
+    """The permutation sorting edges by ``(src, dst, weight)`` — exactly
+    ``np.lexsort((weight_order_key(weight), dst, src))``.
 
     This is *the* storage order of every edge table (see
     :meth:`GraphStorage.load_graph`); incremental view maintenance keeps
     its patched tables in the same order so full and incremental refresh
-    produce bit-identical relations.
+    produce bit-identical relations.  Weights order by
+    :func:`weight_order_key`, so parallel edges of ``-0.0`` and ``+0.0``
+    land in one order whatever order they arrive in.
 
-    When both endpoint columns fit in 31 bits (every realistic graph),
-    ``(src, dst)`` packs into one int64 key and two stable argsorts beat
-    a three-key ``np.lexsort`` by ~1.5x; otherwise fall back to lexsort.
+    Every sort is an integer sort through :func:`stable_int_order`.  The
+    endpoints go first, and the weight key then orders only the runs of
+    rows whose endpoints tie (parallel edges): the stable endpoint pass
+    left each run in input order, so a stable sort of the runs' rows by
+    ``(run, weight key)`` completes the lexsort.
     """
-    if len(src) and src.max() < 2**31 and dst.max() < 2**31 and src.min() >= 0 and dst.min() >= 0:
-        by_weight = np.argsort(weight, kind="stable")
-        key = (src * np.int64(1 << 31) + dst)[by_weight]
-        return by_weight[np.argsort(key, kind="stable")]
-    return np.lexsort((weight, dst, src))
+    keys = (np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))
+    order = stable_int_order(keys)
+    if len(order) < 2:
+        return order
+    ties = np.ones(len(order) - 1, dtype=bool)  # sorted row i ties row i + 1
+    for key in keys:
+        ranked = key[order]
+        ties &= ranked[1:] == ranked[:-1]
+    if not ties.any():
+        return order
+    run = np.cumsum(np.r_[True, ~ties])  # run number of every sorted row
+    rows = np.flatnonzero(np.r_[ties, False] | np.r_[False, ties])
+    tied = order[rows]
+    order[rows] = tied[stable_int_order((run[rows], weight_order_key(weight[tied])))]
+    return order
+
 
 #: Worker output staging schema (kind 0 = vertex update, 1 = message).
 WORKER_OUTPUT_COLUMNS = (

@@ -45,6 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.engine.database import Database
+from repro.engine.operators import stable_int_order
 from repro.engine.parallel import (
     ProcessExecutor,
     make_thread_executor,
@@ -214,14 +215,14 @@ def expand_co_occurrence(
     )
     if len(members) == 0:
         return (*empty, 0)
-    # Per (group, member) row counts: one lexsort puts each group in a
-    # contiguous slice with its members sorted, then run-length boundaries
-    # give the distinct rows.  (Plain-array lexsort + reduceat throughout —
-    # structured-dtype np.unique is comparison-sorted and order-of-magnitude
-    # slower at the millions-of-pairs scale this feeds.)
+    # Per (group, member) row counts: one stable integer sort puts each
+    # group in a contiguous slice with its members sorted, then run-length
+    # boundaries give the distinct rows.  (Plain int columns through the
+    # engine's radix kernel throughout — never a structured array, which
+    # numpy can only comparison-sort, record by record.)
     _, group_codes = np.unique(vias, return_inverse=True)
     m_arr = np.asarray(members, dtype=np.int64)
-    order = np.lexsort((m_arr, group_codes))
+    order = stable_int_order((group_codes, m_arr))
     g_sorted, m_sorted = group_codes[order], m_arr[order]
     firsts = np.empty(len(m_sorted), dtype=bool)
     firsts[0] = True
@@ -318,7 +319,7 @@ def _compact_pairs(
     src = np.concatenate(src_parts)
     dst = np.concatenate(dst_parts)
     counts = np.concatenate(count_parts)
-    order = np.lexsort((dst, src))
+    order = stable_int_order((src, dst))
     src, dst, counts = src[order], dst[order], counts[order]
     firsts = np.empty(len(src), dtype=bool)
     firsts[0] = True

@@ -11,16 +11,29 @@ the materialized tables in place:
   delta rows* (same SQL text as full extraction via the compiler's table
   override, so filters/casts/weight expressions produce bit-identical
   values);
-* the view's edge relation is kept as a sorted multiset
-  (:data:`EDGE_DTYPE` structured array in canonical ``(src, dst, weight)``
-  order — the same order :func:`~repro.core.storage.canonical_edge_order`
-  gives a full load, so both refresh paths land on bit-identical tables);
+* the view's edge relation is kept as a sorted multiset: parallel
+  ``src`` / ``dst`` (int64) and ``weight`` (float64) columns in canonical
+  ``(src, dst, weight)`` order — the same order
+  :func:`~repro.core.storage.canonical_edge_order` gives a full load, with
+  weights ordered by :func:`~repro.core.storage.weight_order_key`, so both
+  refresh paths land on bit-identical tables (``-0.0`` before ``+0.0``);
 * the vertex set is kept as a support ledger: id -> number of derivations
   (node-spec rows plus edge-endpoint occurrences), so a vertex disappears
   exactly when its last derivation does;
-* a :class:`CoEdgeSpec` keeps its filtered ``(member, via)`` side relation
-  and per-pair co-occurrence counts, and recomputes only the groups whose
-  ``via`` key appears in the delta.
+* a :class:`CoEdgeSpec` keeps its filtered side relation (``via`` /
+  ``member`` columns sorted by ``(via, member)``) and per-pair
+  co-occurrence counts (an edge ledger of its own), and recomputes only
+  the groups whose ``via`` key appears in the delta.
+
+No ledger is a structured array, and none is ever comparison-sorted as
+one.  Seeding reuses the extraction's arrays: the edge ledger *is* the
+canonically ordered arrays the graph tables were loaded from, and a
+co-occurrence pair ledger is checked to be in order with one linear pass
+(the expansion lowering emits it sorted; only the self-join lowering
+needs a sort).  A refresh nets its added and removed rows with one small
+integer sort, finds their positions by ``searchsorted`` on the leading
+int64 column (bisecting the later columns inside each equal run), and
+builds each new column with one gather.
 
 Whenever a delta cannot be applied exactly — change log evicted or reset,
 base table dropped/recreated, a delta larger than the configured fraction
@@ -51,12 +64,14 @@ import itertools
 import logging
 import os
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.storage import GraphHandle, GraphStorage
+from repro.core.storage import GraphHandle, GraphStorage, weight_order_key
 from repro.engine.changelog import TableDelta
 from repro.engine.database import Database
+from repro.engine.operators import stable_int_order
 from repro.engine.table import Table
 from repro.errors import EngineError, GraphViewError
 from repro.graphview.compiler import (
@@ -67,7 +82,6 @@ from repro.graphview.compiler import (
 from repro.graphview.spec import CoEdgeSpec, EdgeSpec, GraphView
 
 __all__ = [
-    "EDGE_DTYPE",
     "MAX_INCREMENTAL_CO_GROUP",
     "MaintenanceState",
     "build_state",
@@ -101,12 +115,17 @@ def co_group_cap() -> int:
     except ValueError:
         return MAX_INCREMENTAL_CO_GROUP
 
-#: One extracted edge; field order *is* the canonical sort order.
-EDGE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
 
-#: One filtered co-occurrence side row; sorted by (via, member) so a
-#: ``via`` group is one contiguous slice.
-SIDE_DTYPE = np.dtype([("via", np.int64), ("member", np.int64)])
+#: One sorted multiset as parallel columns (see "Columnar sorted
+#: multisets" below): edges are ``(src, dst, weight)``, co-occurrence
+#: side rows ``(via, member)``.
+Rows = tuple[np.ndarray, ...]
+
+_NO_EDGES: Rows = (
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.float64),
+)
 
 _scratch_counter = itertools.count()
 
@@ -142,8 +161,8 @@ def edge_triples_from_batch(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return src[keep], dst[keep], weight[keep]
 
 
-def _side_pairs_from_batch(batch) -> np.ndarray:
-    """``SIDE_DTYPE`` rows of a co-occurrence side-query result.
+def _side_pairs_from_batch(batch) -> Rows:
+    """``(via, member)`` int64 columns of a co-occurrence side-query result.
 
     Rows with a NULL member or NULL via contribute nothing (a NULL never
     equi-joins and never survives ``member <> member``), matching the
@@ -156,19 +175,10 @@ def _side_pairs_from_batch(batch) -> np.ndarray:
     if via_values.dtype.kind not in "iu":
         raise _Fallback("co-occurrence via key is not integer-typed")
     keep = np.asarray(member_col.valid, dtype=bool) & np.asarray(via_col.valid, dtype=bool)
-    out = np.empty(int(np.count_nonzero(keep)), dtype=SIDE_DTYPE)
-    out["via"] = via_values[keep]
-    out["member"] = np.asarray(member_col.values, dtype=np.int64)[keep]
-    return out
-
-
-def as_edge_struct(src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Pack parallel arrays into an :data:`EDGE_DTYPE` structured array."""
-    out = np.empty(len(src), dtype=EDGE_DTYPE)
-    out["src"] = src
-    out["dst"] = dst
-    out["weight"] = weight
-    return out
+    return (
+        via_values[keep].astype(np.int64),
+        np.asarray(member_col.values, dtype=np.int64)[keep],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -195,44 +205,152 @@ def _run_on_delta(db: Database, base_table: str, rows, sql_for_table) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Sorted multiset primitives
+# Columnar sorted multisets
+#
+# A ledger is a tuple of parallel columns whose rows are in lexicographic
+# order of their order keys: an int column is its own key, a float column
+# orders by weight_order_key.  The leading column is always int64.  Rows
+# with equal keys are identical bytes, so where a row lands among its
+# equals never shows.
 # ---------------------------------------------------------------------------
+def _order_key(column: np.ndarray) -> np.ndarray:
+    return weight_order_key(column) if column.dtype.kind == "f" else column
+
+
 def _intra_group_offsets(counts: np.ndarray) -> np.ndarray:
     """``[0..c0-1, 0..c1-1, ...]`` for run lengths ``counts``."""
     starts = np.cumsum(counts) - counts
     return np.arange(int(counts.sum())) - np.repeat(starts, counts)
 
 
-def sorted_multiset_insert(state: np.ndarray, additions: np.ndarray) -> np.ndarray:
-    """Merge ``additions`` (any order) into sorted ``state``; stays sorted."""
-    if len(additions) == 0:
-        return state
-    additions = np.sort(additions)
-    positions = np.searchsorted(state, additions, side="left")
-    return np.insert(state, positions, additions)
+def _run_starts(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """Index of the first row of every run of equal rows in sorted ``keys``."""
+    firsts = np.zeros(len(keys[0]), dtype=bool)
+    firsts[:1] = True
+    for key in keys:
+        firsts[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(firsts)
 
 
-def sorted_multiset_remove(state: np.ndarray, removals: np.ndarray) -> np.ndarray:
-    """Remove ``removals`` (any order, with multiplicity) from sorted
-    ``state``.
+def _rows_sorted(rows: Rows) -> bool:
+    """Whether ``rows`` are in ledger order: one linear pass over the
+    leading column, later columns compared only where earlier ones tie."""
+    ties = None  # i such that rows i and i + 1 tie on every column so far
+    for column in rows:
+        if ties is None:
+            behind, ahead = column[:-1], column[1:]
+        elif len(ties) == 0:
+            return True
+        else:
+            behind, ahead = column[ties], column[ties + 1]
+        behind, ahead = _order_key(behind), _order_key(ahead)
+        if np.any(ahead < behind):
+            return False
+        equal = ahead == behind
+        ties = np.flatnonzero(equal) if ties is None else ties[equal]
+    return True
+
+
+def _sorted_rows(rows: Rows) -> Rows:
+    """``rows`` in ledger order, sorted by the int-order kernel only when
+    the linear check finds them out of order."""
+    if _rows_sorted(rows):
+        return rows
+    order = stable_int_order([_order_key(column) for column in rows])
+    return tuple(column[order] for column in rows)
+
+
+def _bisect(
+    column: np.ndarray, lo: np.ndarray, hi: np.ndarray, probe: np.ndarray, side: str
+) -> np.ndarray:
+    """Per probe, its ``side`` insertion point into the sorted slice
+    ``column[lo:hi]`` (``probe`` holds order keys): a vectorized binary
+    search that halves every slice each round."""
+    while True:
+        live = lo < hi
+        if not live.any():
+            return lo
+        mid = (lo + hi) >> 1
+        value = _order_key(column[np.where(live, mid, 0)])
+        right = live & ((value < probe) if side == "left" else (value <= probe))
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(live & ~right, mid, hi)
+
+
+def _equal_range(ledger: Rows, probes: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per probe row, the ``[lo, hi)`` run of ledger rows equal to it on the
+    probed (leading) columns — ``np.searchsorted`` on the leading int64
+    column, then a bisection of each later column inside the run the
+    earlier ones tie on.  ``probes`` hold order keys."""
+    lo = np.searchsorted(ledger[0], probes[0], side="left")
+    hi = np.searchsorted(ledger[0], probes[0], side="right")
+    for column, probe in zip(ledger[1:], probes[1:]):
+        lo = _bisect(column, lo, hi, probe, "left")
+        hi = _bisect(column, lo, hi, probe, "right")
+    return lo, hi
+
+
+def _merge(ledger: Rows, added: Rows, removed: Rows) -> Rows:
+    """``ledger + added - removed`` as a new ledger; nothing is modified.
+
+    Added and removed rows (any order) are netted by one sort of the
+    delta alone; each net change finds its run in ``ledger`` by
+    :func:`_equal_range`, and one gather per column splices them in.
 
     Raises:
-        _Fallback: an element to remove is not present often enough —
-            the incremental bookkeeping no longer matches the base data
-            (e.g. a non-deterministic weight expression), so the caller
-            must re-extract from scratch.
+        _Fallback: a row is removed more often than ``ledger`` and
+            ``added`` hold it — the incremental bookkeeping no longer
+            matches the base data (e.g. a non-deterministic weight
+            expression), so the caller must re-extract from scratch.
     """
-    if len(removals) == 0:
-        return state
-    uniq, counts = np.unique(removals, return_counts=True)
-    lo = np.searchsorted(state, uniq, side="left")
-    hi = np.searchsorted(state, uniq, side="right")
-    if np.any(hi - lo < counts):
+    n_added = len(added[0])
+    if n_added + len(removed[0]) == 0:
+        return ledger
+    rows = tuple(np.concatenate(pair) for pair in zip(added, removed))
+    keys = [_order_key(column) for column in rows]
+    order = stable_int_order(keys)
+    keys = [key[order] for key in keys]
+    starts = _run_starts(keys)
+    net = np.add.reduceat(np.where(order < n_added, 1, -1), starts)
+    distinct = [key[starts] for key in keys]
+
+    dropped = net < 0
+    lo, hi = _equal_range(ledger, [key[dropped] for key in distinct])
+    copies = -net[dropped]
+    if np.any(hi - lo < copies):
         raise _Fallback("delta removes rows the maintained state does not hold")
-    doomed = np.repeat(lo, counts) + _intra_group_offsets(counts)
-    mask = np.ones(len(state), dtype=bool)
-    mask[doomed] = False
-    return state[mask]
+    doomed = np.repeat(lo, copies) + _intra_group_offsets(copies)
+
+    kept = net > 0
+    copies = net[kept]
+    at = np.repeat(_equal_range(ledger, [key[kept] for key in distinct])[0], copies)
+    fresh = [np.repeat(column[order[starts[kept]]], copies) for column in rows]
+    return _splice(ledger, doomed, at, fresh)
+
+
+def _splice(
+    ledger: Rows, doomed: np.ndarray, at: np.ndarray, fresh: list[np.ndarray]
+) -> Rows:
+    """``ledger`` without rows ``doomed`` (ascending) and with row ``j`` of
+    ``fresh`` inserted before ledger row ``at[j]`` (non-decreasing): one
+    gather per column builds the result."""
+    n, k = len(ledger[0]), len(at)
+    if n == 0:
+        return tuple(fresh)
+    size = n - len(doomed) + k
+    slots = at - np.searchsorted(doomed, at) + np.arange(k)
+    keep = np.ones(n, dtype=bool)
+    keep[doomed] = False
+    from_ledger = np.ones(size, dtype=bool)
+    from_ledger[slots] = False
+    take = np.zeros(size, dtype=np.intp)
+    take[from_ledger] = np.flatnonzero(keep)
+    out = []
+    for column, new in zip(ledger, fresh):
+        merged = column[take]
+        merged[slots] = new
+        out.append(merged)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +365,9 @@ class _SupportLedger:
 
     @classmethod
     def from_derivations(cls, derived_ids: np.ndarray) -> "_SupportLedger":
-        ids, counts = np.unique(derived_ids, return_counts=True)
-        return cls(ids=ids, counts=counts.astype(np.int64))
+        ids = derived_ids[stable_int_order((derived_ids,))]
+        starts = _run_starts((ids,))
+        return cls(ids=ids[starts], counts=np.diff(np.append(starts, len(ids))))
 
     def apply(self, added_ids: np.ndarray, removed_ids: np.ndarray) -> None:
         """Shift support by +1 per added derivation, -1 per removed."""
@@ -296,101 +415,74 @@ class _SupportLedger:
 class _CoState:
     """Side relation + per-pair counts for one :class:`CoEdgeSpec`."""
 
-    side: np.ndarray  # SIDE_DTYPE, sorted by (via, member)
-    pairs: np.ndarray  # EDGE_DTYPE with weight == float(count), sorted
+    side: Rows  # (via, member), sorted by (via, member)
+    pairs: Rows  # (src, dst, weight == float(count)), sorted; one row per pair
 
-    def apply_delta(
-        self, inserted_side: np.ndarray, deleted_side: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Apply side-row deltas; return ``(added, removed)`` edge triples.
+    def apply_delta(self, inserted_side: Rows, deleted_side: Rows) -> tuple[Rows, Rows]:
+        """Apply side-row deltas; return ``(added, removed)`` edge rows.
 
         Only groups whose ``via`` key appears in the delta are touched,
         and within a touched group only the *delta-directed* stripe of
         the pair matrix — pairs with at least one member whose row count
         changed — is re-derived (pairs between two unchanged members
         keep their exact old count, since a pair's count is the product
-        of its members' counts).  A touched pair's old triple (its
-        previous global count) is removed and its new triple added, so
-        the caller can treat co-occurrence changes as ordinary
-        edge-multiset arithmetic.
+        of its members' counts).  A touched pair's old row (its previous
+        global count) is removed and its new row added, so the caller can
+        treat co-occurrence changes as ordinary edge-multiset arithmetic.
         """
-        if len(inserted_side) == 0 and len(deleted_side) == 0:
-            empty = np.empty(0, dtype=EDGE_DTYPE)
-            return empty, empty
-        touched_vias = np.unique(
-            np.concatenate([inserted_side["via"], deleted_side["via"]])
-        )
-        old_counts = _touched_group_counts(self.side, touched_vias)
-        new_side = sorted_multiset_insert(self.side, inserted_side)
-        new_side = sorted_multiset_remove(new_side, deleted_side)
-        self.side = new_side
-        new_counts = _touched_group_counts(new_side, touched_vias)
+        if len(inserted_side[0]) == 0 and len(deleted_side[0]) == 0:
+            return _NO_EDGES, _NO_EDGES
+        touched_vias = np.unique(np.concatenate([inserted_side[0], deleted_side[0]]))
+        old_groups = _touched_group_counts(self.side, touched_vias)
+        self.side = _merge(self.side, inserted_side, deleted_side)
+        new_groups = _touched_group_counts(self.side, touched_vias)
 
         # Net count change per (src, dst) pair across the touched groups.
-        changed_pairs, deltas = _delta_pair_contributions(old_counts, new_counts)
-        if len(changed_pairs) == 0:
-            empty = np.empty(0, dtype=EDGE_DTYPE)
-            return empty, empty
+        src, dst, deltas = _delta_pair_contributions(old_groups, new_groups)
+        if len(src) == 0:
+            return _NO_EDGES, _NO_EDGES
 
-        # self.pairs is sorted by (src, dst, weight) and each pair appears
-        # at most once, so a packed (src, dst) projection is sorted too.
-        pair_keys = _pair_keys_of(self.pairs)
-        positions = np.searchsorted(pair_keys, changed_pairs)
-        in_range = positions < len(self.pairs)
-        present = np.zeros(len(changed_pairs), dtype=bool)
-        present[in_range] = pair_keys[positions[in_range]] == changed_pairs[in_range]
-        old_counts = np.zeros(len(changed_pairs), dtype=np.int64)
-        old_counts[present] = np.rint(
-            self.pairs["weight"][positions[present]]
-        ).astype(np.int64)
+        # Each pair appears at most once in self.pairs: its run is empty
+        # (a new pair) or one row holding its current count.
+        lo, hi = _equal_range(self.pairs, (src, dst))
+        present = hi > lo
+        old_counts = np.zeros(len(src), dtype=np.int64)
+        old_counts[present] = np.rint(self.pairs[2][lo[present]]).astype(np.int64)
         new_counts = old_counts + deltas
         if np.any(new_counts < 0):
             raise _Fallback("co-occurrence count underflow")
 
-        removed = _pair_triples(changed_pairs[old_counts > 0], old_counts[old_counts > 0])
-        added = _pair_triples(changed_pairs[new_counts > 0], new_counts[new_counts > 0])
-        self.pairs = sorted_multiset_remove(self.pairs, removed)
-        self.pairs = sorted_multiset_insert(self.pairs, added)
+        removed = _pair_rows(src, dst, old_counts)
+        added = _pair_rows(src, dst, new_counts)
+        self.pairs = _merge(self.pairs, added, removed)
         return added, removed
 
 
-def _pair_triples(pairs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    out = np.empty(len(pairs), dtype=EDGE_DTYPE)
-    out["src"] = pairs["src"]
-    out["dst"] = pairs["dst"]
-    out["weight"] = counts.astype(np.float64)
-    return out
+def _pair_rows(src: np.ndarray, dst: np.ndarray, counts: np.ndarray) -> Rows:
+    """Edge rows of the pairs with a positive count, weighted by it."""
+    live = counts > 0
+    return src[live], dst[live], counts[live].astype(np.float64)
 
 
-_PAIR_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64)])
-
-
-def _pair_keys_of(edges: np.ndarray) -> np.ndarray:
-    """Packed ``(src, dst)`` copy of an :data:`EDGE_DTYPE` array (a
-    multi-field *view* keeps the original itemsize and cannot be compared
-    against packed :data:`_PAIR_DTYPE` arrays)."""
-    out = np.empty(len(edges), dtype=_PAIR_DTYPE)
-    out["src"] = edges["src"]
-    out["dst"] = edges["dst"]
-    return out
-
-
-def _touched_group_counts(
-    side: np.ndarray, vias: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _touched_group_counts(side: Rows, vias: np.ndarray) -> Rows:
     """Per-``(via, member)`` row counts within the given groups.
 
-    Returns ``(rows, counts)`` where ``rows`` is a sorted
-    :data:`SIDE_DTYPE` array of the distinct ``(via, member)`` pairs.
+    Returns ``(via, member, count)`` columns of the distinct pairs, sorted
+    by ``(via, member)`` — the side ledger's order, so each group is one
+    ``searchsorted`` range and nothing is re-sorted.
     """
-    subset = side[np.isin(side["via"], vias)]
-    return np.unique(subset, return_counts=True)
+    via, member = side
+    lo = np.searchsorted(via, vias, side="left")
+    lengths = np.searchsorted(via, vias, side="right") - lo
+    rows = np.repeat(lo, lengths) + _intra_group_offsets(lengths)
+    via, member = via[rows], member[rows]
+    starts = _run_starts((via, member))
+    return via[starts], member[starts], np.diff(np.append(starts, len(rows)))
 
 
-def _delta_pair_contributions(
-    old: tuple[np.ndarray, np.ndarray], new: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs whose co-occurrence count changed, with signed count deltas.
+def _delta_pair_contributions(old: Rows, new: Rows) -> Rows:
+    """Pairs whose co-occurrence count changed: ``(src, dst, delta)``
+    columns sorted by ``(src, dst)``, with signed count deltas.
 
     A pair's count is ``sum over groups of count_a * count_b``, so only
     pairs with at least one *changed* member (per-group row count moved)
@@ -404,20 +496,21 @@ def _delta_pair_contributions(
             blown and the caller must take the full-refresh path.
     """
     cap = co_group_cap()
-    gm_old, c_old = old
-    gm_new, c_new = new
-    vias = np.unique(np.concatenate([gm_old["via"], gm_new["via"]]))
-    pair_parts: list[np.ndarray] = []
+    via_old, member_old, c_old = old
+    via_new, member_new, c_new = new
+    vias = np.unique(np.concatenate([via_old, via_new]))
+    src_parts: list[np.ndarray] = []
+    dst_parts: list[np.ndarray] = []
     delta_parts: list[np.ndarray] = []
     for via in vias:
-        lo_o, hi_o = np.searchsorted(gm_old["via"], via, "left"), np.searchsorted(
-            gm_old["via"], via, "right"
+        lo_o, hi_o = np.searchsorted(via_old, via, "left"), np.searchsorted(
+            via_old, via, "right"
         )
-        lo_n, hi_n = np.searchsorted(gm_new["via"], via, "left"), np.searchsorted(
-            gm_new["via"], via, "right"
+        lo_n, hi_n = np.searchsorted(via_new, via, "left"), np.searchsorted(
+            via_new, via, "right"
         )
-        members_old = gm_old["member"][lo_o:hi_o]
-        members_new = gm_new["member"][lo_n:hi_n]
+        members_old = member_old[lo_o:hi_o]
+        members_new = member_new[lo_n:hi_n]
         union = np.union1d(members_old, members_new)
         old_vec = np.zeros(len(union), dtype=np.int64)
         old_vec[np.searchsorted(union, members_old)] = c_old[lo_o:hi_o]
@@ -446,22 +539,23 @@ def _delta_pair_contributions(
         moved = delta != 0
         if not moved.any():
             continue
-        pairs = np.empty(int(np.count_nonzero(moved)), dtype=_PAIR_DTYPE)
-        pairs["src"] = union[a_idx[moved]]
-        pairs["dst"] = union[b_idx[moved]]
-        pair_parts.append(pairs)
+        src_parts.append(union[a_idx[moved]])
+        dst_parts.append(union[b_idx[moved]])
         delta_parts.append(delta[moved])
-    if not pair_parts:
-        return np.empty(0, dtype=_PAIR_DTYPE), np.empty(0, dtype=np.int64)
+    if not src_parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
     # The same pair can co-occur through several touched groups; sum the
     # per-group deltas and drop pairs that net out to zero.
-    all_pairs = np.concatenate(pair_parts)
-    all_deltas = np.concatenate(delta_parts)
-    uniq_pairs, inverse = np.unique(all_pairs, return_inverse=True)
-    net = np.zeros(len(uniq_pairs), dtype=np.int64)
-    np.add.at(net, inverse, all_deltas)
+    src = np.concatenate(src_parts)
+    dst = np.concatenate(dst_parts)
+    deltas = np.concatenate(delta_parts)
+    order = stable_int_order((src, dst))
+    src, dst, deltas = src[order], dst[order], deltas[order]
+    starts = _run_starts((src, dst))
+    net = np.add.reduceat(deltas, starts)
     moved = net != 0
-    return uniq_pairs[moved], net[moved]
+    return src[starts][moved], dst[starts][moved], net[moved]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +566,7 @@ class MaintenanceState:
     """Everything needed to patch a materialized view instead of
     re-extracting it (see module docstring)."""
 
-    edges: np.ndarray  # EDGE_DTYPE, canonically sorted
+    edges: Rows  # (src, dst, weight), canonically sorted
     support: _SupportLedger
     co_states: dict[int, _CoState]  # edge-spec index -> state
     bookmarks: dict[str, tuple[int, int]]  # table -> (uid, version)
@@ -483,7 +577,7 @@ class MaintenanceState:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edges[0])
 
     @property
     def num_vertices(self) -> int:
@@ -516,7 +610,7 @@ def build_state(
     view: GraphView,
     node_parts: list[np.ndarray],
     edge_parts: list,
-    sorted_edges: tuple[np.ndarray, np.ndarray, np.ndarray],
+    sorted_edges: Rows,
     truncated_groups: int = 0,
 ) -> MaintenanceState:
     """Construct maintenance state from a just-completed full extraction.
@@ -524,12 +618,14 @@ def build_state(
     ``node_parts``/``edge_parts`` are the per-spec results the extraction
     produced (``edge_parts`` holds one
     :class:`~repro.graphview.lowering.EdgeSpecResult` per edge spec) and
-    ``sorted_edges`` the already-canonically-ordered concatenation the
-    graph tables were loaded from (so nothing is scanned — or sorted —
-    twice).  A :class:`CoEdgeSpec` lowered through the expansion path
-    carries its filtered ``(member, via)`` side rows on its result, so
-    seeding the pair ledger costs no extra query; the self-join lowering
-    runs one side query per co spec as before.
+    ``sorted_edges`` the already-canonically-ordered ``(src, dst,
+    weight)`` columns the graph tables were loaded from — they become the
+    edge ledger as they are (nothing is scanned, sorted or copied twice).
+    A :class:`CoEdgeSpec` lowered through the expansion path carries its
+    filtered ``(member, via)`` side rows on its result, so seeding the
+    pair ledger costs no extra query, and its pairs arrive in ledger
+    order, which one linear pass confirms; the self-join lowering runs one
+    side query per co spec and its pairs are sorted here.
 
     ``truncated_groups``: how many via groups the extraction truncated
     (capped co-occurrence mode).  Any truncation makes the state
@@ -544,17 +640,12 @@ def build_state(
             f"capped co-occurrence extraction truncated {truncated_groups} "
             "group(s); the materialized tables are lossy"
         )
-    edges = as_edge_struct(*sorted_edges)
-    if len(edges) and np.isnan(edges["weight"]).any() and capable:
+    edges = tuple(sorted_edges)
+    if np.isnan(edges[2]).any() and capable:
         capable = False  # NaN breaks sorted-multiset matching
         reason = "NaN edge weight"
 
-    derivations = [part for part in node_parts]
-    derivations.append(edges["src"].astype(np.int64, copy=True))
-    derivations.append(edges["dst"].astype(np.int64, copy=True))
-    support = _SupportLedger.from_derivations(
-        np.concatenate(derivations) if derivations else np.empty(0, dtype=np.int64)
-    )
+    support = _SupportLedger.from_derivations(np.concatenate([*node_parts, edges[0], edges[1]]))
 
     co_states: dict[int, _CoState] = {}
     if capable:
@@ -568,8 +659,7 @@ def build_state(
                 if not np.all(weight == np.rint(weight)):
                     raise _Fallback("co-occurrence counts are not integral")
                 co_states[index] = _CoState(
-                    side=np.sort(side),
-                    pairs=np.sort(as_edge_struct(src, dst, weight)),
+                    side=_sorted_rows(side), pairs=_sorted_rows((src, dst, weight))
                 )
         except _Fallback as exc:
             capable = False
@@ -587,19 +677,16 @@ def build_state(
     )
 
 
-def _spec_side_rows(db: Database, spec: CoEdgeSpec, part) -> np.ndarray:
-    """The sorted ``(member, via)`` side ledger seed for one co spec —
-    reused from the extraction result when the expansion path captured
+def _spec_side_rows(db: Database, spec: CoEdgeSpec, part) -> Rows:
+    """The (unsorted) ``(via, member)`` side ledger seed for one co spec
+    — reused from the extraction result when the expansion path captured
     it, otherwise one side query against the base table."""
     if getattr(part, "side_member", None) is None:
         return _side_pairs_from_batch(db.query_batch(co_edge_side_query(spec)))
     vias = np.asarray(part.side_via)
     if vias.dtype.kind not in "iu":
         raise _Fallback("co-occurrence via key is not integer-typed")
-    out = np.empty(len(vias), dtype=SIDE_DTYPE)
-    out["via"] = vias
-    out["member"] = np.asarray(part.side_member, dtype=np.int64)
-    return out
+    return vias.astype(np.int64, copy=False), np.asarray(part.side_member, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -667,28 +754,22 @@ def incremental_refresh(
 
     try:
         added, removed, node_added, node_removed = _spec_deltas(db, view, state, deltas)
-        if (len(added) and np.isnan(added["weight"]).any()) or (
-            len(removed) and np.isnan(removed["weight"]).any()
-        ):
+        if np.isnan(added[2]).any() or np.isnan(removed[2]).any():
             raise _Fallback("NaN weight in delta")
-        edges = sorted_multiset_insert(state.edges, added)
-        edges = sorted_multiset_remove(edges, removed)
+        edges = _merge(state.edges, added, removed)
         state.support.apply(
-            np.concatenate([node_added, added["src"], added["dst"]]),
-            np.concatenate([node_removed, removed["src"], removed["dst"]]),
+            np.concatenate([node_added, added[0], added[1]]),
+            np.concatenate([node_removed, removed[0], removed[1]]),
         )
         state.edges = edges
     except _Fallback as exc:
         state.capable = False  # force the rebuild the caller now performs
         return _fall_back(state, str(exc))
 
-    handle = storage.replace_graph(
-        name,
-        state.edges["src"].astype(np.int64, copy=True),
-        state.edges["dst"].astype(np.int64, copy=True),
-        state.edges["weight"].astype(np.float64, copy=True),
-        state.support.live_ids.copy(),
-    )
+    # Ledger columns are never written in place (every merge builds new
+    # ones), so the tables can share them.
+    src, dst, weight = state.edges
+    handle = storage.replace_graph(name, src, dst, weight, state.support.live_ids)
     _refresh_bookmarks(db, state)
     return handle, delta_rows
 
@@ -709,14 +790,14 @@ def _spec_deltas(
     view: GraphView,
     state: MaintenanceState,
     deltas: dict[str, TableDelta],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[Rows, Rows, np.ndarray, np.ndarray]:
     """Lower table row deltas to graph deltas across every spec.
 
     Returns ``(added_edges, removed_edges, added_node_ids,
-    removed_node_ids)``; edge arrays are :data:`EDGE_DTYPE`.
+    removed_node_ids)``; edges are ``(src, dst, weight)`` columns.
     """
-    added_parts: list[np.ndarray] = []
-    removed_parts: list[np.ndarray] = []
+    added_parts: list[Rows] = []
+    removed_parts: list[Rows] = []
     node_added: list[np.ndarray] = []
     node_removed: list[np.ndarray] = []
     empty_ids = np.empty(0, dtype=np.int64)
@@ -739,7 +820,7 @@ def _spec_deltas(
                 batches = _run_on_delta(
                     db, spec.table, rows, lambda t, s=spec: edge_spec_queries(s, table=t)
                 )
-                sink.extend(as_edge_struct(*edge_triples_from_batch(b)) for b in batches)
+                sink.extend(edge_triples_from_batch(b) for b in batches)
         else:  # CoEdgeSpec — delta-capable views always carry its state
             inserted_side = _side_rows(db, spec, delta.inserted)
             deleted_side = _side_rows(db, spec, delta.deleted)
@@ -749,19 +830,24 @@ def _spec_deltas(
             added_parts.append(added)
             removed_parts.append(removed)
 
-    empty_edges = np.empty(0, dtype=EDGE_DTYPE)
     return (
-        np.concatenate(added_parts) if added_parts else empty_edges,
-        np.concatenate(removed_parts) if removed_parts else empty_edges,
+        _concat_rows(added_parts),
+        _concat_rows(removed_parts),
         np.concatenate(node_added) if node_added else empty_ids,
         np.concatenate(node_removed) if node_removed else empty_ids,
     )
 
 
-def _side_rows(db: Database, spec: CoEdgeSpec, rows) -> np.ndarray:
+def _concat_rows(parts: list[Rows]) -> Rows:
+    if not parts:
+        return _NO_EDGES
+    return tuple(np.concatenate(columns) for columns in zip(*parts))
+
+
+def _side_rows(db: Database, spec: CoEdgeSpec, rows) -> Rows:
     batches = _run_on_delta(
         db, spec.table, rows, lambda t, s=spec: [co_edge_side_query(s, table=t)]
     )
     if not batches:
-        return np.empty(0, dtype=SIDE_DTYPE)
+        return _NO_EDGES[:2]
     return _side_pairs_from_batch(batches[0])

@@ -70,7 +70,8 @@ class ExtractionStats:
         lower_seconds: time spent running/converting the compiled queries
             (full mode only).
         load_seconds: time spent sorting and bulk-loading the graph
-            tables (full mode only).
+            tables, plus seeding the maintenance ledgers of a
+            materialized view (full mode only).
         parallelism: worker count the lowering fanned out to (1 = serial).
         truncated_groups: via groups truncated by capped co-occurrence
             expansion (0 in exact and self-join modes).
@@ -169,7 +170,8 @@ def _extract_with_state(
     )
 
     # Sort into canonical order once, here: load_graph stores the arrays
-    # as-is and the maintenance state reuses the same ordering.
+    # as-is and the maintenance state keeps the same arrays as its edge
+    # ledger.
     order = canonical_edge_order(src_arr, dst_arr, weight_arr)
     src_arr, dst_arr, weight_arr = src_arr[order], dst_arr[order], weight_arr[order]
     handle = storage.load_graph(

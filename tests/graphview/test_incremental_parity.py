@@ -120,7 +120,18 @@ def random_dml(vx: Vertexica, rng: np.random.Generator) -> None:
 
 
 def graph_tables(vx: Vertexica, name: str):
-    edges = vx.sql(f"SELECT src, dst, weight FROM {name}_edge").rows()
+    """Edge rows with every weight as its int64 bit pattern (a Python
+    float comparison would call ``-0.0`` and ``+0.0`` equal), and node
+    rows; ids compare by value."""
+    batch = vx.sql(f"SELECT src, dst, weight FROM {name}_edge").batch
+    weight_bits = np.asarray(batch.column("weight").values, dtype=np.float64).view(np.int64)
+    edges = list(
+        zip(
+            batch.column("src").values.tolist(),
+            batch.column("dst").values.tolist(),
+            weight_bits.tolist(),
+        )
+    )
     nodes = vx.sql(f"SELECT id FROM {name}_node").rows()
     return edges, nodes
 
@@ -152,6 +163,23 @@ def test_incremental_matches_full_under_random_dml(kind: str, seed: int):
             assert_view_parity(vx, handle, f"shadow_{step}")
     # The suite is vacuous if everything silently fell back to full.
     assert incremental_refreshes >= (N_STEPS // REFRESH_EVERY) // 2
+
+
+def test_signed_zero_parallel_edges_match_full_extraction_bitwise():
+    # Parallel edges weighing -0.0 and +0.0 tie under float comparison;
+    # both refresh paths must still store them in one order (-0.0 first).
+    vx = Vertexica()
+    vx.sql("CREATE TABLE f (a INTEGER, b INTEGER, w FLOAT)")
+    vx.sql("INSERT INTO f VALUES (1, 2, 0.0), (1, 3, 1.0), (2, 3, -0.0)")
+    view = GraphView(edges=EdgeSpec("f", src="a", dst="b", weight="w"))
+    handle = vx.create_graph_view("live", view)
+    vx.sql("INSERT INTO f VALUES (1, 2, -0.0), (2, 3, 0.0)")
+    handle.refresh(incremental=True)
+    assert handle.last_extraction.mode == "incremental"
+    edges, _ = graph_tables(vx, "live")
+    signs = [np.signbit(np.int64(bits).view(np.float64)) for _, _, bits in edges]
+    assert signs == [True, False, False, True, False]
+    assert_view_parity(vx, handle, "shadow_zero")
 
 
 class TestFallbacks:
