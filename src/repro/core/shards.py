@@ -6,13 +6,14 @@ iteration: re-run the union input query, lexsort the whole relation into
 partitions, stage worker output into a table, and apply it back with SQL.
 This module keeps the run state resident instead:
 
-1. **Partition once.**  At run setup the graph is hash-partitioned into
+1. **Partition once.**  The graph is hash-partitioned into
    ``n_partitions`` vid-hash shards (``vid % n_shards`` — the same
    bucketing :class:`~repro.engine.operators.TransformOp` uses, so both
    planes compute over identical vertex groupings).  Each
    :class:`VertexShard` owns its sorted vertex ids, halt flags,
    storage-encoded values, and a CSR view of its out-edges (the PR 2
-   edge-cache layout, built once instead of decoded at superstep 0).
+   edge-cache layout, built once per graph version — see **Lifetime** —
+   instead of decoded at superstep 0).
 2. **Compute shard-local.**  Every superstep builds a
    :class:`~repro.core.worker._DecodedPartition` view straight over the
    resident arrays — no SQL, no decode — and runs the *same* layer-2
@@ -20,27 +21,34 @@ This module keeps the run state resident instead:
    batch and scalar programs work unchanged.  Shard tasks have no global
    sort barrier and the kernels are numpy-heavy (GIL released), which is
    what lets ``n_workers > 1`` actually scale.
-3. **Route messages in-plane, sorting once.**  Emitted messages
-   scatter to their destination shards in stable ``(destination shard,
-   destination id)`` order per source shard; each destination
-   concatenates its inbound buffers in source-shard order and segment-
-   sorts them by destination id.  That ordering — (destination, source
-   shard, emission order) — is exactly the delivery order the SQL plane
-   produces via the staging table and the per-superstep lexsort, which
-   is what keeps float reductions (``sum(messages)``) bit-identical
-   across planes.  The per-source order is *not* re-sorted every
-   superstep: edges are immutable for the run, and the edge-aligned
-   sends (``VertexBatch.send_to_all_neighbors`` / ``send_along_edges``)
-   emit a CSR-order subsequence of the shard's out-edge list, so each
-   shard sorts that list once (:meth:`VertexShard.route_plan`, on first
-   use) and every later superstep filters the plan under the sender
-   mask (:func:`_route_order`) — "partition once" extended to "sort
-   once".  Arbitrary ``send()`` traffic, multi-block tasks, the scalar
-   ``compute`` path and near-empty frontiers sort their emitted rows
-   with :func:`~repro.engine.operators.hash_bucket_order` as before;
-   both give the same permutation.  Combiners are applied at the
-   destination shard with the same float64 ``reduceat`` arithmetic the
-   SQL ``GROUP BY`` uses.
+3. **Route messages in-plane, delivering once.**  A destination shard
+   receives its messages ordered by (destination id, source shard,
+   emission order) — exactly the delivery order the SQL plane produces
+   via the staging table and the per-superstep lexsort, which is what
+   keeps float reductions (``sum(messages)``) bit-identical across
+   planes.  The edge-aligned sends (``VertexBatch.send_to_all_neighbors``
+   / ``send_along_edges``) emit a CSR-order subsequence of their shard's
+   out-edge list, so for them that order is a property of the edges
+   alone: the :class:`DeliveryPlan` lists, per destination shard, every
+   edge in delivery order, with the run-constant combine boundaries.  A
+   superstep in which every task sent that way is then one gather plus
+   one ``reduceat`` per destination (the plan filtered under the sender
+   mask first when most, but not all, edges sent).  Arbitrary ``send()`` traffic,
+   multi-block tasks, the scalar ``compute`` path and sparser frontiers
+   sort each destination's rows at the barrier with
+   :func:`~repro.engine.operators.stable_int_order`; both give the same
+   order.  Combiners are applied at the destination shard with the same
+   float64 ``reduceat`` arithmetic the SQL ``GROUP BY`` uses.
+
+**Lifetime.**  Nothing in points 1 and 3 depends on a run: the vid-hash
+split of the vertex ids, the CSR out-edges and the delivery plan form a
+:class:`ShardIndex` of the ``(edge table, node table, n_partitions)``
+version, kept in the edge table's derived-state slot
+(:attr:`~repro.engine.table.Table.derived`), which every mutation of the
+edge table clears.  A run reuses it while both tables' ``(uid, version)``
+and ``n_partitions`` match, and otherwise rebuilds it; a run allocates
+only its own state — values, halt flags and inboxes.  Rollback and resume
+restore only the vertex and message tables, so they reuse it too.
 
 Relational interop is preserved by an explicit sync policy
 (``superstep_sync``): ``"every"`` mirrors the vertex/message tables
@@ -51,9 +59,10 @@ SQL queries, the demo console, and checkpoints see fresh state),
 **Process-parallel execution** (``executor="processes"``): when the
 coordinator binds a :class:`~repro.engine.parallel.ProcessExecutor`
 (:meth:`ShardedDataPlane.bind_executor`), the fixed-width shard arrays —
-ids, halt flags, encoded values, validity, CSR edges — move into
+ids, halt flags, encoded values, validity, CSR edges — are copied into
 ``multiprocessing.shared_memory`` segments (:mod:`repro.core.shmem`) and
-the parent's shards are rebound to views over them.  A picklable
+the run's vertex state is rebound to views over them (the index's arrays
+are only copied: they outlive the run's segments).  A picklable
 bootstrap ships the program closure, segment descriptors, and the armed
 fault plan to every worker process exactly once (at pool start and on
 plane rebuilds); per superstep only a tiny :class:`_ProcessStep`
@@ -71,7 +80,8 @@ bit-identical to serial and threaded execution.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,21 +103,168 @@ from repro.engine.types import VARCHAR
 
 __all__ = [
     "ShardedDataPlane",
+    "ShardIndex",
+    "DeliveryPlan",
     "VertexShard",
     "ShardTaskOutput",
+    "EmittedMessages",
     "PlaneMeta",
 ]
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    """Freeze arrays that outlive a run: a run copies what it mutates."""
+    for array in arrays:
+        array.setflags(write=False)
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in grouped ``keys``."""
+    if not len(keys):
+        return np.empty(0, dtype=np.intp)
+    change = np.empty(len(keys), dtype=bool)
+    change[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
+@dataclass(frozen=True)
+class DeliveryPlan:
+    """Message delivery for the edge-aligned sends, precomputed.
+
+    A *position* is an edge's index in the concatenation of every shard's
+    CSR out-edge list, in shard order (:attr:`ShardIndex.targets`).  For
+    destination shard ``d``, ``order[d]`` lists the positions of the edges
+    whose target lands in ``d`` in delivery order — ``(target, source
+    shard, CSR position)``, i.e. ``(target, position)`` — which is the
+    order a stable ``(destination shard, destination id)`` sort of each
+    source shard's messages followed by a stable merge by destination id
+    gives when every edge sends.  ``starts[d]`` are the combine boundaries
+    (where each target's run begins in ``order[d]``), ``senders[d]`` the
+    ``MIN(sender)`` of each run and ``targets[d]`` its destination id.
+    Nothing per edge is kept beyond ``order``: a masked superstep gathers
+    its senders and destinations from what the tasks emitted.
+    """
+
+    order: tuple[np.ndarray, ...]
+    starts: tuple[np.ndarray, ...]
+    senders: tuple[np.ndarray, ...]
+    targets: tuple[np.ndarray, ...]
+
+
+def _build_delivery_plan(index: "ShardIndex") -> DeliveryPlan:
+    """Per destination shard, one stable sort of its edges' positions by
+    target: ties keep position order, which within a target is (source
+    shard, CSR position) — the same permutation as a stable ``(dest
+    shard, dest id)`` sort of all positions, sorted one bucket at a time
+    so that only one bucket's temporaries are alive at once."""
+    n = index.n_shards
+    targets = index.targets
+    buckets = (targets % n).astype(np.min_scalar_type(n))
+    position_dtype = np.int32 if len(targets) <= np.iinfo(np.int32).max else np.int64
+    sources = np.concatenate(
+        [np.repeat(ids, np.diff(indptr)) for ids, indptr in zip(index.vertex_ids, index.edge_indptr)]
+    )
+    orders, starts, senders, group_targets = [], [], [], []
+    for d in range(n):
+        positions = np.flatnonzero(buckets == d)
+        dst = targets[positions]
+        by_target = stable_int_order((dst,))
+        positions, dst = positions[by_target], dst[by_target]
+        runs = _run_starts(dst)
+        orders.append(positions.astype(position_dtype))
+        starts.append(runs)
+        senders.append(
+            np.minimum.reduceat(sources[positions], runs) if len(runs) else np.empty(0, np.int64)
+        )
+        group_targets.append(dst[runs])
+    _read_only(*orders, *starts, *senders, *group_targets)
+    return DeliveryPlan(tuple(orders), tuple(starts), tuple(senders), tuple(group_targets))
+
+
+class ShardIndex:
+    """The run-independent part of the shard plane for one graph version.
+
+    Built from the vertex ids (the sorted node table) and the edge table
+    for ``n_shards`` shards: the vid-hash split (shard ``s`` owns
+    ``vertex_ids[s]``, which are ``all_ids[split_order[split_bounds[s]:
+    split_bounds[s + 1]]]``) and each shard's CSR out-edges, laid end to
+    end in shard order so that :attr:`targets` / :attr:`weights` are the
+    concatenation of every shard's edge list and shard ``s`` owns
+    ``[edge_offsets[s]:edge_offsets[s + 1]]`` of them.  Edges sort by
+    source within a shard; equal sources keep table order, which is what
+    the SQL plane's stable per-superstep sort delivers.  Edges from ids
+    with no vertex row are dropped.  The :class:`DeliveryPlan` is built on
+    first use.
+
+    :class:`ShardedDataPlane` keeps the index in the edge table's
+    derived-state slot under :attr:`key` and reuses it across runs; every
+    array is read-only, and process execution copies them into shared
+    memory instead of rebinding them.
+    """
+
+    def __init__(
+        self,
+        key: tuple,
+        all_ids: np.ndarray,
+        esrc: np.ndarray,
+        edst: np.ndarray,
+        eweight: np.ndarray,
+        n_shards: int,
+    ) -> None:
+        n = n_shards
+        self.key = key
+        self.n_shards = n
+        self.all_ids = all_ids = np.array(all_ids, dtype=np.int64)  # own it: frozen below
+        self.split_order, self.split_bounds = hash_bucket_order(all_ids % n, n)
+        e_order, e_bounds = hash_bucket_order(esrc % n, n, (esrc,))
+        self.vertex_ids: list[np.ndarray] = []
+        self.edge_indptr: list[np.ndarray] = []
+        kept = []  # per shard, the table rows of its CSR edges in order
+        for s in range(n):
+            shard_ids = all_ids[self.split_order[self.split_bounds[s] : self.split_bounds[s + 1]]]
+            e_sel = e_order[e_bounds[s] : e_bounds[s + 1]]
+            indptr, (e_sel,), _ = _csr_align(esrc[e_sel], shard_ids, (e_sel,))
+            self.vertex_ids.append(shard_ids)
+            self.edge_indptr.append(indptr)
+            kept.append(e_sel)
+        self.edge_offsets = np.concatenate(([0], np.cumsum([len(k) for k in kept])))
+        rows = np.concatenate(kept)
+        del e_order, kept
+        self.targets = edst[rows]
+        self.weights = eweight[rows]
+        _read_only(
+            all_ids, self.split_order, self.split_bounds, self.edge_offsets,
+            self.targets, self.weights, *self.vertex_ids, *self.edge_indptr,
+        )
+        self._plan: DeliveryPlan | None = None
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.targets)
+
+    def shard_edges(self, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Shard ``s``'s CSR ``(indptr, targets, weights)``."""
+        lo, hi = self.edge_offsets[s], self.edge_offsets[s + 1]
+        return self.edge_indptr[s], self.targets[lo:hi], self.weights[lo:hi]
+
+    def delivery_plan(self) -> DeliveryPlan:
+        """The plan, built on first use (concurrent first uses may each
+        build one; they are equal, and the last one stays)."""
+        if self._plan is None:
+            self._plan = _build_delivery_plan(self)
+        return self._plan
+
+
 @dataclass
 class VertexShard:
-    """One vid-hash shard's resident state.
+    """One vid-hash shard's state for a run.
 
     Vertex arrays are aligned and sorted by vertex id; edges are CSR
-    against ``vertex_ids`` (built once — the edge relation is immutable
-    during a run).  Pending messages are kept stably sorted by
-    destination id, preserving arrival order within a destination.
-    Values are *storage-encoded* (the vertex/message table
+    against ``vertex_ids`` (the :class:`ShardIndex`'s arrays, shared by
+    every run of the graph version).  Pending messages are kept stably
+    sorted by destination id, preserving arrival order within a
+    destination.  Values are *storage-encoded* (the vertex/message table
     representation), exactly like the SQL plane's columns.  Under
     process-parallel execution the fixed-width arrays are views into
     shared-memory segments; the layout is identical either way.
@@ -125,26 +282,10 @@ class VertexShard:
     msg_dst: np.ndarray  # int64, stably sorted
     msg_raw: np.ndarray  # storage dtype ((nm, k) for vector codecs)
     msg_valid: np.ndarray  # bool
-    #: :meth:`route_plan`'s result, once a task has asked for it
-    _route_plan: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def num_vertices(self) -> int:
         return len(self.vertex_ids)
-
-    def route_plan(self, n_shards: int) -> tuple[np.ndarray, np.ndarray]:
-        """The shard's sort-once route: the stable ``(dest shard, dest
-        id)`` permutation of *all* its out-edges, as ``(order, bounds)``
-        with destination shard ``d`` owning ``order[bounds[d]:bounds[d +
-        1]]``.  The edge list is immutable for the run, so this is a run
-        constant: it is sorted on the first call — inside the first shard
-        task that routes through it, never at shard build — and kept
-        with the shard, i.e. until the plane is rebuilt (next run,
-        rollback) and once per worker process that runs the shard."""
-        if self._route_plan is None:
-            targets = self.edge_targets
-            self._route_plan = hash_bucket_order(targets % n_shards, n_shards, (targets,))
-        return self._route_plan
 
     @property
     def pending_messages(self) -> int:
@@ -195,7 +336,6 @@ class PlaneMeta:
     instance, so both sides run the exact same code paths.
     """
 
-    n_shards: int
     task_retries: int
     retry_backoff: float
     value_width: int
@@ -220,6 +360,20 @@ class PlaneMeta:
         return np.empty(0, dtype=self.msg_storage_dtype)
 
 
+class EmittedMessages(NamedTuple):
+    """One shard task's messages in emission order, values in the message
+    table's storage form.  ``route_senders`` is
+    :attr:`~repro.core.worker.StagedRows.route_senders`: set when the rows
+    are one edge-aligned block — one row per out-edge of the flagged
+    vertices, in the shard's CSR order — and ``None`` otherwise."""
+
+    senders: np.ndarray
+    dst: np.ndarray
+    values: np.ndarray
+    valid: np.ndarray
+    route_senders: np.ndarray | None
+
+
 @dataclass
 class ShardTaskOutput:
     """One shard task's result, in wire-friendly (picklable) form.
@@ -229,12 +383,12 @@ class ShardTaskOutput:
     reduced *scalar* — the shard-resident aggregator fast path: the
     superstep barrier applies updates and reduces a few floats instead
     of re-scanning whole staged-row arrays (and, under process
-    execution, the pipe never ships kind-1/kind-2 rows at all — routed
-    messages travel pre-bucketed, aggregates as scalars).
+    execution, the pipe never ships kind-2 rows at all, and messages
+    travel as their four columns, aggregates as scalars).
     """
 
     updates: StagedRows
-    routed: tuple | None
+    messages: EmittedMessages | None
     agg_partials: list[tuple[str, float]]
     ran: int
     dropped: int
@@ -272,74 +426,24 @@ def _staged_agg_partials(rows: StagedRows) -> list[tuple[str, float]]:
     return list(zip(rows.s1[mask].tolist(), rows.f1[mask].tolist()))
 
 
-#: An edge-aligned task routes through the shard's plan once it emits at
-#: least one message per this many out-edges of the shard; below that,
-#: sorting the few messages beats the plan's O(edges) filter pass
-#: (measured crossover: 1/8 to 1/10 of the edges, at 0.18 M and 1 M edges).
-_PLAN_MIN_EDGE_SHARE = 8
-
-
-def _route_order(
-    dst: np.ndarray, route_senders: np.ndarray | None, shard: VertexShard, n_shards: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The stable ``(dest shard, dest id)`` order of one task's emitted
-    destinations ``dst`` plus its per-destination-shard bounds — always
-    equal to ``hash_bucket_order(dst % n_shards, n_shards, (dst,))``,
-    which is also how it is computed when the task's messages are not one
-    edge-aligned block (``route_senders is None``) or are few.
-
-    Otherwise ``dst`` is, in order, the targets of the out-edges of the
-    vertices in ``route_senders`` — a subsequence of the shard's CSR edge
-    list — and no sort is needed.  A stable sort orders rows by ``(key,
-    input position)``; :meth:`VertexShard.route_plan` lists *every* edge
-    in that order, and dropping the edges that did not send from that
-    list leaves the ones that did in the same relative order — which is
-    the stable sort of the subsequence.  What remains is renumbering:
-    edge ``e`` sits at position ``cumsum(edge_mask)[e] - 1`` of ``dst``.
-    When every edge sent, the plan is the answer as it stands.
-    """
-    n_edges = len(shard.edge_targets)
-    if route_senders is None or len(dst) * _PLAN_MIN_EDGE_SHARE < n_edges:
-        return hash_bucket_order(dst % n_shards, n_shards, (dst,))
-    plan_order, plan_bounds = shard.route_plan(n_shards)
-    if len(dst) == n_edges:
-        return plan_order, plan_bounds
-    edge_mask = np.repeat(route_senders, np.diff(shard.edge_indptr))
-    keep = edge_mask[plan_order]
-    order = np.cumsum(edge_mask)[plan_order[keep]] - 1
-    bounds = np.concatenate(([0], np.cumsum(keep)))[plan_bounds]
-    return order, bounds
-
-
-def _bucket_staged(staged: StagedRows, meta: PlaneMeta, shard: VertexShard) -> tuple | None:
-    """One source shard's emitted messages, bucketed stably by
-    ``(destination shard, destination id)`` — runs *inside* the shard
-    task, so per-source routing lands in the parallel section.  The
-    order comes from :func:`_route_order`: the shard's sort-once plan for
-    edge-aligned sends, a lexsort of the emitted rows otherwise — the
-    same permutation either way, so everything downstream (the gathers
-    here, :meth:`ShardedDataPlane._route_messages`, combining) sees the
-    rows it always saw.
-    Returns ``(senders, dst, values, valid, bounds)`` with destination
-    shard ``d`` owning ``[bounds[d]:bounds[d+1]]``, or ``None`` when the
-    shard emitted nothing."""
-    rows = staged
-    mask = rows.kind == 1
-    if not mask.any():
+def _emitted_messages(rows: StagedRows, meta: PlaneMeta) -> EmittedMessages | None:
+    """A task's kind-1 rows, or ``None`` when it sent nothing.  The batch
+    path stages them as one contiguous run, which is taken as views."""
+    at = np.flatnonzero(rows.kind == 1)
+    if not len(at):
         return None
+    sel = slice(at[0], at[-1] + 1) if at[-1] - at[0] + 1 == len(at) else at
     if meta.msg_width:
-        values = rows.pay[mask][:, : meta.msg_width]
-        valid = rows.pay_valid[mask]
+        values = rows.pay[sel][:, : meta.msg_width]
+        valid = rows.pay_valid[sel]
     elif meta.msg_is_varchar:
-        values, valid = rows.s1[mask], rows.s1_valid[mask]
+        values, valid = rows.s1[sel], rows.s1_valid[sel]
     else:
         # Mirror the SQL plane's apply_messages cast into the
         # message table's column type.
-        values = rows.f1[mask].astype(meta.msg_storage_dtype)
-        valid = rows.f1_valid[mask]
-    senders, dst = rows.vid[mask], rows.dst[mask]
-    order, bounds = _route_order(dst, rows.route_senders, shard, meta.n_shards)
-    return senders[order], dst[order], values[order], valid[order], bounds
+        values = rows.f1[sel].astype(meta.msg_storage_dtype, copy=False)
+        valid = rows.f1_valid[sel]
+    return EmittedMessages(rows.vid[sel], rows.dst[sel], values, valid, rows.route_senders)
 
 
 def _apply_updates_to_shard(shard: VertexShard, rows: StagedRows, meta: PlaneMeta) -> int:
@@ -372,7 +476,7 @@ def _apply_updates_to_shard(shard: VertexShard, rows: StagedRows, meta: PlaneMet
 def _run_shard_task(
     shard: VertexShard, index: int, worker: VertexWorker, meta: PlaneMeta
 ) -> ShardTaskOutput:
-    """Execute one shard's superstep: trip/retry, compute, pre-bucket.
+    """Execute one shard's superstep: trip/retry, compute, stage.
 
     A shard task is a pure function of resident state (kernels never
     mutate their input views; fancy-indexed copies back them), so a
@@ -383,18 +487,18 @@ def _run_shard_task(
     started = time.perf_counter()
     retried = [0]
 
-    def attempt() -> tuple[StagedRows, tuple | None, int, int]:
+    def attempt() -> tuple[StagedRows, EmittedMessages | None, int, int]:
         faults.trip("shard.compute", superstep=worker.superstep, shard=index)
         part = shard.decoded()
         out, ran = worker.compute_decoded(part, record=False)
         staged = out.to_staged()
-        return staged, _bucket_staged(staged, meta, shard), ran, part.dropped
+        return staged, _emitted_messages(staged, meta), ran, part.dropped
 
     def on_retry(exc: BaseException, attempt_no: int, delay: float) -> None:
         retried[0] = attempt_no
 
     try:
-        staged, routed, ran, dropped = faults.retry_call(
+        staged, messages, ran, dropped = faults.retry_call(
             attempt,
             retries=meta.task_retries,
             backoff=meta.retry_backoff,
@@ -408,7 +512,7 @@ def _run_shard_task(
         raise
     return ShardTaskOutput(
         updates=_mask_staged(staged, 0),
-        routed=routed,
+        messages=messages,
         agg_partials=_staged_agg_partials(staged),
         ran=ran,
         dropped=dropped,
@@ -418,11 +522,201 @@ def _run_shard_task(
     )
 
 
+#: A superstep whose tasks all sent edge-aligned blocks delivers through
+#: the plan once its messages cover at least this share of the graph's
+#: edges; below that, sorting them per destination beats filtering the
+#: plan, which costs O(edges) (measured, MIN combiner on 4 shards: a tie
+#: at 0.9 of the edges, sorting 1.3-2x faster at 0.25-0.55, the filtered
+#: plan 1.1-1.2x faster at 0.95-0.99, at 8 k-70 k vertices and 0.12-0.73 M
+#: edges).  When every edge sent, the plan needs no filter and wins 5-9x.
+_PLAN_MIN_EDGE_SHARE = 0.9
+
+#: combiner -> (float64 ufunc, the identity a NULL message contributes)
+_COMBINE_UFUNCS = {"SUM": (np.add, 0.0), "MIN": (np.minimum, np.inf), "MAX": (np.maximum, -np.inf)}
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _deliver(
+    index: ShardIndex,
+    emitted: list[EmittedMessages | None],
+    combiner: str | None,
+    msg_dtype,
+) -> tuple[list[tuple | None], int]:
+    """Every destination shard's inbox ``(senders, dst, values, valid)``
+    (``None`` when it receives nothing) from the source shards' messages
+    ``emitted`` (indexed by source shard), plus the number of messages
+    sent.
+
+    Ordering contract (what makes the planes bit-identical): the SQL
+    plane concatenates partition outputs in partition-index order into
+    the staging table, and its next-superstep sort is stable — so vertex
+    ``v`` receives its messages ordered by (source partition, emission
+    order).  Here each destination takes its rows in ``(dst, source
+    shard, emission order)`` order, which is that order, one of two ways:
+
+    * **the plan** — every task sent one edge-aligned block, together
+      over at least :data:`_PLAN_MIN_EDGE_SHARE` of the edges
+      (:func:`_plan_rows`);
+    * **a sort** — anything else: per destination, its rows from every
+      source in (source shard, emission) order, stably sorted by
+      destination id (:func:`_sorted_rows`).
+    """
+    chunks = [c for c in emitted if c is not None]
+    if not chunks:
+        return [None] * index.n_shards, 0
+    sent = sum(len(c.dst) for c in chunks)
+    # NULL messages need masking only where a combiner reduces them.
+    all_valid = combiner is not None and all(bool(c.valid.all()) for c in chunks)
+    if (
+        all(c.route_senders is not None for c in chunks)
+        and sent >= _PLAN_MIN_EDGE_SHARE * index.num_edges
+    ):
+        rows = _plan_rows(index, emitted, chunks, sent, combiner is not None, all_valid)
+    else:
+        rows = _sorted_rows(chunks, index.n_shards, all_valid)
+    inboxes = [None if r is None else _inbox(*r, combiner, msg_dtype) for r in rows]
+    return inboxes, sent
+
+
+def _plan_rows(
+    index: ShardIndex,
+    emitted: list[EmittedMessages | None],
+    chunks: list[EmittedMessages],
+    sent: int,
+    combined: bool,
+    all_valid: bool,
+):
+    """Each destination's ``(senders, dst, values, valid, groups)`` through
+    the :class:`DeliveryPlan` (``None`` for a destination that receives
+    nothing; ``valid`` is ``None`` when ``all_valid``).
+
+    The tasks' messages, concatenated in shard order, are the edges of the
+    flagged senders in order: a subsequence of the index's edge list.
+    When every edge sent, ``order[d]`` *is* the gather, and the plan's
+    runs, senders and targets are the combined groups (``groups``; the
+    rows' ``senders`` and ``dst`` are not gathered for a combiner then).
+    Otherwise dropping the edges that did not send from ``order[d]``
+    leaves the ones that did in the same relative order — the order of the
+    subsequence — and edge ``e`` sits at ``cumsum(edge_mask)[e] - 1`` of
+    the concatenation.
+    """
+    # Built (once per graph version) before the concatenations below, so
+    # that its temporaries and theirs are never alive together.
+    plan = index.delivery_plan()
+    full = sent == index.num_edges
+    takes = plan.order
+    if not full:
+        edge_mask = np.concatenate(
+            [
+                np.repeat(c.route_senders, np.diff(index.edge_indptr[s]))
+                if c is not None
+                else np.zeros(index.edge_offsets[s + 1] - index.edge_offsets[s], dtype=bool)
+                for s, c in enumerate(emitted)
+            ]
+        )
+        position = np.cumsum(edge_mask, dtype=plan.order[0].dtype) - 1
+        takes = (position[order[edge_mask[order]]] for order in plan.order)
+    values = _concat([c.values for c in chunks])
+    valid = None if all_valid else _concat([c.valid for c in chunks])
+    # A full send's combined groups are the plan's: no senders or dst then.
+    rows = None if full and combined else (
+        _concat([c.senders for c in chunks]), _concat([c.dst for c in chunks])
+    )
+    for d, take in enumerate(takes):
+        if not len(take):
+            yield None
+            continue
+        yield (
+            None if rows is None else rows[0][take],
+            None if rows is None else rows[1][take],
+            values[take],
+            None if valid is None else valid[take],
+            (plan.starts[d], plan.senders[d], plan.targets[d]) if full else None,
+        )
+
+
+def _sorted_rows(chunks: list[EmittedMessages], n: int, all_valid: bool):
+    """Each destination's ``(senders, dst, values, valid, None)`` by a
+    stable sort of its rows on destination id (``None`` for a destination
+    that receives nothing; ``valid`` is ``None`` when ``all_valid``)."""
+    buckets = [(c.dst % n).astype(np.min_scalar_type(n)) for c in chunks]
+    for d in range(n):
+        picks = [np.flatnonzero(b == d) for b in buckets]
+        if not any(len(p) for p in picks):
+            yield None
+            continue
+
+        def rows(column: str) -> np.ndarray:
+            return _concat([getattr(c, column)[p] for c, p in zip(chunks, picks)])
+
+        dst = rows("dst")
+        order = stable_int_order((dst,))
+        yield (
+            rows("senders")[order],
+            dst[order],
+            rows("values")[order],
+            None if all_valid else rows("valid")[order],
+            None,
+        )
+
+
+def _inbox(senders, dst, values, valid, groups, combiner: str | None, msg_dtype) -> tuple:
+    """One destination's inbox from its ordered rows: as they are, or
+    combined per destination id (over ``groups`` — run starts, senders,
+    targets — when the plan already holds them)."""
+    if combiner is None:
+        return senders, dst, values, valid
+    if groups is None:
+        starts = _run_starts(dst)
+        groups = (starts, np.minimum.reduceat(senders, starts), dst[starts])
+    starts, group_senders, group_dst = groups
+    raw, ok = _combine(values, valid, starts, combiner, msg_dtype)
+    return group_senders, group_dst, raw, ok
+
+
+def _combine(
+    values: np.ndarray,
+    valid: np.ndarray | None,
+    starts: np.ndarray,
+    combiner: str,
+    msg_dtype,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce each run ``values[starts[i]:starts[i + 1]]`` with the
+    program's combiner; returns ``(values, valid)`` per run.
+
+    Reproduces the SQL plane's ``SELECT MIN(vid), dst, OP(...) ...
+    GROUP BY dst`` arithmetic exactly: reductions run over float64 with
+    ``reduceat`` in arrival order, NULLs replaced by the reduction
+    identity, and the result cast back to the message column's storage
+    type.  Vector message codecs arrive as 2-D ``(rows, k)`` blocks and
+    reduce element-wise with the same ``reduceat`` call over ``axis=0`` —
+    bit-identical to the SQL plane's per-column aggregates (whole-vector
+    validity broadcasts across the row).  ``valid=None`` says every
+    message is valid: replacing nothing and masking nothing, the reduction
+    is the same.
+    """
+    ufunc, identity = _COMBINE_UFUNCS[combiner]
+    floats = values.astype(np.float64, copy=False)
+    if valid is None:
+        agg = ufunc.reduceat(floats, starts, axis=0)
+        return agg.astype(msg_dtype, copy=False), np.ones(len(starts), dtype=bool)
+    out_valid = np.add.reduceat(valid.astype(np.int64), starts) > 0
+    two_d = floats.ndim == 2
+    floats = np.where(valid[:, None] if two_d else valid, floats, identity)
+    agg = ufunc.reduceat(floats, starts, axis=0)
+    agg = np.where(out_valid[:, None] if two_d else out_valid, agg, 0.0)
+    return agg.astype(msg_dtype, copy=False), out_valid
+
+
 class ShardedDataPlane:
-    """Resident shards for one run: built once, stepped per superstep,
-    synced back to the relational tables per the ``superstep_sync``
-    policy.  :meth:`bind_executor` moves the resident arrays into shared
-    memory when the run executes on worker processes."""
+    """Resident shards for one run over the graph version's
+    :class:`ShardIndex`: set up once, stepped per superstep, synced back
+    to the relational tables per the ``superstep_sync`` policy.
+    :meth:`bind_executor` copies the resident arrays into shared memory
+    when the run executes on worker processes."""
 
     def __init__(
         self,
@@ -445,7 +739,6 @@ class ShardedDataPlane:
         v_sql = v_codec.sql_type
         m_sql = m_codec.sql_type
         self.meta = PlaneMeta(
-            n_shards=self.n_shards,
             task_retries=config.task_retries,
             retry_backoff=config.retry_backoff,
             value_width=v_codec.width,
@@ -471,8 +764,9 @@ class ShardedDataPlane:
     # Partition once (run setup)
     # ------------------------------------------------------------------
     def _build_shards(self) -> list[VertexShard]:
-        """Hash-partition the freshly set-up vertex/edge tables into
-        resident shards — the single partitioning pass of the run."""
+        """The run's shards: the freshly set-up vertex state split by the
+        graph version's :class:`ShardIndex` (built here when there is
+        none yet — the single partitioning pass of the graph version)."""
         db = self.storage.db
         graph = self.graph
         meta = self.meta
@@ -494,31 +788,14 @@ class ShardedDataPlane:
             ids, halted = ids[order], halted[order]
             raw_values, value_valid = raw_values[order], value_valid[order]
 
-        edata = db.table(graph.edge_table).data()
-        esrc = np.asarray(edata.column("src").values, dtype=np.int64)
-        edst = np.asarray(edata.column("dst").values, dtype=np.int64)
-        eweight = np.asarray(edata.column("weight").values, dtype=np.float64)
-
-        n = self.n_shards
-        v_order, v_bounds = hash_bucket_order(ids % n, n)
-        # Edges sort by src *within* each bucket (`_csr_align` needs
-        # sorted owners): `load_graph` stores canonical (src, dst,
-        # weight) order, but SQL DML on the edge table between runs may
-        # have appended rows out of order.  The sort is stable, so rows
-        # with equal src keep table order — exactly what the SQL plane's
-        # stable per-superstep lexsort delivers.
-        e_order, e_bounds = hash_bucket_order(esrc % n, n, (esrc,))
+        self.index = index = self._shard_index(ids)
         shards: list[VertexShard] = []
-        for s in range(n):
-            v_sel = v_order[v_bounds[s] : v_bounds[s + 1]]
-            shard_ids = ids[v_sel]
-            e_sel = e_order[e_bounds[s] : e_bounds[s + 1]]
-            edge_indptr, (edge_targets, edge_weights), _ = _csr_align(
-                esrc[e_sel], shard_ids, (edst[e_sel], eweight[e_sel])
-            )
+        for s in range(self.n_shards):
+            v_sel = index.split_order[index.split_bounds[s] : index.split_bounds[s + 1]]
+            edge_indptr, edge_targets, edge_weights = index.shard_edges(s)
             shard = VertexShard(
                 index=s,
-                vertex_ids=shard_ids,
+                vertex_ids=index.vertex_ids[s],
                 halted=halted[v_sel],
                 raw_values=raw_values[v_sel],
                 value_valid=value_valid[v_sel],
@@ -533,6 +810,38 @@ class ShardedDataPlane:
             shards.append(shard)
         self._load_messages(shards)
         return shards
+
+    def _shard_index(self, ids: np.ndarray) -> ShardIndex:
+        """The index kept on the edge table when its key — both tables'
+        ``(uid, version)`` and the shard count — matches and it split these
+        vertex ids (a vertex table restored from a checkpoint need not be
+        the node table's); otherwise a fresh one, left on the table for
+        later runs."""
+        db = self.storage.db
+        with db.lock:  # key and contents read together
+            edges = db.table(self.graph.edge_table)
+            nodes = db.table(self.graph.node_table)
+            key = (edges.uid, edges.version, nodes.uid, nodes.version, self.n_shards)
+            index = edges.derived
+            if (
+                isinstance(index, ShardIndex)
+                and index.key == key
+                and np.array_equal(index.all_ids, ids)
+            ):
+                return index
+            edata = edges.data()
+        index = ShardIndex(
+            key,
+            ids,
+            np.asarray(edata.column("src").values, dtype=np.int64),
+            np.asarray(edata.column("dst").values, dtype=np.int64),
+            np.asarray(edata.column("weight").values, dtype=np.float64),
+            self.n_shards,
+        )
+        with db.lock:
+            if (edges.uid, edges.version) == key[:2]:
+                edges.derived = index
+        return index
 
     def _load_messages(self, shards: list[VertexShard]) -> None:
         """Adopt the message table's pending rows into the shard inboxes.
@@ -607,14 +916,12 @@ class ShardedDataPlane:
             group = SharedArrayGroup.create(f"{token}s{shard.index}", arrays)
             groups.append(group)
             descriptors.append(group.descriptor)
-            # Rebind the parent's shard to the shared views: parent-side
-            # vertex updates become visible to the workers with no copy.
-            shard.vertex_ids = group.arrays["vertex_ids"]
+            # Rebind the parent's vertex state to the shared views: parent-
+            # side vertex updates become visible to the workers with no
+            # copy.  The topology stays the index's own (read-only) arrays:
+            # the index outlives these segments.
             shard.halted = group.arrays["halted"]
             shard.value_valid = group.arrays["value_valid"]
-            shard.edge_indptr = group.arrays["edge_indptr"]
-            shard.edge_targets = group.arrays["edge_targets"]
-            shard.edge_weights = group.arrays["edge_weights"]
             if not self.meta.value_is_varchar:
                 shard.raw_values = group.arrays["raw_values"]
                 object_values.append(None)
@@ -713,13 +1020,9 @@ class ShardedDataPlane:
         """Compute every shard (optionally in parallel), then apply
         vertex updates, route messages, and reduce aggregators (into
         :attr:`aggregated`) — the synchronous superstep barrier, minus
-        all the SQL.
-
-        Each shard task also *pre-buckets* its own emitted messages by
-        destination shard (inside the parallel section, through the
-        shard's route plan where the send was edge-aligned), so the
-        barrier-side router only concatenates per-destination inboxes
-        and segment-sorts them.
+        all the SQL.  Tasks hand their messages over in emission order;
+        the barrier delivers them through the graph version's delivery
+        plan or one sort (:func:`_deliver`).
         """
         worker = VertexWorker(
             self.program,
@@ -774,7 +1077,7 @@ class ShardedDataPlane:
         vertex_updates = self._apply_vertex_updates([out.updates for out in outputs])
         faults.trip("shard.route", superstep=worker.superstep)
         messages_precombine, messages_out = self._route_messages(
-            [out.routed for out in outputs]
+            [out.messages for out in outputs]
         )
         self.aggregated = self._reduce_aggregators(
             [out.agg_partials for out in outputs]
@@ -808,102 +1111,20 @@ class ShardedDataPlane:
     # ------------------------------------------------------------------
     # In-plane message routing
     # ------------------------------------------------------------------
-    def _route_messages(self, routed: list[tuple | None]) -> tuple[int, int]:
-        """Deliver the pre-bucketed messages to their destination shards.
-        Returns ``(rows_before_combining, rows_delivered)``.
-
-        Ordering contract (what makes the planes bit-identical): the SQL
-        plane concatenates partition outputs in partition-index order
-        into the staging table, and its next-superstep lexsort is stable
-        — so vertex ``v`` receives messages ordered by (source
-        partition, emission order).  Here each source shard has already
-        put its own messages in stable ``(destination shard,
-        destination id)`` order (:func:`_bucket_staged` — through the
-        shard's sort-once route plan or a lexsort, the same permutation
-        either way, so ties keep emission order); a destination
-        concatenates its per-source buckets in shard-index order (the
-        staging order) and one stable segment-sort by destination id
-        restores exactly that delivery order — the ties within a
-        destination id keep (source shard, emission order).
-        """
-        chunks = [c for c in routed if c is not None]
-        if not chunks:
-            for shard in self.shards:
-                shard.clear_messages(self._empty_msg_raw())
-            return 0, 0
-
-        staged = 0
+    def _route_messages(self, emitted: list[EmittedMessages | None]) -> tuple[int, int]:
+        """Deliver every task's messages to their destination shards (see
+        :func:`_deliver`).  Returns ``(rows_before_combining,
+        rows_delivered)``."""
+        combiner = self.program.combiner if self.use_combiner else None
+        inboxes, staged = _deliver(self.index, emitted, combiner, self.meta.msg_storage_dtype)
         total = 0
-        for shard in self.shards:
-            d = shard.index
-            parts = [
-                (c[0][c[4][d]:c[4][d + 1]], c[1][c[4][d]:c[4][d + 1]],
-                 c[2][c[4][d]:c[4][d + 1]], c[3][c[4][d]:c[4][d + 1]])
-                for c in chunks
-            ]
-            parts = [p for p in parts if len(p[1])]
-            if not parts:
+        for shard, inbox in zip(self.shards, inboxes):
+            if inbox is None:
                 shard.clear_messages(self._empty_msg_raw())
                 continue
-            if len(parts) == 1:
-                # A single contributing source's bucket is already sorted
-                # by destination id — no merge sort needed.
-                inbox = parts[0]
-            else:
-                senders = np.concatenate([p[0] for p in parts])
-                dst = np.concatenate([p[1] for p in parts])
-                values = np.concatenate([p[2] for p in parts])
-                valid = np.concatenate([p[3] for p in parts])
-                order = stable_int_order((dst,))
-                inbox = (senders[order], dst[order], values[order], valid[order])
-            staged += sum(len(p[1]) for p in parts)
-            if self.use_combiner:
-                inbox = self._combine(*inbox)
             shard.msg_src, shard.msg_dst, shard.msg_raw, shard.msg_valid = inbox
             total += len(inbox[1])
         return staged, total
-
-    def _combine(
-        self,
-        senders: np.ndarray,
-        dst: np.ndarray,
-        values: np.ndarray,
-        valid: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Apply the program's combiner per destination.
-
-        Reproduces the SQL plane's ``SELECT MIN(vid), dst, OP(...) ...
-        GROUP BY dst`` arithmetic exactly: reductions run over float64
-        with ``reduceat`` in arrival order, NULLs replaced by the
-        reduction identity, and the result cast back to the message
-        column's storage type.  Vector message codecs arrive as 2-D
-        ``(rows, k)`` blocks and reduce element-wise with the same
-        ``reduceat`` call over ``axis=0`` — bit-identical to the SQL
-        plane's per-column aggregates (whole-vector validity broadcasts
-        across the row).
-        """
-        boundaries = np.flatnonzero(
-            np.r_[True, dst[1:] != dst[:-1]] if len(dst) else np.empty(0, bool)
-        )
-        out_dst = dst[boundaries]
-        out_src = np.minimum.reduceat(senders, boundaries)
-        valid_counts = np.add.reduceat(valid.astype(np.int64), boundaries)
-        out_valid = valid_counts > 0
-        floats = values.astype(np.float64)
-        two_d = floats.ndim == 2
-        row_valid = valid[:, None] if two_d else valid
-        op = self.program.combiner
-        if op == "SUM":
-            floats = np.where(row_valid, floats, 0.0)
-            agg = np.add.reduceat(floats, boundaries, axis=0)
-        elif op == "MIN":
-            floats = np.where(row_valid, floats, np.inf)
-            agg = np.minimum.reduceat(floats, boundaries, axis=0)
-        else:  # MAX (validate() admits nothing else)
-            floats = np.where(row_valid, floats, -np.inf)
-            agg = np.maximum.reduceat(floats, boundaries, axis=0)
-        agg = np.where(out_valid[:, None] if two_d else out_valid, agg, 0.0)
-        return out_src, out_dst, agg.astype(self.meta.msg_storage_dtype), out_valid
 
     # ------------------------------------------------------------------
     # Aggregators

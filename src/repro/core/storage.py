@@ -38,7 +38,7 @@ from repro.engine.column import Column
 from repro.engine.database import Database
 from repro.engine.operators import stable_int_order
 from repro.engine.schema import ColumnDef, Schema
-from repro.engine.types import BOOLEAN, FLOAT, INTEGER, VARCHAR
+from repro.engine.types import BOOLEAN, FLOAT, INTEGER, VARCHAR, DataType
 from repro.errors import GraphLoadError
 
 __all__ = [
@@ -181,6 +181,24 @@ def _value_columns_from_storage(
             for j in range(codec.width)
         ]
     return [Column.from_numpy(codec.sql_type, values, valid)]
+
+
+def _scalar_storage(dtype: DataType, items: list) -> tuple[np.ndarray, np.ndarray] | None:
+    """The storage array and validity mask ``Column.from_values(dtype,
+    items)`` builds, without its per-item coercion, when every item of a
+    numeric column already has the column's Python type (``float`` /
+    ``int``; ``None`` is NULL and stores the column's filler) — coercion
+    returns such an item unchanged.  ``None`` for anything else (VARCHAR,
+    numpy scalars, ``int`` for FLOAT, ``bool``): that takes
+    ``from_values`` and its checks."""
+    if not dtype.is_numeric or set(map(type, items)) - {dtype.python_type, type(None)}:
+        return None
+    valid = np.ones(len(items), dtype=bool)
+    if None in items:
+        valid = np.array([item is not None for item in items], dtype=bool)
+        filler = dtype.default_value()
+        items = [filler if item is None else item for item in items]
+    return np.array(items, dtype=dtype.numpy_dtype), valid
 
 
 class GraphHandle:
@@ -420,9 +438,9 @@ class GraphStorage:
         ids = np.asarray(id_batch.column("id").values, dtype=np.int64)
         codec = program.vertex_codec
         n = graph.num_vertices
-        # initial_value is a per-vertex program hook (runs once per load,
+        # initial_value is a per-vertex program hook (runs once per run,
         # not per superstep); staging skips per-item coercion via the
-        # Column.from_numpy fast path.
+        # Column.from_numpy fast path wherever the encoded values allow.
         values = [
             codec.encode_or_none(
                 program.initial_value(vertex_id, degrees.get(vertex_id, 0), n)
@@ -438,7 +456,12 @@ class GraphStorage:
                     valid[i] = True
             value_columns = _value_columns_from_storage(codec, dense, valid)
         else:
-            value_columns = [Column.from_values(codec.sql_type, values)]
+            storage = _scalar_storage(codec.sql_type, values)
+            value_columns = (
+                [Column.from_values(codec.sql_type, values)]
+                if storage is None
+                else _value_columns_from_storage(codec, *storage)
+            )
         schema = db.table(graph.vertex_table).schema
         batch = RecordBatch(
             schema,

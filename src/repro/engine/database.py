@@ -86,6 +86,7 @@ class PinnedTable:
         table.version = self.version
         table.uid = self.uid
         table.changelog = ChangeLog()
+        table.derived = None
         table._batch = self.batch
         return table
 

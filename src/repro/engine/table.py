@@ -39,9 +39,16 @@ class Table:
             recorded against a dropped/recreated table never matches the
             replacement object (see :mod:`repro.engine.changelog`).
         changelog: row-delta capture for incremental view maintenance.
+        derived: one slot for state a consumer derives from this version
+            of the contents and wants to keep until they change (the shard
+            plane keeps its partitioned topology here).  Every mutation and
+            every genuine :meth:`restore` clears it, and it is freed with
+            the table.
     """
 
-    __slots__ = ("name", "schema", "primary_key", "version", "uid", "changelog", "_batch")
+    __slots__ = (
+        "name", "schema", "primary_key", "version", "uid", "changelog", "derived", "_batch"
+    )
 
     def __init__(
         self,
@@ -56,6 +63,7 @@ class Table:
         self.version = 0
         self.uid = next_table_uid()
         self.changelog = ChangeLog()
+        self.derived: Any = None
         if batch is None:
             batch = RecordBatch.empty(self.schema)
         self._batch = batch.with_schema(self.schema)
@@ -107,6 +115,12 @@ class Table:
     # ------------------------------------------------------------------
     # Mutations (each produces a fresh batch and bumps the version)
     # ------------------------------------------------------------------
+    def _bump_version(self) -> None:
+        """Every mutation's version bump: derived state describes the old
+        contents, so it goes with them."""
+        self.version += 1
+        self.derived = None
+
     def insert_rows(self, rows: Iterable[Sequence[Any]]) -> int:
         """Append Python row tuples; returns the number inserted."""
         new = RecordBatch.from_rows(self.schema, rows)
@@ -122,7 +136,7 @@ class Table:
         merged = RecordBatch.concat([self._batch, normalized])
         self._check_constraints(merged)
         self._batch = merged
-        self.version += 1
+        self._bump_version()
         self.changelog.record(self.version, inserted=normalized)
         return batch.num_rows
 
@@ -136,7 +150,7 @@ class Table:
             # consumer armed change capture on this table.
             removed = self._batch.filter(mask) if self.changelog.enabled else None
             self._batch = self._batch.filter(~mask)
-            self.version += 1
+            self._bump_version()
             self.changelog.record(self.version, deleted=removed)
         return deleted
 
@@ -183,7 +197,7 @@ class Table:
         self._check_constraints(candidate)
         before = self._batch
         self._batch = candidate
-        self.version += 1
+        self._bump_version()
         if self.changelog.enabled:
             # An in-place update is delete-old-rows + insert-new-rows to
             # any delta consumer.
@@ -205,14 +219,14 @@ class Table:
         normalized = batch.with_schema(self.schema)
         self._check_constraints(normalized)
         self._batch = normalized
-        self.version += 1
+        self._bump_version()
         # Wholesale swap: no row diff is computed, the delta window resets.
         self.changelog.reset(self.version)
 
     def truncate(self) -> None:
         """Remove all rows."""
         self._batch = RecordBatch.empty(self.schema)
-        self.version += 1
+        self._bump_version()
         self.changelog.reset(self.version)
 
     # ------------------------------------------------------------------
@@ -244,4 +258,5 @@ class Table:
         self._batch = batch
         self.version = version
         self.uid = next_table_uid()
+        self.derived = None
         self.changelog.reset(version)

@@ -1,19 +1,22 @@
-"""Sort-once shard routing: the route plan equals the lexsort it replaces.
+"""Edge-aligned delivery: the delivery plan equals the lexsort it replaces.
 
-``_bucket_staged`` orders a shard task's emitted messages by stable
-``(destination shard, destination id)``.  For edge-aligned sends
+A destination shard receives its messages in stable ``(destination id,
+source shard, emission order)`` order.  For edge-aligned sends
 (``VertexBatch.send_to_all_neighbors`` / ``send_along_edges``) that order
-comes from the shard's sort-once route plan instead of a per-superstep
-lexsort.  This module pins:
+comes from the graph version's delivery plan instead of a sort of the
+emitted rows.  This module pins:
 
 * plan == lexsort, property-based, over hostile graphs and sender masks,
-  and the fallback for every task shape the plan does not cover;
+  for messages computed by real shard tasks, and the fallback for every
+  task shape the plan does not cover;
 * the edge-aligned tag is validated where it is made (``ProgramError``
   at the send call, on both planes);
-* a hardware-independent gate: route sorts per run are O(shards), not
-  O(shards x supersteps), and a scalar-compute run builds no plan;
-* the plan is per run: edges inserted out of order between two runs, and
-  a rollback's plane rebuild, leave sql == shards bitwise.
+* a hardware-independent gate: topology sorts and plan builds are counted
+  per edge-table version, not per run or per superstep, and a
+  scalar-compute run builds no plan;
+* the index follows the edge table: edges inserted out of order between
+  two runs are re-planned, a rollback's plane rebuild reuses the index,
+  and sql == shards bitwise throughout.
 """
 
 from __future__ import annotations
@@ -29,7 +32,13 @@ from repro.core import Vertexica, VertexicaConfig, faults, shards
 from repro.core.api import Vertex
 from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.program import BatchVertexProgram, VertexBatch
-from repro.core.shards import PlaneMeta, VertexShard, _bucket_staged
+from repro.core.shards import (
+    PlaneMeta,
+    ShardIndex,
+    VertexShard,
+    _deliver,
+    _emitted_messages,
+)
 from repro.core.worker import VertexWorker
 from repro.engine.operators import hash_bucket_order
 from repro.errors import ProgramError
@@ -67,19 +76,26 @@ class Sender(BatchVertexProgram):
             batch.send(batch.ids[:1], batch.ids[:1] + 7, payload[:1])
 
 
-def build_shards(ids, src, dst, n_shards: int, halted: set[int]) -> list[VertexShard]:
-    """Hand-built shards (the layout ``_build_shards`` produces): sorted
-    ids, CSR out-edges with equal-src edges in input order."""
-    ids = np.asarray(sorted(ids), dtype=np.int64)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+def build_index(ids, src, dst, n_shards: int) -> ShardIndex:
+    """The shard plane's index of an edge list (unit weights)."""
+    return ShardIndex(
+        None,
+        np.asarray(sorted(ids), dtype=np.int64),
+        np.asarray(src, dtype=np.int64),
+        np.asarray(dst, dtype=np.int64),
+        np.ones(len(src)),
+        n_shards,
+    )
+
+
+def run_shards(index: ShardIndex, halted: set[int]) -> list[VertexShard]:
+    """One run's shards over ``index`` (the layout ``_build_shards``
+    produces), zero values, no messages."""
     out = []
-    for s in range(n_shards):
-        vertex_ids = ids[ids % n_shards == s]
-        mine = np.flatnonzero(np.isin(src, vertex_ids))
-        mine = mine[np.argsort(src[mine], kind="stable")]
+    for s in range(index.n_shards):
+        vertex_ids = index.vertex_ids[s]
+        edge_indptr, edge_targets, edge_weights = index.shard_edges(s)
         nv = len(vertex_ids)
-        past_the_end = np.append(vertex_ids, np.iinfo(np.int64).max)
         out.append(
             VertexShard(
                 index=s,
@@ -87,9 +103,9 @@ def build_shards(ids, src, dst, n_shards: int, halted: set[int]) -> list[VertexS
                 halted=np.isin(vertex_ids, sorted(halted)),
                 raw_values=np.zeros(nv),
                 value_valid=np.ones(nv, dtype=bool),
-                edge_indptr=np.searchsorted(src[mine], past_the_end),
-                edge_targets=dst[mine],
-                edge_weights=np.ones(len(mine)),
+                edge_indptr=edge_indptr,
+                edge_targets=edge_targets,
+                edge_weights=edge_weights,
                 msg_src=np.empty(0, dtype=np.int64),
                 msg_dst=np.empty(0, dtype=np.int64),
                 msg_raw=np.empty(0),
@@ -99,35 +115,84 @@ def build_shards(ids, src, dst, n_shards: int, halted: set[int]) -> list[VertexS
     return out
 
 
-def plane_meta(n_shards: int) -> PlaneMeta:
-    return PlaneMeta(
-        n_shards=n_shards, task_retries=0, retry_backoff=0.0, value_width=0, msg_width=0,
-        value_is_varchar=False, msg_is_varchar=False, value_dtype="<f8", msg_dtype="<f8",
-    )
+#: a float-message plane's storage shapes
+FLOAT_META = PlaneMeta(
+    task_retries=0, retry_backoff=0.0, value_width=0, msg_width=0,
+    value_is_varchar=False, msg_is_varchar=False, value_dtype="<f8", msg_dtype="<f8",
+)
 
 
-def bucket(shard: VertexShard, program, n_shards: int, superstep: int, use_batch: bool = True):
-    """One shard task's staging and bucketing, as ``_run_shard_task``
-    does them; returns ``(staged, routed)``."""
-    worker = VertexWorker(program, superstep, 64, use_batch=use_batch)
-    out, _ = worker.compute_decoded(shard.decoded(), record=False)
-    staged = out.to_staged()
-    return staged, _bucket_staged(staged, plane_meta(n_shards), shard)
+def emit(index: ShardIndex, program, superstep: int, halted=frozenset(), use_batch=True):
+    """Every shard task's staging and emitted messages, as
+    ``_run_shard_task`` produces them; returns ``(staged, emitted)``."""
+    staged, emitted = [], []
+    for shard in run_shards(index, set(halted)):
+        worker = VertexWorker(program, superstep, 64, use_batch=use_batch)
+        out, _ = worker.compute_decoded(shard.decoded(), record=False)
+        rows = out.to_staged()
+        staged.append(rows)
+        emitted.append(_emitted_messages(rows, FLOAT_META))
+    return staged, emitted
 
 
-def assert_is_lexsort(staged, routed, n_shards: int) -> None:
-    """``routed`` is the emitted rows in the order a stable ``(dest
-    shard, dest id)`` lexsort of them gives."""
-    sent = staged.kind == 1
-    if not sent.any():
-        assert routed is None
-        return
-    senders, dst, values = staged.vid[sent], staged.dst[sent], staged.f1[sent]
-    order, bounds = hash_bucket_order(dst % n_shards, n_shards, (dst,))
-    assert np.array_equal(routed[0], senders[order])
-    assert np.array_equal(routed[1], dst[order])
-    assert np.array_equal(routed[2], values[order])
-    assert np.array_equal(routed[4], bounds)
+def lexsort_delivery(emitted, n_shards: int) -> list[tuple | None]:
+    """The reference: each source's rows stably sorted by ``(dest shard,
+    dest id)`` (``np.lexsort``), each destination's buckets concatenated
+    in source order and stably sorted by dest id — the routing every
+    superstep did before the delivery plan."""
+    buckets = [[] for _ in range(n_shards)]
+    for m in emitted:
+        if m is None:
+            continue
+        order = np.lexsort((m.dst, m.dst % n_shards))
+        rows = [m.senders[order], m.dst[order], m.values[order], m.valid[order]]
+        bounds = np.searchsorted((m.dst % n_shards)[order], np.arange(n_shards + 1))
+        for d in range(n_shards):
+            buckets[d].append([r[bounds[d] : bounds[d + 1]] for r in rows])
+    out = []
+    for parts in buckets:
+        parts = [p for p in parts if len(p[1])]
+        if not parts:
+            out.append(None)
+            continue
+        rows = [np.concatenate([p[i] for p in parts]) for i in range(4)]
+        order = np.argsort(rows[1], kind="stable")
+        out.append(tuple(r[order] for r in rows))
+    return out
+
+
+def assert_same_inboxes(got, want) -> None:
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is None:
+            continue
+        for a, b in zip(g, w):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def builds(monkeypatch) -> dict:
+    """Counts of index builds and delivery-plan builds, plus the plans
+    built, in order."""
+    seen = {"index": 0, "plan": 0, "plans": []}
+    index_init = ShardIndex.__init__
+    build_plan = shards._build_delivery_plan
+
+    def counting_init(self, *args, **kwargs):
+        seen["index"] += 1
+        index_init(self, *args, **kwargs)
+
+    def counting_plan(index):
+        seen["plan"] += 1
+        plan = build_plan(index)
+        seen["plans"].append(plan)
+        return plan
+
+    monkeypatch.setattr(ShardIndex, "__init__", counting_init)
+    monkeypatch.setattr(shards, "_build_delivery_plan", counting_plan)
+    return seen
 
 
 @st.composite
@@ -158,49 +223,55 @@ class TestPlanEqualsLexsort:
     @given(graphs(), st.sampled_from(["neighbors", "along_edges"]), st.booleans())
     def test_edge_aligned_sends_route_through_the_plan(self, graph, how, halted_run):
         ids, src, dst, senders, halted, n_shards = graph
+        index = build_index(ids, src, dst, n_shards)
         # Superstep 1 with halted, message-less vertices: the batch holds
         # only the active ones, so the mask must map through ``act``.
         superstep = 1 if halted_run else 0
-        for shard in build_shards(ids, src, dst, n_shards, halted):
-            # Cut-over forced low: the plan serves every tagged task.
-            with mock.patch.object(shards, "_PLAN_MIN_EDGE_SHARE", 10**9), mock.patch.object(
-                shards, "hash_bucket_order", wraps=hash_bucket_order
-            ) as sorts:
-                staged, routed = bucket(shard, Sender(senders, how), n_shards, superstep)
-                if routed is not None:
-                    assert staged.route_senders is not None
-                    assert sorts.call_count == 1  # building the plan
-                    bucket(shard, Sender(senders, how), n_shards, superstep)
-                    assert sorts.call_count == 1  # and never again
-            assert_is_lexsort(staged, routed, n_shards)
-            # The shipped cut-over may pick either path; same answer.
-            assert_is_lexsort(*bucket(shard, Sender(senders, how), n_shards, superstep), n_shards)
+        _, emitted = emit(index, Sender(senders, how), superstep, halted)
+        assert all(m is None or m.route_senders is not None for m in emitted)
+        want = lexsort_delivery(emitted, n_shards)
+        # Cut-over forced low: the plan serves every tagged superstep.
+        with mock.patch.object(shards, "_PLAN_MIN_EDGE_SHARE", 0), mock.patch.object(
+            shards, "_sorted_rows", wraps=shards._sorted_rows
+        ) as sorts:
+            got, sent = _deliver(index, emitted, None, np.float64)
+            assert sorts.call_count == 0  # no sort: the plan
+            assert (index._plan is not None) == (sent > 0)
+            plan = index._plan
+            assert_same_inboxes(_deliver(index, emitted, None, np.float64)[0], got)
+            assert index._plan is plan  # built once
+        assert_same_inboxes(got, want)
+        # The shipped cut-over may pick either path; same answer.
+        assert_same_inboxes(_deliver(index, emitted, None, np.float64)[0], want)
 
     @PROPERTY
     @given(graphs(), st.sampled_from(["two_blocks", "with_send", "scalar"]))
     def test_other_task_shapes_fall_back(self, graph, how):
         ids, src, dst, senders, halted, n_shards = graph
-        for shard in build_shards(ids, src, dst, n_shards, halted):
-            with mock.patch.object(shards, "_PLAN_MIN_EDGE_SHARE", 10**9):
-                staged, routed = bucket(
-                    shard, Sender(senders, how), n_shards, 0, use_batch=how != "scalar"
-                )
-            assert staged.route_senders is None and shard._route_plan is None
-            assert_is_lexsort(staged, routed, n_shards)
+        index = build_index(ids, src, dst, n_shards)
+        _, emitted = emit(index, Sender(senders, how), 0, use_batch=how != "scalar")
+        assert all(m is None or m.route_senders is None for m in emitted)
+        with mock.patch.object(shards, "_PLAN_MIN_EDGE_SHARE", 0):
+            got, _ = _deliver(index, emitted, None, np.float64)
+        assert index._plan is None
+        assert_same_inboxes(got, lexsort_delivery(emitted, n_shards))
 
     def test_few_messages_sort_instead_of_filtering(self):
-        """Below the cut-over a tagged task neither builds nor uses the
-        plan; at or above it, it does."""
+        """Below the cut-over a tagged superstep neither builds nor uses
+        the plan; at or above it, it does."""
         hub, leaves = 0, list(range(1, 41))
         src = [hub] * 40 + [1]
         dst = leaves + [hub]
-        (shard,) = build_shards([hub, *leaves], src, dst, 1, set())
-        staged, routed = bucket(shard, Sender(frozenset([1]), "neighbors"), 1, 0)
-        assert staged.route_senders is not None and shard._route_plan is None
-        assert_is_lexsort(staged, routed, 1)
-        staged, routed = bucket(shard, Sender(frozenset([hub]), "neighbors"), 1, 0)
-        assert shard._route_plan is not None
-        assert_is_lexsort(staged, routed, 1)
+        index = build_index([hub, *leaves], src, dst, 1)
+        _, emitted = emit(index, Sender(frozenset([1]), "neighbors"), 0)
+        assert emitted[0].route_senders is not None
+        got, _ = _deliver(index, emitted, None, np.float64)
+        assert index._plan is None
+        assert_same_inboxes(got, lexsort_delivery(emitted, 1))
+        _, emitted = emit(index, Sender(frozenset([hub]), "neighbors"), 0)
+        got, _ = _deliver(index, emitted, None, np.float64)
+        assert index._plan is not None
+        assert_same_inboxes(got, lexsort_delivery(emitted, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +334,7 @@ class TestEdgeAlignedSendsValidate:
 
 
 # ---------------------------------------------------------------------------
-# Route sorts per run: O(shards), not O(shards x supersteps)
+# Topology sorts and plan builds: per edge-table version, not per run
 # ---------------------------------------------------------------------------
 N_SHARDS = 3
 
@@ -277,19 +348,10 @@ def gate_graph(vx: Vertexica, weights: bool = False, symmetrize: bool = False):
     )
 
 
-@pytest.fixture
-def planned(monkeypatch) -> list[VertexShard]:
-    """The shards whose route plan a run asked for, in call order."""
-    asked: list[VertexShard] = []
-    original = VertexShard.route_plan
-    monkeypatch.setattr(
-        VertexShard, "route_plan", lambda self, n: asked.append(self) or original(self, n)
-    )
-    return asked
-
-
-class TestRouteSortsPerRun:
-    def _route_sorts(self, monkeypatch, **cfg) -> int:
+class TestRouteSortsPerTableVersion:
+    def _route_sorts(self, monkeypatch, vx=None, **cfg) -> tuple[int, Vertexica]:
+        """``hash_bucket_order`` calls made by one PageRank run (on a
+        fresh graph unless ``vx`` is given)."""
         calls = []
 
         def counting(*args, **kwargs):
@@ -297,39 +359,46 @@ class TestRouteSortsPerRun:
             return hash_bucket_order(*args, **kwargs)
 
         monkeypatch.setattr(shards, "hash_bucket_order", counting)
-        vx = Vertexica(
-            config=VertexicaConfig(
-                data_plane="shards", n_partitions=N_SHARDS, n_workers=2, executor="threads"
+        if vx is None:
+            vx = Vertexica(
+                config=VertexicaConfig(
+                    data_plane="shards", n_partitions=N_SHARDS, n_workers=2, executor="threads"
+                )
             )
-        )
-        vx.run(gate_graph(vx), PageRank(iterations=cfg.pop("iterations")), **cfg)
-        return len(calls)
+            gate_graph(vx)
+        vx.run(vx.graph("g"), PageRank(iterations=cfg.pop("iterations")), **cfg)
+        return len(calls), vx
 
-    def test_sorts_do_not_grow_with_supersteps(self, monkeypatch):
-        short = self._route_sorts(monkeypatch, iterations=3)
-        long = self._route_sorts(monkeypatch, iterations=8)
-        # Two partition-once sorts at shard build + one plan per shard.
-        assert short == long
-        assert long <= 2 + N_SHARDS
+    def test_sorts_do_not_grow_with_supersteps(self, monkeypatch, builds):
+        short, _ = self._route_sorts(monkeypatch, iterations=3)
+        long, vx = self._route_sorts(monkeypatch, iterations=8)
+        # Two partition-once sorts at the index build; the plan sorts by
+        # destination shard with the integer-order kernel.
+        assert short == long == 2
+        assert builds["index"] == builds["plan"] == 2  # one per fresh graph
+        again, _ = self._route_sorts(monkeypatch, vx, iterations=8)
+        assert again == 0
+        assert builds["index"] == builds["plan"] == 2  # the same edge table
 
-    def test_scalar_compute_builds_no_plan(self, monkeypatch, planned):
-        self._route_sorts(monkeypatch, iterations=3, compute_strategy="scalar")
-        assert planned == []
-        self._route_sorts(monkeypatch, iterations=3)
-        assert len({id(s) for s in planned}) == N_SHARDS  # the spy does see batch runs
+    def test_scalar_compute_builds_no_plan(self, monkeypatch, builds):
+        _, vx = self._route_sorts(monkeypatch, iterations=3, compute_strategy="scalar")
+        assert builds["plan"] == 0
+        self._route_sorts(monkeypatch, vx, iterations=3)
+        assert builds["index"] == builds["plan"] == 1  # the spy does see batch runs
 
 
 # ---------------------------------------------------------------------------
-# The plan is per run
+# The index follows the edge table
 # ---------------------------------------------------------------------------
+#: (program, symmetrize, whether its frontier is ever dense enough to plan)
 PROGRAMS = [
-    pytest.param(lambda: PageRank(iterations=5), False, id="pagerank"),
-    pytest.param(ConnectedComponents, True, id="masked-cc"),
-    pytest.param(lambda: ShortestPaths(0), False, id="sssp"),
+    pytest.param(lambda: PageRank(iterations=5), False, True, id="pagerank"),
+    pytest.param(ConnectedComponents, True, True, id="masked-cc"),
+    pytest.param(lambda: ShortestPaths(0), False, False, id="sssp"),
 ]
 
 
-class TestPlanIsPerRun:
+class TestPlanIsPerTableVersion:
     def _two_runs(self, plane: str, program_factory, symmetrize: bool):
         vx = Vertexica(config=VertexicaConfig(data_plane=plane, n_partitions=N_SHARDS))
         graph = gate_graph(vx, weights=True, symmetrize=symmetrize)
@@ -343,29 +412,36 @@ class TestPlanIsPerRun:
         second = vx.run(vx.graph("g"), program_factory())
         return first.values, second.values
 
-    @pytest.mark.parametrize("program_factory,symmetrize", PROGRAMS)
-    def test_out_of_order_edges_between_runs(self, program_factory, symmetrize, planned):
+    @pytest.mark.parametrize("program_factory,symmetrize,plans", PROGRAMS)
+    def test_out_of_order_edges_between_runs(self, program_factory, symmetrize, plans, builds):
         sql = self._two_runs("sql", program_factory, symmetrize)
-        assert planned == []
+        assert builds["index"] == builds["plan"] == 0
         shard = self._two_runs("shards", program_factory, symmetrize)
         assert shard == sql
-        # Both runs routed through plans, each over its own shards.
-        assert len({id(s) for s in planned}) == 2 * N_SHARDS
+        # The INSERT made a new edge-table version: the second run
+        # re-partitioned and, where the first planned, re-planned over the
+        # six new edges too.
+        assert builds["index"] == 2
+        assert builds["plan"] == (2 if plans else 0)
+        if plans:
+            first, second = builds["plans"]
+            assert sum(map(len, second.order)) == sum(map(len, first.order)) + 6
 
-    @pytest.mark.parametrize("program_factory,symmetrize", PROGRAMS)
-    def test_rebuilt_after_rollback(self, program_factory, symmetrize, planned, tmp_path):
+    @pytest.mark.parametrize("program_factory,symmetrize,plans", PROGRAMS)
+    def test_reused_after_rollback(self, program_factory, symmetrize, plans, builds, tmp_path):
         def run(**cfg):
             vx = Vertexica(config=VertexicaConfig(data_plane="shards", n_partitions=N_SHARDS))
             graph = gate_graph(vx, weights=True, symmetrize=symmetrize)
             return vx.run(graph, program_factory(), **cfg)
 
         clean = run()
-        planned.clear()
+        clean_builds = dict(builds)
         plan = FaultPlan([FaultSpec(site="shard.route", kind="transient", superstep=2)])
         with faults.injected(plan):
             faulted = run(checkpoint_every=1, checkpoint_dir=str(tmp_path))
         assert len(plan.fired) == 1 and faulted.stats.retries == 1
         assert faulted.values == clean.values
-        # More planning shards than one plane holds: close() + _build_plane
-        # made new shards, and those planned afresh.
-        assert len({id(s) for s in planned}) > N_SHARDS
+        # close() + _build_plane made new shards over the same index: the
+        # faulted run built exactly what the clean run built.
+        assert builds["index"] == 2 * clean_builds["index"] == 2
+        assert builds["plan"] == 2 * clean_builds["plan"] == (2 if plans else 0)

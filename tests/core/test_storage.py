@@ -1,10 +1,15 @@
 """Tests for the relational graph storage layer."""
 
+import numpy as np
 import pytest
 
+from repro.core.codecs import FLOAT_CODEC, INTEGER_CODEC, JSON_CODEC, ValueCodec
+from repro.core.program import VertexProgram
 from repro.core.storage import GraphStorage
 from repro.engine import Database
-from repro.errors import GraphLoadError
+from repro.engine.column import Column
+from repro.engine.types import FLOAT, INTEGER
+from repro.errors import GraphLoadError, TypeMismatchError
 from repro.programs import ConnectedComponents, PageRank
 
 
@@ -75,6 +80,71 @@ class TestSetupRun:
         assert db.execute(
             "SELECT COUNT(*) FROM g_vertex WHERE halted"
         ).scalar() == 0
+
+    @pytest.mark.parametrize(
+        "codec, make",
+        [
+            (FLOAT_CODEC, lambda v, d: [-0.0, 1e300, float("nan"), v / 3 - d * 0.7][v % 4]),
+            (FLOAT_CODEC, lambda v, d: v * d),  # ints, encoded by float()
+            (INTEGER_CODEC, lambda v, d: 2**62 - v * 1_000_003 - d),
+            (INTEGER_CODEC, lambda v, d: v / 2),  # floats, truncated by int()
+            (JSON_CODEC, lambda v, d: [v, d]),
+            (ValueCodec("f32", FLOAT, np.float32, float), lambda v, d: v / 7),
+            (ValueCodec("u8", INTEGER, np.uint8, int), lambda v, d: v),
+            (FLOAT_CODEC, lambda v, d: None),
+        ],
+        ids=[
+            "float", "float-from-int", "integer", "integer-from-float", "json-varchar",
+            "numpy-float32", "numpy-uint8", "all-null",
+        ],
+    )
+    def test_initial_value_column_is_from_values_bytes(self, storage, db, codec, make):
+        """The vertex table's value column is byte for byte the column
+        ``Column.from_values`` builds from the encoded initial values,
+        NULLs (every third vertex here) included, whichever way it was
+        built."""
+
+        class Initial(VertexProgram):
+            vertex_codec = codec
+
+            def initial_value(self, vertex_id, out_degree, num_vertices):
+                return None if vertex_id % 3 == 1 else make(vertex_id, out_degree)
+
+            def compute(self, vertex):
+                vertex.vote_to_halt()
+
+        handle = storage.load_graph("g", [0, 0, 4, 9], [1, 2, 4, 3], num_vertices=30)
+        program = Initial()
+        storage.setup_run(handle, program)
+        degrees = storage.out_degrees(handle)
+        expected = Column.from_values(
+            codec.sql_type,
+            [
+                codec.encode_or_none(program.initial_value(v, degrees.get(v, 0), 30))
+                for v in range(30)
+            ],
+        )
+        got = db.table("g_vertex").data().column("value")
+        assert got.dtype is expected.dtype and got.values.dtype == expected.values.dtype
+        assert got.valid.tobytes() == expected.valid.tobytes()
+        if codec.sql_type is FLOAT or codec.sql_type is INTEGER:
+            assert got.values.tobytes() == expected.values.tobytes()
+        else:
+            assert got.values.tolist() == expected.values.tolist()
+
+    def test_initial_value_of_the_wrong_type_still_raises(self, storage):
+        class Bools(VertexProgram):
+            vertex_codec = ValueCodec("flag", INTEGER, bool, int)
+
+            def initial_value(self, vertex_id, out_degree, num_vertices):
+                return vertex_id
+
+            def compute(self, vertex):
+                vertex.vote_to_halt()
+
+        handle = storage.load_graph("g", [0], [1])
+        with pytest.raises(TypeMismatchError, match="BOOLEAN"):
+            storage.setup_run(handle, Bools())
 
     def test_out_degrees(self, storage):
         handle = storage.load_graph("g", [0, 0, 1], [1, 2, 2], num_vertices=4)

@@ -109,3 +109,36 @@ class TestMutations:
         table.restore(snapshot, version)
         assert table.num_rows == 1
         assert table.version == version
+
+
+class TestDerivedSlot:
+    """State derived from one version of a table goes with that version."""
+
+    MUTATIONS = {
+        "insert": lambda t: t.insert_rows([(9, 9.0)]),
+        "delete": lambda t: t.delete_rows(np.array([True, False])),
+        "update": lambda t: t.update_rows(
+            np.array([False, True]),
+            {"v": lambda batch: Column.constant(FLOAT, 0.5, batch.num_rows)},
+        ),
+        "replace": lambda t: t.replace_data(RecordBatch.from_rows(t.schema, [(3, 3.0)])),
+        "truncate": lambda t: t.truncate(),
+        "restore": lambda t: t.restore(RecordBatch.from_rows(t.schema, [(4, 4.0)]), 0),
+    }
+
+    @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
+    def test_every_mutation_clears_it(self, mutate):
+        table = make_table()
+        table.insert_rows([(1, 1.0), (2, 2.0)])
+        table.derived = derived = object()
+        mutate(table)
+        assert table.derived is None and derived is not None
+
+    def test_what_changes_nothing_keeps_it(self):
+        table = make_table()
+        table.insert_rows([(1, 1.0)])
+        table.derived = derived = object()
+        assert table.delete_rows(np.array([False])) == 0
+        assert table.update_rows(np.array([False]), {}) == 0
+        table.restore(table.data(), table.version)  # a no-op rollback
+        assert table.derived is derived
