@@ -53,7 +53,7 @@ from repro.core.storage import GraphStorage
 from repro.datasets.generators import twitter_like
 from repro.engine.batch import RecordBatch
 from repro.engine.column import Column
-from repro.engine.types import BOOLEAN, FLOAT, INTEGER, VARCHAR
+from repro.engine.types import BOOLEAN, FLOAT, INTEGER
 from repro.programs import PageRank, ShortestPaths
 
 SWEEP_DENSITIES = (0.01, 0.05, 0.25, 1.0)
@@ -163,6 +163,8 @@ def apply_sweep(
     for density in densities:
         count = max(1, round(density * num_vertices))
         vids = rng.permutation(num_vertices)[:count]
+        values = rng.random(count)
+        halted = rng.random(count) < 0.5
         vx.storage.stage_worker_output(
             graph,
             RecordBatch(
@@ -171,9 +173,9 @@ def apply_sweep(
                     Column.from_numpy(INTEGER, np.zeros(count, dtype=np.int64)),
                     Column.from_numpy(INTEGER, vids),
                     Column.constant(INTEGER, None, count),
-                    Column.from_numpy(FLOAT, rng.random(count)),
-                    Column.constant(VARCHAR, None, count),
-                    Column.from_numpy(BOOLEAN, rng.random(count) < 0.5),
+                    Column.from_numpy(BOOLEAN, halted),
+                    Column.constant(FLOAT, None, count),
+                    Column.from_numpy(FLOAT, values),
                 ],
             ),
         )

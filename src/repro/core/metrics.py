@@ -1,8 +1,8 @@
 """Per-superstep and per-run metrics.
 
 The demo GUI's "time monitor" plots runtimes; these records are its
-programmatic equivalent and also feed the benchmark harness
-(``benchmarks/run_bench.py`` serializes them into BENCH_*.json).  Each
+programmatic equivalent and also feed the perf benchmark
+(``benchmarks/perf/`` reports their counters per run).  Each
 superstep now carries data-plane throughput — rows into the worker, rows
 staged out, and vertices processed per second — so benchmark output and
 the demo console can show where time goes.

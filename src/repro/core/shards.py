@@ -38,7 +38,8 @@ This module keeps the run state resident instead:
    sort each destination's rows at the barrier with
    :func:`~repro.engine.operators.stable_int_order`; both give the same
    order.  Combiners are applied at the destination shard with the same
-   float64 ``reduceat`` arithmetic the SQL ``GROUP BY`` uses.
+   ``reduceat`` arithmetic, in the message column's own type, that the
+   SQL ``GROUP BY`` uses.
 
 **Lifetime.**  Nothing in points 1 and 3 depends on a run: the vid-hash
 split of the vertex ids, the CSR out-edges and the delivery plan form a
@@ -81,7 +82,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +90,9 @@ from repro.core.config import VertexicaConfig
 from repro.core.metrics import StepStats
 from repro.core.program import VertexProgram
 from repro.core.shmem import GroupDescriptor, SharedArrayGroup, new_segment_name
-from repro.core.storage import GraphHandle, GraphStorage
+from repro.core.storage import GraphHandle, GraphStorage, storage_form
 from repro.core.worker import (
+    EmittedMessages,
     StagedRows,
     VertexWorker,
     _csr_align,
@@ -99,7 +100,6 @@ from repro.core.worker import (
 )
 from repro.engine.operators import hash_bucket_order, stable_int_order
 from repro.engine.parallel import PartitionExecutor, ProcessExecutor
-from repro.engine.types import VARCHAR
 
 __all__ = [
     "ShardedDataPlane",
@@ -330,61 +330,43 @@ class VertexShard:
 class PlaneMeta:
     """The picklable, immutable description of a plane's storage shapes.
 
-    Everything a worker process needs to run a shard task — widths,
-    storage dtypes, retry budget — without holding a reference to the
-    plane itself.  The parent plane and every child plane share one
-    instance, so both sides run the exact same code paths.
+    Everything a worker process needs to run a shard task — storage
+    dtypes, the message width, retry budget — without holding a reference
+    to the plane itself.  The parent plane and every child plane share
+    one instance, so both sides run the exact same code paths.
     """
 
     task_retries: int
     retry_backoff: float
-    value_width: int
+    value_dtype: np.dtype  # storage dtype of vertex values (object for VARCHAR)
+    msg_dtype: np.dtype
     msg_width: int
-    value_is_varchar: bool
-    msg_is_varchar: bool
-    value_dtype: str  # numpy dtype .str for numeric codecs ("|O8"-free)
-    msg_dtype: str
 
     @property
-    def value_storage_dtype(self):
-        return object if self.value_is_varchar else np.dtype(self.value_dtype)
+    def value_is_varchar(self) -> bool:
+        """Object-dtype values cannot live in shared memory."""
+        return self.value_dtype == object
 
     @property
-    def msg_storage_dtype(self):
-        return object if self.msg_is_varchar else np.dtype(self.msg_dtype)
+    def msg_is_varchar(self) -> bool:
+        return self.msg_dtype == object
 
     def empty_msg_raw(self) -> np.ndarray:
         """A zero-length message storage array of the run's shape."""
-        if self.msg_width:
-            return np.empty((0, self.msg_width), dtype=np.float64)
-        return np.empty(0, dtype=self.msg_storage_dtype)
-
-
-class EmittedMessages(NamedTuple):
-    """One shard task's messages in emission order, values in the message
-    table's storage form.  ``route_senders`` is
-    :attr:`~repro.core.worker.StagedRows.route_senders`: set when the rows
-    are one edge-aligned block — one row per out-edge of the flagged
-    vertices, in the shard's CSR order — and ``None`` otherwise."""
-
-    senders: np.ndarray
-    dst: np.ndarray
-    values: np.ndarray
-    valid: np.ndarray
-    route_senders: np.ndarray | None
+        shape = (0, self.msg_width) if self.msg_width else 0
+        return np.empty(shape, dtype=self.msg_dtype)
 
 
 @dataclass
 class ShardTaskOutput:
-    """One shard task's result, in wire-friendly (picklable) form.
+    """One shard task's result, in wire-friendly (picklable) form: the
+    three roles of :meth:`~repro.core.worker._Outputs.to_staged`.
 
-    ``updates`` carries the kind-0 vertex-update rows only and
     ``agg_partials`` carries each aggregator partial as an already
     reduced *scalar* — the shard-resident aggregator fast path: the
-    superstep barrier applies updates and reduces a few floats instead
-    of re-scanning whole staged-row arrays (and, under process
-    execution, the pipe never ships kind-2 rows at all, and messages
-    travel as their four columns, aggregates as scalars).
+    superstep barrier applies updates and reduces a few floats, and under
+    process execution the pipe ships updates and messages as their
+    columns, aggregates as scalars.
     """
 
     updates: StagedRows
@@ -401,76 +383,17 @@ class ShardTaskOutput:
 # Shard-task primitives (shared verbatim by the parent plane and worker
 # processes — one implementation is what keeps every executor bit-identical)
 # ---------------------------------------------------------------------------
-def _mask_staged(rows: StagedRows, kind: int) -> StagedRows:
-    """The subset of ``rows`` with the given kind, order preserved."""
-    mask = rows.kind == kind
-    return StagedRows(
-        rows.kind[mask],
-        rows.vid[mask],
-        rows.dst[mask],
-        rows.f1[mask],
-        rows.f1_valid[mask],
-        rows.s1[mask],
-        rows.s1_valid[mask],
-        rows.halted[mask],
-        rows.pay[mask] if rows.pay is not None else None,
-        rows.pay_valid[mask] if rows.pay_valid is not None else None,
-    )
-
-
-def _staged_agg_partials(rows: StagedRows) -> list[tuple[str, float]]:
-    """Kind-2 rows as ``(name, scalar)`` pairs in staging order."""
-    mask = rows.kind == 2
-    if not mask.any():
-        return []
-    return list(zip(rows.s1[mask].tolist(), rows.f1[mask].tolist()))
-
-
-def _emitted_messages(rows: StagedRows, meta: PlaneMeta) -> EmittedMessages | None:
-    """A task's kind-1 rows, or ``None`` when it sent nothing.  The batch
-    path stages them as one contiguous run, which is taken as views."""
-    at = np.flatnonzero(rows.kind == 1)
-    if not len(at):
-        return None
-    sel = slice(at[0], at[-1] + 1) if at[-1] - at[0] + 1 == len(at) else at
-    if meta.msg_width:
-        values = rows.pay[sel][:, : meta.msg_width]
-        valid = rows.pay_valid[sel]
-    elif meta.msg_is_varchar:
-        values, valid = rows.s1[sel], rows.s1_valid[sel]
-    else:
-        # Mirror the SQL plane's apply_messages cast into the
-        # message table's column type.
-        values = rows.f1[sel].astype(meta.msg_storage_dtype, copy=False)
-        valid = rows.f1_valid[sel]
-    return EmittedMessages(rows.vid[sel], rows.dst[sel], values, valid, rows.route_senders)
-
-
-def _apply_updates_to_shard(shard: VertexShard, rows: StagedRows, meta: PlaneMeta) -> int:
-    """Kind-0 rows mutate the owning shard directly — the in-memory
+def _apply_updates_to_shard(shard: VertexShard, updates: StagedRows) -> int:
+    """Vertex updates mutate the owning shard directly — the in-memory
     equivalent of the paper's Update-vs-Replace choice (``"memory"``
     in the metrics)."""
-    mask = rows.kind == 0
-    count = int(np.count_nonzero(mask))
-    if count == 0:
+    if updates.num_rows == 0:
         return 0
-    vids = rows.vid[mask]
-    pos = np.searchsorted(shard.vertex_ids, vids)
-    shard.halted[pos] = rows.halted[mask]
-    if meta.value_width:
-        values = rows.pay[mask][:, : meta.value_width]
-        valid = rows.pay_valid[mask]
-    elif meta.value_is_varchar:
-        values, valid = rows.s1[mask], rows.s1_valid[mask]
-    else:
-        # Numeric payloads stage as float64; the SQL plane casts
-        # them back on the way into the vertex table
-        # (CAST(f1 AS INTEGER) for integral codecs) — mirror it.
-        values = rows.f1[mask].astype(meta.value_storage_dtype)
-        valid = rows.f1_valid[mask]
-    shard.raw_values[pos] = values
-    shard.value_valid[pos] = valid
-    return count
+    pos = np.searchsorted(shard.vertex_ids, updates.vid)
+    shard.halted[pos] = updates.halted
+    shard.raw_values[pos] = updates.values
+    shard.value_valid[pos] = updates.valid
+    return updates.num_rows
 
 
 def _run_shard_task(
@@ -487,18 +410,17 @@ def _run_shard_task(
     started = time.perf_counter()
     retried = [0]
 
-    def attempt() -> tuple[StagedRows, EmittedMessages | None, int, int]:
+    def attempt() -> tuple:
         faults.trip("shard.compute", superstep=worker.superstep, shard=index)
         part = shard.decoded()
         out, ran = worker.compute_decoded(part, record=False)
-        staged = out.to_staged()
-        return staged, _emitted_messages(staged, meta), ran, part.dropped
+        return (*out.to_staged(), ran, part.dropped)
 
     def on_retry(exc: BaseException, attempt_no: int, delay: float) -> None:
         retried[0] = attempt_no
 
     try:
-        staged, messages, ran, dropped = faults.retry_call(
+        updates, messages, agg_partials, ran, dropped = faults.retry_call(
             attempt,
             retries=meta.task_retries,
             backoff=meta.retry_backoff,
@@ -511,12 +433,14 @@ def _run_shard_task(
         )
         raise
     return ShardTaskOutput(
-        updates=_mask_staged(staged, 0),
+        updates=updates,
         messages=messages,
-        agg_partials=_staged_agg_partials(staged),
+        agg_partials=agg_partials,
         ran=ran,
         dropped=dropped,
-        rows_out=staged.num_rows,
+        rows_out=updates.num_rows
+        + (0 if messages is None else len(messages.dst))
+        + len(agg_partials),
         retried=retried[0],
         seconds=time.perf_counter() - started,
     )
@@ -531,8 +455,15 @@ def _run_shard_task(
 #: edges).  When every edge sent, the plan needs no filter and wins 5-9x.
 _PLAN_MIN_EDGE_SHARE = 0.9
 
-#: combiner -> (float64 ufunc, the identity a NULL message contributes)
-_COMBINE_UFUNCS = {"SUM": (np.add, 0.0), "MIN": (np.minimum, np.inf), "MAX": (np.maximum, -np.inf)}
+_INT64 = np.iinfo(np.int64)
+
+#: combiner -> (ufunc, the identity a NULL message contributes as a float64,
+#: as an int64 — the engine's exact INTEGER aggregates use the same)
+_COMBINE_UFUNCS = {
+    "SUM": (np.add, 0.0, 0),
+    "MIN": (np.minimum, np.inf, _INT64.max),
+    "MAX": (np.maximum, -np.inf, _INT64.min),
+}
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
@@ -543,7 +474,6 @@ def _deliver(
     index: ShardIndex,
     emitted: list[EmittedMessages | None],
     combiner: str | None,
-    msg_dtype,
 ) -> tuple[list[tuple | None], int]:
     """Every destination shard's inbox ``(senders, dst, values, valid)``
     (``None`` when it receives nothing) from the source shards' messages
@@ -577,7 +507,7 @@ def _deliver(
         rows = _plan_rows(index, emitted, chunks, sent, combiner is not None, all_valid)
     else:
         rows = _sorted_rows(chunks, index.n_shards, all_valid)
-    inboxes = [None if r is None else _inbox(*r, combiner, msg_dtype) for r in rows]
+    inboxes = [None if r is None else _inbox(*r, combiner) for r in rows]
     return inboxes, sent
 
 
@@ -663,7 +593,7 @@ def _sorted_rows(chunks: list[EmittedMessages], n: int, all_valid: bool):
         )
 
 
-def _inbox(senders, dst, values, valid, groups, combiner: str | None, msg_dtype) -> tuple:
+def _inbox(senders, dst, values, valid, groups, combiner: str | None) -> tuple:
     """One destination's inbox from its ordered rows: as they are, or
     combined per destination id (over ``groups`` — run starts, senders,
     targets — when the plan already holds them)."""
@@ -673,7 +603,7 @@ def _inbox(senders, dst, values, valid, groups, combiner: str | None, msg_dtype)
         starts = _run_starts(dst)
         groups = (starts, np.minimum.reduceat(senders, starts), dst[starts])
     starts, group_senders, group_dst = groups
-    raw, ok = _combine(values, valid, starts, combiner, msg_dtype)
+    raw, ok = _combine(values, valid, starts, combiner)
     return group_senders, group_dst, raw, ok
 
 
@@ -682,33 +612,31 @@ def _combine(
     valid: np.ndarray | None,
     starts: np.ndarray,
     combiner: str,
-    msg_dtype,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reduce each run ``values[starts[i]:starts[i + 1]]`` with the
     program's combiner; returns ``(values, valid)`` per run.
 
     Reproduces the SQL plane's ``SELECT MIN(vid), dst, OP(...) ...
-    GROUP BY dst`` arithmetic exactly: reductions run over float64 with
-    ``reduceat`` in arrival order, NULLs replaced by the reduction
-    identity, and the result cast back to the message column's storage
-    type.  Vector message codecs arrive as 2-D ``(rows, k)`` blocks and
-    reduce element-wise with the same ``reduceat`` call over ``axis=0`` —
+    GROUP BY dst`` arithmetic exactly: ``reduceat`` in arrival order in
+    the message storage dtype — int64 for INTEGER codecs, so sums and
+    extrema stay exact above 2^53, float64 otherwise — with NULLs
+    replaced by the reduction identity and a group of NULLs NULL.  Vector
+    message codecs arrive as 2-D ``(rows, k)`` blocks and reduce
+    element-wise with the same ``reduceat`` call over ``axis=0`` —
     bit-identical to the SQL plane's per-column aggregates (whole-vector
     validity broadcasts across the row).  ``valid=None`` says every
     message is valid: replacing nothing and masking nothing, the reduction
     is the same.
     """
-    ufunc, identity = _COMBINE_UFUNCS[combiner]
-    floats = values.astype(np.float64, copy=False)
+    ufunc, float_identity, int_identity = _COMBINE_UFUNCS[combiner]
     if valid is None:
-        agg = ufunc.reduceat(floats, starts, axis=0)
-        return agg.astype(msg_dtype, copy=False), np.ones(len(starts), dtype=bool)
+        return ufunc.reduceat(values, starts, axis=0), np.ones(len(starts), dtype=bool)
+    identity = int_identity if values.dtype.kind == "i" else float_identity
     out_valid = np.add.reduceat(valid.astype(np.int64), starts) > 0
-    two_d = floats.ndim == 2
-    floats = np.where(valid[:, None] if two_d else valid, floats, identity)
-    agg = ufunc.reduceat(floats, starts, axis=0)
-    agg = np.where(out_valid[:, None] if two_d else out_valid, agg, 0.0)
-    return agg.astype(msg_dtype, copy=False), out_valid
+    two_d = values.ndim == 2
+    values = np.where(valid[:, None] if two_d else valid, values, identity)
+    agg = ufunc.reduceat(values, starts, axis=0)
+    return np.where(out_valid[:, None] if two_d else out_valid, agg, 0), out_valid
 
 
 class ShardedDataPlane:
@@ -734,19 +662,12 @@ class ShardedDataPlane:
         self.n_shards = config.n_partitions
         self.use_combiner = config.use_combiner and program.combiner is not None
         self.aggregated: dict[str, float] = {}
-        v_codec = program.vertex_codec
-        m_codec = program.message_codec
-        v_sql = v_codec.sql_type
-        m_sql = m_codec.sql_type
         self.meta = PlaneMeta(
             task_retries=config.task_retries,
             retry_backoff=config.retry_backoff,
-            value_width=v_codec.width,
-            msg_width=m_codec.width,
-            value_is_varchar=v_sql is VARCHAR,
-            msg_is_varchar=m_sql is VARCHAR,
-            value_dtype="f8" if v_sql is VARCHAR else np.dtype(v_sql.numpy_dtype).str,
-            msg_dtype="f8" if m_sql is VARCHAR else np.dtype(m_sql.numpy_dtype).str,
+            value_dtype=np.dtype(program.vertex_codec.sql_type.numpy_dtype),
+            msg_dtype=np.dtype(program.message_codec.sql_type.numpy_dtype),
+            msg_width=program.message_codec.width,
         )
         self.shards = self._build_shards()
         # Process-parallel state (armed by bind_executor).
@@ -769,20 +690,13 @@ class ShardedDataPlane:
         none yet — the single partitioning pass of the graph version)."""
         db = self.storage.db
         graph = self.graph
-        meta = self.meta
         vdata = db.table(graph.vertex_table).data()
         ids = np.asarray(vdata.column("id").values, dtype=np.int64)
         halted = np.asarray(vdata.column("halted").values, dtype=bool)
-        if meta.value_width:
-            names = self.program.vertex_codec.column_names()
-            raw_values = np.column_stack(
-                [np.asarray(vdata.column(c).values, np.float64) for c in names]
-            ) if len(ids) else np.empty((0, meta.value_width), dtype=np.float64)
-            value_valid = np.asarray(vdata.column(names[0]).valid, dtype=bool)
-        else:
-            value_col = vdata.column("value")
-            raw_values = value_col.values
-            value_valid = value_col.valid
+        codec = self.program.vertex_codec
+        raw_values, value_valid = storage_form(
+            codec, [vdata.column(name) for name in codec.column_names()]
+        )
         if len(ids) > 1 and np.any(ids[1:] < ids[:-1]):  # setup_run sorts; stay safe
             order = np.argsort(ids, kind="stable")
             ids, halted = ids[order], halted[order]
@@ -859,16 +773,8 @@ class ShardedDataPlane:
             return
         src = np.asarray(mdata.column("src").values, dtype=np.int64)
         dst = np.asarray(mdata.column("dst").values, dtype=np.int64)
-        if self.meta.msg_width:
-            names = self.program.message_codec.column_names()
-            raw = np.column_stack(
-                [np.asarray(mdata.column(c).values, np.float64) for c in names]
-            )
-            valid = np.asarray(mdata.column(names[0]).valid, dtype=bool)
-        else:
-            value_col = mdata.column("value")
-            raw = value_col.values
-            valid = value_col.valid
+        codec = self.program.message_codec
+        raw, valid = storage_form(codec, [mdata.column(name) for name in codec.column_names()])
         n = self.n_shards
         order, bounds = hash_bucket_order(dst % n, n, (dst,))
         for shard in shards:
@@ -1104,8 +1010,8 @@ class ShardedDataPlane:
         """Each shard's kind-0 rows mutate the owning shard directly (see
         :func:`_apply_updates_to_shard`)."""
         total = 0
-        for shard, rows in zip(self.shards, staged):
-            total += _apply_updates_to_shard(shard, rows, self.meta)
+        for shard, updates in zip(self.shards, staged):
+            total += _apply_updates_to_shard(shard, updates)
         return total
 
     # ------------------------------------------------------------------
@@ -1116,7 +1022,7 @@ class ShardedDataPlane:
         :func:`_deliver`).  Returns ``(rows_before_combining,
         rows_delivered)``."""
         combiner = self.program.combiner if self.use_combiner else None
-        inboxes, staged = _deliver(self.index, emitted, combiner, self.meta.msg_storage_dtype)
+        inboxes, staged = _deliver(self.index, emitted, combiner)
         total = 0
         for shard, inbox in zip(self.shards, inboxes):
             if inbox is None:
@@ -1321,7 +1227,7 @@ class _ChildPlane:
             # VARCHAR values live process-locally (object dtype cannot be
             # shared); replaying the shard's own committed updates keeps
             # this copy in lockstep with the coordinator's apply.
-            _apply_updates_to_shard(shard, out.updates, self.meta)
+            _apply_updates_to_shard(shard, out.updates)
         return out
 
 

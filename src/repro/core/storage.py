@@ -11,8 +11,8 @@ Tables for a graph named ``g``:
 ``g_edge``      src INTEGER, dst INTEGER, weight FLOAT   (loaded once)
 ``g_vertex``    id INTEGER, <value columns>, halted BOOLEAN
 ``g_message``   src INTEGER, dst INTEGER, <value columns>
-``g_out``       worker output staging (kind, vid, dst, f1, s1, halted
-                [, p0..p{K-1} for vector payloads])
+``g_out``       worker output staging (kind, vid, dst, halted, f1,
+                p0..p{K-1}: the typed payload lane)
 ==============  =====================================================
 
 The vertex/message/output tables are (re)created per run because their
@@ -20,13 +20,15 @@ value column layout depends on the program's codecs: a scalar codec owns
 one ``value`` column of its SQL type (the paper's layout); a vector codec
 (:func:`~repro.core.codecs.vector_codec`) owns ``k`` typed FLOAT columns
 ``v0..v{k-1}`` — dense multi-column state instead of JSON-in-VARCHAR.
-Vector payloads travel through the staging table in ``K = max(widths)``
-extra FLOAT columns ``p0..p{K-1}``.
+Vertex and message payloads travel through the union input and the
+staging table in one lane of columns ``p0..p{K-1}``, each typed by the
+codec that writes it (:func:`payload_layout`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -38,15 +40,19 @@ from repro.engine.column import Column
 from repro.engine.database import Database
 from repro.engine.operators import stable_int_order
 from repro.engine.schema import ColumnDef, Schema
-from repro.engine.types import BOOLEAN, FLOAT, INTEGER, VARCHAR, DataType
+from repro.engine.types import BOOLEAN, FLOAT, INTEGER, DataType
 from repro.errors import GraphLoadError
 
 __all__ = [
     "GraphHandle",
     "GraphStorage",
+    "PayloadLayout",
     "WORKER_OUTPUT_COLUMNS",
     "canonical_edge_order",
-    "payload_width",
+    "encoded_storage",
+    "payload_layout",
+    "storage_arrays",
+    "storage_form",
     "weight_order_key",
     "worker_output_columns",
 ]
@@ -107,80 +113,112 @@ def canonical_edge_order(
     return order
 
 
-#: Worker output staging schema (kind 0 = vertex update, 1 = message).
+#: Worker output staging columns before the payload lane: kind 0 = vertex
+#: update, 1 = message, 2 = aggregator partial.  ``dst`` is a message's
+#: destination, or for kind 2 the aggregator's position in the program's
+#: ``aggregators``; ``f1`` carries only aggregator partials.
 WORKER_OUTPUT_COLUMNS = (
     ("kind", INTEGER, False),
     ("vid", INTEGER, False),
     ("dst", INTEGER, True),
-    ("f1", FLOAT, True),
-    ("s1", VARCHAR, True),
     ("halted", BOOLEAN, True),
+    ("f1", FLOAT, True),
 )
 
 
-def payload_width(program: VertexProgram) -> int:
-    """Width of the staging table's vector payload block for a run: the
-    widest vector codec the program declares (0 when both are scalar —
-    the staging schema is then exactly the paper's)."""
-    return max(program.vertex_codec.width, program.message_codec.width)
+@dataclass(frozen=True)
+class PayloadLayout:
+    """Where vertex and message payloads ride in the union input and the
+    staging rows: the lane ``columns``, ``(name, SQL type)`` pairs
+    ``p0..p{K-1}``.  ``vertex`` / ``message`` name the lane columns
+    holding the vertex / message codec's storage columns, in the codec's
+    column order; every other lane column is NULL in that role's rows."""
+
+    columns: tuple[tuple[str, DataType], ...]
+    vertex: tuple[str, ...]
+    message: tuple[str, ...]
 
 
-def worker_output_columns(width: int = 0) -> tuple[tuple[str, Any, bool], ...]:
-    """The staging columns for a run whose vector payload block is
-    ``width`` columns wide (``p0..p{width-1}``, appended after the scalar
-    payload pair)."""
-    extra = tuple((f"p{j}", FLOAT, True) for j in range(width))
-    return WORKER_OUTPUT_COLUMNS + extra
+def payload_layout(program: VertexProgram) -> PayloadLayout:
+    """The payload lane of a run: the one place that decides it.
 
-
-def _staged_value_expr(codec: ValueCodec, alias: str | None) -> str:
-    """SQL expression extracting a scalar codec's value from the staging
-    columns.
-
-    The staging table keeps all non-string scalar payloads in the FLOAT
-    ``f1`` column, so INTEGER codecs need a cast on the way out.  Vector
-    codecs have no single extraction expression — use
-    :func:`_staged_value_exprs`.
+    A scalar codec is a width-1 lane.  When the vertex and message codecs
+    store the same SQL type (every shipped program) both roles share the
+    lane from ``p0``, and it is as wide as the wider codec; otherwise the
+    message lane follows the vertex lane.  Either way every value keeps
+    its codec's own storage type from the union input query to the
+    vertex and message tables — an INTEGER is never a FLOAT on the way.
     """
-    prefix = f"{alias}." if alias else ""
-    if codec.sql_type is VARCHAR:
-        return f"{prefix}s1"
-    if codec.sql_type is INTEGER:
-        return f"CAST({prefix}f1 AS INTEGER)"
-    return f"{prefix}f1"
+    v_codec, m_codec = program.vertex_codec, program.message_codec
+    v_width, m_width = max(v_codec.width, 1), max(m_codec.width, 1)
+    if v_codec.sql_type is m_codec.sql_type:
+        types, message_at = (v_codec.sql_type,) * max(v_width, m_width), 0
+    else:
+        types, message_at = (v_codec.sql_type,) * v_width + (m_codec.sql_type,) * m_width, v_width
+    names = tuple(f"p{j}" for j in range(len(types)))
+    return PayloadLayout(
+        tuple(zip(names, types)), names[:v_width], names[message_at : message_at + m_width]
+    )
 
 
-def _staged_value_exprs(codec: ValueCodec, alias: str | None) -> list[str]:
-    """SQL expressions extracting a codec's value column(s) from staging:
-    one per storage column (``p{j}`` for vector codecs, the scalar
-    ``f1``/``s1`` expression otherwise)."""
-    prefix = f"{alias}." if alias else ""
+def worker_output_columns(layout: PayloadLayout) -> tuple[tuple[str, DataType, bool], ...]:
+    """The staging columns of a run: the fixed columns, then the lane."""
+    return WORKER_OUTPUT_COLUMNS + tuple(
+        (name, dtype, True) for name, dtype in layout.columns
+    )
+
+
+def storage_form(codec: ValueCodec, columns: Sequence[Column]) -> tuple[np.ndarray, np.ndarray]:
+    """A codec's storage form and validity from its storage columns (in
+    a value table or the payload lane): the one column's values for a
+    scalar codec, their ``(n, k)`` stack for a vector codec, whose NULLs
+    are whole-vector NULLs (the first column's mask)."""
     if codec.is_vector:
-        return [f"{prefix}p{j}" for j in range(codec.width)]
-    return [_staged_value_expr(codec, alias)]
+        return np.column_stack([column.values for column in columns]), columns[0].valid
+    return columns[0].values, columns[0].valid
+
+
+def storage_arrays(values: np.ndarray) -> list[np.ndarray]:
+    """A storage form's per-column arrays (views; the inverse of
+    :func:`storage_form`'s stacking)."""
+    return [values] if values.ndim == 1 else list(values.T)
+
+
+def encoded_storage(codec: ValueCodec, items: list) -> tuple[np.ndarray, np.ndarray]:
+    """The storage form and validity of per-value encoded items (``None``
+    is NULL).  Scalar codecs get the column ``Column.from_values`` builds
+    (through :func:`_scalar_storage` when it can skip the per-item
+    coercion); vector codecs an ``(n, k)`` float64 block."""
+    if codec.is_vector:
+        valid = np.array([item is not None for item in items], dtype=bool)
+        values = np.zeros((len(items), codec.width), dtype=np.float64)
+        if valid.any():
+            values[valid] = [item for item in items if item is not None]
+        return values, valid
+    storage = _scalar_storage(codec.sql_type, items)
+    if storage is None:
+        column = Column.from_values(codec.sql_type, items)
+        storage = column.values, column.valid
+    return storage
 
 
 def _value_column_ddl(codec: ValueCodec) -> str:
     """The value-column clause of a vertex/message CREATE TABLE."""
-    if codec.is_vector:
-        return ", ".join(f"{name} FLOAT" for name in codec.column_names())
-    return f"value {codec.sql_type.name}"
+    return ", ".join(f"{name} {codec.sql_type.name}" for name in codec.column_names())
 
 
 def _value_columns_from_storage(
     codec: ValueCodec, values: np.ndarray, valid: np.ndarray
 ) -> list[Column]:
     """Table columns from a storage-encoded value array: one column per
-    storage column (a 2-D ``(n, k)`` array splits into its ``k`` FLOAT
-    columns, every one sharing the whole-vector validity mask)."""
-    if codec.is_vector:
-        return [
-            Column.from_numpy(
-                FLOAT, np.ascontiguousarray(values[:, j]), valid.copy()
-            )
-            for j in range(codec.width)
-        ]
-    return [Column.from_numpy(codec.sql_type, values, valid)]
+    storage column (a 2-D ``(n, k)`` array splits into its ``k`` columns,
+    each with its own copy of the whole-vector validity mask)."""
+    if values.ndim == 1:
+        return [Column.from_numpy(codec.sql_type, values, valid)]
+    return [
+        Column.from_numpy(codec.sql_type, np.ascontiguousarray(array), valid.copy())
+        for array in storage_arrays(values)
+    ]
 
 
 def _scalar_storage(dtype: DataType, items: list) -> tuple[np.ndarray, np.ndarray] | None:
@@ -425,49 +463,30 @@ class GraphStorage:
             f"(src INTEGER, dst INTEGER NOT NULL, "
             f"{_value_column_ddl(program.message_codec)})"
         )
-        staging_payload = "".join(
-            f", p{j} FLOAT" for j in range(payload_width(program))
+        staging_columns = ", ".join(
+            f"{name} {dtype.name}{'' if nullable else ' NOT NULL'}"
+            for name, dtype, nullable in worker_output_columns(payload_layout(program))
         )
-        db.execute(
-            f"CREATE TABLE {graph.output_table} ("
-            "kind INTEGER NOT NULL, vid INTEGER NOT NULL, dst INTEGER, "
-            f"f1 FLOAT, s1 VARCHAR, halted BOOLEAN{staging_payload})"
-        )
+        db.execute(f"CREATE TABLE {graph.output_table} ({staging_columns})")
         degrees = self.out_degrees(graph)
         id_batch = db.query_batch(f"SELECT id FROM {graph.node_table} ORDER BY id")
         ids = np.asarray(id_batch.column("id").values, dtype=np.int64)
         codec = program.vertex_codec
         n = graph.num_vertices
         # initial_value is a per-vertex program hook (runs once per run,
-        # not per superstep); staging skips per-item coercion via the
-        # Column.from_numpy fast path wherever the encoded values allow.
+        # not per superstep).
         values = [
             codec.encode_or_none(
                 program.initial_value(vertex_id, degrees.get(vertex_id, 0), n)
             )
             for vertex_id in ids.tolist()
         ]
-        if codec.is_vector:
-            dense = np.zeros((len(ids), codec.width), dtype=np.float64)
-            valid = np.zeros(len(ids), dtype=bool)
-            for i, item in enumerate(values):
-                if item is not None:
-                    dense[i] = item
-                    valid[i] = True
-            value_columns = _value_columns_from_storage(codec, dense, valid)
-        else:
-            storage = _scalar_storage(codec.sql_type, values)
-            value_columns = (
-                [Column.from_values(codec.sql_type, values)]
-                if storage is None
-                else _value_columns_from_storage(codec, *storage)
-            )
         schema = db.table(graph.vertex_table).schema
         batch = RecordBatch(
             schema,
             [
                 Column.from_numpy(INTEGER, ids),
-                *value_columns,
+                *_value_columns_from_storage(codec, *encoded_storage(codec, values)),
                 Column.from_numpy(BOOLEAN, np.zeros(len(ids), dtype=bool)),
             ],
         )
@@ -487,67 +506,49 @@ class GraphStorage:
     def union_input_sql(
         self, graph: GraphHandle, program: VertexProgram, include_edges: bool = True
     ) -> str:
-        """UNION ALL of the three tables renamed to a common narrow schema
-        ``(vid, kind, i1, f1, s1[, p0..p{K-1}])`` — kind 0/1/2 =
+        """UNION ALL of the three tables renamed to one NULL-padded schema
+        ``(vid, kind, i1, f1, p0..p{K-1})`` — kind 0/1/2 =
         vertex/edge/message.
 
-        Scalar codecs project exactly the paper's five columns.  A vector
-        codec appends its storage columns as FLOAT payload columns
-        ``p0..p{K-1}`` (``K`` = the widest vector codec): vertex rows fill
-        the vertex codec's width, message rows the message codec's, and
-        every other position is NULL.
+        ``i1`` is a vertex's halt flag, an edge's destination or a
+        message's sender; ``f1`` is an edge's weight.  Vertex and message
+        rows carry their values in the payload lane of
+        :func:`payload_layout`, in their codec's own storage type; every
+        lane column a row's role does not write is a typed NULL.
 
         ``include_edges=False`` omits the edge relation: once the worker
         has cached the decoded per-partition edge arrays (superstep 0),
         re-projecting the immutable edge table every superstep is pure
         overhead.
         """
-        v_codec = program.vertex_codec
-        m_codec = program.message_codec
-        if v_codec.is_vector:
-            v_f1, v_s1 = "NULL", "NULL"
-        elif v_codec.sql_type is VARCHAR:
-            v_f1, v_s1 = "NULL", "v.value"
-        else:
-            v_f1, v_s1 = "v.value", "NULL"
-        if m_codec.is_vector:
-            m_f1, m_s1 = "NULL", "NULL"
-        elif m_codec.sql_type is VARCHAR:
-            m_f1, m_s1 = "NULL", "m.value"
-        else:
-            m_f1, m_s1 = "m.value", "NULL"
+        layout = payload_layout(program)
 
-        width = payload_width(program)
+        def lane(written: dict[str, str]) -> str:
+            # Typed NULLs where a role does not write: a bare NULL would
+            # type as VARCHAR.
+            return "".join(
+                f", {written.get(name, f'CAST(NULL AS {dtype.name})')} AS {name}"
+                for name, dtype in layout.columns
+            )
 
-        def payload(codec: ValueCodec, alias: str, first: bool) -> str:
-            parts = []
-            for j in range(width):
-                expr = (
-                    f"CAST({alias}.v{j} AS FLOAT)"
-                    if codec.is_vector and j < codec.width
-                    else "CAST(NULL AS FLOAT)"  # bare NULL would type as VARCHAR
-                )
-                parts.append(f", {expr} AS p{j}" if first else f", {expr}")
-            return "".join(parts)
-
-        edge_nulls = "".join(", CAST(NULL AS FLOAT)" for _ in range(width))
+        v_names, m_names = program.vertex_codec.column_names(), program.message_codec.column_names()
+        vertex = dict(zip(layout.vertex, (f"v.{name}" for name in v_names)))
+        message = dict(zip(layout.message, (f"m.{name}" for name in m_names)))
         edge_part = (
             f"UNION ALL "
-            f"SELECT e.src, 1, e.dst, e.weight, NULL{edge_nulls} "
+            f"SELECT e.src, 1, e.dst, e.weight{lane({})} "
             f"FROM {graph.edge_table} e "
             if include_edges
             else ""
         )
         return (
             f"SELECT v.id AS vid, 0 AS kind, "
-            f"CASE WHEN v.halted THEN 1 ELSE 0 END AS i1, "
-            f"CAST({v_f1} AS FLOAT) AS f1, CAST({v_s1} AS VARCHAR) AS s1"
-            f"{payload(v_codec, 'v', first=True)} "
+            f"CASE WHEN v.halted THEN 1 ELSE 0 END AS i1, CAST(NULL AS FLOAT) AS f1"
+            f"{lane(vertex)} "
             f"FROM {graph.vertex_table} v "
             f"{edge_part}"
             f"UNION ALL "
-            f"SELECT m.dst, 2, m.src, CAST({m_f1} AS FLOAT), CAST({m_s1} AS VARCHAR)"
-            f"{payload(m_codec, 'm', first=False)} "
+            f"SELECT m.dst, 2, m.src, CAST(NULL AS FLOAT){lane(message)} "
             f"FROM {graph.message_table} m"
         )
 
@@ -589,30 +590,23 @@ class GraphStorage:
         Returns the number of messages now pending.
         """
         db = self.db
-        codec = program.message_codec
+        lane = list(zip(payload_layout(program).message, program.message_codec.column_names()))
         if use_combiner and program.combiner is not None:
-            # Vector codecs combine element-wise: one aggregate per
-            # payload column, all under the same GROUP BY.  Whole-vector
-            # validity means a NULL message is NULL in every column, so
-            # the per-column NULL-skip of SQL aggregates cannot mix lanes
-            # from different messages.
+            # Each lane column aggregates in its own type (INTEGER sums
+            # and extrema are exact).  Vector codecs combine element-wise:
+            # one aggregate per column, all under the same GROUP BY.
+            # Whole-vector validity means a NULL message is NULL in every
+            # column, so the per-column NULL-skip of SQL aggregates cannot
+            # mix lanes from different messages.
             agg_list = ", ".join(
-                f"{program.combiner}({expr}) AS {name}"
-                for expr, name in zip(
-                    _staged_value_exprs(codec, alias=None), codec.column_names()
-                )
+                f"{program.combiner}({column}) AS {name}" for column, name in lane
             )
             select = (
                 f"SELECT MIN(vid) AS src, dst, {agg_list} "
                 f"FROM {graph.output_table} WHERE kind = 1 GROUP BY dst"
             )
         else:
-            value_list = ", ".join(
-                f"{expr} AS {name}"
-                for expr, name in zip(
-                    _staged_value_exprs(codec, alias=None), codec.column_names()
-                )
-            )
+            value_list = ", ".join(f"{column} AS {name}" for column, name in lane)
             select = (
                 f"SELECT vid AS src, dst, {value_list} "
                 f"FROM {graph.output_table} WHERE kind = 1"
@@ -633,8 +627,8 @@ class GraphStorage:
         Replace path: rebuild the whole table with one LEFT JOIN against
         the staged updates and swap it in.  Update path: one set-oriented
         write, the ``UPDATE … FROM`` of the Vertica follow-up — read the
-        staged rows with one query (payloads cast as the replace path casts
-        them), find each ``vid``'s row by ``searchsorted`` over the id
+        staged rows with one query (the vertex lane already holds the value
+        columns' types), find each ``vid``'s row by ``searchsorted`` over the id
         column's stable order (one linear check when the table is
         id-ordered, as ``setup_run`` and ``sync_vertex_state`` leave it;
         after a replace step, whose join emits the updated rows first, a
@@ -648,36 +642,27 @@ class GraphStorage:
         """
         faults.trip("storage.apply", superstep=superstep)
         db = self.db
-        codec = program.vertex_codec
-        value_names = codec.column_names()
+        lane = payload_layout(program).vertex
+        value_names = program.vertex_codec.column_names()
         updates = self.count_staged(graph, 0)
         if updates == 0:
             return 0
         if replace:
-            if codec.is_vector:
-                staged_cols = [f"p{j}" for j in range(codec.width)]
-            else:
-                staged_cols = ["s1" if codec.sql_type is VARCHAR else "f1"]
             value_cases = ", ".join(
-                f"CASE WHEN w.vid IS NULL THEN v.{name} ELSE {expr} END AS {name}"
-                for name, expr in zip(
-                    value_names, _staged_value_exprs(codec, alias="w")
-                )
+                f"CASE WHEN w.vid IS NULL THEN v.{name} ELSE w.{column} END AS {name}"
+                for column, name in zip(lane, value_names)
             )
             fresh = db.query_batch(
                 f"SELECT v.id AS id, {value_cases}, "
                 f"CASE WHEN w.vid IS NULL THEN v.halted ELSE w.halted END AS halted "
                 f"FROM {graph.vertex_table} v "
-                f"LEFT JOIN (SELECT vid, {', '.join(staged_cols)}, halted "
+                f"LEFT JOIN (SELECT vid, {', '.join(lane)}, halted "
                 f"           FROM {graph.output_table} WHERE kind = 0) w "
                 f"ON v.id = w.vid"
             )
             db.table(graph.vertex_table).replace_data(fresh)
             return updates
-        value_list = ", ".join(
-            f"{expr} AS {name}"
-            for expr, name in zip(_staged_value_exprs(codec, alias=None), value_names)
-        )
+        value_list = ", ".join(f"{column} AS {name}" for column, name in zip(lane, value_names))
         staged = db.query_batch(
             f"SELECT vid, {value_list}, halted "
             f"FROM {graph.output_table} WHERE kind = 0"
@@ -768,13 +753,15 @@ class GraphStorage:
 
         Returns a value per aggregator that received contributions this
         superstep (Pregel semantics: aggregators reset each superstep).
+        A partial names its aggregator in ``dst`` by position in
+        ``program.aggregators``.
         """
         out: dict[str, float] = {}
-        for name, op in program.aggregators.items():
+        for index, (name, op) in enumerate(program.aggregators.items()):
             value = self.db.execute(
                 f"SELECT {op}(f1) FROM {graph.output_table} "
-                f"WHERE kind = 2 AND s1 = ?",
-                params=(name,),
+                f"WHERE kind = 2 AND dst = ?",
+                params=(index,),
             ).scalar()
             if value is not None:
                 out[name] = float(value)
@@ -803,16 +790,8 @@ class GraphStorage:
             f"SELECT id, {cols} FROM {graph.vertex_table} ORDER BY id"
         )
         ids = batch.column("id").values.tolist()
-        if codec.is_vector:
-            columns = [batch.column(name) for name in codec.column_names()]
-            values = (
-                np.column_stack([np.asarray(c.values, np.float64) for c in columns])
-                if ids
-                else np.empty((0, codec.width), dtype=np.float64)
-            )
-            valid = columns[0].valid
-        else:
-            value_col = batch.column("value")
-            values, valid = value_col.values, value_col.valid
+        values, valid = storage_form(
+            codec, [batch.column(name) for name in codec.column_names()]
+        )
         decoded = codec.decode_list(values, valid)
         return dict(zip(ids, decoded))

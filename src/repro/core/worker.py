@@ -19,18 +19,22 @@ The data plane is vectorized end-to-end in three layers:
    partition and run whole-array kernels; other programs fall back to
    the per-vertex scalar path, which now assembles each
    :class:`~repro.core.api.Vertex` from pre-decoded array slices.
-3. **Batch staging** — outputs accumulate as numpy array blocks (the
-   batch path never touches Python scalars) and are assembled into
-   columns directly, skipping per-item ``coerce_python_value``.
+3. **Batch staging** — outputs accumulate per role (vertex updates,
+   messages, aggregator partials) as numpy array blocks in the codecs'
+   storage form (the batch path never touches Python scalars) and are
+   assembled into columns directly, skipping per-item
+   ``coerce_python_value``.
 
-Measured on the Figure-2 harness this makes PageRank/SSSP supersteps
-roughly an order of magnitude faster than the seed's row-at-a-time
-worker (see ``benchmarks/run_bench.py`` / BENCH_PR1.json).
+Measured on the Figure-2 harness this made PageRank/SSSP supersteps
+roughly an order of magnitude faster than a row-at-a-time worker (the
+measurement is recorded in CHANGES.md).
 
 Two input formats are supported, matching the Table Unions ablation:
 
-* ``union``  — narrow rows ``(vid, kind, i1, f1, s1)`` from a UNION ALL of
-  the three tables (kind 0/1/2 = vertex/edge/message);
+* ``union``  — NULL-padded rows ``(vid, kind, i1, f1, p0..p{K-1})`` from a
+  UNION ALL of the three tables (kind 0/1/2 = vertex/edge/message), each
+  value in its codec's own storage type in the payload lane
+  (:func:`~repro.core.storage.payload_layout`);
 * ``join``   — wide rows from the naive three-way join, one per
   (vertex x out-edge x incoming-message) combination, which the worker
   must de-duplicate.
@@ -40,29 +44,38 @@ batch and scalar compute paths run on either.  The shard-resident data
 plane (:mod:`repro.core.shards`) skips layer 1 entirely: it builds
 :class:`_DecodedPartition` views over resident arrays and enters at
 :meth:`VertexWorker.compute_decoded`, consuming outputs as
-:class:`StagedRows` instead of a staging table.
+:class:`StagedRows` and :class:`EmittedMessages` instead of a staging
+table.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from repro.core.api import OutEdge, Vertex
 from repro.core.codecs import ValueCodec
 from repro.core.program import VertexBatch, VertexProgram, supports_batch
-from repro.core.storage import payload_width, worker_output_columns
+from repro.core.storage import (
+    PayloadLayout,
+    encoded_storage,
+    payload_layout,
+    storage_arrays,
+    storage_form,
+    worker_output_columns,
+)
 from repro.engine.batch import RecordBatch
 from repro.engine.column import Column
 from repro.engine.schema import ColumnDef, Schema
-from repro.engine.types import BOOLEAN, FLOAT, INTEGER, VARCHAR
+from repro.engine.types import DataType
 from repro.errors import ProgramError
 
 __all__ = [
     "EdgeCache",
+    "EmittedMessages",
     "StagedRows",
     "VertexWorker",
     "worker_output_schema",
@@ -73,12 +86,12 @@ __all__ = [
 ]
 
 
-def worker_output_schema(width: int = 0) -> Schema:
-    """The staging schema worker calls must produce (``width`` extra
-    FLOAT payload columns when a codec is vector-valued)."""
+def worker_output_schema(layout: PayloadLayout) -> Schema:
+    """The staging schema worker calls must produce for a run's payload
+    lane."""
     return Schema(
         ColumnDef(name, dtype, nullable=nullable)
-        for name, dtype, nullable in worker_output_columns(width)
+        for name, dtype, nullable in worker_output_columns(layout)
     )
 
 
@@ -302,370 +315,150 @@ def _csr_select(
 # ---------------------------------------------------------------------------
 @dataclass
 class StagedRows:
-    """One partition's staged output as plain aligned arrays.
+    """One partition's vertex updates (the staging table's kind-0 rows)
+    as plain aligned arrays in emission order, ``values`` in the vertex
+    codec's storage form and type: 1-D for a scalar codec, ``(n, k)`` for
+    a vector codec."""
 
-    The in-memory twin of the ``{graph}_out`` staging table: rows keep
-    the exact order the compute paths emitted them in (kind-0 vertex
-    update, that vertex's kind-1 messages, ... under the scalar path;
-    whole-block order under the batch path), which is what makes the
-    shard plane's message routing reproduce the SQL plane's delivery
-    order bit-for-bit.
-    """
-
-    kind: np.ndarray  # int64: 0 vertex update, 1 message, 2 aggregate
-    vid: np.ndarray  # int64: owner (kind 0/2) or sender (kind 1)
-    dst: np.ndarray  # int64: message destination (kind 1 only)
-    f1: np.ndarray  # float64 payload (numeric scalar codecs, aggregates)
-    f1_valid: np.ndarray
-    s1: np.ndarray  # object payload (VARCHAR codecs, aggregator names)
-    s1_valid: np.ndarray
-    halted: np.ndarray  # bool halt votes (kind 0 only)
-    pay: np.ndarray | None = None  # float64 (n, K) vector payload block
-    pay_valid: np.ndarray | None = None  # bool (n,) whole-vector validity
-    #: Per-vertex bool mask (partition positions) of who sent, set only
-    #: when *all* kind-1 rows are one edge-aligned block — one row per
-    #: out-edge of the masked vertices, in the partition's CSR edge order
-    #: (``VertexBatch.send_to_all_neighbors`` / ``send_along_edges``).
-    #: ``None`` for ``send()``, several blocks, or the scalar path.
-    route_senders: np.ndarray | None = None
-
-    @classmethod
-    def empty(cls, pay_width: int = 0) -> "StagedRows":
-        i64 = np.empty(0, dtype=np.int64)
-        flags = np.empty(0, dtype=bool)
-        return cls(
-            i64, i64, i64,
-            np.empty(0, dtype=np.float64), flags,
-            np.empty(0, dtype=object), flags,
-            flags,
-            np.empty((0, pay_width), dtype=np.float64) if pay_width else None,
-            flags if pay_width else None,
-        )
+    vid: np.ndarray  # int64
+    halted: np.ndarray  # bool halt votes
+    values: np.ndarray
+    valid: np.ndarray  # bool
 
     @property
     def num_rows(self) -> int:
-        return len(self.kind)
+        return len(self.vid)
+
+
+class EmittedMessages(NamedTuple):
+    """One partition's messages (the staging table's kind-1 rows) in
+    emission order, ``values`` in the message codec's storage form and
+    type.
+
+    ``route_senders`` is a per-vertex bool mask (partition positions) of
+    who sent, set only when the rows are one edge-aligned block — one row
+    per out-edge of the flagged vertices, in the partition's CSR edge
+    order (``VertexBatch.send_to_all_neighbors`` / ``send_along_edges``);
+    ``None`` for ``send()``, several blocks, or the scalar path.
+    """
+
+    senders: np.ndarray
+    dst: np.ndarray
+    values: np.ndarray
+    valid: np.ndarray
+    route_senders: np.ndarray | None
+
+
+def _storage(codec: ValueCodec, values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Decoded values in the codec's storage form and its column type."""
+    return np.asarray(codec.encode_array(values, valid), dtype=codec.sql_type.numpy_dtype)
+
+
+def _stack(blocks: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """Blocks of aligned arrays, concatenated array by array."""
+    return tuple(
+        parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*blocks)
+    )
+
+
+def _staged_column(dtype: DataType, n: int, segments: list[tuple]) -> Column:
+    """An ``n``-row staging column, NULL except where a ``(start, values,
+    valid)`` segment writes."""
+    values = np.full(n, dtype.default_value(), dtype=dtype.numpy_dtype)
+    valid = np.zeros(n, dtype=bool)
+    for start, part, part_valid in segments:
+        values[start : start + len(part)] = part
+        valid[start : start + len(part)] = part_valid
+    return Column(dtype, values, valid)
 
 
 class _Outputs:
-    """Columnar accumulators for one worker invocation.
+    """Columnar accumulators for one worker invocation, one per role.
 
-    Rows arrive either as whole numpy blocks (the batch compute path) or
-    as per-row appends (the scalar path); :meth:`to_batch` assembles the
-    final columns from array chunks without per-item type coercion.
-
-    ``pay_width`` > 0 adds a dense float64 vector payload block ``(n,
-    pay_width)`` per row chunk (the staging table's ``p0..p{K-1}``
-    columns): kind-0 rows carry ``vertex_width`` leading columns, kind-1
-    rows ``message_width``, and everything beyond a row's width is NULL
-    filler nothing reads.
+    Vertex updates and messages arrive as numpy array blocks, values in
+    their codec's storage form (the batch path adds one block per call,
+    the scalar path one of each at the end); aggregator contributions are
+    reduced to one partial per aggregator before staging.  Within each
+    role rows keep emission order, which both planes' delivery order
+    rests on.  :meth:`to_staged` hands the arrays to the shard plane as
+    they are; :meth:`to_batch` writes the same arrays into the staging
+    table's columns.
     """
 
-    __slots__ = (
-        "_blocks", "kind", "vid", "dst", "f1", "s1", "halted", "pay",
-        "agg_partials", "pay_width", "vertex_width", "message_width",
-        "route_senders",
-    )
+    __slots__ = ("v_codec", "updates", "messages", "agg_partials", "route_senders")
 
-    def __init__(
-        self, pay_width: int = 0, vertex_width: int = 0, message_width: int = 0
-    ) -> None:
-        #: finished array chunks: (kind, vid, (dst, dst_valid), ...)
-        self._blocks: list[tuple] = []
-        self.kind: list[int] = []
-        self.vid: list[int] = []
-        self.dst: list[int | None] = []
-        self.f1: list[float | None] = []
-        self.s1: list[str | None] = []
-        self.halted: list[bool | None] = []
-        self.pay: list[np.ndarray | None] = []
+    def __init__(self, v_codec: ValueCodec) -> None:
+        self.v_codec = v_codec
+        self.updates: list[tuple[np.ndarray, ...]] = []  # (vid, halted, values, valid)
+        self.messages: list[tuple[np.ndarray, ...]] = []  # (senders, dst, values, valid)
         self.agg_partials: list[tuple[str, float]] = []
-        self.pay_width = pay_width
-        self.vertex_width = vertex_width
-        self.message_width = message_width
-        #: see :attr:`StagedRows.route_senders` (set by the batch path)
+        #: see :class:`EmittedMessages` (set by the batch path)
         self.route_senders: np.ndarray | None = None
 
-    # Scalar-path appends ----------------------------------------------
-    def add_vertex_update(
-        self,
-        vid: int,
-        f1: float | None,
-        s1: str | None,
-        halted: bool,
-        pay: np.ndarray | None = None,
-    ) -> None:
-        self.kind.append(0)
-        self.vid.append(vid)
-        self.dst.append(None)
-        self.f1.append(f1)
-        self.s1.append(s1)
-        self.halted.append(halted)
-        if self.pay_width:
-            self.pay.append(pay)
-
-    def add_message(
-        self,
-        sender: int,
-        dst: int,
-        f1: float | None,
-        s1: str | None,
-        pay: np.ndarray | None = None,
-    ) -> None:
-        self.kind.append(1)
-        self.vid.append(sender)
-        self.dst.append(dst)
-        self.f1.append(f1)
-        self.s1.append(s1)
-        self.halted.append(None)
-        if self.pay_width:
-            self.pay.append(pay)
-
-    def add_aggregate(self, name: str, value: float) -> None:
-        """One pre-reduced aggregator partial for this partition (kind 2)."""
-        self.kind.append(2)
-        self.vid.append(0)
-        self.dst.append(None)
-        self.f1.append(value)
-        self.s1.append(name)
-        self.halted.append(None)
-        if self.pay_width:
-            self.pay.append(None)
-
-    # Batch-path blocks ------------------------------------------------
     def add_vertex_block(
-        self,
-        vids: np.ndarray,
-        f1: np.ndarray | None,
-        f1_valid: np.ndarray | None,
-        s1: np.ndarray | None,
-        s1_valid: np.ndarray | None,
-        halted: np.ndarray,
-        pay: np.ndarray | None = None,
-        pay_valid: np.ndarray | None = None,
+        self, vids: np.ndarray, halted: np.ndarray, values: np.ndarray, valid: np.ndarray
     ) -> None:
-        """A block of kind-0 rows from arrays (no per-item work)."""
-        n = len(vids)
-        if n == 0:
-            return
-        self._flush_scalar_rows()
-        self._blocks.append(
-            (
-                np.zeros(n, dtype=np.int64),
-                np.asarray(vids, dtype=np.int64),
-                (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)),
-                _payload_pair(n, f1, f1_valid, np.float64, 0.0),
-                _payload_pair(n, s1, s1_valid, object, None),
-                (np.asarray(halted, dtype=bool), np.ones(n, dtype=bool)),
-                *self._pay_chunk(n, pay, pay_valid, self.vertex_width),
+        """A block of kind-0 rows (no per-item work)."""
+        if len(vids):
+            self.updates.append(
+                (np.asarray(vids, dtype=np.int64), np.asarray(halted, dtype=bool), values, valid)
             )
-        )
 
     def add_message_block(
-        self,
-        senders: np.ndarray,
-        targets: np.ndarray,
-        f1: np.ndarray | None,
-        f1_valid: np.ndarray | None,
-        s1: np.ndarray | None,
-        s1_valid: np.ndarray | None,
-        pay: np.ndarray | None = None,
-        pay_valid: np.ndarray | None = None,
+        self, senders: np.ndarray, targets: np.ndarray, values: np.ndarray, valid: np.ndarray
     ) -> None:
-        """A block of kind-1 rows from arrays (no per-item work)."""
-        n = len(senders)
-        if n == 0:
-            return
-        self._flush_scalar_rows()
-        self._blocks.append(
-            (
-                np.ones(n, dtype=np.int64),
-                np.asarray(senders, dtype=np.int64),
-                (np.asarray(targets, dtype=np.int64), np.ones(n, dtype=bool)),
-                _payload_pair(n, f1, f1_valid, np.float64, 0.0),
-                _payload_pair(n, s1, s1_valid, object, None),
-                (np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)),
-                *self._pay_chunk(n, pay, pay_valid, self.message_width),
-            )
-        )
+        """A block of kind-1 rows (no per-item work)."""
+        if len(senders):
+            senders = np.asarray(senders, dtype=np.int64)
+            self.messages.append((senders, np.asarray(targets, dtype=np.int64), values, valid))
 
-    def _pay_chunk(
-        self,
-        n: int,
-        pay: np.ndarray | None,
-        pay_valid: np.ndarray | None,
-        width: int,
-    ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The vector payload element of one block: an ``(n, pay_width)``
-        float64 chunk (zero-filled past ``width``) plus its per-row
-        validity.  Empty tuple when the run has no vector payloads."""
-        if not self.pay_width:
-            return ()
-        out = np.zeros((n, self.pay_width), dtype=np.float64)
-        if pay is None or width == 0:
-            return ((out, np.zeros(n, dtype=bool)),)
-        out[:, :width] = np.asarray(pay, dtype=np.float64).reshape(n, width)
-        valid = (
-            np.ones(n, dtype=bool)
-            if pay_valid is None
-            else np.asarray(pay_valid, dtype=bool)
-        )
-        return ((out, valid),)
-
-    # Assembly ---------------------------------------------------------
-    def _flush_scalar_rows(self) -> None:
-        """Convert buffered per-row appends into one array block.
-
-        Values appended by the scalar path are already exact storage types
-        (int vids, float payloads, str s1), so arrays are built with plain
-        ``np.fromiter`` — no ``coerce_python_value`` per item.
-        """
-        n = len(self.kind)
-        if n == 0:
-            return
-        block = [
-            np.fromiter(self.kind, dtype=np.int64, count=n),
-            np.fromiter(self.vid, dtype=np.int64, count=n),
-            _nullable_array(self.dst, np.int64, 0),
-            _nullable_array(self.f1, np.float64, 0.0),
-            _nullable_array(self.s1, object, None),
-            _nullable_array(self.halted, bool, False),
-        ]
-        if self.pay_width:
-            pay = np.zeros((n, self.pay_width), dtype=np.float64)
-            valid = np.zeros(n, dtype=bool)
-            for i, item in enumerate(self.pay):
-                if item is not None:
-                    pay[i, : len(item)] = item
-                    valid[i] = True
-            block.append((pay, valid))
-            self.pay = []
-        self._blocks.append(tuple(block))
-        self.kind, self.vid, self.dst = [], [], []
-        self.f1, self.s1, self.halted = [], [], []
-
-    def to_staged(self) -> StagedRows:
-        """Assemble the accumulated rows as plain arrays (the shard
+    def to_staged(self) -> tuple[StagedRows, EmittedMessages | None, list[tuple[str, float]]]:
+        """The accumulated rows per role as plain arrays (the shard
         plane's path — no :class:`~repro.engine.column.Column` wrapping,
-        no SQL staging table)."""
-        self._flush_scalar_rows()
-        blocks = self._blocks
-        if not blocks:
-            return StagedRows.empty(self.pay_width)
-
-        def plain(position: int) -> np.ndarray:
-            parts = [block[position] for block in blocks]
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-        def pair(position: int) -> tuple[np.ndarray, np.ndarray]:
-            values = [block[position][0] for block in blocks]
-            valid = [block[position][1] for block in blocks]
-            if len(values) == 1:
-                return values[0], valid[0]
-            return np.concatenate(values), np.concatenate(valid)
-
-        dst, _ = pair(2)
-        f1, f1_valid = pair(3)
-        s1, s1_valid = pair(4)
-        halted, _ = pair(5)
-        pay, pay_valid = pair(6) if self.pay_width else (None, None)
-        if s1.dtype != object:  # all-empty concat can collapse the dtype
-            s1 = s1.astype(object)
-        return StagedRows(
-            plain(0), plain(1),
-            np.asarray(dst, dtype=np.int64),
-            np.asarray(f1, dtype=np.float64), f1_valid,
-            s1, s1_valid,
-            np.asarray(halted, dtype=bool),
-            pay, pay_valid,
-            self.route_senders,
-        )
-
-    def to_batch(self, schema: Schema) -> RecordBatch:
-        self._flush_scalar_rows()
-        blocks = self._blocks
-        if not blocks:
-            return RecordBatch.empty(schema)
-        columns = []
-        kind = None
-        pay = pay_valid = None
-        for position, coldef in enumerate(schema):
-            if position >= 6:  # p0..p{K-1}: split the 2-D payload chunk
-                if pay is None:
-                    pay_parts = [block[6] for block in blocks]
-                    pay = np.concatenate([p[0] for p in pay_parts])
-                    pay_valid = np.concatenate([p[1] for p in pay_parts])
-                    # A column is NULL past its row's codec width (kind-0
-                    # rows carry vertex_width columns, kind-1 message_width,
-                    # aggregates none).
-                    row_width = np.where(
-                        kind == 0,
-                        self.vertex_width,
-                        np.where(kind == 1, self.message_width, 0),
-                    )
-                j = position - 6
-                columns.append(
-                    Column.from_numpy(
-                        coldef.dtype,
-                        np.ascontiguousarray(pay[:, j]),
-                        pay_valid & (j < row_width),
-                    )
-                )
-                continue
-            parts = [block[position] for block in blocks]
-            if position < 2:  # kind / vid: never NULL
-                values = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                if position == 0:
-                    kind = values
-                columns.append(Column.from_numpy(coldef.dtype, values))
-                continue
-            if len(parts) == 1:
-                values, valid = parts[0]
-            else:
-                values = np.concatenate([p[0] for p in parts])
-                valid = np.concatenate([p[1] for p in parts])
-            columns.append(Column.from_numpy(coldef.dtype, values, valid))
-        return RecordBatch(schema, columns)
-
-
-def _payload_pair(
-    n: int,
-    values: np.ndarray | None,
-    valid: np.ndarray | None,
-    dtype: Any,
-    filler: Any,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(values, valid) chunk for one staged payload column."""
-    if values is None:
-        if dtype is object:
-            empty = np.empty(n, dtype=object)
-            empty[:] = filler
+        no staging table): the vertex updates, the messages (``None`` when
+        none were sent) and the aggregator partials."""
+        if self.updates:
+            updates = StagedRows(*_stack(self.updates))
         else:
-            empty = np.full(n, filler, dtype=dtype)
-        return empty, np.zeros(n, dtype=bool)
-    if dtype is object:
-        out = np.empty(n, dtype=object)
-        out[:] = values
-        values = out
-    else:
-        values = np.asarray(values, dtype=dtype)
-    if valid is None:
-        valid = np.ones(n, dtype=bool)
-    return values, valid
+            flags = np.empty(0, dtype=bool)
+            updates = StagedRows(
+                np.empty(0, dtype=np.int64), flags, _storage(self.v_codec, np.empty(0), flags), flags
+            )
+        messages = None
+        if self.messages:
+            messages = EmittedMessages(*_stack(self.messages), self.route_senders)
+        return updates, messages, self.agg_partials
 
-
-def _nullable_array(items: list, dtype: Any, filler: Any) -> tuple[np.ndarray, np.ndarray]:
-    """Array + validity mask from a Python list containing ``None``."""
-    n = len(items)
-    valid = np.fromiter((item is not None for item in items), dtype=bool, count=n)
-    if dtype is object:
-        values = np.empty(n, dtype=object)
-        values[:] = items
-        return values, valid
-    values = np.fromiter(
-        (filler if item is None else item for item in items), dtype=dtype, count=n
-    )
-    return values, valid
+    def to_batch(
+        self, schema: Schema, layout: PayloadLayout, aggregators: dict[str, str]
+    ) -> RecordBatch:
+        """The staging rows: vertex updates, then messages, then aggregator
+        partials (``dst`` = the aggregator's position in ``aggregators``),
+        each payload in its role's lane columns."""
+        updates, messages, partials = self.to_staged()
+        at_messages = updates.num_rows
+        at_partials = at_messages + (0 if messages is None else len(messages.dst))
+        n = at_partials + len(partials)
+        segments: dict[str, list[tuple]] = {name: [] for name in schema.names()}
+        rows_per_kind = (at_messages, at_partials - at_messages, len(partials))
+        segments["kind"] = [(0, np.repeat(np.arange(3), rows_per_kind), True)]
+        segments["vid"].append((0, updates.vid, True))
+        segments["halted"].append((0, updates.halted, True))
+        for name, part in zip(layout.vertex, storage_arrays(updates.values)):
+            segments[name].append((0, part, updates.valid))
+        if messages is not None:
+            segments["vid"].append((at_messages, messages.senders, True))
+            segments["dst"].append((at_messages, messages.dst, True))
+            for name, part in zip(layout.message, storage_arrays(messages.values)):
+                segments[name].append((at_messages, part, messages.valid))
+        if partials:
+            names = list(aggregators)
+            segments["vid"].append((at_partials, np.zeros(len(partials), np.int64), True))
+            segments["dst"].append((at_partials, [names.index(name) for name, _ in partials], True))
+            segments["f1"].append((at_partials, [value for _, value in partials], True))
+        return RecordBatch(
+            schema, [_staged_column(c.dtype, n, segments[c.name]) for c in schema]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +502,8 @@ class VertexWorker:
         self.use_batch = use_batch
         self.edge_cache = edge_cache
         self.aggregated = aggregated or {}
-        self.payload_width = payload_width(program)
-        self.schema = worker_output_schema(self.payload_width)
+        self.layout = payload_layout(program)
+        self.schema = worker_output_schema(self.layout)
         self._lock = threading.Lock()
         #: vertices whose compute function ran this superstep
         self.vertices_ran = 0
@@ -729,7 +522,7 @@ class VertexWorker:
         out, _ = self.compute_decoded(part)
         with self._lock:
             self.rows_in += partition.num_rows
-        return out.to_batch(self.schema)
+        return out.to_batch(self.schema, self.layout, self.program.aggregators)
 
     def compute_decoded(
         self, part: _DecodedPartition, record: bool = True
@@ -748,11 +541,7 @@ class VertexWorker:
         retry loop) can account exactly once via
         :meth:`record_partition_counts` after it commits to a result.
         """
-        out = _Outputs(
-            self.payload_width,
-            self.program.vertex_codec.width,
-            self.program.message_codec.width,
-        )
+        out = _Outputs(self.program.vertex_codec)
         active = part.active_mask(self.superstep)
         if self.use_batch:
             ran = self._run_batch(out, part, active)
@@ -771,7 +560,8 @@ class VertexWorker:
 
     def _reduce_partition_aggregates(self, out: _Outputs) -> None:
         """Pre-reduce this partition's aggregator contributions to one
-        kind-2 row per aggregator (the SQL GROUP BY finishes the job)."""
+        partial per aggregator (the SQL GROUP BY or the shard plane's
+        barrier finishes the job)."""
         if not out.agg_partials:
             return
         grouped: dict[str, list[float]] = {}
@@ -783,9 +573,10 @@ class VertexWorker:
                     f"declare it in {type(self.program).__name__}.aggregators"
                 )
             grouped.setdefault(name, []).append(value)
-        for name, values in grouped.items():
-            op = self.program.aggregators[name]
-            out.add_aggregate(name, self.program.reduce_aggregate(op, values))
+        out.agg_partials = [
+            (name, self.program.reduce_aggregate(self.program.aggregators[name], values))
+            for name, values in grouped.items()
+        ]
 
     # ------------------------------------------------------------------
     # Union format decode
@@ -794,33 +585,14 @@ class VertexWorker:
         vid = np.asarray(batch.column("vid").values, dtype=np.int64)
         kind = batch.column("kind").values
         i1 = batch.column("i1").values
-        f1 = batch.column("f1")
-        s1 = batch.column("s1")
-        v_codec = self.program.vertex_codec
-        m_codec = self.program.message_codec
-        pay_cols = (
-            [batch.column(f"p{j}") for j in range(self.payload_width)]
-            if self.payload_width
-            else []
-        )
 
-        def gather_payload(width: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """Stack ``width`` staging payload columns into an ``(n, k)``
-            storage block (whole-vector validity from the first column)."""
-            values = np.column_stack(
-                [np.asarray(c.values[rows], dtype=np.float64) for c in pay_cols[:width]]
-            ) if len(rows) else np.empty((0, width), dtype=np.float64)
-            return values, pay_cols[0].valid[rows]
+        def lane(codec: ValueCodec, names: tuple[str, ...], rows: np.ndarray):
+            return storage_form(codec, [batch.column(name).take(rows) for name in names])
 
         v_idx = np.flatnonzero(kind == 0)
         vertex_ids = vid[v_idx]
         halted = i1[v_idx] == 1
-        if v_codec.is_vector:
-            raw_values, value_valid = gather_payload(v_codec.width, v_idx)
-        else:
-            value_col = s1 if v_codec.sql_type is VARCHAR else f1
-            raw_values = value_col.values[v_idx]
-            value_valid = value_col.valid[v_idx]
+        raw_values, value_valid = lane(self.program.vertex_codec, self.layout.vertex, v_idx)
 
         cache = self.edge_cache
         if cache is not None and cache.primed:
@@ -836,7 +608,7 @@ class VertexWorker:
                 vertex_ids,
                 (
                     i1[e_idx].astype(np.int64, copy=False),
-                    np.asarray(f1.values[e_idx], dtype=np.float64),
+                    np.asarray(batch.column("f1").values[e_idx], dtype=np.float64),
                 ),
             )
             if cache is not None:
@@ -845,12 +617,7 @@ class VertexWorker:
                 )
 
         m_idx = np.flatnonzero(kind == 2)
-        if m_codec.is_vector:
-            msg_values, msg_value_valid = gather_payload(m_codec.width, m_idx)
-        else:
-            message_col = s1 if m_codec.sql_type is VARCHAR else f1
-            msg_values = message_col.values[m_idx]
-            msg_value_valid = message_col.valid[m_idx]
+        msg_values, msg_value_valid = lane(self.program.message_codec, self.layout.message, m_idx)
         msg_indptr, (msg_src, msg_raw, msg_valid), dropped = _csr_align(
             vid[m_idx],
             vertex_ids,
@@ -963,15 +730,13 @@ class VertexWorker:
         self.program.compute_batch(ctx)  # type: ignore[attr-defined]
 
         values, valid = ctx.collect_values()
-        f1, f1v, s1, s1v, pay, payv = _encoded_payload(v_codec, values, valid)
         out.add_vertex_block(
-            ctx.ids, f1, f1v, s1, s1v, ctx.collect_halt_votes(), pay, payv
+            ctx.ids, ctx.collect_halt_votes(), _storage(v_codec, values, valid), valid
         )
         blocks = ctx.collect_message_blocks()
         for senders, targets, payload, _ in blocks:
-            pv = np.ones(len(payload), dtype=bool)
-            f1, f1v, s1, s1v, pay, payv = _encoded_payload(m_codec, payload, pv)
-            out.add_message_block(senders, targets, f1, f1v, s1, s1v, pay, payv)
+            sent = np.ones(len(payload), dtype=bool)
+            out.add_message_block(senders, targets, _storage(m_codec, payload, sent), sent)
         if len(blocks) == 1 and blocks[0][3] is not None:
             # The task's kind-1 rows are exactly one edge-aligned block:
             # name its senders by partition position (the batch only
@@ -999,7 +764,12 @@ class VertexWorker:
         weights = part.edge_weights.tolist()
         e_ptr = part.edge_indptr.tolist()
         m_ptr = part.msg_indptr.tolist()
-        ran = 0
+        ran_ids: list[int] = []
+        votes: list[bool] = []
+        new_values: list[Any] = []  # encoded, None = NULL
+        out_senders: list[int] = []
+        out_targets: list[int] = []
+        out_messages: list[Any] = []  # encoded, None = NULL
         for i in np.flatnonzero(active).tolist():
             edges = [
                 OutEdge(target, weight)
@@ -1020,52 +790,25 @@ class VertexWorker:
             )
             self.program.compute(vertex)
             _, new_value = vertex.collect_value_update()
-            vote = vertex.collect_halt_vote()
             # A vertex that ran always records its (possibly re-set) halt
             # state; value is carried through unchanged when compute did
             # not touch it.
-            encoded = v_codec.encode_or_none(new_value)
-            f1, s1, pay = self._payload(encoded, v_codec)
-            out.add_vertex_update(ids[i], f1, s1, vote, pay)
+            ran_ids.append(ids[i])
+            votes.append(vertex.collect_halt_vote())
+            new_values.append(v_codec.encode_or_none(new_value))
             for target, message in vertex.collect_outbox():
-                mf1, ms1, mpay = self._payload(
-                    m_codec.encode_or_none(message), m_codec
-                )
-                out.add_message(ids[i], target, mf1, ms1, mpay)
+                out_senders.append(ids[i])
+                out_targets.append(target)
+                out_messages.append(m_codec.encode_or_none(message))
             out.agg_partials.extend(vertex.collect_aggregates())
-            ran += 1
-        return ran
-
-    @staticmethod
-    def _payload(
-        encoded: Any, codec: Any
-    ) -> tuple[float | None, str | None, np.ndarray | None]:
-        if encoded is None:
-            return None, None, None
-        if codec.is_vector:
-            return None, None, encoded
-        if codec.sql_type is VARCHAR:
-            return None, encoded, None
-        return float(encoded), None, None
-
-
-def _encoded_payload(
-    codec: ValueCodec, values: np.ndarray, valid: np.ndarray
-) -> tuple[
-    np.ndarray | None,
-    np.ndarray | None,
-    np.ndarray | None,
-    np.ndarray | None,
-    np.ndarray | None,
-    np.ndarray | None,
-]:
-    """Encode a decoded array into staging payload columns ``(f1,
-    f1_valid, s1, s1_valid, pay, pay_valid)`` — numeric scalar codecs
-    land in ``f1``, VARCHAR codecs in ``s1``, vector codecs in the 2-D
-    ``pay`` block."""
-    encoded = codec.encode_array(values, valid)
-    if codec.is_vector:
-        return None, None, None, None, np.asarray(encoded, dtype=np.float64), valid
-    if codec.sql_type is VARCHAR:
-        return None, None, encoded, valid, None, None
-    return np.asarray(encoded, dtype=np.float64), valid, None, None, None, None
+        out.add_vertex_block(
+            np.array(ran_ids, dtype=np.int64),
+            np.array(votes, dtype=bool),
+            *encoded_storage(v_codec, new_values),
+        )
+        out.add_message_block(
+            np.array(out_senders, dtype=np.int64),
+            np.array(out_targets, dtype=np.int64),
+            *encoded_storage(m_codec, out_messages),
+        )
+        return len(ran_ids)

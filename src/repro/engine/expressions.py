@@ -388,8 +388,12 @@ def evaluate(expr: Expression, batch: RecordBatch, registry: "FunctionRegistry")
     if isinstance(expr, CaseExpr):
         return _eval_case(expr, batch, registry)
     if isinstance(expr, CastExpr):
-        inner = evaluate(expr.operand, batch, registry)
-        return inner.cast(type_from_name(expr.type_name))
+        target = type_from_name(expr.type_name)
+        if isinstance(expr.operand, Literal) and expr.operand.value is None:
+            # A typed NULL: a bare NULL types as VARCHAR, and casting that
+            # column would visit every row.
+            return Column.constant(target, None, n)
+        return evaluate(expr.operand, batch, registry).cast(target)
     if isinstance(expr, InList):
         return _eval_in_list(expr, batch, registry)
     if isinstance(expr, Between):

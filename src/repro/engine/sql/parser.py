@@ -743,7 +743,7 @@ class Parser:
 @lru_cache(maxsize=512)
 def _cached_tokens(sql: str) -> list[Token]:
     """Memoized lexing — parameterized statements (e.g. the per-aggregator
-    ``SELECT … WHERE kind = 2 AND s1 = ?`` the SQL plane issues every
+    ``SELECT … WHERE kind = 2 AND dst = ?`` the SQL plane issues every
     superstep) re-parse the same text with different params, and the
     Parser never mutates the token list, so sharing it is safe."""
     return tokenize(sql)

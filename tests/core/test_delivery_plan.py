@@ -142,7 +142,7 @@ class TestPlanEqualsLexsort:
         # Forced plan, the shipped cut-over, and forced sort: one answer.
         for share in (0, shards._PLAN_MIN_EDGE_SHARE, 2):
             with mock.patch.object(shards, "_PLAN_MIN_EDGE_SHARE", share):
-                got, sent = _deliver(index, emitted, combiner, dtype)
+                got, sent = _deliver(index, emitted, combiner)
             assert sent == sum(0 if m is None else len(m.dst) for m in emitted)
             assert_same_inboxes(got, want)
 

@@ -32,13 +32,7 @@ from repro.core import Vertexica, VertexicaConfig, faults, shards
 from repro.core.api import Vertex
 from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.program import BatchVertexProgram, VertexBatch
-from repro.core.shards import (
-    PlaneMeta,
-    ShardIndex,
-    VertexShard,
-    _deliver,
-    _emitted_messages,
-)
+from repro.core.shards import ShardIndex, VertexShard, _deliver
 from repro.core.worker import VertexWorker
 from repro.engine.operators import hash_bucket_order
 from repro.errors import ProgramError
@@ -115,13 +109,6 @@ def run_shards(index: ShardIndex, halted: set[int]) -> list[VertexShard]:
     return out
 
 
-#: a float-message plane's storage shapes
-FLOAT_META = PlaneMeta(
-    task_retries=0, retry_backoff=0.0, value_width=0, msg_width=0,
-    value_is_varchar=False, msg_is_varchar=False, value_dtype="<f8", msg_dtype="<f8",
-)
-
-
 def emit(index: ShardIndex, program, superstep: int, halted=frozenset(), use_batch=True):
     """Every shard task's staging and emitted messages, as
     ``_run_shard_task`` produces them; returns ``(staged, emitted)``."""
@@ -129,9 +116,9 @@ def emit(index: ShardIndex, program, superstep: int, halted=frozenset(), use_bat
     for shard in run_shards(index, set(halted)):
         worker = VertexWorker(program, superstep, 64, use_batch=use_batch)
         out, _ = worker.compute_decoded(shard.decoded(), record=False)
-        rows = out.to_staged()
-        staged.append(rows)
-        emitted.append(_emitted_messages(rows, FLOAT_META))
+        updates, messages, _ = out.to_staged()
+        staged.append(updates)
+        emitted.append(messages)
     return staged, emitted
 
 
@@ -234,15 +221,15 @@ class TestPlanEqualsLexsort:
         with mock.patch.object(shards, "_PLAN_MIN_EDGE_SHARE", 0), mock.patch.object(
             shards, "_sorted_rows", wraps=shards._sorted_rows
         ) as sorts:
-            got, sent = _deliver(index, emitted, None, np.float64)
+            got, sent = _deliver(index, emitted, None)
             assert sorts.call_count == 0  # no sort: the plan
             assert (index._plan is not None) == (sent > 0)
             plan = index._plan
-            assert_same_inboxes(_deliver(index, emitted, None, np.float64)[0], got)
+            assert_same_inboxes(_deliver(index, emitted, None)[0], got)
             assert index._plan is plan  # built once
         assert_same_inboxes(got, want)
         # The shipped cut-over may pick either path; same answer.
-        assert_same_inboxes(_deliver(index, emitted, None, np.float64)[0], want)
+        assert_same_inboxes(_deliver(index, emitted, None)[0], want)
 
     @PROPERTY
     @given(graphs(), st.sampled_from(["two_blocks", "with_send", "scalar"]))
@@ -252,7 +239,7 @@ class TestPlanEqualsLexsort:
         _, emitted = emit(index, Sender(senders, how), 0, use_batch=how != "scalar")
         assert all(m is None or m.route_senders is None for m in emitted)
         with mock.patch.object(shards, "_PLAN_MIN_EDGE_SHARE", 0):
-            got, _ = _deliver(index, emitted, None, np.float64)
+            got, _ = _deliver(index, emitted, None)
         assert index._plan is None
         assert_same_inboxes(got, lexsort_delivery(emitted, n_shards))
 
@@ -265,11 +252,11 @@ class TestPlanEqualsLexsort:
         index = build_index([hub, *leaves], src, dst, 1)
         _, emitted = emit(index, Sender(frozenset([1]), "neighbors"), 0)
         assert emitted[0].route_senders is not None
-        got, _ = _deliver(index, emitted, None, np.float64)
+        got, _ = _deliver(index, emitted, None)
         assert index._plan is None
         assert_same_inboxes(got, lexsort_delivery(emitted, 1))
         _, emitted = emit(index, Sender(frozenset([hub]), "neighbors"), 0)
-        got, _ = _deliver(index, emitted, None, np.float64)
+        got, _ = _deliver(index, emitted, None)
         assert index._plan is not None
         assert_same_inboxes(got, lexsort_delivery(emitted, 1))
 

@@ -106,6 +106,26 @@ class TestEverySyncObservability:
             (base + 2, base), (base, base + 1), (base, base + 2), (base + 2, base + 3)
         ]
 
+    @pytest.mark.parametrize("cap", [1, 2, 4, None])
+    def test_integer_labels_match_above_2_53(self, cap):
+        # INTEGER vertex values and messages once staged through a FLOAT
+        # column: every CC label read 2^53 on both planes.
+        base = 2**53 + 1
+        src, dst, _ = small_graph()
+        tables = []
+        for plane in ("sql", "shards"):
+            vx = Vertexica(
+                config=VertexicaConfig(
+                    data_plane=plane, n_partitions=4, superstep_sync="every"
+                )
+            )
+            graph = vx.load_graph("g", src + base, dst + base, symmetrize=True)
+            vx.run(graph, ConnectedComponents(), max_supersteps=cap)
+            tables.append((vertex_rows(vx), message_rows(vx)))
+        assert tables[1] == tables[0]
+        labels = {label for _, label, _ in tables[0][0]}
+        assert min(labels) == base and labels <= {vid for vid, _, _ in tables[0][0]}
+
     def test_table_written_every_superstep(self):
         vx, graph, result = run_plane(
             "shards", PageRank(iterations=4), superstep_sync="every"

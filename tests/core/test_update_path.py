@@ -8,16 +8,17 @@ these tests hold the set write to it bit for bit:
 
 * after every superstep of SSSP (FLOAT), ConnectedComponents (INTEGER),
   CF ``codec="json"`` (VARCHAR), MultiSourceSSSP (vector) and a program
-  that writes NULLs under each codec kind, the vertex table under
-  ``update_strategy="update"`` equals the reference's position by
-  position and the replace path's row by row, NULLs and ``halted``
-  included;
+  that writes NULLs under each codec kind, at int64 extremes and with
+  vertex and message codecs of different types, the vertex table under
+  ``update_strategy="update"`` equals the reference's and the shard
+  plane's position by position and the replace path's row by row, NULLs
+  and ``halted`` included, and the message table equals the shard
+  plane's row by row;
 * the delta change capture records for one update step equals the
   reference's, as row multisets;
-* statements per update-path superstep do not grow with the frontier.
-
-It also pins, as an expected failure, that INTEGER payloads above 2^53
-are rounded on both planes (the staging schema carries them as FLOAT).
+* statements per update-path superstep do not grow with the frontier;
+* INTEGER values above 2^53 stay exact on both planes: every payload
+  rides the payload lane in its codec's own type.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from repro.core import Vertexica
 from repro.core.codecs import FLOAT_CODEC, INTEGER_CODEC, JSON_CODEC, vector_codec
 from repro.core.program import VertexProgram
 from repro.core.sqlplane import SqlDataPlane
-from repro.core.storage import GraphStorage
+from repro.core.storage import GraphStorage, payload_layout
 from repro.engine.batch import RecordBatch
 from repro.engine.database import Database
-from repro.engine.types import INTEGER, VARCHAR
+from repro.engine.types import VARCHAR
 from repro.programs import (
     CollaborativeFiltering,
     ConnectedComponents,
@@ -52,24 +53,16 @@ def per_tuple_apply(storage, graph, program, replace, superstep=None):
     if replace:
         return _set_apply(storage, graph, program, replace, superstep)
     db = storage.db
-    codec = program.vertex_codec
-    if codec.is_vector:
-        staged_cols = [f"p{j}" for j in range(codec.width)]
-    else:
-        staged_cols = ["s1" if codec.sql_type is VARCHAR else "f1"]
     updates = storage.count_staged(graph, 0)
     if updates == 0:
         return 0
     staged = db.execute(
-        f"SELECT vid, {', '.join(staged_cols)}, halted "
+        f"SELECT vid, {', '.join(payload_layout(program).vertex)}, halted "
         f"FROM {graph.output_table} WHERE kind = 0"
     ).rows()
-    integral = codec.sql_type is INTEGER and not codec.is_vector
-    set_clause = ", ".join(f"{name} = ?" for name in codec.column_names())
+    set_clause = ", ".join(f"{name} = ?" for name in program.vertex_codec.column_names())
     for row in staged:
-        vid, values, halted = row[0], list(row[1:-1]), row[-1]
-        if integral and values[0] is not None:
-            values[0] = int(values[0])
+        vid, values, halted = row[0], row[1:-1], row[-1]
         db.execute(
             f"UPDATE {graph.vertex_table} SET {set_clause}, halted = ? WHERE id = ?",
             params=(*values, halted, vid),
@@ -98,21 +91,34 @@ def in_id_order(batch: RecordBatch) -> RecordBatch:
     return batch.take(np.argsort(batch.column("id").values, kind="stable"))
 
 
+def in_route_order(batch: RecordBatch) -> RecordBatch:
+    """Message rows by ``(dst, src)``.  The SQL plane keeps staging order,
+    the shard plane's sync destination order; a sender sends one payload
+    per superstep, so rows that tie are identical."""
+    return batch.take(
+        np.lexsort((batch.column("src").values, batch.column("dst").values))
+    )
+
+
 # ----------------------------------------------------------------------
 # Programs
 # ----------------------------------------------------------------------
 class NullWriter(VertexProgram):
     """Every vertex that runs rewrites its value — to NULL for a rotating
     third of the ids — halts for a rotating half, and messages its
-    out-neighbours for a rotating quarter: update steps carry NULL over
-    values, values over NULLs, both halt states, and frontiers of every
-    size."""
+    out-neighbours for a rotating quarter, forwarding the first message it
+    received (its own message payload when it received none): update
+    steps carry NULL over values, values over NULLs, both halt states,
+    frontiers of every size, and message payloads through both planes'
+    decode and staging.  The message codec defaults to the vertex codec."""
 
     max_supersteps = 7
 
-    def __init__(self, codec, payload) -> None:
-        self.vertex_codec = self.message_codec = codec
+    def __init__(self, codec, payload, message_codec=None, message=None) -> None:
+        self.vertex_codec = codec
+        self.message_codec = message_codec or codec
         self.payload = payload
+        self.message = message or payload
 
     def initial_value(self, vertex_id: int, out_degree: int, num_vertices: int):
         return None if vertex_id % 5 == 0 else self.payload(vertex_id, -1)
@@ -122,10 +128,20 @@ class NullWriter(VertexProgram):
         nulled = (vid + step) % 3 == 0
         vertex.modify_vertex_value(None if nulled else self.payload(vid, step))
         if (vid + step) % 4 == 0:
+            sent = vertex.messages[0] if vertex.messages else self.message(vid, step)
             for edge in vertex.out_edges:
-                vertex.send_message(edge.target, self.payload(vid, step))
+                vertex.send_message(edge.target, sent)
         if (vid + step) % 2:
             vertex.vote_to_halt()
+
+
+INT64 = np.iinfo(np.int64)
+
+
+def int64_extremes(v: int, s: int) -> int:
+    """Odd values above 2^53, ±(2^62 + k) and the int64 bounds."""
+    picks = [2**53 + 2 * v + 1, 2**62 + v + s, -(2**62 + v + s), int(INT64.min), int(INT64.max)]
+    return picks[(v + s) % 5]
 
 
 def random_graph(seed: int = 3, n: int = 40, m: int = 120):
@@ -169,13 +185,43 @@ NULL_CASES = [
         lambda: NullWriter(vector_codec(3), lambda v, s: [v / 7, -0.0, s * 1e300]),
         random_graph, False, id="nulls-vector",
     ),
+    pytest.param(
+        lambda: NullWriter(INTEGER_CODEC, int64_extremes),
+        random_graph, False, id="nulls-int64-extremes",
+    ),
+    pytest.param(
+        lambda: NullWriter(
+            INTEGER_CODEC, lambda v, s: 2**53 + 2 * v + 1 + s, FLOAT_CODEC, lambda v, s: v / 3 - s
+        ),
+        random_graph, False, id="mixed-integer-float",
+    ),
+    pytest.param(
+        lambda: NullWriter(
+            FLOAT_CODEC, lambda v, s: v / 3 - s * 0.7,
+            vector_codec(3), lambda v, s: [v / 7, -0.0, s * 1e300],
+        ),
+        random_graph, False, id="mixed-float-vector",
+    ),
+    pytest.param(
+        lambda: NullWriter(
+            JSON_CODEC, lambda v, s: [v, s, "x" * (v % 3)], FLOAT_CODEC, lambda v, s: -v / 9 + s
+        ),
+        random_graph, False, id="mixed-varchar-float",
+    ),
 ]
 
 
-def vertex_table_after(monkeypatch, make_program, make_graph, symmetrize, mode, supersteps):
-    """The vertex table after ``supersteps`` supersteps under ``mode``
-    (``"update"``, ``"replace"``, or ``"reference"`` — the Update path
-    through :func:`per_tuple_apply`), plus the run's update paths."""
+def tables_after(monkeypatch, make_program, make_graph, symmetrize, mode, supersteps):
+    """The vertex and message tables after ``supersteps`` supersteps under
+    ``mode`` (``"update"``, ``"replace"``, ``"reference"`` — the Update
+    path through :func:`per_tuple_apply` — or ``"shards"``, the shard
+    plane mirroring its state every superstep), plus the run's update
+    paths."""
+    options = (
+        {"data_plane": "shards", "superstep_sync": "every"}
+        if mode == "shards"
+        else {"update_strategy": "replace" if mode == "replace" else "update"}
+    )
     with monkeypatch.context() as patch:
         if mode == "reference":
             patch.setattr(GraphStorage, "apply_vertex_updates", per_tuple_apply)
@@ -184,14 +230,18 @@ def vertex_table_after(monkeypatch, make_program, make_graph, symmetrize, mode, 
         graph = vx.load_graph(
             "g", src, dst, weights=weights, num_vertices=n, symmetrize=symmetrize
         )
-        result = vx.run(
-            graph,
-            make_program(),
-            update_strategy="replace" if mode == "replace" else "update",
-            max_supersteps=supersteps,
-        )
+        result = vx.run(graph, make_program(), max_supersteps=supersteps, **options)
     paths = [step.update_path for step in result.stats.supersteps]
-    return vx.db.table(graph.vertex_table).data(), paths
+    tables = vx.db.table(graph.vertex_table).data(), vx.db.table(graph.message_table).data()
+    return tables, paths
+
+
+def vertex_table_after(monkeypatch, make_program, make_graph, symmetrize, mode, supersteps):
+    """The vertex table of :func:`tables_after`, plus the update paths."""
+    (vertices, _), paths = tables_after(
+        monkeypatch, make_program, make_graph, symmetrize, mode, supersteps
+    )
+    return vertices, paths
 
 
 @pytest.mark.parametrize("make_program, make_graph, symmetrize", CASES + NULL_CASES)
@@ -204,13 +254,18 @@ def test_set_update_matches_per_tuple_reference_after_every_superstep(
     assert paths.count("update") >= 2  # the path under test really ran
     for supersteps in range(1, len(paths) + 1):
         tables = {
-            mode: vertex_table_after(
+            mode: tables_after(
                 monkeypatch, make_program, make_graph, symmetrize, mode, supersteps
             )[0]
-            for mode in ("update", "reference", "replace")
+            for mode in ("update", "reference", "replace", "shards")
         }
-        assert_tables_identical(tables["update"], tables["reference"])
-        assert_tables_identical(in_id_order(tables["update"]), in_id_order(tables["replace"]))
+        vertices = {mode: pair[0] for mode, pair in tables.items()}
+        assert_tables_identical(vertices["update"], vertices["reference"])
+        assert_tables_identical(vertices["update"], vertices["shards"])
+        assert_tables_identical(in_id_order(vertices["update"]), in_id_order(vertices["replace"]))
+        assert_tables_identical(
+            in_route_order(tables["update"][1]), in_route_order(tables["shards"][1])
+        )
 
 
 def test_null_cases_write_nulls_and_both_halt_states(monkeypatch):
@@ -247,11 +302,11 @@ def staged_apply(apply, shuffle: bool):
     staged = RecordBatch.from_rows(
         staging.schema,
         [
-            (0, 7, None, 1.5, None, True),
-            (0, 2, None, None, None, False),
-            (1, 3, 4, 9.0, None, None),
-            (0, 11, None, -2.25, None, True),
-            (0, 0, None, 0.0, None, False),
+            (0, 7, None, True, None, 1.5),
+            (0, 2, None, False, None, None),
+            (1, 3, 4, None, None, 9.0),
+            (0, 11, None, True, None, -2.25),
+            (0, 0, None, False, None, 0.0),
         ],
     )
     vx.storage.stage_worker_output(graph, staged)
@@ -319,14 +374,8 @@ def test_statements_per_update_step_do_not_grow_with_the_frontier(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Pinned, not fixed: INTEGER payloads above 2^53
+# INTEGER payloads above 2^53
 # ----------------------------------------------------------------------
-@pytest.mark.xfail(
-    strict=True,
-    reason="the staging / union schema carries every numeric scalar payload "
-    "in the FLOAT f1 column, so INTEGER values above 2^53 are rounded on "
-    "both planes; the fix is an int64 payload column end to end",
-)
 @pytest.mark.parametrize(
     "options",
     [
@@ -342,5 +391,5 @@ def test_integer_labels_above_2_pow_53_are_exact(options):
     vx = Vertexica()
     graph = vx.load_graph("path", ids[:-1], ids[1:], symmetrize=True)
     values = vx.run(graph, ConnectedComponents(), **options).values
-    # today every label reads 2^53, which is not even a vertex id
+    # through a FLOAT payload column every label read 2^53, not even a vertex id
     assert values == {vid: 2**53 + 1 for vid in ids}

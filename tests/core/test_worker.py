@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.api import Vertex
+from repro.core.codecs import FLOAT_CODEC, INTEGER_CODEC, JSON_CODEC, vector_codec
 from repro.core.program import VertexProgram
-from repro.core.storage import GraphStorage
+from repro.core.storage import GraphStorage, payload_layout
 from repro.core.worker import VertexWorker, worker_output_schema
 from repro.engine import Database
 from repro.errors import ProgramError
@@ -136,5 +137,43 @@ class TestJoinFormat:
 
 class TestOutputSchema:
     def test_schema_shape(self):
-        schema = worker_output_schema()
-        assert schema.names() == ["kind", "vid", "dst", "f1", "s1", "halted"]
+        schema = worker_output_schema(payload_layout(PageRank(iterations=1)))
+        assert schema.names() == ["kind", "vid", "dst", "halted", "f1", "p0"]
+        assert [c.dtype.name for c in schema] == [
+            "INTEGER", "INTEGER", "INTEGER", "BOOLEAN", "FLOAT", "FLOAT"
+        ]
+
+    @pytest.mark.parametrize(
+        "vertex_codec, message_codec, lane, vertex, message",
+        [
+            (INTEGER_CODEC, INTEGER_CODEC, ["INTEGER"], ["p0"], ["p0"]),
+            (JSON_CODEC, JSON_CODEC, ["VARCHAR"], ["p0"], ["p0"]),
+            (FLOAT_CODEC, vector_codec(3), ["FLOAT"] * 3, ["p0"], ["p0", "p1", "p2"]),
+            (vector_codec(2), FLOAT_CODEC, ["FLOAT"] * 2, ["p0", "p1"], ["p0"]),
+            (INTEGER_CODEC, FLOAT_CODEC, ["INTEGER", "FLOAT"], ["p0"], ["p1"]),
+            (JSON_CODEC, FLOAT_CODEC, ["VARCHAR", "FLOAT"], ["p0"], ["p1"]),
+            (vector_codec(2), INTEGER_CODEC, ["FLOAT", "FLOAT", "INTEGER"], ["p0", "p1"], ["p2"]),
+        ],
+        ids=["integer", "varchar", "float+vector", "vector+float", "integer+float",
+             "varchar+float", "vector+integer"],
+    )
+    def test_lane_columns_are_typed_by_their_codec(
+        self, vertex_codec, message_codec, lane, vertex, message
+    ):
+        """Codecs of one SQL type share the lane from p0; otherwise the
+        message lane follows the vertex lane.  No object column exists
+        unless a codec is VARCHAR."""
+
+        class Program(VertexProgram):
+            def compute(self, v):
+                v.vote_to_halt()
+
+        program = Program()
+        program.vertex_codec, program.message_codec = vertex_codec, message_codec
+        layout = payload_layout(program)
+        schema = worker_output_schema(layout)
+        assert schema.names()[5:] == [f"p{j}" for j in range(len(lane))]
+        assert [c.dtype.name for c in schema][5:] == lane
+        assert (list(layout.vertex), list(layout.message)) == (vertex, message)
+        has_object_column = "VARCHAR" in [c.dtype.name for c in schema]
+        assert has_object_column == (JSON_CODEC in (vertex_codec, message_codec))

@@ -167,6 +167,11 @@ class TestCast:
     def test_cast_preserves_nulls(self):
         assert run(CastExpr(ColumnRef("f"), "integer")) == [1, -2, None]
 
+    @pytest.mark.parametrize("dtype", [INTEGER, FLOAT, VARCHAR, BOOLEAN])
+    def test_cast_of_null_is_a_typed_null(self, dtype):
+        out = evaluate(CastExpr(Literal(None), dtype.name), BATCH, REGISTRY)
+        assert out.dtype is dtype and out.to_list() == [None, None, None]
+
 
 class TestHelpers:
     def test_expression_name(self):
