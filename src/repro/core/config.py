@@ -33,8 +33,9 @@ class VertexicaConfig:
             results), parallelism only changes wall-clock.
         executor: what runs the per-superstep partition/shard tasks when
             ``n_workers > 1``.  ``"threads"`` (default) uses one thread
-            pool held for the whole run; ``"processes"`` runs shard tasks
-            on ``n_workers`` persistent worker *processes* over
+            pool held by the session; ``"processes"`` runs shard tasks
+            on ``n_workers`` persistent worker *processes*, also held by
+            the session (spawned once, not per run), over
             shared-memory shard state — sidestepping the GIL for
             pure-Python compute — and requires ``data_plane="shards"``
             (the SQL plane's staging is engine-resident and cannot cross

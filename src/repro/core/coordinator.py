@@ -22,7 +22,10 @@ per-superstep stats, and drives steps (a)–(c) through the small
   ``superstep_sync`` policy).  Bit-identical to the SQL plane.
 
 Either way, ``n_workers > 1`` executes partition/shard tasks on one pool
-(threads, or worker processes) held for the whole run.
+(threads, or worker processes) that the run leases from its session
+(:class:`~repro.engine.parallel.SessionPools`) for its whole length: the
+pool outlives the run and is spawned once per session, not per run, and
+a run's own context reaches it as the plane's bootstrap.
 
 Fault tolerance is the Giraph contract: with ``checkpoint_every=N`` the
 run snapshots its durable state every N completed supersteps
@@ -48,7 +51,7 @@ from repro.core.shards import ShardedDataPlane
 from repro.core.sqlplane import SqlDataPlane
 from repro.core.storage import GraphHandle, GraphStorage
 from repro.engine.database import Database
-from repro.engine.parallel import PartitionExecutor, ProcessExecutor, ThreadExecutor
+from repro.engine.parallel import NO_SESSION, PartitionExecutor, SessionPools
 from repro.errors import VertexicaError
 
 __all__ = ["Coordinator", "DataPlane", "register_coordinator", "SUPERSTEP_SAFETY_LIMIT"]
@@ -88,12 +91,17 @@ class DataPlane(Protocol):
 
 
 class Coordinator:
-    """Drives one vertex-program run over one graph."""
+    """Drives one vertex-program run over one graph, on a worker pool
+    leased from ``pools`` (the session's; without one, every run leases
+    a private pool)."""
 
-    def __init__(self, db: Database, config: VertexicaConfig) -> None:
+    def __init__(
+        self, db: Database, config: VertexicaConfig, pools: SessionPools | None = None
+    ) -> None:
         self.db = db
         self.config = config.validated()
         self.storage = GraphStorage(db)
+        self.pools = pools if pools is not None else NO_SESSION
 
     # ------------------------------------------------------------------
     def run(self, graph: GraphHandle, program: VertexProgram) -> RunStats:
@@ -142,11 +150,10 @@ class Coordinator:
         compute_path = "batch" if use_batch else "scalar"
         sync_every = config.superstep_sync == "every"
         rollbacks_left = config.task_retries
-        # One pool for the whole run (closed on exit); a fresh pool per
-        # superstep would put thread (or process) spawns on the hot loop.
-        # With one worker neither kind spawns anything: tasks run serially.
-        pool = ProcessExecutor if config.executor == "processes" else ThreadExecutor
-        with pool(config.n_workers) as executor:
+        # The session's pool for the whole run: spawned once per session,
+        # not per run or per superstep.  With one worker neither kind
+        # spawns anything: tasks run serially.
+        with self.pools.lease(config.executor, config.n_workers) as executor:
             plane = self._build_plane(graph, program, use_batch, executor)
             # The plane may hold shared-memory segments or a registered
             # transform; `plane` is rebound on rollback rebuilds and the
@@ -222,6 +229,13 @@ class Coordinator:
                     # vertex values (and any messages still pending under a
                     # superstep cap) become visible to SQL exactly once.
                     plane.sync_tables(superstep)
+            except BaseException as exc:
+                if not isinstance(exc, Exception):
+                    # A kill may have cut a worker exchange short: drop the
+                    # pool (the next run respawns it) before the plane's
+                    # close would talk to its workers.
+                    executor.close()
+                raise
             finally:
                 plane.close()
         stats.total_seconds = time.perf_counter() - started
@@ -305,17 +319,21 @@ class Coordinator:
         return supports_batch(program)
 
 
-def register_coordinator(db: Database) -> None:
+def register_coordinator(db: Database, pools: SessionPools | None = None) -> None:
     """Install the coordinator as the stored procedure ``vertexica_run``,
     matching the paper's architecture ("We implement the coordinator as a
     stored procedure").  Call it via::
 
         db.call("vertexica_run", graph_handle, program, config)
+
+    Its runs lease their worker pool from ``pools`` — the session's, the
+    procedure's long-lived server resources (``None``: every run leases a
+    private pool).
     """
 
     def procedure(
         db_: Database, graph: GraphHandle, program: VertexProgram, config: VertexicaConfig
     ) -> RunStats:
-        return Coordinator(db_, config).run(graph, program)
+        return Coordinator(db_, config, pools).run(graph, program)
 
     db.register_procedure("vertexica_run", procedure)

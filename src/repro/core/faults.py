@@ -331,7 +331,7 @@ def active_plan_json() -> str | None:
     ``None`` when no plan is armed.
 
     This is how the process-parallel shard plane ships fault plans into
-    its worker processes: the bootstrap captures the JSON at pool start
+    its worker processes: each run's plane bootstrap captures the JSON
     and re-activates it child-side, so ``shard.compute`` trips inside
     the process that actually runs the shard.  Spec budgets are restated
     in full (each child gets its own counters); plans targeting a

@@ -449,7 +449,7 @@ class VertexBatch:
         when ``mask`` is ``None``) — the block's *edge-aligned tag*: the
         block holds exactly one row per out-edge of the selected
         vertices, in CSR order, which is what lets the shard plane route
-        it through a sort-once plan instead of sorting it."""
+        it through the delivery plan instead of sorting it."""
         if mask is None:
             return np.ones(self.size, dtype=bool)
         sending = np.asarray(mask, dtype=bool)

@@ -12,10 +12,16 @@ analyst needs::
 
 The database stays fully accessible (``vx.sql(...)``) so graph runs can be
 freely mixed with relational pre-/post-processing — the paper's §3.4.
+
+A ``Vertexica`` is a session: it also owns the worker pools its runs
+lease, spawned on first need and kept between runs.  ``vx.close()`` (or
+leaving ``with Vertexica() as vx:``, or dropping the last reference)
+shuts them down.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -28,6 +34,7 @@ from repro.core.metrics import RunStats
 from repro.core.program import VertexProgram
 from repro.core.storage import GraphHandle, GraphStorage
 from repro.engine.database import Database, Result
+from repro.engine.parallel import SessionPools
 from repro.engine.persistence import read_checkpoint_metadata
 from repro.engine.sql.ast import (
     ConnectClause,
@@ -69,25 +76,57 @@ class VertexicaResult:
 
 
 class Vertexica:
-    """Vertex-centric graph analytics on top of the relational engine."""
+    """Vertex-centric graph analytics on top of the relational engine.
 
-    def __init__(self, db: Database | None = None, config: VertexicaConfig | None = None) -> None:
+    Args:
+        db: the database to work in (default: a fresh one).
+        config: run configuration; ``run()`` keyword overrides apply on
+            top of it.
+        pools: worker pools to lease runs from instead of owning a set —
+            how a serving tier's shadow sessions share the live session's
+            pool.  Borrowed pools are never closed by this session.
+    """
+
+    def __init__(
+        self,
+        db: Database | None = None,
+        config: VertexicaConfig | None = None,
+        *,
+        pools: SessionPools | None = None,
+    ) -> None:
         self.db = db if db is not None else Database()
         self.config = (config or VertexicaConfig()).validated()
         self.storage = GraphStorage(self.db)
         self._graph_views: dict[str, GraphViewHandle] = {}
-        register_coordinator(self.db)
+        #: the worker pools runs and view extractions lease
+        self.pools = pools if pools is not None else SessionPools()
+        # Owned pools close with the session; the finalizer holds the
+        # pools, not the session, so dropping the last reference suffices.
+        self._release = (
+            weakref.finalize(self, self.pools.close) if pools is None else None
+        )
+        register_coordinator(self.db, self.pools)
         # SQL surface for graph views: the engine parses CREATE/DROP GRAPH
-        # VIEW, this layer executes them.
-        self.db.register_statement_handler(
-            CreateGraphViewStatement, self._execute_create_graph_view
-        )
-        self.db.register_statement_handler(
-            DropGraphViewStatement, self._execute_drop_graph_view
-        )
-        self.db.register_statement_handler(
-            RefreshGraphViewStatement, self._execute_refresh_graph_view
-        )
+        # VIEW, this layer executes them.  Registered weakly: the database
+        # must not keep its session (and the session's pools) alive.
+        for statement_type, method in (
+            (CreateGraphViewStatement, self._execute_create_graph_view),
+            (DropGraphViewStatement, self._execute_drop_graph_view),
+            (RefreshGraphViewStatement, self._execute_refresh_graph_view),
+        ):
+            self.db.register_statement_handler(statement_type, _weak_handler(method))
+
+    def close(self) -> None:
+        """Shut down the session's worker pools (idempotent).  The session
+        stays usable; later runs lease private per-run pools."""
+        if self._release is not None:
+            self._release()
+
+    def __enter__(self) -> "Vertexica":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Graph loading
@@ -197,6 +236,7 @@ class Vertexica:
             materialized=materialized,
             delta_threshold=delta_threshold,
             options=extraction,
+            pools=self.pools,
         )
         if materialized:
             handle.refresh()
@@ -318,6 +358,7 @@ class Vertexica:
                 view_from_dict(entry["view"]),
                 materialized=entry.get("materialized", True),
                 delta_threshold=entry.get("delta_threshold", DEFAULT_DELTA_THRESHOLD),
+                pools=vx.pools,
             )
             if handle.materialized:
                 handle.attach_existing(entry.get("base_table_versions"))
@@ -383,7 +424,9 @@ class Vertexica:
         if isinstance(graph, GraphView):
             name = graph.name or "adhoc_view"
             return resolving(
-                GraphViewHandle(self.db, self.storage, name, graph, materialized=False)
+                GraphViewHandle(
+                    self.db, self.storage, name, graph, materialized=False, pools=self.pools
+                )
             )
         if isinstance(graph, str):
             if graph in self._graph_views:
@@ -419,6 +462,24 @@ class Vertexica:
         from repro.serving.service import VertexicaService  # lazy: avoid cycle
 
         return VertexicaService(self, **options)
+
+
+def _weak_handler(method: Any) -> Any:
+    """A statement handler that reaches the bound ``method`` through a
+    weak reference, so the database holding the handler does not keep
+    the method's session alive."""
+    ref = weakref.WeakMethod(method)
+
+    def handler(db: Database, statement: Any) -> Result:
+        target = ref()
+        if target is None:
+            raise GraphViewError(
+                f"{type(statement).__name__} needs the Vertexica session of this "
+                "database, which no longer exists"
+            )
+        return target(db, statement)
+
+    return handler
 
 
 def _maybe_sql(expr: Any) -> str | None:

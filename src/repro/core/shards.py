@@ -65,8 +65,10 @@ ids, halt flags, encoded values, validity, CSR edges — are copied into
 the run's vertex state is rebound to views over them (the index's arrays
 are only copied: they outlive the run's segments).  A picklable
 bootstrap ships the program closure, segment descriptors, and the armed
-fault plan to every worker process exactly once (at pool start and on
-plane rebuilds); per superstep only a tiny :class:`_ProcessStep`
+fault plan to every worker process of the session's pool exactly once
+per plane (at run start and on plane rebuilds), and closing the plane
+tells the workers to drop it again, so an idle pool maps no segment
+between runs; per superstep only a tiny :class:`_ProcessStep`
 descriptor crosses the pipe.  Message inboxes are published into fresh
 shared segments each superstep (VARCHAR-codec payloads, which have no
 fixed width, ship inline by pickle instead).  Every shard task returns a
@@ -883,8 +885,17 @@ class ShardedDataPlane:
         return descriptors
 
     def close(self) -> None:
-        """Release the plane's shared segments (creator side; idempotent).
-        A plane without process execution holds none — no-op."""
+        """Release the plane (idempotent): the worker processes drop their
+        views of its segments — the pool outlives the run — and the
+        segments are unlinked.  A plane without process execution holds
+        none — no-op."""
+        executor, self._proc_executor = self._proc_executor, None
+        if executor is not None:
+            executor.reset(_release_child_planes)
+        self._unlink_segments()
+
+    def _unlink_segments(self) -> None:
+        """Unlink the plane's shared segments (creator side; idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -895,11 +906,12 @@ class ShardedDataPlane:
             group.unlink()
         self._msg_groups = [None] * self.n_shards
         self._shard_groups = []
-        self._proc_executor = None
 
     def __del__(self) -> None:  # best-effort: never leak shm segments
+        # Unlink only: talking to a pool from the collector could cut into
+        # another run's exchange with it.
         try:
-            self.close()
+            self._unlink_segments()
         except Exception:
             pass
 
@@ -1112,6 +1124,15 @@ class ShardedDataPlane:
 _CHILD_PLANES: dict[str, "_ChildPlane"] = {}
 
 
+def _release_child_planes() -> None:
+    """Worker-process side of handing the pool back: drop every installed
+    plane's segment views and disarm the run's fault plan."""
+    for plane in _CHILD_PLANES.values():
+        plane.close()
+    _CHILD_PLANES.clear()
+    faults.deactivate()
+
+
 @dataclass(frozen=True)
 class _PlaneBootstrap:
     """The pickled-once worker bootstrap a plane installs at pool start.
@@ -1132,13 +1153,9 @@ class _PlaneBootstrap:
     fault_plan: str | None
 
     def __call__(self) -> None:
-        for plane in _CHILD_PLANES.values():
-            plane.close()
-        _CHILD_PLANES.clear()
+        _release_child_planes()
         if self.fault_plan is not None:
             faults.activate(faults.FaultPlan.from_json(self.fault_plan))
-        else:
-            faults.deactivate()
         _CHILD_PLANES[self.token] = _ChildPlane(self)
 
 

@@ -21,10 +21,13 @@ record-batch partitions for transform UDFs, resident shards for the
 sharded data plane — and must return outputs in task order so results
 stay deterministic regardless of scheduling.
 
-Pool-backed executors hold one pool for their whole lifetime: the
-coordinator creates one per run and reuses it every superstep
-(constructing and tearing down a pool per superstep costs thread/process
-spawns on the hot loop).  Both are context managers; exiting (or
+Pool-backed executors hold one pool for their whole lifetime, and that
+lifetime is a *session's*: a :class:`SessionPools` (one per
+``Vertexica``) owns at most one pool of each kind and lends it to one
+run at a time (:meth:`SessionPools.lease`), so worker processes are
+spawned once per session rather than once per run or per superstep.  A
+run's own context crosses in its :meth:`ProcessExecutor.install`
+bootstrap.  Both executors are context managers; exiting (or
 ``close()``) shuts the pool down.
 
 Failure contract (shared): the earliest failed task's exception
@@ -50,7 +53,8 @@ import pickle
 import threading
 import traceback
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from typing import Any, Callable, Sequence
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Sequence
 
 __all__ = [
     "serial_executor",
@@ -58,6 +62,8 @@ __all__ = [
     "PartitionExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
+    "SessionPools",
+    "NO_SESSION",
     "WorkerProcessDied",
     "RemoteTaskError",
 ]
@@ -103,8 +109,9 @@ class ThreadExecutor:
     """A pool-backed executor that preserves task order in its output.
 
     The pool is created lazily on the first multi-task call and then
-    reused for every subsequent call until :meth:`close` — one thread
-    spawn per run, not per superstep.
+    reused for every subsequent call until :meth:`close` — held by the
+    session (:class:`SessionPools`), so threads are spawned once per
+    session, not per run or per superstep.
 
     Args:
         n_threads: pool size; values below 1 are clamped to 1.
@@ -276,9 +283,12 @@ def _process_worker_main(conn) -> None:
 class ProcessExecutor:
     """Persistent spawned worker processes behind the executor seam.
 
-    Workers are spawned lazily on the first multi-task call and reused
-    for every subsequent call until :meth:`close` — one process spawn
-    (plus one interpreter import) per run, not per superstep.  Tasks are
+    Workers are spawned lazily on the first multi-task call (or
+    :meth:`install`) and reused for every subsequent call until
+    :meth:`close`.  The pool lives as long as its session
+    (:class:`SessionPools`): one process spawn (plus one interpreter
+    import) per session, while each run installs its own bootstrap and
+    :meth:`reset`\\ s the workers when it ends.  Tasks are
     round-robin assigned in task order and each worker streams its
     results back in submission order, so output order is deterministic.
 
@@ -315,20 +325,39 @@ class ProcessExecutor:
         raised in a worker.
 
         Installing also spawns the pool eagerly when it does not exist
-        yet: interpreter start-up and imports are run *setup* cost, and
-        paying them here keeps them off the first superstep's clock.
+        yet: interpreter start-up and imports are *setup* cost, and
+        paying them here keeps them off the first superstep's clock.  A
+        live pool (a session's, between runs) whose worker died while it
+        sat idle is respawned rather than handed to the run.
         """
         payload = pickle.dumps(setup, protocol=pickle.HIGHEST_PROTOCOL)
         with self._lock:
             self._setup = payload
             workers = list(self._workers)
-        if not workers and self.n_processes > 1:
+        if workers:
+            try:
+                self._broadcast(workers, payload)
+                return
+            except (EOFError, OSError):
+                self.close()
+        if self.n_processes > 1:
             self._ensure_workers()  # spawns and replays the stored setup
-            return
-        for _, conn in workers:
-            conn.send(("setup", payload))
-        for _, conn in workers:
-            self._expect_ack(conn)
+
+    def reset(self, teardown: Callable[[], Any]) -> None:
+        """Hand the pool back clean: forget the installed bootstrap and
+        run the zero-arg ``teardown`` in every live worker.
+
+        Spawns nothing.  A pool with a dead worker is closed instead; the
+        next call respawns it with no bootstrap.
+        """
+        payload = pickle.dumps(teardown, protocol=pickle.HIGHEST_PROTOCOL)
+        with self._lock:
+            self._setup = None
+            workers = list(self._workers)
+        try:
+            self._broadcast(workers, payload)
+        except (EOFError, OSError):
+            self.close()
 
     def __call__(
         self,
@@ -402,17 +431,20 @@ class ProcessExecutor:
                 spawned.append((proc, parent_conn))
             self._workers = spawned
         if setup is not None:
-            for _, conn in spawned:
-                conn.send(("setup", setup))
-            for _, conn in spawned:
-                self._expect_ack(conn)
+            self._broadcast(spawned, setup)
         return list(spawned)
 
     @staticmethod
-    def _expect_ack(conn) -> None:
-        tag, payload = conn.recv()
-        if tag == "err":
-            raise _decode_exception(payload)
+    def _broadcast(workers: list[tuple[Any, Any]], payload: bytes) -> None:
+        """Run a pickled zero-arg callable in every worker.  Every reply
+        is read before the first failure is raised, so the pipes stay in
+        step for the pool's next use."""
+        for _, conn in workers:
+            conn.send(("setup", payload))
+        replies = [conn.recv() for _, conn in workers]
+        for tag, body in replies:
+            if tag == "err":
+                raise _decode_exception(body)
 
     def close(self) -> None:
         """Shut the pool down (idempotent; a closed executor stays
@@ -443,6 +475,91 @@ class ProcessExecutor:
             self.close()
         except Exception:
             pass
+
+
+# ---------------------------------------------------------------------------
+# Session-owned pools
+# ---------------------------------------------------------------------------
+class SessionPools:
+    """The worker pools one session owns: at most one
+    :class:`ProcessExecutor` and one :class:`ThreadExecutor`, kept
+    between runs.
+
+    :meth:`lease` lends the pool of a kind to one caller at a time; a
+    caller that finds it lent out (a concurrent run on the same session)
+    gets a private pool for the duration of its lease instead of
+    waiting, so two runs never interleave on one set of pipes.
+    :meth:`close` shuts the held pools down; a closed holder keeps
+    working, handing every lease a private pool.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: kind -> (worker count, pool)
+        self._held: dict[str, tuple[int, ThreadExecutor | ProcessExecutor]] = {}
+        self._leased: set[str] = set()
+        self._closed = False
+
+    @contextmanager
+    def lease(
+        self, kind: str, n_workers: int
+    ) -> Iterator[ThreadExecutor | ProcessExecutor]:
+        """Lend the ``kind`` (``"threads"`` or ``"processes"``) pool of
+        ``n_workers`` workers for the ``with`` block.
+
+        A held pool of another size is closed and replaced.  With
+        ``n_workers <= 1`` the block gets a private executor, which runs
+        tasks serially and spawns nothing, and the held pool is left
+        alone.  An exit through a ``BaseException`` that is not an
+        ``Exception`` (an injected kill, an interrupt) closes the pool —
+        it may have cut a message exchange short — and the next lease
+        respawns it; so does a lost worker (:class:`ProcessExecutor`
+        closes itself then).
+        """
+        factory = ProcessExecutor if kind == "processes" else ThreadExecutor
+        stale = None
+        with self._lock:
+            shared = n_workers > 1 and not self._closed and kind not in self._leased
+            if shared:
+                self._leased.add(kind)
+                size, pool = self._held.get(kind, (0, None))
+                if size != n_workers:
+                    stale, pool = pool, factory(n_workers)
+                    self._held[kind] = (n_workers, pool)
+        if not shared:
+            with factory(n_workers) as private:
+                yield private
+            return
+        try:
+            if stale is not None:
+                stale.close()
+            yield pool
+        except BaseException as exc:
+            if not isinstance(exc, Exception):
+                pool.close()
+            raise
+        finally:
+            with self._lock:
+                self._leased.discard(kind)
+                orphaned = self._closed and self._held.pop(kind, None) is not None
+            if orphaned:  # the session closed while the pool was lent out
+                pool.close()
+
+    def close(self) -> None:
+        """Shut the held pools down (idempotent).  A pool lent out right
+        now is shut down when its lease ends."""
+        with self._lock:
+            self._closed = True
+            idle = [kind for kind in self._held if kind not in self._leased]
+            pools = [self._held.pop(kind)[1] for kind in idle]
+        for pool in pools:
+            pool.close()
+
+
+#: The holder of code that runs outside any session: closed, so every
+#: lease is a private pool that lives as long as the lease.
+NO_SESSION = SessionPools()
+NO_SESSION.close()
 
 
 def recommended_process_count() -> int:

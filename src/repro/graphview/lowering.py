@@ -47,8 +47,9 @@ import numpy as np
 from repro.engine.database import Database
 from repro.engine.operators import stable_int_order
 from repro.engine.parallel import (
-    ProcessExecutor,
-    make_thread_executor,
+    NO_SESSION,
+    PartitionExecutor,
+    SessionPools,
     recommended_process_count,
 )
 from repro.engine.table import Table
@@ -437,9 +438,13 @@ def _run_serial(db: Database, jobs: list[_QueryJob]) -> tuple[list[list], int]:
 
 
 def _run_threads(
-    db: Database, jobs: list[_QueryJob], workers: int, options: ExtractionOptions
+    db: Database,
+    jobs: list[_QueryJob],
+    workers: int,
+    options: ExtractionOptions,
+    executor: PartitionExecutor,
 ) -> tuple[list[list], int]:
-    """Plan every unit under the database lock, execute lock-free on a
+    """Plan every unit under the database lock, execute lock-free on the
     thread pool.  Scratch slice tables exist only while their unit plans."""
     units: list[tuple[int, object]] = []  # (job index, plan)
     with db.lock:
@@ -454,7 +459,6 @@ def _run_threads(
                 else:
                     plan = _plan_over_slice(db, job, bounds)
                 units.append((job_index, plan))
-    executor = make_thread_executor(workers)
     try:
         batches = executor(
             lambda plan, index: plan.execute(),
@@ -462,8 +466,6 @@ def _run_threads(
         )
     except EngineError as exc:
         raise GraphViewError(f"graph-view extraction failed: {exc}") from exc
-    finally:
-        executor.close()
     per_job: list[list] = [[] for _ in jobs]
     for (job_index, _), batch in zip(units, batches):
         per_job[job_index].append(batch)
@@ -500,9 +502,13 @@ def _execute_remote_unit(item, index):
 
 
 def _run_processes(
-    db: Database, jobs: list[_QueryJob], workers: int, options: ExtractionOptions
+    db: Database,
+    jobs: list[_QueryJob],
+    workers: int,
+    options: ExtractionOptions,
+    executor: PartitionExecutor,
 ) -> tuple[list[list], int]:
-    """Ship each unit's slice of base data to spawned workers."""
+    """Ship each unit's slice of base data to the worker processes."""
     units: list[tuple[int, tuple]] = []  # (job index, (sql, tables))
     with db.lock:
         for job_index, job in enumerate(jobs):
@@ -521,7 +527,6 @@ def _run_processes(
                     ]
                     sql = job.sql_for(scratch)
                 units.append((job_index, (sql, payload_tables)))
-    executor = ProcessExecutor(workers)
     try:
         batches = executor(
             _execute_remote_unit,
@@ -529,8 +534,6 @@ def _run_processes(
         )
     except EngineError as exc:
         raise GraphViewError(f"graph-view extraction failed: {exc}") from exc
-    finally:
-        executor.close()
     per_job: list[list] = [[] for _ in jobs]
     for (job_index, _), batch in zip(units, batches):
         per_job[job_index].append(batch)
@@ -556,12 +559,17 @@ def _job_tables(job: _QueryJob) -> set[str]:
 # The driver
 # ---------------------------------------------------------------------------
 def lower_view(
-    db: Database, view: GraphView, options: ExtractionOptions | None = None
+    db: Database,
+    view: GraphView,
+    options: ExtractionOptions | None = None,
+    pools: SessionPools | None = None,
 ) -> LoweredExtraction:
     """Run every compiled query of ``view`` and convert the results.
 
     Serial, thread, and process execution produce bit-identical per-spec
-    arrays; see the module docstring for how each strategy works.
+    arrays; see the module docstring for how each strategy works.  A
+    parallel lowering leases its pool from ``pools`` — the session's, the
+    same one its runs use — or, without one, a private pool.
     """
     options = options or ExtractionOptions()
     options.validate()
@@ -570,11 +578,10 @@ def lower_view(
     if workers == 1:
         per_job, num_queries = _run_serial(db, jobs)
         parallelism = 1
-    elif options.executor == "threads":
-        per_job, num_queries = _run_threads(db, jobs, workers, options)
-        parallelism = workers
     else:
-        per_job, num_queries = _run_processes(db, jobs, workers, options)
+        run = _run_threads if options.executor == "threads" else _run_processes
+        with (pools or NO_SESSION).lease(options.executor, workers) as executor:
+            per_job, num_queries = run(db, jobs, workers, options, executor)
         parallelism = workers
 
     result = LoweredExtraction(

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.storage import GraphHandle, GraphStorage, canonical_edge_order
 from repro.engine.database import Database
+from repro.engine.parallel import SessionPools
 from repro.errors import GraphLoadError, GraphViewError
 from repro.graphview import maintenance
 from repro.graphview.lowering import (
@@ -105,17 +106,20 @@ class ExtractionStats:
 
 
 def _run_extraction(
-    db: Database, view: GraphView, options: ExtractionOptions | None
+    db: Database,
+    view: GraphView,
+    options: ExtractionOptions | None,
+    pools: SessionPools | None = None,
 ) -> LoweredExtraction:
     """Execute every compiled query; return per-spec arrays.
 
     Delegates to :func:`repro.graphview.lowering.lower_view`, which fans
-    the compiled queries across the configured executor and lowers
-    co-occurrence specs through pairwise expansion — every executor and
-    co-occurrence mode (except the lossy ``"capped"`` one) produces
-    bit-identical arrays.
+    the compiled queries across the configured executor (leased from
+    ``pools``) and lowers co-occurrence specs through pairwise expansion
+    — every executor and co-occurrence mode (except the lossy
+    ``"capped"`` one) produces bit-identical arrays.
     """
-    return lower_view(db, view, options)
+    return lower_view(db, view, options, pools)
 
 
 def extract_graph(
@@ -148,12 +152,13 @@ def _extract_with_state(
     view: GraphView,
     want_state: bool,
     options: ExtractionOptions | None = None,
+    pools: SessionPools | None = None,
 ) -> tuple[GraphHandle, ExtractionStats, MaintenanceState | None]:
     """Full extraction, optionally also building maintenance state from
     the same per-spec arrays (no base table is scanned twice)."""
     view.validate()
     started = time.perf_counter()
-    lowered = _run_extraction(db, view, options)
+    lowered = _run_extraction(db, view, options, pools)
     lowered_at = time.perf_counter()
     node_parts, edge_parts = lowered.node_parts, lowered.edge_parts
 
@@ -218,7 +223,9 @@ class GraphViewHandle:
 
     ``options`` configures how full extractions execute (executor and
     worker count, co-occurrence lowering mode); ``None`` means serial
-    exact-expansion defaults.
+    exact-expansion defaults.  Parallel extractions lease their executor
+    from ``pools`` (the session's); ``None`` gives each one a private
+    pool.
     """
 
     def __init__(
@@ -230,6 +237,7 @@ class GraphViewHandle:
         materialized: bool = True,
         delta_threshold: float = DEFAULT_DELTA_THRESHOLD,
         options: ExtractionOptions | None = None,
+        pools: SessionPools | None = None,
     ) -> None:
         if not name or not name.isidentifier():
             raise GraphViewError(f"graph view name must be an identifier, got {name!r}")
@@ -244,6 +252,7 @@ class GraphViewHandle:
         self.materialized = materialized
         self.delta_threshold = delta_threshold
         self.options = options
+        self.pools = pools
         self._handle: GraphHandle | None = None
         self._state: MaintenanceState | None = None
         #: base-table versions carried over from a checkpoint restore
@@ -305,6 +314,7 @@ class GraphViewHandle:
             self.view,
             want_state=self.materialized,
             options=self.options,
+            pools=self.pools,
         )
         self._handle = handle
         self._state = state

@@ -329,8 +329,12 @@ class ServingSession:
 
         A fresh shadow Vertexica executes each miss, so the live
         database never sees the run's vertex/message/output tables and
-        concurrent DML never sees a half-done run.  Cache hits return a
-        result whose stats carry ``served_from_cache=True``.
+        concurrent DML never sees a half-done run.  The shadow leases
+        the live session's worker pool, so misses under
+        ``executor="processes"`` spawn workers once per session, not per
+        miss (a miss that finds the pool lent out runs on a private one).
+        Cache hits return a result whose stats carry
+        ``served_from_cache=True``.
         """
         svc = self.service
         name = graph if isinstance(graph, str) else graph.name
@@ -340,7 +344,7 @@ class ServingSession:
         tables = [f"{name}_edge", f"{name}_node"]
 
         def compute(snap: Snapshot) -> VertexicaResult:
-            shadow_vx = Vertexica(db=snap.reader(tables), config=config)
+            shadow_vx = Vertexica(db=snap.reader(tables), config=config, pools=svc.vx.pools)
             return shadow_vx.run(name, program)
 
         async with self._request():

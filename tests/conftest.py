@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+import os
+from multiprocessing import shared_memory
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,6 +34,55 @@ def pytest_configure(config):
         settings.load_profile(config.getoption("--hypothesis-profile") or "repro")
 
 
+TESTS = Path(__file__).parent
+
+#: Test modules (and directories) that start worker pools or shared-memory
+#: planes, or kill runs midway; after each of their tests no child process
+#: and no plane segment of this process may survive.
+HYGIENE_SCOPES = (
+    "core/test_process_plane.py",
+    "core/test_session_pool.py",
+    "core/test_recovery.py",
+    "core/test_recovery_fuzz.py",
+    "core/test_failure_injection.py",
+    "engine/test_parallel.py",
+    "serving/",
+)
+
+
+def plane_segments() -> list[str]:
+    """This process's shared-memory plane segments in ``/dev/shm``."""
+    if not os.path.isdir("/dev/shm"):
+        return []
+    prefix = f"vxplane_{os.getpid()}_"
+    return sorted(name for name in os.listdir("/dev/shm") if name.startswith(prefix))
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers(request):
+    """Fail a test of a :data:`HYGIENE_SCOPES` module that leaves a worker
+    process or a plane segment behind, whether it passed, failed or took
+    an injected kill.  Leftovers are reaped before the assertion, so one
+    leak fails one test, not every test after it."""
+    yield
+    if not request.path.relative_to(TESTS).as_posix().startswith(HYGIENE_SCOPES):
+        return
+    gc.collect()  # a session held only by a reference cycle (a caught traceback)
+    children = multiprocessing.active_children()
+    segments = plane_segments()
+    for child in children:
+        child.terminate()
+        child.join(timeout=10)
+    for name in segments:
+        leaked = shared_memory.SharedMemory(name=name)
+        leaked.close()
+        leaked.unlink()
+    assert not children and not segments, (
+        f"leaked worker processes {[child.pid for child in children]} "
+        f"and plane segments {segments}"
+    )
+
+
 @pytest.fixture
 def db() -> Database:
     """A fresh engine database."""
@@ -36,8 +91,10 @@ def db() -> Database:
 
 @pytest.fixture
 def vx() -> Vertexica:
-    """A fresh Vertexica instance (own database, default config)."""
-    return Vertexica()
+    """A fresh Vertexica instance (own database, default config), closed
+    after the test."""
+    with Vertexica() as session:
+        yield session
 
 
 @pytest.fixture

@@ -8,10 +8,12 @@ tables; the capped mode is openly lossy and must say so in its stats.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from repro.core import Vertexica
+from repro.core import Vertexica, VertexicaConfig
 from repro.datasets.relational import load_social_schema
 from repro.errors import GraphViewError
 from repro.graphview import (
@@ -23,6 +25,7 @@ from repro.graphview import (
     expand_co_occurrence,
 )
 from repro.graphview import lowering
+from repro.programs import PageRank
 
 
 def social(vx: Vertexica, **overrides):
@@ -86,6 +89,29 @@ class TestExecutorParity:
         assert_tables_identical(
             graph_tables(vx, "base"), graph_tables(vx, "par")
         )
+
+    def test_process_lowering_leases_the_session_pool(self):
+        """Process lowering runs on the session's pool, the one its runs
+        use: no second spawn, and the same bytes as serial lowering."""
+
+        def worker_pids() -> set[int]:
+            return {child.pid for child in multiprocessing.active_children()}
+
+        config = VertexicaConfig(data_plane="shards", executor="processes", n_workers=2)
+        with Vertexica(config=config) as vx:
+            view = full_view(social(vx))
+            vx.create_graph_view("base", view, extraction=ExtractionOptions(n_workers=1))
+            handle = vx.create_graph_view(
+                "par", view,
+                extraction=ExtractionOptions(executor="processes", n_workers=2, slice_min_rows=200),
+            )
+            pids = worker_pids()
+            assert len(pids) == 2
+            vx.run(handle, PageRank(iterations=3))
+            handle.refresh(incremental=False)
+            assert worker_pids() == pids
+            assert_tables_identical(graph_tables(vx, "base"), graph_tables(vx, "par"))
+        assert multiprocessing.active_children() == []
 
     def test_sliced_scan_fans_out(self):
         vx = Vertexica()

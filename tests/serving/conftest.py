@@ -34,8 +34,8 @@ def served_vx(tiny_edges) -> Vertexica:
     """A Vertexica with the tiny 5-vertex graph loaded as ``g`` plus a
     small relational table for SQL-path tests."""
     src, dst = tiny_edges
-    vx = Vertexica()
-    vx.load_graph("g", src=np.array(src), dst=np.array(dst))
-    vx.sql("CREATE TABLE kv (id INTEGER PRIMARY KEY, v INTEGER)")
-    vx.sql("INSERT INTO kv VALUES (1, 10), (2, 20), (3, 30)")
-    return vx
+    with Vertexica() as vx:
+        vx.load_graph("g", src=np.array(src), dst=np.array(dst))
+        vx.sql("CREATE TABLE kv (id INTEGER PRIMARY KEY, v INTEGER)")
+        vx.sql("INSERT INTO kv VALUES (1, 10), (2, 20), (3, 30)")
+        yield vx

@@ -4,9 +4,12 @@ control, cached runs with the ``served_from_cache`` marker, and metrics."""
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 
+import numpy as np
 import pytest
 
+from repro.core import Vertexica, VertexicaConfig
 from repro.errors import AdmissionError, ServingError
 from repro.programs import PageRank
 
@@ -194,3 +197,33 @@ class TestAdmissionAndSessions:
         assert stats["wait"]["count"] == 2 and stats["serve"]["count"] == 2
         assert stats["serve"]["p95_s"] >= stats["serve"]["p50_s"] >= 0
         assert stats["queue_depth"] == 0 and stats["in_flight"] == 0
+
+
+class TestServingOnWorkerProcesses:
+    """Serving x processes: every miss runs on the live session's pool."""
+
+    async def test_misses_equal_direct_runs_on_one_pool(self):
+        def bits(values: dict) -> bytes:
+            return np.array([values[k] for k in sorted(values)]).tobytes()
+
+        def worker_pids() -> set[int]:
+            return {child.pid for child in multiprocessing.active_children()}
+
+        vx = Vertexica(config=VertexicaConfig(
+            data_plane="shards", n_partitions=4, executor="processes", n_workers=2,
+        ))
+        vx.load_graph("g", list(range(30)), [(i * 7 + 1) % 30 for i in range(30)])
+        pids = None
+        async with vx.serve() as service:
+            async with service.session() as s:
+                for step in range(3):
+                    served = await s.run("g", PageRank(iterations=4))
+                    assert not served.stats.served_from_cache
+                    direct = vx.run("g", PageRank(iterations=4))
+                    assert bits(served.values) == bits(direct.values)
+                    pids = pids or worker_pids()
+                    assert len(pids) == 2 and worker_pids() == pids
+                    await s.sql(f"INSERT INTO g_edge VALUES ({step}, {step + 11}, 1.0)")
+        assert worker_pids() == pids  # the service borrowed the pool
+        vx.close()
+        assert multiprocessing.active_children() == []
