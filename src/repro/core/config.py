@@ -42,9 +42,11 @@ class VertexicaConfig:
             process boundaries).  ``n_workers=1`` runs serially under
             either.
         input_strategy: ``"union"`` or ``"join"`` (see module docstring).
-            Under ``"union"`` the immutable edge relation is decoded once
-            and later supersteps read the cached per-partition CSR arrays
-            instead of re-projecting the edge table through SQL.
+            Under ``"union"`` the input query carries the vertex and
+            message tables, and each partition reads its CSR out-edges
+            from the graph version's index (the shard plane's topology,
+            built once per edge-table version); ``"join"`` re-reads the
+            edges through the three-way join every superstep.
         compute_strategy: ``"auto"`` runs the vectorized batch data plane
             for programs implementing ``compute_batch`` and falls back to
             the per-vertex scalar path otherwise; ``"batch"`` requires the

@@ -24,6 +24,11 @@ class StepStats:
     vertices_ran: int
     vertex_updates: int
     messages_out: int
+    #: worker input rows, one definition on both planes: the vertex rows
+    #: plus the pending message rows, plus the edge table's rows at
+    #: superstep 0 only (a run reads its edges once; a resumed or rolled
+    #: back run does not count them again).  Under the join input format,
+    #: the join's rows (one per vertex x out-edge x message combination).
     rows_in: int
     rows_out: int
     #: "update" | "replace" (SQL plane) | "memory" (shard plane) | "none"
@@ -51,7 +56,7 @@ class SuperstepStats:
     seconds: float
     #: global aggregator values produced this superstep (name, value)
     aggregated: tuple[tuple[str, float], ...] = ()
-    #: worker input rows (vertex + edge + message tuples seen)
+    #: worker input rows (see :attr:`StepStats.rows_in`)
     rows_in: int = 0
     #: staged output rows (vertex updates + messages + aggregator partials)
     rows_out: int = 0

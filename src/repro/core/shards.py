@@ -11,9 +11,8 @@ This module keeps the run state resident instead:
    bucketing :class:`~repro.engine.operators.TransformOp` uses, so both
    planes compute over identical vertex groupings).  Each
    :class:`VertexShard` owns its sorted vertex ids, halt flags,
-   storage-encoded values, and a CSR view of its out-edges (the PR 2
-   edge-cache layout, built once per graph version — see **Lifetime** —
-   instead of decoded at superstep 0).
+   storage-encoded values, and a CSR view of its out-edges (built once
+   per graph version — see **Lifetime**).
 2. **Compute shard-local.**  Every superstep builds a
    :class:`~repro.core.worker._DecodedPartition` view straight over the
    resident arrays — no SQL, no decode — and runs the *same* layer-2
@@ -46,10 +45,14 @@ split of the vertex ids, the CSR out-edges and the delivery plan form a
 :class:`ShardIndex` of the ``(edge table, node table, n_partitions)``
 version, kept in the edge table's derived-state slot
 (:attr:`~repro.engine.table.Table.derived`), which every mutation of the
-edge table clears.  A run reuses it while both tables' ``(uid, version)``
-and ``n_partitions`` match, and otherwise rebuilds it; a run allocates
-only its own state — values, halt flags and inboxes.  Rollback and resume
-restore only the vertex and message tables, so they reuse it too.
+edge table clears.  :func:`shard_index` is its one fetch, and both data
+planes use it: this plane for its shards, the SQL plane for the out-edges
+of its union input's partitions (partition ``p`` of ``vid % n`` is shard
+``p``).  A run on either plane reuses the index while both tables'
+``(uid, version)`` and ``n_partitions`` match, and otherwise rebuilds it;
+a run allocates only its own state — values, halt flags and inboxes.
+Rollback and resume restore only the vertex and message tables, so they
+reuse it too.
 
 Relational interop is preserved by an explicit sync policy
 (``superstep_sync``): ``"every"`` mirrors the vertex/message tables
@@ -100,12 +103,14 @@ from repro.core.worker import (
     _csr_align,
     _DecodedPartition,
 )
+from repro.engine.database import Database
 from repro.engine.operators import hash_bucket_order, stable_int_order
 from repro.engine.parallel import PartitionExecutor, ProcessExecutor
 
 __all__ = [
     "ShardedDataPlane",
     "ShardIndex",
+    "shard_index",
     "DeliveryPlan",
     "VertexShard",
     "ShardTaskOutput",
@@ -185,24 +190,24 @@ def _build_delivery_plan(index: "ShardIndex") -> DeliveryPlan:
 
 
 class ShardIndex:
-    """The run-independent part of the shard plane for one graph version.
+    """The run-independent topology of one graph version, read by both
+    data planes.
 
-    Built from the vertex ids (the sorted node table) and the edge table
+    Built from the vertex ids (the sorted vertex table) and the edge table
     for ``n_shards`` shards: the vid-hash split (shard ``s`` owns
     ``vertex_ids[s]``, which are ``all_ids[split_order[split_bounds[s]:
     split_bounds[s + 1]]]``) and each shard's CSR out-edges, laid end to
     end in shard order so that :attr:`targets` / :attr:`weights` are the
     concatenation of every shard's edge list and shard ``s`` owns
     ``[edge_offsets[s]:edge_offsets[s + 1]]`` of them.  Edges sort by
-    source within a shard; equal sources keep table order, which is what
-    the SQL plane's stable per-superstep sort delivers.  Edges from ids
-    with no vertex row are dropped.  The :class:`DeliveryPlan` is built on
+    source within a shard and equal sources keep table order.  Edges from
+    ids with no vertex row are dropped.  The :class:`DeliveryPlan` is built on
     first use.
 
-    :class:`ShardedDataPlane` keeps the index in the edge table's
-    derived-state slot under :attr:`key` and reuses it across runs; every
-    array is read-only, and process execution copies them into shared
-    memory instead of rebinding them.
+    :func:`shard_index` keeps the index in the edge table's derived-state
+    slot under :attr:`key`, and both data planes reuse it across runs;
+    every array is read-only, and process execution copies them into
+    shared memory instead of rebinding them.
     """
 
     def __init__(
@@ -256,6 +261,46 @@ class ShardIndex:
         if self._plan is None:
             self._plan = _build_delivery_plan(self)
         return self._plan
+
+
+def shard_index(db: Database, graph: GraphHandle, n_shards: int) -> tuple[ShardIndex, np.ndarray]:
+    """The graph version's :class:`ShardIndex` over ``n_shards`` shards, and
+    the order that sorts the vertex table's rows by id (the index splits
+    the sorted ids) — the one topology both data planes read.
+
+    The index kept on the edge table is reused when its key — both
+    tables' ``(uid, version)`` and the shard count — matches and it split
+    these vertex ids (a vertex table restored from a checkpoint need not
+    be the node table's); otherwise a fresh one is built and left on the
+    table for later runs.
+    """
+    ids = np.asarray(db.table(graph.vertex_table).data().column("id").values, dtype=np.int64)
+    order = stable_int_order((ids,))  # a linear check: setup_run writes id order
+    ids = ids[order]
+    with db.lock:  # key and contents read together
+        edges = db.table(graph.edge_table)
+        nodes = db.table(graph.node_table)
+        key = (edges.uid, edges.version, nodes.uid, nodes.version, n_shards)
+        index = edges.derived
+        if (
+            isinstance(index, ShardIndex)
+            and index.key == key
+            and np.array_equal(index.all_ids, ids)
+        ):
+            return index, order
+        edata = edges.data()
+    index = ShardIndex(
+        key,
+        ids,
+        np.asarray(edata.column("src").values, dtype=np.int64),
+        np.asarray(edata.column("dst").values, dtype=np.int64),
+        np.asarray(edata.column("weight").values, dtype=np.float64),
+        n_shards,
+    )
+    with db.lock:
+        if (edges.uid, edges.version) == key[:2]:
+            edges.derived = index
+    return index, order
 
 
 @dataclass
@@ -688,26 +733,20 @@ class ShardedDataPlane:
     # ------------------------------------------------------------------
     def _build_shards(self) -> list[VertexShard]:
         """The run's shards: the freshly set-up vertex state split by the
-        graph version's :class:`ShardIndex` (built here when there is
-        none yet — the single partitioning pass of the graph version)."""
+        graph version's :class:`ShardIndex` (:func:`shard_index`)."""
         db = self.storage.db
-        graph = self.graph
-        vdata = db.table(graph.vertex_table).data()
-        ids = np.asarray(vdata.column("id").values, dtype=np.int64)
+        vdata = db.table(self.graph.vertex_table).data()
+        index, order = shard_index(db, self.graph, self.n_shards)
+        self.index = index
         halted = np.asarray(vdata.column("halted").values, dtype=bool)
         codec = self.program.vertex_codec
         raw_values, value_valid = storage_form(
             codec, [vdata.column(name) for name in codec.column_names()]
         )
-        if len(ids) > 1 and np.any(ids[1:] < ids[:-1]):  # setup_run sorts; stay safe
-            order = np.argsort(ids, kind="stable")
-            ids, halted = ids[order], halted[order]
-            raw_values, value_valid = raw_values[order], value_valid[order]
-
-        self.index = index = self._shard_index(ids)
         shards: list[VertexShard] = []
         for s in range(self.n_shards):
-            v_sel = index.split_order[index.split_bounds[s] : index.split_bounds[s + 1]]
+            # Shard s's rows of the vertex table, in the index's id order.
+            v_sel = order[index.split_order[index.split_bounds[s] : index.split_bounds[s + 1]]]
             edge_indptr, edge_targets, edge_weights = index.shard_edges(s)
             shard = VertexShard(
                 index=s,
@@ -726,38 +765,6 @@ class ShardedDataPlane:
             shards.append(shard)
         self._load_messages(shards)
         return shards
-
-    def _shard_index(self, ids: np.ndarray) -> ShardIndex:
-        """The index kept on the edge table when its key — both tables'
-        ``(uid, version)`` and the shard count — matches and it split these
-        vertex ids (a vertex table restored from a checkpoint need not be
-        the node table's); otherwise a fresh one, left on the table for
-        later runs."""
-        db = self.storage.db
-        with db.lock:  # key and contents read together
-            edges = db.table(self.graph.edge_table)
-            nodes = db.table(self.graph.node_table)
-            key = (edges.uid, edges.version, nodes.uid, nodes.version, self.n_shards)
-            index = edges.derived
-            if (
-                isinstance(index, ShardIndex)
-                and index.key == key
-                and np.array_equal(index.all_ids, ids)
-            ):
-                return index
-            edata = edges.data()
-        index = ShardIndex(
-            key,
-            ids,
-            np.asarray(edata.column("src").values, dtype=np.int64),
-            np.asarray(edata.column("dst").values, dtype=np.int64),
-            np.asarray(edata.column("weight").values, dtype=np.float64),
-            self.n_shards,
-        )
-        with db.lock:
-            if (edges.uid, edges.version) == key[:2]:
-                edges.derived = index
-        return index
 
     def _load_messages(self, shards: list[VertexShard]) -> None:
         """Adopt the message table's pending rows into the shard inboxes.

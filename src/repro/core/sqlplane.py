@@ -15,8 +15,9 @@ from __future__ import annotations
 from repro.core.config import VertexicaConfig
 from repro.core.metrics import StepStats
 from repro.core.program import VertexProgram
+from repro.core.shards import shard_index
 from repro.core.storage import GraphHandle, GraphStorage
-from repro.core.worker import EdgeCache, VertexWorker
+from repro.core.worker import VertexWorker
 from repro.engine.parallel import PartitionExecutor
 from repro.errors import ProgramError
 
@@ -24,8 +25,11 @@ __all__ = ["SqlDataPlane"]
 
 
 class SqlDataPlane:
-    """One run's SQL-plane state: the worker transform registration and
-    the cross-superstep edge cache, both released by :meth:`close`.
+    """One run's SQL-plane state: the worker transform registration,
+    released by :meth:`close`, and under the union input format the graph
+    version's topology (:func:`~repro.core.shards.shard_index` — the
+    index the shard plane partitions by, kept on the edge table, so a
+    rollback's rebuilt plane and a later run on either plane reuse it).
 
     Raises:
         ProgramError: the join input format with a vector codec — the
@@ -63,12 +67,14 @@ class SqlDataPlane:
         self.aggregated: dict[str, float] = {}
         self._last_output = None
         self.transform_name = f"{graph.name}_worker"
-        # The edge relation never changes during a run: under the union
-        # strategy the workers decode it once (the plane's first
-        # superstep, whichever that is after a resume or rollback) and
-        # every later superstep reads the cached CSR arrays instead of
-        # re-projecting the edge table through SQL.
-        self.edge_cache = EdgeCache() if config.input_strategy == "union" else None
+        # The edge relation never changes during a run, so the union input
+        # carries none: partition p reads its CSR out-edges from shard p of
+        # the graph version's index, the shard plane's topology.
+        self.topology = (
+            shard_index(self.db, graph, config.n_partitions)[0]
+            if config.input_strategy == "union"
+            else None
+        )
 
     # ------------------------------------------------------------------
     # Run-state queries (the coordinator's halt condition)
@@ -94,7 +100,6 @@ class SqlDataPlane:
         SQL apply of vertex updates, messages and aggregators (into
         :attr:`aggregated`)."""
         config, storage, graph, program = self.config, self.storage, self.graph, self.program
-        edge_cache = self.edge_cache
         worker = VertexWorker(
             program,
             superstep,
@@ -102,14 +107,16 @@ class SqlDataPlane:
             input_format=config.input_strategy,
             aggregated=aggregated,
             use_batch=self.use_batch,
-            edge_cache=edge_cache,
+            topology=self.topology,
         )
         self.db.register_transform(self.transform_name, worker, worker.schema)
-        if edge_cache is not None:
-            input_sql = storage.union_input_sql(
-                graph, program, include_edges=not edge_cache.primed
-            )
+        edge_rows = 0
+        if self.topology is not None:
+            input_sql = storage.union_input_sql(graph, program)
             order_by = ("vid", "kind")
+            # The edges count as read once per run, at superstep 0, as on
+            # the shard plane.
+            edge_rows = graph.num_edges if superstep == 0 else 0
         else:
             input_sql = storage.join_input_sql(graph)
             order_by = ("vid", "edst", "msrc")
@@ -126,10 +133,6 @@ class SqlDataPlane:
             executor=executor,
         )
         storage.stage_worker_output(graph, output)
-        if edge_cache is not None:
-            # All non-empty partitions have now decoded their edges;
-            # later supersteps skip the edge relation.
-            edge_cache.primed = True
 
         vertex_updates = storage.count_staged(graph, 0)
         replace = self._use_replace_path(vertex_updates)
@@ -142,7 +145,7 @@ class SqlDataPlane:
             vertices_ran=worker.vertices_ran,
             vertex_updates=vertex_updates,
             messages_out=messages_out,
-            rows_in=worker.rows_in,
+            rows_in=worker.rows_in + edge_rows,
             rows_out=output.num_rows,
             update_path=update_path if vertex_updates else "none",
             messages_precombine=messages_staged,
@@ -164,6 +167,6 @@ class SqlDataPlane:
 
     def close(self) -> None:
         """Unregister the worker transform so the database stops pinning
-        the last worker, the program closure and the edge cache
-        (idempotent)."""
+        the last worker and the program closure (idempotent).  The
+        topology stays on the edge table for later runs."""
         self.db.unregister_transform(self.transform_name)

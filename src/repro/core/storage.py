@@ -503,23 +503,18 @@ class GraphStorage:
     # ------------------------------------------------------------------
     # Worker input queries (the §2.3 Table Unions optimization + its foil)
     # ------------------------------------------------------------------
-    def union_input_sql(
-        self, graph: GraphHandle, program: VertexProgram, include_edges: bool = True
-    ) -> str:
-        """UNION ALL of the three tables renamed to one NULL-padded schema
-        ``(vid, kind, i1, f1, p0..p{K-1})`` — kind 0/1/2 =
-        vertex/edge/message.
+    def union_input_sql(self, graph: GraphHandle, program: VertexProgram) -> str:
+        """UNION ALL of the vertex and message tables renamed to one
+        NULL-padded schema ``(vid, kind, i1, p0..p{K-1})`` — kind 0/2 =
+        vertex/message.
 
-        ``i1`` is a vertex's halt flag, an edge's destination or a
-        message's sender; ``f1`` is an edge's weight.  Vertex and message
-        rows carry their values in the payload lane of
-        :func:`payload_layout`, in their codec's own storage type; every
-        lane column a row's role does not write is a typed NULL.
-
-        ``include_edges=False`` omits the edge relation: once the worker
-        has cached the decoded per-partition edge arrays (superstep 0),
-        re-projecting the immutable edge table every superstep is pure
-        overhead.
+        ``i1`` is a vertex's halt flag or a message's sender.  Both roles
+        carry their values in the payload lane of :func:`payload_layout`,
+        in their codec's own storage type; every lane column a row's role
+        does not write is a typed NULL.  The edge relation, which never
+        changes during a run, is not part of it: the worker reads each
+        partition's out-edges from the graph version's
+        :class:`~repro.core.shards.ShardIndex`.
         """
         layout = payload_layout(program)
 
@@ -534,21 +529,12 @@ class GraphStorage:
         v_names, m_names = program.vertex_codec.column_names(), program.message_codec.column_names()
         vertex = dict(zip(layout.vertex, (f"v.{name}" for name in v_names)))
         message = dict(zip(layout.message, (f"m.{name}" for name in m_names)))
-        edge_part = (
-            f"UNION ALL "
-            f"SELECT e.src, 1, e.dst, e.weight{lane({})} "
-            f"FROM {graph.edge_table} e "
-            if include_edges
-            else ""
-        )
         return (
             f"SELECT v.id AS vid, 0 AS kind, "
-            f"CASE WHEN v.halted THEN 1 ELSE 0 END AS i1, CAST(NULL AS FLOAT) AS f1"
-            f"{lane(vertex)} "
+            f"CASE WHEN v.halted THEN 1 ELSE 0 END AS i1{lane(vertex)} "
             f"FROM {graph.vertex_table} v "
-            f"{edge_part}"
             f"UNION ALL "
-            f"SELECT m.dst, 2, m.src, CAST(NULL AS FLOAT){lane(message)} "
+            f"SELECT m.dst, 2, m.src{lane(message)} "
             f"FROM {graph.message_table} m"
         )
 

@@ -10,7 +10,7 @@ the staging schema.
 The data plane is vectorized end-to-end in three layers:
 
 1. **Batch decode** — each partition is split by ``kind`` with numpy
-   masks into vertex/edge/message sub-arrays once, and group extents are
+   masks into vertex/message sub-arrays once, and group extents are
    derived with a single ``searchsorted`` pass into CSR-style
    ``indptr`` arrays.  No per-row Python dispatch.
 2. **Batch compute** — programs implementing
@@ -31,10 +31,14 @@ measurement is recorded in CHANGES.md).
 
 Two input formats are supported, matching the Table Unions ablation:
 
-* ``union``  — NULL-padded rows ``(vid, kind, i1, f1, p0..p{K-1})`` from a
-  UNION ALL of the three tables (kind 0/1/2 = vertex/edge/message), each
-  value in its codec's own storage type in the payload lane
-  (:func:`~repro.core.storage.payload_layout`);
+* ``union``  — NULL-padded rows ``(vid, kind, i1, p0..p{K-1})`` from a
+  UNION ALL of the vertex and message tables (kind 0/2 =
+  vertex/message), each value in its codec's own storage type in the
+  payload lane (:func:`~repro.core.storage.payload_layout`).  The edge
+  relation does not change during a run, so it is not re-read: partition
+  ``p`` (``vid % n``) takes its CSR out-edges from shard ``p`` of the
+  graph version's :class:`~repro.core.shards.ShardIndex`, the topology
+  the shard plane runs on;
 * ``join``   — wide rows from the naive three-way join, one per
   (vertex x out-edge x incoming-message) combination, which the worker
   must de-duplicate.
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
@@ -73,8 +77,10 @@ from repro.engine.schema import ColumnDef, Schema
 from repro.engine.types import DataType
 from repro.errors import ProgramError
 
+if TYPE_CHECKING:
+    from repro.core.shards import ShardIndex
+
 __all__ = [
-    "EdgeCache",
     "EmittedMessages",
     "StagedRows",
     "VertexWorker",
@@ -210,71 +216,6 @@ class _DecodedPartition:
             return np.ones(self.num_vertices, dtype=bool)
         has_messages = np.diff(self.msg_indptr) > 0
         return has_messages | ~self.halted
-
-
-class EdgeCache:
-    """Per-partition decoded CSR edge arrays, shared across supersteps.
-
-    The edge relation is immutable for the duration of a run and the
-    partitioning function (vid hash) and vertex set are stable, so the
-    (vertex_ids, edge_indptr, edge_targets, edge_weights) tuple decoded at
-    superstep 0 is valid for every later superstep.  Once ``primed``, the
-    coordinator drops the edge relation from the union input SQL entirely
-    and the worker reads edges from here instead.
-    """
-
-    __slots__ = ("partitions", "primed", "_lock")
-
-    def __init__(self) -> None:
-        #: partition index -> (vertex_ids, edge_indptr, edge_targets, edge_weights)
-        self.partitions: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-        self.primed = False
-        self._lock = threading.Lock()
-
-    def store(
-        self,
-        partition_index: int,
-        vertex_ids: np.ndarray,
-        edge_indptr: np.ndarray,
-        edge_targets: np.ndarray,
-        edge_weights: np.ndarray,
-    ) -> None:
-        """Record one partition's decoded edges (superstep 0)."""
-        with self._lock:
-            self.partitions[partition_index] = (
-                vertex_ids, edge_indptr, edge_targets, edge_weights
-            )
-
-    def lookup(
-        self, partition_index: int, vertex_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """This partition's cached ``(indptr, targets, weights)``.
-
-        Raises:
-            ProgramError: when the partition was never cached or its
-                vertex set changed — both would mean the superstep-0
-                alignment no longer holds, which violates the run
-                invariants this cache relies on.
-        """
-        entry = self.partitions.get(partition_index)
-        if entry is None:
-            if len(vertex_ids) == 0:
-                # This bucket held no rows at all at superstep 0 (it has no
-                # vertex rows, so it only runs now because a message to a
-                # nonexistent id hashed here) — it has no edges either.
-                empty = np.empty(0, dtype=np.int64)
-                return np.zeros(1, dtype=np.int64), empty, np.empty(0, np.float64)
-            raise ProgramError(
-                f"edge cache has no entry for partition {partition_index}; "
-                "was superstep 0 run with a different partitioning?"
-            )
-        cached_ids, indptr, targets, weights = entry
-        if not np.array_equal(cached_ids, vertex_ids):
-            raise ProgramError(
-                f"edge cache vertex set changed for partition {partition_index}; "
-                "the vertex table must be immutable during a run"
-            )
-        return indptr, targets, weights
 
 
 def _csr_align(
@@ -471,9 +412,16 @@ class VertexWorker:
     counters are guarded by a lock (cheap — updated once per partition).
 
     Args:
+        input_format: how :meth:`__call__` decodes its relational rows —
+            ``"union"`` or ``"join"``; ``None`` (the shard plane) for a
+            worker entered only through :meth:`compute_decoded`.
         use_batch: run :meth:`BatchVertexProgram.compute_batch` instead of
             per-vertex ``compute``.  ``None`` (default) auto-detects from
             the program; the coordinator passes the configured strategy.
+        topology: the graph version's :class:`~repro.core.shards.ShardIndex`
+            (:func:`~repro.core.shards.shard_index`), whose shard ``p``
+            holds partition ``p``'s CSR out-edges.  Required by the union
+            format, whose rows carry no edges.
     """
 
     def __init__(
@@ -481,13 +429,18 @@ class VertexWorker:
         program: VertexProgram,
         superstep: int,
         num_vertices: int,
-        input_format: str = "union",
+        input_format: str | None = None,
         aggregated: dict[str, float] | None = None,
         use_batch: bool | None = None,
-        edge_cache: EdgeCache | None = None,
+        topology: ShardIndex | None = None,
     ) -> None:
-        if input_format not in ("union", "join"):
+        if input_format not in (None, "union", "join"):
             raise ProgramError(f"unknown worker input format {input_format!r}")
+        if input_format == "union" and topology is None:
+            raise ProgramError(
+                "the union input format reads its out-edges from the graph "
+                "version's topology: pass topology=shard_index(...)[0]"
+            )
         if use_batch is None:
             use_batch = supports_batch(program)
         if use_batch and not supports_batch(program):
@@ -500,7 +453,7 @@ class VertexWorker:
         self.num_vertices = num_vertices
         self.input_format = input_format
         self.use_batch = use_batch
-        self.edge_cache = edge_cache
+        self.topology = topology
         self.aggregated = aggregated or {}
         self.layout = payload_layout(program)
         self.schema = worker_output_schema(self.layout)
@@ -509,7 +462,7 @@ class VertexWorker:
         self.vertices_ran = 0
         #: messages addressed to ids with no vertex row (dropped)
         self.messages_dropped = 0
-        #: input rows seen across all partitions (throughput metrics)
+        #: relational input rows seen across all partitions
         self.rows_in = 0
 
     # ------------------------------------------------------------------
@@ -517,8 +470,10 @@ class VertexWorker:
         """Process one sorted partition; returns staged output rows."""
         if self.input_format == "union":
             part = self._decode_union(partition, partition_index)
-        else:
+        elif self.input_format == "join":
             part = self._decode_join(partition)
+        else:
+            raise ProgramError("a worker without an input format only computes decoded partitions")
         out, _ = self.compute_decoded(part)
         with self._lock:
             self.rows_in += partition.num_rows
@@ -594,27 +549,12 @@ class VertexWorker:
         halted = i1[v_idx] == 1
         raw_values, value_valid = lane(self.program.vertex_codec, self.layout.vertex, v_idx)
 
-        cache = self.edge_cache
-        if cache is not None and cache.primed:
-            # Edge rows were omitted from the input SQL; reuse the arrays
-            # decoded at superstep 0.
-            edge_indptr, edge_targets, edge_weights = cache.lookup(
-                partition_index, vertex_ids
+        if not np.array_equal(vertex_ids, self.topology.vertex_ids[partition_index]):
+            raise ProgramError(
+                f"partition {partition_index}'s vertex ids differ from the topology's "
+                "split; the vertex table must be immutable during a run"
             )
-        else:
-            e_idx = np.flatnonzero(kind == 1)
-            edge_indptr, (edge_targets, edge_weights), _ = _csr_align(
-                vid[e_idx],
-                vertex_ids,
-                (
-                    i1[e_idx].astype(np.int64, copy=False),
-                    np.asarray(batch.column("f1").values[e_idx], dtype=np.float64),
-                ),
-            )
-            if cache is not None:
-                cache.store(
-                    partition_index, vertex_ids, edge_indptr, edge_targets, edge_weights
-                )
+        edge_indptr, edge_targets, edge_weights = self.topology.shard_edges(partition_index)
 
         m_idx = np.flatnonzero(kind == 2)
         msg_values, msg_value_valid = lane(self.program.message_codec, self.layout.message, m_idx)

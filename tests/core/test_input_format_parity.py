@@ -2,11 +2,14 @@
 
 The batch/scalar compute axis is pinned by ``test_batch_parity``; this
 suite pins the other data-plane axis: the ``union`` input format (the
-paper's Table Unions optimization, reading edges from the
-cross-superstep edge cache) and the naive three-way ``join`` foil (which
-re-reads them through SQL every superstep) must decode into
+paper's Table Unions optimization: vertex and message rows through SQL,
+out-edges from the graph version's topology, the ``ShardIndex`` the
+shard plane also runs on) and the naive three-way ``join`` foil (which
+re-reads the edges through SQL every superstep) must decode into
 identical per-vertex context, so every program must produce identical
-values, aggregates, and superstep behavior on both.
+values, aggregates, and superstep behavior on both.  A Hypothesis
+property holds union == join and union == shards on hostile graphs,
+edges from and to ids with no vertex row included.
 """
 
 from __future__ import annotations
@@ -26,6 +29,13 @@ from repro.programs import (
     RandomWalkWithRestart,
     ShortestPaths,
 )
+
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+    from test_route_plan import PROPERTY, graphs
+except ImportError:  # the recovery-fuzz CI job imports this module without hypothesis
+    given = None
 
 #: (program factory, needs_symmetrized_edges, matching_graph) — every
 #: program in ``repro.programs``; keep in sync with its ``__all__``.
@@ -118,22 +128,22 @@ class TestUnionVsJoinAllPrograms:
         join = run_with("join", program_factory, symmetrize, matching)
         assert_runs_identical(union, join)
 
-    def test_cached_union_drops_edge_rows_after_first_superstep(self):
+    def test_union_counts_edge_rows_once(self):
         run = run_with("union", lambda: PageRank(iterations=5), False)
         steps = run.stats.supersteps
         vertices, edges = 96, 450
-        # Superstep 0 decodes (and caches) the edge relation...
+        # Superstep 0 counts the edge relation as read...
         assert steps[0].rows_in == vertices + edges
-        # ...after which the edge rows disappear from the worker input.
+        # ...which no superstep's worker input carries.
         for step in steps[1:]:
             assert step.rows_in == vertices + step.messages_in
 
 
-class TestEdgeCacheEmptyPartitions:
+class TestTopologyEmptyPartitions:
     def test_ghost_message_to_vertexless_bucket(self):
-        """A message to a nonexistent id can hash to a bucket that held no
-        rows at superstep 0 (hence no cache entry); the cached decode must
-        drop it like the cache-less join format does, not crash."""
+        """A message to a nonexistent id can hash to a bucket whose
+        topology shard has no vertices (hence no out-edges); the union
+        decode must drop it like the join format does, not crash."""
         from repro.core.program import VertexProgram
 
         class GhostToEmptyBucket(VertexProgram):
@@ -159,3 +169,59 @@ class TestEdgeCacheEmptyPartitions:
             graph = vx.load_graph("g", [0, 1], [1, 2], num_vertices=3)
             results[strategy] = vx.run(graph, GhostToEmptyBucket())
         assert results["union"].values == results["join"].values == {0: 0.0, 1: 1.0, 2: 2.0}
+
+
+#: The programs of the hostile-graph property, each with its combiner on.
+HOSTILE_PROGRAMS = {
+    "pagerank": lambda ids: PageRank(iterations=4),
+    "sssp": lambda ids: ShortestPaths(source=min(ids)),
+    "components": lambda ids: ConnectedComponents(),
+}
+
+
+def run_hostile(ids, src, dst, weights, n_partitions, program, **cfg):
+    """``program`` over a graph whose vertex set is exactly ``ids``: edges
+    from or to any other id have no vertex row."""
+    vx = Vertexica(config=VertexicaConfig(n_partitions=n_partitions, **cfg))
+    vx.storage.load_graph("g", src, dst, weights, node_ids=sorted(ids))
+    vx.sql(f"DELETE FROM g_node WHERE id NOT IN ({', '.join(map(str, sorted(ids)))})")
+    return vx.run(vx.graph("g"), program)
+
+
+def rows_in(result) -> list[int]:
+    return [step.rows_in for step in result.stats.supersteps]
+
+
+if given is not None:
+
+    class TestHostileGraphParity:
+        @PROPERTY
+        @given(graphs(ghost_sources=True), st.sampled_from(sorted(HOSTILE_PROGRAMS)))
+        def test_union_equals_join_and_shards(self, graph, name):
+            """Bitwise, per superstep: union == join on values and counts
+            (not ``rows_in``: join rows are a cross product) and union ==
+            shards on values and ``rows_in``.  The join collapses parallel
+            edges, so it is compared on the graph's first edge per
+            ``(src, dst)``."""
+            ids, src, dst, _, _, n_partitions = graph
+            weights = [0.5 + 0.75 * (i % 4) for i in range(len(src))]
+            program = HOSTILE_PROGRAMS[name]
+            union = run_hostile(ids, src, dst, weights, n_partitions, program(ids))
+            shards = run_hostile(
+                ids, src, dst, weights, n_partitions, program(ids), data_plane="shards"
+            )
+            assert_runs_identical(union, shards)
+            assert rows_in(union) == rows_in(shards)
+
+            first = {}
+            for edge, weight in zip(zip(src, dst), weights):
+                first.setdefault(edge, weight)
+            if len(first) < len(src):
+                simple = ([s for s, _ in first], [d for _, d in first], list(first.values()))
+                union = run_hostile(ids, *simple, n_partitions, program(ids))
+            else:
+                simple = (src, dst, weights)
+            join = run_hostile(
+                ids, *simple, n_partitions, program(ids), input_strategy="join"
+            )
+            assert_runs_identical(union, join)

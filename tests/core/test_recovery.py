@@ -237,6 +237,51 @@ class TestKillAndResume:
         assert res.values == base.values
 
 
+@pytest.mark.parametrize("plane", PLANES)
+class TestRecoveredCounts:
+    """A resumed or rolled-back run reports every superstep's counts as
+    the uninterrupted run does: a rebuilt plane does not read the edge
+    table a second time, so ``rows_in`` counts it at superstep 0 only."""
+
+    @staticmethod
+    def counts(result) -> dict[int, tuple[int, int, int]]:
+        return {
+            s.superstep: (s.rows_in, s.messages_in, s.vertex_updates)
+            for s in result.stats.supersteps
+        }
+
+    def test_kill_and_resume(self, tmp_path, plane):
+        vx, g = fresh_run_setup()
+        base = self.counts(vx.run(g, PageRank(iterations=8), **plane))
+        vx2, g2 = fresh_run_setup()
+        site = "shard.compute" if plane else "storage.apply"
+        plan = FaultPlan([FaultSpec(site=site, kind="kill", superstep=5)])
+        ckpt = dict(checkpoint_every=2, checkpoint_dir=str(tmp_path), **plane)
+        with faults.injected(plan):
+            with pytest.raises(InjectedKill):
+                vx2.run(g2, PageRank(iterations=8), **ckpt)
+        resumed = self.counts(vx2.run(g2, PageRank(iterations=8), resume=True, **ckpt))
+        assert min(resumed) == 4
+        assert resumed == {step: base[step] for step in resumed}
+
+    def test_rollback(self, tmp_path, plane):
+        vx, g = fresh_run_setup()
+        base = self.counts(vx.run(g, PageRank(iterations=8), **plane))
+        vx2, g2 = fresh_run_setup()
+        site = "shard.route" if plane else "storage.apply"
+        plan = FaultPlan([FaultSpec(site=site, kind="transient", superstep=3)])
+        with faults.injected(plan):
+            result = vx2.run(
+                g2,
+                PageRank(iterations=8),
+                checkpoint_every=2,
+                checkpoint_dir=str(tmp_path),
+                **plane,
+            )
+        assert result.stats.retries == 1 and result.stats.recovered_supersteps == 2
+        assert self.counts(result) == base
+
+
 class TestRetryAndRollback:
     def test_transient_shard_fault_retried_in_place(self):
         vx, g = fresh_run_setup()

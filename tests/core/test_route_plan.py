@@ -16,7 +16,10 @@ emitted rows.  This module pins:
   scalar-compute run builds no plan;
 * the index follows the edge table: edges inserted out of order between
   two runs are re-planned, a rollback's plane rebuild reuses the index,
-  and sql == shards bitwise throughout.
+  and sql == shards bitwise throughout;
+* both planes read one index: the SQL plane's union input takes its
+  out-edges from it, so a graph version is partitioned once whichever
+  plane runs, and the join input builds none.
 """
 
 from __future__ import annotations
@@ -183,14 +186,16 @@ def builds(monkeypatch) -> dict:
 
 
 @st.composite
-def graphs(draw):
+def graphs(draw, ghost_sources: bool = False):
     """Small hostile graphs: parallel edges, self-loops, isolated
-    vertices, edges to ids with no vertex row, 1-5 shards, any sender
-    mask (all / none / one / some) and some halted (inactive) vertices."""
+    vertices, edges to ids with no vertex row (and, with
+    ``ghost_sources``, from them), 1-5 shards, any sender mask (all /
+    none / one / some) and some halted (inactive) vertices."""
     ids = draw(st.sets(st.integers(0, 40), min_size=1, max_size=14))
     id_list = sorted(ids)
     endpoint = st.one_of(st.sampled_from(id_list), st.integers(0, 60))  # may be a ghost
-    edges = draw(st.lists(st.tuples(st.sampled_from(id_list), endpoint), max_size=50))
+    source = endpoint if ghost_sources else st.sampled_from(id_list)
+    edges = draw(st.lists(st.tuples(source, endpoint), max_size=50))
     senders = draw(
         st.one_of(
             st.none(),  # unmasked send
@@ -402,13 +407,15 @@ class TestPlanIsPerTableVersion:
     @pytest.mark.parametrize("program_factory,symmetrize,plans", PROGRAMS)
     def test_out_of_order_edges_between_runs(self, program_factory, symmetrize, plans, builds):
         sql = self._two_runs("sql", program_factory, symmetrize)
-        assert builds["index"] == builds["plan"] == 0
+        # The SQL plane reads the same topology, one per edge-table
+        # version, and never delivers through a plan.
+        assert builds["index"] == 2 and builds["plan"] == 0
         shard = self._two_runs("shards", program_factory, symmetrize)
         assert shard == sql
         # The INSERT made a new edge-table version: the second run
         # re-partitioned and, where the first planned, re-planned over the
         # six new edges too.
-        assert builds["index"] == 2
+        assert builds["index"] == 4
         assert builds["plan"] == (2 if plans else 0)
         if plans:
             first, second = builds["plans"]
@@ -432,3 +439,40 @@ class TestPlanIsPerTableVersion:
         # faulted run built exactly what the clean run built.
         assert builds["index"] == 2 * clean_builds["index"] == 2
         assert builds["plan"] == 2 * clean_builds["plan"] == (2 if plans else 0)
+
+
+class TestOneIndexForBothPlanes:
+    """The SQL plane's union input reads its out-edges from the same index,
+    fetched by the same function: a graph version is partitioned once,
+    whichever plane runs on it."""
+
+    def test_sql_then_shards_build_one_index(self, builds):
+        vx = Vertexica(config=VertexicaConfig(n_partitions=N_SHARDS))
+        graph = gate_graph(vx, weights=True)
+        sql = vx.run(graph, PageRank(iterations=5))
+        assert builds["index"] == 1 and builds["plan"] == 0
+        shard = vx.run(graph, PageRank(iterations=5), data_plane="shards")
+        assert shard.values == sql.values
+        assert builds["index"] == 1 and builds["plan"] == 1
+        # Another partition count is another index.
+        vx.run(graph, PageRank(iterations=5), n_partitions=N_SHARDS + 1)
+        assert builds["index"] == 2
+
+    def test_sql_rollback_reuses_the_index(self, builds, tmp_path):
+        vx = Vertexica(config=VertexicaConfig(n_partitions=N_SHARDS))
+        graph = gate_graph(vx, weights=True)
+        clean = vx.run(graph, PageRank(iterations=5))
+        plan = FaultPlan([FaultSpec(site="storage.apply", kind="transient", superstep=2)])
+        with faults.injected(plan):
+            faulted = vx.run(
+                graph, PageRank(iterations=5), checkpoint_every=1, checkpoint_dir=str(tmp_path)
+            )
+        assert len(plan.fired) == 1 and faulted.stats.retries == 1
+        assert faulted.values == clean.values
+        # Both runs and the rollback's rebuilt plane read one index.
+        assert builds["index"] == 1
+
+    def test_join_input_builds_none(self, builds):
+        vx = Vertexica(config=VertexicaConfig(n_partitions=N_SHARDS, input_strategy="join"))
+        vx.run(gate_graph(vx), PageRank(iterations=3))
+        assert builds["index"] == 0

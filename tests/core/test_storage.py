@@ -153,15 +153,20 @@ class TestSetupRun:
 
 
 class TestInputSql:
-    def test_union_input_has_all_three_kinds(self, storage, db):
+    def test_union_input_carries_vertices_and_messages(self, storage, db):
+        """The union input is the vertex and message rows: the worker reads
+        out-edges from the graph version's topology, so the query neither
+        carries an edge weight column nor scans the edge table."""
         handle = storage.load_graph("g", [0, 1], [1, 0])
         program = PageRank(iterations=1)
         storage.setup_run(handle, program)
         db.execute("INSERT INTO g_message VALUES (0, 1, 0.5)")
+        db.execute(f"DROP TABLE {handle.edge_table}")
         batch = db.query_batch(storage.union_input_sql(handle, program))
         kinds = sorted(set(batch.column("kind").to_list()))
-        assert kinds == [0, 1, 2]
-        assert batch.num_rows == 2 + 2 + 1
+        assert kinds == [0, 2]
+        assert batch.schema.names() == ["vid", "kind", "i1", "p0"]
+        assert batch.num_rows == 2 + 1
 
     def test_join_input_row_count_is_product(self, storage, db):
         # vertex 0 has 2 out-edges and 2 incoming messages -> 4 combo rows.

@@ -5,6 +5,7 @@ import pytest
 from repro.core.api import Vertex
 from repro.core.codecs import FLOAT_CODEC, INTEGER_CODEC, JSON_CODEC, vector_codec
 from repro.core.program import VertexProgram
+from repro.core.shards import shard_index
 from repro.core.storage import GraphStorage, payload_layout
 from repro.core.worker import VertexWorker, worker_output_schema
 from repro.engine import Database
@@ -35,73 +36,78 @@ def staged(db: Database):
     return db, storage, handle, program
 
 
+def run_union(staged, superstep: int, n_partitions: int = 1):
+    """One union-format worker call over ``staged``, its out-edges read
+    from the graph version's topology; returns ``(worker, output)``."""
+    db, storage, handle, program = staged
+    topology, _ = shard_index(db, handle, n_partitions)
+    worker = VertexWorker(program, superstep, 3, input_format="union", topology=topology)
+    db.register_transform("w", worker, worker.schema)
+    out = db.run_transform(
+        "w", storage.union_input_sql(handle, program),
+        partition_by=("vid",), order_by=("vid", "kind"), n_partitions=n_partitions,
+    )
+    return worker, out
+
+
 class TestUnionFormat:
     def test_parses_vertices_edges_messages(self, staged):
-        db, storage, handle, program = staged
-        worker = VertexWorker(program, superstep=1, num_vertices=3)
-        db.register_transform("w", worker, worker.schema)
-        out = db.run_transform(
-            "w", storage.union_input_sql(handle, program),
-            partition_by=("vid",), order_by=("vid", "kind"),
-        )
+        program = staged[3]
+        _, out = run_union(staged, superstep=1)
         assert program.seen[0] == [7.5]
         # vertex 0 has out-degree 2 -> 2 messages; plus 3 vertex updates...
         kinds = out.column("kind").to_list()
         assert kinds.count(1) == 2 + 1 + 0  # v0 two edges, v1 one, v2 none
 
     def test_superstep0_runs_all_with_no_messages(self, staged):
-        db, storage, handle, program = staged
+        db, program = staged[0], staged[3]
         db.execute("TRUNCATE TABLE g_message")
-        worker = VertexWorker(program, superstep=0, num_vertices=3)
-        db.register_transform("w", worker, worker.schema)
-        db.run_transform("w", storage.union_input_sql(handle, program),
-                         partition_by=("vid",), order_by=("vid", "kind"))
+        worker, _ = run_union(staged, superstep=0)
         assert worker.vertices_ran == 3
         assert program.seen == {0: [], 1: [], 2: []}
 
     def test_halted_without_messages_skipped(self, staged):
-        db, storage, handle, program = staged
-        db.execute("UPDATE g_vertex SET halted = TRUE")
-        worker = VertexWorker(program, superstep=2, num_vertices=3)
-        db.register_transform("w", worker, worker.schema)
-        db.run_transform("w", storage.union_input_sql(handle, program),
-                         partition_by=("vid",), order_by=("vid", "kind"))
+        staged[0].execute("UPDATE g_vertex SET halted = TRUE")
+        worker, _ = run_union(staged, superstep=2)
         # only vertex 0 has a message; others halted with empty inbox
         assert worker.vertices_ran == 1
 
     def test_message_to_missing_vertex_dropped(self, staged):
-        db, storage, handle, program = staged
-        db.execute("INSERT INTO g_message VALUES (0, 99, 1.0)")
-        worker = VertexWorker(program, superstep=1, num_vertices=3)
-        db.register_transform("w", worker, worker.schema)
-        db.run_transform("w", storage.union_input_sql(handle, program),
-                         partition_by=("vid",), order_by=("vid", "kind"))
+        staged[0].execute("INSERT INTO g_message VALUES (0, 99, 1.0)")
+        worker, _ = run_union(staged, superstep=1)
         assert worker.messages_dropped == 1
 
     def test_partition_count_does_not_change_results(self, staged):
-        db, storage, handle, program = staged
         results = []
         for n_partitions in (1, 2, 8):
-            worker = VertexWorker(program, superstep=1, num_vertices=3)
-            db.register_transform("w", worker, worker.schema)
-            out = db.run_transform(
-                "w", storage.union_input_sql(handle, program),
-                partition_by=("vid",), order_by=("vid", "kind"),
-                n_partitions=n_partitions,
-            )
+            _, out = run_union(staged, superstep=1, n_partitions=n_partitions)
             results.append(sorted(out.to_rows()))
         assert results[0] == results[1] == results[2]
+
+    def test_vertex_ids_off_the_topology_split_raise(self, staged):
+        """A partition whose vertex rows are not the ids its topology shard
+        split — here a vertex row added after the index was built — has no
+        out-edges to read."""
+        db, storage, handle, program = staged
+        topology, _ = shard_index(db, handle, 1)
+        db.execute("INSERT INTO g_vertex VALUES (5, 0.0, FALSE)")
+        worker = VertexWorker(program, 1, 3, input_format="union", topology=topology)
+        db.register_transform("w", worker, worker.schema)
+        with pytest.raises(ProgramError, match="differ from the topology's split"):
+            db.run_transform(
+                "w", storage.union_input_sql(handle, program),
+                partition_by=("vid",), order_by=("vid", "kind"),
+            )
+
+    def test_union_worker_needs_a_topology(self):
+        with pytest.raises(ProgramError, match="topology"):
+            VertexWorker(PageRank(iterations=1), 0, 3, input_format="union")
 
 
 class TestJoinFormat:
     def test_join_format_matches_union_format(self, staged):
         db, storage, handle, program = staged
-        union_worker = VertexWorker(program, superstep=1, num_vertices=3, input_format="union")
-        db.register_transform("wu", union_worker, union_worker.schema)
-        union_out = db.run_transform(
-            "wu", storage.union_input_sql(handle, program),
-            partition_by=("vid",), order_by=("vid", "kind"),
-        )
+        _, union_out = run_union(staged, superstep=1)
         join_worker = VertexWorker(program, superstep=1, num_vertices=3, input_format="join")
         db.register_transform("wj", join_worker, join_worker.schema)
         join_out = db.run_transform(

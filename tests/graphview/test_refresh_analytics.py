@@ -2,9 +2,10 @@
 
 Because both refresh paths produce bit-identical graph tables (canonical
 edge order), the vertex-program results must be *exactly* equal — float
-for float — not merely close.  Also guards the cross-superstep
-``EdgeCache``: it must never leak a pre-refresh edge set into a run that
-starts after the refresh.
+for float — not merely close.  Also guards the graph version's topology
+(the ``ShardIndex`` both data planes read their out-edges from, kept on
+the edge table): it must never leak a pre-refresh edge set into a run
+that starts after the refresh.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import CoEdgeSpec, EdgeSpec, GraphView, NodeSpec, Vertexica
+from repro.core.shards import ShardIndex
 from repro.datasets import load_social_schema
 from repro.programs import ConnectedComponents, PageRank
 
@@ -81,22 +83,28 @@ class TestResultsMatchFreshExtraction:
         )
 
 
-class TestEdgeCacheFreshness:
-    def test_cached_runs_see_refreshed_edges(self):
-        """Two ``vx.run`` calls (each with its edge cache) around a
-        refresh: the second run must compute on the refreshed edge
-        relation, and agree exactly with a run over a freshly extracted
-        graph that no earlier run ever cached."""
+class TestTopologyFreshness:
+    def test_runs_see_refreshed_edges(self):
+        """Two SQL-plane ``vx.run`` calls around a refresh: the refresh
+        drops the index the first run left on the edge table, and the
+        second run rebuilds it, computes on the refreshed edge relation,
+        and agrees exactly with a run over a freshly extracted graph."""
         vx = make_vx(seed=33)
         live = vx.create_graph_view("live", social_view())
         program = PageRank(iterations=6)
         before = vx.run(live, program).values
+        edges = vx.db.table("live_edge")
+        stale = edges.derived
+        assert isinstance(stale, ShardIndex)
 
         apply_dml(vx)
         live.refresh()
         assert live.last_extraction.mode == "incremental"
+        assert edges.derived is None
 
         after = vx.run(live, program).values
+        assert isinstance(edges.derived, ShardIndex) and edges.derived is not stale
+        assert edges.derived.key[:2] == (edges.uid, edges.version)
         fresh = vx.create_graph_view("fresh", social_view())
         assert after == vx.run(fresh, program).values
         assert after != before  # the DML genuinely moved the ranks
