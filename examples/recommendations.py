@@ -3,8 +3,7 @@
 Builds a synthetic user x item ratings bipartite graph with planted taste
 clusters, learns latent factors with the CollaborativeFiltering vertex
 program (factor vectors stored densely in RANK typed FLOAT columns via
-the vector codec — pass ``codec="json"`` for the legacy VARCHAR
-serialization), and produces top-N recommendations — then sanity-checks
+the vector codec), and produces top-N recommendations — then sanity-checks
 that held-out ratings are predicted better than chance.
 
 Run:

@@ -11,7 +11,6 @@ from repro.core.api import OutEdge, Vertex
 from repro.core.codecs import (
     FLOAT_CODEC,
     INTEGER_CODEC,
-    JSON_CODEC,
     ValueCodec,
     vector_codec,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "ValueCodec",
     "FLOAT_CODEC",
     "INTEGER_CODEC",
-    "JSON_CODEC",
     "vector_codec",
     "VertexicaConfig",
     "Coordinator",

@@ -1,11 +1,11 @@
 """Value codecs: how vertex/message values map to relational columns.
 
-The paper stores "the vertex value" in a relational column.  Scalar-valued
-programs (PageRank, SSSP, connected components) use FLOAT or INTEGER
-columns directly; programs with structured state historically serialized
-through a VARCHAR column as JSON.  A codec declares the SQL storage layout
-and the encode/decode pair, so the Vertexica storage layer can create
-correctly-typed vertex/message tables for any program.
+The paper stores "the vertex value" in a relational column.  Every codec
+stores fixed-width INTEGER or FLOAT columns: scalar-valued programs
+(PageRank, SSSP, connected components) use one column, programs with
+structured state one FLOAT column per element.  A codec declares the SQL
+storage layout and the encode/decode pair, so the Vertexica storage layer
+can create correctly-typed vertex/message tables for any program.
 
 Two storage shapes exist:
 
@@ -27,20 +27,18 @@ scalar pair — correct for any custom codec, just not vectorized.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.engine.types import FLOAT, INTEGER, VARCHAR, DataType
+from repro.engine.types import FLOAT, INTEGER, DataType
 from repro.errors import ProgramError
 
 __all__ = [
     "ValueCodec",
     "FLOAT_CODEC",
     "INTEGER_CODEC",
-    "JSON_CODEC",
     "vector_codec",
 ]
 
@@ -55,7 +53,7 @@ class ValueCodec:
     Attributes:
         name: codec identifier (used in error messages and metrics).
         sql_type: the column type holding encoded values (the per-column
-            type, for vector codecs).
+            type, for vector codecs): INTEGER or FLOAT.
         encode: Python value -> storable value (None passes through as NULL).
         decode: storable value -> Python value (None passes through).
         decode_array_fn: optional vectorized decode over a storage array
@@ -74,6 +72,19 @@ class ValueCodec:
     decode_array_fn: ArrayFn | None = None
     encode_array_fn: ArrayFn | None = None
     width: int = 0
+
+    def __post_init__(self) -> None:
+        """Every value plane keeps values in fixed-width columns.
+
+        Raises:
+            ProgramError: a storage type other than INTEGER or FLOAT.
+        """
+        if not self.sql_type.is_numeric:
+            raise ProgramError(
+                f"codec {self.name!r} stores {self.sql_type.name}; value codecs "
+                "store INTEGER or FLOAT columns (use vector_codec(k) for "
+                "structured state)"
+            )
 
     @property
     def is_vector(self) -> bool:
@@ -177,13 +188,11 @@ INTEGER_CODEC = ValueCodec(
     decode_array_fn=_cast_array(np.int64),
     encode_array_fn=_cast_array(np.int64),
 )
-JSON_CODEC = ValueCodec("json", VARCHAR, json.dumps, json.loads)
 
 #: Name -> instance for the scalar builtins (pickle-by-name support).
 _BUILTIN_CODECS = {
     "float": FLOAT_CODEC,
     "integer": INTEGER_CODEC,
-    "json": JSON_CODEC,
 }
 
 
@@ -202,8 +211,7 @@ def vector_codec(width: int) -> ValueCodec:
     Storage form is ``k`` FLOAT columns ``v0..v{k-1}`` — no serialization.
     Encoded/storage representation is a float64 array of shape ``(k,)``
     per value (``(n, k)`` for a whole partition); decoded scalar-path form
-    is a plain ``list[float]``, so programs written against the JSON codec
-    (lists in, lists out) convert by swapping the codec declaration alone.
+    is a plain ``list[float]`` (lists in, lists out).
 
     Raises:
         ProgramError: ``width < 1``.

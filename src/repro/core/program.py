@@ -16,7 +16,7 @@ implemented — it is the semantic reference, the fallback under
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -130,28 +130,13 @@ class VertexProgram:
         """Sanity-check declarations before a run.
 
         Raises:
-            ProgramError: on an unknown combiner name or a combiner with a
-                non-numeric message codec (SQL can only push down numeric
-                reductions; vector codecs qualify — they store ``k`` FLOAT
-                columns, reduced element-wise).
+            ProgramError: on an unknown combiner or aggregator op, or
+                ``max_supersteps < 1``.
         """
-        if self.combiner is not None:
-            if self.combiner not in COMBINERS:
-                raise ProgramError(
-                    f"unknown combiner {self.combiner!r}; expected one of {COMBINERS}"
-                )
-            if not self.message_codec.sql_type.is_numeric:
-                width = self.message_codec.width
-                shape = (
-                    f"width-{width} vector codec" if width else "scalar codec"
-                )
-                raise ProgramError(
-                    f"combiner {self.combiner!r} requires a numeric message "
-                    f"codec, but {self.message_codec.name!r} is a {shape} "
-                    f"over {self.message_codec.sql_type.name} columns; "
-                    "use a numeric scalar codec or vector_codec(k), or set "
-                    "combiner = None"
-                )
+        if self.combiner is not None and self.combiner not in COMBINERS:
+            raise ProgramError(
+                f"unknown combiner {self.combiner!r}; expected one of {COMBINERS}"
+            )
         for name, op in self.aggregators.items():
             if op not in COMBINERS:
                 raise ProgramError(

@@ -73,8 +73,7 @@ per plane (at run start and on plane rebuilds), and closing the plane
 tells the workers to drop it again, so an idle pool maps no segment
 between runs; per superstep only a tiny :class:`_ProcessStep`
 descriptor crosses the pipe.  Message inboxes are published into fresh
-shared segments each superstep (VARCHAR-codec payloads, which have no
-fixed width, ship inline by pickle instead).  Every shard task returns a
+shared segments each superstep.  Every shard task returns a
 :class:`ShardTaskOutput` whose aggregator partials are already reduced
 to *scalars* — the shard-resident aggregator fast path, shared by all
 executors — so the barrier reduces a handful of floats, not arrays.
@@ -320,7 +319,7 @@ class VertexShard:
     index: int
     vertex_ids: np.ndarray  # int64, sorted
     halted: np.ndarray  # bool
-    raw_values: np.ndarray  # storage dtype (float64/int64/object; (nv, k) for vectors)
+    raw_values: np.ndarray  # storage dtype (float64/int64; (nv, k) for vectors)
     value_valid: np.ndarray  # bool
     edge_indptr: np.ndarray  # int64 [nv + 1]
     edge_targets: np.ndarray  # int64
@@ -385,18 +384,8 @@ class PlaneMeta:
 
     task_retries: int
     retry_backoff: float
-    value_dtype: np.dtype  # storage dtype of vertex values (object for VARCHAR)
     msg_dtype: np.dtype
     msg_width: int
-
-    @property
-    def value_is_varchar(self) -> bool:
-        """Object-dtype values cannot live in shared memory."""
-        return self.value_dtype == object
-
-    @property
-    def msg_is_varchar(self) -> bool:
-        return self.msg_dtype == object
 
     def empty_msg_raw(self) -> np.ndarray:
         """A zero-length message storage array of the run's shape."""
@@ -712,7 +701,6 @@ class ShardedDataPlane:
         self.meta = PlaneMeta(
             task_retries=config.task_retries,
             retry_backoff=config.retry_backoff,
-            value_dtype=np.dtype(program.vertex_codec.sql_type.numpy_dtype),
             msg_dtype=np.dtype(program.message_codec.sql_type.numpy_dtype),
             msg_width=program.message_codec.width,
         )
@@ -816,7 +804,6 @@ class ShardedDataPlane:
         token = new_segment_name("vxplane")
         groups: list[SharedArrayGroup] = []
         descriptors: list[GroupDescriptor] = []
-        object_values: list[np.ndarray | None] = []
         for shard in self.shards:
             arrays = {
                 "vertex_ids": shard.vertex_ids,
@@ -825,9 +812,8 @@ class ShardedDataPlane:
                 "edge_indptr": shard.edge_indptr,
                 "edge_targets": shard.edge_targets,
                 "edge_weights": shard.edge_weights,
+                "raw_values": shard.raw_values,
             }
-            if not self.meta.value_is_varchar:
-                arrays["raw_values"] = np.asarray(shard.raw_values)
             group = SharedArrayGroup.create(f"{token}s{shard.index}", arrays)
             groups.append(group)
             descriptors.append(group.descriptor)
@@ -837,18 +823,13 @@ class ShardedDataPlane:
             # the index outlives these segments.
             shard.halted = group.arrays["halted"]
             shard.value_valid = group.arrays["value_valid"]
-            if not self.meta.value_is_varchar:
-                shard.raw_values = group.arrays["raw_values"]
-                object_values.append(None)
-            else:
-                object_values.append(shard.raw_values)
+            shard.raw_values = group.arrays["raw_values"]
         bootstrap = _PlaneBootstrap(
             token=token,
             program=self.program,
             num_vertices=self.graph.num_vertices,
             meta=self.meta,
             shard_groups=tuple(descriptors),
-            object_values=tuple(object_values),
             fault_plan=faults.active_plan_json(),
         )
         executor.install(bootstrap)
@@ -862,7 +843,7 @@ class ShardedDataPlane:
         Fixed-width message arrays are copied into a fresh shared
         segment per shard (the previous superstep's segment is unlinked
         — workers copy their inbox out at task start, so nothing still
-        references it); VARCHAR payloads ship inline by pickle.
+        references it).
         """
         descriptors: list = []
         for shard in self.shards:
@@ -873,22 +854,17 @@ class ShardedDataPlane:
             if shard.pending_messages == 0:
                 descriptors.append(None)
                 continue
-            if self.meta.msg_is_varchar:
-                descriptors.append(
-                    ("inline", (shard.msg_src, shard.msg_dst, shard.msg_raw, shard.msg_valid))
-                )
-                continue
             group = SharedArrayGroup.create(
                 f"{self._token}m{shard.index}",
                 {
                     "msg_src": shard.msg_src,
                     "msg_dst": shard.msg_dst,
-                    "msg_raw": np.asarray(shard.msg_raw),
+                    "msg_raw": shard.msg_raw,
                     "msg_valid": shard.msg_valid,
                 },
             )
             self._msg_groups[shard.index] = group
-            descriptors.append(("shm", group.descriptor))
+            descriptors.append(group.descriptor)
         return descriptors
 
     def close(self) -> None:
@@ -1145,8 +1121,7 @@ class _PlaneBootstrap:
     """The pickled-once worker bootstrap a plane installs at pool start.
 
     Carries everything per-superstep dispatch must not re-ship: the
-    program closure, the shared-segment descriptors, VARCHAR value
-    arrays (object dtype cannot live in shared memory), and the armed
+    program closure, the shared-segment descriptors, and the armed
     fault plan so injection sites trip inside the worker that actually
     runs the shard.
     """
@@ -1156,7 +1131,6 @@ class _PlaneBootstrap:
     num_vertices: int
     meta: PlaneMeta
     shard_groups: tuple[GroupDescriptor, ...]
-    object_values: tuple[np.ndarray | None, ...]
     fault_plan: str | None
 
     def __call__(self) -> None:
@@ -1167,9 +1141,9 @@ class _PlaneBootstrap:
 
 
 class _ChildPlane:
-    """One worker process's view of a plane: shards whose fixed-width
-    arrays are views into the shared segments, VARCHAR values as local
-    copies kept in lockstep by replaying the same kind-0 updates."""
+    """One worker process's view of a plane: shards whose arrays are
+    views into the shared segments, so every worker sees the
+    coordinator's vertex updates as they are written."""
 
     def __init__(self, boot: _PlaneBootstrap) -> None:
         self.meta = boot.meta
@@ -1181,17 +1155,12 @@ class _ChildPlane:
             group = SharedArrayGroup.attach(descriptor)
             self.groups.append(group)
             arrays = group.arrays
-            raw_values = (
-                boot.object_values[index]
-                if boot.object_values[index] is not None
-                else arrays["raw_values"]
-            )
             self.shards.append(
                 VertexShard(
                     index=index,
                     vertex_ids=arrays["vertex_ids"],
                     halted=arrays["halted"],
-                    raw_values=raw_values,
+                    raw_values=arrays["raw_values"],
                     value_valid=arrays["value_valid"],
                     edge_indptr=arrays["edge_indptr"],
                     edge_targets=arrays["edge_targets"],
@@ -1213,11 +1182,7 @@ class _ChildPlane:
         if descriptor is None:
             shard.clear_messages(self.meta.empty_msg_raw())
             return
-        tag, payload = descriptor
-        if tag == "inline":
-            shard.msg_src, shard.msg_dst, shard.msg_raw, shard.msg_valid = payload
-            return
-        group = SharedArrayGroup.attach(payload)
+        group = SharedArrayGroup.attach(descriptor)
         try:
             arrays = group.arrays
             # Copy out immediately: the coordinator replaces the segment
@@ -1246,20 +1211,14 @@ class _ChildPlane:
             aggregated=aggregated,
             use_batch=use_batch,
         )
-        out = _run_shard_task(shard, index, worker, self.meta)
-        if self.meta.value_is_varchar and out.updates.num_rows:
-            # VARCHAR values live process-locally (object dtype cannot be
-            # shared); replaying the shard's own committed updates keeps
-            # this copy in lockstep with the coordinator's apply.
-            _apply_updates_to_shard(shard, out.updates)
-        return out
+        return _run_shard_task(shard, index, worker, self.meta)
 
 
 @dataclass(frozen=True)
 class _ProcessStep:
     """The per-superstep task descriptor — the only thing pickled per
     dispatch: superstep scalars, the aggregated dict, and per-shard inbox
-    descriptors (segment references, or inline VARCHAR payloads)."""
+    segment descriptors."""
 
     token: str
     superstep: int

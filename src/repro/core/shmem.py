@@ -8,9 +8,8 @@ descriptor and see the same physical pages — vertex ids, halt flags,
 encoded values, CSR edges, and message buffers all cross the process
 boundary without pickling a single element.
 
-Only fixed-width dtypes can live in shared memory; ``object``-dtype
-arrays (VARCHAR codec values/messages) stay process-local and ship by
-pickle instead (see :mod:`repro.core.shards`).
+Only fixed-width dtypes can live in shared memory; every value codec
+stores INTEGER or FLOAT columns, so every shard array qualifies.
 
 Ownership contract: the creating process is the only one that ever
 ``unlink``\\ s a segment; attachers only ``close``.  Spawned worker

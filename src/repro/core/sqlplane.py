@@ -19,7 +19,6 @@ from repro.core.shards import shard_index
 from repro.core.storage import GraphHandle, GraphStorage
 from repro.core.worker import VertexWorker
 from repro.engine.parallel import PartitionExecutor
-from repro.errors import ProgramError
 
 __all__ = ["SqlDataPlane"]
 
@@ -30,12 +29,6 @@ class SqlDataPlane:
     version's topology (:func:`~repro.core.shards.shard_index` — the
     index the shard plane partitions by, kept on the edge table, so a
     rollback's rebuilt plane and a later run on either plane reuse it).
-
-    Raises:
-        ProgramError: the join input format with a vector codec — the
-            three-way join projects a single ``value`` column per table,
-            which vector codecs don't have (without this check the
-            mismatch surfaces deep inside decode).
     """
 
     def __init__(
@@ -46,18 +39,6 @@ class SqlDataPlane:
         config: VertexicaConfig,
         use_batch: bool | None = None,
     ) -> None:
-        if config.input_strategy == "join":
-            for role, codec in (
-                ("vertex", program.vertex_codec),
-                ("message", program.message_codec),
-            ):
-                if codec.is_vector:
-                    raise ProgramError(
-                        f"the join input format cannot carry vector codec "
-                        f"payloads ({role} codec {codec.name!r}, width "
-                        f"{codec.width}); use input_strategy='union' "
-                        "(or data_plane='shards')"
-                    )
         self.storage = storage
         self.db = storage.db
         self.graph = graph
@@ -118,7 +99,7 @@ class SqlDataPlane:
             # the shard plane.
             edge_rows = graph.num_edges if superstep == 0 else 0
         else:
-            input_sql = storage.join_input_sql(graph)
+            input_sql = storage.join_input_sql(graph, program)
             order_by = ("vid", "edst", "msrc")
         # Held until the next superstep's output replaces it (as the loop's
         # locals used to hold it): releasing the staged arrays at the end

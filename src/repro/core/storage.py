@@ -19,7 +19,7 @@ The vertex/message/output tables are (re)created per run because their
 value column layout depends on the program's codecs: a scalar codec owns
 one ``value`` column of its SQL type (the paper's layout); a vector codec
 (:func:`~repro.core.codecs.vector_codec`) owns ``k`` typed FLOAT columns
-``v0..v{k-1}`` — dense multi-column state instead of JSON-in-VARCHAR.
+``v0..v{k-1}``.
 Vertex and message payloads travel through the union input and the
 staging table in one lane of columns ``p0..p{K-1}``, each typed by the
 codec that writes it (:func:`payload_layout`).
@@ -39,7 +39,6 @@ from repro.engine.batch import RecordBatch
 from repro.engine.column import Column
 from repro.engine.database import Database
 from repro.engine.operators import stable_int_order
-from repro.engine.schema import ColumnDef, Schema
 from repro.engine.types import BOOLEAN, FLOAT, INTEGER, DataType
 from repro.errors import GraphLoadError
 
@@ -226,10 +225,10 @@ def _scalar_storage(dtype: DataType, items: list) -> tuple[np.ndarray, np.ndarra
     items)`` builds, without its per-item coercion, when every item of a
     numeric column already has the column's Python type (``float`` /
     ``int``; ``None`` is NULL and stores the column's filler) — coercion
-    returns such an item unchanged.  ``None`` for anything else (VARCHAR,
-    numpy scalars, ``int`` for FLOAT, ``bool``): that takes
-    ``from_values`` and its checks."""
-    if not dtype.is_numeric or set(map(type, items)) - {dtype.python_type, type(None)}:
+    returns such an item unchanged.  ``None`` for anything else (numpy
+    scalars, ``int`` for FLOAT, ``bool``): that takes ``from_values`` and
+    its checks."""
+    if set(map(type, items)) - {dtype.python_type, type(None)}:
         return None
     valid = np.ones(len(items), dtype=bool)
     if None in items:
@@ -538,13 +537,21 @@ class GraphStorage:
             f"FROM {graph.message_table} m"
         )
 
-    def join_input_sql(self, graph: GraphHandle) -> str:
+    def join_input_sql(self, graph: GraphHandle, program: VertexProgram) -> str:
         """The naive three-way join the paper warns against: one row per
-        (vertex x out-edge x incoming-message) combination."""
+        (vertex x out-edge x incoming-message) combination.  Each value
+        arrives in its codec's own storage columns, prefixed by its table
+        alias (``vvalue`` / ``mvalue``; ``vv0..`` / ``mv0..`` for vectors)."""
+
+        def values(alias: str, codec: ValueCodec) -> str:
+            return "".join(
+                f", {alias}.{name} AS {alias}{name}" for name in codec.column_names()
+            )
+
         return (
-            "SELECT v.id AS vid, CASE WHEN v.halted THEN 1 ELSE 0 END AS halted, "
-            "v.value AS vvalue, e.dst AS edst, e.weight AS eweight, "
-            "m.src AS msrc, m.value AS mvalue "
+            "SELECT v.id AS vid, CASE WHEN v.halted THEN 1 ELSE 0 END AS halted"
+            f"{values('v', program.vertex_codec)}, e.dst AS edst, e.weight AS eweight, "
+            f"m.src AS msrc{values('m', program.message_codec)} "
             f"FROM {graph.vertex_table} v "
             f"LEFT JOIN {graph.edge_table} e ON v.id = e.src "
             f"LEFT JOIN {graph.message_table} m ON v.id = m.dst"

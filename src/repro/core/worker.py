@@ -40,8 +40,8 @@ Two input formats are supported, matching the Table Unions ablation:
   graph version's :class:`~repro.core.shards.ShardIndex`, the topology
   the shard plane runs on;
 * ``join``   — wide rows from the naive three-way join, one per
-  (vertex x out-edge x incoming-message) combination, which the worker
-  must de-duplicate.
+  (vertex x out-edge x incoming-message) combination, each value in its
+  codec's own storage columns, which the worker must de-duplicate.
 
 Both formats decode into the same :class:`_DecodedPartition`, so the
 batch and scalar compute paths run on either.  The shard-resident data
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -288,6 +288,14 @@ class EmittedMessages(NamedTuple):
     values: np.ndarray
     valid: np.ndarray
     route_senders: np.ndarray | None
+
+
+def _lane(
+    batch: RecordBatch, codec: ValueCodec, names: Sequence[str], rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One codec's storage form and validity, read from the input columns
+    ``names`` of ``batch`` at ``rows``."""
+    return storage_form(codec, [batch.column(name).take(rows) for name in names])
 
 
 def _storage(codec: ValueCodec, values: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -540,14 +548,11 @@ class VertexWorker:
         vid = np.asarray(batch.column("vid").values, dtype=np.int64)
         kind = batch.column("kind").values
         i1 = batch.column("i1").values
-
-        def lane(codec: ValueCodec, names: tuple[str, ...], rows: np.ndarray):
-            return storage_form(codec, [batch.column(name).take(rows) for name in names])
-
+        program, layout = self.program, self.layout
         v_idx = np.flatnonzero(kind == 0)
         vertex_ids = vid[v_idx]
         halted = i1[v_idx] == 1
-        raw_values, value_valid = lane(self.program.vertex_codec, self.layout.vertex, v_idx)
+        raw_values, value_valid = _lane(batch, program.vertex_codec, layout.vertex, v_idx)
 
         if not np.array_equal(vertex_ids, self.topology.vertex_ids[partition_index]):
             raise ProgramError(
@@ -557,7 +562,7 @@ class VertexWorker:
         edge_indptr, edge_targets, edge_weights = self.topology.shard_edges(partition_index)
 
         m_idx = np.flatnonzero(kind == 2)
-        msg_values, msg_value_valid = lane(self.program.message_codec, self.layout.message, m_idx)
+        msg_values, msg_value_valid = _lane(batch, program.message_codec, layout.message, m_idx)
         msg_indptr, (msg_src, msg_raw, msg_valid), dropped = _csr_align(
             vid[m_idx],
             vertex_ids,
@@ -580,11 +585,10 @@ class VertexWorker:
         vid = np.asarray(batch.column("vid").values, dtype=np.int64)
         n = len(vid)
         halted_col = batch.column("halted").values
-        vvalue = batch.column("vvalue")
         edst = batch.column("edst")
         eweight = batch.column("eweight")
         msrc = batch.column("msrc")
-        mvalue = batch.column("mvalue")
+        v_codec, m_codec = self.program.vertex_codec, self.program.message_codec
 
         group_first = np.empty(n, dtype=bool)
         if n:
@@ -593,8 +597,9 @@ class VertexWorker:
         first_idx = np.flatnonzero(group_first)
         vertex_ids = vid[first_idx]
         halted = halted_col[first_idx] == 1
-        raw_values = vvalue.values[first_idx]
-        value_valid = vvalue.valid[first_idx]
+        raw_values, value_valid = _lane(
+            batch, v_codec, ["v" + name for name in v_codec.column_names()], first_idx
+        )
 
         # Rows are sorted by (vid, edst, msrc); within a group either every
         # row carries an edge or none does.  Distinct edst values give the
@@ -620,14 +625,13 @@ class VertexWorker:
         m_rows = np.flatnonzero(
             msrc.valid & (~edst_valid | (edst_vals == first_edst_per_row))
         )
+        msg_values, msg_value_valid = _lane(
+            batch, m_codec, ["m" + name for name in m_codec.column_names()], m_rows
+        )
         msg_indptr, (msg_src, msg_raw, msg_valid), _ = _csr_align(
             vid[m_rows],
             vertex_ids,
-            (
-                msrc.values[m_rows].astype(np.int64, copy=False),
-                mvalue.values[m_rows],
-                mvalue.valid[m_rows],
-            ),
+            (msrc.values[m_rows].astype(np.int64, copy=False), msg_values, msg_value_valid),
         )
         # Every join row carries a vertex, so nothing is ever dropped.
         return _DecodedPartition(

@@ -7,21 +7,12 @@ vertices of a bipartite graph whose edge weights are ratings; each vertex
 holds a latent-factor vector, and each superstep performs one gradient
 step against the vectors received from its neighbors.
 
-The factor vector is *structured* vertex state.  Two storage codecs are
-supported (the ``codec`` argument):
-
-* ``"vector"`` (default) — the dense typed path: rank-``k`` factor
-  vectors live in ``k`` FLOAT columns via
-  :func:`~repro.core.codecs.vector_codec`, and each message payload is
-  the bare factor vector (the sender arrives through the message table's
-  ``src`` column, surfaced as ``vertex.message_senders``).  No
-  serialization anywhere on the superstep hot path.
-* ``"json"`` — the legacy ablation: vectors serialized through the JSON
-  codec into a VARCHAR column, paying ``json.dumps``/``loads`` per row
-  per superstep.
-
-Both paths run the same ``compute`` and produce bit-identical factors
-(the parity suite holds them to it); only the storage layout differs.
+The factor vector is *structured* vertex state: rank-``k`` factor
+vectors live in ``k`` FLOAT columns via
+:func:`~repro.core.codecs.vector_codec`, and each message payload is the
+bare factor vector (the sender arrives through the message table's
+``src`` column, surfaced as ``vertex.message_senders``).  No
+serialization anywhere on the superstep hot path.
 
 The rating a vertex needs for neighbor ``s`` is the weight of its own
 out-edge to ``s``, so the graph must contain both edge directions with the
@@ -33,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.api import Vertex
-from repro.core.codecs import JSON_CODEC, vector_codec
+from repro.core.codecs import vector_codec
 from repro.core.program import VertexProgram
 
 __all__ = ["CollaborativeFiltering"]
@@ -49,8 +40,6 @@ class CollaborativeFiltering(VertexProgram):
         learning_rate: SGD step size.
         regularization: L2 penalty.
         seed: seeds the deterministic per-vertex initial vectors.
-        codec: ``"vector"`` (dense typed columns, default) or ``"json"``
-            (the VARCHAR serialization ablation).
     """
 
     combiner = None  # SGD consumes each neighbor vector; not reducible
@@ -62,26 +51,17 @@ class CollaborativeFiltering(VertexProgram):
         learning_rate: float = 0.05,
         regularization: float = 0.02,
         seed: int = 7,
-        codec: str = "vector",
     ) -> None:
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        if codec not in ("vector", "json"):
-            raise ValueError(f"codec must be 'vector' or 'json', got {codec!r}")
         self.iterations = iterations
         self.rank = rank
         self.learning_rate = learning_rate
         self.regularization = regularization
         self.seed = seed
-        self.codec = codec
-        if codec == "vector":
-            self.vertex_codec = vector_codec(rank)
-            self.message_codec = vector_codec(rank)
-        else:
-            self.vertex_codec = JSON_CODEC
-            self.message_codec = JSON_CODEC
+        self.vertex_codec = self.message_codec = vector_codec(rank)
         self.max_supersteps = iterations + 1
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import Vertexica, VertexicaConfig
 from repro.core.api import Vertex
-from repro.core.codecs import JSON_CODEC, vector_codec
+from repro.core.codecs import vector_codec
 from repro.core.program import (
     BatchVertexProgram,
     VertexBatch,
@@ -246,12 +246,6 @@ ALL_PROGRAMS_BOTH_PLANES = [
         id="collab-filter",
     ),
     pytest.param(
-        lambda: CollaborativeFiltering(iterations=4, rank=4, codec="json"),
-        True,
-        False,
-        id="collab-filter-json",
-    ),
-    pytest.param(
         lambda: RandomWalkWithRestart(source=2, iterations=5), False, False, id="rwr"
     ),
     pytest.param(lambda: InDegree(), False, False, id="in-degree"),
@@ -359,29 +353,14 @@ class TestShardPlaneParity:
 
 
 # ---------------------------------------------------------------------------
-# Typed vector value plane: dense multi-column state vs the JSON codec
+# Typed vector value plane: dense multi-column state
 # ---------------------------------------------------------------------------
 class TestVectorValuePlane:
     """The vector codec path (k typed FLOAT columns) must be bit-identical
-    to the JSON-in-VARCHAR path it replaces — same factors, same
-    superstep behavior — on both data planes and at several ranks."""
+    across the data planes — same factors, same superstep behavior — at
+    several ranks."""
 
-    @pytest.mark.parametrize("rank", [1, 3, 8])
-    @pytest.mark.parametrize("plane", ["sql", "shards"])
-    def test_cf_vector_vs_json_bit_identical(self, rank, plane):
-        json_run = run_on_plane(
-            plane,
-            lambda: CollaborativeFiltering(iterations=4, rank=rank, codec="json"),
-            symmetrize=True,
-        )
-        vector_run = run_on_plane(
-            plane,
-            lambda: CollaborativeFiltering(iterations=4, rank=rank, codec="vector"),
-            symmetrize=True,
-        )
-        assert_runs_identical(json_run, vector_run)
-
-    @pytest.mark.parametrize("rank", [2, 5])
+    @pytest.mark.parametrize("rank", [1, 2, 5, 8])
     def test_cf_vector_cross_plane(self, rank):
         sql = run_on_plane(
             "sql", lambda: CollaborativeFiltering(iterations=4, rank=rank), True
@@ -515,49 +494,12 @@ class TestVectorValuePlane:
         shards = run_on_plane("shards", ComponentMax, symmetrize=True)
         assert_runs_identical(sql, shards)
 
-    def test_vector_codec_rejects_join_input_format(self):
-        with pytest.raises(VertexicaError, match="join input format"):
-            run_on_plane(
-                "sql",
-                lambda: CollaborativeFiltering(iterations=2, rank=2),
-                symmetrize=True,
-                input_strategy="join",
-            )
-
-    def test_vector_message_codec_rejects_join_input_format(self):
-        # A vector *message* codec alone (scalar vertex value) must fail
-        # the join strategy with the same clear up-front error, not a
-        # confusing missing-column failure deep inside decode.
-        class VectorMessages(VertexProgram):
-            message_codec = vector_codec(3)
-
-            def compute(self, vertex):
-                vertex.vote_to_halt()
-
-        with pytest.raises(VertexicaError, match="join input format") as excinfo:
-            run_on_plane("sql", VectorMessages, input_strategy="join")
-        assert "message codec" in str(excinfo.value)
-
     def test_vector_combiners_validate(self):
         # Numeric vector codecs are element-wise reducible; validate()
         # must admit them (the blunt rejection is gone).
         MultiSourceSSSP(sources=(0, 1)).validate()
         FeaturePropagation(iterations=2, width=3).validate()
         RandomWalkEmbeddings(iterations=2, dim=3).validate()
-
-    def test_non_numeric_codec_rejects_combiner(self):
-        class BadCombiner(VertexProgram):
-            vertex_codec = JSON_CODEC
-            message_codec = JSON_CODEC
-            combiner = "SUM"
-
-            def compute(self, vertex):  # pragma: no cover - never runs
-                pass
-
-        with pytest.raises(ProgramError, match="numeric message codec") as excinfo:
-            BadCombiner().validate()
-        # The error names the offending codec precisely.
-        assert JSON_CODEC.name in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------

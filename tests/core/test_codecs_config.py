@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.codecs import FLOAT_CODEC, INTEGER_CODEC, JSON_CODEC, vector_codec
+from repro.core.codecs import FLOAT_CODEC, INTEGER_CODEC, ValueCodec, vector_codec
 from repro.core.config import VertexicaConfig
-from repro.engine.types import FLOAT, INTEGER, VARCHAR
+from repro.engine.types import BOOLEAN, FLOAT, INTEGER, VARCHAR
 from repro.errors import ProgramError, VertexicaError
 
 
@@ -19,20 +19,20 @@ class TestCodecs:
         assert INTEGER_CODEC.sql_type is INTEGER
         assert INTEGER_CODEC.encode_or_none(7.0) == 7
 
-    def test_json_codec_roundtrip(self):
-        assert JSON_CODEC.sql_type is VARCHAR
-        payload = {"vector": [1.0, 2.5], "id": 3}
-        encoded = JSON_CODEC.encode_or_none(payload)
-        assert isinstance(encoded, str)
-        assert JSON_CODEC.decode_or_none(encoded) == payload
+    @pytest.mark.parametrize("sql_type", [VARCHAR, BOOLEAN], ids=["varchar", "boolean"])
+    def test_non_numeric_storage_rejected(self, sql_type):
+        # Every value plane keeps values in fixed-width INTEGER / FLOAT
+        # columns; the codec names itself in the error.
+        with pytest.raises(ProgramError, match="'custom'.*INTEGER or FLOAT"):
+            ValueCodec("custom", sql_type, str, str)
 
     def test_none_maps_to_null_both_ways(self):
-        for codec in (FLOAT_CODEC, INTEGER_CODEC, JSON_CODEC, vector_codec(3)):
+        for codec in (FLOAT_CODEC, INTEGER_CODEC, vector_codec(3)):
             assert codec.encode_or_none(None) is None
             assert codec.decode_or_none(None) is None
 
     def test_scalar_codecs_are_not_vectors(self):
-        for codec in (FLOAT_CODEC, INTEGER_CODEC, JSON_CODEC):
+        for codec in (FLOAT_CODEC, INTEGER_CODEC):
             assert not codec.is_vector
             assert codec.width == 0
             assert codec.column_names() == ("value",)

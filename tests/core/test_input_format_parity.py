@@ -17,15 +17,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.programs
 from repro.core import Vertexica, VertexicaConfig
 from repro.programs import (
     AdaptivePageRank,
     CollaborativeFiltering,
     ConnectedComponents,
+    FeaturePropagation,
     InDegree,
     LabelPropagation,
+    MultiSourceSSSP,
     OutDegree,
     PageRank,
+    RandomWalkEmbeddings,
     RandomWalkWithRestart,
     ShortestPaths,
 )
@@ -38,7 +42,9 @@ except ImportError:  # the recovery-fuzz CI job imports this module without hypo
     given = None
 
 #: (program factory, needs_symmetrized_edges, matching_graph) — every
-#: program in ``repro.programs``; keep in sync with its ``__all__``.
+#: program in ``repro.programs``, vector codecs included (the join
+#: projects each codec's own storage columns); a guard test holds the
+#: list to ``repro.programs.__all__``.
 #:
 #: ``matching_graph=True`` runs on a perfect-matching graph (every vertex
 #: has exactly one neighbor, hence at most one incoming message).
@@ -47,11 +53,7 @@ except ImportError:  # the recovery-fuzz CI job imports this module without hypo
 #: deliver multi-message batches in different orders (union:
 #: message-table scan order; join: sorted by sender id), which is allowed
 #: to change SGD trajectories.  One message per vertex removes the only
-#: legal divergence, so the decode parity check stays bit-exact while
-#: still exercising the JSON/VARCHAR codec path through both formats
-#: (the join format cannot carry vector-codec payloads, so CF runs its
-#: ``codec="json"`` ablation here; the vector path's cross-plane parity
-#: lives in ``test_batch_parity.TestShardPlaneParity``).
+#: legal divergence, so the decode parity check stays bit-exact.
 ALL_PROGRAMS = [
     pytest.param(lambda: PageRank(iterations=5), False, False, id="pagerank"),
     pytest.param(
@@ -60,10 +62,16 @@ ALL_PROGRAMS = [
     pytest.param(lambda: ShortestPaths(source=0), False, False, id="sssp"),
     pytest.param(lambda: ConnectedComponents(), True, False, id="components"),
     pytest.param(
-        lambda: CollaborativeFiltering(iterations=4, rank=4, codec="json"),
-        True,
-        True,
-        id="collab-filter",
+        lambda: CollaborativeFiltering(iterations=4, rank=4), True, True, id="collab-filter"
+    ),
+    pytest.param(
+        lambda: MultiSourceSSSP(sources=(0, 5, 11)), False, False, id="multi-sssp"
+    ),
+    pytest.param(
+        lambda: FeaturePropagation(iterations=4, width=5), False, False, id="feature-prop"
+    ),
+    pytest.param(
+        lambda: RandomWalkEmbeddings(iterations=3, dim=4), False, False, id="rw-embeddings"
     ),
     pytest.param(
         lambda: RandomWalkWithRestart(source=2, iterations=5), False, False, id="rwr"
@@ -122,6 +130,11 @@ def assert_runs_identical(left, right):
 
 
 class TestUnionVsJoinAllPrograms:
+    def test_list_covers_every_shipped_program(self):
+        listed = {type(param.values[0]()) for param in ALL_PROGRAMS}
+        shipped = {getattr(repro.programs, name) for name in repro.programs.__all__}
+        assert listed == shipped
+
     @pytest.mark.parametrize("program_factory,symmetrize,matching", ALL_PROGRAMS)
     def test_formats_agree(self, program_factory, symmetrize, matching):
         union = run_with("union", program_factory, symmetrize, matching)

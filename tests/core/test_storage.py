@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.codecs import FLOAT_CODEC, INTEGER_CODEC, JSON_CODEC, ValueCodec
+from repro.core.codecs import FLOAT_CODEC, INTEGER_CODEC, ValueCodec, vector_codec
 from repro.core.program import VertexProgram
 from repro.core.storage import GraphStorage
 from repro.engine import Database
@@ -88,13 +88,13 @@ class TestSetupRun:
             (FLOAT_CODEC, lambda v, d: v * d),  # ints, encoded by float()
             (INTEGER_CODEC, lambda v, d: 2**62 - v * 1_000_003 - d),
             (INTEGER_CODEC, lambda v, d: v / 2),  # floats, truncated by int()
-            (JSON_CODEC, lambda v, d: [v, d]),
+            (ValueCodec("pair-sum", INTEGER, sum, int), lambda v, d: [v, d]),
             (ValueCodec("f32", FLOAT, np.float32, float), lambda v, d: v / 7),
             (ValueCodec("u8", INTEGER, np.uint8, int), lambda v, d: v),
             (FLOAT_CODEC, lambda v, d: None),
         ],
         ids=[
-            "float", "float-from-int", "integer", "integer-from-float", "json-varchar",
+            "float", "float-from-int", "integer", "integer-from-float", "custom-from-list",
             "numpy-float32", "numpy-uint8", "all-null",
         ],
     )
@@ -127,10 +127,7 @@ class TestSetupRun:
         got = db.table("g_vertex").data().column("value")
         assert got.dtype is expected.dtype and got.values.dtype == expected.values.dtype
         assert got.valid.tobytes() == expected.valid.tobytes()
-        if codec.sql_type is FLOAT or codec.sql_type is INTEGER:
-            assert got.values.tobytes() == expected.values.tobytes()
-        else:
-            assert got.values.tolist() == expected.values.tolist()
+        assert got.values.tobytes() == expected.values.tobytes()
 
     def test_initial_value_of_the_wrong_type_still_raises(self, storage):
         class Bools(VertexProgram):
@@ -173,9 +170,38 @@ class TestInputSql:
         handle = storage.load_graph("g", [0, 0], [1, 2], num_vertices=3)
         storage.setup_run(handle, PageRank(iterations=1))
         db.execute("INSERT INTO g_message VALUES (1, 0, 0.5), (2, 0, 0.25)")
-        batch = db.query_batch(storage.join_input_sql(handle))
+        batch = db.query_batch(storage.join_input_sql(handle, PageRank(iterations=1)))
         zero_rows = [r for r in batch.to_rows() if r[0] == 0]
         assert len(zero_rows) == 4
         # vertices with no edges/messages still appear once
         one_rows = [r for r in batch.to_rows() if r[0] == 1]
         assert len(one_rows) == 1
+
+    def test_join_input_carries_codec_columns(self, storage, db):
+        """The join projects each codec's own storage columns: a vector
+        vertex codec's ``v0..`` as ``vv0..``, an INTEGER message codec's
+        ``value`` as ``mvalue`` — each in its own SQL type."""
+
+        class Mixed(VertexProgram):
+            vertex_codec = vector_codec(2)
+            message_codec = INTEGER_CODEC
+
+            def initial_value(self, vertex_id, out_degree, num_vertices):
+                return [float(vertex_id), -1.5]
+
+            def compute(self, vertex):
+                vertex.vote_to_halt()
+
+        program = Mixed()
+        handle = storage.load_graph("g", [0], [1])
+        storage.setup_run(handle, program)
+        db.execute("INSERT INTO g_message VALUES (1, 0, 7)")
+        batch = db.query_batch(storage.join_input_sql(handle, program))
+        assert batch.schema.names() == [
+            "vid", "halted", "vv0", "vv1", "edst", "eweight", "msrc", "mvalue"
+        ]
+        assert [column.dtype for column in batch.schema][2:4] == [FLOAT, FLOAT]
+        assert batch.schema[-1].dtype is INTEGER
+        assert sorted(batch.to_rows()) == [
+            (0, 0, 0.0, -1.5, 1, 1.0, 1, 7), (1, 0, 1.0, -1.5, None, None, None, None)
+        ]

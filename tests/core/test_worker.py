@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.api import Vertex
-from repro.core.codecs import FLOAT_CODEC, INTEGER_CODEC, JSON_CODEC, vector_codec
+from repro.core.codecs import FLOAT_CODEC, INTEGER_CODEC, vector_codec
 from repro.core.program import VertexProgram
 from repro.core.shards import shard_index
 from repro.core.storage import GraphStorage, payload_layout
@@ -111,7 +111,7 @@ class TestJoinFormat:
         join_worker = VertexWorker(program, superstep=1, num_vertices=3, input_format="join")
         db.register_transform("wj", join_worker, join_worker.schema)
         join_out = db.run_transform(
-            "wj", storage.join_input_sql(handle),
+            "wj", storage.join_input_sql(handle, program),
             partition_by=("vid",), order_by=("vid", "edst", "msrc"),
         )
         assert sorted(union_out.to_rows()) == sorted(join_out.to_rows())
@@ -127,7 +127,7 @@ class TestJoinFormat:
         worker = VertexWorker(program, superstep=1, num_vertices=4, input_format="join")
         db.register_transform("w", worker, worker.schema)
         out = db.run_transform(
-            "w", storage.join_input_sql(handle),
+            "w", storage.join_input_sql(handle, program),
             partition_by=("vid",), order_by=("vid", "edst", "msrc"),
         )
         assert sorted(program.seen[0]) == [1.0, 2.0]
@@ -153,22 +153,21 @@ class TestOutputSchema:
         "vertex_codec, message_codec, lane, vertex, message",
         [
             (INTEGER_CODEC, INTEGER_CODEC, ["INTEGER"], ["p0"], ["p0"]),
-            (JSON_CODEC, JSON_CODEC, ["VARCHAR"], ["p0"], ["p0"]),
+            (FLOAT_CODEC, FLOAT_CODEC, ["FLOAT"], ["p0"], ["p0"]),
             (FLOAT_CODEC, vector_codec(3), ["FLOAT"] * 3, ["p0"], ["p0", "p1", "p2"]),
             (vector_codec(2), FLOAT_CODEC, ["FLOAT"] * 2, ["p0", "p1"], ["p0"]),
             (INTEGER_CODEC, FLOAT_CODEC, ["INTEGER", "FLOAT"], ["p0"], ["p1"]),
-            (JSON_CODEC, FLOAT_CODEC, ["VARCHAR", "FLOAT"], ["p0"], ["p1"]),
+            (FLOAT_CODEC, INTEGER_CODEC, ["FLOAT", "INTEGER"], ["p0"], ["p1"]),
             (vector_codec(2), INTEGER_CODEC, ["FLOAT", "FLOAT", "INTEGER"], ["p0", "p1"], ["p2"]),
         ],
-        ids=["integer", "varchar", "float+vector", "vector+float", "integer+float",
-             "varchar+float", "vector+integer"],
+        ids=["integer", "float", "float+vector", "vector+float", "integer+float",
+             "float+integer", "vector+integer"],
     )
     def test_lane_columns_are_typed_by_their_codec(
         self, vertex_codec, message_codec, lane, vertex, message
     ):
         """Codecs of one SQL type share the lane from p0; otherwise the
-        message lane follows the vertex lane.  No object column exists
-        unless a codec is VARCHAR."""
+        message lane follows the vertex lane."""
 
         class Program(VertexProgram):
             def compute(self, v):
@@ -181,5 +180,3 @@ class TestOutputSchema:
         assert schema.names()[5:] == [f"p{j}" for j in range(len(lane))]
         assert [c.dtype.name for c in schema][5:] == lane
         assert (list(layout.vertex), list(layout.message)) == (vertex, message)
-        has_object_column = "VARCHAR" in [c.dtype.name for c in schema]
-        assert has_object_column == (JSON_CODEC in (vertex_codec, message_codec))
