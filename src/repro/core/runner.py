@@ -34,6 +34,7 @@ from repro.core.metrics import RunStats
 from repro.core.program import VertexProgram
 from repro.core.storage import GraphHandle, GraphStorage
 from repro.engine.database import Database, Result
+from repro.engine.operators import stable_int_order
 from repro.engine.parallel import SessionPools
 from repro.engine.persistence import read_checkpoint_metadata
 from repro.engine.sql.ast import (
@@ -43,7 +44,7 @@ from repro.engine.sql.ast import (
     EdgeClause,
     RefreshGraphViewStatement,
 )
-from repro.errors import GraphViewError
+from repro.errors import GraphLoadError, GraphViewError
 from repro.graphview.catalog import MANIFEST_KEY, handle_manifest, view_from_dict
 from repro.graphview.compiler import render_expression
 from repro.graphview.lowering import ExtractionOptions, options_for_config
@@ -159,6 +160,8 @@ class Vertexica:
         else:
             weight_arr = np.asarray(weights, dtype=np.float64)
         if symmetrize:
+            if src_arr.shape != dst_arr.shape:
+                raise GraphLoadError("src and dst arrays differ in length")
             src_arr, dst_arr, weight_arr = _symmetrized(src_arr, dst_arr, weight_arr)
         return self.storage.load_graph(
             name, src_arr, dst_arr, weight_arr, num_vertices=num_vertices
@@ -514,9 +517,12 @@ def _symmetrized(
     all_src = np.concatenate([src, dst])
     all_dst = np.concatenate([dst, src])
     all_w = np.concatenate([weights, weights])
-    # Dedup on (src, dst); keep the first weight.
-    width = max(int(all_dst.max(initial=0)) + 1, 1)
-    key = all_src * width + all_dst
-    _, first = np.unique(key, return_index=True)
-    first.sort()
+    # Dedup on (src, dst), keeping the first weight: the stable order puts
+    # each pair's earliest row first in its run.
+    order = stable_int_order((all_src, all_dst))
+    ranked_src, ranked_dst = all_src[order], all_dst[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ranked_src[1:] != ranked_src[:-1]) | (ranked_dst[1:] != ranked_dst[:-1])
+    first = np.zeros(len(order), dtype=bool)
+    first[order[starts]] = True
     return all_src[first], all_dst[first], all_w[first]

@@ -38,7 +38,7 @@ from repro.core.program import VertexProgram
 from repro.engine.batch import RecordBatch
 from repro.engine.column import Column
 from repro.engine.database import Database
-from repro.engine.operators import stable_int_order
+from repro.engine.operators import stable_int_order, unique_ints
 from repro.engine.types import BOOLEAN, FLOAT, INTEGER, DataType
 from repro.errors import GraphLoadError
 
@@ -324,14 +324,22 @@ class GraphStorage:
         dst_arr = np.asarray(dst, dtype=np.int64)
         if src_arr.shape != dst_arr.shape:
             raise GraphLoadError("src and dst arrays differ in length")
-        if len(src_arr) and (src_arr.min() < 0 or dst_arr.min() < 0):
-            raise GraphLoadError("vertex ids must be non-negative")
         if weights is None:
             weight_arr = np.ones(len(src_arr), dtype=np.float64)
         else:
             weight_arr = np.asarray(weights, dtype=np.float64)
             if weight_arr.shape != src_arr.shape:
                 raise GraphLoadError("weights array length differs from edges")
+        # The node set comes before the first DDL: a rejected load leaves
+        # the graph's previous tables (and their derived state) untouched.
+        ids = unique_ints(
+            src_arr,
+            dst_arr,
+            np.arange(num_vertices or 0),
+            () if node_ids is None else node_ids,
+        )
+        if len(ids) and ids[0] < 0:
+            raise GraphLoadError("vertex ids must be non-negative")
         if not presorted:
             order = canonical_edge_order(src_arr, dst_arr, weight_arr)
             src_arr, dst_arr, weight_arr = (
@@ -364,14 +372,6 @@ class GraphStorage:
                     ],
                 ),
             )
-            ids = np.union1d(src_arr, dst_arr) if len(src_arr) else np.empty(0, np.int64)
-            if num_vertices is not None:
-                ids = np.union1d(ids, np.arange(num_vertices, dtype=np.int64))
-            if node_ids is not None:
-                explicit = np.asarray(node_ids, dtype=np.int64)
-                if len(explicit) and explicit.min() < 0:
-                    raise GraphLoadError("vertex ids must be non-negative")
-                ids = np.union1d(ids, explicit)
             db.execute(f"CREATE TABLE {handle.node_table} (id INTEGER NOT NULL)")
             db.insert_batch(
                 handle.node_table,

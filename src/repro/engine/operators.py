@@ -10,7 +10,9 @@ The join, aggregation, and sort algorithms are implemented with
 factorize/searchsorted/reduceat patterns rather than per-row Python loops;
 string columns fall back to per-group loops only where numpy cannot help.
 Every stable sort over integer keys goes through one kernel,
-:func:`stable_int_order` (radix passes, or a merge of presorted runs).
+:func:`stable_int_order` (one packed ``uint64`` sort, or a merge of
+presorted runs), and integer sets and ranks through :func:`unique_ints`
+and :func:`value_ranks` — never numpy's hash-table ``np.unique``.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ __all__ = [
     "factorize_columns",
     "hash_bucket_order",
     "stable_int_order",
+    "unique_ints",
+    "value_ranks",
     "explain_tree",
     "analyze_tree",
 ]
@@ -60,107 +64,188 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Shared vectorized helpers
 # ---------------------------------------------------------------------------
-#: Below this many rows :func:`stable_int_order` lexsorts: the radix
-#: passes' fixed cost (~10-20 µs a call) loses to a comparison sort of
-#: fewer than ~1.3 k int64 rows (measured, one and two keys).
-_RADIX_MIN_ROWS = 1536
-#: Above this many 16-bit passes over all keys, :func:`stable_int_order`
-#: lexsorts (spans of up to one full int64 key, or two 32-bit keys).
-_RADIX_MAX_PASSES = 4
-#: A key that arrives in at most this many ascending runs is merged
-#: (numpy's stable int64 sort is a timsort, O(n log runs)) instead of
-#: radix-sorted: measured at 0.14-0.84 M rows, 8 runs merge in about half
-#: the time of two 16-bit passes and 32 runs break even.
+#: Below this many rows :func:`stable_int_order` lexsorts: a comparison
+#: sort of fewer than ~1.5 k int64 rows costs less than the kernel's
+#: fixed per-call work (its span, order and packing passes).
+_KERNEL_MIN_ROWS = 1536
+#: Keys that arrive in at most this many ascending runs are merged
+#: (numpy's stable 64-bit sort is a timsort, O(n log runs)) instead of
+#: sorted from scratch: measured at 0.7 M rows, 2 runs merge in half the
+#: time of the packed sort and 8 runs about break even with it.
 _MERGE_MAX_RUNS = 8
+#: :func:`unique_ints` marks values in a boolean mask when their span is at
+#: most this many times their count, and sorts them otherwise.
+_PRESENCE_MAX_SPAN = 4
 
 
 def stable_int_order(keys: Sequence[np.ndarray]) -> np.ndarray:
     """The stable sort permutation of rows keyed on ``keys``, ``keys[0]``
     primary — exactly ``np.lexsort(tuple(reversed(keys)))``.
 
-    Integer and bool keys are sorted one at a time, last key first, each
-    key's stable sort applied to the order the later keys left: a stable
-    sort keeps equal keys in their incoming order, so after the pass on
-    key ``j`` rows are ordered by keys ``j, j + 1, ...`` with ties in
-    input order, and after the pass on key 0 that is the lexsort order.
-    Each key's pass is one of:
+    Integer and bool keys are shifted by their minimum, so each key's span
+    has a known bit length.  A key with one distinct value drops out, and
+    so does a presorted *last* key: a stable sort by it is the identity,
+    so the stable sort by the other keys alone is the full order.  When
+    the remaining spans add up to at most 64 bits, the shifted keys (last
+    key lowest) are OR'ed into one ``uint64`` *word* per row, whose order
+    is the keys' lexicographic order.  Then the first of these paths that
+    applies runs:
 
-    * nothing, when the key has one distinct value or arrives sorted;
-    * a merge, when it arrives in at most ``_MERGE_MAX_RUNS`` ascending
-      runs (a union of sorted tables, per-shard buckets, an already
-      sorted column) — timsort finds the runs and merges them;
-    * otherwise least-significant-digit radix passes, the same argument
-      one digit down: the key is shifted by its minimum (the difference
-      is taken modulo 2^64 and read unsigned, so any span up to 2^64 - 1
-      is exact), split into 16-bit digits, and numpy's stable argsort of
-      a ``uint16`` (or, for a top digit of at most 8 bits, ``uint8``)
-      array — an O(n) radix sort — runs once per digit, low digit first.
+    * *identity* — the words arrive in order: one linear check, no sort;
+    * *merge* — they arrive in at most ``_MERGE_MAX_RUNS`` ascending runs
+      (a union of sorted tables, per-shard buckets): numpy's stable
+      timsort merges the runs;
+    * *packed* — the word and the row-index bits fit in 64 bits: the row
+      index goes into the low bits, so the words are distinct and one
+      ``np.sort`` (numpy's SIMD sort) of them, with the index masked back
+      out, is the stable order by construction;
+    * *digit passes* — a word of at most 16 bits (one O(n) pass: measured
+      faster than the packed sort up to 0.1 M rows and on par at 0.7 M),
+      or one too wide to carry the row index: 16-bit
+      least-significant-digit radix passes, numpy's stable argsort of a
+      ``uint16`` (or, for a top digit of at most 8 bits, ``uint8``) array
+      being an O(n) radix sort.  So ids near the int64 bounds stay off a
+      comparison sort;
+    * *lexsort* — ``np.lexsort`` itself, for fewer than
+      ``_KERNEL_MIN_ROWS`` rows, where the kernel's fixed cost loses; for
+      spans of more than 64 bits together; and for any non-integer key.
 
-    Falls back to ``np.lexsort`` (same permutation) for fewer than
-    ``_RADIX_MIN_ROWS`` rows, where the passes' fixed cost loses; for more
-    than ``_RADIX_MAX_PASSES`` digits over all keys; and for any
-    non-integer key.
+    Measured at 0.7 M rows (2-core x86-64, AVX-512, numpy 2.4): one
+    17-bit key takes 18-20 ms packed, 37-43 ms as two digit passes and
+    107-126 ms in ``np.lexsort``.
     """
     keys = [np.asarray(k) for k in keys]
     n = len(keys[0]) if keys else 0
-    if n < _RADIX_MIN_ROWS or any(k.dtype.kind not in "biu" for k in keys):
+    if n < _KERNEL_MIN_ROWS or any(k.dtype.kind not in "biu" for k in keys):
         return np.lexsort(tuple(reversed(keys)))
     spans = []  # (key, minimum, bit length of its span)
     for key in keys:
         if key.dtype.kind == "b":
             key = key.view(np.uint8)
         lo = int(key.min())
-        spans.append((key, lo, (int(key.max()) - lo).bit_length()))
-    if sum(-(-bits // 16) for _, _, bits in spans) > _RADIX_MAX_PASSES:
+        bits = (int(key.max()) - lo).bit_length()
+        if bits:
+            spans.append((key, lo, bits))
+    while spans and not np.count_nonzero(spans[-1][0][1:] < spans[-1][0][:-1]):
+        spans.pop()
+    word_bits = sum(bits for _, _, bits in spans)
+    if word_bits > 64:
         return np.lexsort(tuple(reversed(keys)))
-    order: np.ndarray | None = None
+    if not spans:
+        return np.arange(n)
+    word = None
+    shift = 0
     for key, lo, bits in reversed(spans):
-        if not bits:
-            continue
-        if order is not None:
-            key = key[order]
-        descents = np.count_nonzero(key[1:] < key[:-1])
-        if descents == 0:
-            continue  # already in order: its stable sort is the identity
-        if descents < _MERGE_MAX_RUNS:
-            step = np.argsort(key, kind="stable")
+        # Wraps in the key's own width; read unsigned it is key - lo.
+        field = (key - key.dtype.type(lo)).view(f"u{key.itemsize}")
+        field = field.astype(np.uint64, copy=False)
+        if word is None:
+            word = field
         else:
-            # Wraps in the key's own width; read unsigned it is key - lo.
-            shifted = (key - key.dtype.type(lo)).view(f"u{key.itemsize}")
-            step = None
-            for shift in range(0, bits, 16):
-                # numpy radix-sorts a byte per pass: a top digit of at
-                # most 8 bits takes one pass as uint8, not two.
-                width = np.uint8 if bits - shift <= 8 else np.uint16
-                digit = (shifted >> shift if shift else shifted).astype(width)
-                step = (
-                    np.argsort(digit, kind="stable")
-                    if step is None
-                    else step[np.argsort(digit[step], kind="stable")]
-                )
-        order = step if order is None else order[step]
-    return np.arange(n) if order is None else order
+            field <<= np.uint64(shift)
+            word |= field
+        shift += bits
+    descents = np.count_nonzero(word[1:] < word[:-1])
+    if descents == 0:
+        return np.arange(n)
+    if descents < _MERGE_MAX_RUNS:
+        return np.argsort(word, kind="stable")
+    index_bits = (n - 1).bit_length()
+    if word_bits <= 16 or index_bits + word_bits > 64:
+        return _digit_pass_order(word, word_bits)
+    word <<= np.uint64(index_bits)
+    word |= np.arange(n, dtype=np.uint64)
+    word = np.sort(word)
+    word &= np.uint64((1 << index_bits) - 1)
+    return word.view(np.int64)
+
+
+def _digit_pass_order(word: np.ndarray, bits: int) -> np.ndarray:
+    """The stable order of ``uint64`` words of ``bits`` bits by 16-bit
+    least-significant-digit radix passes, low digit first."""
+    order = None
+    for shift in range(0, bits, 16):
+        # numpy radix-sorts a byte per pass: a top digit of at most 8 bits
+        # takes one pass as uint8, not two.
+        width = np.uint8 if bits - shift <= 8 else np.uint16
+        digit = (word >> np.uint64(shift) if shift else word).astype(width)
+        order = (
+            np.argsort(digit, kind="stable")
+            if order is None
+            else order[np.argsort(digit[order], kind="stable")]
+        )
+    return order
+
+
+def unique_ints(*arrays: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of integer arrays, as int64 — the set
+    ``np.union1d`` / ``np.unique`` returns, without numpy's hash table.
+
+    Under numpy 2.x a plain ``np.unique`` of integers builds a hash
+    table, over 10x slower than ``np.sort`` of the same ids at 1.4 M rows.
+    A span of at most ``_PRESENCE_MAX_SPAN`` times the row count (dense
+    vertex ids) is marked in a boolean mask and read back in order; a
+    wider one is sorted once and kept where each value differs from the
+    one before.
+    """
+    parts = [np.asarray(a, dtype=np.int64).ravel() for a in arrays]
+    parts = [part for part in parts if len(part)]
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    lo = min(int(part.min()) for part in parts)
+    hi = max(int(part.max()) for part in parts)
+    if hi - lo < _PRESENCE_MAX_SPAN * sum(len(part) for part in parts):
+        present = np.zeros(hi - lo + 1, dtype=bool)
+        for part in parts:
+            present[part - lo] = True
+        values = np.flatnonzero(present)
+        values += lo
+        return values
+    values = np.sort(np.concatenate(parts))
+    keep = np.empty(len(values), dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def value_ranks(values: np.ndarray) -> np.ndarray:
+    """Dense value-order ranks — exactly ``np.unique(values,
+    return_inverse=True)[1]`` as int64.  Integer values rank through
+    :func:`stable_int_order` (one sort, then a run count); others go to
+    ``np.unique``."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        return np.unique(values, return_inverse=True)[1].astype(np.int64, copy=False)
+    order = stable_int_order((values,))
+    ranked = values[order]
+    runs = np.zeros(len(values), dtype=np.int64)
+    np.not_equal(ranked[1:], ranked[:-1], out=runs[1:])
+    np.cumsum(runs, out=runs)
+    ranks = np.empty(len(values), dtype=np.int64)
+    ranks[order] = runs
+    return ranks
 
 
 def _column_codes(column: Column) -> np.ndarray:
-    """Dense group codes for one column; NULLs form their own group."""
-    n = len(column)
-    codes = np.zeros(n, dtype=np.int64)
+    """Dense value-order group codes for one column; NULLs form their own
+    group, after every value's."""
     mask = column.valid
+    if mask.all():
+        return value_ranks(column.values)
+    codes = np.zeros(len(column), dtype=np.int64)
     if mask.any():
-        _, inverse = np.unique(column.values[mask], return_inverse=True)
-        codes[mask] = inverse
-    if not mask.all():
-        codes[~mask] = codes[mask].max(initial=-1) + 1 if mask.any() else 0
+        codes[mask] = value_ranks(column.values[mask])
+        codes[~mask] = codes[mask].max() + 1
     return codes
 
 
 def factorize_columns(columns: Sequence[Column]) -> tuple[np.ndarray, int]:
     """Dense group codes over rows of one or more aligned columns.
 
-    Returns ``(codes, n_groups)`` with ``codes`` in ``[0, n_groups)``.
-    Codes are *not* in value order; they are compacted via ``np.unique``.
-    NULLs compare equal to each other (SQL GROUP BY semantics).
+    Returns ``(codes, n_groups)`` with ``codes`` in ``[0, n_groups)``: the
+    rank of each row's key tuple, in value order with NULL after every
+    value in each column.  NULLs compare equal to each other (SQL GROUP BY
+    semantics).
     """
     if not columns:
         raise ExecutionError("factorize_columns needs at least one column")
@@ -168,12 +253,9 @@ def factorize_columns(columns: Sequence[Column]) -> tuple[np.ndarray, int]:
     for column in columns[1:]:
         nxt = _column_codes(column)
         width = int(nxt.max(initial=0)) + 1
-        combined = combined * width + nxt
-        # Re-compact so the product never overflows across many columns.
-        _, combined = np.unique(combined, return_inverse=True)
-        combined = combined.astype(np.int64)
-    uniques, codes = np.unique(combined, return_inverse=True)
-    return codes.astype(np.int64), len(uniques)
+        # Re-rank so the product never overflows across many columns.
+        combined = value_ranks(combined * width + nxt)
+    return combined, int(combined.max(initial=-1)) + 1
 
 
 def hash_bucket_order(
@@ -210,23 +292,13 @@ def _sort_key_ranks(column: Column, ascending: bool) -> np.ndarray:
     order (NULLS LAST) and before them when descending — i.e. NULL behaves
     like the largest value.
     """
-    n = len(column)
-    mask = column.valid
-    if column.dtype is INTEGER and bool(mask.all()):
+    if column.dtype is INTEGER and bool(column.valid.all()):
         # Fast path: non-null integers are already a valid sort key —
-        # skip the np.unique rank compaction (an extra full sort).
+        # skip the rank compaction (an extra full sort).
         # ``~x == -x - 1`` reverses the order without negation's
         # overflow at the int64 minimum.
         return column.values if ascending else ~column.values
-    ranks = np.zeros(n, dtype=np.int64)
-    if mask.any():
-        _, inverse = np.unique(column.values[mask], return_inverse=True)
-        ranks[mask] = inverse
-        null_rank = int(inverse.max()) + 1
-    else:
-        null_rank = 0
-    if not mask.all():
-        ranks[~mask] = null_rank
+    ranks = _column_codes(column)
     return ranks if ascending else -ranks
 
 
@@ -856,10 +928,9 @@ class AggregateOp(Operator):
         )
         sorted_valid = arg.valid[order]
         value_codes = _column_codes(arg.take(order))
-        pairs = codes_in_group * (value_codes.max(initial=0) + 1) + value_codes
-        keep = sorted_valid
-        uniq_pairs, idx = np.unique(pairs[keep], return_index=True)
-        group_of_pair = codes_in_group[keep][idx]
+        width = value_codes.max(initial=0) + 1
+        pairs = codes_in_group * width + value_codes
+        group_of_pair = unique_ints(pairs[sorted_valid]) // width
         counts = np.zeros(n_out, dtype=np.int64)
         if len(group_of_pair):
             bin_counts = np.bincount(group_of_pair, minlength=len(boundaries))
@@ -947,8 +1018,10 @@ class DistinctOp(Operator):
         if batch.num_rows == 0:
             return batch
         codes, _ = factorize_columns(list(batch.columns))
-        _, first_positions = np.unique(codes, return_index=True)
-        return batch.take(np.sort(first_positions))
+        order = stable_int_order((codes,))
+        ranked = codes[order]
+        firsts = order[np.r_[True, ranked[1:] != ranked[:-1]]]
+        return batch.take(np.sort(firsts))
 
 
 # ---------------------------------------------------------------------------

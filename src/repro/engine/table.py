@@ -21,6 +21,7 @@ import numpy as np
 from repro.engine.batch import RecordBatch
 from repro.engine.changelog import ChangeLog, TableDelta, next_table_uid
 from repro.engine.column import Column, concat_columns
+from repro.engine.operators import unique_ints
 from repro.engine.schema import Schema
 from repro.errors import ConstraintError, TypeMismatchError
 
@@ -107,7 +108,10 @@ class Table:
                     f"NULL in primary key {self.name}.{self.primary_key}"
                 )
             values = column.values
-            if len(values) != len(np.unique(values)):
+            distinct = (
+                unique_ints(values) if values.dtype.kind in "iu" else np.unique(values)
+            )
+            if len(values) != len(distinct):
                 raise ConstraintError(
                     f"duplicate value in primary key {self.name}.{self.primary_key}"
                 )

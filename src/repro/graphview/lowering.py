@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.engine.database import Database
-from repro.engine.operators import stable_int_order
+from repro.engine.operators import stable_int_order, unique_ints, value_ranks
 from repro.engine.parallel import (
     NO_SESSION,
     PartitionExecutor,
@@ -219,9 +219,9 @@ def expand_co_occurrence(
     # Per (group, member) row counts: one stable integer sort puts each
     # group in a contiguous slice with its members sorted, then run-length
     # boundaries give the distinct rows.  (Plain int columns through the
-    # engine's radix kernel throughout — never a structured array, which
+    # engine's order kernel throughout — never a structured array, which
     # numpy can only comparison-sort, record by record.)
-    _, group_codes = np.unique(vias, return_inverse=True)
+    group_codes = value_ranks(vias)
     m_arr = np.asarray(members, dtype=np.int64)
     order = stable_int_order((group_codes, m_arr))
     g_sorted, m_sorted = group_codes[order], m_arr[order]
@@ -234,7 +234,7 @@ def expand_co_occurrence(
     boundaries = np.flatnonzero(np.diff(gm_g, prepend=gm_g[0] - 1))
     boundaries = np.append(boundaries, len(gm_g))
 
-    univ = np.unique(gm_m)
+    univ = unique_ints(gm_m)
     if len(univ) <= _DENSE_MEMBER_LIMIT:
         return _expand_dense(univ, gm_m, gm_counts, boundaries, cap)
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.storage import GraphHandle, GraphStorage, canonical_edge_order
 from repro.engine.database import Database
+from repro.engine.operators import unique_ints
 from repro.engine.parallel import SessionPools
 from repro.errors import GraphLoadError, GraphViewError
 from repro.graphview import maintenance
@@ -170,9 +171,7 @@ def _extract_with_state(
     src_arr = np.concatenate(src_parts) if src_parts else empty_i
     dst_arr = np.concatenate(dst_parts) if dst_parts else empty_i
     weight_arr = np.concatenate(weight_parts) if weight_parts else empty_f
-    node_ids = (
-        np.unique(np.concatenate(node_parts)) if node_parts else empty_i
-    )
+    node_ids = unique_ints(*node_parts)
 
     # Sort into canonical order once, here: load_graph stores the arrays
     # as-is and the maintenance state keeps the same arrays as its edge

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import Vertexica, VertexicaConfig
+from repro.core.runner import _symmetrized
+from repro.errors import GraphLoadError
 from repro.programs import ConnectedComponents, PageRank
 
 
@@ -22,6 +26,41 @@ class TestLoadGraph:
         vx.load_graph("g", [0], [1], weights=[3.5], symmetrize=True)
         rows = vx.sql("SELECT src, dst, weight FROM g_edge ORDER BY src").rows()
         assert rows == [(0, 1, 3.5), (1, 0, 3.5)]
+
+    def test_symmetrize_keeps_ids_past_32_bits(self, vx):
+        # A packed ``src * width + dst`` dedup key wraps int64 here and
+        # drops (0, 0) and (2**32, 0).
+        g = vx.load_graph("h", [2**32 - 1, 0, 0], [1, 0, 2**32], symmetrize=True)
+        assert g.num_edges == 5
+        rows = vx.sql("SELECT src, dst FROM h_edge").rows()
+        assert rows == [(0, 0), (0, 2**32), (1, 2**32 - 1), (2**32 - 1, 1), (2**32, 0)]
+
+    def test_symmetrize_rejects_ragged_arrays(self, vx):
+        with pytest.raises(GraphLoadError, match="differ in length"):
+            vx.load_graph("g", [0, 1], [1], symmetrize=True)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 7, 2**32 - 1, 2**32, 2**62, 2**63 - 1]),
+                st.sampled_from([0, 1, 7, 2**32 - 1, 2**32, 2**62, 2**63 - 1]),
+                st.integers(0, 3),
+            ),
+            max_size=40,
+        ),
+        st.integers(0, 2000),
+    )
+    def test_symmetrize_keeps_each_pairs_first_weight(self, edges, pad):
+        # Padding past the kernel's cut-over runs the sorted path too.
+        edges = edges + [(9, 10 + i, 0) for i in range(pad)]
+        src = np.array([s for s, _, _ in edges], dtype=np.int64)
+        dst = np.array([d for _, d, _ in edges], dtype=np.int64)
+        weights = np.array([w for _, _, w in edges], dtype=np.float64)
+        first: dict[tuple[int, int], float] = {}
+        for s, d, w in edges + [(d, s, w) for s, d, w in edges]:
+            first.setdefault((s, d), float(w))
+        got = _symmetrized(src, dst, weights)
+        assert list(zip(*(a.tolist() for a in got))) == [(s, d, w) for (s, d), w in first.items()]
 
     def test_graph_reattach_by_name(self, vx):
         vx.load_graph("g", [0], [1])

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.codecs import FLOAT_CODEC, INTEGER_CODEC, ValueCodec, vector_codec
 from repro.core.program import VertexProgram
+from repro.core.shards import shard_index
 from repro.core.storage import GraphStorage
 from repro.engine import Database
 from repro.engine.column import Column
@@ -49,6 +50,36 @@ class TestLoadGraph:
     def test_negative_ids_rejected(self, storage):
         with pytest.raises(GraphLoadError, match="non-negative"):
             storage.load_graph("g", [-1], [1])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(src=[5, 6], dst=[6, 7], node_ids=[-1, 3]),
+            dict(src=[5, -6], dst=[6, 7]),
+            dict(src=[5, 6], dst=[6, 7], weights=[1.0]),
+        ],
+    )
+    def test_rejected_reload_leaves_the_previous_graph(self, storage, db, bad):
+        handle = storage.load_graph("g", [0, 1, 2], [1, 2, 0], weights=[0.5, 1.5, 2.5])
+        storage.setup_run(handle, PageRank())
+        index, _ = shard_index(db, handle, 2)
+        edges, nodes = db.table("g_edge"), db.table("g_node")
+        versions = (edges.uid, edges.version, nodes.uid, nodes.version)
+        with pytest.raises(GraphLoadError):
+            storage.load_graph("g", **bad)
+        assert db.table("g_edge") is edges and db.table("g_node") is nodes
+        assert (edges.uid, edges.version, nodes.uid, nodes.version) == versions
+        assert db.execute("SELECT * FROM g_edge").rows() == [
+            (0, 1, 0.5), (1, 2, 1.5), (2, 0, 2.5)
+        ]
+        assert db.execute("SELECT id FROM g_node").rows() == [(0,), (1,), (2,)]
+        assert shard_index(db, handle, 2)[0] is index  # the kept index, not a rebuild
+
+    def test_node_set_is_the_union_of_every_source(self, storage, db):
+        handle = storage.load_graph("g", [9, 2], [2, 4], num_vertices=3, node_ids=[40, 4, 1])
+        ids = db.execute("SELECT id FROM g_node").rows()
+        assert ids == [(0,), (1,), (2,), (4,), (9,), (40,)]
+        assert handle.num_vertices == 6
 
     def test_handle_reattach(self, storage):
         storage.load_graph("g", [0, 1], [1, 2])

@@ -33,13 +33,13 @@ from repro.core.storage import canonical_edge_order, weight_order_key
 from repro.datasets import load_social_schema
 from repro.engine.batch import RecordBatch
 from repro.engine.column import Column
-from repro.engine.operators import _RADIX_MIN_ROWS
+from repro.engine.operators import _KERNEL_MIN_ROWS
 from repro.engine.types import FLOAT, INTEGER
 from repro.graphview import lowering, maintenance, view as view_module
 from repro.graphview.lowering import _DENSE_MEMBER_LIMIT, ExtractionOptions
 from repro.graphview.view import GraphViewHandle
 
-CUT = _RADIX_MIN_ROWS
+CUT = _KERNEL_MIN_ROWS
 WEIGHT_POOL = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, 1e-300, -7.25])
 
 
