@@ -10,9 +10,10 @@ The join, aggregation, and sort algorithms are implemented with
 factorize/searchsorted/reduceat patterns rather than per-row Python loops;
 string columns fall back to per-group loops only where numpy cannot help.
 Every stable sort over integer keys goes through one kernel,
-:func:`stable_int_order` (one packed ``uint64`` sort, or a merge of
-presorted runs), and integer sets and ranks through :func:`unique_ints`
-and :func:`value_ranks` — never numpy's hash-table ``np.unique``.
+:func:`stable_int_order` (the keys packed into one ``uint64`` word per
+row, sorted once: a merge of presorted runs, radix passes or numpy's
+SIMD sort), and integer sets and ranks through :func:`unique_ints` and
+:func:`value_ranks` — never numpy's hash-table ``np.unique``.
 """
 
 from __future__ import annotations
@@ -64,9 +65,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Shared vectorized helpers
 # ---------------------------------------------------------------------------
-#: Below this many rows :func:`stable_int_order` lexsorts: a comparison
-#: sort of fewer than ~1.5 k int64 rows costs less than the kernel's
-#: fixed per-call work (its span, order and packing passes).
+#: Below this many rows :func:`stable_int_order` lexsorts: the kernel's
+#: fixed per-call work (~25-35 µs of span, order and packing passes) loses
+#: to a comparison sort of fewer than ~1.1 k int64 rows (measured, one and
+#: two keys).
 _KERNEL_MIN_ROWS = 1536
 #: Keys that arrive in at most this many ascending runs are merged
 #: (numpy's stable 64-bit sort is a timsort, O(n log runs)) instead of
