@@ -32,9 +32,9 @@ from repro.core.config import VertexicaConfig
 from repro.core.coordinator import register_coordinator
 from repro.core.metrics import RunStats
 from repro.core.program import VertexProgram
-from repro.core.storage import GraphHandle, GraphStorage
+from repro.core.storage import GraphHandle, GraphStorage, edge_arrays
 from repro.engine.database import Database, Result
-from repro.engine.operators import stable_int_order
+from repro.engine.operators import int_runs
 from repro.engine.parallel import SessionPools
 from repro.engine.persistence import read_checkpoint_metadata
 from repro.engine.sql.ast import (
@@ -44,7 +44,7 @@ from repro.engine.sql.ast import (
     EdgeClause,
     RefreshGraphViewStatement,
 )
-from repro.errors import GraphLoadError, GraphViewError
+from repro.errors import GraphViewError
 from repro.graphview.catalog import MANIFEST_KEY, handle_manifest, view_from_dict
 from repro.graphview.compiler import render_expression
 from repro.graphview.lowering import ExtractionOptions, options_for_config
@@ -153,15 +153,8 @@ class Vertexica:
                 algorithms that treat the graph as undirected (connected
                 components, triangle counting on out-edges).
         """
-        src_arr = np.asarray(src, dtype=np.int64)
-        dst_arr = np.asarray(dst, dtype=np.int64)
-        if weights is None:
-            weight_arr = np.ones(len(src_arr), dtype=np.float64)
-        else:
-            weight_arr = np.asarray(weights, dtype=np.float64)
+        src_arr, dst_arr, weight_arr = edge_arrays(src, dst, weights)
         if symmetrize:
-            if src_arr.shape != dst_arr.shape:
-                raise GraphLoadError("src and dst arrays differ in length")
             src_arr, dst_arr, weight_arr = _symmetrized(src_arr, dst_arr, weight_arr)
         return self.storage.load_graph(
             name, src_arr, dst_arr, weight_arr, num_vertices=num_vertices
@@ -519,10 +512,7 @@ def _symmetrized(
     all_w = np.concatenate([weights, weights])
     # Dedup on (src, dst), keeping the first weight: the stable order puts
     # each pair's earliest row first in its run.
-    order = stable_int_order((all_src, all_dst))
-    ranked_src, ranked_dst = all_src[order], all_dst[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (ranked_src[1:] != ranked_src[:-1]) | (ranked_dst[1:] != ranked_dst[:-1])
+    order, starts = int_runs((all_src, all_dst))
     first = np.zeros(len(order), dtype=bool)
     first[order[starts]] = True
     return all_src[first], all_dst[first], all_w[first]

@@ -48,6 +48,7 @@ __all__ = [
     "PayloadLayout",
     "WORKER_OUTPUT_COLUMNS",
     "canonical_edge_order",
+    "edge_arrays",
     "encoded_storage",
     "payload_layout",
     "storage_arrays",
@@ -55,6 +56,29 @@ __all__ = [
     "weight_order_key",
     "worker_output_columns",
 ]
+
+
+def edge_arrays(
+    src: Sequence[int] | np.ndarray,
+    dst: Sequence[int] | np.ndarray,
+    weights: Sequence[float] | np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An edge list as aligned int64 ``src``/``dst`` and float64 weight
+    arrays (weights default to 1.0).
+
+    Raises:
+        GraphLoadError: the arrays differ in length.
+    """
+    src_arr = np.asarray(src, dtype=np.int64)
+    dst_arr = np.asarray(dst, dtype=np.int64)
+    if src_arr.shape != dst_arr.shape:
+        raise GraphLoadError("src and dst arrays differ in length")
+    if weights is None:
+        return src_arr, dst_arr, np.ones(len(src_arr), dtype=np.float64)
+    weight_arr = np.asarray(weights, dtype=np.float64)
+    if weight_arr.shape != src_arr.shape:
+        raise GraphLoadError("weights array length differs from edges")
+    return src_arr, dst_arr, weight_arr
 
 
 def weight_order_key(weight: np.ndarray) -> np.ndarray:
@@ -320,16 +344,7 @@ class GraphStorage:
         """
         if not name or not name.isidentifier():
             raise GraphLoadError(f"graph name must be an identifier, got {name!r}")
-        src_arr = np.asarray(src, dtype=np.int64)
-        dst_arr = np.asarray(dst, dtype=np.int64)
-        if src_arr.shape != dst_arr.shape:
-            raise GraphLoadError("src and dst arrays differ in length")
-        if weights is None:
-            weight_arr = np.ones(len(src_arr), dtype=np.float64)
-        else:
-            weight_arr = np.asarray(weights, dtype=np.float64)
-            if weight_arr.shape != src_arr.shape:
-                raise GraphLoadError("weights array length differs from edges")
+        src_arr, dst_arr, weight_arr = edge_arrays(src, dst, weights)
         # The node set comes before the first DDL: a rejected load leaves
         # the graph's previous tables (and their derived state) untouched.
         ids = unique_ints(

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.engine.database import Database
-from repro.engine.operators import stable_int_order, unique_ints, value_ranks
+from repro.engine.operators import run_starts, stable_int_order, unique_ints, value_ranks
 from repro.engine.parallel import (
     NO_SESSION,
     PartitionExecutor,
@@ -225,10 +225,7 @@ def expand_co_occurrence(
     m_arr = np.asarray(members, dtype=np.int64)
     order = stable_int_order((group_codes, m_arr))
     g_sorted, m_sorted = group_codes[order], m_arr[order]
-    firsts = np.empty(len(m_sorted), dtype=bool)
-    firsts[0] = True
-    firsts[1:] = (g_sorted[1:] != g_sorted[:-1]) | (m_sorted[1:] != m_sorted[:-1])
-    starts = np.flatnonzero(firsts)
+    starts = np.flatnonzero(run_starts((g_sorted, m_sorted)))
     gm_g, gm_m = g_sorted[starts], m_sorted[starts]
     gm_counts = np.diff(np.append(starts, len(m_sorted)))
     boundaries = np.flatnonzero(np.diff(gm_g, prepend=gm_g[0] - 1))
@@ -322,10 +319,7 @@ def _compact_pairs(
     counts = np.concatenate(count_parts)
     order = stable_int_order((src, dst))
     src, dst, counts = src[order], dst[order], counts[order]
-    firsts = np.empty(len(src), dtype=bool)
-    firsts[0] = True
-    firsts[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    starts = np.flatnonzero(firsts)
+    starts = np.flatnonzero(run_starts((src, dst)))
     return [src[starts]], [dst[starts]], [np.add.reduceat(counts, starts)]
 
 

@@ -71,7 +71,7 @@ import numpy as np
 from repro.core.storage import GraphHandle, GraphStorage, weight_order_key
 from repro.engine.changelog import TableDelta
 from repro.engine.database import Database
-from repro.engine.operators import stable_int_order
+from repro.engine.operators import run_starts, stable_int_order
 from repro.engine.table import Table
 from repro.errors import EngineError, GraphViewError
 from repro.graphview.compiler import (
@@ -223,15 +223,6 @@ def _intra_group_offsets(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(starts, counts)
 
 
-def _run_starts(keys: Sequence[np.ndarray]) -> np.ndarray:
-    """Index of the first row of every run of equal rows in sorted ``keys``."""
-    firsts = np.zeros(len(keys[0]), dtype=bool)
-    firsts[:1] = True
-    for key in keys:
-        firsts[1:] |= key[1:] != key[:-1]
-    return np.flatnonzero(firsts)
-
-
 def _rows_sorted(rows: Rows) -> bool:
     """Whether ``rows`` are in ledger order: one linear pass over the
     leading column, later columns compared only where earlier ones tie."""
@@ -310,7 +301,7 @@ def _merge(ledger: Rows, added: Rows, removed: Rows) -> Rows:
     keys = [_order_key(column) for column in rows]
     order = stable_int_order(keys)
     keys = [key[order] for key in keys]
-    starts = _run_starts(keys)
+    starts = np.flatnonzero(run_starts(keys))
     net = np.add.reduceat(np.where(order < n_added, 1, -1), starts)
     distinct = [key[starts] for key in keys]
 
@@ -366,7 +357,7 @@ class _SupportLedger:
     @classmethod
     def from_derivations(cls, derived_ids: np.ndarray) -> "_SupportLedger":
         ids = derived_ids[stable_int_order((derived_ids,))]
-        starts = _run_starts((ids,))
+        starts = np.flatnonzero(run_starts((ids,)))
         return cls(ids=ids[starts], counts=np.diff(np.append(starts, len(ids))))
 
     def apply(self, added_ids: np.ndarray, removed_ids: np.ndarray) -> None:
@@ -476,7 +467,7 @@ def _touched_group_counts(side: Rows, vias: np.ndarray) -> Rows:
     lengths = np.searchsorted(via, vias, side="right") - lo
     rows = np.repeat(lo, lengths) + _intra_group_offsets(lengths)
     via, member = via[rows], member[rows]
-    starts = _run_starts((via, member))
+    starts = np.flatnonzero(run_starts((via, member)))
     return via[starts], member[starts], np.diff(np.append(starts, len(rows)))
 
 
@@ -552,7 +543,7 @@ def _delta_pair_contributions(old: Rows, new: Rows) -> Rows:
     deltas = np.concatenate(delta_parts)
     order = stable_int_order((src, dst))
     src, dst, deltas = src[order], dst[order], deltas[order]
-    starts = _run_starts((src, dst))
+    starts = np.flatnonzero(run_starts((src, dst)))
     net = np.add.reduceat(deltas, starts)
     moved = net != 0
     return src[starts][moved], dst[starts][moved], net[moved]

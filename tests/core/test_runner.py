@@ -38,6 +38,8 @@ class TestLoadGraph:
     def test_symmetrize_rejects_ragged_arrays(self, vx):
         with pytest.raises(GraphLoadError, match="differ in length"):
             vx.load_graph("g", [0, 1], [1], symmetrize=True)
+        with pytest.raises(GraphLoadError, match="length differs"):
+            vx.load_graph("g", [0, 1], [1, 2], weights=[1.0], symmetrize=True)
 
     @given(
         st.lists(

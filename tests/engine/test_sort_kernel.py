@@ -16,15 +16,17 @@ side, the shard plane's merges) had before.  This module pins:
   ``index bits + key bits <= 64`` (property-based at 63, 64 and 65 bits),
   digit passes past that, and lexsort below the cut-over, past 64 key
   bits, or for a non-integer key;
-* ``unique_ints`` == a ``np.union1d`` fold and ``_column_codes`` ==
-  ``np.unique``'s inverse (NULLs one last group), property-based;
+* ``unique_ints`` == a ``np.union1d`` fold, ``int_runs`` marks each
+  distinct key's first row and ``_column_codes`` == ``np.unique``'s
+  inverse (NULLs one last group), property-based;
 * SQL over cut-over-sized tables (``GROUP BY`` / ``ORDER BY``) against
   Python oracles;
 * hardware-independent gates: on a SQL-plane PageRank, a ``load_graph``
   and a ``create_graph_view``, every at-scale kernel call runs one sort
   over its rows (or none), and no ``np.unique`` / ``np.union1d``, no
-  at-scale ``np.lexsort`` and no at-scale ``np.argsort`` outside the
-  kernel runs; the message ``GROUP BY dst`` factorizes nothing.
+  at-scale ``np.lexsort`` and no at-scale integer ``np.sort`` /
+  ``np.argsort`` outside the kernel and ``unique_ints`` runs; the
+  message ``GROUP BY dst`` factorizes nothing.
 """
 
 
@@ -292,6 +294,18 @@ class TestSetOps:
         assert got.dtype == np.int64
         assert np.array_equal(got, expected)
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 40, CUT + 7]), st.integers(1, 3))
+    def test_int_runs_mark_each_keys_first_row(self, seed, n, n_keys):
+        rng = np.random.default_rng(seed)
+        pool = np.array([INT64.min, -1, 0, 1, 2**32, INT64.max])
+        keys = [rng.choice(pool, n) for _ in range(n_keys)]
+        order, starts = operators.int_runs(keys)
+        assert np.array_equal(order, np.lexsort(tuple(reversed(keys))))
+        first: dict = {}
+        for row, key in enumerate(zip(*(key.tolist() for key in keys))):
+            first.setdefault(key, row)
+        assert order[starts].tolist() == [first[key] for key in sorted(first)]
+
     @given(int_array_sets(), st.integers(0, 2**32 - 1))
     def test_column_codes_are_the_unique_inverse(self, arrays, seed):
         values = np.concatenate([np.empty(0, dtype=np.int64), *arrays])
@@ -355,10 +369,10 @@ class SortSpy:
       rows, how many sorts it ran over all of its rows;
     * ``hash_sets`` — every ``np.unique`` / ``np.union1d`` call;
     * ``lexsorts`` — every ``np.lexsort`` over ``>= CUT`` rows;
-    * ``outside_argsorts`` — every ``np.argsort`` over ``>= CUT`` integer
-      rows outside the kernel: a permutation sort the kernel does not own
-      (``np.sort`` of values, :func:`unique_ints`' sparse path, is one
-      SIMD sort and passes);
+    * ``outside_sorts`` — every ``np.sort`` / ``np.argsort`` over
+      ``>= CUT`` integer rows outside the kernel and outside
+      :func:`unique_ints` (whose sparse path is one ``np.sort`` of the
+      values): an integer sort the kernel does not own;
     * ``aggregate_factorizes`` / ``aggregates_at_scale`` — the
       ``factorize_columns`` calls and the at-scale kernel calls made under
       ``AggregateOp.execute``."""
@@ -367,10 +381,11 @@ class SortSpy:
         self.kernel_sorts: list[int] = []
         self.hash_sets: list[tuple[str, int]] = []
         self.lexsorts: list[int] = []
-        self.outside_argsorts: list[tuple[int, str]] = []
+        self.outside_sorts: list[tuple[str, int, str]] = []
         self.aggregate_factorizes = 0
         self.aggregates_at_scale = 0
         self._kernel_rows: int | None = None
+        self._in_set_op = 0
         self._in_aggregate = 0
         for name in ("sort", "argsort"):
             self._patch_numpy(monkeypatch, name, self._on_sort)
@@ -379,9 +394,13 @@ class SortSpy:
         self._patch_numpy(monkeypatch, "lexsort", self._on_lexsort)
         kernel = stable_int_order
         wrapped = lambda keys: self._on_kernel(kernel, keys)  # noqa: E731
+        set_op = unique_ints
+        wrapped_set_op = lambda *arrays: self._on_set_op(set_op, *arrays)  # noqa: E731
         for module in list(sys.modules.values()):
             if getattr(module, "stable_int_order", None) is kernel:
                 monkeypatch.setattr(module, "stable_int_order", wrapped)
+            if getattr(module, "unique_ints", None) is set_op:
+                monkeypatch.setattr(module, "unique_ints", wrapped_set_op)
         factorize = operators.factorize_columns
         monkeypatch.setattr(
             operators, "factorize_columns", lambda *a: self._on_factorize(factorize, *a)
@@ -405,8 +424,8 @@ class SortSpy:
         a = np.asarray(a)
         if self._kernel_rows is not None:
             self.kernel_sorts[-1] += len(a) == self._kernel_rows
-        elif name == "argsort" and len(a) >= CUT and a.dtype.kind in "biu":
-            self.outside_argsorts.append((len(a), a.dtype.str))
+        elif not self._in_set_op and len(a) >= CUT and a.dtype.kind in "biu":
+            self.outside_sorts.append((name, len(a), a.dtype.str))
 
     def _on_hash_set(self, name: str, a) -> None:
         self.hash_sets.append((name, len(np.asarray(a))))
@@ -428,6 +447,13 @@ class SortSpy:
         finally:
             self._kernel_rows = None
 
+    def _on_set_op(self, set_op, *arrays):
+        self._in_set_op += 1
+        try:
+            return set_op(*arrays)
+        finally:
+            self._in_set_op -= 1
+
     def _on_factorize(self, factorize, columns):
         self.aggregate_factorizes += bool(self._in_aggregate)
         return factorize(columns)
@@ -443,7 +469,7 @@ class SortSpy:
         assert self.kernel_sorts and max(self.kernel_sorts) == 1
         assert self.hash_sets == []
         assert self.lexsorts == []
-        assert self.outside_argsorts == []
+        assert self.outside_sorts == []
 
 
 def insert(db, table: str, *columns) -> None:
