@@ -73,8 +73,9 @@ class VertexicaConfig:
             to it); the sharded plane skips the per-superstep union
             query, the global partition lexsort, and the message-table
             round trip.  ``input_strategy``, ``update_strategy`` and
-            ``replace_threshold`` are the paper's SQL-plane ablations —
-            stages the sharded plane does not have.
+            ``replace_threshold`` are the paper's SQL-plane ablations:
+            setting any of them away from its default under
+            ``"shards"`` is an error naming the field and the plane.
         superstep_sync: how eagerly the sharded plane mirrors its state
             back to the relational tables.  ``"every"`` (default) writes
             the vertex and message tables after each superstep — the
@@ -82,7 +83,7 @@ class VertexicaConfig:
             console, and checkpoints see fresh state at any point;
             ``"halt"`` materializes only once the run completes (the
             fast path).  The SQL plane's tables are always current, so
-            the policy changes nothing there.
+            ``"halt"`` under ``data_plane="sql"`` is an error.
         replace_threshold: fraction of the vertex table below which
             ``"auto"`` takes the set-oriented update path.  The default
             0.05 is the paper's kind of rule, not a measured crossover: on
@@ -180,6 +181,20 @@ class VertexicaConfig:
             )
         if not 0.0 <= self.replace_threshold <= 1.0:
             raise VertexicaError("replace_threshold must be within [0, 1]")
+        if self.data_plane == "shards":
+            default = VertexicaConfig()
+            for name in ("input_strategy", "update_strategy", "replace_threshold"):
+                value, unset = getattr(self, name), getattr(default, name)
+                if value != unset:
+                    raise VertexicaError(
+                        f"{name}={value!r} is a SQL-plane ablation; "
+                        f"data_plane='shards' has no such stage (leave it at {unset!r})"
+                    )
+        elif self.superstep_sync == "halt":
+            raise VertexicaError(
+                "superstep_sync='halt' requires data_plane='shards' "
+                "(data_plane='sql' keeps its tables current every superstep)"
+            )
         if self.max_supersteps is not None and self.max_supersteps < 1:
             raise VertexicaError("max_supersteps must be >= 1")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:

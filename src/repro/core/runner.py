@@ -47,7 +47,6 @@ from repro.engine.sql.ast import (
 from repro.errors import GraphViewError
 from repro.graphview.catalog import MANIFEST_KEY, handle_manifest, view_from_dict
 from repro.graphview.compiler import render_expression
-from repro.graphview.lowering import ExtractionOptions, options_for_config
 from repro.graphview.maintenance import involved_tables
 from repro.graphview.spec import CoEdgeSpec, EdgeSpec, EdgeSource, GraphView, NodeSpec
 from repro.graphview.view import DEFAULT_DELTA_THRESHOLD, GraphViewHandle
@@ -177,7 +176,6 @@ class Vertexica:
         materialized: bool = True,
         replace: bool = False,
         delta_threshold: float = DEFAULT_DELTA_THRESHOLD,
-        extraction: ExtractionOptions | None = None,
     ) -> GraphViewHandle:
         """Declare (and, when materialized, extract) a graph view.
 
@@ -203,9 +201,9 @@ class Vertexica:
             delta_threshold: largest base-table delta (as a fraction of
                 its rows) the incremental refresh path will patch before
                 falling back to a full re-extraction.
-            extraction: how full extractions execute (executor, worker
-                count, co-occurrence lowering mode); ``None`` inherits
-                the run plane's ``executor`` / ``n_workers`` config.
+
+        Full extractions run with this session's ``executor`` and
+        ``n_workers``, leased from its pools as its runs are.
 
         Raises:
             GraphViewError: invalid declaration, duplicate name, or a
@@ -222,8 +220,6 @@ class Vertexica:
             # Drop the old extraction so a materialized -> virtual redefine
             # cannot leave stale {name}_edge/{name}_node tables behind.
             displaced.drop()
-        if extraction is None:
-            extraction = options_for_config(self.config)
         handle = GraphViewHandle(
             self.db,
             self.storage,
@@ -231,7 +227,7 @@ class Vertexica:
             view,
             materialized=materialized,
             delta_threshold=delta_threshold,
-            options=extraction,
+            config=self.config,
             pools=self.pools,
         )
         if materialized:
@@ -354,6 +350,7 @@ class Vertexica:
                 view_from_dict(entry["view"]),
                 materialized=entry.get("materialized", True),
                 delta_threshold=entry.get("delta_threshold", DEFAULT_DELTA_THRESHOLD),
+                config=vx.config,
                 pools=vx.pools,
             )
             if handle.materialized:
@@ -421,7 +418,13 @@ class Vertexica:
             name = graph.name or "adhoc_view"
             return resolving(
                 GraphViewHandle(
-                    self.db, self.storage, name, graph, materialized=False, pools=self.pools
+                    self.db,
+                    self.storage,
+                    name,
+                    graph,
+                    materialized=False,
+                    config=config,
+                    pools=self.pools,
                 )
             )
         if isinstance(graph, str):

@@ -48,7 +48,6 @@ in behind the same ``PartitionExecutor`` contract later.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import threading
 import traceback
@@ -561,10 +560,3 @@ class SessionPools:
 NO_SESSION = SessionPools()
 NO_SESSION.close()
 
-
-def recommended_process_count() -> int:
-    """Usable CPU count for sizing a process pool (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without sched_getaffinity
-        return os.cpu_count() or 1

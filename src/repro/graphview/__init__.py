@@ -14,17 +14,12 @@ SQL statement for the declarative surface.
 """
 
 from repro.graphview.catalog import view_fingerprint, view_from_dict, view_to_dict
-from repro.graphview.lowering import (
-    EdgeSpecResult,
-    ExtractionOptions,
-    expand_co_occurrence,
-)
+from repro.graphview.lowering import EdgeSpecResult, expand_co_occurrence
 from repro.graphview.spec import CoEdgeSpec, EdgeSpec, EdgeSource, GraphView, NodeSpec
 from repro.graphview.view import (
     DEFAULT_DELTA_THRESHOLD,
     ExtractionStats,
     GraphViewHandle,
-    extract_graph,
 )
 
 __all__ = [
@@ -35,10 +30,8 @@ __all__ = [
     "EdgeSource",
     "GraphViewHandle",
     "ExtractionStats",
-    "ExtractionOptions",
     "EdgeSpecResult",
     "expand_co_occurrence",
-    "extract_graph",
     "DEFAULT_DELTA_THRESHOLD",
     "view_to_dict",
     "view_from_dict",

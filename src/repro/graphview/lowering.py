@@ -25,11 +25,19 @@ Two executor-specific tricks keep parallelism real:
   slice of data it scans; the worker rebuilds a throwaway
   :class:`Database`, runs the query, and pickles the batch back.
 
-Co-occurrence specs are additionally lowered through
-:func:`expand_co_occurrence` — a group-by-``via`` pairwise expansion that
-replaces the quadratic SQL self-join (see :func:`co_edge_query`); the
-``"capped"`` mode bounds any one group to its top-``cap`` members and
-reports how many groups were truncated.
+A full extraction runs on the session's
+:class:`~repro.core.config.VertexicaConfig`: ``n_workers > 1`` fans out
+on ``config.executor``, leased from the session's pools as a run's is
+(so process-parallel extraction needs ``data_plane="shards"``, as process
+runs do), and one worker lowers serially.
+
+A :class:`CoEdgeSpec` without a ``weight`` (a ``COUNT(*)`` of joined
+rows) is lowered through :func:`expand_co_occurrence`, a group-by-``via``
+pairwise expansion that replaces the quadratic SQL self-join.  A custom
+aggregate ``weight`` keeps the self-join (:func:`co_edge_query`): only a
+count decomposes per group.  Spelling the default out as
+``weight="COUNT(*)"`` reaches the self-join too, which is how the tests
+hold the expansion to the same rows.
 
 Every path produces bit-identical per-spec arrays; the determinism suite
 in ``tests/graphview/test_parallel_extraction.py`` locks serial, thread,
@@ -39,19 +47,15 @@ and process lowering to the same bytes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.config import VertexicaConfig
 from repro.engine.database import Database
 from repro.engine.operators import run_starts, stable_int_order, unique_ints, value_ranks
-from repro.engine.parallel import (
-    NO_SESSION,
-    PartitionExecutor,
-    SessionPools,
-    recommended_process_count,
-)
+from repro.engine.parallel import NO_SESSION, PartitionExecutor, SessionPools
 from repro.engine.table import Table
 from repro.errors import EngineError, GraphViewError
 from repro.graphview.compiler import (
@@ -60,25 +64,15 @@ from repro.graphview.compiler import (
     edge_spec_queries,
     node_query,
 )
-from repro.graphview.maintenance import (
-    co_group_cap,
-    edge_triples_from_batch,
-    node_ids_from_batch,
-)
+from repro.graphview.maintenance import edge_triples_from_batch, node_ids_from_batch
 from repro.graphview.spec import CoEdgeSpec, EdgeSpec, GraphView
 
 __all__ = [
-    "CO_MODES",
-    "EXECUTOR_CHOICES",
-    "ExtractionOptions",
     "EdgeSpecResult",
     "LoweredExtraction",
     "expand_co_occurrence",
     "lower_view",
 ]
-
-EXECUTOR_CHOICES = ("threads", "processes")
-CO_MODES = ("exact", "capped", "selfjoin")
 
 #: Pair buffer size above which the streamed expansion compacts its
 #: accumulated per-group contributions into one summed array.
@@ -89,62 +83,12 @@ _EXPANSION_FLUSH_PAIRS = 1 << 21
 #: universes take the bounded-memory streaming path instead.
 _DENSE_MEMBER_LIMIT = 4096
 
+#: A parallel lowering splits a single-table scan into row slices only
+#: when its base table has at least this many rows (below it, per-task
+#: overhead beats the parallelism).
+_SLICE_MIN_ROWS = 50_000
+
 _slice_counter = itertools.count()
-
-
-@dataclass(frozen=True)
-class ExtractionOptions:
-    """How a view's extraction is executed.
-
-    Attributes:
-        executor: ``"threads"`` (default) or ``"processes"``; one worker
-            runs serially under either.
-        n_workers: parallel lowering tasks in flight; ``0`` means "use
-            every usable core" (affinity-aware).
-        co_mode: how :class:`CoEdgeSpec` co-occurrence is lowered —
-            ``"exact"`` (group-by-``via`` streamed pairwise expansion,
-            bit-identical to the self-join), ``"capped"`` (each group
-            truncated to its top-``co_cap`` members by row count, with a
-            ``truncated_groups`` stat; lossy, opt-in), or ``"selfjoin"``
-            (the legacy SQL self-join).  Specs with a custom aggregate
-            ``weight`` always take the self-join — only counting is
-            decomposable per group.
-        co_cap: group cap for ``"capped"`` mode; ``None`` uses the
-            ``REPRO_CO_GROUP_CAP`` knob (default 1024).
-        slice_min_rows: a single-table scan is split into row slices only
-            when its base table has at least this many rows (below it,
-            per-task overhead beats the parallelism).
-    """
-
-    executor: str = "threads"
-    n_workers: int = 1
-    co_mode: str = "exact"
-    co_cap: int | None = None
-    slice_min_rows: int = 50_000
-
-    def validate(self) -> None:
-        """Raise :class:`GraphViewError` on an invalid combination."""
-        if self.executor not in EXECUTOR_CHOICES:
-            raise GraphViewError(
-                f"extraction executor must be one of {EXECUTOR_CHOICES}, "
-                f"got {self.executor!r} ('auto' is now spelled 'threads'; "
-                "for 'serial' set n_workers=1)"
-            )
-        if self.co_mode not in CO_MODES:
-            raise GraphViewError(
-                f"co_mode must be one of {CO_MODES}, got {self.co_mode!r}"
-            )
-        if self.n_workers < 0:
-            raise GraphViewError("n_workers must be >= 0 (0 = all cores)")
-        if self.co_cap is not None and self.co_cap < 1:
-            raise GraphViewError("co_cap must be >= 1")
-        if self.slice_min_rows < 1:
-            raise GraphViewError("slice_min_rows must be >= 1")
-
-    def resolved_workers(self) -> int:
-        if self.n_workers == 0:
-            return recommended_process_count()
-        return self.n_workers
 
 
 @dataclass
@@ -172,17 +116,14 @@ class LoweredExtraction:
     edge_parts: list[EdgeSpecResult] = field(default_factory=list)
     num_queries: int = 0
     parallelism: int = 1
-    truncated_groups: int = 0
 
 
 # ---------------------------------------------------------------------------
 # Co-occurrence expansion
 # ---------------------------------------------------------------------------
 def expand_co_occurrence(
-    members: np.ndarray,
-    vias: np.ndarray,
-    cap: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    members: np.ndarray, vias: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairwise co-occurrence counts, group by group.
 
     Equivalent to the SQL self-join ``... ON a.via = b.via WHERE
@@ -200,14 +141,10 @@ def expand_co_occurrence(
     Args:
         members: integer member ids (already cast, NULL rows dropped).
         vias: group keys, any comparable dtype, parallel to ``members``.
-        cap: when set, a group with more than ``cap`` distinct members is
-            truncated to its top-``cap`` members by row count (ties broken
-            by smaller member id) before expanding — the degree-capped
-            mode.  ``None`` expands exactly.
 
     Returns:
-        ``(src, dst, weight, truncated_groups)`` — one row per surviving
-        ordered pair, sorted by ``(src, dst)``; weights are float counts.
+        ``(src, dst, weight)`` — one row per ordered pair, sorted by
+        ``(src, dst)``; weights are float counts.
     """
     empty = (
         np.empty(0, dtype=np.int64),
@@ -215,7 +152,7 @@ def expand_co_occurrence(
         np.empty(0, dtype=np.float64),
     )
     if len(members) == 0:
-        return (*empty, 0)
+        return empty
     # Per (group, member) row counts: one stable integer sort puts each
     # group in a contiguous slice with its members sorted, then run-length
     # boundaries give the distinct rows.  (Plain int columns through the
@@ -233,20 +170,15 @@ def expand_co_occurrence(
 
     univ = unique_ints(gm_m)
     if len(univ) <= _DENSE_MEMBER_LIMIT:
-        return _expand_dense(univ, gm_m, gm_counts, boundaries, cap)
+        return _expand_dense(univ, gm_m, gm_counts, boundaries)
 
     src_parts: list[np.ndarray] = []
     dst_parts: list[np.ndarray] = []
     count_parts: list[np.ndarray] = []
     buffered = 0
-    truncated_groups = 0
     for g in range(len(boundaries) - 1):
         uniq = gm_m[boundaries[g]:boundaries[g + 1]]
         counts = gm_counts[boundaries[g]:boundaries[g + 1]]
-        if cap is not None and len(uniq) > cap:
-            truncated_groups += 1
-            top = np.lexsort((uniq, -counts))[:cap]
-            uniq, counts = uniq[top], counts[top]
         if len(uniq) < 2:
             continue
         a_idx = np.repeat(np.arange(len(uniq)), len(uniq))
@@ -263,9 +195,9 @@ def expand_co_occurrence(
             )
             buffered = len(src_parts[0])
     if not src_parts:
-        return (*empty, truncated_groups)
+        return empty
     (src,), (dst,), (counts,) = _compact_pairs(src_parts, dst_parts, count_parts)
-    return src, dst, counts.astype(np.float64), truncated_groups
+    return src, dst, counts.astype(np.float64)
 
 
 def _expand_dense(
@@ -273,8 +205,7 @@ def _expand_dense(
     gm_m: np.ndarray,
     gm_counts: np.ndarray,
     boundaries: np.ndarray,
-    cap: int | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sum every group's ``outer(counts, counts)`` into one dense
     ``member x member`` matrix — each group touches only its own
     submatrix (``np.ix_``), so the work is O(sum of group-pair counts)
@@ -283,27 +214,15 @@ def _expand_dense(
     ``(src, dst)`` order (``univ`` is sorted ascending)."""
     matrix = np.zeros((len(univ), len(univ)), dtype=np.int64)
     codes = np.searchsorted(univ, gm_m)
-    truncated_groups = 0
     for g in range(len(boundaries) - 1):
         group_codes = codes[boundaries[g]:boundaries[g + 1]]
-        counts = gm_counts[boundaries[g]:boundaries[g + 1]]
-        if cap is not None and len(group_codes) > cap:
-            truncated_groups += 1
-            # univ[group_codes] is sorted, so lexsorting on the codes
-            # matches the member-ascending tiebreak of the streamed path.
-            top = np.lexsort((group_codes, -counts))[:cap]
-            group_codes, counts = group_codes[top], counts[top]
         if len(group_codes) < 2:
             continue
+        counts = gm_counts[boundaries[g]:boundaries[g + 1]]
         matrix[np.ix_(group_codes, group_codes)] += np.outer(counts, counts)
     np.fill_diagonal(matrix, 0)
     src_idx, dst_idx = np.nonzero(matrix)
-    return (
-        univ[src_idx],
-        univ[dst_idx],
-        matrix[src_idx, dst_idx].astype(np.float64),
-        truncated_groups,
-    )
+    return univ[src_idx], univ[dst_idx], matrix[src_idx, dst_idx].astype(np.float64)
 
 
 def _compact_pairs(
@@ -337,7 +256,7 @@ class _QueryJob:
     convert: str  # "ids" | "triples" | "side"
 
 
-def _build_jobs(view: GraphView, options: ExtractionOptions) -> list[_QueryJob]:
+def _build_jobs(view: GraphView) -> list[_QueryJob]:
     jobs: list[_QueryJob] = []
     for spec in view.vertices:
         jobs.append(
@@ -361,7 +280,9 @@ def _build_jobs(view: GraphView, options: ExtractionOptions) -> list[_QueryJob]:
                     )
                 )
         elif isinstance(spec, CoEdgeSpec):
-            if _co_spec_mode(spec, options) == "selfjoin":
+            # Expansion cannot reproduce a custom aggregate weight — only
+            # COUNT(*) decomposes per group — so such specs keep the join.
+            if spec.weight is not None:
                 jobs.append(
                     _QueryJob(
                         "co-occurrence spec",
@@ -384,29 +305,21 @@ def _build_jobs(view: GraphView, options: ExtractionOptions) -> list[_QueryJob]:
     return jobs
 
 
-def _co_spec_mode(spec: CoEdgeSpec, options: ExtractionOptions) -> str:
-    """Expansion cannot reproduce custom aggregate weights — only
-    ``COUNT(*)`` decomposes per group — so such specs keep the SQL path."""
-    if spec.weight is not None:
-        return "selfjoin"
-    return options.co_mode
-
-
 def _slice_bounds(num_rows: int, n_slices: int) -> list[tuple[int, int]]:
     edges = [round(num_rows * i / n_slices) for i in range(n_slices + 1)]
     return [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
 
 
 def _plan_slices(
-    db: Database, job: _QueryJob, workers: int, options: ExtractionOptions
+    db: Database, job: _QueryJob, workers: int
 ) -> list[tuple[str | None, tuple[int, int] | None]]:
     """Decide the (table_override, row_range) units one job runs as."""
     if job.base_table is None or workers <= 1:
         return [(None, None)]
     num_rows = db.table(job.base_table).num_rows
-    if num_rows < options.slice_min_rows:
+    if num_rows < _SLICE_MIN_ROWS:
         return [(None, None)]
-    n_slices = min(workers, max(1, num_rows // options.slice_min_rows))
+    n_slices = min(workers, max(1, num_rows // _SLICE_MIN_ROWS))
     if n_slices < 2:
         return [(None, None)]
     return [(None, bounds) for bounds in _slice_bounds(num_rows, n_slices)]
@@ -435,7 +348,6 @@ def _run_threads(
     db: Database,
     jobs: list[_QueryJob],
     workers: int,
-    options: ExtractionOptions,
     executor: PartitionExecutor,
 ) -> tuple[list[list], int]:
     """Plan every unit under the database lock, execute lock-free on the
@@ -443,7 +355,7 @@ def _run_threads(
     units: list[tuple[int, object]] = []  # (job index, plan)
     with db.lock:
         for job_index, job in enumerate(jobs):
-            for _, bounds in _plan_slices(db, job, workers, options):
+            for _, bounds in _plan_slices(db, job, workers):
                 if bounds is None:
                     sql = job.sql_for(None)
                     try:
@@ -499,14 +411,13 @@ def _run_processes(
     db: Database,
     jobs: list[_QueryJob],
     workers: int,
-    options: ExtractionOptions,
     executor: PartitionExecutor,
 ) -> tuple[list[list], int]:
     """Ship each unit's slice of base data to the worker processes."""
     units: list[tuple[int, tuple]] = []  # (job index, (sql, tables))
     with db.lock:
         for job_index, job in enumerate(jobs):
-            for _, bounds in _plan_slices(db, job, workers, options):
+            for _, bounds in _plan_slices(db, job, workers):
                 if bounds is None:
                     tables = sorted(_job_tables(job))
                     payload_tables = [
@@ -555,32 +466,29 @@ def _job_tables(job: _QueryJob) -> set[str]:
 def lower_view(
     db: Database,
     view: GraphView,
-    options: ExtractionOptions | None = None,
+    config: VertexicaConfig | None = None,
     pools: SessionPools | None = None,
 ) -> LoweredExtraction:
     """Run every compiled query of ``view`` and convert the results.
 
-    Serial, thread, and process execution produce bit-identical per-spec
-    arrays; see the module docstring for how each strategy works.  A
-    parallel lowering leases its pool from ``pools`` — the session's, the
-    same one its runs use — or, without one, a private pool.
+    ``config`` (the session's; ``None`` lowers serially) supplies the
+    executor and worker count.  Serial, thread, and process execution
+    produce bit-identical per-spec arrays; see the module docstring for
+    how each strategy works.  A parallel lowering leases its pool from
+    ``pools`` — the session's, the same one its runs use — or, without
+    one, a private pool.
     """
-    options = options or ExtractionOptions()
-    options.validate()
-    jobs = _build_jobs(view, options)
-    workers = options.resolved_workers()
+    config = config or VertexicaConfig()
+    jobs = _build_jobs(view)
+    workers = config.n_workers
     if workers == 1:
         per_job, num_queries = _run_serial(db, jobs)
-        parallelism = 1
     else:
-        run = _run_threads if options.executor == "threads" else _run_processes
-        with (pools or NO_SESSION).lease(options.executor, workers) as executor:
-            per_job, num_queries = run(db, jobs, workers, options, executor)
-        parallelism = workers
+        run = _run_threads if config.executor == "threads" else _run_processes
+        with (pools or NO_SESSION).lease(config.executor, workers) as executor:
+            per_job, num_queries = run(db, jobs, workers, executor)
 
-    result = LoweredExtraction(
-        num_queries=num_queries, parallelism=parallelism
-    )
+    result = LoweredExtraction(num_queries=num_queries, parallelism=workers)
     job_iter = iter(zip(jobs, per_job))
 
     for _ in view.vertices:
@@ -598,7 +506,7 @@ def lower_view(
             result.edge_parts.append(EdgeSpecResult(spec=spec, triples=triples))
         else:
             job, batches = next(job_iter)
-            if job.convert == "triples":  # selfjoin lowering
+            if job.convert == "triples":  # custom weight: the self-join
                 result.edge_parts.append(
                     EdgeSpecResult(
                         spec=spec,
@@ -609,15 +517,10 @@ def lower_view(
                 )
                 continue
             member, via = _concat_side(batches)
-            cap = None
-            if options.co_mode == "capped":
-                cap = options.co_cap if options.co_cap is not None else co_group_cap()
-            src, dst, weight, truncated = expand_co_occurrence(member, via, cap)
-            result.truncated_groups += truncated
             result.edge_parts.append(
                 EdgeSpecResult(
                     spec=spec,
-                    triples=[(src, dst, weight)],
+                    triples=[expand_co_occurrence(member, via)],
                     side_member=member,
                     side_via=via,
                 )
@@ -663,15 +566,3 @@ def _concat_side(batches: Sequence) -> tuple[np.ndarray, np.ndarray]:
     )
     via = np.concatenate(via_parts) if via_parts else np.empty(0, dtype=np.int64)
     return member, via
-
-
-def options_for_config(config) -> ExtractionOptions:
-    """Derive extraction options from a :class:`VertexicaConfig` — the
-    extraction plane inherits the run plane's executor choice and worker
-    count unless the caller overrides them per view."""
-    return ExtractionOptions(executor=config.executor, n_workers=config.n_workers)
-
-
-def with_overrides(options: ExtractionOptions, **overrides) -> ExtractionOptions:
-    """A copy of ``options`` with the given fields replaced."""
-    return replace(options, **overrides)

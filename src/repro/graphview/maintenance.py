@@ -1,11 +1,11 @@
 """Delta-based incremental maintenance of materialized graph views.
 
-A full :func:`~repro.graphview.view.extract_graph` re-runs every compiled
-query over the whole base tables and rebuilds the graph tables wholesale.
-After small DML that is almost entirely wasted work — the change-capture
-layer (:mod:`repro.engine.changelog`) already knows exactly which rows
-changed.  This module turns those row deltas into graph deltas and patches
-the materialized tables in place:
+A full extraction (:func:`~repro.graphview.lowering.lower_view`) re-runs
+every compiled query over the whole base tables and rebuilds the graph
+tables wholesale.  After small DML that is almost entirely wasted work —
+the change-capture layer (:mod:`repro.engine.changelog`) already knows
+exactly which rows changed.  This module turns those row deltas into
+graph deltas and patches the materialized tables in place:
 
 * each spec's lowering is re-run over *scratch tables holding only the
   delta rows* (same SQL text as full extraction via the compiler's table
@@ -29,28 +29,29 @@ No ledger is a structured array, and none is ever comparison-sorted as
 one.  Seeding reuses the extraction's arrays: the edge ledger *is* the
 canonically ordered arrays the graph tables were loaded from, and a
 co-occurrence pair ledger is checked to be in order with one linear pass
-(the expansion lowering emits it sorted; only the self-join lowering
-needs a sort).  A refresh nets its added and removed rows with one small
-integer sort, finds their positions by ``searchsorted`` on the leading
-int64 column (bisecting the later columns inside each equal run), and
-builds each new column with one gather.
+(the expansion lowering emits it sorted).  A refresh nets its added and
+removed rows with one small integer sort, finds their positions by
+``searchsorted`` on the leading int64 column (bisecting the later columns
+inside each equal run), and builds each new column with one gather.
 
 Whenever a delta cannot be applied exactly — change log evicted or reset,
 base table dropped/recreated, a delta larger than the configured fraction
-of its table, a ``CoEdgeSpec`` with a custom aggregate weight or
-non-integer join key — the caller falls back to a full re-extraction
-(which also rebuilds this module's state).
+of its table, a ``CoEdgeSpec`` with a custom aggregate weight (lowered by
+the self-join, never maintained) or a non-integer join key — the caller
+falls back to a full re-extraction (which also rebuilds this module's
+state).
 
 Recomputing a touched co-occurrence group is *delta-directed*: only
 pairs with at least one member whose row count actually changed are
 re-derived, so the cost is O(|changed members| · |group|) rather than
 O(|group|²) — a one-row delta against a dense ``via`` group (a celebrity
 post with 10⁵ likers) touches one stripe of the pair matrix, not the
-whole square.  A delta that changes many members of a very dense group
-can still blow that budget, so when ``|changed| · |group|`` exceeds the
-square of :data:`co_group_cap` the refresh falls back to a full
-re-extraction (bounded, well-understood cost — the dense group dominates
-the view's edge set anyway).
+whole square.  A delta that changes many members of dense groups can
+still cost more than starting over, so when the touched groups' stripes
+(Σ ``|changed| · |union|``) exceed the view's current edge count — the
+rows a full refresh would reload — the refresh falls back to a full
+re-extraction.  The bound comes from state the refresh already holds;
+no knob sets it.
 
 Every fallback records its reason on
 :attr:`MaintenanceState.last_fallback_reason` and logs it on the
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -71,7 +71,7 @@ import numpy as np
 from repro.core.storage import GraphHandle, GraphStorage, weight_order_key
 from repro.engine.changelog import TableDelta
 from repro.engine.database import Database
-from repro.engine.operators import run_starts, stable_int_order
+from repro.engine.operators import run_starts, stable_int_order, unique_ints, value_ranks
 from repro.engine.table import Table
 from repro.errors import EngineError, GraphViewError
 from repro.graphview.compiler import (
@@ -82,39 +82,13 @@ from repro.graphview.compiler import (
 from repro.graphview.spec import CoEdgeSpec, EdgeSpec, GraphView
 
 __all__ = [
-    "MAX_INCREMENTAL_CO_GROUP",
     "MaintenanceState",
     "build_state",
-    "co_group_cap",
     "incremental_refresh",
     "involved_tables",
 ]
 
 logger = logging.getLogger("repro.graphview")
-
-#: Default co-occurrence group cap (see :func:`co_group_cap`), as read
-#: from ``REPRO_CO_GROUP_CAP`` at import; tests monkeypatch this.
-MAX_INCREMENTAL_CO_GROUP = int(os.environ.get("REPRO_CO_GROUP_CAP", "1024"))
-
-
-def co_group_cap() -> int:
-    """The co-occurrence group cap, re-reading ``REPRO_CO_GROUP_CAP`` at
-    call time (so a knob set after import still takes effect) and falling
-    back to :data:`MAX_INCREMENTAL_CO_GROUP`.
-
-    Two consumers: the ``"capped"`` extraction mode truncates any via
-    group to this many members, and the incremental pair ledger falls
-    back to a full refresh when one delta's recompute budget
-    (``|changed members| · |group members|``) exceeds its square.
-    """
-    value = os.environ.get("REPRO_CO_GROUP_CAP")
-    if value is None:
-        return MAX_INCREMENTAL_CO_GROUP
-    try:
-        return int(value)
-    except ValueError:
-        return MAX_INCREMENTAL_CO_GROUP
-
 
 #: One sorted multiset as parallel columns (see "Columnar sorted
 #: multisets" below): edges are ``(src, dst, weight)``, co-occurrence
@@ -371,9 +345,11 @@ class _SupportLedger:
                 -np.ones(len(removed_ids), dtype=np.int64),
             ]
         )
-        uniq, inverse = np.unique(delta_ids, return_inverse=True)
-        net = np.zeros(len(uniq), dtype=np.int64)
+        inverse = value_ranks(delta_ids)
+        net = np.zeros(int(inverse.max()) + 1, dtype=np.int64)
         np.add.at(net, inverse, signs)
+        uniq = np.empty(len(net), dtype=np.int64)
+        uniq[inverse] = delta_ids
         touched = net != 0
         uniq, net = uniq[touched], net[touched]
         if len(uniq) == 0:
@@ -409,7 +385,9 @@ class _CoState:
     side: Rows  # (via, member), sorted by (via, member)
     pairs: Rows  # (src, dst, weight == float(count)), sorted; one row per pair
 
-    def apply_delta(self, inserted_side: Rows, deleted_side: Rows) -> tuple[Rows, Rows]:
+    def apply_delta(
+        self, inserted_side: Rows, deleted_side: Rows, budget: int
+    ) -> tuple[Rows, Rows]:
         """Apply side-row deltas; return ``(added, removed)`` edge rows.
 
         Only groups whose ``via`` key appears in the delta are touched,
@@ -420,16 +398,18 @@ class _CoState:
         of its members' counts).  A touched pair's old row (its previous
         global count) is removed and its new row added, so the caller can
         treat co-occurrence changes as ordinary edge-multiset arithmetic.
+        ``budget`` bounds the stripes' total size (see
+        :func:`_delta_pair_contributions`).
         """
         if len(inserted_side[0]) == 0 and len(deleted_side[0]) == 0:
             return _NO_EDGES, _NO_EDGES
-        touched_vias = np.unique(np.concatenate([inserted_side[0], deleted_side[0]]))
+        touched_vias = unique_ints(inserted_side[0], deleted_side[0])
         old_groups = _touched_group_counts(self.side, touched_vias)
         self.side = _merge(self.side, inserted_side, deleted_side)
         new_groups = _touched_group_counts(self.side, touched_vias)
 
         # Net count change per (src, dst) pair across the touched groups.
-        src, dst, deltas = _delta_pair_contributions(old_groups, new_groups)
+        src, dst, deltas = _delta_pair_contributions(old_groups, new_groups, budget)
         if len(src) == 0:
             return _NO_EDGES, _NO_EDGES
 
@@ -471,7 +451,7 @@ def _touched_group_counts(side: Rows, vias: np.ndarray) -> Rows:
     return via[starts], member[starts], np.diff(np.append(starts, len(rows)))
 
 
-def _delta_pair_contributions(old: Rows, new: Rows) -> Rows:
+def _delta_pair_contributions(old: Rows, new: Rows, budget: int) -> Rows:
     """Pairs whose co-occurrence count changed: ``(src, dst, delta)``
     columns sorted by ``(src, dst)``, with signed count deltas.
 
@@ -482,14 +462,15 @@ def _delta_pair_contributions(old: Rows, new: Rows) -> Rows:
     full ``union × union`` square.
 
     Raises:
-        _Fallback: one group's stripe (``|changed| · |union|``) exceeds
-            the square of :func:`co_group_cap` — the recompute budget is
-            blown and the caller must take the full-refresh path.
+        _Fallback: the stripes of the touched groups (Σ ``|changed| ·
+            |union|``) exceed ``budget`` — the caller passes the view's
+            edge count, so patching would cost more than the full
+            refresh it must take instead.
     """
-    cap = co_group_cap()
     via_old, member_old, c_old = old
     via_new, member_new, c_new = new
-    vias = np.unique(np.concatenate([via_old, via_new]))
+    vias = unique_ints(via_old, via_new)
+    stripes = 0
     src_parts: list[np.ndarray] = []
     dst_parts: list[np.ndarray] = []
     delta_parts: list[np.ndarray] = []
@@ -502,19 +483,21 @@ def _delta_pair_contributions(old: Rows, new: Rows) -> Rows:
         )
         members_old = member_old[lo_o:hi_o]
         members_new = member_new[lo_n:hi_n]
-        union = np.union1d(members_old, members_new)
+        union = unique_ints(members_old, members_new)
         old_vec = np.zeros(len(union), dtype=np.int64)
         old_vec[np.searchsorted(union, members_old)] = c_old[lo_o:hi_o]
         new_vec = np.zeros(len(union), dtype=np.int64)
         new_vec[np.searchsorted(union, members_new)] = c_new[lo_n:hi_n]
-        changed = np.flatnonzero(old_vec != new_vec)
+        moved_member = old_vec != new_vec
+        changed = np.flatnonzero(moved_member)
         if len(changed) == 0:
             continue
-        if len(changed) * len(union) > cap * cap:
+        stripes += len(changed) * len(union)
+        if stripes > budget:
             raise _Fallback(
-                f"co-occurrence via group {int(via)} delta recompute needs "
-                f"{len(changed)}x{len(union)} pair updates "
-                f"(budget {cap}^2); falling back to full recompute"
+                f"co-occurrence delta needs at least {stripes} pair updates, "
+                f"more than the view's {budget} edges; falling back to full "
+                "recompute"
             )
         # changed × union (minus the diagonal) ...
         a_idx = np.repeat(changed, len(union))
@@ -523,7 +506,7 @@ def _delta_pair_contributions(old: Rows, new: Rows) -> Rows:
         a_idx, b_idx = a_idx[keep], b_idx[keep]
         # ... plus (union − changed) × changed; disjoint sides, so no
         # diagonal and no overlap with the first stripe.
-        unchanged = np.setdiff1d(np.arange(len(union)), changed, assume_unique=True)
+        unchanged = np.flatnonzero(~moved_member)
         a_idx = np.concatenate([a_idx, np.repeat(unchanged, len(changed))])
         b_idx = np.concatenate([b_idx, np.tile(changed, len(unchanged))])
         delta = new_vec[a_idx] * new_vec[b_idx] - old_vec[a_idx] * old_vec[b_idx]
@@ -602,7 +585,6 @@ def build_state(
     node_parts: list[np.ndarray],
     edge_parts: list,
     sorted_edges: Rows,
-    truncated_groups: int = 0,
 ) -> MaintenanceState:
     """Construct maintenance state from a just-completed full extraction.
 
@@ -612,25 +594,14 @@ def build_state(
     ``sorted_edges`` the already-canonically-ordered ``(src, dst,
     weight)`` columns the graph tables were loaded from — they become the
     edge ledger as they are (nothing is scanned, sorted or copied twice).
-    A :class:`CoEdgeSpec` lowered through the expansion path carries its
-    filtered ``(member, via)`` side rows on its result, so seeding the
-    pair ledger costs no extra query, and its pairs arrive in ledger
-    order, which one linear pass confirms; the self-join lowering runs one
-    side query per co spec and its pairs are sorted here.
-
-    ``truncated_groups``: how many via groups the extraction truncated
-    (capped co-occurrence mode).  Any truncation makes the state
-    incapable — the materialized tables are deliberately lossy, and an
-    exact delta against them would diverge.
+    A maintained :class:`CoEdgeSpec` is lowered through the expansion,
+    whose result carries its filtered ``(member, via)`` side rows, so
+    seeding the pair ledger costs no extra query; its pairs arrive in
+    ledger order, which one linear pass confirms (and a sort restores,
+    should they not).
     """
     capable = incremental_capable(view)
     reason: str | None = None if capable else "spec has no incremental lowering"
-    if truncated_groups and capable:
-        capable = False
-        reason = (
-            f"capped co-occurrence extraction truncated {truncated_groups} "
-            "group(s); the materialized tables are lossy"
-        )
     edges = tuple(sorted_edges)
     if np.isnan(edges[2]).any() and capable:
         capable = False  # NaN breaks sorted-multiset matching
@@ -645,7 +616,7 @@ def build_state(
                 if not isinstance(spec, CoEdgeSpec):
                     continue
                 part = edge_parts[index]
-                side = _spec_side_rows(db, spec, part)
+                side = _spec_side_rows(part)
                 (src, dst, weight) = part.triples[0]
                 if not np.all(weight == np.rint(weight)):
                     raise _Fallback("co-occurrence counts are not integral")
@@ -668,12 +639,9 @@ def build_state(
     )
 
 
-def _spec_side_rows(db: Database, spec: CoEdgeSpec, part) -> Rows:
-    """The (unsorted) ``(via, member)`` side ledger seed for one co spec
-    — reused from the extraction result when the expansion path captured
-    it, otherwise one side query against the base table."""
-    if getattr(part, "side_member", None) is None:
-        return _side_pairs_from_batch(db.query_batch(co_edge_side_query(spec)))
+def _spec_side_rows(part) -> Rows:
+    """The (unsorted) ``(via, member)`` side ledger seed for one co spec,
+    reused from the side rows its expansion lowering captured."""
     vias = np.asarray(part.side_via)
     if vias.dtype.kind not in "iu":
         raise _Fallback("co-occurrence via key is not integer-typed")
@@ -816,7 +784,7 @@ def _spec_deltas(
             inserted_side = _side_rows(db, spec, delta.inserted)
             deleted_side = _side_rows(db, spec, delta.deleted)
             added, removed = state.co_states[index].apply_delta(
-                inserted_side, deleted_side
+                inserted_side, deleted_side, state.num_edges
             )
             added_parts.append(added)
             removed_parts.append(removed)

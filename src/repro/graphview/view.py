@@ -19,6 +19,10 @@ Two freshness modes:
   :meth:`GraphViewHandle.resolve` (which ``Vertexica.run`` calls) re-runs
   the extraction, so the analysis always sees the current base tables.
 
+A full extraction runs with the executor and worker count of the
+session's :class:`~repro.core.config.VertexicaConfig` (see
+:mod:`repro.graphview.lowering`).
+
 Both refresh paths produce bit-identical graph tables: full loads store
 edges in canonical ``(src, dst, weight)`` order and the incremental path
 maintains the same order (the randomized DML parity suite in
@@ -33,21 +37,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import VertexicaConfig
 from repro.core.storage import GraphHandle, GraphStorage, canonical_edge_order
 from repro.engine.database import Database
 from repro.engine.operators import unique_ints
 from repro.engine.parallel import SessionPools
 from repro.errors import GraphLoadError, GraphViewError
 from repro.graphview import maintenance
-from repro.graphview.lowering import (
-    ExtractionOptions,
-    LoweredExtraction,
-    lower_view,
-)
+from repro.graphview.lowering import lower_view
 from repro.graphview.maintenance import MaintenanceState
 from repro.graphview.spec import GraphView
 
-__all__ = ["ExtractionStats", "GraphViewHandle", "extract_graph"]
+__all__ = ["ExtractionStats", "GraphViewHandle"]
 
 logger = logging.getLogger("repro.graphview")
 
@@ -75,8 +76,6 @@ class ExtractionStats:
             tables, plus seeding the maintenance ledgers of a
             materialized view (full mode only).
         parallelism: worker count the lowering fanned out to (1 = serial).
-        truncated_groups: via groups truncated by capped co-occurrence
-            expansion (0 in exact and self-join modes).
     """
 
     seconds: float
@@ -88,49 +87,29 @@ class ExtractionStats:
     lower_seconds: float = 0.0
     load_seconds: float = 0.0
     parallelism: int = 1
-    truncated_groups: int = 0
 
     def summary(self) -> str:
         """One-line human-readable report."""
         delta = f" delta_rows={self.delta_rows}" if self.mode == "incremental" else ""
         workers = f" workers={self.parallelism}" if self.parallelism > 1 else ""
-        capped = (
-            f" truncated_groups={self.truncated_groups}"
-            if self.truncated_groups
-            else ""
-        )
         return (
             f"{self.mode} refresh: |V|={self.num_vertices} |E|={self.num_edges} "
             f"from {self.num_queries} queries in {self.seconds:.3f}s"
-            f"{delta}{workers}{capped}"
+            f"{delta}{workers}"
         )
 
 
-def _run_extraction(
-    db: Database,
-    view: GraphView,
-    options: ExtractionOptions | None,
-    pools: SessionPools | None = None,
-) -> LoweredExtraction:
-    """Execute every compiled query; return per-spec arrays.
-
-    Delegates to :func:`repro.graphview.lowering.lower_view`, which fans
-    the compiled queries across the configured executor (leased from
-    ``pools``) and lowers co-occurrence specs through pairwise expansion
-    — every executor and co-occurrence mode (except the lossy
-    ``"capped"`` one) produces bit-identical arrays.
-    """
-    return lower_view(db, view, options, pools)
-
-
-def extract_graph(
+def _extract_with_state(
     db: Database,
     storage: GraphStorage,
     name: str,
     view: GraphView,
-    options: ExtractionOptions | None = None,
-) -> tuple[GraphHandle, ExtractionStats]:
-    """Run the view's compiled queries and (re)load ``{name}_*`` tables.
+    want_state: bool,
+    config: VertexicaConfig | None = None,
+    pools: SessionPools | None = None,
+) -> tuple[GraphHandle, ExtractionStats, MaintenanceState | None]:
+    """Full extraction, optionally also building maintenance state from
+    the same per-spec arrays (no base table is scanned twice).
 
     Edge rows with a NULL endpoint are dropped (a nullable foreign key is
     not an edge); NULL weights fall back to 1.0.
@@ -140,26 +119,9 @@ def extract_graph(
             column, malformed filter/weight expression) — chained to the
             engine error naming the spec that caused it.
     """
-    handle, stats, _ = _extract_with_state(
-        db, storage, name, view, want_state=False, options=options
-    )
-    return handle, stats
-
-
-def _extract_with_state(
-    db: Database,
-    storage: GraphStorage,
-    name: str,
-    view: GraphView,
-    want_state: bool,
-    options: ExtractionOptions | None = None,
-    pools: SessionPools | None = None,
-) -> tuple[GraphHandle, ExtractionStats, MaintenanceState | None]:
-    """Full extraction, optionally also building maintenance state from
-    the same per-spec arrays (no base table is scanned twice)."""
     view.validate()
     started = time.perf_counter()
-    lowered = _run_extraction(db, view, options, pools)
+    lowered = lower_view(db, view, config, pools)
     lowered_at = time.perf_counter()
     node_parts, edge_parts = lowered.node_parts, lowered.edge_parts
 
@@ -183,12 +145,7 @@ def _extract_with_state(
     )
     state = (
         maintenance.build_state(
-            db,
-            view,
-            node_parts,
-            edge_parts,
-            (src_arr, dst_arr, weight_arr),
-            truncated_groups=lowered.truncated_groups,
+            db, view, node_parts, edge_parts, (src_arr, dst_arr, weight_arr)
         )
         if want_state
         else None
@@ -203,7 +160,6 @@ def _extract_with_state(
         lower_seconds=lowered_at - started,
         load_seconds=finished - lowered_at,
         parallelism=lowered.parallelism,
-        truncated_groups=lowered.truncated_groups,
     )
     return handle, stats, state
 
@@ -220,11 +176,11 @@ class GraphViewHandle:
     (as a fraction of its current rows) before :meth:`refresh` abandons
     the incremental path for a full re-extraction.
 
-    ``options`` configures how full extractions execute (executor and
-    worker count, co-occurrence lowering mode); ``None`` means serial
-    exact-expansion defaults.  Parallel extractions lease their executor
-    from ``pools`` (the session's); ``None`` gives each one a private
-    pool.
+    ``config`` is the session's :class:`VertexicaConfig`: full
+    extractions run on its ``executor`` with ``n_workers`` workers, as
+    its runs do; ``None`` extracts serially.  Parallel extractions lease
+    their executor from ``pools`` (the session's); ``None`` gives each
+    one a private pool.
     """
 
     def __init__(
@@ -235,22 +191,20 @@ class GraphViewHandle:
         view: GraphView,
         materialized: bool = True,
         delta_threshold: float = DEFAULT_DELTA_THRESHOLD,
-        options: ExtractionOptions | None = None,
+        config: VertexicaConfig | None = None,
         pools: SessionPools | None = None,
     ) -> None:
         if not name or not name.isidentifier():
             raise GraphViewError(f"graph view name must be an identifier, got {name!r}")
         if not 0.0 <= delta_threshold <= 1.0:
             raise GraphViewError("delta_threshold must be within [0, 1]")
-        if options is not None:
-            options.validate()
         self.db = db
         self.storage = storage
         self.name = name
         self.view = view
         self.materialized = materialized
         self.delta_threshold = delta_threshold
-        self.options = options
+        self.config = config
         self.pools = pools
         self._handle: GraphHandle | None = None
         self._state: MaintenanceState | None = None
@@ -312,7 +266,7 @@ class GraphViewHandle:
             self.name,
             self.view,
             want_state=self.materialized,
-            options=self.options,
+            config=self.config,
             pools=self.pools,
         )
         self._handle = handle

@@ -1,5 +1,9 @@
 """Tests for value codecs and the Vertexica configuration."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -134,3 +138,41 @@ class TestConfig:
         config = VertexicaConfig()
         with pytest.raises(Exception):
             config.n_workers = 5
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("input_strategy", "join"), ("update_strategy", "update"), ("replace_threshold", 0.5)],
+    )
+    def test_sql_plane_ablation_rejected_under_shards(self, field, value):
+        # The shard plane has no input query and no update/replace stage:
+        # the error names the field and the plane instead of ignoring it.
+        assert VertexicaConfig(**{field: value}).validated()  # fine on the SQL plane
+        with pytest.raises(VertexicaError, match=f"{field}=.*data_plane='shards'"):
+            VertexicaConfig(data_plane="shards", **{field: value}).validated()
+
+    def test_halt_sync_rejected_under_sql(self):
+        with pytest.raises(VertexicaError, match="superstep_sync='halt'.*data_plane='sql'"):
+            VertexicaConfig(superstep_sync="halt").validated()
+        assert VertexicaConfig(data_plane="shards", superstep_sync="halt").validated()
+
+    def test_every_benchmark_workload_config_validates(self, monkeypatch):
+        """Each override set the perf benchmark passes to ``vx.run`` stays
+        valid on a default session (the view and serving workloads run
+        on ``SHARDS`` or the defaults)."""
+        perf = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
+        monkeypatch.syspath_prepend(str(perf))
+        spec = importlib.util.spec_from_file_location("perf_workloads", perf / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        try:
+            spec.loader.exec_module(workloads)  # imports its siblings inputs, oracles
+            overrides = [{}, workloads.SHARDS]
+            for name in workloads.WORKLOADS:
+                built = workloads.build(name, seed=5, smoke=True)
+                overrides.append(getattr(built, "options", {}))
+        finally:
+            for sibling in ("inputs", "oracles"):
+                sys.modules.pop(sibling, None)
+        assert any(options.get("executor") == "processes" for options in overrides)
+        for options in overrides:
+            assert VertexicaConfig().with_overrides(**options)

@@ -26,7 +26,9 @@ side, the shard plane's merges) had before.  This module pins:
   over its rows (or none), and no ``np.unique`` / ``np.union1d``, no
   at-scale ``np.lexsort`` and no at-scale integer ``np.sort`` /
   ``np.argsort`` outside the kernel and ``unique_ints`` runs; the
-  message ``GROUP BY dst`` factorizes nothing.
+  message ``GROUP BY dst`` factorizes nothing; incremental refreshes of
+  a node + edge + co-occurrence view call no ``np.unique`` /
+  ``np.union1d`` either.
 """
 
 
@@ -533,31 +535,69 @@ class TestLoadAndViewGate:
     def test_create_graph_view_sorts_once_per_kernel_call_and_never_hashes(
         self, monkeypatch
     ):
-        rng = np.random.default_rng(12)
-        vx = Vertexica()
-        vx.sql("CREATE TABLE users (id INTEGER NOT NULL)")
-        vx.sql("CREATE TABLE follows (a INTEGER NOT NULL, b INTEGER NOT NULL, w FLOAT NOT NULL)")
-        vx.sql("CREATE TABLE likes (user_id INTEGER NOT NULL, post_id INTEGER NOT NULL)")
-        insert(vx.db, "users", (INTEGER, np.arange(4000)))
-        insert(
-            vx.db, "follows",
-            (INTEGER, rng.integers(0, 4000, 3000)),
-            (INTEGER, rng.integers(0, 4000, 3000)),
-            (FLOAT, rng.choice([0.0, -0.0, 1.0, 2.5], 3000)),
-        )
-        insert(
-            vx.db, "likes",
-            (INTEGER, np.repeat(np.arange(4000), 2)),
-            (INTEGER, rng.integers(0, 600, 8000)),
-        )
-        view = GraphView(
-            vertices=NodeSpec("users", key="id"),
-            edges=[
-                EdgeSpec("follows", src="a", dst="b", weight="w"),
-                CoEdgeSpec("likes", member="user_id", via="post_id"),
-            ],
-        )
+        vx = social_view_db(np.random.default_rng(12))
         spy = SortSpy(monkeypatch)
-        handle = vx.create_graph_view("v", view)
+        handle = vx.create_graph_view("v", SOCIAL_VIEW)
         assert handle.last_extraction.num_edges > 10 * CUT
         spy.assert_sorts_once_and_never_hashes()
+
+    def test_incremental_view_refresh_never_hashes(self, monkeypatch):
+        # Delta-sized set work in maintenance (the support ledger's net
+        # counts, the touched via groups, each group's member union) runs
+        # on the kernel and unique_ints, not np.unique / np.union1d.
+        rng = np.random.default_rng(13)
+        vx = social_view_db(rng)
+        handle = vx.create_graph_view("v", SOCIAL_VIEW)
+        spy = SortSpy(monkeypatch)
+        for step in range(3):
+            insert(
+                vx.db, "likes",
+                (INTEGER, rng.integers(0, 4100, 12)),
+                (INTEGER, np.r_[rng.integers(0, 600, 6), np.full(6, 600 + step)]),
+            )
+            insert(vx.db, "users", (INTEGER, [5000 + step]))
+            insert(
+                vx.db, "follows",
+                (INTEGER, rng.integers(0, 4000, 8)),
+                (INTEGER, rng.integers(0, 4000, 8)),
+                (FLOAT, rng.choice([0.0, -0.0, 3.0], 8)),
+            )
+            vx.sql(f"DELETE FROM likes WHERE post_id = {step * 7}")
+            vx.sql(f"DELETE FROM follows WHERE a = {step * 11}")
+            vx.sql(f"DELETE FROM users WHERE id = {step * 13}")
+            handle.refresh()
+            assert handle.last_extraction.mode == "incremental", handle.last_fallback_reason
+        assert spy.hash_sets == []
+        assert spy.lexsorts == []
+        assert spy.outside_sorts == []
+
+
+SOCIAL_VIEW = GraphView(
+    vertices=NodeSpec("users", key="id"),
+    edges=[
+        EdgeSpec("follows", src="a", dst="b", weight="w"),
+        CoEdgeSpec("likes", member="user_id", via="post_id"),
+    ],
+)
+
+
+def social_view_db(rng) -> Vertexica:
+    """4 000 users, 3 000 weighted follows (signed zeros among the
+    weights) and 8 000 likes over 600 posts."""
+    vx = Vertexica()
+    vx.sql("CREATE TABLE users (id INTEGER NOT NULL)")
+    vx.sql("CREATE TABLE follows (a INTEGER NOT NULL, b INTEGER NOT NULL, w FLOAT NOT NULL)")
+    vx.sql("CREATE TABLE likes (user_id INTEGER NOT NULL, post_id INTEGER NOT NULL)")
+    insert(vx.db, "users", (INTEGER, np.arange(4000)))
+    insert(
+        vx.db, "follows",
+        (INTEGER, rng.integers(0, 4000, 3000)),
+        (INTEGER, rng.integers(0, 4000, 3000)),
+        (FLOAT, rng.choice([0.0, -0.0, 1.0, 2.5], 3000)),
+    )
+    insert(
+        vx.db, "likes",
+        (INTEGER, np.repeat(np.arange(4000), 2)),
+        (INTEGER, rng.integers(0, 600, 8000)),
+    )
+    return vx

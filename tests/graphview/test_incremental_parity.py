@@ -12,7 +12,9 @@ not just multiset-level).
 Run matrix: every spec kind (plain edges, undirected edges, join-derived
 co-occurrence edges, all combined with filtered nodes) × every seed in
 ``INCREMENTAL_FUZZ_SEEDS`` (comma-separated; default one fixed seed for
-tier-1 — CI sweeps more in a separate non-blocking job).
+tier-1 — CI sweeps more in a separate job), plus the combined view first
+extracted in parallel — on four threads, and on two worker processes —
+and refreshed after every DML step.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import os
 import numpy as np
 import pytest
 
-from repro import CoEdgeSpec, EdgeSpec, GraphView, NodeSpec, Vertexica
+from repro import CoEdgeSpec, EdgeSpec, GraphView, NodeSpec, Vertexica, VertexicaConfig
 from repro.datasets import load_social_schema
+from repro.graphview import lowering
 from repro.graphview.view import GraphViewHandle
 
 SEEDS = [int(s) for s in os.environ.get("INCREMENTAL_FUZZ_SEEDS", "7").split(",")]
@@ -74,8 +77,8 @@ VIEWS = {
 }
 
 
-def fresh_vertexica(seed: int) -> Vertexica:
-    vx = Vertexica()
+def fresh_vertexica(seed: int, config: VertexicaConfig | None = None) -> Vertexica:
+    vx = Vertexica(config=config)
     load_social_schema(
         vx.db,
         num_users=NUM_USERS,
@@ -165,6 +168,35 @@ def test_incremental_matches_full_under_random_dml(kind: str, seed: int):
     assert incremental_refreshes >= (N_STEPS // REFRESH_EVERY) // 2
 
 
+PARALLEL_SESSIONS = {
+    "threads": VertexicaConfig(n_workers=4, executor="threads"),
+    "processes": VertexicaConfig(data_plane="shards", executor="processes", n_workers=2),
+}
+
+#: DML steps per (session, seed) of the parallel-extraction sequence;
+#: each one is followed by a refresh and a parity check.
+PARALLEL_STEPS = 24
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("session", sorted(PARALLEL_SESSIONS))
+def test_incremental_refresh_after_parallel_extraction(monkeypatch, session: str, seed: int):
+    """A view first extracted in parallel (sliced scans, leased pool)
+    seeds the same maintenance state as a serial one: every refresh of a
+    DML sequence patches in place and equals a serial full extraction."""
+    monkeypatch.setattr(lowering, "_SLICE_MIN_ROWS", 50)
+    with fresh_vertexica(seed, PARALLEL_SESSIONS[session]) as vx:
+        handle = vx.create_graph_view("live", VIEWS["combined"])
+        assert handle.last_extraction.parallelism == vx.config.n_workers
+        assert handle.last_extraction.num_queries > 3  # the scans were sliced
+        rng = np.random.default_rng(seed * 104729 + 3)
+        for step in range(PARALLEL_STEPS):
+            random_dml(vx, rng)
+            handle.refresh(incremental=True)  # no delta-size cut-off: every step patches
+            assert handle.last_extraction.mode == "incremental", handle.last_fallback_reason
+            assert_view_parity(vx, handle, f"shadow_{step}")
+
+
 def test_signed_zero_parallel_edges_match_full_extraction_bitwise():
     # Parallel edges weighing -0.0 and +0.0 tie under float comparison;
     # both refresh paths must still store them in one order (-0.0 first).
@@ -237,70 +269,59 @@ class TestFallbacks:
         assert handle.last_extraction.mode == "full"
         assert handle.resolve().num_edges == 50
 
-    def test_dense_co_group_over_cap_falls_back(self, monkeypatch):
-        # A touched via group denser than the cap has no incremental
-        # form: the O(group²) per-group recompute is capped out and the
-        # refresh takes the full path (bit-identical tables either way).
-        from repro.graphview import maintenance
-
-        vx = fresh_vertexica(13)
-        handle = vx.create_graph_view("live", VIEWS["co_edge"])
-        monkeypatch.setattr(maintenance, "MAX_INCREMENTAL_CO_GROUP", 4)
-        rows = ", ".join(f"({uid}, 0)" for uid in range(40, 48))
-        vx.sql(f"INSERT INTO likes VALUES {rows}")  # post 0 now > 4 likers
+    def test_stripes_over_the_edge_count_fall_back(self):
+        # Three via groups of three members: 18 co-occurrence edges.  Five
+        # new likers of a fresh post are 5 x 5 = 25 pair updates, more
+        # than a full refresh reloads, so the refresh takes the full path
+        # and says why with both numbers.
+        vx = Vertexica()
+        vx.sql("CREATE TABLE likes (user_id INTEGER, post_id INTEGER)")
+        vx.sql(
+            "INSERT INTO likes VALUES "
+            + ", ".join(f"({3 * post + k}, {post})" for post in range(3) for k in range(3))
+        )
+        handle = vx.create_graph_view(
+            "live",
+            GraphView(edges=CoEdgeSpec("likes", member="user_id", via="post_id")),
+            delta_threshold=1.0,
+        )
+        assert handle.last_extraction.num_edges == 18
+        vx.sql("INSERT INTO likes VALUES " + ", ".join(f"({uid}, 99)" for uid in range(20, 25)))
         handle.refresh()
         assert handle.last_extraction.mode == "full"
-        assert_view_parity(vx, handle, "shadow_cap")
-        # The cap is per touched group: after the full rebuild, DML on a
-        # *small* group still patches incrementally even though the dense
-        # group exists untouched.
-        vx.sql("INSERT INTO likes VALUES (50, 17)")
+        reason = handle.last_fallback_reason
+        assert "25 pair updates" in reason and "view's 18 edges" in reason, reason
+        assert_view_parity(vx, handle, "shadow_stripes")
+        # The bound is the delta's, not the dense group's: after the
+        # rebuild (38 edges), one more liker of that group (1 x 6 = 6)
+        # patches in place.
+        vx.sql("INSERT INTO likes VALUES (30, 99)")
         handle.refresh()
-        assert handle.last_extraction.mode == "incremental"
-        assert_view_parity(vx, handle, "shadow_cap_small")
+        assert handle.last_extraction.mode == "incremental", handle.last_fallback_reason
+        assert_view_parity(vx, handle, "shadow_small")
 
-    def test_dense_group_small_delta_stays_incremental(self, monkeypatch):
-        # The budget is |changed| x |group union|, not group size: one new
-        # liker touching a group 3x denser than the cap still patches
-        # incrementally (changed=1, so 1 x |union| fits in cap^2).
-        from repro.graphview import maintenance
-
+    def test_one_row_delta_on_a_dense_group_stays_incremental(self):
+        # A via group of 1 030 likers, ~1.06 M pair edges: one new liker
+        # is 1 x 1 031 pair updates, far under the edge count, so the
+        # refresh patches in place however dense the group.
         vx = fresh_vertexica(14)
+        rows = ", ".join(f"({uid}, 3)" for uid in range(1000, 2030))
+        vx.sql(f"INSERT INTO likes VALUES {rows}")
         handle = vx.create_graph_view("live", VIEWS["co_edge"])
-        monkeypatch.setattr(maintenance, "MAX_INCREMENTAL_CO_GROUP", 8)
-        rows = ", ".join(f"({uid}, 3)" for uid in range(1000, 1024))
-        vx.sql(f"INSERT INTO likes VALUES {rows}")  # 24 changed members
-        handle.refresh()  # 24 x ~24 > 64: over budget, full
-        assert handle.last_extraction.mode == "full"
-        vx.sql("INSERT INTO likes VALUES (2000, 3)")  # 1 changed member
+        assert handle.last_extraction.num_edges > 1030 * 1029
+        vx.sql("INSERT INTO likes VALUES (5000, 3)")
         handle.refresh()
-        assert handle.last_extraction.mode == "incremental"
+        assert handle.last_extraction.mode == "incremental", handle.last_fallback_reason
         assert handle.last_fallback_reason is None
-        assert_view_parity(vx, handle, "shadow_dense_small")
-
-    def test_budget_fallback_reports_reason(self, monkeypatch):
-        from repro.graphview import maintenance
-
-        vx = fresh_vertexica(13)
-        handle = vx.create_graph_view("live", VIEWS["co_edge"])
-        monkeypatch.setattr(maintenance, "MAX_INCREMENTAL_CO_GROUP", 4)
-        rows = ", ".join(f"({uid}, 0)" for uid in range(40, 52))
-        vx.sql(f"INSERT INTO likes VALUES {rows}")
-        handle.refresh()
-        assert handle.last_extraction.mode == "full"
-        assert "budget 4^2" in handle.last_fallback_reason
-        assert "falling back to full recompute" in handle.last_fallback_reason
-
-    def test_env_knob_overrides_module_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CO_GROUP_CAP", "4")
-        vx = fresh_vertexica(13)
-        handle = vx.create_graph_view("live", VIEWS["co_edge"])
-        rows = ", ".join(f"({uid}, 0)" for uid in range(40, 52))
-        vx.sql(f"INSERT INTO likes VALUES {rows}")
-        handle.refresh()  # module default is generous; the env cap bites
-        assert handle.last_extraction.mode == "full"
-        assert "budget 4^2" in handle.last_fallback_reason
-        assert_view_parity(vx, handle, "shadow_env_cap")
+        # Compared as arrays: a million-row table is too big for tuples.
+        shadow = GraphViewHandle(vx.db, vx.storage, "shadow_dense_small", handle.view)
+        shadow.refresh(incremental=False)
+        for table, columns in (("edge", "src, dst, weight"), ("node", "id")):
+            live = vx.db.query_batch(f"SELECT {columns} FROM live_{table}")
+            full = vx.db.query_batch(f"SELECT {columns} FROM shadow_dense_small_{table}")
+            for column in columns.split(", "):
+                a, b = live.column(column).values, full.column(column).values
+                assert a.tobytes() == b.tobytes(), (table, column)
 
     def test_fallback_reason_lifecycle(self):
         vx = fresh_vertexica(15)

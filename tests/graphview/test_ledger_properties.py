@@ -14,6 +14,8 @@ by one merge per refresh.  This module pins:
   three incremental refreshes): no sort, ``np.unique``, ``searchsorted``
   or ``np.insert`` on a structured array anywhere, and no ``np.lexsort``
   over cut-over-sized rows in the graph-view modules;
+* ``expand_co_occurrence`` (dense, streamed and flushed-every-pair)
+  against a ``dict`` reference, property-based;
 * seeding from unsorted co-occurrence pairs, and the state a fallback
   leaves behind.
 """
@@ -36,7 +38,7 @@ from repro.engine.column import Column
 from repro.engine.operators import _KERNEL_MIN_ROWS
 from repro.engine.types import FLOAT, INTEGER
 from repro.graphview import lowering, maintenance, view as view_module
-from repro.graphview.lowering import _DENSE_MEMBER_LIMIT, ExtractionOptions
+from repro.graphview.lowering import _DENSE_MEMBER_LIMIT, expand_co_occurrence
 from repro.graphview.view import GraphViewHandle
 
 CUT = _KERNEL_MIN_ROWS
@@ -213,6 +215,66 @@ class TestOrder:
 
 
 # ---------------------------------------------------------------------------
+# The co-occurrence expansion against a dict reference
+# ---------------------------------------------------------------------------
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def co_occurrence_inputs(draw):
+    """``(members, vias)``: duplicate rows, single-member groups, member
+    ids at the int64 extremes, and integer or float group keys."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 120))
+    pool = np.array(
+        [INT64.min, INT64.min + 1, -3, 0, 1, 2, 7, 2**40, INT64.max - 1, INT64.max],
+        dtype=np.int64,
+    )
+    members = rng.choice(pool, n) if draw(st.booleans()) else rng.integers(-50, 50, n)
+    n_groups = draw(st.integers(1, 30))
+    vias = rng.integers(0, n_groups, n)
+    if draw(st.booleans()):
+        vias = vias * 0.5 - 3.25  # float group keys
+    if n and draw(st.booleans()):  # duplicate some rows outright
+        extra = rng.integers(0, n, draw(st.integers(1, 20)))
+        members, vias = np.append(members, members[extra]), np.append(vias, vias[extra])
+    return members.astype(np.int64), vias
+
+
+def reference_expansion(members, vias) -> list[tuple[int, int, float]]:
+    """Σ over groups of count_a · count_b for a ≠ b, sorted by (src, dst)."""
+    groups: dict = {}
+    for member, via in zip(members.tolist(), vias.tolist()):
+        counts = groups.setdefault(via, Counter())
+        counts[member] += 1
+    pairs: Counter = Counter()
+    for counts in groups.values():
+        for a, count_a in counts.items():
+            for b, count_b in counts.items():
+                if a != b:
+                    pairs[a, b] += count_a * count_b
+    return [(a, b, float(w)) for (a, b), w in sorted(pairs.items())]
+
+
+class TestExpansion:
+    @pytest.mark.parametrize(
+        "dense_limit,flush_pairs",
+        [(10**6, 1 << 21), (0, 1 << 21), (0, 1)],
+        ids=["dense", "streamed", "streamed-flush-every-group"],
+    )
+    @given(co_occurrence_inputs())
+    def test_expansion_equals_dict_reference(self, dense_limit, flush_pairs, case):
+        members, vias = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lowering, "_DENSE_MEMBER_LIMIT", dense_limit)
+            patch.setattr(lowering, "_EXPANSION_FLUSH_PAIRS", flush_pairs)
+            src, dst, weight = expand_co_occurrence(members, vias)
+        assert (src.dtype, dst.dtype, weight.dtype) == (np.int64, np.int64, np.float64)
+        got = list(zip(src.tolist(), dst.tolist(), weight.tolist()))
+        assert got == reference_expansion(members, vias)
+
+
+# ---------------------------------------------------------------------------
 # Counting gate over a streamed co-occurrence view
 # ---------------------------------------------------------------------------
 class SortSpy:
@@ -375,9 +437,9 @@ def assert_columnar_and_capable(state) -> None:
 
 
 class TestSeedingAndFallbacks:
-    def test_self_join_pairs_out_of_order_seed_a_sorted_ledger(self, monkeypatch):
-        # The engine's GROUP BY emits the self-join's pairs in key order
-        # today; reversing them pins the seeding's sort-when-unsorted path.
+    def test_out_of_order_pairs_seed_a_sorted_ledger(self, monkeypatch):
+        # The expansion emits its pairs in key order; reversing them (and
+        # the side rows) pins the seeding's sort-when-unsorted path.
         seen = []
         real_build = maintenance.build_state
 
@@ -385,14 +447,13 @@ class TestSeedingAndFallbacks:
             for part in edge_parts:
                 if isinstance(part.spec, CoEdgeSpec):
                     part.triples = [tuple(c[::-1] for c in part.triples[0])]
+                    part.side_member, part.side_via = part.side_member[::-1], part.side_via[::-1]
                     seen.append(maintenance._rows_sorted(part.triples[0]))
             return real_build(db, view, node_parts, edge_parts, *args, **kwargs)
 
         monkeypatch.setattr(maintenance, "build_state", build_from_reversed)
         vx = social_vx(21)
-        handle = vx.create_graph_view(
-            "live", CO_VIEW, extraction=ExtractionOptions(co_mode="selfjoin")
-        )
+        handle = vx.create_graph_view("live", CO_VIEW)
         assert seen == [False]
         assert_columnar_and_capable(handle._state)
         vx.sql("INSERT INTO likes VALUES (3, 4), (5, 4), (7, 17)")

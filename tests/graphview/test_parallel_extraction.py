@@ -1,9 +1,11 @@
-"""Parallel spec lowering and co-occurrence expansion modes.
+"""Parallel spec lowering and the co-occurrence expansion.
 
-The contract under test: every executor (serial / threads / processes)
-and every exact co-occurrence lowering (group-by expansion vs SQL
-self-join) produces **bit-identical** ``{name}_edge`` / ``{name}_node``
-tables; the capped mode is openly lossy and must say so in its stats.
+The contract under test: every executor (serial / threads / processes),
+chosen by the session's ``VertexicaConfig`` as its runs are, produces
+**bit-identical** ``{name}_edge`` / ``{name}_node`` tables, and the
+group-by expansion that lowers a ``COUNT(*)`` co-occurrence spec produces
+the same bytes as the SQL self-join, reached by spelling the weight out
+as ``weight="COUNT(*)"``.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from repro.errors import GraphViewError
 from repro.graphview import (
     CoEdgeSpec,
     EdgeSpec,
-    ExtractionOptions,
     GraphView,
+    GraphViewHandle,
     NodeSpec,
     expand_co_occurrence,
 )
 from repro.graphview import lowering
+from repro.graphview import view as view_module
 from repro.programs import PageRank
 
 
@@ -62,66 +65,64 @@ def graph_tables(vx: Vertexica, name: str):
     }
 
 
+def serial_tables(vx: Vertexica, name: str, view: GraphView):
+    """Tables of a serial full extraction of ``view`` in ``vx``'s database
+    (a handle with no session config lowers serially)."""
+    GraphViewHandle(vx.db, vx.storage, name, view).refresh()
+    return graph_tables(vx, name)
+
+
 def assert_tables_identical(a: dict, b: dict) -> None:
     for key in ("src", "dst", "weight", "id"):
         assert a[key].dtype == b[key].dtype, key
-        assert np.array_equal(a[key], b[key]), f"{key} differs"
+        assert a[key].tobytes() == b[key].tobytes(), f"{key} differs"
+
+
+PROCESSES = VertexicaConfig(data_plane="shards", executor="processes", n_workers=2)
 
 
 class TestExecutorParity:
     @pytest.mark.parametrize(
-        "options",
+        "config,slice_min_rows",
         [
-            ExtractionOptions(executor="threads", n_workers=4, slice_min_rows=50),
-            ExtractionOptions(executor="threads", n_workers=2, slice_min_rows=10_000),
-            ExtractionOptions(executor="processes", n_workers=2, slice_min_rows=200),
+            (VertexicaConfig(n_workers=4), 50),
+            (VertexicaConfig(n_workers=2), 10_000),
+            (PROCESSES, 200),
         ],
         ids=["threads-sliced", "threads-unsliced", "processes"],
     )
-    def test_bit_identical_to_serial(self, options):
-        vx = Vertexica()
-        schema = social(vx)
-        view = full_view(schema)
-        vx.create_graph_view(
-            "base", view, extraction=ExtractionOptions(n_workers=1)
-        )
-        vx.create_graph_view("par", view, extraction=options)
-        assert_tables_identical(
-            graph_tables(vx, "base"), graph_tables(vx, "par")
-        )
+    def test_bit_identical_to_serial(self, monkeypatch, config, slice_min_rows):
+        monkeypatch.setattr(lowering, "_SLICE_MIN_ROWS", slice_min_rows)
+        with Vertexica(config=config) as vx:
+            view = full_view(social(vx))
+            handle = vx.create_graph_view("par", view)
+            assert handle.last_extraction.parallelism == config.n_workers
+            assert_tables_identical(serial_tables(vx, "base", view), graph_tables(vx, "par"))
 
-    def test_process_lowering_leases_the_session_pool(self):
+    def test_process_lowering_leases_the_session_pool(self, monkeypatch):
         """Process lowering runs on the session's pool, the one its runs
         use: no second spawn, and the same bytes as serial lowering."""
 
         def worker_pids() -> set[int]:
             return {child.pid for child in multiprocessing.active_children()}
 
-        config = VertexicaConfig(data_plane="shards", executor="processes", n_workers=2)
-        with Vertexica(config=config) as vx:
+        monkeypatch.setattr(lowering, "_SLICE_MIN_ROWS", 200)
+        with Vertexica(config=PROCESSES) as vx:
             view = full_view(social(vx))
-            vx.create_graph_view("base", view, extraction=ExtractionOptions(n_workers=1))
-            handle = vx.create_graph_view(
-                "par", view,
-                extraction=ExtractionOptions(executor="processes", n_workers=2, slice_min_rows=200),
-            )
+            handle = vx.create_graph_view("par", view)
             pids = worker_pids()
             assert len(pids) == 2
             vx.run(handle, PageRank(iterations=3))
             handle.refresh(incremental=False)
             assert worker_pids() == pids
-            assert_tables_identical(graph_tables(vx, "base"), graph_tables(vx, "par"))
+            assert_tables_identical(serial_tables(vx, "base", view), graph_tables(vx, "par"))
         assert multiprocessing.active_children() == []
 
-    def test_sliced_scan_fans_out(self):
-        vx = Vertexica()
+    def test_sliced_scan_fans_out(self, monkeypatch):
+        monkeypatch.setattr(lowering, "_SLICE_MIN_ROWS", 50)
+        vx = Vertexica(config=VertexicaConfig(n_workers=4))
         schema = social(vx)
-        options = ExtractionOptions(
-            executor="threads", n_workers=4, slice_min_rows=50
-        )
-        handle = vx.create_graph_view(
-            "fan", full_view(schema), extraction=options
-        )
+        handle = vx.create_graph_view("fan", full_view(schema))
         stats = handle.last_extraction
         assert stats.parallelism == 4
         # Slicing split at least one base-table scan into multiple queries:
@@ -131,131 +132,110 @@ class TestExecutorParity:
         assert stats.lower_seconds >= 0.0 and stats.load_seconds >= 0.0
         assert "workers=4" in stats.summary()
 
+    def test_ad_hoc_view_extracts_on_the_run_config(self, monkeypatch):
+        # A bare GraphView passed to run() is extracted with the run's
+        # config, overrides included, like the run itself.
+        workers = []
+        lower_view = view_module.lower_view
 
-class TestCoOccurrenceModes:
-    def test_exact_expansion_matches_selfjoin(self):
+        def recording(db, view, config=None, pools=None):
+            workers.append(config.n_workers)
+            return lower_view(db, view, config, pools)
+
+        monkeypatch.setattr(view_module, "lower_view", recording)
+        vx = Vertexica()
+        view = full_view(social(vx))
+        result = vx.run(view, PageRank(iterations=2), n_workers=2)
+        assert result.values and workers == [2]
+        monkeypatch.undo()
+        assert_tables_identical(serial_tables(vx, "base", view), graph_tables(vx, "adhoc_view"))
+
+
+class TestCoOccurrenceLowering:
+    """The expansion == the ``COUNT(*)`` self-join, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "dense_limit,flush_pairs",
+        [(lowering._DENSE_MEMBER_LIMIT, lowering._EXPANSION_FLUSH_PAIRS), (0, 1 << 21), (0, 64)],
+        ids=["dense", "streamed", "streamed-flushed"],
+    )
+    def test_expansion_matches_count_selfjoin(self, monkeypatch, dense_limit, flush_pairs):
+        # The streamed path with a 64-pair buffer merges many times over
+        # the skewed groups.
+        monkeypatch.setattr(lowering, "_DENSE_MEMBER_LIMIT", dense_limit)
+        monkeypatch.setattr(lowering, "_EXPANSION_FLUSH_PAIRS", flush_pairs)
         vx = Vertexica()
         schema = social(vx)
-        view = GraphView(
-            edges=CoEdgeSpec(schema.likes_table, member="user_id", via="post_id")
-        )
-        vx.create_graph_view(
-            "sj", view, extraction=ExtractionOptions(co_mode="selfjoin")
-        )
-        vx.create_graph_view(
-            "ex", view, extraction=ExtractionOptions(co_mode="exact")
-        )
-        assert_tables_identical(graph_tables(vx, "sj"), graph_tables(vx, "ex"))
+        spec = dict(table=schema.likes_table, member="user_id", via="post_id")
+        vx.create_graph_view("ex", GraphView(edges=CoEdgeSpec(**spec)))
+        vx.create_graph_view("sj", GraphView(edges=CoEdgeSpec(**spec, weight="COUNT(*)")))
+        ex = graph_tables(vx, "ex")
+        assert len(ex["src"]) > 1000
+        assert_tables_identical(graph_tables(vx, "sj"), ex)
 
-    def test_streamed_compaction_is_lossless(self, monkeypatch):
-        # Force the pair buffer to flush every 64 pairs so the streamed
-        # merge path runs many times over the skewed groups.
-        monkeypatch.setattr(lowering, "_EXPANSION_FLUSH_PAIRS", 64)
+    def test_expansion_matches_count_selfjoin_with_nulls(self):
+        # 300 rows, NULL members and NULL vias among them (a NULL never
+        # joins), a filter, duplicate (member, via) rows and members far
+        # apart: both lowerings drop the same rows and count the same pairs.
+        rng = np.random.default_rng(17)
+        vx = Vertexica()
+        vx.sql("CREATE TABLE likes (user_id INTEGER, post_id INTEGER, score FLOAT)")
+        rows = []
+        for _ in range(300):
+            member = int(rng.choice([rng.integers(0, 40), rng.integers(2**40, 2**40 + 5)]))
+            via = int(rng.integers(0, 12))
+            rows.append((
+                "NULL" if rng.random() < 0.08 else str(member),
+                "NULL" if rng.random() < 0.08 else str(via),
+                f"{rng.uniform(0, 2):.3f}",
+            ))
+        vx.sql("INSERT INTO likes VALUES " + ", ".join(f"({a}, {b}, {c})" for a, b, c in rows))
+        spec = dict(table="likes", member="user_id", via="post_id", where="score > 0.3")
+        vx.create_graph_view("ex", GraphView(edges=CoEdgeSpec(**spec)))
+        vx.create_graph_view("sj", GraphView(edges=CoEdgeSpec(**spec, weight="COUNT(*)")))
+        ex = graph_tables(vx, "ex")
+        assert len(ex["src"]) > 100
+        assert_tables_identical(graph_tables(vx, "sj"), ex)
+
+    def test_custom_weight_takes_the_selfjoin(self):
+        # Only COUNT(*) decomposes per via group; a custom weight keeps the
+        # self-join (and doubles every pair count here).
         vx = Vertexica()
         schema = social(vx)
-        view = GraphView(
-            edges=CoEdgeSpec(schema.likes_table, member="user_id", via="post_id")
-        )
-        vx.create_graph_view(
-            "sj", view, extraction=ExtractionOptions(co_mode="selfjoin")
-        )
-        vx.create_graph_view(
-            "ex", view, extraction=ExtractionOptions(co_mode="exact")
-        )
-        assert_tables_identical(graph_tables(vx, "sj"), graph_tables(vx, "ex"))
-
-    def test_custom_weight_always_takes_selfjoin(self):
-        # Only COUNT(*) decomposes per via group; a custom weight must give
-        # the same answer whatever co_mode asks for.
-        vx = Vertexica()
-        schema = social(vx)
-        view = GraphView(
-            edges=CoEdgeSpec(schema.likes_table, member="user_id", via="post_id",
-                             weight="COUNT(*) * 2")
-        )
-        vx.create_graph_view(
-            "sj", view, extraction=ExtractionOptions(co_mode="selfjoin")
-        )
-        vx.create_graph_view(
-            "ex", view, extraction=ExtractionOptions(co_mode="exact")
-        )
-        assert_tables_identical(graph_tables(vx, "sj"), graph_tables(vx, "ex"))
-
-    def test_capped_truncates_and_reports(self):
-        vx = Vertexica()
-        schema = social(vx)
-        view = GraphView(
-            edges=CoEdgeSpec(schema.likes_table, member="user_id", via="post_id")
-        )
-        exact = vx.create_graph_view(
-            "ex", view, extraction=ExtractionOptions(co_mode="exact")
-        )
-        capped = vx.create_graph_view(
-            "cap", view,
-            extraction=ExtractionOptions(co_mode="capped", co_cap=4),
-        )
-        stats = capped.last_extraction
-        assert stats.truncated_groups > 0
-        assert stats.num_edges < exact.last_extraction.num_edges
-        assert f"truncated_groups={stats.truncated_groups}" in stats.summary()
-        # Surviving members are each group's top-4 by like count, so every
-        # capped pair must exist in the exact graph with weight >= capped.
-        ex, cap = graph_tables(vx, "ex"), graph_tables(vx, "cap")
-        exact_pairs = {
-            (s, d): w for s, d, w in zip(ex["src"], ex["dst"], ex["weight"])
-        }
-        for s, d, w in zip(cap["src"], cap["dst"], cap["weight"]):
-            assert exact_pairs[(s, d)] >= w
-
-    def test_cap_defaults_to_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CO_GROUP_CAP", "4")
-        vx = Vertexica()
-        schema = social(vx)
-        view = GraphView(
-            edges=CoEdgeSpec(schema.likes_table, member="user_id", via="post_id")
-        )
-        handle = vx.create_graph_view(
-            "cap", view, extraction=ExtractionOptions(co_mode="capped")
-        )
-        assert handle.last_extraction.truncated_groups > 0
+        spec = dict(table=schema.likes_table, member="user_id", via="post_id")
+        vx.create_graph_view("ex", GraphView(edges=CoEdgeSpec(**spec)))
+        vx.create_graph_view("x2", GraphView(edges=CoEdgeSpec(**spec, weight="COUNT(*) * 2")))
+        ex, x2 = graph_tables(vx, "ex"), graph_tables(vx, "x2")
+        assert np.array_equal(ex["src"], x2["src"]) and np.array_equal(ex["dst"], x2["dst"])
+        assert np.array_equal(2.0 * ex["weight"], x2["weight"])
 
 
 class TestExpansionUnit:
     def test_pair_counts_sum_over_groups(self):
         members = np.array([1, 2, 3, 1, 2, 9], dtype=np.int64)
         vias = np.array([0, 0, 0, 5, 5, 5], dtype=np.int64)
-        src, dst, weight, truncated = expand_co_occurrence(members, vias)
+        src, dst, weight = expand_co_occurrence(members, vias)
         pairs = dict(zip(zip(src, dst), weight))
-        assert truncated == 0
         # (1, 2) co-occurs in both groups, every other pair in one.
         assert pairs[(1, 2)] == 2.0 and pairs[(2, 1)] == 2.0
         assert pairs[(1, 3)] == 1.0 and pairs[(2, 9)] == 1.0
         assert (1, 1) not in pairs
         assert np.array_equal(src, np.sort(src))
 
-    def test_cap_keeps_largest_members_by_count(self):
-        # Member 7 likes the via twice, members 1/2/3 once each: cap=2
-        # keeps {7, 1} (count desc, then member asc as the tiebreak).
-        members = np.array([7, 7, 1, 2, 3], dtype=np.int64)
-        vias = np.zeros(5, dtype=np.int64)
-        src, dst, weight, truncated = expand_co_occurrence(members, vias, cap=2)
-        assert truncated == 1
-        assert set(zip(src, dst)) == {(1, 7), (7, 1)}
-        assert list(weight) == [2.0, 2.0]
-
     def test_single_member_groups_emit_nothing(self):
         members = np.array([1, 2, 3], dtype=np.int64)
         vias = np.array([0, 1, 2], dtype=np.int64)
-        src, dst, weight, truncated = expand_co_occurrence(members, vias)
-        assert len(src) == 0 and truncated == 0
+        src, dst, weight = expand_co_occurrence(members, vias)
+        assert len(src) == 0
 
 
 class TestFailureHygiene:
-    def test_poisoned_spec_leaves_no_scratch_tables(self):
+    def test_poisoned_spec_leaves_no_scratch_tables(self, monkeypatch):
         # A sliced, threaded extraction that fails at planning must drop
         # every _gvslice scratch table on its way out (try/finally), not
         # leak them into the catalog.
-        vx = Vertexica()
+        monkeypatch.setattr(lowering, "_SLICE_MIN_ROWS", 50)
+        vx = Vertexica(config=VertexicaConfig(n_workers=4))
         schema = social(vx)
         before = set(vx.db.catalog.table_names())
         view = GraphView(
@@ -263,11 +243,8 @@ class TestFailureHygiene:
             edges=EdgeSpec(schema.follows_table, src="follower_id",
                            dst="followee_id", where="no_such_column > 1"),
         )
-        options = ExtractionOptions(
-            executor="threads", n_workers=4, slice_min_rows=50
-        )
         with pytest.raises(GraphViewError, match="edge spec"):
-            vx.create_graph_view("poisoned", view, extraction=options)
+            vx.create_graph_view("poisoned", view)
         after = set(vx.db.catalog.table_names())
         assert after == before
         assert not any(name.startswith("_gvslice") for name in after)
@@ -278,27 +255,3 @@ class TestFailureHygiene:
         view = GraphView(vertices=NodeSpec("missing_table", key="id"))
         with pytest.raises(GraphViewError, match="node spec"):
             vx.create_graph_view("nope", view)
-
-
-class TestOptionsValidation:
-    def test_bad_executor_rejected(self):
-        with pytest.raises(GraphViewError, match="executor"):
-            ExtractionOptions(executor="fibers").validate()
-
-    def test_bad_co_mode_rejected(self):
-        with pytest.raises(GraphViewError, match="co_mode"):
-            ExtractionOptions(co_mode="fuzzy").validate()
-
-    def test_bad_cap_rejected(self):
-        with pytest.raises(GraphViewError, match="co_cap"):
-            ExtractionOptions(co_cap=0).validate()
-
-    @pytest.mark.parametrize(
-        "removed,replacement", [("auto", "'threads'"), ("serial", "n_workers=1")]
-    )
-    def test_removed_executor_values_name_their_replacement(self, removed, replacement):
-        with pytest.raises(GraphViewError, match=replacement):
-            ExtractionOptions(executor=removed).validate()
-
-    def test_zero_workers_resolves_to_core_count(self):
-        assert ExtractionOptions(n_workers=0).resolved_workers() >= 1
