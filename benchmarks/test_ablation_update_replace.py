@@ -15,7 +15,7 @@ and swaps it in.  Three probes:
   pays the join's key factorization.
 * SSSP over a layered DAG (24 x 500, the perf benchmark's
   ``sssp_frontier_sql`` input) — a frontier of at most 4 % of the table,
-  the regime the threshold sends to the Update path.  Asserted: summed
+  the regime where the paper's rule updates in place.  Asserted: summed
   ``apply_vertex_updates`` seconds under ``"update"`` are under half of
   those under ``"replace"`` (best of 3).
 * A sweep of one apply step over an id-ordered FLOAT vertex table at
@@ -32,10 +32,30 @@ and swaps it in.  Three probes:
          25 %     1.60      2.96      7.91     17.47        10 238
         100 %     2.32      5.40     17.16     33.68        31 323
 
-  There is no crossover on this engine: the Update path is cheaper at
-  every density, by 7-11x at 1 % and 2x at 100 %, so
-  ``replace_threshold`` (default 0.05) only decides which of two correct
-  paths runs.
+**The paper's threshold claim is not reproduced.**  The sweep finds
+replace slower at every density and whole runs find it at best tied, so
+there is no density above which it should run.  The cause: this engine's keyed scatter rewrites only the touched columns of
+one in-memory batch, one version bump however many rows change, while
+the rebuild pays a full ``LEFT JOIN`` (key ranking plus match expansion
+over every vertex row) and leaves the table out of id order for the next
+step.  The paper's replace most likely won on a disk-resident column
+store, where an in-place update pays per-tuple delete vectors and
+write-optimized-store churn that this engine has no analogue of.  So ``update_strategy`` has
+no threshold: ``"update"`` is the default and the only automatic path,
+and ``"replace"`` stays as this ablation's other side.  Whole runs
+(PYTHONPATH=src, the perf benchmark's seed-11 inputs, one warm-up, then
+10 alternating pairs on a 2-vCPU host; medians, same values either way;
+the 10 000-vertex graph is the ``serving_mixed`` input)::
+
+    input                              update    replace   update faster
+    PageRank(5), 70 000 V / 700 000 E  0.851 s    0.848 s   7 of 10 pairs
+    PageRank(5), 10 000 V / 100 000 E  0.150 s    0.162 s   9 of 10
+    SSSP, 24 x 500 layered DAG         0.141 s    0.185 s   10 of 10
+
+The old 5 % threshold replaced on every dense PageRank superstep, so the
+first two rows are what dropping it changes there: a tie at 70 000
+vertices (a second set of 10 pairs read 0.907 vs 0.904 s, again 7 of 10)
+and a 7 % cut at 10 000.  On the SSSP it replaced at superstep 0 only.
 """
 
 from __future__ import annotations
@@ -68,7 +88,7 @@ def prepare_pagerank(graph, strategy: str):
     return lambda: vx.run(handle, PageRank(iterations=3)).values
 
 
-@pytest.mark.parametrize("strategy", ["replace", "update", "auto"])
+@pytest.mark.parametrize("strategy", ["replace", "update"])
 @pytest.mark.benchmark(group="ablation-update-replace-dense")
 def test_dense_updates_pagerank(benchmark, strategy):
     graph = twitter_like(scale=0.05)
@@ -84,7 +104,7 @@ def prepare_sssp_chain(n: int, strategy: str):
     return lambda: vx.run(handle, ShortestPaths(source=0)).values
 
 
-@pytest.mark.parametrize("strategy", ["replace", "update", "auto"])
+@pytest.mark.parametrize("strategy", ["replace", "update"])
 @pytest.mark.benchmark(group="ablation-update-replace-sparse")
 def test_sparse_updates_sssp(benchmark, strategy):
     # Chain SSSP: one vertex updated per superstep — the sparse regime.
@@ -93,7 +113,7 @@ def test_sparse_updates_sssp(benchmark, strategy):
 
 
 # ----------------------------------------------------------------------
-# Narrow frontier: the direction the paper's threshold rule relies on
+# Narrow frontier: the regime the paper's rule sends to the Update path
 # ----------------------------------------------------------------------
 def layered_dag(seed: int = 11) -> dict:
     """The perf benchmark's ``sssp_frontier_sql`` input (24 x 500)."""

@@ -2,8 +2,9 @@
 from-scratch columnar relational engine.
 
 Reproduces *"Vertexica: Your Relational Friend for Graph Analytics!"*
-(Jindal et al., PVLDB 7(13), 2014).  See DESIGN.md for the system
-inventory and EXPERIMENTS.md for paper-vs-measured results.
+(Jindal et al., PVLDB 7(13), 2014).  See README.md's "Layout" section
+for the system inventory and its "Paper vs measured" section for
+paper-vs-measured results.
 
 Quickstart::
 

@@ -6,8 +6,8 @@
 * :mod:`repro.baselines.graphdb` — a Neo4j-like transactional property-graph
   store with a write-ahead log and traversal-based algorithms.
 
-See DESIGN.md §2 for what each simulation charges for and why that
-preserves the paper's relative ordering.
+See README.md, "Paper vs measured", for what each simulation charges for
+and why that preserves the paper's relative ordering.
 """
 
 from repro.baselines.giraph import GiraphConfig, GiraphEngine, GiraphResult

@@ -6,7 +6,7 @@ uses "a transactional graph database system" as its slowest baseline —
 the costs this stand-in charges (per-object traversal, per-transaction WAL
 appends and flushes, undo logging) are the same architectural costs, minus
 the 2014 disk latencies, so the ordering in Figure 2 is preserved even
-though absolute gaps compress (documented in EXPERIMENTS.md).
+though absolute gaps compress (README.md, "Paper vs measured").
 """
 
 from repro.baselines.graphdb.algorithms import (

@@ -68,8 +68,9 @@ class StoreConfig:
             store charges a configurable latency per access (accumulated
             and slept off in ~1 ms chunks to respect OS timer granularity).
             Default 200 us, matching the paper's implied per-edge cost
-            (589 s PageRank over 2.28 M edges — see EXPERIMENTS.md).  Set
-            0.0 for pure-algorithm measurements and in unit tests.
+            (589 s PageRank over 2.28 M edges — README.md, "Paper vs
+            measured").  Set 0.0 for pure-algorithm measurements and in
+            unit tests.
     """
 
     wal_path: str | None = None

@@ -3,7 +3,8 @@
 A Pregel-compatible vertex-centric interface executed *inside* the
 relational engine: the coordinator is a stored procedure, workers are
 partitioned transform UDFs, and graph state lives in vertex/edge/message
-tables.  See DESIGN.md §1 for the architecture map.
+tables.  See README.md ("Two data planes") and ROADMAP.md
+("Architecture snapshot") for the architecture map.
 """
 
 from repro.core import faults

@@ -6,12 +6,15 @@ run both sides of each design decision:
 * ``input_strategy`` — ``"union"`` (the paper's Table Unions optimization)
   vs ``"join"`` (the naive three-way join it replaces);
 * ``n_partitions`` + ``n_workers`` — Vertex Batching / Parallel Workers;
-* ``update_strategy`` + ``replace_threshold`` — Update vs Replace.
+* ``update_strategy`` — Update vs Replace: ``"update"`` (the default)
+  vs ``"replace"``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, fields, replace
+
 from repro.errors import VertexicaError
 
 __all__ = ["VertexicaConfig"]
@@ -19,7 +22,7 @@ __all__ = ["VertexicaConfig"]
 
 @dataclass(frozen=True)
 class VertexicaConfig:
-    """Knobs for one Vertexica run: 17 flat fields, read by the one
+    """Knobs for one Vertexica run: 16 flat fields, read by the one
     superstep loop in :mod:`repro.core.coordinator` and by whichever
     data plane it drives.
 
@@ -53,15 +56,15 @@ class VertexicaConfig:
             batch path (raising for programs without it); ``"scalar"``
             forces the per-vertex path (the parity/ablation foil).
         update_strategy: how the SQL plane applies a superstep's vertex
-            updates.  ``"replace"`` rebuilds the vertex table with one
-            ``LEFT JOIN`` against the staged rows and swaps it in;
-            ``"update"`` writes the staged rows into the existing table as
-            one set-oriented keyed scatter (one version bump however many
-            rows change).  ``"auto"`` applies the paper's rule — replace
-            the table unless the updated-tuple count is below
-            ``replace_threshold`` × table size.  Both paths leave the same
-            rows; ``"update"`` / ``"replace"`` force one (for the
-            ablation).
+            updates.  ``"update"`` (default) writes the staged rows into
+            the existing table as one set-oriented keyed scatter (one
+            version bump however many rows change); ``"replace"`` rebuilds
+            the vertex table with one ``LEFT JOIN`` against the staged rows
+            and swaps it in.  Both paths leave the same rows.  The paper's
+            rule picks replace unless few tuples changed; on this engine
+            the scatter is the cheaper path at every density measured, 1 %
+            to 100 % (``benchmarks/test_ablation_update_replace.py``), so
+            there is no threshold and ``"replace"`` is the ablation's foil.
         data_plane: ``"sql"`` stages every superstep through the
             relational engine (the paper's architecture: union input SQL,
             transform UDF, staging table, SQL apply); ``"shards"`` keeps
@@ -72,10 +75,10 @@ class VertexicaConfig:
             bit-identical (the parity suite holds all shipped programs
             to it); the sharded plane skips the per-superstep union
             query, the global partition lexsort, and the message-table
-            round trip.  ``input_strategy``, ``update_strategy`` and
-            ``replace_threshold`` are the paper's SQL-plane ablations:
-            setting any of them away from its default under
-            ``"shards"`` is an error naming the field and the plane.
+            round trip.  ``input_strategy`` and ``update_strategy`` are
+            the paper's SQL-plane ablations: setting either away from its
+            default under ``"shards"`` is an error naming the field and
+            the plane.
         superstep_sync: how eagerly the sharded plane mirrors its state
             back to the relational tables.  ``"every"`` (default) writes
             the vertex and message tables after each superstep — the
@@ -84,12 +87,6 @@ class VertexicaConfig:
             ``"halt"`` materializes only once the run completes (the
             fast path).  The SQL plane's tables are always current, so
             ``"halt"`` under ``data_plane="sql"`` is an error.
-        replace_threshold: fraction of the vertex table below which
-            ``"auto"`` takes the set-oriented update path.  The default
-            0.05 is the paper's kind of rule, not a measured crossover: on
-            this engine the update path is the cheaper one at every
-            density measured, 1 % to 100 %
-            (``benchmarks/test_ablation_update_replace.py``).
         use_combiner: honor the program's combiner declaration (pushed into
             SQL aggregation between supersteps).
         max_supersteps: overrides the program's cap when not ``None``.
@@ -122,10 +119,9 @@ class VertexicaConfig:
     executor: str = "threads"
     input_strategy: str = "union"
     compute_strategy: str = "auto"
-    update_strategy: str = "auto"
+    update_strategy: str = "update"
     data_plane: str = "sql"
     superstep_sync: str = "every"
-    replace_threshold: float = 0.05
     use_combiner: bool = True
     max_supersteps: int | None = None
     track_metrics: bool = True
@@ -141,6 +137,14 @@ class VertexicaConfig:
         Raises:
             VertexicaError: on out-of-range or unknown settings.
         """
+        # Integral admits numpy ints; bool is Integral but no count.
+        optional = ("max_supersteps", "checkpoint_every")
+        for name in ("n_partitions", "n_workers", "task_retries", *optional):
+            value = getattr(self, name)
+            if not (name in optional and value is None) and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise VertexicaError(f"{name} must be an integer, got {value!r}")
         if self.n_partitions < 1:
             raise VertexicaError("n_partitions must be >= 1")
         if self.n_workers < 1:
@@ -165,9 +169,9 @@ class VertexicaConfig:
                 "compute_strategy must be 'auto', 'batch', or 'scalar', "
                 f"got {self.compute_strategy!r}"
             )
-        if self.update_strategy not in ("auto", "update", "replace"):
+        if self.update_strategy not in ("update", "replace"):
             raise VertexicaError(
-                "update_strategy must be 'auto', 'update', or 'replace', "
+                "update_strategy must be 'update' or 'replace', "
                 f"got {self.update_strategy!r}"
             )
         if self.data_plane not in ("sql", "shards"):
@@ -179,11 +183,9 @@ class VertexicaConfig:
                 "superstep_sync must be 'every' or 'halt', "
                 f"got {self.superstep_sync!r}"
             )
-        if not 0.0 <= self.replace_threshold <= 1.0:
-            raise VertexicaError("replace_threshold must be within [0, 1]")
         if self.data_plane == "shards":
             default = VertexicaConfig()
-            for name in ("input_strategy", "update_strategy", "replace_threshold"):
+            for name in ("input_strategy", "update_strategy"):
                 value, unset = getattr(self, name), getattr(default, name)
                 if value != unset:
                     raise VertexicaError(
@@ -210,5 +212,17 @@ class VertexicaConfig:
         return self
 
     def with_overrides(self, **kwargs: object) -> "VertexicaConfig":
-        """A copy with some fields replaced (validated)."""
+        """A copy with some fields replaced (validated).
+
+        Raises:
+            VertexicaError: on an unknown field name, naming it and the
+                valid ones, or on an invalid setting.
+        """
+        names = [f.name for f in fields(self)]
+        unknown = sorted(set(kwargs).difference(names))
+        if unknown:
+            raise VertexicaError(
+                f"unknown config field(s) {', '.join(unknown)}; "
+                f"valid fields: {', '.join(names)}"
+            )
         return replace(self, **kwargs).validated()  # type: ignore[arg-type]

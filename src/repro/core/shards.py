@@ -103,7 +103,7 @@ from repro.core.worker import (
     _DecodedPartition,
 )
 from repro.engine.database import Database
-from repro.engine.operators import hash_bucket_order, stable_int_order
+from repro.engine.operators import hash_bucket_order, run_starts, stable_int_order
 from repro.engine.parallel import PartitionExecutor, ProcessExecutor
 
 __all__ = [
@@ -122,16 +122,6 @@ def _read_only(*arrays: np.ndarray) -> None:
     """Freeze arrays that outlive a run: a run copies what it mutates."""
     for array in arrays:
         array.setflags(write=False)
-
-
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Where each run of equal values starts in grouped ``keys``."""
-    if not len(keys):
-        return np.empty(0, dtype=np.intp)
-    change = np.empty(len(keys), dtype=bool)
-    change[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=change[1:])
-    return np.flatnonzero(change)
 
 
 @dataclass(frozen=True)
@@ -177,7 +167,7 @@ def _build_delivery_plan(index: "ShardIndex") -> DeliveryPlan:
         dst = targets[positions]
         by_target = stable_int_order((dst,))
         positions, dst = positions[by_target], dst[by_target]
-        runs = _run_starts(dst)
+        runs = np.flatnonzero(run_starts((dst,)))
         orders.append(positions.astype(position_dtype))
         starts.append(runs)
         senders.append(
@@ -636,7 +626,7 @@ def _inbox(senders, dst, values, valid, groups, combiner: str | None) -> tuple:
     if combiner is None:
         return senders, dst, values, valid
     if groups is None:
-        starts = _run_starts(dst)
+        starts = np.flatnonzero(run_starts((dst,)))
         groups = (starts, np.minimum.reduceat(senders, starts), dst[starts])
     starts, group_senders, group_dst = groups
     raw, ok = _combine(values, valid, starts, combiner)

@@ -48,6 +48,9 @@ class SqlDataPlane:
         self.aggregated: dict[str, float] = {}
         self._last_output = None
         self.transform_name = f"{graph.name}_worker"
+        # Update vs Replace is read once per run: the keyed scatter unless
+        # the ablation asks for the LEFT JOIN rebuild.
+        self.replace = config.update_strategy == "replace"
         # The edge relation never changes during a run, so the union input
         # carries none: partition p reads its CSR out-edges from shard p of
         # the graph version's index, the shard plane's topology.
@@ -116,30 +119,19 @@ class SqlDataPlane:
         storage.stage_worker_output(graph, output)
 
         vertex_updates = storage.count_staged(graph, 0)
-        replace = self._use_replace_path(vertex_updates)
-        storage.apply_vertex_updates(graph, program, replace, superstep=superstep)
+        storage.apply_vertex_updates(graph, program, self.replace, superstep=superstep)
         messages_staged = storage.count_staged(graph, 1)
         messages_out = storage.apply_messages(graph, program, config.use_combiner)
         self.aggregated = storage.reduce_aggregators(graph, program)
-        update_path = "replace" if replace else "update"
         return StepStats(
             vertices_ran=worker.vertices_ran,
             vertex_updates=vertex_updates,
             messages_out=messages_out,
             rows_in=worker.rows_in + edge_rows,
             rows_out=output.num_rows,
-            update_path=update_path if vertex_updates else "none",
+            update_path=config.update_strategy if vertex_updates else "none",
             messages_precombine=messages_staged,
         )
-
-    def _use_replace_path(self, updates: int) -> bool:
-        """The paper's Update-vs-Replace rule: replace the table unless the
-        updated-tuple count is below the threshold."""
-        strategy = self.config.update_strategy
-        if strategy != "auto":
-            return strategy == "replace"
-        threshold = self.config.replace_threshold * max(self.graph.num_vertices, 1)
-        return updates > threshold
 
     # ------------------------------------------------------------------
     def sync_tables(self, superstep: int | None = None) -> float:

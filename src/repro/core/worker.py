@@ -73,6 +73,7 @@ from repro.core.storage import (
 )
 from repro.engine.batch import RecordBatch
 from repro.engine.column import Column
+from repro.engine.operators import run_starts
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.types import DataType
 from repro.errors import ProgramError
@@ -590,11 +591,7 @@ class VertexWorker:
         msrc = batch.column("msrc")
         v_codec, m_codec = self.program.vertex_codec, self.program.message_codec
 
-        group_first = np.empty(n, dtype=bool)
-        if n:
-            group_first[0] = True
-            group_first[1:] = vid[1:] != vid[:-1]
-        first_idx = np.flatnonzero(group_first)
+        first_idx = np.flatnonzero(run_starts((vid,)))
         vertex_ids = vid[first_idx]
         halted = halted_col[first_idx] == 1
         raw_values, value_valid = _lane(
@@ -606,11 +603,7 @@ class VertexWorker:
         # edge list; the first edge's block carries each message once.
         edst_vals = edst.values
         edst_valid = edst.valid
-        changed = np.empty(n, dtype=bool)
-        if n:
-            changed[0] = True
-            changed[1:] = edst_vals[1:] != edst_vals[:-1]
-        e_rows = np.flatnonzero(edst_valid & (group_first | changed))
+        e_rows = np.flatnonzero(edst_valid & run_starts((vid, edst_vals)))
         edge_indptr, (edge_targets, edge_weights), _ = _csr_align(
             vid[e_rows],
             vertex_ids,

@@ -1,7 +1,7 @@
 """``repro.engine`` — a from-scratch, in-memory, column-oriented RDBMS.
 
 This package is the substrate substituting for HP Vertica in the
-reproduction (see DESIGN.md §2): typed numpy-backed columns, a SQL
+reproduction (see README.md, "Layout"): typed numpy-backed columns, a SQL
 front end, vectorized physical operators, scalar and transform UDFs,
 stored procedures, transactions, and checkpoint/recovery.
 

@@ -112,7 +112,7 @@ class TestConfig:
     def test_defaults_valid(self):
         config = VertexicaConfig().validated()
         assert config.input_strategy == "union"
-        assert config.update_strategy == "auto"
+        assert config.update_strategy == "update"
 
     def test_with_overrides(self):
         config = VertexicaConfig().with_overrides(n_partitions=16, n_workers=2)
@@ -125,14 +125,35 @@ class TestConfig:
             ("n_workers", 0),
             ("input_strategy", "magic"),
             ("update_strategy", "yolo"),
-            ("replace_threshold", 1.5),
-            ("replace_threshold", -0.1),
             ("max_supersteps", 0),
+            ("n_partitions", 2.5),
+            ("n_partitions", True),
+            ("n_workers", 2.0),
+            ("n_workers", False),
+            ("max_supersteps", 2.5),
+            ("max_supersteps", True),
+            ("checkpoint_every", 1.5),
+            ("checkpoint_every", True),
+            ("task_retries", 0.5),
+            ("task_retries", False),
         ],
     )
     def test_invalid_settings_rejected(self, field, value):
         with pytest.raises(VertexicaError):
             VertexicaConfig(**{field: value}).validated()
+
+    def test_numpy_integers_accepted(self):
+        config = VertexicaConfig(
+            n_partitions=np.int64(3), n_workers=np.int32(2), max_supersteps=np.uint8(4)
+        ).validated()
+        assert (config.n_partitions, config.n_workers, config.max_supersteps) == (3, 2, 4)
+
+    @pytest.mark.parametrize("name", ["n_partition", "max_superstep"])
+    def test_unknown_override_rejected(self, name):
+        # A misspelt field names itself and the valid fields instead of
+        # escaping as the dataclass's TypeError.
+        with pytest.raises(VertexicaError, match=f"{name}.*valid fields: n_partitions, "):
+            VertexicaConfig().with_overrides(**{name: 3})
 
     def test_frozen(self):
         config = VertexicaConfig()
@@ -141,7 +162,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("input_strategy", "join"), ("update_strategy", "update"), ("replace_threshold", 0.5)],
+        [("input_strategy", "join"), ("update_strategy", "replace")],
     )
     def test_sql_plane_ablation_rejected_under_shards(self, field, value):
         # The shard plane has no input query and no update/replace stage:

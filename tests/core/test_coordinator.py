@@ -219,23 +219,20 @@ class TestUpdatePathSelection:
             paths = {s.update_path for s in result.stats.supersteps if s.vertex_updates}
             assert paths == {strategy}
 
-    def test_auto_uses_replace_for_dense_updates(self, vx, tiny_edges):
+    def test_default_takes_the_update_path(self, vx, tiny_edges):
+        # Dense (PageRank updates every vertex every superstep) and sparse
+        # (late chain-SSSP supersteps touch one vertex) alike, every
+        # superstep that updates takes the keyed scatter.
         src, dst = tiny_edges
         g = vx.load_graph("g", src, dst, num_vertices=5)
-        # PageRank updates every vertex every superstep; threshold 5% -> replace
-        result = vx.run(g, PageRank(iterations=2), update_strategy="auto")
-        assert result.stats.supersteps[0].update_path == "replace"
-
-    def test_auto_uses_update_for_sparse_updates(self, vx):
-        # A long path: late SSSP supersteps touch exactly one vertex,
-        # under the 50% threshold -> in-place update path.
+        dense = vx.run(g, PageRank(iterations=2)).stats.supersteps
         n = 6
-        g = vx.load_graph("chain", list(range(n - 1)), list(range(1, n)))
-        result = vx.run(
-            g, ShortestPaths(source=0), update_strategy="auto", replace_threshold=0.5
-        )
-        late = result.stats.supersteps[-2]
-        assert late.update_path == "update"
+        chain = vx.load_graph("chain", list(range(n - 1)), list(range(1, n)))
+        sparse = vx.run(chain, ShortestPaths(source=0)).stats.supersteps
+        for steps in (dense, sparse):
+            paths = [s.update_path for s in steps if s.vertex_updates]
+            assert paths and set(paths) == {"update"}
+        assert sparse[-2].vertex_updates == 1
 
     def test_both_paths_same_results(self, vx, tiny_edges):
         src, dst = tiny_edges

@@ -8,10 +8,12 @@ from repro.core.api import Vertex
 from repro.core.program import VertexProgram
 from repro.programs import PageRank
 
-# Every crash-consistency guarantee must hold on the staged SQL plane and
-# on the shard-resident plane under both sync policies.
+# Every crash-consistency guarantee must hold on the staged SQL plane,
+# under either vertex apply path, and on the shard-resident plane under
+# both sync policies.
 PLANES = [
     pytest.param({}, id="sql"),
+    pytest.param({"update_strategy": "replace"}, id="sql-replace"),
     pytest.param(
         {"data_plane": "shards", "n_partitions": 3, "superstep_sync": "every"},
         id="shards-every",
@@ -82,7 +84,8 @@ class TestCrashConsistency:
         g = vx.load_graph("g", src, dst, num_vertices=5)
         with pytest.raises(RuntimeError):
             vx.run(g, ExplodesAtSuperstep(fail_at=1), **plane)
-        other = {} if plane else {"data_plane": "shards", "n_partitions": 3}
+        sql = plane.get("data_plane", "sql") == "sql"
+        other = {"data_plane": "shards", "n_partitions": 3} if sql else {}
         here = vx.run(g, PageRank(iterations=3), **plane)
         there = vx.run(g, PageRank(iterations=3), **other)
         assert here.values == there.values

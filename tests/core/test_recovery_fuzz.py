@@ -28,6 +28,7 @@ SEEDS = [int(s) for s in os.environ.get("RECOVERY_FUZZ_SEEDS", "0,1").split(",")
 #: opportunity; per-superstep sites get a pinned superstep below.
 PLANES = {
     "sql": ({}, ["storage.apply", "checkpoint.write"]),
+    "sql-replace": ({"update_strategy": "replace"}, ["storage.apply", "checkpoint.write"]),
     "shards-every": (
         {"data_plane": "shards", "superstep_sync": "every"},
         ["shard.compute", "shard.route", "storage.sync", "checkpoint.write"],

@@ -335,8 +335,7 @@ def update_step_statements(monkeypatch, n: int) -> list[tuple[int, int]]:
     """``(vertex updates, Database.execute calls)`` of each update-path
     superstep of ConnectedComponents on an ``n``-vertex undirected chain.
     Labels move one hop per superstep, so the frontier shrinks by one
-    vertex a step and, with ``replace_threshold=0.5``, every frontier
-    under half the chain takes the Update path."""
+    vertex a step, and every superstep takes the Update path."""
     calls = [0]
     steps: list[tuple[int, int]] = []
     execute, run_superstep = Database.execute, SqlDataPlane.run_superstep
@@ -358,7 +357,7 @@ def update_step_statements(monkeypatch, n: int) -> list[tuple[int, int]]:
         vx = Vertexica()
         src = np.arange(n - 1)
         graph = vx.load_graph("chain", src, src + 1, symmetrize=True)
-        vx.run(graph, ConnectedComponents(), replace_threshold=0.5)
+        vx.run(graph, ConnectedComponents())
     return steps
 
 
@@ -375,12 +374,11 @@ def test_statements_per_update_step_do_not_grow_with_the_frontier(monkeypatch):
 @pytest.mark.parametrize(
     "options",
     [
-        {"data_plane": "sql", "update_strategy": "auto"},
         {"data_plane": "sql", "update_strategy": "update"},
         {"data_plane": "sql", "update_strategy": "replace"},
         {"data_plane": "shards"},
     ],
-    ids=["sql-auto", "sql-update", "sql-replace", "shards"],
+    ids=["sql-update", "sql-replace", "shards"],
 )
 def test_integer_labels_above_2_pow_53_are_exact(options):
     ids = [2**53 + 1, 2**53 + 3, 2**53 + 5, 2**53 + 7]
