@@ -47,7 +47,7 @@ from repro.engine.sql.ast import (
 from repro.errors import GraphViewError
 from repro.graphview.catalog import MANIFEST_KEY, handle_manifest, view_from_dict
 from repro.graphview.compiler import render_expression
-from repro.graphview.maintenance import involved_tables
+from repro.graphview.lowering import involved_tables
 from repro.graphview.spec import CoEdgeSpec, EdgeSpec, EdgeSource, GraphView, NodeSpec
 from repro.graphview.view import DEFAULT_DELTA_THRESHOLD, GraphViewHandle
 
@@ -406,11 +406,16 @@ class Vertexica:
         config = config or self.config
 
         def resolving(handle: GraphViewHandle) -> GraphHandle:
-            return faults.retry_call(
+            resolved = faults.retry_call(
                 handle.resolve,
                 retries=config.task_retries,
                 backoff=config.retry_backoff,
             )
+            if not handle.materialized:
+                # Extraction arms change capture on the base tables; only
+                # a materialized view ever reads it back.
+                self._release_unused_capture(handle.view)
+            return resolved
 
         if isinstance(graph, GraphViewHandle):
             return resolving(graph)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.engine.batch import RecordBatch
 from repro.engine.catalog import Catalog
@@ -117,6 +117,20 @@ class Database:
         #: :meth:`register_statement_handler`.
         self._statement_handlers: dict[type, Callable[["Database", Any], Result]] = {}
 
+    @classmethod
+    def from_pins(cls, pins: Iterable[PinnedTable]) -> "Database":
+        """A private database whose catalog holds exactly ``pins``, each
+        registered under its own name as a detached copy-on-write table
+        (see :meth:`PinnedTable.as_table`) — O(#pins), zero data copies.
+
+        The one way a reader gets a catalog of its own: snapshot readers
+        query through it, and every graph-view statement runs in one.
+        """
+        db = cls()
+        for pin in pins:
+            db.catalog.register(pin.as_table())
+        return db
+
     # ------------------------------------------------------------------
     # SQL execution
     # ------------------------------------------------------------------
@@ -188,22 +202,6 @@ class Database:
         """Run a query and return the raw columnar batch (no row
         materialization) — the fast path used by the Vertexica layer."""
         return self.execute(sql, params).batch
-
-    def plan_query(self, sql: str):
-        """Parse and plan a SELECT without executing it.
-
-        The returned plan holds direct :class:`Table` references resolved
-        under the database lock, so callers may run ``plan.execute()``
-        *outside* the lock (batches are immutable); the graph-view
-        extraction path plans every lowered query up front this way and
-        fans the executions across worker threads.
-        """
-        statement = self._parse_cached(sql, None)
-        if not isinstance(statement, (SelectStatement, SetOperation)):
-            raise SqlSyntaxError("plan_query supports only SELECT statements")
-        with self.lock:
-            self.statements_executed += 1
-            return self._executor.planner.plan_select(statement)
 
     def explain(self, sql: str) -> str:
         """The physical plan of a query as indented text."""

@@ -6,8 +6,12 @@ the canonical extraction schemas::
     node queries:  (id INTEGER)
     edge queries:  (src INTEGER, dst INTEGER, weight FLOAT)
 
-The compiler only builds SQL text; :mod:`repro.graphview.view` executes
-it and hands the resulting columns to storage as numpy arrays.  A small
+The compiler only builds SQL text, always naming the spec's own base
+table: :mod:`repro.graphview.lowering` runs each statement over pinned
+rows registered under that name in a private catalog — the whole table,
+one row slice of it, or a change log's delta rows — so full, sliced and
+incremental extraction share one SQL text per spec (hence bit-identical
+filters, casts and weights).  A small
 expression renderer (:func:`render_expression`) turns parsed
 :mod:`repro.engine.expressions` trees back into SQL so the
 ``CREATE GRAPH VIEW`` DDL path and the Python DSL share one lowering.
@@ -34,11 +38,9 @@ from repro.engine.expressions import (
     UnaryOp,
 )
 from repro.errors import GraphViewError
-from repro.graphview.spec import CoEdgeSpec, EdgeSpec, GraphView, NodeSpec
+from repro.graphview.spec import CoEdgeSpec, EdgeSpec, NodeSpec
 
 __all__ = [
-    "node_queries",
-    "edge_queries",
     "node_query",
     "edge_spec_queries",
     "co_edge_query",
@@ -50,76 +52,50 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Spec -> SQL
-#
-# Every builder takes an optional ``table`` override naming a different
-# relation to read from.  Incremental maintenance uses this to run the
-# *same* lowering (same filters, casts, weight expressions — hence
-# bit-identical computed values) over scratch tables holding only a
-# delta's rows instead of the full base table.
 # ---------------------------------------------------------------------------
 def _where_clause(where: str | None) -> str:
     return f" WHERE {where}" if where else ""
 
 
-def node_query(spec: NodeSpec, table: str | None = None) -> str:
+def node_query(spec: NodeSpec) -> str:
     """The ``SELECT ... AS id`` for one node spec."""
     return (
         f"SELECT CAST({spec.key} AS INTEGER) AS id "
-        f"FROM {table or spec.table}{_where_clause(spec.where)}"
+        f"FROM {spec.table}{_where_clause(spec.where)}"
     )
 
 
-def node_queries(view: GraphView) -> list[str]:
-    """One ``SELECT ... AS id`` per node spec."""
-    return [node_query(spec) for spec in view.vertices]
-
-
-def edge_spec_queries(spec: EdgeSpec, table: str | None = None) -> list[str]:
+def edge_spec_queries(spec: EdgeSpec) -> list[str]:
     """The one or two ``SELECT src, dst, weight`` statements of an
     :class:`EdgeSpec` (undirected specs add the reversed projection)."""
-    out = [_edge_sql(spec, reverse=False, table=table)]
+    out = [_edge_sql(spec, reverse=False)]
     if not spec.directed:
-        out.append(_edge_sql(spec, reverse=True, table=table))
+        out.append(_edge_sql(spec, reverse=True))
     return out
 
 
-def edge_queries(view: GraphView) -> list[str]:
-    """One or two ``SELECT src, dst, weight`` statements per edge spec
-    (undirected :class:`EdgeSpec` contributes the reversed projection as a
-    second statement)."""
-    out: list[str] = []
-    for spec in view.edges:
-        if isinstance(spec, EdgeSpec):
-            out.extend(edge_spec_queries(spec))
-        elif isinstance(spec, CoEdgeSpec):
-            out.append(co_edge_query(spec))
-        else:  # pragma: no cover - GraphView.validate rejects this
-            raise GraphViewError(f"unknown edge spec type {type(spec).__name__}")
-    return out
-
-
-def _edge_sql(spec: EdgeSpec, reverse: bool, table: str | None = None) -> str:
+def _edge_sql(spec: EdgeSpec, reverse: bool) -> str:
     src, dst = (spec.dst, spec.src) if reverse else (spec.src, spec.dst)
     weight = spec.weight if spec.weight is not None else "1.0"
     return (
         f"SELECT CAST({src} AS INTEGER) AS src, "
         f"CAST({dst} AS INTEGER) AS dst, "
         f"CAST({weight} AS FLOAT) AS weight "
-        f"FROM {table or spec.table}{_where_clause(spec.where)}"
+        f"FROM {spec.table}{_where_clause(spec.where)}"
     )
 
 
-def co_edge_side_query(spec: CoEdgeSpec, table: str | None = None) -> str:
+def co_edge_side_query(spec: CoEdgeSpec) -> str:
     """The filtered ``(member, via)`` projection one side of the
     co-occurrence self-join reads — also the relation incremental
     maintenance tracks per :class:`CoEdgeSpec`."""
     return (
         f"SELECT CAST({spec.member} AS INTEGER) AS member, {spec.via} AS via "
-        f"FROM {table or spec.table}{_where_clause(spec.where)}"
+        f"FROM {spec.table}{_where_clause(spec.where)}"
     )
 
 
-def co_edge_query(spec: CoEdgeSpec, table: str | None = None) -> str:
+def co_edge_query(spec: CoEdgeSpec) -> str:
     """The co-occurrence self-join: members sharing a ``via`` key connect.
 
     Lowered as a *flat* self-join over the base table: the spec's filter
@@ -132,7 +108,6 @@ def co_edge_query(spec: CoEdgeSpec, table: str | None = None) -> str:
     values.
     """
     weight = spec.weight if spec.weight is not None else "COUNT(*)"
-    base = table or spec.table
     member_a = f"CAST(a.{spec.member} AS INTEGER)"
     member_b = f"CAST(b.{spec.member} AS INTEGER)"
     conditions = []
@@ -143,7 +118,7 @@ def co_edge_query(spec: CoEdgeSpec, table: str | None = None) -> str:
     return (
         f"SELECT {member_a} AS src, {member_b} AS dst, "
         f"CAST({weight} AS FLOAT) AS weight "
-        f"FROM {base} AS a JOIN {base} AS b ON a.{spec.via} = b.{spec.via} "
+        f"FROM {spec.table} AS a JOIN {spec.table} AS b ON a.{spec.via} = b.{spec.via} "
         f"WHERE {' AND '.join(conditions)} "
         f"GROUP BY 1, 2"
     )

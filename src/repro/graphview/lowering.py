@@ -1,62 +1,61 @@
-"""Executor-parallel spec lowering for graph-view extraction.
+"""Graph-view lowering: every compiled statement runs over pinned rows.
 
-The serial extraction path runs each compiled query through
-:meth:`Database.query_batch` one after another.  This module fans that
-work across the engine's :data:`~repro.engine.parallel.PartitionExecutor`
-seam instead, at two grains:
+Each spec compiles (:mod:`repro.graphview.compiler`) to one or two SQL
+statements that name the spec's own base table.  Full extraction and
+incremental refresh run every statement the same way: as a unit
+``(label, sql, pin)`` handed to :func:`run_statement`, which registers
+the :class:`~repro.engine.database.PinnedTable` under its base table's
+own name in a private :class:`Database` — built as a snapshot reader's
+shadow is, by :meth:`Database.from_pins` — and runs the SQL there.  The
+pin holds one of:
 
-* **independent specs** — every node query, edge query, and co-occurrence
-  side query is its own task;
-* **partition-sliced scans** — a single-table query over a large base
-  table is split into row slices (registered as short-lived scratch
-  tables, one per slice) whose results concatenate back in slice order.
-  Scans, filters, and projections preserve row order, so the
-  concatenation is bit-identical to the unsliced query.
+* **the whole base table** — a full extraction;
+* **one row slice of it** — a parallel extraction splits a single-table
+  scan over a large base table into row slices whose results concatenate
+  back in slice order.  Scans, filters, and projections preserve row
+  order, so the concatenation is bit-identical to the unsliced statement;
+* **a change log's delta rows** — an incremental refresh
+  (:mod:`repro.graphview.maintenance`).
 
-Two executor-specific tricks keep parallelism real:
-
-* **threads** — :meth:`Database.execute` serializes on the database lock,
-  so every task is *planned* up front under one lock acquisition
-  (:meth:`Database.plan_query`) and only the lock-free ``plan.execute()``
-  runs on the pool.  Scratch slice tables live only for the duration of
-  planning (plans hold direct table references) and are dropped in a
-  ``finally`` even when a later spec fails to plan.
-* **processes** — each task ships ``(sql, tables)`` with exactly the
-  slice of data it scans; the worker rebuilds a throwaway
-  :class:`Database`, runs the query, and pickles the batch back.
-
-A full extraction runs on the session's
-:class:`~repro.core.config.VertexicaConfig`: ``n_workers > 1`` fans out
-on ``config.executor``, leased from the session's pools as a run's is
-(so process-parallel extraction needs ``data_plane="shards"``, as process
-runs do), and one worker lowers serially.
+:func:`lower_view` arms change capture on the view's base tables and pins
+them under one lock acquisition, so the extraction reads one consistent
+cut and its bookmarks name exactly the versions it read.  It then maps
+the runner over the units on the executor leased for the session's
+:class:`~repro.core.config.VertexicaConfig` (``n_workers`` workers of
+``config.executor``, from the session's pools as a run's are, so
+process-parallel extraction needs ``data_plane="shards"``, as process
+runs do).  A one-worker lease runs its tasks serially, so nothing
+branches on the executor, and no statement ever touches the live
+catalog.  The private catalog holds only built-in functions: a spec
+expression cannot call a function added with ``db.register_function``,
+on any executor.
 
 A :class:`CoEdgeSpec` without a ``weight`` (a ``COUNT(*)`` of joined
 rows) is lowered through :func:`expand_co_occurrence`, a group-by-``via``
 pairwise expansion that replaces the quadratic SQL self-join.  A custom
-aggregate ``weight`` keeps the self-join (:func:`co_edge_query`): only a
+aggregate ``weight`` keeps the self-join (:func:`co_edge_query`), which
+reads its base table under two aliases and so is never sliced: only a
 count decomposes per group.  Spelling the default out as
 ``weight="COUNT(*)"`` reaches the self-join too, which is how the tests
 hold the expansion to the same rows.
 
-Every path produces bit-identical per-spec arrays; the determinism suite
-in ``tests/graphview/test_parallel_extraction.py`` locks serial, thread,
-and process lowering to the same bytes.
+Every executor produces bit-identical per-spec arrays; the determinism
+suite in ``tests/graphview/test_parallel_extraction.py`` locks serial,
+thread, and process lowering to the same bytes.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.config import VertexicaConfig
-from repro.engine.database import Database
+from repro.engine.batch import RecordBatch
+from repro.engine.database import Database, PinnedTable
 from repro.engine.operators import run_starts, stable_int_order, unique_ints, value_ranks
-from repro.engine.parallel import NO_SESSION, PartitionExecutor, SessionPools
-from repro.engine.table import Table
+from repro.engine.parallel import NO_SESSION, SessionPools
 from repro.errors import EngineError, GraphViewError
 from repro.graphview.compiler import (
     co_edge_query,
@@ -64,14 +63,19 @@ from repro.graphview.compiler import (
     edge_spec_queries,
     node_query,
 )
-from repro.graphview.maintenance import edge_triples_from_batch, node_ids_from_batch
-from repro.graphview.spec import CoEdgeSpec, EdgeSpec, GraphView
+from repro.graphview.spec import CoEdgeSpec, EdgeSpec, GraphView, NodeSpec
 
 __all__ = [
     "EdgeSpecResult",
     "LoweredExtraction",
+    "Statement",
+    "edge_triples_from_batch",
     "expand_co_occurrence",
+    "involved_tables",
     "lower_view",
+    "node_ids_from_batch",
+    "run_statement",
+    "spec_statements",
 ]
 
 #: Pair buffer size above which the streamed expansion compacts its
@@ -88,7 +92,10 @@ _DENSE_MEMBER_LIMIT = 4096
 #: overhead beats the parallelism).
 _SLICE_MIN_ROWS = 50_000
 
-_slice_counter = itertools.count()
+#: One graph-view statement as it runs: an error label naming its spec
+#: kind, the compiled SQL, and the pinned rows it reads — ``None`` when
+#: the base table does not exist, so the statement fails naming it.
+Statement = tuple[str, str, PinnedTable | None]
 
 
 @dataclass
@@ -110,12 +117,17 @@ class EdgeSpecResult:
 
 @dataclass
 class LoweredExtraction:
-    """Everything one pass over the base tables produced."""
+    """Everything one pass over the base tables produced.
+
+    ``bookmarks`` holds the ``(uid, version)`` of every base table the
+    pass read, as pinned: the versions its arrays reflect.
+    """
 
     node_parts: list[np.ndarray] = field(default_factory=list)
     edge_parts: list[EdgeSpecResult] = field(default_factory=list)
     num_queries: int = 0
     parallelism: int = 1
+    bookmarks: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -243,221 +255,102 @@ def _compact_pairs(
 
 
 # ---------------------------------------------------------------------------
-# Query jobs
+# Batch -> array helpers (shared with incremental maintenance, so both
+# apply identical NULL semantics: NULL endpoints drop the edge, NULL
+# weights default to 1.0, NULL ids drop the node row)
 # ---------------------------------------------------------------------------
-@dataclass
-class _QueryJob:
-    """One compiled statement of the extraction, with a table override
-    hook so the same lowering can run over scratch slice tables."""
-
-    what: str  # error label: "node spec" / "edge spec" / "co-occurrence spec"
-    sql_for: Callable[[str | None], str]
-    base_table: str | None  # None: not sliceable (join-shaped query)
-    convert: str  # "ids" | "triples" | "side"
+def node_ids_from_batch(batch) -> np.ndarray:
+    """The non-NULL ``id`` values of a node-query result (multiplicity
+    preserved — one entry per surviving row)."""
+    col = batch.column("id")
+    values = np.asarray(col.values, dtype=np.int64)
+    return values[np.asarray(col.valid, dtype=bool)]
 
 
-def _build_jobs(view: GraphView) -> list[_QueryJob]:
-    jobs: list[_QueryJob] = []
-    for spec in view.vertices:
-        jobs.append(
-            _QueryJob(
-                "node spec",
-                lambda t, s=spec: node_query(s, table=t),
-                spec.table,
-                "ids",
-            )
-        )
-    for spec in view.edges:
-        if isinstance(spec, EdgeSpec):
-            n_directions = 1 if spec.directed else 2
-            for k in range(n_directions):
-                jobs.append(
-                    _QueryJob(
-                        "edge spec",
-                        lambda t, s=spec, k=k: edge_spec_queries(s, table=t)[k],
-                        spec.table,
-                        "triples",
-                    )
-                )
-        elif isinstance(spec, CoEdgeSpec):
-            # Expansion cannot reproduce a custom aggregate weight — only
-            # COUNT(*) decomposes per group — so such specs keep the join.
-            if spec.weight is not None:
-                jobs.append(
-                    _QueryJob(
-                        "co-occurrence spec",
-                        lambda t, s=spec: co_edge_query(s, table=t),
-                        None,
-                        "triples",
-                    )
-                )
-            else:
-                jobs.append(
-                    _QueryJob(
-                        "co-occurrence spec",
-                        lambda t, s=spec: co_edge_side_query(s, table=t),
-                        spec.table,
-                        "side",
-                    )
-                )
-        else:  # pragma: no cover - GraphView.validate rejects this
-            raise GraphViewError(f"unknown edge spec type {type(spec).__name__}")
-    return jobs
+def edge_triples_from_batch(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(src, dst, weight)`` arrays of an edge-query result with NULL
+    endpoints dropped and NULL weights defaulted to 1.0."""
+    src_col = batch.column("src")
+    dst_col = batch.column("dst")
+    weight_col = batch.column("weight")
+    src = np.asarray(src_col.values, dtype=np.int64)
+    dst = np.asarray(dst_col.values, dtype=np.int64)
+    weight = np.asarray(weight_col.values, dtype=np.float64).copy()
+    weight[~np.asarray(weight_col.valid, dtype=bool)] = 1.0
+    keep = np.asarray(src_col.valid, dtype=bool) & np.asarray(dst_col.valid, dtype=bool)
+    return src[keep], dst[keep], weight[keep]
 
 
-def _slice_bounds(num_rows: int, n_slices: int) -> list[tuple[int, int]]:
-    edges = [round(num_rows * i / n_slices) for i in range(n_slices + 1)]
-    return [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+# ---------------------------------------------------------------------------
+# Statements and the one runner
+# ---------------------------------------------------------------------------
+def spec_statements(spec) -> list[tuple[str, str]]:
+    """The ``(error label, SQL)`` statements one spec lowers to: a node
+    query, one or two edge projections (an undirected :class:`EdgeSpec`
+    adds the reversed one), or a :class:`CoEdgeSpec`'s side query — its
+    self-join when it has a custom ``weight``."""
+    if isinstance(spec, NodeSpec):
+        return [("node spec", node_query(spec))]
+    if isinstance(spec, EdgeSpec):
+        return [("edge spec", sql) for sql in edge_spec_queries(spec)]
+    if isinstance(spec, CoEdgeSpec):
+        # Expansion cannot reproduce a custom aggregate weight — only
+        # COUNT(*) decomposes per group — so such specs keep the join.
+        sql = co_edge_side_query(spec) if spec.weight is None else co_edge_query(spec)
+        return [("co-occurrence spec", sql)]
+    raise GraphViewError(f"unknown spec type {type(spec).__name__}")
 
 
-def _plan_slices(
-    db: Database, job: _QueryJob, workers: int
-) -> list[tuple[str | None, tuple[int, int] | None]]:
-    """Decide the (table_override, row_range) units one job runs as."""
-    if job.base_table is None or workers <= 1:
-        return [(None, None)]
-    num_rows = db.table(job.base_table).num_rows
-    if num_rows < _SLICE_MIN_ROWS:
-        return [(None, None)]
-    n_slices = min(workers, max(1, num_rows // _SLICE_MIN_ROWS))
+def run_statement(statement: Statement, index: int = 0) -> RecordBatch:
+    """Run one graph-view statement over its pinned rows in a private
+    catalog holding nothing else (see the module docstring).
+
+    Module-level so it pickles into process workers; ``index`` is the
+    executor's task index, unused.
+
+    Raises:
+        GraphViewError: the statement failed — naming the spec kind and
+            the SQL, chained to the engine error.
+    """
+    what, sql, pin = statement
+    try:
+        return Database.from_pins([pin] if pin is not None else []).query_batch(sql)
+    except EngineError as exc:
+        raise GraphViewError(f"graph-view {what} failed: {exc}\n  SQL: {sql}") from exc
+
+
+def involved_tables(view: GraphView) -> list[str]:
+    """The distinct base tables a view reads, in first-use order."""
+    seen: dict[str, None] = {}
+    for spec in (*view.vertices, *view.edges):
+        seen.setdefault(spec.table, None)
+    return list(seen)
+
+
+def _pin_base_tables(db: Database, view: GraphView) -> dict[str, PinnedTable]:
+    """Arm change capture on the view's existing base tables and pin them,
+    under one lock acquisition: capture covers every write after the
+    pinned versions, so a refresh from those bookmarks misses none."""
+    with db.lock:
+        tables = [t for t in involved_tables(view) if db.has_table(t)]
+        for table in tables:
+            db.table_state(table)
+        pins = db.pin_tables(tables)  # keyed by the catalog's spelling
+        return {t: pins[db.table(t).name] for t in tables}
+
+
+def _slices(pin: PinnedTable | None, workers: int) -> list[PinnedTable | None]:
+    """The pins one statement runs over: the whole table, or — on a
+    parallel lowering, for a base table of at least
+    :data:`_SLICE_MIN_ROWS` rows — up to ``workers`` row slices."""
+    if pin is None:
+        return [pin]
+    num_rows = pin.batch.num_rows
+    n_slices = min(workers, num_rows // _SLICE_MIN_ROWS)
     if n_slices < 2:
-        return [(None, None)]
-    return [(None, bounds) for bounds in _slice_bounds(num_rows, n_slices)]
-
-
-# ---------------------------------------------------------------------------
-# Execution strategies
-# ---------------------------------------------------------------------------
-def _wrap_engine_error(what: str, sql: str, exc: EngineError) -> GraphViewError:
-    return GraphViewError(f"graph-view {what} failed: {exc}\n  SQL: {sql}")
-
-
-def _run_serial(db: Database, jobs: list[_QueryJob]) -> tuple[list[list], int]:
-    """The historical path: one ``query_batch`` per compiled statement."""
-    per_job: list[list] = []
-    for job in jobs:
-        sql = job.sql_for(None)
-        try:
-            per_job.append([db.query_batch(sql)])
-        except EngineError as exc:
-            raise _wrap_engine_error(job.what, sql, exc) from exc
-    return per_job, len(jobs)
-
-
-def _run_threads(
-    db: Database,
-    jobs: list[_QueryJob],
-    workers: int,
-    executor: PartitionExecutor,
-) -> tuple[list[list], int]:
-    """Plan every unit under the database lock, execute lock-free on the
-    thread pool.  Scratch slice tables exist only while their unit plans."""
-    units: list[tuple[int, object]] = []  # (job index, plan)
-    with db.lock:
-        for job_index, job in enumerate(jobs):
-            for _, bounds in _plan_slices(db, job, workers):
-                if bounds is None:
-                    sql = job.sql_for(None)
-                    try:
-                        plan = db.plan_query(sql)
-                    except EngineError as exc:
-                        raise _wrap_engine_error(job.what, sql, exc) from exc
-                else:
-                    plan = _plan_over_slice(db, job, bounds)
-                units.append((job_index, plan))
-    try:
-        batches = executor(
-            lambda plan, index: plan.execute(),
-            [(plan, index) for index, (_, plan) in enumerate(units)],
-        )
-    except EngineError as exc:
-        raise GraphViewError(f"graph-view extraction failed: {exc}") from exc
-    per_job: list[list] = [[] for _ in jobs]
-    for (job_index, _), batch in zip(units, batches):
-        per_job[job_index].append(batch)
-    return per_job, len(units)
-
-
-def _plan_over_slice(db: Database, job: _QueryJob, bounds: tuple[int, int]):
-    """Register one scratch slice table, plan against it, and drop it —
-    the plan keeps a direct reference to the slice, so the catalog entry
-    only needs to exist for the duration of planning."""
-    base = db.table(job.base_table)
-    scratch = f"_gvslice_{next(_slice_counter)}"
-    sql = job.sql_for(scratch)
-    db.catalog.register(
-        Table(scratch, base.schema, base.data().slice(bounds[0], bounds[1]))
-    )
-    try:
-        return db.plan_query(sql)
-    except EngineError as exc:
-        raise _wrap_engine_error(job.what, sql, exc) from exc
-    finally:
-        db.catalog.drop(scratch, if_exists=True)
-
-
-def _execute_remote_unit(item, index):
-    """Process-worker task body: rebuild a throwaway database holding
-    exactly the shipped tables, run the query, return the batch.
-    Module-level so it pickles into spawned workers."""
-    sql, tables = item
-    db = Database()
-    for name, schema, batch in tables:
-        db.catalog.register(Table(name, schema, batch))
-    return db.query_batch(sql)
-
-
-def _run_processes(
-    db: Database,
-    jobs: list[_QueryJob],
-    workers: int,
-    executor: PartitionExecutor,
-) -> tuple[list[list], int]:
-    """Ship each unit's slice of base data to the worker processes."""
-    units: list[tuple[int, tuple]] = []  # (job index, (sql, tables))
-    with db.lock:
-        for job_index, job in enumerate(jobs):
-            for _, bounds in _plan_slices(db, job, workers):
-                if bounds is None:
-                    tables = sorted(_job_tables(job))
-                    payload_tables = [
-                        (t, db.table(t).schema, db.table(t).data()) for t in tables
-                    ]
-                    sql = job.sql_for(None)
-                else:
-                    base = db.table(job.base_table)
-                    scratch = f"_gvslice_{next(_slice_counter)}"
-                    payload_tables = [
-                        (scratch, base.schema, base.data().slice(bounds[0], bounds[1]))
-                    ]
-                    sql = job.sql_for(scratch)
-                units.append((job_index, (sql, payload_tables)))
-    try:
-        batches = executor(
-            _execute_remote_unit,
-            [(payload, index) for index, (_, payload) in enumerate(units)],
-        )
-    except EngineError as exc:
-        raise GraphViewError(f"graph-view extraction failed: {exc}") from exc
-    per_job: list[list] = [[] for _ in jobs]
-    for (job_index, _), batch in zip(units, batches):
-        per_job[job_index].append(batch)
-    return per_job, len(units)
-
-
-def _job_tables(job: _QueryJob) -> set[str]:
-    """Base tables a job's query reads (what a process worker must have
-    registered).  Sliceable jobs name theirs; a join-shaped co-occurrence
-    query reads its spec table under two aliases, so take the token after
-    every FROM/JOIN keyword (compiled SQL never nests derived tables)."""
-    if job.base_table is not None:
-        return {job.base_table}
-    tokens = job.sql_for(None).split()
-    return {
-        tokens[i + 1]
-        for i, token in enumerate(tokens[:-1])
-        if token.upper() in ("FROM", "JOIN")
-    }
+        return [pin]
+    bounds = [round(num_rows * i / n_slices) for i in range(n_slices + 1)]
+    return [replace(pin, batch=pin.batch.slice(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -469,55 +362,46 @@ def lower_view(
     config: VertexicaConfig | None = None,
     pools: SessionPools | None = None,
 ) -> LoweredExtraction:
-    """Run every compiled query of ``view`` and convert the results.
+    """Run every compiled statement of ``view`` and convert the results.
 
     ``config`` (the session's; ``None`` lowers serially) supplies the
-    executor and worker count.  Serial, thread, and process execution
-    produce bit-identical per-spec arrays; see the module docstring for
-    how each strategy works.  A parallel lowering leases its pool from
-    ``pools`` — the session's, the same one its runs use — or, without
-    one, a private pool.
+    executor and worker count; the executor is leased from ``pools`` —
+    the session's, the same one its runs use — or, without one, is a
+    private pool.  Every executor produces bit-identical per-spec
+    arrays; see the module docstring.
     """
     config = config or VertexicaConfig()
-    jobs = _build_jobs(view)
     workers = config.n_workers
-    if workers == 1:
-        per_job, num_queries = _run_serial(db, jobs)
-    else:
-        run = _run_threads if config.executor == "threads" else _run_processes
-        with (pools or NO_SESSION).lease(config.executor, workers) as executor:
-            per_job, num_queries = run(db, jobs, workers, executor)
+    pins = _pin_base_tables(db, view)
+    specs = [*view.vertices, *view.edges]
+    compiled = [spec_statements(spec) for spec in specs]
+    jobs = [(spec, what, sql) for spec, stmts in zip(specs, compiled) for what, sql in stmts]
+    units: list[Statement] = []
+    owners: list[int] = []  # per unit, the index of its job
+    for job, (spec, what, sql) in enumerate(jobs):
+        # The self-join pairs rows across its whole table: never sliced.
+        sliceable = not (isinstance(spec, CoEdgeSpec) and spec.weight is not None)
+        for pin in _slices(pins.get(spec.table), workers if sliceable else 1):
+            units.append((what, sql, pin))
+            owners.append(job)
+    with (pools or NO_SESSION).lease(config.executor, workers) as executor:
+        batches = executor(run_statement, [(unit, i) for i, unit in enumerate(units)])
 
-    result = LoweredExtraction(num_queries=num_queries, parallelism=workers)
-    job_iter = iter(zip(jobs, per_job))
-
+    per_job: list[list[RecordBatch]] = [[] for _ in jobs]
+    for job, batch in zip(owners, batches):
+        per_job[job].append(batch)
+    results = iter(per_job)
+    lowered = LoweredExtraction(
+        num_queries=len(units),
+        parallelism=workers,
+        bookmarks={t: (pin.uid, pin.version) for t, pin in pins.items()},
+    )
     for _ in view.vertices:
-        job, batches = next(job_iter)
-        result.node_parts.append(
-            _concat_int([node_ids_from_batch(b) for b in batches])
-        )
-    for spec in view.edges:
-        if isinstance(spec, EdgeSpec):
-            triples = []
-            n_directions = 1 if spec.directed else 2
-            for _ in range(n_directions):
-                _, batches = next(job_iter)
-                triples.append(_concat_triples([edge_triples_from_batch(b) for b in batches]))
-            result.edge_parts.append(EdgeSpecResult(spec=spec, triples=triples))
-        else:
-            job, batches = next(job_iter)
-            if job.convert == "triples":  # custom weight: the self-join
-                result.edge_parts.append(
-                    EdgeSpecResult(
-                        spec=spec,
-                        triples=[_concat_triples(
-                            [edge_triples_from_batch(b) for b in batches]
-                        )],
-                    )
-                )
-                continue
-            member, via = _concat_side(batches)
-            result.edge_parts.append(
+        lowered.node_parts.append(_concat_int([node_ids_from_batch(b) for b in next(results)]))
+    for spec, statements in zip(view.edges, compiled[len(view.vertices):]):
+        if isinstance(spec, CoEdgeSpec) and spec.weight is None:
+            member, via = _concat_side(next(results))
+            lowered.edge_parts.append(
                 EdgeSpecResult(
                     spec=spec,
                     triples=[expand_co_occurrence(member, via)],
@@ -525,7 +409,13 @@ def lower_view(
                     side_via=via,
                 )
             )
-    return result
+            continue
+        triples = [
+            _concat_triples([edge_triples_from_batch(b) for b in next(results)])
+            for _ in statements
+        ]
+        lowered.edge_parts.append(EdgeSpecResult(spec=spec, triples=triples))
+    return lowered
 
 
 def _concat_int(parts: Sequence[np.ndarray]) -> np.ndarray:

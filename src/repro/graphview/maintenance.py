@@ -7,10 +7,11 @@ the change-capture layer (:mod:`repro.engine.changelog`) already knows
 exactly which rows changed.  This module turns those row deltas into
 graph deltas and patches the materialized tables in place:
 
-* each spec's lowering is re-run over *scratch tables holding only the
-  delta rows* (same SQL text as full extraction via the compiler's table
-  override, so filters/casts/weight expressions produce bit-identical
-  values);
+* each spec's statements run over the delta rows alone, pinned under
+  the base table's own name in a private catalog — the same SQL text and
+  the same runner (:func:`~repro.graphview.lowering.run_statement`) as a
+  full extraction, so filters/casts/weight expressions produce
+  bit-identical values and the live catalog never gains a table;
 * the view's edge relation is kept as a sorted multiset: parallel
   ``src`` / ``dst`` (int64) and ``weight`` (float64) columns in canonical
   ``(src, dst, weight)`` order — the same order
@@ -61,7 +62,6 @@ answerable without a debugger.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -70,14 +70,14 @@ import numpy as np
 
 from repro.core.storage import GraphHandle, GraphStorage, weight_order_key
 from repro.engine.changelog import TableDelta
-from repro.engine.database import Database
+from repro.engine.database import Database, PinnedTable
 from repro.engine.operators import run_starts, stable_int_order, unique_ints, value_ranks
-from repro.engine.table import Table
-from repro.errors import EngineError, GraphViewError
-from repro.graphview.compiler import (
-    co_edge_side_query,
-    edge_spec_queries,
-    node_query,
+from repro.graphview.lowering import (
+    Statement,
+    edge_triples_from_batch,
+    node_ids_from_batch,
+    run_statement,
+    spec_statements,
 )
 from repro.graphview.spec import CoEdgeSpec, EdgeSpec, GraphView
 
@@ -85,7 +85,6 @@ __all__ = [
     "MaintenanceState",
     "build_state",
     "incremental_refresh",
-    "involved_tables",
 ]
 
 logger = logging.getLogger("repro.graphview")
@@ -101,38 +100,9 @@ _NO_EDGES: Rows = (
     np.empty(0, dtype=np.float64),
 )
 
-_scratch_counter = itertools.count()
-
 
 class _Fallback(Exception):
     """Internal: this delta cannot be applied exactly; do a full refresh."""
-
-
-# ---------------------------------------------------------------------------
-# Batch -> array helpers (shared with the full-extraction path so both
-# apply identical NULL semantics: NULL endpoints drop the edge, NULL
-# weights default to 1.0, NULL ids drop the node row)
-# ---------------------------------------------------------------------------
-def node_ids_from_batch(batch) -> np.ndarray:
-    """The non-NULL ``id`` values of a node-query result (multiplicity
-    preserved — one entry per surviving row)."""
-    col = batch.column("id")
-    values = np.asarray(col.values, dtype=np.int64)
-    return values[np.asarray(col.valid, dtype=bool)]
-
-
-def edge_triples_from_batch(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(src, dst, weight)`` arrays of an edge-query result with NULL
-    endpoints dropped and NULL weights defaulted to 1.0."""
-    src_col = batch.column("src")
-    dst_col = batch.column("dst")
-    weight_col = batch.column("weight")
-    src = np.asarray(src_col.values, dtype=np.int64)
-    dst = np.asarray(dst_col.values, dtype=np.int64)
-    weight = np.asarray(weight_col.values, dtype=np.float64).copy()
-    weight[~np.asarray(weight_col.valid, dtype=bool)] = 1.0
-    keep = np.asarray(src_col.valid, dtype=bool) & np.asarray(dst_col.valid, dtype=bool)
-    return src[keep], dst[keep], weight[keep]
 
 
 def _side_pairs_from_batch(batch) -> Rows:
@@ -153,29 +123,6 @@ def _side_pairs_from_batch(batch) -> Rows:
         via_values[keep].astype(np.int64),
         np.asarray(member_col.values, dtype=np.int64)[keep],
     )
-
-
-# ---------------------------------------------------------------------------
-# Scratch tables: run a spec's lowering over delta rows only
-# ---------------------------------------------------------------------------
-def _run_on_delta(db: Database, base_table: str, rows, sql_for_table) -> list:
-    """Register ``rows`` (a RecordBatch of ``base_table``'s schema) under a
-    scratch name, run ``sql_for_table(scratch_name)``, and return the
-    resulting batches.
-
-    The scratch table drops the base table's primary key: delta row
-    multisets may legitimately repeat a key (insert, delete, re-insert).
-    """
-    if rows.num_rows == 0:
-        return []
-    name = f"_gvdelta_{next(_scratch_counter)}"
-    db.catalog.register(Table(name, db.table(base_table).schema, rows))
-    try:
-        return [db.query_batch(sql) for sql in sql_for_table(name)]
-    except EngineError as exc:  # pragma: no cover - spec already validated
-        raise GraphViewError(f"graph-view delta query failed: {exc}") from exc
-    finally:
-        db.catalog.drop(name, if_exists=True)
 
 
 # ---------------------------------------------------------------------------
@@ -558,14 +505,6 @@ class MaintenanceState:
         return len(self.support.live_ids)
 
 
-def involved_tables(view: GraphView) -> list[str]:
-    """The distinct base tables a view reads, in first-use order."""
-    seen: dict[str, None] = {}
-    for spec in (*view.vertices, *view.edges):
-        seen.setdefault(spec.table, None)
-    return list(seen)
-
-
 def incremental_capable(view: GraphView) -> bool:
     """Whether every spec of the view has an incremental lowering.
 
@@ -580,7 +519,7 @@ def incremental_capable(view: GraphView) -> bool:
 
 
 def build_state(
-    db: Database,
+    bookmarks: dict[str, tuple[int, int]],
     view: GraphView,
     node_parts: list[np.ndarray],
     edge_parts: list,
@@ -588,8 +527,12 @@ def build_state(
 ) -> MaintenanceState:
     """Construct maintenance state from a just-completed full extraction.
 
-    ``node_parts``/``edge_parts`` are the per-spec results the extraction
-    produced (``edge_parts`` holds one
+    ``bookmarks`` are the ``(uid, version)`` of every base table as the
+    extraction pinned and read it (see
+    :attr:`~repro.graphview.lowering.LoweredExtraction.bookmarks`) — never
+    re-read afterwards, so a write that lands after the pins is the next
+    refresh's delta.  ``node_parts``/``edge_parts`` are the per-spec
+    results the extraction produced (``edge_parts`` holds one
     :class:`~repro.graphview.lowering.EdgeSpecResult` per edge spec) and
     ``sorted_edges`` the already-canonically-ordered ``(src, dst,
     weight)`` columns the graph tables were loaded from — they become the
@@ -628,12 +571,11 @@ def build_state(
             reason = str(exc)
             co_states = {}
 
-    bookmarks = {t: db.table_state(t) for t in involved_tables(view)}
     return MaintenanceState(
         edges=edges,
         support=support,
         co_states=co_states,
-        bookmarks=bookmarks,
+        bookmarks=dict(bookmarks),
         capable=capable,
         last_fallback_reason=reason,
     )
@@ -654,16 +596,18 @@ def _spec_side_rows(part) -> Rows:
 def gather_deltas(
     db: Database, state: MaintenanceState
 ) -> dict[str, TableDelta] | None:
-    """Per-table deltas since the state's bookmarks, or ``None`` when any
-    table's window is unreconstructable."""
+    """Per-table deltas since the state's bookmarks — one consistent cut,
+    taken under the database lock — or ``None`` when any table's window
+    is unreconstructable."""
     deltas: dict[str, TableDelta] = {}
-    for table, (uid, version) in state.bookmarks.items():
-        if not db.has_table(table):
-            return None
-        delta = db.changes_since(table, uid, version)
-        if delta is None:
-            return None
-        deltas[table] = delta
+    with db.lock:
+        for table, (uid, version) in state.bookmarks.items():
+            if not db.has_table(table):
+                return None
+            delta = db.changes_since(table, uid, version)
+            if delta is None:
+                return None
+            deltas[table] = delta
     return deltas
 
 
@@ -674,14 +618,17 @@ def incremental_refresh(
     view: GraphView,
     state: MaintenanceState,
     max_delta_fraction: float | None,
-) -> tuple[GraphHandle, int] | None:
+) -> tuple[GraphHandle, int, int] | None:
     """Patch ``{name}_edge`` / ``{name}_node`` from base-table deltas.
 
-    Returns ``(handle, delta_rows)`` on success, or ``None`` when the
-    caller must fall back to a full re-extraction: state not capable,
-    deltas unavailable, a per-table delta above ``max_delta_fraction`` of
-    its current table size (skipped when ``None`` — a forced incremental
-    refresh), or an exactness guard tripping mid-apply.
+    Returns ``(handle, delta_rows, statements)`` on success —
+    ``statements`` counts the delta statements the refresh ran — or
+    ``None`` when the caller must fall back to a full re-extraction:
+    state not capable, deltas unavailable, a per-table delta above
+    ``max_delta_fraction`` of its current table size (skipped when
+    ``None`` — a forced incremental refresh), or an exactness guard
+    tripping mid-apply.  The new bookmarks are the deltas' end versions,
+    so a write that lands while the refresh runs is the next one's delta.
 
     On ``None`` the state may be partially consumed and must be rebuilt —
     :func:`build_state` runs as part of the full refresh anyway.  Every
@@ -708,11 +655,13 @@ def incremental_refresh(
                 )
     if delta_rows == 0:
         handle = GraphHandle(db, name, state.num_vertices, state.num_edges)
-        _refresh_bookmarks(db, state)
-        return handle, 0
+        _refresh_bookmarks(state, deltas)
+        return handle, 0, 0
 
     try:
-        added, removed, node_added, node_removed = _spec_deltas(db, view, state, deltas)
+        added, removed, node_added, node_removed, statements = _spec_deltas(
+            view, state, deltas
+        )
         if np.isnan(added[2]).any() or np.isnan(removed[2]).any():
             raise _Fallback("NaN weight in delta")
         edges = _merge(state.edges, added, removed)
@@ -729,8 +678,8 @@ def incremental_refresh(
     # ones), so the tables can share them.
     src, dst, weight = state.edges
     handle = storage.replace_graph(name, src, dst, weight, state.support.live_ids)
-    _refresh_bookmarks(db, state)
-    return handle, delta_rows
+    _refresh_bookmarks(state, deltas)
+    return handle, delta_rows, statements
 
 
 def _fall_back(state: MaintenanceState, reason: str) -> None:
@@ -740,60 +689,71 @@ def _fall_back(state: MaintenanceState, reason: str) -> None:
     return None
 
 
-def _refresh_bookmarks(db: Database, state: MaintenanceState) -> None:
-    state.bookmarks = {t: db.table_state(t) for t in state.bookmarks}
+def _refresh_bookmarks(state: MaintenanceState, deltas: dict[str, TableDelta]) -> None:
+    state.bookmarks = {
+        t: (uid, deltas[t].to_version) for t, (uid, _) in state.bookmarks.items()
+    }
 
 
 def _spec_deltas(
-    db: Database,
     view: GraphView,
     state: MaintenanceState,
     deltas: dict[str, TableDelta],
-) -> tuple[Rows, Rows, np.ndarray, np.ndarray]:
+) -> tuple[Rows, Rows, np.ndarray, np.ndarray, int]:
     """Lower table row deltas to graph deltas across every spec.
 
-    Returns ``(added_edges, removed_edges, added_node_ids,
-    removed_node_ids)``; edges are ``(src, dst, weight)`` columns.
+    Each spec's statements run over its table's inserted rows and over
+    its deleted rows, pinned without the primary key (a delta multiset
+    may repeat a key: insert, delete, re-insert); an empty side runs
+    nothing.  Returns ``(added_edges, removed_edges, added_node_ids,
+    removed_node_ids, statements)``; edges are ``(src, dst, weight)``
+    columns.
     """
+    specs = [*view.vertices, *view.edges]
+    units: list[Statement] = []
+    owners: list[tuple[int, int]] = []  # per unit, (spec index, 0 inserted / 1 deleted)
+    for index, spec in enumerate(specs):
+        delta = deltas[spec.table]
+        uid = state.bookmarks[spec.table][0]
+        for side, rows in enumerate((delta.inserted, delta.deleted)):
+            if rows.num_rows == 0:
+                continue
+            pin = PinnedTable(spec.table, uid, delta.to_version, rows, rows.schema, None)
+            for what, sql in spec_statements(spec):
+                units.append((what, sql, pin))
+                owners.append((index, side))
+    results: dict[tuple[int, int], list] = {}
+    for owner, batch in zip(owners, map(run_statement, units)):
+        results.setdefault(owner, []).append(batch)
+
+    def ran(index: int, side: int) -> list:
+        return results.get((index, side), [])
+
+    n_nodes = len(view.vertices)
+    node_ids = [
+        [node_ids_from_batch(b) for index in range(n_nodes) for b in ran(index, side)]
+        for side in (0, 1)
+    ]
     added_parts: list[Rows] = []
     removed_parts: list[Rows] = []
-    node_added: list[np.ndarray] = []
-    node_removed: list[np.ndarray] = []
-    empty_ids = np.empty(0, dtype=np.int64)
-
-    for spec in view.vertices:
-        delta = deltas[spec.table]
-        for rows, sink in ((delta.inserted, node_added), (delta.deleted, node_removed)):
-            batches = _run_on_delta(
-                db, spec.table, rows, lambda t, s=spec: [node_query(s, table=t)]
-            )
-            sink.extend(node_ids_from_batch(b) for b in batches)
-
-    for index, spec in enumerate(view.edges):
-        delta = deltas[spec.table]
+    for edge_index, spec in enumerate(view.edges):
+        index = n_nodes + edge_index
         if isinstance(spec, EdgeSpec):
-            for rows, sink in (
-                (delta.inserted, added_parts),
-                (delta.deleted, removed_parts),
-            ):
-                batches = _run_on_delta(
-                    db, spec.table, rows, lambda t, s=spec: edge_spec_queries(s, table=t)
-                )
-                sink.extend(edge_triples_from_batch(b) for b in batches)
+            added_parts.extend(edge_triples_from_batch(b) for b in ran(index, 0))
+            removed_parts.extend(edge_triples_from_batch(b) for b in ran(index, 1))
         else:  # CoEdgeSpec — delta-capable views always carry its state
-            inserted_side = _side_rows(db, spec, delta.inserted)
-            deleted_side = _side_rows(db, spec, delta.deleted)
-            added, removed = state.co_states[index].apply_delta(
-                inserted_side, deleted_side, state.num_edges
+            added, removed = state.co_states[edge_index].apply_delta(
+                _side_rows(ran(index, 0)), _side_rows(ran(index, 1)), state.num_edges
             )
             added_parts.append(added)
             removed_parts.append(removed)
 
+    empty_ids = np.empty(0, dtype=np.int64)
     return (
         _concat_rows(added_parts),
         _concat_rows(removed_parts),
-        np.concatenate(node_added) if node_added else empty_ids,
-        np.concatenate(node_removed) if node_removed else empty_ids,
+        *(np.concatenate(ids) if ids else empty_ids for ids in node_ids),
+        len(units),
     )
 
 
@@ -803,10 +763,7 @@ def _concat_rows(parts: list[Rows]) -> Rows:
     return tuple(np.concatenate(columns) for columns in zip(*parts))
 
 
-def _side_rows(db: Database, spec: CoEdgeSpec, rows) -> Rows:
-    batches = _run_on_delta(
-        db, spec.table, rows, lambda t, s=spec: [co_edge_side_query(s, table=t)]
-    )
+def _side_rows(batches: list) -> Rows:
     if not batches:
         return _NO_EDGES[:2]
     return _side_pairs_from_batch(batches[0])

@@ -1,10 +1,11 @@
 """Graph-view extraction: from declared specs to loaded graph tables.
 
-Extraction is fully set-oriented and columnar: each compiled query runs
-through :meth:`Database.query_batch`, the resulting columns are handed to
-:meth:`GraphStorage.load_graph` as numpy arrays, and ``load_graph`` bulk
-inserts them via the ``Column.from_numpy`` fast path — the extracted
-edges never take a per-row Python round trip.
+Extraction is fully set-oriented and columnar: each compiled statement
+runs over pinned base-table rows (see :mod:`repro.graphview.lowering`),
+its result columns go to :meth:`GraphStorage.load_graph` as numpy
+arrays, and ``load_graph`` bulk inserts them via the
+``Column.from_numpy`` fast path — the extracted edges never take a
+per-row Python round trip.
 
 Two freshness modes:
 
@@ -145,7 +146,7 @@ def _extract_with_state(
     )
     state = (
         maintenance.build_state(
-            db, view, node_parts, edge_parts, (src_arr, dst_arr, weight_arr)
+            lowered.bookmarks, view, node_parts, edge_parts, (src_arr, dst_arr, weight_arr)
         )
         if want_state
         else None
@@ -279,7 +280,6 @@ class GraphViewHandle:
         if self._state is None or self._handle is None:
             return None
         started = time.perf_counter()
-        statements_before = self.db.statements_executed
         result = maintenance.incremental_refresh(
             self.db,
             self.storage,
@@ -290,13 +290,13 @@ class GraphViewHandle:
         )
         if result is None:
             return None
-        handle, delta_rows = result
+        handle, delta_rows, statements = result
         self._handle = handle
         self.last_extraction = ExtractionStats(
             seconds=time.perf_counter() - started,
             num_vertices=handle.num_vertices,
             num_edges=handle.num_edges,
-            num_queries=self.db.statements_executed - statements_before,
+            num_queries=statements,
             mode="incremental",
             delta_rows=delta_rows,
         )

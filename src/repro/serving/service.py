@@ -52,7 +52,7 @@ from repro.engine.sql.ast import SelectStatement, SetOperation, referenced_table
 from repro.engine.sql.parser import parse_statement
 from repro.errors import AdmissionError, ServingError, SnapshotInvalid
 from repro.graphview.catalog import view_fingerprint
-from repro.graphview.maintenance import involved_tables
+from repro.graphview.lowering import involved_tables
 from repro.graphview.view import GraphViewHandle
 from repro.serving.cache import DEFAULT_CACHE_BYTES, ResultCache, fingerprint_text
 from repro.serving.metrics import ServingMetrics

@@ -176,10 +176,7 @@ class Snapshot:
         state every time.
         """
         names = list(self.pins) if tables is None else list(tables)
-        shadow = Database()
-        for name in names:
-            shadow.catalog.register(self._pin_of(name).as_table())
-        return shadow
+        return Database.from_pins([self._pin_of(name) for name in names])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Snapshot({len(self.pins)} tables pinned)"

@@ -14,18 +14,27 @@ co-occurrence edges, all combined with filtered nodes) × every seed in
 ``INCREMENTAL_FUZZ_SEEDS`` (comma-separated; default one fixed seed for
 tier-1 — CI sweeps more in a separate job), plus the combined view first
 extracted in parallel — on four threads, and on two worker processes —
-and refreshed after every DML step.
+and refreshed after every DML step, and the combined view refreshed
+while a writer thread streams DML into its base tables.  Writes injected
+mid-refresh pin the bookmark contract: a refresh bookmarks exactly the
+versions it read, so a write that lands after the read is the next
+refresh's delta.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import CoEdgeSpec, EdgeSpec, GraphView, NodeSpec, Vertexica, VertexicaConfig
+from repro.core.storage import GraphStorage
 from repro.datasets import load_social_schema
+from repro.programs import PageRank
 from repro.graphview import lowering
 from repro.graphview.view import GraphViewHandle
 
@@ -195,6 +204,111 @@ def test_incremental_refresh_after_parallel_extraction(monkeypatch, session: str
             handle.refresh(incremental=True)  # no delta-size cut-off: every step patches
             assert handle.last_extraction.mode == "incremental", handle.last_fallback_reason
             assert_view_parity(vx, handle, f"shadow_{step}")
+
+
+#: Refreshes the main thread runs while the writer streams DML, and the
+#: writer's cap on statements.
+CONCURRENT_REFRESHES = 16
+CONCURRENT_WRITES = 400
+
+
+def random_insert_or_delete(vx: Vertexica, rng: np.random.Generator) -> None:
+    """One random INSERT or DELETE against users/follows/likes."""
+    op = int(rng.integers(0, 5))
+    uid = int(rng.integers(0, NUM_USERS + 20))
+    other = int(rng.integers(0, NUM_USERS + 20))
+    post = int(rng.integers(0, NUM_POSTS))
+    if op == 0:
+        vx.sql(f"INSERT INTO follows VALUES ({uid}, {other}, {rng.uniform(0.1, 5.0):.3f})")
+    elif op == 1:
+        vx.sql(f"DELETE FROM follows WHERE follower_id = {uid} AND followee_id < {other}")
+    elif op == 2:
+        vx.sql(f"INSERT INTO likes VALUES ({uid}, {post})")
+    elif op == 3:
+        vx.sql(f"DELETE FROM likes WHERE post_id = {post} AND user_id < {uid}")
+    else:
+        vx.sql(f"INSERT INTO users VALUES ({uid + 1000}, 'xx', 1.5)")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_refresh_under_concurrent_writer(seed: int):
+    """A writer thread streams seeded INSERT / DELETE statements into the
+    base tables while the main thread refreshes (every fourth refresh a
+    full one); once the writer stops, one last refresh equals a full
+    extraction bit for bit — no write slipped between a refresh's read
+    and its bookmark."""
+    vx = fresh_vertexica(seed)
+    handle = vx.create_graph_view("live", VIEWS["combined"])
+    stop = threading.Event()
+    failures: list[BaseException] = []
+
+    def writer() -> None:
+        rng = np.random.default_rng(seed * 7349 + 11)
+        try:
+            for _ in range(CONCURRENT_WRITES):
+                if stop.is_set():
+                    return
+                random_insert_or_delete(vx, rng)
+                time.sleep(0.001)  # spread the writes across the refreshes
+        except BaseException as exc:  # surfaced by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two threads finely
+    thread = threading.Thread(target=writer)
+    thread.start()
+    try:
+        for index in range(CONCURRENT_REFRESHES):
+            handle.refresh(incremental=False if index % 4 == 3 else None)
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive() and failures == []
+    handle.refresh()
+    assert_view_parity(vx, handle, "shadow_concurrent")
+
+
+class TestWritesDuringARefresh:
+    """A write that lands after a refresh read the base tables but before
+    it finished is the next refresh's delta, never skipped."""
+
+    def test_write_during_a_full_load_is_the_next_delta(self, monkeypatch):
+        vx = fresh_vertexica(16)
+        load_graph = GraphStorage.load_graph
+
+        def load_then_write(storage, name, *args, **kwargs):
+            if name == "live":
+                vx.sql("INSERT INTO follows VALUES (7, 8, 2.5)")
+            return load_graph(storage, name, *args, **kwargs)
+
+        monkeypatch.setattr(GraphStorage, "load_graph", load_then_write)
+        handle = vx.create_graph_view("live", VIEWS["combined"])
+        monkeypatch.undo()
+        handle.refresh()
+        assert handle.last_extraction.mode == "incremental"
+        assert handle.last_extraction.delta_rows == 1
+        assert_view_parity(vx, handle, "shadow_full_load")
+
+    def test_write_during_a_patch_is_the_next_delta(self, monkeypatch):
+        vx = fresh_vertexica(17)
+        handle = vx.create_graph_view("live", VIEWS["combined"])
+        vx.sql("INSERT INTO likes VALUES (3, 4)")
+        replace_graph = GraphStorage.replace_graph
+
+        def replace_then_write(storage, *args, **kwargs):
+            vx.sql("INSERT INTO follows VALUES (7, 8, 2.5)")
+            return replace_graph(storage, *args, **kwargs)
+
+        monkeypatch.setattr(GraphStorage, "replace_graph", replace_then_write)
+        handle.refresh()
+        monkeypatch.undo()
+        assert handle.last_extraction.mode == "incremental"
+        assert handle.last_extraction.delta_rows == 1
+        handle.refresh()
+        assert handle.last_extraction.mode == "incremental"
+        assert handle.last_extraction.delta_rows == 1
+        assert_view_parity(vx, handle, "shadow_patch")
 
 
 def test_signed_zero_parallel_edges_match_full_extraction_bitwise():
@@ -375,6 +489,16 @@ class TestFallbacks:
         vx.sql("DELETE FROM follows WHERE follower_id = 0")
         assert follows.changelog.retained_rows == 0  # nothing materialized
 
+    def test_virtual_and_ad_hoc_runs_leave_capture_disarmed(self):
+        # Extraction arms capture as it pins; a run over a view that is
+        # never refreshed incrementally hands it back.
+        vx = fresh_vertexica(18)
+        virtual = vx.create_graph_view("virtual", VIEWS["edge_directed"], materialized=False)
+        vx.run(virtual, PageRank(iterations=2))
+        vx.run(VIEWS["co_edge"], PageRank(iterations=2))
+        for table in ("users", "follows", "likes"):
+            assert not vx.db.table(table).changelog.enabled, table
+
     def test_shared_table_keeps_capture_while_another_view_remains(self):
         vx = fresh_vertexica(12)
         vx.create_graph_view("a", VIEWS["edge_directed"])
@@ -387,6 +511,21 @@ class TestFallbacks:
         assert handle.last_extraction.mode == "incremental"
         vx.drop_graph_view("b")
         assert not vx.db.table("follows").changelog.enabled
+
+    def test_refresh_counts_the_statements_it_runs(self):
+        # One statement per spec statement and non-empty delta side: the
+        # edge spec over follows' inserted and deleted rows, the
+        # co-occurrence side query over likes' inserted rows, and nothing
+        # for users, which did not change.
+        vx = fresh_vertexica(13)
+        handle = vx.create_graph_view("live", VIEWS["combined"])
+        vx.sql("INSERT INTO follows VALUES (1, 2, 1.5)")
+        vx.sql("DELETE FROM follows WHERE follower_id = 3")
+        vx.sql("INSERT INTO likes VALUES (4, 5)")
+        handle.refresh()
+        stats = handle.last_extraction
+        assert stats.mode == "incremental" and stats.num_queries == 3
+        assert_view_parity(vx, handle, "shadow_counted")
 
     def test_no_op_refresh_is_incremental_and_free(self):
         vx = fresh_vertexica(10)

@@ -492,17 +492,24 @@ class TestSeedingAndFallbacks:
         assert handle.last_extraction.mode == "incremental"
         assert_bitwise_parity(vx, handle, "shadow")
 
-    def test_no_delta_scratch_table_survives_a_raising_refresh(self, monkeypatch):
+    def test_a_raising_refresh_leaves_the_live_catalog_unchanged(self, monkeypatch):
+        # Delta statements run in private catalogs: a refresh whose delta
+        # statement raises leaves the live table set as it was, and the
+        # untouched state patches exactly on the next refresh.
         vx = social_vx(24)
         handle = vx.create_graph_view("live", CO_VIEW)
         vx.sql("INSERT INTO likes VALUES (2, 3)")
         vx.sql("INSERT INTO follows VALUES (2, 3, 1.5)")
+        before = set(vx.db.catalog.table_names())
 
-        def boom(sql, *args, **kwargs):
+        def boom(statement, index=0):
             raise RuntimeError("delta query interrupted")
 
-        monkeypatch.setattr(vx.db, "query_batch", boom)
+        monkeypatch.setattr(maintenance, "run_statement", boom)
         with pytest.raises(RuntimeError, match="interrupted"):
             handle.refresh()
         monkeypatch.undo()
-        assert not [t for t in vx.db.catalog.table_names() if t.startswith("_gvdelta_")]
+        assert set(vx.db.catalog.table_names()) == before
+        handle.refresh()
+        assert handle.last_extraction.mode == "incremental"
+        assert_bitwise_parity(vx, handle, "shadow")

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core import Vertexica, VertexicaConfig
 from repro.datasets.relational import load_social_schema
+from repro.engine.types import FLOAT
 from repro.errors import GraphViewError
 from repro.graphview import (
     CoEdgeSpec,
@@ -229,25 +230,59 @@ class TestExpansionUnit:
         assert len(src) == 0
 
 
+EXECUTORS = pytest.mark.parametrize(
+    "config",
+    [VertexicaConfig(), VertexicaConfig(n_workers=4), PROCESSES],
+    ids=["serial", "threads-sliced", "processes"],
+)
+
+
 class TestFailureHygiene:
-    def test_poisoned_spec_leaves_no_scratch_tables(self, monkeypatch):
-        # A sliced, threaded extraction that fails at planning must drop
-        # every _gvslice scratch table on its way out (try/finally), not
-        # leak them into the catalog.
+    @EXECUTORS
+    def test_failing_extraction_leaves_the_live_catalog_unchanged(self, monkeypatch, config):
+        # Every statement runs in a private catalog, so an extraction that
+        # fails (here on sliced scans where the executor slices) registers
+        # no table in the live catalog, not even for a moment.
         monkeypatch.setattr(lowering, "_SLICE_MIN_ROWS", 50)
-        vx = Vertexica(config=VertexicaConfig(n_workers=4))
-        schema = social(vx)
-        before = set(vx.db.catalog.table_names())
-        view = GraphView(
-            vertices=NodeSpec(schema.users_table, key="id"),
-            edges=EdgeSpec(schema.follows_table, src="follower_id",
-                           dst="followee_id", where="no_such_column > 1"),
-        )
-        with pytest.raises(GraphViewError, match="edge spec"):
-            vx.create_graph_view("poisoned", view)
-        after = set(vx.db.catalog.table_names())
-        assert after == before
-        assert not any(name.startswith("_gvslice") for name in after)
+        with Vertexica(config=config) as vx:
+            schema = social(vx)
+            before = set(vx.db.catalog.table_names())
+            registered = []
+            register = vx.db.catalog.register
+
+            def spying(table, *args, **kwargs):
+                registered.append(table.name)
+                return register(table, *args, **kwargs)
+
+            monkeypatch.setattr(vx.db.catalog, "register", spying)
+            view = GraphView(
+                vertices=NodeSpec(schema.users_table, key="id"),
+                edges=EdgeSpec(schema.follows_table, src="follower_id",
+                               dst="followee_id", where="no_such_column > 1"),
+            )
+            with pytest.raises(GraphViewError, match="edge spec"):
+                vx.create_graph_view("poisoned", view)
+            assert registered == []
+            assert set(vx.db.catalog.table_names()) == before
+
+    @EXECUTORS
+    def test_spec_expressions_call_only_builtin_functions(self, config):
+        # A function registered on the live database is not in the private
+        # catalog a statement runs in: the spec fails, named, on every
+        # executor alike, while the same spec with a built-in extracts.
+        with Vertexica(config=config) as vx:
+            schema = social(vx)
+            vx.db.register_function("plus_one", lambda x: x + 1.0, [FLOAT], FLOAT)
+            assert vx.sql("SELECT plus_one(1.0)").scalar() == 2.0
+
+            def view(weight: str) -> GraphView:
+                return GraphView(edges=EdgeSpec(schema.follows_table, src="follower_id",
+                                                dst="followee_id", weight=weight))
+
+            with pytest.raises(GraphViewError, match="edge spec.*plus_one"):
+                vx.create_graph_view("udf", view("plus_one(closeness)"))
+            handle = vx.create_graph_view("builtin", view("ABS(closeness) + 1.0"))
+            assert handle.last_extraction.num_edges > 0
 
     def test_serial_failure_names_the_spec(self):
         vx = Vertexica()

@@ -8,7 +8,13 @@ from repro.engine.sql.parser import Parser
 from repro.engine.sql.lexer import tokenize
 from repro.errors import GraphViewError
 from repro.graphview import CoEdgeSpec, EdgeSpec, GraphView, NodeSpec
-from repro.graphview.compiler import edge_queries, node_queries, render_expression
+from repro.graphview.compiler import (
+    co_edge_query,
+    co_edge_side_query,
+    edge_spec_queries,
+    node_query,
+    render_expression,
+)
 
 
 class TestSpecValidation:
@@ -43,30 +49,26 @@ class TestSpecValidation:
 
 class TestCompiler:
     def test_node_query_shape(self):
-        view = GraphView(vertices=NodeSpec("users", key="uid", where="karma > 1"))
-        (sql,) = node_queries(view)
+        sql = node_query(NodeSpec("users", key="uid", where="karma > 1"))
         assert sql == (
             "SELECT CAST(uid AS INTEGER) AS id FROM users WHERE karma > 1"
         )
 
     def test_directed_edge_one_query(self):
-        view = GraphView(edges=EdgeSpec("follows", src="a", dst="b"))
-        assert len(edge_queries(view)) == 1
+        assert len(edge_spec_queries(EdgeSpec("follows", src="a", dst="b"))) == 1
 
     def test_undirected_edge_two_queries(self):
-        view = GraphView(edges=EdgeSpec("follows", src="a", dst="b", directed=False))
-        forward, backward = edge_queries(view)
+        spec = EdgeSpec("follows", src="a", dst="b", directed=False)
+        forward, backward = edge_spec_queries(spec)
         assert "CAST(a AS INTEGER) AS src" in forward
         assert "CAST(b AS INTEGER) AS src" in backward
 
     def test_default_weight_is_one(self):
-        view = GraphView(edges=EdgeSpec("follows", src="a", dst="b"))
-        (sql,) = edge_queries(view)
+        (sql,) = edge_spec_queries(EdgeSpec("follows", src="a", dst="b"))
         assert "CAST(1.0 AS FLOAT) AS weight" in sql
 
     def test_co_edge_groups_on_member_pair(self):
-        view = GraphView(edges=CoEdgeSpec("likes", member="user_id", via="post_id"))
-        (sql,) = edge_queries(view)
+        sql = co_edge_query(CoEdgeSpec("likes", member="user_id", via="post_id"))
         # Flat self-join over the base table, grouped on the casted member
         # pair by position so group keys and output see identical values.
         assert "FROM likes AS a JOIN likes AS b ON a.post_id = b.post_id" in sql
@@ -75,11 +77,10 @@ class TestCompiler:
         assert "CAST(a.user_id AS INTEGER) <> CAST(b.user_id AS INTEGER)" in sql
 
     def test_co_edge_filter_qualified_onto_both_sides(self):
-        view = GraphView(
-            edges=CoEdgeSpec("likes", member="user_id", via="post_id",
-                             where="score > 0.5 AND likes.flag = 1")
+        sql = co_edge_query(
+            CoEdgeSpec("likes", member="user_id", via="post_id",
+                       where="score > 0.5 AND likes.flag = 1")
         )
-        (sql,) = edge_queries(view)
         assert "(a.score > 0.5)" in sql and "(a.flag = 1)" in sql
         assert "(b.score > 0.5)" in sql and "(b.flag = 1)" in sql
 
@@ -87,15 +88,17 @@ class TestCompiler:
         """Every compiled query must be valid for the engine's parser."""
         from repro.engine.sql.parser import parse_statement
 
-        view = GraphView(
-            vertices=NodeSpec("users", key="id", where="country = 'us'"),
-            edges=[
-                EdgeSpec("follows", src="a", dst="b", weight="w * 2", directed=False),
-                CoEdgeSpec("likes", member="user_id", via="post_id",
-                           weight="COUNT(*) + 1", where="post_id > 0"),
-            ],
-        )
-        for sql in node_queries(view) + edge_queries(view):
+        co_spec = CoEdgeSpec("likes", member="user_id", via="post_id",
+                             weight="COUNT(*) + 1", where="post_id > 0")
+        statements = [
+            node_query(NodeSpec("users", key="id", where="country = 'us'")),
+            *edge_spec_queries(
+                EdgeSpec("follows", src="a", dst="b", weight="w * 2", directed=False)
+            ),
+            co_edge_query(co_spec),
+            co_edge_side_query(co_spec),
+        ]
+        for sql in statements:
             parse_statement(sql)  # raises on malformed SQL
 
 
