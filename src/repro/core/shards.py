@@ -794,35 +794,43 @@ class ShardedDataPlane:
         token = new_segment_name("vxplane")
         groups: list[SharedArrayGroup] = []
         descriptors: list[GroupDescriptor] = []
-        for shard in self.shards:
-            arrays = {
-                "vertex_ids": shard.vertex_ids,
-                "halted": shard.halted,
-                "value_valid": shard.value_valid,
-                "edge_indptr": shard.edge_indptr,
-                "edge_targets": shard.edge_targets,
-                "edge_weights": shard.edge_weights,
-                "raw_values": shard.raw_values,
-            }
-            group = SharedArrayGroup.create(f"{token}s{shard.index}", arrays)
-            groups.append(group)
-            descriptors.append(group.descriptor)
-            # Rebind the parent's vertex state to the shared views: parent-
-            # side vertex updates become visible to the workers with no
-            # copy.  The topology stays the index's own (read-only) arrays:
-            # the index outlives these segments.
-            shard.halted = group.arrays["halted"]
-            shard.value_valid = group.arrays["value_valid"]
-            shard.raw_values = group.arrays["raw_values"]
-        bootstrap = _PlaneBootstrap(
-            token=token,
-            program=self.program,
-            num_vertices=self.graph.num_vertices,
-            meta=self.meta,
-            shard_groups=tuple(descriptors),
-            fault_plan=faults.active_plan_json(),
-        )
-        executor.install(bootstrap)
+        try:
+            for shard in self.shards:
+                arrays = {
+                    "vertex_ids": shard.vertex_ids,
+                    "halted": shard.halted,
+                    "value_valid": shard.value_valid,
+                    "edge_indptr": shard.edge_indptr,
+                    "edge_targets": shard.edge_targets,
+                    "edge_weights": shard.edge_weights,
+                    "raw_values": shard.raw_values,
+                }
+                group = SharedArrayGroup.create(f"{token}s{shard.index}", arrays)
+                groups.append(group)
+                descriptors.append(group.descriptor)
+                # Rebind the parent's vertex state to the shared views: parent-
+                # side vertex updates become visible to the workers with no
+                # copy.  The topology stays the index's own (read-only) arrays:
+                # the index outlives these segments.
+                shard.halted = group.arrays["halted"]
+                shard.value_valid = group.arrays["value_valid"]
+                shard.raw_values = group.arrays["raw_values"]
+            bootstrap = _PlaneBootstrap(
+                token=token,
+                program=self.program,
+                num_vertices=self.graph.num_vertices,
+                meta=self.meta,
+                shard_groups=tuple(descriptors),
+                fault_plan=faults.active_plan_json(),
+            )
+            executor.install(bootstrap)
+        except BaseException:
+            # Until install returns nothing records the segments: unlink
+            # them here, or a failed bind (the first one or a rollback's
+            # rebuild) leaves them in /dev/shm past the run.
+            for group in groups:
+                group.unlink()
+            raise
         self._token = token
         self._shard_groups = groups
         self._proc_executor = executor

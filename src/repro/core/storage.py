@@ -576,10 +576,13 @@ class GraphStorage:
     # Applying worker output
     # ------------------------------------------------------------------
     def stage_worker_output(self, graph: GraphHandle, batch: RecordBatch) -> None:
-        """Load the worker's output batch into the staging table."""
+        """Swap the worker's output batch in as the staging table's
+        contents (:meth:`~repro.engine.table.Table.replace_data`: the
+        batch is adopted, not copied; constraints are checked and change
+        capture resets, as a truncate would).  The batch is the
+        transform's own output, which nothing else holds for writing."""
         table = self.db.table(graph.output_table)
-        table.truncate()
-        table.insert_batch(batch.with_schema(table.schema))
+        table.replace_data(batch.with_schema(table.schema))
 
     def count_staged(self, graph: GraphHandle, kind: int) -> int:
         """Rows of one kind currently staged (direct column scan — this

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.engine.batch import RecordBatch
 from repro.engine.column import Column
+from repro.engine.functions import sql_remainder
 from repro.engine.schema import Schema
 from repro.engine.types import (
     BOOLEAN,
@@ -237,6 +238,16 @@ def expression_name(expr: Expression) -> str:
     if isinstance(expr, CastExpr):
         return expression_name(expr.operand)
     return "expr"
+
+
+def column_refs(expr: Expression) -> list[ColumnRef]:
+    """Every ColumnRef in the tree (pre-order)."""
+    refs: list[ColumnRef] = []
+    if isinstance(expr, ColumnRef):
+        refs.append(expr)
+    for child in expr.children():
+        refs.extend(column_refs(child))
+    return refs
 
 
 def contains_aggregate(expr: Expression, aggregate_names: frozenset[str]) -> bool:
@@ -457,9 +468,8 @@ def _eval_binary(expr: BinaryOp, batch: RecordBatch, registry: "FunctionRegistry
         safe = np.where(zero, 1.0, rf)
         return Column(FLOAT, lf / safe, valid & ~zero)
     if op == "%":
-        zero = rv == 0
-        safe = np.where(zero, 1, rv)
-        return Column(target, np.mod(lv, safe).astype(target.numpy_dtype), valid & ~zero)
+        values, zero = sql_remainder(lv, rv)
+        return Column(target, values.astype(target.numpy_dtype, copy=False), valid & ~zero)
     raise PlanError(f"unknown binary operator {op!r}")  # pragma: no cover
 
 

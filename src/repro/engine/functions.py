@@ -32,9 +32,25 @@ from repro.engine.types import (
 )
 from repro.errors import TypeMismatchError, UdfError
 
+
 __all__ = ["FunctionRegistry", "ScalarUdf", "AGGREGATE_NAMES"]
 
 AGGREGATE_NAMES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV"})
+
+
+def sql_remainder(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(left % right, right == 0)`` with SQL's truncated remainder: the
+    result takes the dividend's sign (``-7 % 4 = -3``), as in Vertica,
+    PostgreSQL and SQLite, not Python's floored one.  Where the divisor
+    is zero the value is a filler (the caller masks it NULL); an integer
+    divisor of -1 divides as 1, so ``INT64_MIN % -1`` is 0 instead of an
+    overflow."""
+    zero = right == 0
+    if right.dtype.kind in "iu":
+        safe = np.where(zero | (right == -1), 1, right)
+    else:
+        safe = np.where(zero, 1, right)
+    return np.fmod(left, safe), zero
 
 
 @dataclass(frozen=True)
@@ -192,11 +208,8 @@ def _make_builtins() -> dict[str, _Builtin]:
         return INTEGER
 
     def eval_mod(cols: Sequence[Column]) -> Column:
-        left = cols[0].values
-        right = cols[1].values
-        zero = right == 0
-        safe = np.where(zero, 1, right)
-        return Column(INTEGER, np.mod(left, safe), cols[0].valid & cols[1].valid & ~zero)
+        values, zero = sql_remainder(cols[0].values, cols[1].values)
+        return Column(INTEGER, values, cols[0].valid & cols[1].valid & ~zero)
 
     add(_Builtin("MOD", infer_mod, eval_mod))
 

@@ -28,6 +28,7 @@ from repro.engine.column import Column
 from repro.engine.expressions import (
     Expression,
     Star,
+    column_refs,
     evaluate,
     infer_type,
 )
@@ -86,9 +87,20 @@ _MERGE_MAX_RUNS = 8
 _PRESENCE_MAX_SPAN = 4
 
 
-def stable_int_order(keys: Sequence[np.ndarray]) -> np.ndarray:
+def stable_int_order(
+    keys: Sequence[np.ndarray],
+    rows: np.ndarray | None = None,
+    *,
+    with_keys: bool = False,
+) -> Any:
     """The stable sort permutation of rows keyed on ``keys``, ``keys[0]``
     primary — exactly ``np.lexsort(tuple(reversed(keys)))``.
+
+    ``rows`` (strictly ascending int64 row ids, one per key row: a
+    filter's selection) names the rows: the result is then
+    ``rows[order]``, the selected rows' ids in key order.  With
+    ``with_keys`` the call returns ``(order, sorted_keys)``, every key
+    in that order.
 
     Integer and bool keys are shifted by their minimum, so each key's span
     has a known bit length.  A key with one distinct value drops out, and
@@ -106,7 +118,11 @@ def stable_int_order(keys: Sequence[np.ndarray]) -> np.ndarray:
     * *packed* — the word and the row-index bits fit in 64 bits: the row
       index goes into the low bits, so the words are distinct and one
       ``np.sort`` (numpy's SIMD sort) of them, with the index masked back
-      out, is the stable order by construction;
+      out, is the stable order by construction.  Where they fit, the ids
+      of ``rows`` take the index's place (they ascend as it does), and a
+      single int64 key is read back from the word's high bits: a named,
+      keyed sort is that one ``np.sort``, with no ``rows[order]`` and no
+      ``key[order]`` gather;
     * *digit passes* — a word of at most 16 bits (one O(n) pass: measured
       faster than the packed sort up to 0.1 M rows and on par at 0.7 M),
       or one too wide to carry the row index: 16-bit
@@ -118,14 +134,37 @@ def stable_int_order(keys: Sequence[np.ndarray]) -> np.ndarray:
       ``_KERNEL_MIN_ROWS`` rows, where the kernel's fixed cost loses; for
       spans of more than 64 bits together; and for any non-integer key.
 
+    The paths that order positions name them with one ``rows[order]``
+    gather and, with ``with_keys``, one ``key[order]`` gather per key.
+
     Measured at 0.7 M rows (2-core x86-64, AVX-512, numpy 2.4): one
     17-bit key takes 18-20 ms packed, 37-43 ms as two digit passes and
     107-126 ms in ``np.lexsort``.
     """
     keys = [np.asarray(k) for k in keys]
+    order, sorted_keys = _int_order(keys, rows, with_keys)
+    if order is None:  # the rows arrive in order
+        order = np.arange(len(keys[0]) if keys else 0) if rows is None else rows
+        sorted_keys = keys
+    elif sorted_keys is None:  # ``order`` holds row positions
+        if with_keys:
+            sorted_keys = [key[order] for key in keys]
+        if rows is not None:
+            order = rows[order]
+    return (order, sorted_keys) if with_keys else order
+
+
+def _int_order(
+    keys: list[np.ndarray], rows: np.ndarray | None, with_keys: bool
+) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """:func:`stable_int_order`'s paths: ``(order, sorted_keys)``.
+    ``(None, None)`` means the rows are already in order; a ``None``
+    ``sorted_keys`` means ``order`` holds row positions; otherwise
+    ``order`` holds the named ids and ``sorted_keys`` the keys in that
+    order (empty unless ``with_keys``)."""
     n = len(keys[0]) if keys else 0
     if n < _KERNEL_MIN_ROWS or any(k.dtype.kind not in "biu" for k in keys):
-        return np.lexsort(tuple(reversed(keys)))
+        return np.lexsort(tuple(reversed(keys))), None
     spans = []  # (key, minimum, bit length of its span)
     for key in keys:
         if key.dtype.kind == "b":
@@ -138,9 +177,9 @@ def stable_int_order(keys: Sequence[np.ndarray]) -> np.ndarray:
         spans.pop()
     word_bits = sum(bits for _, _, bits in spans)
     if word_bits > 64:
-        return np.lexsort(tuple(reversed(keys)))
+        return np.lexsort(tuple(reversed(keys))), None
     if not spans:
-        return np.arange(n)
+        return None, None
     word = None
     shift = 0
     for key, lo, bits in reversed(spans):
@@ -155,17 +194,36 @@ def stable_int_order(keys: Sequence[np.ndarray]) -> np.ndarray:
         shift += bits
     descents = np.count_nonzero(word[1:] < word[:-1])
     if descents == 0:
-        return np.arange(n)
+        return None, None
     if descents < _MERGE_MAX_RUNS:
-        return np.argsort(word, kind="stable")
+        return np.argsort(word, kind="stable"), None
     index_bits = (n - 1).bit_length()
     if word_bits <= 16 or index_bits + word_bits > 64:
-        return _digit_pass_order(word, word_bits)
+        return _digit_pass_order(word, word_bits), None
+    # The low bits name the rows (``rows`` where they fit, else the
+    # positions) and the high bits give back one int64 key.  Several
+    # keys are gathered by the caller, through positions.
+    unpack = with_keys and len(keys) == 1 and keys[0].dtype == np.int64
+    named = unpack or not with_keys
+    index = np.arange(n, dtype=np.uint64)
+    if named and rows is not None:
+        row_bits = int(rows[-1]).bit_length()
+        if row_bits + word_bits <= 64:
+            index, index_bits = rows.view(np.uint64), row_bits
+        else:
+            named = False
     word <<= np.uint64(index_bits)
-    word |= np.arange(n, dtype=np.uint64)
+    word |= index
     word = np.sort(word)
+    sorted_keys: list[np.ndarray] | None = [] if named else None
+    if named and unpack:
+        # The key, shifted by its minimum, in the high bits: adding the
+        # minimum back wraps in uint64 exactly as the shift wrapped.
+        high = word >> np.uint64(index_bits)
+        high += np.uint64(spans[0][1] & 0xFFFF_FFFF_FFFF_FFFF)
+        sorted_keys = [high.view(np.int64)]
     word &= np.uint64((1 << index_bits) - 1)
-    return word.view(np.int64)
+    return word.view(np.int64), sorted_keys
 
 
 def _digit_pass_order(word: np.ndarray, bits: int) -> np.ndarray:
@@ -201,9 +259,8 @@ def int_runs(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     returns and, over the rows in that order, True at the first row of
     each run of equal keys.  ``order[starts]`` is each distinct key's
     first row in the input."""
-    keys = [np.asarray(key) for key in keys]
-    order = stable_int_order(keys)
-    return order, run_starts([key[order] for key in keys])
+    order, ranked = stable_int_order(keys, with_keys=True)
+    return order, run_starts(ranked)
 
 
 def unique_ints(*arrays: np.ndarray) -> np.ndarray:
@@ -379,6 +436,18 @@ def analyze_tree(op: Operator) -> tuple[RecordBatch, str]:
             return batch
 
         node.execute = timed  # type: ignore[method-assign]
+        if isinstance(node, FilterOp):
+            # A parent that reads the filter as a selection never calls
+            # its execute; the filter still reports its rows.
+            select = node.selection
+
+            def timed_selection() -> tuple[RecordBatch, np.ndarray]:
+                started = _time.perf_counter()
+                batch, rows = select()
+                metrics[id(node)] = (_time.perf_counter() - started, len(rows))
+                return batch, rows
+
+            node.selection = timed_selection  # type: ignore[method-assign]
 
     instrument(op)
     result = op.execute()
@@ -465,12 +534,65 @@ class FilterOp(Operator):
 
     def execute(self) -> RecordBatch:
         batch = self.child.execute()
+        return batch.filter(self._passes(batch))
+
+    def selection(self) -> tuple[RecordBatch, np.ndarray]:
+        """``(input, rows)``: the child's batch and the ascending ids of
+        the rows that pass, with no column gathered — what a parent that
+        reads only some columns (:class:`ProjectOp`,
+        :class:`AggregateOp`) takes instead of :meth:`execute`."""
+        batch = self.child.execute()
+        return batch, np.flatnonzero(self._passes(batch))
+
+    def _passes(self, batch: RecordBatch) -> np.ndarray:
         flags = evaluate(self.predicate, batch, self.registry)
-        mask = flags.values.astype(bool) & flags.valid
-        return batch.filter(mask)
+        return flags.values.astype(bool) & flags.valid
 
     def describe(self) -> str:
         return f"Filter({self.predicate!r})"
+
+
+def _selected_input(child: Operator) -> tuple[RecordBatch, np.ndarray | None]:
+    """``(batch, rows)``: a filter's input and selection, or any other
+    child's output with ``rows`` ``None`` (every row)."""
+    if isinstance(child, FilterOp):
+        return child.selection()
+    return child.execute(), None
+
+
+def _gather(
+    batch: RecordBatch,
+    exprs: Sequence[Expression],
+    ids: np.ndarray | None,
+    selected: np.ndarray | None = None,
+) -> RecordBatch:
+    """The columns ``exprs`` reference, each gathered once at ``ids``
+    (the whole batch when ``None``, or when there is no expression): any
+    of ``exprs`` evaluates over it to its value over ``batch``, taken at
+    ``ids``.
+
+    ``selected`` — ascending row ids, ``ids`` being a permutation of
+    them — makes the NULL check sequential: a column with no NULL in the
+    selected rows gets an all-valid mask instead of a validity gather.
+    """
+    if ids is None or not exprs:
+        return batch
+    if selected is None:
+        selected = ids
+    refs = [ref for expr in exprs for ref in column_refs(expr)]
+    # A column-free expression (``SUM(1)``) still needs the row count.
+    indices = sorted({batch.schema.index_of(r.name, r.qualifier) for r in refs}) or [0]
+    columns = []
+    for index in indices:
+        column = batch.columns[index]
+        if column.valid.all() or (
+            selected is not ids and column.valid[selected].all()
+        ):
+            valid = np.ones(len(ids), dtype=bool)
+        else:
+            valid = column.valid[ids]
+        columns.append(Column(column.dtype, column.values[ids], valid))
+    return RecordBatch(batch.schema.project(indices), columns)
 
 
 class ProjectOp(Operator):
@@ -503,7 +625,9 @@ class ProjectOp(Operator):
         return (self.child,)
 
     def execute(self) -> RecordBatch:
-        batch = self.child.execute()
+        # Over a filter, only the projected columns are gathered.
+        batch, rows = _selected_input(self.child)
+        batch = _gather(batch, self.exprs, rows)
         columns = []
         for expr, coldef in zip(self.exprs, self.schema):
             column = evaluate(expr, batch, self.registry)
@@ -738,6 +862,15 @@ class AggregateOp(Operator):
     come out in ascending key order (factorize codes are value ranks),
     rows within a group in input order.
 
+    Over a :class:`FilterOp` (``… WHERE p GROUP BY k``) the aggregate
+    takes the filter's selection, not its batch: the kernel sorts the
+    selected row ids by the codes and hands the codes back in that order,
+    and each column an aggregate reads is gathered once, through those
+    ids.  Integer ``MIN`` / ``MAX`` over a dense single key (a span of
+    less than ``_PRESENCE_MAX_SPAN`` times the rows) skip even that
+    gather (:func:`_extremum_by_key`).  The sums and the order they are
+    taken in are the materialising plan's, so results are bit-identical.
+
     Output columns are the group keys (in ``group_exprs`` order) followed
     by the aggregates (in ``specs`` order), named by ``names``.
     """
@@ -780,35 +913,65 @@ class AggregateOp(Operator):
         return f"Aggregate(groups={len(self.group_exprs)}, aggs=[{aggs}])"
 
     def execute(self) -> RecordBatch:
-        batch = self.child.execute()
-        n = batch.num_rows
-        key_cols = [evaluate(e, batch, self.registry) for e in self.group_exprs]
-        if key_cols and n == 0:
+        batch, rows = _selected_input(self.child)
+        n = batch.num_rows if rows is None else len(rows)
+        if self.group_exprs and n == 0:
             return RecordBatch.empty(self.schema)
+        keyed = _gather(batch, self.group_exprs, rows)
+        key_cols = [evaluate(e, keyed, self.registry) for e in self.group_exprs]
         n_groups: int | None
-        if len(key_cols) == 1 and key_cols[0].dtype is INTEGER and key_cols[0].valid.all():
+        int_key = (
+            len(key_cols) == 1 and key_cols[0].dtype is INTEGER and key_cols[0].valid.all()
+        )
+        if int_key:
             codes, n_groups = key_cols[0].values, None  # counted below
         elif key_cols:
             codes, n_groups = factorize_columns(key_cols)
         else:
             codes = np.zeros(n, dtype=np.int64)
             n_groups = 1  # global aggregate: one output row even on empty input
-        order, starts = int_runs((codes,))
-        boundaries = np.flatnonzero(starts)
+        # ``order`` holds row ids of ``batch``; the sorted codes come back
+        # with it (from the packed word's high bits when that path runs).
+        order, (sorted_codes,) = stable_int_order((codes,), rows, with_keys=True)
+        boundaries = np.flatnonzero(run_starts((sorted_codes,)))
         group_sizes = np.diff(np.append(boundaries, n))
         if n_groups is None:
             n_groups = len(boundaries)
             present = np.arange(n_groups)
+            out_columns = [Column(INTEGER, sorted_codes[boundaries])]
         else:
-            present = codes[order[boundaries]]
+            present = sorted_codes[boundaries]
+            firsts = _gather(batch, self.group_exprs, order[boundaries])
+            out_columns = [evaluate(e, firsts, self.registry) for e in self.group_exprs]
 
-        out_columns: list[Column] = []
-        for key_col, coldef in zip(key_cols, self.schema):
-            reps = order[boundaries]
-            out_columns.append(key_col.take(reps))
-        for spec, coldef in zip(self.specs, self.schema[len(key_cols):]):
+        # Integer MIN / MAX over a dense integer key reduce order-free
+        # into a key-indexed array; every other aggregate reads its
+        # argument in group order.  Each side gathers a referenced column
+        # once.
+        dense = int_key and (
+            int(sorted_codes[-1]) - int(sorted_codes[0]) < _PRESENCE_MAX_SPAN * n
+        )
+        out_types = [coldef.dtype for coldef in self.schema[len(key_cols):]]
+        by_key = [
+            dense and spec.func in ("MIN", "MAX") and not spec.distinct and out_type is INTEGER
+            for spec, out_type in zip(self.specs, out_types)
+        ]
+        keyed_args = [spec.arg for spec, k in zip(self.specs, by_key) if k]
+        ordered_args = [
+            spec.arg for spec, k in zip(self.specs, by_key) if not k and spec.arg is not None
+        ]
+        in_rows = _gather(batch, keyed_args, rows)
+        in_order = _gather(batch, ordered_args, order, rows)
+        for spec, out_type, keyed_spec in zip(self.specs, out_types, by_key):
+            if keyed_spec:
+                arg = evaluate(spec.arg, in_rows, self.registry)
+                out_columns.append(
+                    _extremum_by_key(spec.func, arg, codes, sorted_codes, boundaries, group_sizes)
+                )
+                continue
+            arg = None if spec.arg is None else evaluate(spec.arg, in_order, self.registry)
             out_columns.append(
-                self._compute(spec, coldef.dtype, batch, order, boundaries, group_sizes, n_groups, present)
+                self._compute(spec, out_type, arg, boundaries, group_sizes, n_groups, present)
             )
         return RecordBatch(self.schema, out_columns)
 
@@ -817,28 +980,28 @@ class AggregateOp(Operator):
         self,
         spec: AggregateSpec,
         out_type: DataType,
-        batch: RecordBatch,
-        order: np.ndarray,
+        arg: Column | None,
         boundaries: np.ndarray,
         group_sizes: np.ndarray,
         n_groups: int,
         present: np.ndarray,
     ) -> Column:
+        """One aggregate from its argument in group order (``None`` for
+        ``COUNT(*)``).  An argument without NULLs skips the per-group
+        count and the NULL masking: the group sizes are the counts."""
         n_out = n_groups
-        if spec.func == "COUNT" and spec.arg is None:
+        if arg is None:
             counts = np.zeros(n_out, dtype=np.int64)
             counts[present] = group_sizes
             return Column(INTEGER, counts, np.ones(n_out, dtype=bool))
-
-        assert spec.arg is not None
-        arg = evaluate(spec.arg, batch, self.registry)
-        sorted_valid = arg.valid[order]
-        sorted_values = arg.values[order]
-
         if spec.distinct:
-            return self._compute_distinct(spec, out_type, arg, order, boundaries, present, n_out)
+            return self._compute_distinct(spec, arg, boundaries, present, n_out)
 
-        if len(boundaries) == 0:
+        sorted_values, sorted_valid = arg.values, arg.valid
+        nulls = not sorted_valid.all()
+        if not nulls:
+            counts_present = group_sizes
+        elif len(boundaries) == 0:
             counts_present = np.empty(0, dtype=np.int64)
         else:
             counts_present = np.add.reduceat(sorted_valid.astype(np.int64), boundaries)
@@ -850,15 +1013,20 @@ class AggregateOp(Operator):
 
         if spec.func == "SUM" and out_type is INTEGER:
             # Exact int64 sums: through float64 they round above 2^53.
-            values = np.where(sorted_valid, sorted_values, 0).astype(np.int64, copy=False)
+            values = sorted_values.astype(np.int64, copy=False)
+            if nulls:
+                values = np.where(sorted_valid, values, 0)
             sums_int = np.zeros(n_out, dtype=np.int64)
             if len(boundaries):
                 sums_int[present] = np.add.reduceat(values, boundaries)
             return Column(INTEGER, sums_int, counts > 0)
 
         if spec.func in ("SUM", "AVG", "STDDEV"):
-            values = sorted_values.astype(np.float64)
-            values = np.where(sorted_valid, values, 0.0)
+            # Float sums stay pairwise reduceat sums in group order: a
+            # sequential np.bincount / np.add.at sum rounds differently.
+            values = sorted_values.astype(np.float64, copy=False)
+            if nulls:
+                values = np.where(sorted_valid, values, 0.0)
             sums = np.zeros(n_out, dtype=np.float64)
             if len(boundaries):
                 sums[present] = np.add.reduceat(values, boundaries)
@@ -880,7 +1048,7 @@ class AggregateOp(Operator):
 
         if spec.func in ("MIN", "MAX"):
             return self._compute_extremum(
-                spec.func, out_type, sorted_values, sorted_valid, boundaries, present, counts, n_out
+                spec.func, out_type, sorted_values, sorted_valid, nulls, boundaries, present, counts, n_out
             )
         raise PlanError(f"unknown aggregate {spec.func!r}")  # pragma: no cover
 
@@ -890,6 +1058,7 @@ class AggregateOp(Operator):
         out_type: DataType,
         sorted_values: np.ndarray,
         sorted_valid: np.ndarray,
+        nulls: bool,
         boundaries: np.ndarray,
         present: np.ndarray,
         counts: np.ndarray,
@@ -914,13 +1083,15 @@ class AggregateOp(Operator):
             info = np.iinfo(np.int64)
             identity = info.max if func == "MIN" else info.min
         else:
-            values = sorted_values.astype(np.float64)
+            values = sorted_values.astype(np.float64, copy=False)
             identity = np.inf if func == "MIN" else -np.inf
-        values = np.where(sorted_valid, values, identity)
+        if nulls:
+            values = np.where(sorted_valid, values, identity)
         agg = np.full(n_out, identity, dtype=values.dtype)
         if len(boundaries):
             agg[present] = ufunc.reduceat(values, boundaries)
-        agg = np.where(valid, agg, 0)
+        if not valid.all():
+            agg = np.where(valid, agg, 0)
         if out_type is INTEGER:
             return Column(INTEGER, agg, valid)
         if out_type is BOOLEAN:
@@ -930,9 +1101,7 @@ class AggregateOp(Operator):
     def _compute_distinct(
         self,
         spec: AggregateSpec,
-        out_type: DataType,
         arg: Column,
-        order: np.ndarray,
         boundaries: np.ndarray,
         present: np.ndarray,
         n_out: int,
@@ -940,18 +1109,50 @@ class AggregateOp(Operator):
         if spec.func != "COUNT":
             raise PlanError("DISTINCT is supported only for COUNT")
         codes_in_group = np.repeat(
-            np.arange(len(boundaries)), np.diff(np.append(boundaries, len(order)))
+            np.arange(len(boundaries)), np.diff(np.append(boundaries, len(arg)))
         )
-        sorted_valid = arg.valid[order]
-        value_codes = _column_codes(arg.take(order))
+        value_codes = _column_codes(arg)
         width = value_codes.max(initial=0) + 1
         pairs = codes_in_group * width + value_codes
-        group_of_pair = unique_ints(pairs[sorted_valid]) // width
+        group_of_pair = unique_ints(pairs[arg.valid]) // width
         counts = np.zeros(n_out, dtype=np.int64)
         if len(group_of_pair):
             bin_counts = np.bincount(group_of_pair, minlength=len(boundaries))
             counts[present] = bin_counts
         return Column(INTEGER, counts, np.ones(n_out, dtype=bool))
+
+
+def _extremum_by_key(
+    func: str,
+    arg: Column,
+    keys: np.ndarray,
+    sorted_keys: np.ndarray,
+    boundaries: np.ndarray,
+    group_sizes: np.ndarray,
+) -> Column:
+    """``MIN`` / ``MAX`` of an ``INTEGER`` argument over a dense ``INTEGER``
+    key, with ``arg`` and ``keys`` in input order: each value folds into
+    its key's slot of a key-indexed array (``ufunc.at``).  An integer
+    extremum does not depend on the order it is taken in, so no gather
+    through the sort order is needed."""
+    ufunc = np.minimum if func == "MIN" else np.maximum
+    info = np.iinfo(np.int64)
+    identity = info.max if func == "MIN" else info.min
+    lo = sorted_keys[0]
+    span = int(sorted_keys[-1] - lo) + 1
+    slots = sorted_keys[boundaries] - lo
+    values = arg.values.astype(np.int64, copy=False)
+    counts = group_sizes
+    if not arg.valid.all():
+        values = np.where(arg.valid, values, identity)
+        counts = np.bincount(keys[arg.valid] - lo, minlength=span)[slots]
+    acc = np.full(span, identity, dtype=np.int64)
+    ufunc.at(acc, keys - lo, values)
+    valid = counts > 0
+    agg = acc[slots]
+    if not valid.all():
+        agg = np.where(valid, agg, 0)
+    return Column(INTEGER, agg, valid)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.engine.expressions import (
     FunctionCall,
     Literal,
     Star,
+    column_refs,
     expression_name,
 )
 from repro.engine.functions import FunctionRegistry
@@ -83,20 +84,10 @@ def _conjoin(conjuncts: Sequence[Expression]) -> Expression | None:
     return result
 
 
-def _column_refs(expr: Expression) -> list[ColumnRef]:
-    """Every ColumnRef in the tree (pre-order)."""
-    refs: list[ColumnRef] = []
-    if isinstance(expr, ColumnRef):
-        refs.append(expr)
-    for child in expr.children():
-        refs.extend(_column_refs(child))
-    return refs
-
-
 def _refs_resolvable(expr: Expression, schema: Schema) -> bool:
     """True if the expression references at least one column and every
     reference resolves in ``schema``."""
-    refs = _column_refs(expr)
+    refs = column_refs(expr)
     if not refs:
         return False
     return all(schema.has_column(ref.name, ref.qualifier) for ref in refs)
@@ -565,7 +556,7 @@ class Planner:
     ) -> dict[ColumnRef, int] | None:
         """Map each column ref in ``conjunct`` to its unique position in
         ``schema``, or None when refless / unresolvable / ambiguous."""
-        refs = _column_refs(conjunct)
+        refs = column_refs(conjunct)
         if not refs:
             return None
         try:
@@ -686,7 +677,7 @@ class Planner:
         self, expr: Expression, mapping: dict[Expression, Expression], clause: str
     ) -> Expression:
         rewritten = _rewrite(expr, mapping)
-        for ref in _column_refs(rewritten):
+        for ref in column_refs(rewritten):
             if not ref.name.startswith("__"):
                 raise PlanError(
                     f"column {ref.display!r} in {clause} must appear in GROUP BY "

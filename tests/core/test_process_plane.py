@@ -8,6 +8,7 @@ covers the machinery around it.
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import numpy as np
@@ -15,7 +16,9 @@ import pytest
 
 from repro.core import Vertexica, VertexicaConfig, faults
 from repro.core.faults import FaultPlan, FaultSpec, InjectedFault, InjectedKill
+from repro.core.shards import ShardedDataPlane
 from repro.core.shmem import SharedArrayGroup
+from repro.engine.parallel import ProcessExecutor
 from repro.errors import VertexicaError
 from repro.programs import PageRank, ShortestPaths
 
@@ -135,6 +138,75 @@ class TestFaultPlanInWorkers:
                     n_workers=2, executor="processes", task_retries=2,
                 )
         assert not faults.is_transient(excinfo.value)
+
+
+def _plane_segments() -> list[str]:
+    """This process's plane segments still named in ``/dev/shm``."""
+    if not os.path.isdir("/dev/shm"):
+        return []
+    prefix = f"vxplane_{os.getpid()}_"
+    return [name for name in os.listdir("/dev/shm") if name.startswith(prefix)]
+
+
+class TestFailedInstall:
+    """A plane bind whose ``install`` raises unlinks the shard segments it
+    created: nothing else has recorded them yet, so neither the run's
+    clean-up nor closing the session would."""
+
+    CONFIG = dict(data_plane="shards", n_partitions=4, executor="processes", n_workers=2)
+
+    def test_first_bind(self, monkeypatch):
+        def broken(executor, setup):
+            raise RuntimeError("install failed")
+
+        monkeypatch.setattr(ProcessExecutor, "install", broken)
+        vx = Vertexica(config=VertexicaConfig(**self.CONFIG))
+        try:
+            graph = _graph(vx)
+            with pytest.raises(RuntimeError, match="install failed"):
+                vx.run(graph, PageRank(iterations=3))
+            assert _plane_segments() == []
+        finally:
+            vx.close()
+        assert _plane_segments() == []
+
+    def test_rollback_rebuild(self, monkeypatch, tmp_path):
+        # Superstep 1 fails transiently once; the rollback rebuilds the
+        # plane, and that second install raises after the workers took it.
+        install = ProcessExecutor.install
+        installs = []
+
+        def second_fails(executor, setup):
+            installs.append(setup)
+            install(executor, setup)
+            if len(installs) == 2:
+                raise RuntimeError("install failed")
+
+        step = ShardedDataPlane.run_superstep
+        tripped = []
+
+        def fails_once(plane, superstep, *args, **kwargs):
+            if superstep == 1 and not tripped:
+                tripped.append(superstep)
+                raise InjectedFault("shard.compute", superstep=1, shard=0, transient=True)
+            return step(plane, superstep, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessExecutor, "install", second_fails)
+        monkeypatch.setattr(ShardedDataPlane, "run_superstep", fails_once)
+        vx = Vertexica(
+            config=VertexicaConfig(
+                **self.CONFIG, checkpoint_every=1, checkpoint_dir=str(tmp_path)
+            )
+        )
+        try:
+            graph = _graph(vx)
+            with pytest.raises(RuntimeError, match="install failed"):
+                vx.run(graph, PageRank(iterations=3))
+            assert tripped and len(installs) == 2
+            assert _plane_segments() == []
+        finally:
+            vx.close()
+        assert _plane_segments() == []
 
 
 class TestExecutorConfig:

@@ -30,6 +30,14 @@ class TestNumericBuiltins:
         assert db.execute("SELECT MOD(10, 3)").scalar() == 1
         assert db.execute("SELECT MOD(10, 0)").scalar() is None
 
+    def test_mod_takes_the_dividends_sign(self, db):
+        # SQL's remainder truncates, as C's does: -7 = -1 * 4 + (-3).
+        assert db.execute("SELECT MOD(-7, 4), MOD(7, -4), MOD(-7, -4)").rows() == [
+            (-3, 3, -3)
+        ]
+        assert db.execute("SELECT MOD(-9223372036854775807 - 1, -1)").scalar() == 0
+        assert db.execute("SELECT MOD(-7, 0)").scalar() is None
+
     def test_least_greatest(self, db):
         assert db.execute("SELECT LEAST(3, 1, 2)").scalar() == 1
         assert db.execute("SELECT GREATEST(3, 1, 2)").scalar() == 3

@@ -283,6 +283,22 @@ class TestMisc:
     def test_modulo(self, db):
         assert db.execute("SELECT 7 % 3").scalar() == 1
 
+    def test_modulo_matches_sqlite(self, db):
+        # The remainder takes the dividend's sign (sqlite3, PostgreSQL and
+        # Vertica agree); a zero divisor gives NULL in both engines.
+        import sqlite3
+
+        pairs = [(a, b) for a in (-9, -7, -1, 0, 1, 7, 9) for b in (-4, -3, -1, 0, 1, 3, 4)]
+        pairs.append(("-9223372036854775807 - 1", -1))  # INT64_MIN % -1 is 0
+        items = ", ".join(f"({a}) % ({b})" for a, b in pairs)
+        got = db.execute(f"SELECT {items}").rows()
+        with sqlite3.connect(":memory:") as conn:
+            expected = conn.execute(f"SELECT {items}").fetchall()
+        assert got == expected
+        assert db.execute("SELECT -7.5 % 2.0, 7.5 % -2.0, 7.0 % 0.0").rows() == [
+            (-1.5, 1.5, None)
+        ]
+
     def test_three_valued_logic(self, db):
         assert db.execute("SELECT NULL AND FALSE").scalar() is False
         assert db.execute("SELECT NULL AND TRUE").scalar() is None

@@ -395,7 +395,9 @@ class SortSpy:
             self._patch_numpy(monkeypatch, name, self._on_hash_set)
         self._patch_numpy(monkeypatch, "lexsort", self._on_lexsort)
         kernel = stable_int_order
-        wrapped = lambda keys: self._on_kernel(kernel, keys)  # noqa: E731
+        wrapped = lambda keys, *a, **kw: self._on_kernel(  # noqa: E731
+            lambda k: kernel(k, *a, **kw), keys
+        )
         set_op = unique_ints
         wrapped_set_op = lambda *arrays: self._on_set_op(set_op, *arrays)  # noqa: E731
         for module in list(sys.modules.values()):
