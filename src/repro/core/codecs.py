@@ -32,6 +32,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.engine.column import Column
 from repro.engine.types import FLOAT, INTEGER, DataType
 from repro.errors import ProgramError
 
@@ -40,6 +41,7 @@ __all__ = [
     "FLOAT_CODEC",
     "INTEGER_CODEC",
     "vector_codec",
+    "encoded_storage",
 ]
 
 #: Signature of the optional vectorized hooks: (values, valid) -> values.
@@ -246,3 +248,42 @@ def vector_codec(width: int) -> ValueCodec:
         encode_array_fn=cast2d,
         width=width,
     )
+
+
+# ---------------------------------------------------------------------------
+# Storage form of encoded items
+# ---------------------------------------------------------------------------
+def encoded_storage(codec: ValueCodec, items: list) -> tuple[np.ndarray, np.ndarray]:
+    """The storage form and validity of per-value encoded items (``None``
+    is NULL).  Scalar codecs get the column ``Column.from_values`` builds
+    (through :func:`_scalar_storage` when it can skip the per-item
+    coercion); vector codecs an ``(n, k)`` float64 block."""
+    if codec.is_vector:
+        valid = np.array([item is not None for item in items], dtype=bool)
+        values = np.zeros((len(items), codec.width), dtype=np.float64)
+        if valid.any():
+            values[valid] = [item for item in items if item is not None]
+        return values, valid
+    storage = _scalar_storage(codec.sql_type, items)
+    if storage is None:
+        column = Column.from_values(codec.sql_type, items)
+        storage = column.values, column.valid
+    return storage
+
+
+def _scalar_storage(dtype: DataType, items: list) -> tuple[np.ndarray, np.ndarray] | None:
+    """The storage array and validity mask ``Column.from_values(dtype,
+    items)`` builds, without its per-item coercion, when every item of a
+    numeric column already has the column's Python type (``float`` /
+    ``int``; ``None`` is NULL and stores the column's filler) — coercion
+    returns such an item unchanged.  ``None`` for anything else (numpy
+    scalars, ``int`` for FLOAT, ``bool``): that takes ``from_values`` and
+    its checks."""
+    if set(map(type, items)) - {dtype.python_type, type(None)}:
+        return None
+    valid = np.ones(len(items), dtype=bool)
+    if None in items:
+        valid = np.array([item is not None for item in items], dtype=bool)
+        filler = dtype.default_value()
+        items = [filler if item is None else item for item in items]
+    return np.array(items, dtype=dtype.numpy_dtype), valid

@@ -21,7 +21,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.api import Vertex
-from repro.core.codecs import FLOAT_CODEC, ValueCodec
+from repro.core.codecs import FLOAT_CODEC, ValueCodec, encoded_storage
 from repro.errors import ProgramError
 
 __all__ = [
@@ -74,6 +74,34 @@ class VertexProgram:
         Default: ``None`` (NULL in the vertex table).
         """
         return None
+
+    def initial_values(
+        self, ids: np.ndarray, out_degrees: np.ndarray, num_vertices: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every vertex's start value at once, in the vertex codec's
+        storage form: ``(values, valid)`` aligned to ``ids``.
+
+        ``ids`` are the run's vertex ids (int64, ascending) and
+        ``out_degrees`` their out-degrees (int64, aligned).  ``values`` is
+        1-D in the codec's column type for a scalar codec and ``(n, k)``
+        float64 for a vector codec; ``valid`` is False where a value is
+        NULL.
+
+        The default calls :meth:`initial_value` once per vertex and encodes
+        the results, so a program that only defines ``initial_value`` runs
+        unchanged.  Override it when the start value is an array function
+        of the ids and degrees: ``setup_run`` then makes no per-vertex
+        Python call.  An override must return exactly the default's bytes
+        (every shipped override is held to that by a property test).
+        """
+        codec = self.vertex_codec
+        return encoded_storage(
+            codec,
+            [
+                codec.encode_or_none(self.initial_value(vertex_id, degree, num_vertices))
+                for vertex_id, degree in zip(ids.tolist(), out_degrees.tolist())
+            ],
+        )
 
     def compute(self, vertex: Vertex) -> None:
         """The vertex compute function, run once per superstep for every
@@ -249,9 +277,7 @@ class VertexBatch:
         self._out_degrees: np.ndarray | None = None
         self._msg_counts: np.ndarray | None = None
         self._halt = np.zeros(len(ids), dtype=bool)
-        self._msg_blocks: list[
-            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]
-        ] = []
+        self._msg_blocks: list[tuple[np.ndarray | None, ...]] = []
         self._agg_blocks: list[tuple[str, np.ndarray]] = []
 
     # ------------------------------------------------------------------
@@ -380,23 +406,21 @@ class VertexBatch:
         self, per_vertex: np.ndarray | Sequence[Any], mask: np.ndarray | None = None
     ) -> None:
         """Queue ``per_vertex[i]`` along every out-edge of vertex ``i``
-        (``mask`` selects which vertices send)."""
-        degrees = self.out_degrees
+        (``mask`` selects which vertices send).
+
+        The block stays *vertex-aligned* — one payload per vertex, not one
+        per edge — until something reads it row by row: the shard plane
+        delivers it by gathering each edge's payload at its sender's row,
+        and only the SQL plane's staging table and the shard plane's sort
+        expand it to one row per edge."""
         values = np.asarray(per_vertex)
         self._check_length("send_to_all_neighbors", "per_vertex", values, self.size, "vertices")
         sending = self._sender_mask("send_to_all_neighbors", mask)
-        if mask is None:
-            payload = np.repeat(values, degrees, axis=0)
-            targets = self.edge_targets
-            senders = np.repeat(self.ids, degrees)
-        else:
-            counts = np.where(sending, degrees, 0)
-            payload = np.repeat(values, counts, axis=0)
-            edge_mask = np.repeat(sending, degrees)
-            targets = self.edge_targets[edge_mask]
-            senders = np.repeat(self.ids, counts)
-        if len(targets):
-            self._msg_blocks.append((senders, targets, payload, sending))
+        if values.ndim == 0:  # one vertex: its payload as a length-1 array
+            values = values[None]
+        edges = len(self.edge_targets) if mask is None else int(self.out_degrees[sending].sum())
+        if edges:
+            self._msg_blocks.append((None, None, values, sending))
 
     def send_along_edges(
         self, per_edge: np.ndarray | Sequence[Any], mask: np.ndarray | None = None
@@ -479,11 +503,14 @@ class VertexBatch:
 
     def collect_message_blocks(
         self,
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
+    ) -> list[tuple[np.ndarray | None, ...]]:
         """Staged ``(senders, targets, values, sending)`` blocks in send
         order.  ``sending`` is the per-vertex sender mask of an
         edge-aligned block (:meth:`send_to_all_neighbors` /
-        :meth:`send_along_edges`) and ``None`` for :meth:`send`."""
+        :meth:`send_along_edges`) and ``None`` for :meth:`send`.  A
+        :meth:`send_to_all_neighbors` block is vertex-aligned: its
+        ``senders`` and ``targets`` are ``None`` and ``values`` holds one
+        payload per batch vertex."""
         return self._msg_blocks
 
     def collect_aggregates(self) -> list[tuple[str, np.ndarray]]:

@@ -29,10 +29,13 @@ This module keeps the run state resident instead:
    / ``send_along_edges``) emit a CSR-order subsequence of their shard's
    out-edge list, so for them that order is a property of the edges
    alone: the :class:`DeliveryPlan` lists, per destination shard, every
-   edge in delivery order, with the run-constant combine boundaries.  A
-   superstep in which every task sent that way is then one gather plus
-   one ``reduceat`` per destination (the plan filtered under the sender
-   mask first when most, but not all, edges sent).  Arbitrary ``send()`` traffic,
+   edge in delivery order with its sender's row, and the run-constant
+   combine boundaries.  A superstep in which every task sent that way is
+   then one gather plus one ``reduceat`` per destination (the plan
+   filtered under the sender mask first when most, but not all, edges
+   sent).  ``send_to_all_neighbors`` keeps one payload per vertex, and
+   its gather reads each edge's payload at the sender's row, so no
+   per-edge payload is ever built for it.  Arbitrary ``send()`` traffic,
    multi-block tasks, the scalar ``compute`` path and sparser frontiers
    sort each destination's rows at the barrier with
    :func:`~repro.engine.operators.stable_int_order`; both give the same
@@ -129,23 +132,33 @@ class DeliveryPlan:
     """Message delivery for the edge-aligned sends, precomputed.
 
     A *position* is an edge's index in the concatenation of every shard's
-    CSR out-edge list, in shard order (:attr:`ShardIndex.targets`).  For
-    destination shard ``d``, ``order[d]`` lists the positions of the edges
-    whose target lands in ``d`` in delivery order — ``(target, source
-    shard, CSR position)``, i.e. ``(target, position)`` — which is the
-    order a stable ``(destination shard, destination id)`` sort of each
-    source shard's messages followed by a stable merge by destination id
-    gives when every edge sends.  ``starts[d]`` are the combine boundaries
-    (where each target's run begins in ``order[d]``), ``senders[d]`` the
-    ``MIN(sender)`` of each run and ``targets[d]`` its destination id.
-    Nothing per edge is kept beyond ``order``: a masked superstep gathers
-    its senders and destinations from what the tasks emitted.
+    CSR out-edge list, in shard order (:attr:`ShardIndex.targets`); a
+    *sender row* is a vertex's index in the concatenation of every shard's
+    vertex ids, in shard order (:attr:`ids`).  For destination shard
+    ``d``, ``order[d]`` lists the positions of the edges whose target
+    lands in ``d`` in delivery order — ``(target, source shard, CSR
+    position)``, i.e. ``(target, position)`` — which is the order a stable
+    ``(destination shard, destination id)`` sort of each source shard's
+    messages followed by a stable merge by destination id gives when every
+    edge sends, and ``sender_rows[d]`` the sender row of each of those
+    edges: a vertex-aligned send's payloads, laid end to end like
+    :attr:`ids`, are gathered through it.  ``starts[d]`` are the combine
+    boundaries (where each target's run begins in ``order[d]``),
+    ``senders[d]`` the ``MIN(sender)`` of each run and ``targets[d]`` its
+    destination id.
     """
 
     order: tuple[np.ndarray, ...]
+    sender_rows: tuple[np.ndarray, ...]
     starts: tuple[np.ndarray, ...]
     senders: tuple[np.ndarray, ...]
     targets: tuple[np.ndarray, ...]
+    ids: np.ndarray
+
+
+def _index_dtype(n: int) -> type:
+    """int32 when every index below ``n`` fits, else int64."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
 def _build_delivery_plan(index: "ShardIndex") -> DeliveryPlan:
@@ -157,25 +170,32 @@ def _build_delivery_plan(index: "ShardIndex") -> DeliveryPlan:
     n = index.n_shards
     targets = index.targets
     buckets = (targets % n).astype(np.min_scalar_type(n))
-    position_dtype = np.int32 if len(targets) <= np.iinfo(np.int32).max else np.int64
-    sources = np.concatenate(
-        [np.repeat(ids, np.diff(indptr)) for ids, indptr in zip(index.vertex_ids, index.edge_indptr)]
+    ids = np.concatenate(index.vertex_ids)
+    # The sender row of every position: shard s's rows follow shard s - 1's
+    # in both concatenations, and a row repeats once per out-edge.
+    source_rows = np.repeat(
+        np.arange(len(ids), dtype=_index_dtype(len(ids))),
+        np.concatenate([np.diff(indptr) for indptr in index.edge_indptr]),
     )
-    orders, starts, senders, group_targets = [], [], [], []
+    orders, sender_rows, starts, senders, group_targets = [], [], [], [], []
     for d in range(n):
         positions = np.flatnonzero(buckets == d)
         dst = targets[positions]
         by_target = stable_int_order((dst,))
         positions, dst = positions[by_target], dst[by_target]
+        rows = source_rows[positions]
         runs = np.flatnonzero(run_starts((dst,)))
-        orders.append(positions.astype(position_dtype))
+        orders.append(positions.astype(_index_dtype(len(targets))))
+        sender_rows.append(rows)
         starts.append(runs)
         senders.append(
-            np.minimum.reduceat(sources[positions], runs) if len(runs) else np.empty(0, np.int64)
+            np.minimum.reduceat(ids[rows], runs) if len(runs) else np.empty(0, np.int64)
         )
         group_targets.append(dst[runs])
-    _read_only(*orders, *starts, *senders, *group_targets)
-    return DeliveryPlan(tuple(orders), tuple(starts), tuple(senders), tuple(group_targets))
+    _read_only(ids, *orders, *sender_rows, *starts, *senders, *group_targets)
+    return DeliveryPlan(
+        tuple(orders), tuple(sender_rows), tuple(starts), tuple(senders), tuple(group_targets), ids
+    )
 
 
 class ShardIndex:
@@ -465,7 +485,7 @@ def _run_shard_task(
         ran=ran,
         dropped=dropped,
         rows_out=updates.num_rows
-        + (0 if messages is None else len(messages.dst))
+        + (0 if messages is None else messages.num_rows)
         + len(agg_partials),
         retried=retried[0],
         seconds=time.perf_counter() - started,
@@ -523,24 +543,32 @@ def _deliver(
     chunks = [c for c in emitted if c is not None]
     if not chunks:
         return [None] * index.n_shards, 0
-    sent = sum(len(c.dst) for c in chunks)
+    sent = sum(c.num_rows for c in chunks)
     # NULL messages need masking only where a combiner reduces them.
     all_valid = combiner is not None and all(bool(c.valid.all()) for c in chunks)
     if (
         all(c.route_senders is not None for c in chunks)
         and sent >= _PLAN_MIN_EDGE_SHARE * index.num_edges
     ):
-        rows = _plan_rows(index, emitted, chunks, sent, combiner is not None, all_valid)
+        rows = _plan_rows(index, emitted, sent, combiner is not None, all_valid)
     else:
-        rows = _sorted_rows(chunks, index.n_shards, all_valid)
+        rows = _sorted_rows(
+            [_edge_rows(index, s, c) for s, c in enumerate(emitted) if c is not None],
+            index.n_shards,
+            all_valid,
+        )
     inboxes = [None if r is None else _inbox(*r, combiner) for r in rows]
     return inboxes, sent
+
+
+def _edge_rows(index: ShardIndex, s: int, messages: EmittedMessages) -> EmittedMessages:
+    """Source shard ``s``'s messages with one row per message."""
+    return messages.edge_rows(index.vertex_ids[s], index.edge_indptr[s], index.shard_edges(s)[1])
 
 
 def _plan_rows(
     index: ShardIndex,
     emitted: list[EmittedMessages | None],
-    chunks: list[EmittedMessages],
     sent: int,
     combined: bool,
     all_valid: bool,
@@ -551,19 +579,23 @@ def _plan_rows(
 
     The tasks' messages, concatenated in shard order, are the edges of the
     flagged senders in order: a subsequence of the index's edge list.
-    When every edge sent, ``order[d]`` *is* the gather, and the plan's
-    runs, senders and targets are the combined groups (``groups``; the
-    rows' ``senders`` and ``dst`` are not gathered for a combiner then).
-    Otherwise dropping the edges that did not send from ``order[d]``
-    leaves the ones that did in the same relative order — the order of the
-    subsequence — and edge ``e`` sits at ``cumsum(edge_mask)[e] - 1`` of
-    the concatenation.
+    When every edge sent, ``order[d]`` lists destination ``d``'s messages,
+    and the plan's runs, senders and targets are the combined groups
+    (``groups``; no per-message senders or destinations are gathered for
+    a combiner then).  Otherwise dropping the edges that did not send from
+    ``order[d]`` (and ``sender_rows[d]``) leaves the ones that did in the
+    same relative order — the order of the subsequence.  A message's
+    sender and destination are its edge's, read from the topology.  Its
+    payload is gathered at its sender row when every task sent
+    vertex-aligned (one payload per vertex, no per-edge copy); otherwise
+    at its place in the concatenated rows, where edge ``e`` sits at
+    ``cumsum(edge_mask)[e] - 1``.
     """
     # Built (once per graph version) before the concatenations below, so
     # that its temporaries and theirs are never alive together.
     plan = index.delivery_plan()
     full = sent == index.num_edges
-    takes = plan.order
+    edge_mask = None
     if not full:
         edge_mask = np.concatenate(
             [
@@ -573,21 +605,36 @@ def _plan_rows(
                 for s, c in enumerate(emitted)
             ]
         )
-        position = np.cumsum(edge_mask, dtype=plan.order[0].dtype) - 1
-        takes = (position[order[edge_mask[order]]] for order in plan.order)
-    values = _concat([c.values for c in chunks])
-    valid = None if all_valid else _concat([c.valid for c in chunks])
-    # A full send's combined groups are the plan's: no senders or dst then.
-    rows = None if full and combined else (
-        _concat([c.senders for c in chunks]), _concat([c.dst for c in chunks])
-    )
-    for d, take in enumerate(takes):
-        if not len(take):
+    by_sender = all(c is None or c.vertex_aligned for c in emitted)
+    if by_sender:
+        like = next(c for c in emitted if c is not None)
+        blocks = [
+            (c.values, c.valid)
+            if c is not None
+            else (
+                np.zeros((len(ids), *like.values.shape[1:]), dtype=like.values.dtype),
+                np.zeros(len(ids), dtype=bool),
+            )
+            for ids, c in zip(index.vertex_ids, emitted)
+        ]
+    else:
+        blocks = [_edge_rows(index, s, c)[2:4] for s, c in enumerate(emitted) if c is not None]
+        position = None if full else np.cumsum(edge_mask, dtype=plan.order[0].dtype) - 1
+    values = _concat([v for v, _ in blocks])
+    valid = None if all_valid else _concat([ok for _, ok in blocks])
+    for d, (order, rows) in enumerate(zip(plan.order, plan.sender_rows)):
+        if not full:
+            keep = edge_mask[order]
+            order, rows = order[keep], rows[keep]
+        if not len(order):
             yield None
             continue
+        take = rows if by_sender else order if full else position[order]
+        # A full send's combined groups are the plan's: no senders or dst then.
+        bare = full and combined
         yield (
-            None if rows is None else rows[0][take],
-            None if rows is None else rows[1][take],
+            None if bare else plan.ids[rows],
+            None if bare else index.targets[order],
             values[take],
             None if valid is None else valid[take],
             (plan.starts[d], plan.senders[d], plan.targets[d]) if full else None,

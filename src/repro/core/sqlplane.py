@@ -118,9 +118,10 @@ class SqlDataPlane:
         )
         storage.stage_worker_output(graph, output)
 
-        vertex_updates = storage.count_staged(graph, 0)
-        storage.apply_vertex_updates(graph, program, self.replace, superstep=superstep)
-        messages_staged = storage.count_staged(graph, 1)
+        vertex_updates, messages_staged, _ = storage.count_staged(graph)
+        storage.apply_vertex_updates(
+            graph, program, self.replace, superstep=superstep, updates=vertex_updates
+        )
         messages_out = storage.apply_messages(graph, program, config.use_combiner)
         self.aggregated = storage.reduce_aggregators(graph, program)
         return StepStats(

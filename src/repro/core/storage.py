@@ -38,9 +38,9 @@ from repro.core.program import VertexProgram
 from repro.engine.batch import RecordBatch
 from repro.engine.column import Column
 from repro.engine.database import Database
-from repro.engine.operators import stable_int_order, unique_ints
+from repro.engine.operators import int_runs, stable_int_order, unique_ints
 from repro.engine.types import BOOLEAN, FLOAT, INTEGER, DataType
-from repro.errors import GraphLoadError
+from repro.errors import GraphLoadError, ProgramError
 
 __all__ = [
     "GraphHandle",
@@ -49,7 +49,7 @@ __all__ = [
     "WORKER_OUTPUT_COLUMNS",
     "canonical_edge_order",
     "edge_arrays",
-    "encoded_storage",
+    "out_degree_array",
     "payload_layout",
     "storage_arrays",
     "storage_form",
@@ -136,6 +136,31 @@ def canonical_edge_order(
     return order
 
 
+def out_degree_array(src: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The out-degree of every vertex in ``ids`` (int64, aligned; 0 for a
+    vertex with no out-edge) from an edge table's ``src`` column — the
+    counts of ``SELECT src, COUNT(*) … GROUP BY src``, without SQL.
+
+    One :func:`~repro.engine.operators.int_runs` pass finds the runs of
+    equal sources (a linear check on a canonically ordered edge table) and
+    each id looks its run up by ``searchsorted``; sources that are not in
+    ``ids`` count for no vertex.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
+    degrees = np.zeros(len(ids), dtype=np.int64)
+    if not len(src) or not len(ids):
+        return degrees
+    order, starts = int_runs((src,))
+    firsts = np.flatnonzero(starts)
+    keys = src[order[firsts]]
+    counts = np.diff(np.append(firsts, len(src)))
+    at = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
+    found = keys[at] == ids
+    degrees[found] = counts[at[found]]
+    return degrees
+
+
 #: Worker output staging columns before the payload lane: kind 0 = vertex
 #: update, 1 = message, 2 = aggregator partial.  ``dst`` is a message's
 #: destination, or for kind 2 the aggregator's position in the program's
@@ -207,24 +232,6 @@ def storage_arrays(values: np.ndarray) -> list[np.ndarray]:
     return [values] if values.ndim == 1 else list(values.T)
 
 
-def encoded_storage(codec: ValueCodec, items: list) -> tuple[np.ndarray, np.ndarray]:
-    """The storage form and validity of per-value encoded items (``None``
-    is NULL).  Scalar codecs get the column ``Column.from_values`` builds
-    (through :func:`_scalar_storage` when it can skip the per-item
-    coercion); vector codecs an ``(n, k)`` float64 block."""
-    if codec.is_vector:
-        valid = np.array([item is not None for item in items], dtype=bool)
-        values = np.zeros((len(items), codec.width), dtype=np.float64)
-        if valid.any():
-            values[valid] = [item for item in items if item is not None]
-        return values, valid
-    storage = _scalar_storage(codec.sql_type, items)
-    if storage is None:
-        column = Column.from_values(codec.sql_type, items)
-        storage = column.values, column.valid
-    return storage
-
-
 def _value_column_ddl(codec: ValueCodec) -> str:
     """The value-column clause of a vertex/message CREATE TABLE."""
     return ", ".join(f"{name} {codec.sql_type.name}" for name in codec.column_names())
@@ -242,24 +249,6 @@ def _value_columns_from_storage(
         Column.from_numpy(codec.sql_type, np.ascontiguousarray(array), valid.copy())
         for array in storage_arrays(values)
     ]
-
-
-def _scalar_storage(dtype: DataType, items: list) -> tuple[np.ndarray, np.ndarray] | None:
-    """The storage array and validity mask ``Column.from_values(dtype,
-    items)`` builds, without its per-item coercion, when every item of a
-    numeric column already has the column's Python type (``float`` /
-    ``int``; ``None`` is NULL and stores the column's filler) — coercion
-    returns such an item unchanged.  ``None`` for anything else (numpy
-    scalars, ``int`` for FLOAT, ``bool``): that takes ``from_values`` and
-    its checks."""
-    if set(map(type, items)) - {dtype.python_type, type(None)}:
-        return None
-    valid = np.ones(len(items), dtype=bool)
-    if None in items:
-        valid = np.array([item is not None for item in items], dtype=bool)
-        filler = dtype.default_value()
-        items = [filler if item is None else item for item in items]
-    return np.array(items, dtype=dtype.numpy_dtype), valid
 
 
 class GraphHandle:
@@ -462,7 +451,8 @@ class GraphStorage:
     def setup_run(self, graph: GraphHandle, program: VertexProgram) -> None:
         """(Re)create the vertex/message/output tables for a program run
         and populate initial vertex values via
-        :meth:`VertexProgram.initial_value`."""
+        :meth:`VertexProgram.initial_values` (ids ascending, out-degrees
+        from :func:`out_degree_array`)."""
         db = self.db
         db.execute(f"DROP TABLE IF EXISTS {graph.vertex_table}")
         db.execute(f"DROP TABLE IF EXISTS {graph.message_table}")
@@ -482,37 +472,26 @@ class GraphStorage:
             for name, dtype, nullable in worker_output_columns(payload_layout(program))
         )
         db.execute(f"CREATE TABLE {graph.output_table} ({staging_columns})")
-        degrees = self.out_degrees(graph)
         id_batch = db.query_batch(f"SELECT id FROM {graph.node_table} ORDER BY id")
         ids = np.asarray(id_batch.column("id").values, dtype=np.int64)
+        degrees = out_degree_array(db.table(graph.edge_table).data().column("src").values, ids)
         codec = program.vertex_codec
-        n = graph.num_vertices
-        # initial_value is a per-vertex program hook (runs once per run,
-        # not per superstep).
-        values = [
-            codec.encode_or_none(
-                program.initial_value(vertex_id, degrees.get(vertex_id, 0), n)
+        values, valid = program.initial_values(ids, degrees, graph.num_vertices)
+        if len(values) != len(ids) or len(valid) != len(ids):
+            raise ProgramError(
+                f"{program.name}.initial_values returned {len(values)} values and "
+                f"{len(valid)} flags for {len(ids)} vertices"
             )
-            for vertex_id in ids.tolist()
-        ]
         schema = db.table(graph.vertex_table).schema
         batch = RecordBatch(
             schema,
             [
                 Column.from_numpy(INTEGER, ids),
-                *_value_columns_from_storage(codec, *encoded_storage(codec, values)),
+                *_value_columns_from_storage(codec, values, valid),
                 Column.from_numpy(BOOLEAN, np.zeros(len(ids), dtype=bool)),
             ],
         )
         db.insert_batch(graph.vertex_table, batch)
-
-    def out_degrees(self, graph: GraphHandle) -> dict[int, int]:
-        """Out-degree per vertex (absent = 0), computed in SQL."""
-        batch = self.db.query_batch(
-            f"SELECT src, COUNT(*) AS deg FROM {graph.edge_table} GROUP BY src"
-        )
-        src, deg = batch.column("src"), batch.column("deg")
-        return dict(zip(src.values.tolist(), deg.values.tolist()))
 
     # ------------------------------------------------------------------
     # Worker input queries (the §2.3 Table Unions optimization + its foil)
@@ -584,11 +563,14 @@ class GraphStorage:
         table = self.db.table(graph.output_table)
         table.replace_data(batch.with_schema(table.schema))
 
-    def count_staged(self, graph: GraphHandle, kind: int) -> int:
-        """Rows of one kind currently staged (direct column scan — this
-        runs twice per superstep, so it skips the SQL round trip)."""
-        data = self.db.table(graph.output_table).data()
-        return int(np.count_nonzero(data.column("kind").values == kind))
+    def count_staged(self, graph: GraphHandle) -> tuple[int, int, int]:
+        """Rows currently staged per kind — vertex updates, messages,
+        aggregator partials — from one ``np.bincount`` over the kind
+        column (a direct scan: it runs once per superstep, so it skips the
+        SQL round trip)."""
+        kind = self.db.table(graph.output_table).data().column("kind").values
+        counts = np.bincount(kind, minlength=3)
+        return int(counts[0]), int(counts[1]), int(counts[2])
 
     def apply_messages(
         self, graph: GraphHandle, program: VertexProgram, use_combiner: bool
@@ -632,6 +614,7 @@ class GraphStorage:
         program: VertexProgram,
         replace: bool,
         superstep: int | None = None,
+        updates: int | None = None,
     ) -> int:
         """Apply staged kind-0 rows to the vertex table.
 
@@ -648,14 +631,17 @@ class GraphStorage:
         call: one version bump, one changelog record, one constraint check.
         The worker stages at most one kind-0 row per existing vertex.
 
-        Returns the number of vertex rows updated.  ``superstep`` only
+        Returns the number of vertex rows updated: ``updates``, the
+        number of kind-0 rows, when the caller counted them
+        (:meth:`count_staged`), else counted here.  ``superstep`` only
         feeds the ``storage.apply`` fault-injection site.
         """
         faults.trip("storage.apply", superstep=superstep)
         db = self.db
         lane = payload_layout(program).vertex
         value_names = program.vertex_codec.column_names()
-        updates = self.count_staged(graph, 0)
+        if updates is None:
+            updates = self.count_staged(graph)[0]
         if updates == 0:
             return 0
         if replace:

@@ -61,11 +61,10 @@ from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 import numpy as np
 
 from repro.core.api import OutEdge, Vertex
-from repro.core.codecs import ValueCodec
+from repro.core.codecs import ValueCodec, encoded_storage
 from repro.core.program import VertexBatch, VertexProgram, supports_batch
 from repro.core.storage import (
     PayloadLayout,
-    encoded_storage,
     payload_layout,
     storage_arrays,
     storage_form,
@@ -282,13 +281,49 @@ class EmittedMessages(NamedTuple):
     per out-edge of the flagged vertices, in the partition's CSR edge
     order (``VertexBatch.send_to_all_neighbors`` / ``send_along_edges``);
     ``None`` for ``send()``, several blocks, or the scalar path.
+
+    A *vertex-aligned* block (one ``send_to_all_neighbors`` call) carries
+    no per-edge array: ``senders`` and ``dst`` are ``None``, and
+    ``values`` / ``valid`` hold one payload per partition vertex, read
+    only where ``route_senders`` is set.  :meth:`edge_rows` expands it to
+    one row per message.  ``num_rows`` counts the rows either way.
     """
 
-    senders: np.ndarray
-    dst: np.ndarray
+    senders: np.ndarray | None
+    dst: np.ndarray | None
     values: np.ndarray
     valid: np.ndarray
     route_senders: np.ndarray | None
+    num_rows: int
+
+    @property
+    def vertex_aligned(self) -> bool:
+        return self.dst is None
+
+    def edge_rows(
+        self, vertex_ids: np.ndarray, edge_indptr: np.ndarray, edge_targets: np.ndarray
+    ) -> EmittedMessages:
+        """The block with one row per message — each sender's payload
+        repeated along its out-edges in CSR order — given the partition's
+        sorted vertex ids and CSR out-edges (the block itself when it
+        already has its rows)."""
+        if self.dst is not None:
+            return self
+        sending = self.route_senders
+        degrees = np.diff(edge_indptr)
+        if bool(sending.all()):
+            counts, dst = degrees, edge_targets
+        else:
+            counts = np.where(sending, degrees, 0)
+            dst = edge_targets[np.repeat(sending, degrees)]
+        return EmittedMessages(
+            np.repeat(vertex_ids, counts),
+            dst,
+            np.repeat(self.values, counts, axis=0),
+            np.repeat(self.valid, counts),
+            sending,
+            self.num_rows,
+        )
 
 
 def _lane(
@@ -332,18 +367,19 @@ class _Outputs:
     role rows keep emission order, which both planes' delivery order
     rests on.  :meth:`to_staged` hands the arrays to the shard plane as
     they are; :meth:`to_batch` writes the same arrays into the staging
-    table's columns.
+    table's columns.  ``part`` is the partition computed over: its vertex
+    ids and CSR out-edges expand a vertex-aligned message block into rows
+    where rows are read.
     """
 
-    __slots__ = ("v_codec", "updates", "messages", "agg_partials", "route_senders")
+    __slots__ = ("v_codec", "part", "updates", "messages", "agg_partials")
 
-    def __init__(self, v_codec: ValueCodec) -> None:
+    def __init__(self, v_codec: ValueCodec, part: _DecodedPartition) -> None:
         self.v_codec = v_codec
+        self.part = part
         self.updates: list[tuple[np.ndarray, ...]] = []  # (vid, halted, values, valid)
-        self.messages: list[tuple[np.ndarray, ...]] = []  # (senders, dst, values, valid)
+        self.messages: list[EmittedMessages] = []
         self.agg_partials: list[tuple[str, float]] = []
-        #: see :class:`EmittedMessages` (set by the batch path)
-        self.route_senders: np.ndarray | None = None
 
     def add_vertex_block(
         self, vids: np.ndarray, halted: np.ndarray, values: np.ndarray, valid: np.ndarray
@@ -355,18 +391,43 @@ class _Outputs:
             )
 
     def add_message_block(
-        self, senders: np.ndarray, targets: np.ndarray, values: np.ndarray, valid: np.ndarray
+        self,
+        senders: np.ndarray,
+        targets: np.ndarray,
+        values: np.ndarray,
+        valid: np.ndarray,
+        route_senders: np.ndarray | None = None,
     ) -> None:
         """A block of kind-1 rows (no per-item work)."""
         if len(senders):
-            senders = np.asarray(senders, dtype=np.int64)
-            self.messages.append((senders, np.asarray(targets, dtype=np.int64), values, valid))
+            self.messages.append(
+                EmittedMessages(
+                    np.asarray(senders, dtype=np.int64),
+                    np.asarray(targets, dtype=np.int64),
+                    values,
+                    valid,
+                    route_senders,
+                    len(senders),
+                )
+            )
+
+    def add_vertex_aligned_block(
+        self, values: np.ndarray, valid: np.ndarray, route_senders: np.ndarray, num_rows: int
+    ) -> None:
+        """A vertex-aligned block: one payload per partition vertex, sent
+        along the out-edges of the ``route_senders`` (``num_rows`` edges)."""
+        self.messages.append(EmittedMessages(None, None, values, valid, route_senders, num_rows))
+
+    def _edge_rows(self, block: EmittedMessages) -> EmittedMessages:
+        part = self.part
+        return block.edge_rows(part.vertex_ids, part.edge_indptr, part.edge_targets)
 
     def to_staged(self) -> tuple[StagedRows, EmittedMessages | None, list[tuple[str, float]]]:
         """The accumulated rows per role as plain arrays (the shard
         plane's path — no :class:`~repro.engine.column.Column` wrapping,
         no staging table): the vertex updates, the messages (``None`` when
-        none were sent) and the aggregator partials."""
+        none were sent; one block as it was emitted, several stacked row
+        by row, untagged) and the aggregator partials."""
         if self.updates:
             updates = StagedRows(*_stack(self.updates))
         else:
@@ -375,8 +436,15 @@ class _Outputs:
                 np.empty(0, dtype=np.int64), flags, _storage(self.v_codec, np.empty(0), flags), flags
             )
         messages = None
-        if self.messages:
-            messages = EmittedMessages(*_stack(self.messages), self.route_senders)
+        if len(self.messages) == 1:
+            messages = self.messages[0]
+        elif self.messages:
+            blocks = [self._edge_rows(block) for block in self.messages]
+            messages = EmittedMessages(
+                *_stack([block[:4] for block in blocks]),
+                None,
+                sum(block.num_rows for block in blocks),
+            )
         return updates, messages, self.agg_partials
 
     def to_batch(
@@ -386,8 +454,10 @@ class _Outputs:
         partials (``dst`` = the aggregator's position in ``aggregators``),
         each payload in its role's lane columns."""
         updates, messages, partials = self.to_staged()
+        if messages is not None:
+            messages = self._edge_rows(messages)
         at_messages = updates.num_rows
-        at_partials = at_messages + (0 if messages is None else len(messages.dst))
+        at_partials = at_messages + (0 if messages is None else messages.num_rows)
         n = at_partials + len(partials)
         segments: dict[str, list[tuple]] = {name: [] for name in schema.names()}
         rows_per_kind = (at_messages, at_partials - at_messages, len(partials))
@@ -505,7 +575,7 @@ class VertexWorker:
         retry loop) can account exactly once via
         :meth:`record_partition_counts` after it commits to a result.
         """
-        out = _Outputs(self.program.vertex_codec)
+        out = _Outputs(self.program.vertex_codec, part)
         active = part.active_mask(self.superstep)
         if self.use_batch:
             ran = self._run_batch(out, part, active)
@@ -670,16 +740,34 @@ class VertexWorker:
         out.add_vertex_block(
             ctx.ids, ctx.collect_halt_votes(), _storage(v_codec, values, valid), valid
         )
-        blocks = ctx.collect_message_blocks()
-        for senders, targets, payload, _ in blocks:
-            sent = np.ones(len(payload), dtype=bool)
-            out.add_message_block(senders, targets, _storage(m_codec, payload, sent), sent)
-        if len(blocks) == 1 and blocks[0][3] is not None:
-            # The task's kind-1 rows are exactly one edge-aligned block:
-            # name its senders by partition position (the batch only
-            # holds the active vertices).
-            out.route_senders = np.zeros(part.num_vertices, dtype=bool)
-            out.route_senders[act] = blocks[0][3]
+        for senders, targets, payload, sending in ctx.collect_message_blocks():
+            # Name an edge-aligned block's senders by partition position
+            # (the batch only holds the active vertices).
+            route = sending
+            if sending is not None and len(act) < part.num_vertices:
+                route = np.zeros(part.num_vertices, dtype=bool)
+                route[act] = sending
+            if targets is not None:  # send() / send_along_edges: one payload per row
+                sent = np.ones(len(payload), dtype=bool)
+                out.add_message_block(
+                    senders, targets, _storage(m_codec, payload, sent), sent, route
+                )
+                continue
+            # send_to_all_neighbors: one payload per vertex, encoded for the
+            # senders only and laid out by partition position.
+            every = bool(route.all())
+            shipped = payload if every else payload[sending]
+            encoded = _storage(m_codec, shipped, np.ones(len(shipped), dtype=bool))
+            if not every:
+                aligned = np.zeros((part.num_vertices, *encoded.shape[1:]), dtype=encoded.dtype)
+                aligned[route] = encoded
+                encoded = aligned
+            out.add_vertex_aligned_block(
+                encoded,
+                np.ones(part.num_vertices, dtype=bool),
+                route,
+                int(np.diff(part.edge_indptr)[route].sum()),
+            )
         for name, contributions in ctx.collect_aggregates():
             out.agg_partials.extend(
                 (name, value) for value in contributions.tolist()

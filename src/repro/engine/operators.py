@@ -173,7 +173,12 @@ def _int_order(
         bits = (int(key.max()) - lo).bit_length()
         if bits:
             spans.append((key, lo, bits))
-    while spans and not np.count_nonzero(spans[-1][0][1:] < spans[-1][0][:-1]):
+    descents = 0  # of the last key kept: a lone key's count is its word's
+    while spans:
+        last = spans[-1][0]
+        descents = np.count_nonzero(last[1:] < last[:-1])
+        if descents:
+            break
         spans.pop()
     word_bits = sum(bits for _, _, bits in spans)
     if word_bits > 64:
@@ -192,9 +197,10 @@ def _int_order(
             field <<= np.uint64(shift)
             word |= field
         shift += bits
-    descents = np.count_nonzero(word[1:] < word[:-1])
-    if descents == 0:
-        return None, None
+    if len(spans) > 1:
+        descents = np.count_nonzero(word[1:] < word[:-1])
+        if descents == 0:
+            return None, None
     if descents < _MERGE_MAX_RUNS:
         return np.argsort(word, kind="stable"), None
     index_bits = (n - 1).bit_length()

@@ -337,8 +337,8 @@ class ProcessExecutor:
             try:
                 self._broadcast(workers, payload)
                 return
-            except (EOFError, OSError):
-                self.close()
+            except WorkerProcessDied:
+                pass  # the pool is closed: respawn it below
         if self.n_processes > 1:
             self._ensure_workers()  # spawns and replays the stored setup
 
@@ -355,8 +355,8 @@ class ProcessExecutor:
             workers = list(self._workers)
         try:
             self._broadcast(workers, payload)
-        except (EOFError, OSError):
-            self.close()
+        except WorkerProcessDied:
+            pass  # closed: the next call respawns the pool
 
     def __call__(
         self,
@@ -433,14 +433,26 @@ class ProcessExecutor:
             self._broadcast(spawned, setup)
         return list(spawned)
 
-    @staticmethod
-    def _broadcast(workers: list[tuple[Any, Any]], payload: bytes) -> None:
+    def _broadcast(self, workers: list[tuple[Any, Any]], payload: bytes) -> None:
         """Run a pickled zero-arg callable in every worker.  Every reply
         is read before the first failure is raised, so the pipes stay in
-        step for the pool's next use."""
-        for _, conn in workers:
-            conn.send(("setup", payload))
-        replies = [conn.recv() for _, conn in workers]
+        step for the pool's next use.
+
+        Raises:
+            WorkerProcessDied: a worker died before replying (the callable
+                may have killed it).  The pool is closed first: its pipes
+                are out of step, and the next call respawns it.
+        """
+        try:
+            for _, conn in workers:
+                conn.send(("setup", payload))
+            replies = [conn.recv() for _, conn in workers]
+        except (EOFError, OSError) as exc:
+            self.close()
+            raise WorkerProcessDied(
+                "a worker process died while the pool broadcast its bootstrap "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
         for tag, body in replies:
             if tag == "err":
                 raise _decode_exception(body)

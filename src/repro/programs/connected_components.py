@@ -29,6 +29,11 @@ class ConnectedComponents(BatchVertexProgram):
     def initial_value(self, vertex_id: int, out_degree: int, num_vertices: int) -> int:
         return vertex_id
 
+    def initial_values(
+        self, ids: np.ndarray, out_degrees: np.ndarray, num_vertices: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return ids.copy(), np.ones(len(ids), dtype=bool)
+
     def compute(self, vertex: Vertex) -> None:
         if vertex.superstep == 0:
             vertex.send_message_to_all_neighbors(vertex.value)

@@ -8,6 +8,8 @@ sum their inbox in superstep 1.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.api import Vertex
 from repro.core.program import VertexProgram
 
@@ -22,6 +24,11 @@ class OutDegree(VertexProgram):
     def initial_value(self, vertex_id: int, out_degree: int, num_vertices: int) -> float:
         return 0.0
 
+    def initial_values(
+        self, ids: np.ndarray, out_degrees: np.ndarray, num_vertices: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(len(ids)), np.ones(len(ids), dtype=bool)
+
     def compute(self, vertex: Vertex) -> None:
         vertex.modify_vertex_value(float(vertex.out_degree))
         vertex.vote_to_halt()
@@ -34,6 +41,11 @@ class InDegree(VertexProgram):
 
     def initial_value(self, vertex_id: int, out_degree: int, num_vertices: int) -> float:
         return 0.0
+
+    def initial_values(
+        self, ids: np.ndarray, out_degrees: np.ndarray, num_vertices: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(len(ids)), np.ones(len(ids), dtype=bool)
 
     def compute(self, vertex: Vertex) -> None:
         if vertex.superstep == 0:

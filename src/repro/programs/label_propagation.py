@@ -50,6 +50,18 @@ class LabelPropagation(BatchVertexProgram):
     def initial_value(self, vertex_id: int, out_degree: int, num_vertices: int) -> int:
         return self.seeds.get(vertex_id, vertex_id)
 
+    def initial_values(
+        self, ids: np.ndarray, out_degrees: np.ndarray, num_vertices: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        labels = ids.copy()
+        if self.seeds:
+            keys = np.array(sorted(self.seeds), dtype=np.int64)
+            seeded = np.array([int(self.seeds[k]) for k in keys.tolist()], dtype=np.int64)
+            at = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
+            hit = keys[at] == ids
+            labels[hit] = seeded[at[hit]]
+        return labels, np.ones(len(ids), dtype=bool)
+
     def compute(self, vertex: Vertex) -> None:
         if vertex.superstep > 0 and vertex.messages:
             counts = Counter(vertex.messages)

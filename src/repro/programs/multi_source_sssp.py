@@ -54,6 +54,12 @@ class MultiSourceSSSP(BatchVertexProgram):
     ) -> list[float]:
         return [0.0 if vertex_id == s else INFINITY for s in self.sources]
 
+    def initial_values(
+        self, ids: np.ndarray, out_degrees: np.ndarray, num_vertices: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        sources = np.array(self.sources, dtype=np.int64)
+        return np.where(ids[:, None] == sources, 0.0, INFINITY), np.ones(len(ids), dtype=bool)
+
     def compute(self, vertex: Vertex) -> None:
         dist = np.asarray(vertex.value, dtype=np.float64)
         if vertex.superstep == 0:

@@ -47,6 +47,11 @@ class PageRank(BatchVertexProgram):
     def initial_value(self, vertex_id: int, out_degree: int, num_vertices: int) -> float:
         return 1.0 / num_vertices
 
+    def initial_values(
+        self, ids: np.ndarray, out_degrees: np.ndarray, num_vertices: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return np.ones(len(ids)) / num_vertices, np.ones(len(ids), dtype=bool)
+
     def compute(self, vertex: Vertex) -> None:
         if vertex.superstep > 0:
             incoming = sum(vertex.messages)

@@ -41,6 +41,11 @@ class RandomWalkWithRestart(VertexProgram):
     def initial_value(self, vertex_id: int, out_degree: int, num_vertices: int) -> float:
         return 1.0 if vertex_id == self.source else 0.0
 
+    def initial_values(
+        self, ids: np.ndarray, out_degrees: np.ndarray, num_vertices: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return np.where(ids == self.source, 1.0, 0.0), np.ones(len(ids), dtype=bool)
+
     def compute(self, vertex: Vertex) -> None:
         if vertex.superstep > 0:
             incoming = sum(vertex.messages)

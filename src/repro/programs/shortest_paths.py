@@ -40,6 +40,11 @@ class ShortestPaths(BatchVertexProgram):
     def initial_value(self, vertex_id: int, out_degree: int, num_vertices: int) -> float:
         return 0.0 if vertex_id == self.source else INFINITY
 
+    def initial_values(
+        self, ids: np.ndarray, out_degrees: np.ndarray, num_vertices: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return np.where(ids == self.source, 0.0, INFINITY), np.ones(len(ids), dtype=bool)
+
     def compute(self, vertex: Vertex) -> None:
         if vertex.superstep == 0:
             if vertex.id == self.source:

@@ -44,6 +44,7 @@ HYGIENE_SCOPES = (
     "core/test_session_pool.py",
     "core/test_recovery.py",
     "core/test_recovery_fuzz.py",
+    "core/test_sender_gather.py",
     "core/test_failure_injection.py",
     "engine/test_parallel.py",
     "serving/",

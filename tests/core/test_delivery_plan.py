@@ -87,11 +87,14 @@ def deliveries(draw):
     """A graph's index plus one superstep of edge-aligned messages from
     every shard: all edges (``full``), a random sender subset
     (``masked``) or one sender (``near_empty``); scalar float, integer or
-    width-2 vector payloads, with or without NULLs."""
+    width-2 vector payloads, with or without NULLs; one row per edge, or
+    vertex-aligned (one payload per vertex, as ``send_to_all_neighbors``
+    emits) in every shard or in some."""
     ids, src, dst, _, _, n_shards = draw(graphs())
     index = build_index(ids, src, dst, n_shards)
     frontier = draw(st.sampled_from(["full", "masked", "near_empty"]))
     kind = draw(st.sampled_from(["float", "integer", "vector"]))
+    layout = draw(st.sampled_from(["edges", "vertices", "mixed"]))
     nulls = draw(st.booleans())
     combiner = draw(st.sampled_from([None, "SUM", "MIN", "MAX"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -111,20 +114,23 @@ def deliveries(draw):
         if m == 0:
             emitted.append(None)  # a task that sent nothing
             continue
+        per_vertex = layout == "vertices" or (layout == "mixed" and s % 2 == 0)
+        rows = len(vertex_ids) if per_vertex else m
         if kind == "integer":
-            values = rng.integers(-50, 50, m)
+            values = rng.integers(-50, 50, rows)
         else:
-            shape = (m, 2) if kind == "vector" else m
+            shape = (rows, 2) if kind == "vector" else rows
             values = np.where(
                 rng.random(shape) < 0.3, rng.choice(SPECIAL, shape), rng.normal(size=shape)
             )
         emitted.append(
             EmittedMessages(
-                senders=np.repeat(vertex_ids, np.where(sending, degrees, 0)),
-                dst=index.shard_edges(s)[1][edges],
+                senders=None if per_vertex else np.repeat(vertex_ids, np.where(sending, degrees, 0)),
+                dst=None if per_vertex else index.shard_edges(s)[1][edges],
                 values=values,
-                valid=rng.random(m) < 0.7 if nulls else np.ones(m, dtype=bool),
+                valid=rng.random(rows) < 0.7 if nulls else np.ones(rows, dtype=bool),
                 route_senders=sending,
+                num_rows=m,
             )
         )
     dtype = np.dtype(np.int64 if kind == "integer" else np.float64)
@@ -136,14 +142,14 @@ class TestPlanEqualsLexsort:
     @given(deliveries())
     def test_delivery_through_the_plan(self, case):
         index, emitted, combiner, dtype = case
-        want = lexsort_delivery(emitted, index.n_shards)
+        want = lexsort_delivery(index, emitted)
         if combiner is not None:
             want = [None if w is None else combined(w, combiner, dtype) for w in want]
         # Forced plan, the shipped cut-over, and forced sort: one answer.
         for share in (0, shards._PLAN_MIN_EDGE_SHARE, 2):
             with mock.patch.object(shards, "_PLAN_MIN_EDGE_SHARE", share):
                 got, sent = _deliver(index, emitted, combiner)
-            assert sent == sum(0 if m is None else len(m.dst) for m in emitted)
+            assert sent == sum(0 if m is None else m.num_rows for m in emitted)
             assert_same_inboxes(got, want)
 
 

@@ -125,15 +125,18 @@ def emit(index: ShardIndex, program, superstep: int, halted=frozenset(), use_bat
     return staged, emitted
 
 
-def lexsort_delivery(emitted, n_shards: int) -> list[tuple | None]:
-    """The reference: each source's rows stably sorted by ``(dest shard,
-    dest id)`` (``np.lexsort``), each destination's buckets concatenated
-    in source order and stably sorted by dest id — the routing every
-    superstep did before the delivery plan."""
+def lexsort_delivery(index: ShardIndex, emitted) -> list[tuple | None]:
+    """The reference: each source's rows (a vertex-aligned block expanded
+    to one row per edge) stably sorted by ``(dest shard, dest id)``
+    (``np.lexsort``), each destination's buckets concatenated in source
+    order and stably sorted by dest id — the routing every superstep did
+    before the delivery plan."""
+    n_shards = index.n_shards
     buckets = [[] for _ in range(n_shards)]
-    for m in emitted:
+    for s, m in enumerate(emitted):
         if m is None:
             continue
+        m = m.edge_rows(index.vertex_ids[s], index.edge_indptr[s], index.shard_edges(s)[1])
         order = np.lexsort((m.dst, m.dst % n_shards))
         rows = [m.senders[order], m.dst[order], m.values[order], m.valid[order]]
         bounds = np.searchsorted((m.dst % n_shards)[order], np.arange(n_shards + 1))
@@ -221,7 +224,7 @@ class TestPlanEqualsLexsort:
         superstep = 1 if halted_run else 0
         _, emitted = emit(index, Sender(senders, how), superstep, halted)
         assert all(m is None or m.route_senders is not None for m in emitted)
-        want = lexsort_delivery(emitted, n_shards)
+        want = lexsort_delivery(index, emitted)
         # Cut-over forced low: the plan serves every tagged superstep.
         with mock.patch.object(shards, "_PLAN_MIN_EDGE_SHARE", 0), mock.patch.object(
             shards, "_sorted_rows", wraps=shards._sorted_rows
@@ -246,7 +249,7 @@ class TestPlanEqualsLexsort:
         with mock.patch.object(shards, "_PLAN_MIN_EDGE_SHARE", 0):
             got, _ = _deliver(index, emitted, None)
         assert index._plan is None
-        assert_same_inboxes(got, lexsort_delivery(emitted, n_shards))
+        assert_same_inboxes(got, lexsort_delivery(index, emitted))
 
     def test_few_messages_sort_instead_of_filtering(self):
         """Below the cut-over a tagged superstep neither builds nor uses
@@ -259,11 +262,11 @@ class TestPlanEqualsLexsort:
         assert emitted[0].route_senders is not None
         got, _ = _deliver(index, emitted, None)
         assert index._plan is None
-        assert_same_inboxes(got, lexsort_delivery(emitted, 1))
+        assert_same_inboxes(got, lexsort_delivery(index, emitted))
         _, emitted = emit(index, Sender(frozenset([hub]), "neighbors"), 0)
         got, _ = _deliver(index, emitted, None)
         assert index._plan is not None
-        assert_same_inboxes(got, lexsort_delivery(emitted, 1))
+        assert_same_inboxes(got, lexsort_delivery(index, emitted))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from repro.core.codecs import FLOAT_CODEC, INTEGER_CODEC, ValueCodec, vector_codec
 from repro.core.program import VertexProgram
 from repro.core.shards import shard_index
-from repro.core.storage import GraphStorage
+from repro.core.storage import GraphStorage, out_degree_array
 from repro.engine import Database
 from repro.engine.column import Column
 from repro.engine.types import FLOAT, INTEGER
@@ -147,11 +147,11 @@ class TestSetupRun:
         handle = storage.load_graph("g", [0, 0, 4, 9], [1, 2, 4, 3], num_vertices=30)
         program = Initial()
         storage.setup_run(handle, program)
-        degrees = storage.out_degrees(handle)
+        degrees = out_degree_array(db.table("g_edge").data().column("src").values, np.arange(30))
         expected = Column.from_values(
             codec.sql_type,
             [
-                codec.encode_or_none(program.initial_value(v, degrees.get(v, 0), 30))
+                codec.encode_or_none(program.initial_value(v, int(degrees[v]), 30))
                 for v in range(30)
             ],
         )
@@ -174,10 +174,11 @@ class TestSetupRun:
         with pytest.raises(TypeMismatchError, match="BOOLEAN"):
             storage.setup_run(handle, Bools())
 
-    def test_out_degrees(self, storage):
-        handle = storage.load_graph("g", [0, 0, 1], [1, 2, 2], num_vertices=4)
-        degrees = storage.out_degrees(handle)
-        assert degrees == {0: 2, 1: 1}
+    def test_out_degrees(self, storage, db):
+        storage.load_graph("g", [0, 0, 1], [1, 2, 2], num_vertices=4)
+        src = db.table("g_edge").data().column("src").values
+        degrees = out_degree_array(src, np.arange(4))
+        assert degrees.dtype == np.int64 and degrees.tolist() == [2, 1, 0, 0]
 
 
 class TestInputSql:

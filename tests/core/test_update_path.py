@@ -45,14 +45,14 @@ from repro.programs import (
 _set_apply = GraphStorage.apply_vertex_updates
 
 
-def per_tuple_apply(storage, graph, program, replace, superstep=None):
+def per_tuple_apply(storage, graph, program, replace, superstep=None, updates=None):
     """The deleted tuple-at-a-time Update path: one parsed, planned and
     executed ``UPDATE … WHERE id = ?`` per staged kind-0 row.  The
     replace path is left as it is."""
     if replace:
-        return _set_apply(storage, graph, program, replace, superstep)
+        return _set_apply(storage, graph, program, replace, superstep, updates)
     db = storage.db
-    updates = storage.count_staged(graph, 0)
+    updates = storage.count_staged(graph)[0]
     if updates == 0:
         return 0
     staged = db.execute(

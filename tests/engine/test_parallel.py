@@ -180,6 +180,23 @@ def _die_at(item, index):
     return item
 
 
+class _DieOnce:
+    """A picklable bootstrap that kills the first worker to run it (the
+    one that creates ``marker``) and sets the boot value in every other."""
+
+    def __init__(self, marker: str, value: int) -> None:
+        self.marker = marker
+        self.value = value
+
+    def __call__(self) -> None:
+        try:
+            os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            _SetBootValue(self.value)()
+            return
+        os._exit(4)  # a worker lost mid-bootstrap: no reply, no cleanup
+
+
 class TestProcessExecutor:
     def test_order_preserved_across_processes(self):
         with ProcessExecutor(2) as ex:
@@ -243,6 +260,29 @@ class TestProcessExecutor:
             # next call respawns the pool and replays the bootstrap
             out = ex(_read_boot_value, [(None, i) for i in range(4)])
             assert all(value == 99 for _, value in out)
+
+    def test_worker_dying_in_bootstrap_is_transient_and_respawns(self, tmp_path):
+        from repro.core import faults
+
+        with ProcessExecutor(2) as ex:
+            with pytest.raises(WorkerProcessDied, match="bootstrap") as excinfo:
+                ex.install(_DieOnce(str(tmp_path / "spawn"), 5))
+            assert faults.is_transient(excinfo.value)
+            assert ex._workers == []  # closed: no dead pipe is kept
+            # The next call respawns the pool and replays the bootstrap.
+            out = ex(_read_boot_value, [(None, i) for i in range(4)])
+            assert all(value == 5 for _, value in out)
+
+    def test_worker_dying_in_a_reinstall_respawns_in_place(self, tmp_path):
+        with ProcessExecutor(2) as ex:
+            ex.install(_SetBootValue(1))
+            before = {pid for pid, _ in ex(_read_boot_value, [(None, i) for i in range(4)])}
+            # A live pool loses a worker to the new bootstrap: install
+            # closes it, respawns, and the replay succeeds.
+            ex.install(_DieOnce(str(tmp_path / "live"), 6))
+            out = ex(_read_boot_value, [(None, i) for i in range(4)])
+            assert all(value == 6 for _, value in out)
+            assert not before & {pid for pid, _ in out}
 
     def test_close_is_idempotent_and_reusable(self):
         ex = ProcessExecutor(2)

@@ -492,10 +492,10 @@ class TestSqlPlaneGate:
         spy = SortSpy(monkeypatch)
         result = vx.run(graph, PageRank(iterations=3))
         assert result.stats.n_supersteps == 4
-        # Every superstep's message GROUP BY dst (>= CUT staged rows) plus
-        # the set-up's out-degree GROUP BY src ran; none factorized, and
-        # the replace path's LEFT JOIN ranked its keys through the kernel.
-        assert spy.aggregates_at_scale >= 4
+        # The message GROUP BY dst of every superstep that sent (>= CUT
+        # staged rows) ran, and no other (set-up counts out-degrees without
+        # SQL); none factorized.
+        assert spy.aggregates_at_scale == 3
         assert spy.aggregate_factorizes == 0
         spy.assert_sorts_once_and_never_hashes()
 
