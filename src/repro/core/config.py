@@ -52,9 +52,9 @@ class VertexicaConfig:
             edges through the three-way join every superstep.
         compute_strategy: ``"auto"`` runs the vectorized batch data plane
             for programs implementing ``compute_batch`` and falls back to
-            the per-vertex scalar path otherwise; ``"batch"`` requires the
-            batch path (raising for programs without it); ``"scalar"``
-            forces the per-vertex path (the parity/ablation foil).
+            the per-vertex scalar path otherwise; ``"scalar"`` forces the
+            per-vertex path (the parity/ablation foil).  Each superstep's
+            ``compute_path`` stat records which path ran.
         update_strategy: how the SQL plane applies a superstep's vertex
             updates.  ``"update"`` (default) writes the staged rows into
             the existing table as one set-oriented keyed scatter (one
@@ -71,22 +71,20 @@ class VertexicaConfig:
             vertex/edge/message state resident in hash-partitioned
             columnar shards — partitioned once at run setup — and routes
             messages between shards in-plane, touching the SQL tables
-            only per the ``superstep_sync`` policy.  Both planes are
-            bit-identical (the parity suite holds all shipped programs
-            to it); the sharded plane skips the per-superstep union
-            query, the global partition lexsort, and the message-table
-            round trip.  ``input_strategy`` and ``update_strategy`` are
+            only at checkpoint boundaries and at completion.  Both
+            planes are bit-identical (the parity suite holds all shipped
+            programs to it); the sharded plane skips the per-superstep
+            union query, the global partition lexsort, and the
+            message-table round trip.  ``input_strategy`` and ``update_strategy`` are
             the paper's SQL-plane ablations: setting either away from its
             default under ``"shards"`` is an error naming the field and
             the plane.
-        superstep_sync: how eagerly the sharded plane mirrors its state
-            back to the relational tables.  ``"every"`` (default) writes
-            the vertex and message tables after each superstep — the
-            legacy plane's observable behavior, so hybrid SQL, the demo
-            console, and checkpoints see fresh state at any point;
-            ``"halt"`` materializes only once the run completes (the
-            fast path).  The SQL plane's tables are always current, so
-            ``"halt"`` under ``data_plane="sql"`` is an error.
+        superstep_sync: ``"halt"``, the one value: the shard plane
+            writes the vertex and message tables at checkpoint
+            boundaries and once at completion, as Pregel and Giraph
+            write their output at the end (no reader sees them mid-run:
+            ``run`` is synchronous and served reads pin a snapshot).
+            The SQL plane's tables are always current.
         use_combiner: honor the program's combiner declaration (pushed into
             SQL aggregation between supersteps).
         max_supersteps: overrides the program's cap when not ``None``.
@@ -97,9 +95,10 @@ class VertexicaConfig:
             baseline before superstep 0).  With a checkpoint on disk,
             transient mid-superstep faults roll the run back and replay
             instead of crashing it, and a killed run can be resumed.
-            ``None`` (default) disables checkpointing.  Under
-            ``superstep_sync="halt"`` the shard plane syncs its resident
-            arrays at checkpoint boundaries only.
+            ``None`` (default) disables checkpointing.  The shard plane
+            syncs its resident arrays into the tables just before each
+            checkpoint write.  A transient fault in that sync or write
+            (after the baseline) rolls back and replays like any other.
         checkpoint_dir: where run checkpoints live; required by
             ``checkpoint_every`` and ``resume``.
         resume: continue from the last durable checkpoint in
@@ -121,7 +120,10 @@ class VertexicaConfig:
     compute_strategy: str = "auto"
     update_strategy: str = "update"
     data_plane: str = "sql"
-    superstep_sync: str = "every"
+    # One value left, the default.  The field stays only because
+    # benchmarks/perf/workloads.py passes superstep_sync="halt" in its
+    # SHARDS overrides; a benchmark change drops it there, then deletes it.
+    superstep_sync: str = "halt"
     use_combiner: bool = True
     max_supersteps: int | None = None
     track_metrics: bool = True
@@ -164,10 +166,11 @@ class VertexicaConfig:
             raise VertexicaError(
                 f"input_strategy must be 'union' or 'join', got {self.input_strategy!r}"
             )
-        if self.compute_strategy not in ("auto", "batch", "scalar"):
+        if self.compute_strategy not in ("auto", "scalar"):
             raise VertexicaError(
-                "compute_strategy must be 'auto', 'batch', or 'scalar', "
-                f"got {self.compute_strategy!r}"
+                "compute_strategy must be 'auto' or 'scalar', got "
+                f"{self.compute_strategy!r} ('auto' runs the batch path "
+                "whenever the program implements compute_batch)"
             )
         if self.update_strategy not in ("update", "replace"):
             raise VertexicaError(
@@ -178,10 +181,11 @@ class VertexicaConfig:
             raise VertexicaError(
                 f"data_plane must be 'sql' or 'shards', got {self.data_plane!r}"
             )
-        if self.superstep_sync not in ("every", "halt"):
+        if self.superstep_sync != "halt":
             raise VertexicaError(
-                "superstep_sync must be 'every' or 'halt', "
-                f"got {self.superstep_sync!r}"
+                f"superstep_sync must be 'halt', got {self.superstep_sync!r} "
+                "('every' was removed: the shard plane writes its tables at "
+                "checkpoint boundaries and at completion)"
             )
         if self.data_plane == "shards":
             default = VertexicaConfig()
@@ -192,11 +196,6 @@ class VertexicaConfig:
                         f"{name}={value!r} is a SQL-plane ablation; "
                         f"data_plane='shards' has no such stage (leave it at {unset!r})"
                     )
-        elif self.superstep_sync == "halt":
-            raise VertexicaError(
-                "superstep_sync='halt' requires data_plane='shards' "
-                "(data_plane='sql' keeps its tables current every superstep)"
-            )
         if self.max_supersteps is not None and self.max_supersteps < 1:
             raise VertexicaError("max_supersteps must be >= 1")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:

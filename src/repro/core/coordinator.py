@@ -18,8 +18,8 @@ per-superstep stats, and drives steps (a)–(c) through the small
   is a no-op.
 * ``"shards"`` — :class:`~repro.core.shards.ShardedDataPlane`: the graph
   is partitioned **once** into resident vid-hash shards, which reach the
-  SQL tables only when the loop calls ``sync_tables`` (per the
-  ``superstep_sync`` policy).  Bit-identical to the SQL plane.
+  SQL tables only when the loop calls ``sync_tables``: at each checkpoint
+  boundary and once at completion.  Bit-identical to the SQL plane.
 
 Either way, ``n_workers > 1`` executes partition/shard tasks on one pool
 (threads, or worker processes) that the run leases from its session
@@ -29,12 +29,13 @@ a run's own context reaches it as the plane's bootstrap.
 
 Fault tolerance is the Giraph contract: with ``checkpoint_every=N`` the
 run snapshots its durable state every N completed supersteps
-(:mod:`repro.core.recovery`), transient faults roll the tables back to
-the last checkpoint, rebuild the plane from them and replay (bounded by
-``task_retries``), deterministic faults fail fast *after* the rollback
-leaves the tables consistent, and ``resume=True`` continues a killed run
-from its last checkpoint — bit-identical to an uninterrupted run on
-either plane.
+(:mod:`repro.core.recovery`).  A transient fault anywhere in a loop turn
+(the superstep, a checkpoint's sync and write, or the final sync) rolls
+the tables back to the last checkpoint, rebuilds the plane from them and
+replays, bounded by ``task_retries``.  Deterministic faults fail fast
+*after* the rollback leaves the tables consistent, and ``resume=True``
+continues a killed run from its last checkpoint — bit-identical to an
+uninterrupted run on either plane.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class DataPlane(Protocol):
 
     def sync_tables(self, superstep: int | None = None) -> float:
         """Make the relational tables reflect the plane's state; returns
-        the seconds spent (0.0 when they always do)."""
+        the seconds spent (0.0 when they always do).  The loop calls it
+        before each checkpoint write and once when the run completes."""
         ...
 
     def close(self) -> None: ...
@@ -142,13 +144,15 @@ class Coordinator:
         elif recovery is not None and recovery.policy.enabled:
             # Baseline snapshot (0 completed supersteps): rollback and
             # resume have a floor even if the run dies in superstep 0.
+            # It is written outside the loop's rollback guard because
+            # there is nothing older to roll back to, so a fault here,
+            # transient or not, fails the run.
             stats.checkpoint_seconds += recovery.write(0, aggregated)
 
         limit = config.max_supersteps or program.max_supersteps
         hard_cap = limit if limit is not None else SUPERSTEP_SAFETY_LIMIT
         use_batch = self._resolve_compute_path(program)
         compute_path = "batch" if use_batch else "scalar"
-        sync_every = config.superstep_sync == "every"
         rollbacks_left = config.task_retries
         # The session's pool for the whole run: spawned once per session,
         # not per run or per superstep.  With one worker neither kind
@@ -162,21 +166,34 @@ class Coordinator:
                 while True:
                     messages_in = plane.pending_messages
                     active = plane.active_vertices
-                    if superstep > 0 and messages_in == 0 and active == 0:
-                        break
-                    if limit is not None and superstep >= limit:
-                        break
-                    if superstep >= hard_cap:
+                    done = (superstep > 0 and messages_in == 0 and active == 0) or (
+                        limit is not None and superstep >= limit
+                    )
+                    if not done and superstep >= hard_cap:
                         raise VertexicaError(
                             f"superstep safety limit ({hard_cap}) exceeded by "
                             f"{program.name}; declare max_supersteps"
                         )
-                    step_started = time.perf_counter()
 
+                    # One rollback guard covers the superstep and every
+                    # table write at its boundary: a checkpoint's sync and
+                    # write, and the final sync.
                     try:
+                        if done:
+                            # Final vertex values, and any messages still
+                            # pending under a superstep cap, reach the tables.
+                            plane.sync_tables(superstep)
+                            break
+                        step_started = time.perf_counter()
                         step = plane.run_superstep(superstep, aggregated, executor)
+                        seconds = time.perf_counter() - step_started
                         aggregated = dict(plane.aggregated)
-                        sync_seconds = plane.sync_tables(superstep) if sync_every else 0.0
+                        checkpoint_seconds = 0.0
+                        if recovery is not None and recovery.policy.due(superstep + 1):
+                            # Plane state reaches the tables before the
+                            # checkpoint snapshots them.
+                            checkpoint_seconds = plane.sync_tables(superstep)
+                            checkpoint_seconds += recovery.write(superstep + 1, aggregated)
                     except Exception as exc:
                         # A fault that escaped the plane may have left its
                         # state half-stepped; the rollback restores the
@@ -190,17 +207,7 @@ class Coordinator:
                         plane = self._build_plane(graph, program, use_batch, executor)
                         continue
                     stats.retries += step.retries
-
-                    seconds = time.perf_counter() - step_started
-                    checkpoint_seconds = 0.0
-                    if recovery is not None and recovery.policy.due(superstep + 1):
-                        if not sync_every:
-                            # The halt policy's promise to the checkpoint
-                            # layer: plane state hits the tables at
-                            # boundaries only.
-                            checkpoint_seconds += plane.sync_tables(superstep)
-                        checkpoint_seconds += recovery.write(superstep + 1, aggregated)
-                        stats.checkpoint_seconds += checkpoint_seconds
+                    stats.checkpoint_seconds += checkpoint_seconds
 
                     if config.track_metrics:
                         stats.supersteps.append(
@@ -217,18 +224,11 @@ class Coordinator:
                                 rows_out=step.rows_out,
                                 compute_path=compute_path,
                                 shard_seconds=step.shard_seconds,
-                                sync_seconds=sync_seconds,
                                 checkpoint_seconds=checkpoint_seconds,
                                 messages_precombine=step.messages_precombine,
                             )
                         )
                     superstep += 1
-
-                if not sync_every:
-                    # The halt policy's single materialization: final
-                    # vertex values (and any messages still pending under a
-                    # superstep cap) become visible to SQL exactly once.
-                    plane.sync_tables(superstep)
             except BaseException as exc:
                 if not isinstance(exc, Exception):
                     # A kill may have cut a worker exchange short: drop the
@@ -299,24 +299,9 @@ class Coordinator:
 
     # ------------------------------------------------------------------
     def _resolve_compute_path(self, program: VertexProgram) -> bool:
-        """Pick the vectorized batch path when the program supports it
-        (``compute_strategy="auto"``); honor explicit overrides.
-
-        Raises:
-            VertexicaError: when ``"batch"`` is forced for a program
-                without :meth:`compute_batch`.
-        """
-        strategy = self.config.compute_strategy
-        if strategy == "scalar":
-            return False
-        if strategy == "batch":
-            if not supports_batch(program):
-                raise VertexicaError(
-                    f"compute_strategy='batch' but {program.name} does not "
-                    "implement compute_batch"
-                )
-            return True
-        return supports_batch(program)
+        """The vectorized batch path when the program supports it, unless
+        ``compute_strategy="scalar"`` forces the per-vertex path."""
+        return self.config.compute_strategy == "auto" and supports_batch(program)
 
 
 def register_coordinator(db: Database, pools: SessionPools | None = None) -> None:

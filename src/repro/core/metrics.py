@@ -65,12 +65,10 @@ class SuperstepStats:
     #: per-shard compute seconds (sharded data plane only; empty on the
     #: SQL plane, whose partition work is not individually timed)
     shard_seconds: tuple[float, ...] = ()
-    #: seconds spent mirroring shard state into the SQL tables (the
-    #: ``superstep_sync="every"`` tax; 0.0 on the SQL plane / under halt)
-    sync_seconds: float = 0.0
-    #: seconds writing the run checkpoint that closed this superstep
-    #: (includes the halt-policy boundary sync; 0.0 off boundaries and
-    #: with checkpointing disabled).  Excluded from ``seconds``.
+    #: seconds writing the run checkpoint that closed this superstep,
+    #: including the shard plane's table sync just before it (0.0 off
+    #: boundaries and with checkpointing disabled).  Excluded from
+    #: ``seconds``.
     checkpoint_seconds: float = 0.0
     #: True when the serving tier replayed this superstep's record from
     #: its version-keyed result cache instead of executing it

@@ -57,11 +57,11 @@ a run allocates only its own state — values, halt flags and inboxes.
 Rollback and resume restore only the vertex and message tables, so they
 reuse it too.
 
-Relational interop is preserved by an explicit sync policy
-(``superstep_sync``): ``"every"`` mirrors the vertex/message tables
-after each superstep (the legacy plane's observable behavior — hybrid
-SQL queries, the demo console, and checkpoints see fresh state),
-``"halt"`` materializes once at completion (the fast path).
+Relational interop: :meth:`ShardedDataPlane.sync_tables` mirrors the
+resident state into the vertex and message tables.  The coordinator
+calls it before each checkpoint write and once at completion (quiescence
+or the superstep cap), under its rollback guard; between those points
+the tables hold the last sync's state.
 
 **Process-parallel execution** (``executor="processes"``): when the
 coordinator binds a :class:`~repro.engine.parallel.ProcessExecutor`
@@ -715,7 +715,7 @@ def _combine(
 class ShardedDataPlane:
     """Resident shards for one run over the graph version's
     :class:`ShardIndex`: set up once, stepped per superstep, synced back
-    to the relational tables per the ``superstep_sync`` policy.
+    to the relational tables at checkpoint boundaries and at completion.
     :meth:`bind_executor` copies the resident arrays into shared memory
     when the run executes on worker processes."""
 
@@ -1105,13 +1105,12 @@ class ShardedDataPlane:
         return out
 
     # ------------------------------------------------------------------
-    # Sync policy: mirror resident state into the relational tables
+    # Sync: mirror resident state into the relational tables
     # ------------------------------------------------------------------
     def sync_tables(self, superstep: int | None = None) -> float:
         """Write the vertex and message tables from resident shard state
-        (returns seconds spent).  Under ``superstep_sync="every"`` this
-        runs per superstep; under ``"halt"`` at checkpoint boundaries
-        (when checkpointing) and once at completion."""
+        (returns seconds spent).  Runs before each checkpoint write and
+        once at completion."""
         started = time.perf_counter()
         faults.trip("storage.sync", superstep=superstep)
         shards = self.shards

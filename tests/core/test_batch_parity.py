@@ -4,9 +4,9 @@ The batch compute path (``compute_batch`` + numpy staging) must be
 *bit-identical* to the per-vertex scalar path for every bundled program:
 same vertex values, same aggregator results, same superstep/halt
 behavior.  These tests run the same program under
-``compute_strategy="scalar"`` and ``"batch"`` on random graphs — with
-isolated vertices, vertices that never receive messages, and messages
-addressed to nonexistent ids — and compare everything.
+``compute_strategy="scalar"`` and on ``"auto"``'s batch path on random
+graphs — with isolated vertices, vertices that never receive messages,
+and messages addressed to nonexistent ids — and compare everything.
 """
 
 from __future__ import annotations
@@ -23,8 +23,14 @@ from repro.core.program import (
     VertexProgram,
     supports_batch,
 )
-from repro.core.worker import segment_max, segment_mean, segment_min, segment_sum
-from repro.errors import ProgramError, VertexicaError
+from repro.core.worker import (
+    VertexWorker,
+    segment_max,
+    segment_mean,
+    segment_min,
+    segment_sum,
+)
+from repro.errors import ProgramError
 from repro.programs import (
     AdaptivePageRank,
     CollaborativeFiltering,
@@ -50,16 +56,23 @@ def random_graph(seed: int, n: int = 120, m: int = 700):
 
 
 def run_with(strategy: str, program_factory, seed: int, symmetrize: bool = False, **cfg):
+    """Run under ``strategy``: ``"scalar"``, ``"auto"``, or ``"batch"``,
+    which runs ``"auto"`` and checks that every superstep took the batch
+    path."""
     n = 120
     src, dst, weights = random_graph(seed)
     cfg.setdefault("n_partitions", 4)
-    vx = Vertexica(config=VertexicaConfig(compute_strategy=strategy, **cfg))
+    config = VertexicaConfig(compute_strategy="auto" if strategy == "batch" else strategy, **cfg)
+    vx = Vertexica(config=config)
     # num_vertices > max id guarantees isolated vertices with no edges
     # and no messages ever.
     graph = vx.load_graph(
         "g", src, dst, weights=weights, num_vertices=n + 8, symmetrize=symmetrize
     )
-    return vx.run(graph, program_factory())
+    result = vx.run(graph, program_factory())
+    if strategy == "batch":
+        assert all(s.compute_path == "batch" for s in result.stats.supersteps)
+    return result
 
 
 def assert_runs_identical(scalar, batch):
@@ -138,9 +151,11 @@ class TestScalarFallback:
         auto = run_with("auto", lambda: PageRank(iterations=3), 9)
         assert all(s.compute_path == "batch" for s in auto.stats.supersteps)
 
-    def test_forcing_batch_on_scalar_program_raises(self):
-        with pytest.raises(VertexicaError, match="compute_batch"):
-            run_with("batch", lambda: RandomWalkWithRestart(source=2), 9, True)
+    def test_worker_rejects_batch_for_scalar_only_program(self):
+        # The config cannot force the batch path; the worker still refuses
+        # it to a direct caller whose program has no compute_batch.
+        with pytest.raises(ProgramError, match="compute_batch"):
+            VertexWorker(RandomWalkWithRestart(source=2), 0, 3, use_batch=True)
 
     def test_aggregator_program_parity_via_scalar_path(self):
         # AdaptivePageRank has no batch kernel; auto must match scalar
@@ -324,15 +339,6 @@ class TestShardPlaneParity:
             "shards", lambda: PageRank(iterations=5), use_combiner=False
         )
         assert_runs_identical(sql, shards)
-
-    def test_sync_policy_does_not_change_results(self):
-        every = run_on_plane(
-            "shards", lambda: ShortestPaths(source=0), superstep_sync="every"
-        )
-        halt = run_on_plane(
-            "shards", lambda: ShortestPaths(source=0), superstep_sync="halt"
-        )
-        assert_runs_identical(every, halt)
 
     def test_single_partition_shard_plane(self):
         sql = run_on_plane("sql", lambda: ConnectedComponents(), True, n_partitions=1)
@@ -779,9 +785,10 @@ class TestSegmentKernels:
 
 class TestEdgeCases:
     def test_empty_graph_single_vertex(self):
-        vx = Vertexica(config=VertexicaConfig(compute_strategy="batch"))
+        vx = Vertexica()
         graph = vx.load_graph("g", [], [], num_vertices=3)
         result = vx.run(graph, PageRank(iterations=2))
+        assert all(s.compute_path == "batch" for s in result.stats.supersteps)
         # Dangling vertices keep (1-d)/N mass with no incoming rank.
         expected = (1.0 - 0.85) / 3
         assert result.values == {0: expected, 1: expected, 2: expected}

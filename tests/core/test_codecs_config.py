@@ -125,6 +125,7 @@ class TestConfig:
             ("n_workers", 0),
             ("input_strategy", "magic"),
             ("update_strategy", "yolo"),
+            ("compute_strategy", "batch"),  # removed: "auto" picks batch
             ("max_supersteps", 0),
             ("n_partitions", 2.5),
             ("n_partitions", True),
@@ -171,10 +172,13 @@ class TestConfig:
         with pytest.raises(VertexicaError, match=f"{field}=.*data_plane='shards'"):
             VertexicaConfig(data_plane="shards", **{field: value}).validated()
 
-    def test_halt_sync_rejected_under_sql(self):
-        with pytest.raises(VertexicaError, match="superstep_sync='halt'.*data_plane='sql'"):
-            VertexicaConfig(superstep_sync="halt").validated()
-        assert VertexicaConfig(data_plane="shards", superstep_sync="halt").validated()
+    def test_every_sync_rejected(self):
+        # A table write after every superstep was removed: "halt" is the
+        # one value, the default on both planes.
+        for plane in ("sql", "shards"):
+            with pytest.raises(VertexicaError, match="'every' was removed"):
+                VertexicaConfig(data_plane=plane, superstep_sync="every").validated()
+            assert VertexicaConfig(data_plane=plane).validated().superstep_sync == "halt"
 
     def test_every_benchmark_workload_config_validates(self, monkeypatch):
         """Each override set the perf benchmark passes to ``vx.run`` stays

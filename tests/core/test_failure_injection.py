@@ -6,27 +6,21 @@ import pytest
 from repro.core import Vertexica
 from repro.core.api import Vertex
 from repro.core.program import VertexProgram
+from repro.core.storage import GraphStorage
 from repro.programs import PageRank
 
 # Every crash-consistency guarantee must hold on the staged SQL plane,
-# under either vertex apply path, and on the shard-resident plane under
-# both sync policies.
+# under either vertex apply path, and on the shard-resident plane.
 PLANES = [
     pytest.param({}, id="sql"),
     pytest.param({"update_strategy": "replace"}, id="sql-replace"),
-    pytest.param(
-        {"data_plane": "shards", "n_partitions": 3, "superstep_sync": "every"},
-        id="shards-every",
-    ),
-    pytest.param(
-        {"data_plane": "shards", "n_partitions": 3, "superstep_sync": "halt"},
-        id="shards-halt",
-    ),
+    pytest.param({"data_plane": "shards", "n_partitions": 3}, id="shards"),
 ]
 
 
 class ExplodesAtSuperstep(VertexProgram):
-    """Runs normally, then raises inside compute at a chosen superstep."""
+    """Counts its supersteps in the vertex value, then raises inside
+    compute at a chosen superstep."""
 
     combiner = "SUM"
 
@@ -40,6 +34,7 @@ class ExplodesAtSuperstep(VertexProgram):
     def compute(self, vertex: Vertex) -> None:
         if vertex.superstep == self.fail_at:
             raise RuntimeError("vertex program exploded")
+        vertex.modify_vertex_value(vertex.value + 1.0)
         vertex.send_message_to_all_neighbors(1.0)
 
 
@@ -52,17 +47,34 @@ class TestCrashConsistency:
             vx.run(g, ExplodesAtSuperstep(fail_at=1), **plane)
 
     def test_tables_remain_consistent_after_crash(self, vx, tiny_edges, plane):
-        """The worker crashes before any of its output is staged (SQL
-        plane) or applied (shard plane), so the vertex table holds the
-        last completed superstep's state and the graph remains fully
-        analyzable."""
+        """The worker crashes in superstep 2 before any of its output is
+        staged (SQL plane) or applied (shard plane), so the tables stay
+        consistent and the graph remains fully analyzable.  What they
+        hold depends on the plane: the SQL plane applies each superstep
+        as it completes, so they hold the state after superstep 1; the
+        shard plane without checkpointing writes them only at completion,
+        so they still hold what ``setup_run`` wrote."""
         src, dst = tiny_edges
         g = vx.load_graph("g", src, dst, num_vertices=5)
         with pytest.raises(RuntimeError):
             vx.run(g, ExplodesAtSuperstep(fail_at=2), **plane)
-        # vertex table: one consistent row per vertex
-        rows = vx.sql("SELECT id, halted FROM g_vertex ORDER BY id").rows()
-        assert [r[0] for r in rows] == [0, 1, 2, 3, 4]
+
+        reference = Vertexica()
+        ref = reference.load_graph("g", src, dst, num_vertices=5)
+        if plane.get("data_plane", "sql") == "sql":
+            # two completed supersteps, each adding 1.0 to every value
+            reference.run(ref, ExplodesAtSuperstep(fail_at=2), max_supersteps=2, **plane)
+            expected_value = 3.0
+        else:
+            GraphStorage(reference.db).setup_run(ref, ExplodesAtSuperstep(fail_at=2))
+            expected_value = 1.0
+        rows = vx.sql("SELECT id, value, halted FROM g_vertex ORDER BY id").rows()
+        assert rows == [(vid, expected_value, False) for vid in range(5)]
+        for query in (
+            "SELECT id, value, halted FROM g_vertex ORDER BY id",
+            "SELECT src, dst, value FROM g_message ORDER BY dst, src",
+        ):
+            assert vx.sql(query).rows() == reference.sql(query).rows()
         # and a fresh run on the same graph succeeds end-to-end
         result = vx.run(g, PageRank(iterations=3), **plane)
         assert len(result.values) == 5

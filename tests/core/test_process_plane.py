@@ -241,10 +241,3 @@ class TestExecutorConfig:
                      executor="processes", n_workers=1)
         assert base.values == one.values
 
-    def test_sync_halt_with_processes(self, vx):
-        g = _graph(vx)
-        every = vx.run(g, PageRank(iterations=3), data_plane="shards",
-                       n_workers=2, executor="processes", superstep_sync="every")
-        halt = vx.run(g, PageRank(iterations=3), data_plane="shards",
-                      n_workers=2, executor="processes", superstep_sync="halt")
-        assert every.values == halt.values

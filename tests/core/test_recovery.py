@@ -9,6 +9,9 @@ import os
 import numpy as np
 import pytest
 
+# Same-directory import (pytest prepend mode), as test_recovery_fuzz does.
+from test_update_path import assert_tables_identical
+
 from repro.core import CheckpointPolicy, Vertexica, VertexicaConfig, faults
 from repro.core.faults import FaultPlan, FaultSpec, InjectedFault, InjectedKill
 from repro.core.recovery import program_fingerprint
@@ -19,14 +22,7 @@ from repro.programs.collaborative_filtering import CollaborativeFiltering
 
 PLANES = [
     pytest.param({}, id="sql"),
-    pytest.param(
-        {"data_plane": "shards", "n_partitions": 3, "superstep_sync": "every"},
-        id="shards-every",
-    ),
-    pytest.param(
-        {"data_plane": "shards", "n_partitions": 3, "superstep_sync": "halt"},
-        id="shards-halt",
-    ),
+    pytest.param({"data_plane": "shards", "n_partitions": 3}, id="shards"),
 ]
 
 GRAPH = power_law_graph("g", 60, 240, seed=7, weighted=True)
@@ -360,6 +356,60 @@ class TestRetryAndRollback:
         assert len(rows) == 60
 
 
+class TestBoundaryWritesRollBack:
+    """A transient fault in a write the loop makes at a superstep
+    boundary (the shard plane's sync before a checkpoint, its final sync,
+    or the checkpoint write itself) rolls back and replays like a fault
+    inside a superstep: one retry, and the values and both run tables
+    are bitwise those of an undisturbed run."""
+
+    SHARDS = {"data_plane": "shards", "n_partitions": 3}
+
+    @staticmethod
+    def run(directory, plane, plan):
+        vx, g = fresh_run_setup()
+        with faults.injected(plan):
+            result = vx.run(
+                g,
+                PageRank(iterations=6),
+                checkpoint_every=1,
+                checkpoint_dir=str(directory),
+                **plane,
+            )
+        tables = [vx.db.table(name).data() for name in (g.vertex_table, g.message_table)]
+        return result, tables
+
+    @pytest.mark.parametrize(
+        "plane,site,superstep",
+        [
+            # Supersteps 0..6 run; the sync before checkpoint c trips at
+            # superstep c - 1, the final sync at superstep 7.
+            pytest.param(SHARDS, "storage.sync", 3, id="shards-boundary-sync"),
+            pytest.param(SHARDS, "storage.sync", 7, id="shards-final-sync"),
+            pytest.param({}, "checkpoint.write", 3, id="sql-checkpoint-write"),
+            pytest.param(SHARDS, "checkpoint.write", 3, id="shards-checkpoint-write"),
+        ],
+    )
+    def test_transient_fault_rolls_back_and_replays(self, tmp_path, plane, site, superstep):
+        base, base_tables = self.run(tmp_path / "base", plane, FaultPlan([]))
+        assert base.stats.n_supersteps == 7
+        plan = FaultPlan([FaultSpec(site=site, kind="transient", superstep=superstep)])
+        result, tables = self.run(tmp_path / "faulted", plane, plan)
+        assert plan.fired == [(site, superstep, None, "transient")]
+        assert result.stats.retries == 1
+        assert result.values == base.values
+        for table, base_table in zip(tables, base_tables):
+            assert_tables_identical(table, base_table)
+
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_transient_fault_in_baseline_checkpoint_raises(self, tmp_path, plane):
+        """The baseline checkpoint (0 completed) has nothing to roll back
+        to, so even a transient fault in it fails the run."""
+        plan = FaultPlan([FaultSpec(site="checkpoint.write", kind="transient", superstep=0)])
+        with pytest.raises(InjectedFault):
+            self.run(tmp_path, plane, plan)
+
+
 class TestManifestValidation:
     def _checkpointed_dir(self, tmp_path, program=None):
         vx, g = fresh_run_setup()
@@ -443,11 +493,11 @@ class TestProgramState:
 
     def test_cf_vector_codec_resume_on_shards(self, tmp_path):
         """The hardest resume case: vector-valued vertices (rank-R factor
-        rows), seeded SGD, halt-sync shard plane."""
+        rows), seeded SGD, shard plane."""
         src = np.arange(0, 60, 2, dtype=np.int64)
         dst = src + 1
         weights = 1.0 + (np.arange(30, dtype=np.float64) % 9) / 2.0
-        cfg = dict(data_plane="shards", n_partitions=4, superstep_sync="halt")
+        cfg = dict(data_plane="shards", n_partitions=4)
 
         def setup():
             vx = Vertexica()

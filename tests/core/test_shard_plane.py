@@ -1,15 +1,14 @@
-"""Shard-resident data plane: sync-policy observability and plumbing.
+"""Shard-resident data plane: table sync observability and plumbing.
 
 Bit-identity of *results* across planes lives in
 ``test_batch_parity.TestShardPlaneParity``; this module pins the
-relational-interop contract of ``superstep_sync``:
+relational-interop contract of the shard plane's table sync:
 
-* ``"every"`` — after every superstep the vertex/message tables hold
-  exactly what the legacy SQL plane would have left there (checked by
-  truncating runs at each superstep via ``max_supersteps``);
-* ``"halt"`` — the tables are written exactly once, at completion, and
-  the final relations plus the ``VertexicaResult`` are bit-identical to
-  the legacy plane's.
+* a run capped at any superstep (``max_supersteps``) leaves the vertex
+  and message tables holding exactly what the SQL plane leaves there;
+* without checkpointing the tables are written exactly once, at
+  completion, and the final relations plus the ``VertexicaResult`` are
+  bit-identical to the SQL plane's.
 
 Plus: the coordinator's persistent thread pool (one pool per run, not
 per superstep) and the shard partitioning invariants.
@@ -53,9 +52,9 @@ def message_rows(vx: Vertexica):
     ).rows()
 
 
-class TestEverySyncObservability:
-    """Under ``superstep_sync="every"`` the SQL-visible tables match the
-    legacy plane after *each* superstep, not just at the end."""
+class TestCappedRunTables:
+    """A run capped at any superstep leaves the SQL-visible tables the
+    SQL plane leaves: the final sync writes the capped state."""
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 5])
     def test_tables_match_legacy_at_every_superstep(self, cap):
@@ -65,10 +64,7 @@ class TestEverySyncObservability:
             "sql", PageRank(iterations=6), max_supersteps=cap
         )
         shard_vx, _, shard_result = run_plane(
-            "shards",
-            PageRank(iterations=6),
-            max_supersteps=cap,
-            superstep_sync="every",
+            "shards", PageRank(iterations=6), max_supersteps=cap
         )
         assert sql_result.stats.n_supersteps == shard_result.stats.n_supersteps == cap
         assert vertex_rows(shard_vx) == vertex_rows(sql_vx)
@@ -79,11 +75,7 @@ class TestEverySyncObservability:
             "sql", LabelPropagation(iterations=4), True, max_supersteps=2
         )
         shard_vx, _, _ = run_plane(
-            "shards",
-            LabelPropagation(iterations=4),
-            True,
-            max_supersteps=2,
-            superstep_sync="every",
+            "shards", LabelPropagation(iterations=4), True, max_supersteps=2
         )
         assert message_rows(shard_vx) == message_rows(sql_vx)
         assert vertex_rows(shard_vx) == vertex_rows(sql_vx)
@@ -114,11 +106,7 @@ class TestEverySyncObservability:
         src, dst, _ = small_graph()
         tables = []
         for plane in ("sql", "shards"):
-            vx = Vertexica(
-                config=VertexicaConfig(
-                    data_plane=plane, n_partitions=4, superstep_sync="every"
-                )
-            )
+            vx = Vertexica(config=VertexicaConfig(data_plane=plane, n_partitions=4))
             graph = vx.load_graph("g", src + base, dst + base, symmetrize=True)
             vx.run(graph, ConnectedComponents(), max_supersteps=cap)
             tables.append((vertex_rows(vx), message_rows(vx)))
@@ -126,55 +114,36 @@ class TestEverySyncObservability:
         labels = {label for _, label, _ in tables[0][0]}
         assert min(labels) == base and labels <= {vid for vid, _, _ in tables[0][0]}
 
-    def test_table_written_every_superstep(self):
-        vx, graph, result = run_plane(
-            "shards", PageRank(iterations=4), superstep_sync="every"
-        )
-        # One replace_data per superstep (version starts at 0 on CREATE;
-        # setup inserts bump the vertex table once more).
-        assert vx.db.table(graph.message_table).version == result.stats.n_supersteps
-
 
 class TestHaltSyncObservability:
-    """Under ``superstep_sync="halt"`` the tables are written once, at
-    completion — and the final state is still bit-identical."""
+    """Without checkpointing the tables are written once, at completion
+    — and the final state is still bit-identical."""
 
     def test_final_tables_and_result_bit_identical(self):
         sql_vx, _, sql_result = run_plane("sql", ShortestPaths(source=0))
-        shard_vx, _, shard_result = run_plane(
-            "shards", ShortestPaths(source=0), superstep_sync="halt"
-        )
+        shard_vx, _, shard_result = run_plane("shards", ShortestPaths(source=0))
         assert shard_result.values == sql_result.values  # bit-identical
         assert vertex_rows(shard_vx) == vertex_rows(sql_vx)
         assert message_rows(shard_vx) == message_rows(sql_vx) == []
 
     def test_pending_messages_materialize_on_capped_runs(self):
         # A superstep cap stops the run with messages still in flight;
-        # the halt sync must materialize them for relational consumers.
+        # the final sync must materialize them for relational consumers.
         sql_vx, _, _ = run_plane("sql", PageRank(iterations=6), max_supersteps=3)
-        shard_vx, _, _ = run_plane(
-            "shards",
-            PageRank(iterations=6),
-            max_supersteps=3,
-            superstep_sync="halt",
-        )
+        shard_vx, _, _ = run_plane("shards", PageRank(iterations=6), max_supersteps=3)
         rows = message_rows(shard_vx)
         assert rows and rows == message_rows(sql_vx)
 
     def test_tables_written_exactly_once(self):
-        vx, graph, result = run_plane(
-            "shards", PageRank(iterations=5), superstep_sync="halt"
-        )
+        vx, graph, result = run_plane("shards", PageRank(iterations=5))
         assert result.stats.n_supersteps == 6
-        # CREATE leaves version 0; the single halt sync bumps it to 1.
+        # CREATE leaves version 0; the single final sync bumps it to 1.
         assert vx.db.table(graph.message_table).version == 1
-        # setup_run's initial load is version 1; halt sync makes 2.
+        # setup_run's initial load is version 1; the final sync makes 2.
         assert vx.db.table(graph.vertex_table).version == 2
 
     def test_values_via_result_match_halt_tables(self):
-        vx, _, result = run_plane(
-            "shards", ConnectedComponents(), True, superstep_sync="halt"
-        )
+        vx, _, result = run_plane("shards", ConnectedComponents(), True)
         from_table = {vid: value for vid, value, _ in vertex_rows(vx)}
         assert from_table == result.values
 
@@ -223,14 +192,6 @@ class TestShardPartitioning:
             assert len(step.shard_seconds) == 4
             assert step.update_path in ("memory", "none")
             assert step.shard_balance >= 1.0
-        # default sync policy is "every": sync time is tracked
-        assert all(s.sync_seconds >= 0.0 for s in result.stats.supersteps)
-
-    def test_halt_skips_sync_cost(self):
-        _, _, result = run_plane(
-            "shards", PageRank(iterations=3), superstep_sync="halt"
-        )
-        assert all(s.sync_seconds == 0.0 for s in result.stats.supersteps)
 
 
 class TestPersistentThreadPool:

@@ -211,10 +211,10 @@ def tables_after(monkeypatch, make_program, make_graph, symmetrize, mode, supers
     """The vertex and message tables after ``supersteps`` supersteps under
     ``mode`` (``"update"``, ``"replace"``, ``"reference"`` — the Update
     path through :func:`per_tuple_apply` — or ``"shards"``, the shard
-    plane mirroring its state every superstep), plus the run's update
-    paths."""
+    plane, whose final sync writes the capped state), plus the run's
+    update paths."""
     options = (
-        {"data_plane": "shards", "superstep_sync": "every"}
+        {"data_plane": "shards"}
         if mode == "shards"
         else {"update_strategy": "replace" if mode == "replace" else "update"}
     )
