@@ -1,6 +1,10 @@
-"""Kill-and-resume fuzzing: for every shipped program, on every data
-plane, kill the run at a seeded random site/superstep, resume it, and
-require the result to be bit-identical to an uninterrupted run.
+"""Recovery fuzzing: for every shipped program, on every data plane,
+
+* kill the run at a seeded random site/superstep, resume it, and require
+  the result to be bit-identical to an uninterrupted run;
+* inject one transient fault at a seeded random site/superstep, boundary
+  writes (table sync, checkpoint write) included, and require the run to
+  roll back, replay, and finish bit-identical to an undisturbed run.
 
 Seeds come from the ``RECOVERY_FUZZ_SEEDS`` env var (comma-separated
 ints; CI sweeps a wider range than the default quick pair).
@@ -17,6 +21,7 @@ import pytest
 # program matrix and graph fixtures so the fuzzer always covers exactly
 # the shipped-program set.
 from test_input_format_parity import ALL_PROGRAMS, _graph_data
+from test_update_path import assert_tables_identical
 
 from repro.core import Vertexica, faults
 from repro.core.faults import FaultPlan, FaultSpec, InjectedKill
@@ -111,3 +116,72 @@ def test_kill_and_resume_bit_identical(
     assert recovered + resumed.stats.n_supersteps == n_supersteps
     steps = [s.superstep for s in resumed.stats.supersteps]
     assert steps == list(range(recovered, n_supersteps))
+
+
+#: checkpoint interval of the transient-fault fuzz
+EVERY = 2
+
+
+def _transient_supersteps(site, n_supersteps):
+    """The supersteps at which ``site`` trips in a run of ``n_supersteps``
+    checkpointed every :data:`EVERY` (``trip``'s ``superstep`` argument).
+    The baseline checkpoint (0 completed) is left out: it has nothing to
+    roll back to, so a fault there fails the run by design."""
+    if site in _PINNABLE:
+        return list(range(n_supersteps))
+    if site == "storage.sync":
+        # the sync before each checkpoint, then the final sync
+        before = [s for s in range(n_supersteps) if (s + 1) % EVERY == 0]
+        return before + [n_supersteps]
+    # checkpoint.write trips with the completed-superstep count
+    return list(range(EVERY, n_supersteps + 1, EVERY))
+
+
+def _checkpointed_run(program_factory, symmetrize, matching, cfg, directory):
+    vx, graph = _setup(program_factory, symmetrize, matching)
+    result = vx.run(
+        graph,
+        program_factory(),
+        checkpoint_every=EVERY,
+        checkpoint_dir=str(directory),
+        **cfg,
+    )
+    tables = [vx.db.table(name).data() for name in (graph.vertex_table, graph.message_table)]
+    return result, tables
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("plane", sorted(PLANES))
+@pytest.mark.parametrize("program_factory,symmetrize,matching", ALL_PROGRAMS)
+def test_transient_fault_rolls_back_bit_identical(
+    seed, plane, program_factory, symmetrize, matching, tmp_path
+):
+    cfg, sites = PLANES[plane]
+    cfg = dict(cfg, n_partitions=4)
+    args = (program_factory, symmetrize, matching, cfg)
+
+    base, base_tables = _checkpointed_run(*args, tmp_path / "base")
+    n_supersteps = base.stats.n_supersteps
+
+    # Seeded transient fault at a site/superstep that is guaranteed to
+    # trip; its own stream, apart from the kill fuzz's.
+    rng = np.random.default_rng([seed, STREAMS[plane], n_supersteps, 1])
+    candidates = {
+        site: steps for site in sites if (steps := _transient_supersteps(site, n_supersteps))
+    }
+    site = sorted(candidates)[int(rng.integers(len(candidates)))]
+    steps = candidates[site]
+    superstep = steps[int(rng.integers(len(steps)))]
+    plan = FaultPlan([FaultSpec(site=site, kind="transient", superstep=superstep)])
+
+    with faults.injected(plan):
+        result, tables = _checkpointed_run(*args, tmp_path / "faulted")
+    assert plan.fired, f"transient fault at {site!r} superstep={superstep} never fired"
+
+    # One retry, every superstep recorded exactly once, and values and
+    # both run tables bitwise those of the undisturbed run.
+    assert result.stats.retries == 1
+    assert [s.superstep for s in result.stats.supersteps] == list(range(n_supersteps))
+    assert result.values == base.values
+    for table, base_table in zip(tables, base_tables):
+        assert_tables_identical(table, base_table)
