@@ -5,7 +5,8 @@ run both sides of each design decision:
 
 * ``input_strategy`` — ``"union"`` (the paper's Table Unions optimization)
   vs ``"join"`` (the naive three-way join it replaces);
-* ``n_partitions`` + ``n_workers`` — Vertex Batching / Parallel Workers;
+* ``n_partitions`` + ``n_workers`` — Vertex Batching / Parallel Workers
+  (worker processes, on the shard plane);
 * ``update_strategy`` — Update vs Replace: ``"update"`` (the default)
   vs ``"replace"``.
 """
@@ -30,20 +31,18 @@ class VertexicaConfig:
         n_partitions: how many vertex batches the worker input is hash
             partitioned into.  1 = a single batch; ``num_vertices`` would
             be one UDF call per vertex (the paper's "extreme case").
-        n_workers: parallel workers executing partition/shard tasks.  1
-            keeps execution serial; any setting is fully deterministic
-            (the parity suite holds every executor to bit-identical
-            results), parallelism only changes wall-clock.
-        executor: what runs the per-superstep partition/shard tasks when
-            ``n_workers > 1``.  ``"threads"`` (default) uses one thread
-            pool held by the session; ``"processes"`` runs shard tasks
-            on ``n_workers`` persistent worker *processes*, also held by
-            the session (spawned once, not per run), over
-            shared-memory shard state — sidestepping the GIL for
-            pure-Python compute — and requires ``data_plane="shards"``
-            (the SQL plane's staging is engine-resident and cannot cross
-            process boundaries).  ``n_workers=1`` runs serially under
-            either.
+        n_workers: worker processes executing shard tasks.  1 (default)
+            keeps execution serial; more requires ``data_plane="shards"``
+            (the SQL plane stages through the engine in-process, so its
+            partitions always run serially).  Any setting is fully
+            deterministic (the parity suite holds serial and process
+            execution to bit-identical results); parallelism only changes
+            wall-clock.  The pool is held by the session: spawned once,
+            not per run, over shared-memory shard state.
+        executor: what runs shard tasks when ``n_workers > 1``:
+            ``"processes"``, the one value (a thread pool tied serial at
+            best under the GIL and was removed; README, "Paper vs
+            measured").
         input_strategy: ``"union"`` or ``"join"`` (see module docstring).
             Under ``"union"`` the input query carries the vertex and
             message tables, and each partition reads its CSR out-edges
@@ -115,7 +114,10 @@ class VertexicaConfig:
 
     n_partitions: int = 4
     n_workers: int = 1
-    executor: str = "threads"
+    # One value left, the default.  The field stays only because
+    # benchmarks/perf/workloads.py passes executor="processes" in its
+    # process workload; a benchmark change drops it there, then deletes it.
+    executor: str = "processes"
     input_strategy: str = "union"
     compute_strategy: str = "auto"
     update_strategy: str = "update"
@@ -151,16 +153,17 @@ class VertexicaConfig:
             raise VertexicaError("n_partitions must be >= 1")
         if self.n_workers < 1:
             raise VertexicaError("n_workers must be >= 1")
-        if self.executor not in ("threads", "processes"):
+        if self.executor != "processes":
             raise VertexicaError(
-                f"executor must be 'threads' or 'processes', got "
-                f"{self.executor!r} ('auto' is now spelled 'threads'; for "
-                "'serial' set n_workers=1)"
+                f"executor must be 'processes', got {self.executor!r} (the "
+                "thread executor was removed: n_workers > 1 runs worker "
+                "processes on data_plane='shards', and n_workers=1 runs serially)"
             )
-        if self.executor == "processes" and self.data_plane != "shards":
+        if self.n_workers > 1 and self.data_plane != "shards":
             raise VertexicaError(
-                "executor='processes' requires data_plane='shards' "
-                "(the SQL plane stages through the engine in-process)"
+                f"n_workers={self.n_workers} requires data_plane='shards' (the "
+                "SQL plane stages through the engine in-process and runs its "
+                "partitions serially)"
             )
         if self.input_strategy not in ("union", "join"):
             raise VertexicaError(

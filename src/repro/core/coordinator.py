@@ -21,11 +21,12 @@ per-superstep stats, and drives steps (a)–(c) through the small
   SQL tables only when the loop calls ``sync_tables``: at each checkpoint
   boundary and once at completion.  Bit-identical to the SQL plane.
 
-Either way, ``n_workers > 1`` executes partition/shard tasks on one pool
-(threads, or worker processes) that the run leases from its session
+On the shard plane, ``n_workers > 1`` executes shard tasks on a pool of
+worker processes that the run leases from its session
 (:class:`~repro.engine.parallel.SessionPools`) for its whole length: the
 pool outlives the run and is spawned once per session, not per run, and
-a run's own context reaches it as the plane's bootstrap.
+a run's own context reaches it as the plane's bootstrap.  The SQL plane
+runs its partitions serially.
 
 Fault tolerance is the Giraph contract: with ``checkpoint_every=N`` the
 run snapshots its durable state every N completed supersteps
@@ -52,7 +53,12 @@ from repro.core.shards import ShardedDataPlane
 from repro.core.sqlplane import SqlDataPlane
 from repro.core.storage import GraphHandle, GraphStorage
 from repro.engine.database import Database
-from repro.engine.parallel import NO_SESSION, PartitionExecutor, SessionPools
+from repro.engine.parallel import (
+    NO_SESSION,
+    PartitionExecutor,
+    ProcessExecutor,
+    SessionPools,
+)
 from repro.errors import VertexicaError
 
 __all__ = ["Coordinator", "DataPlane", "register_coordinator", "SUPERSTEP_SAFETY_LIMIT"]
@@ -76,17 +82,14 @@ class DataPlane(Protocol):
     @property
     def active_vertices(self) -> int: ...
 
-    def run_superstep(
-        self,
-        superstep: int,
-        aggregated: dict[str, float],
-        executor: PartitionExecutor,
-    ) -> StepStats: ...
+    def run_superstep(self, superstep: int, aggregated: dict[str, float]) -> StepStats: ...
 
     def sync_tables(self, superstep: int | None = None) -> float:
         """Make the relational tables reflect the plane's state; returns
         the seconds spent (0.0 when they always do).  The loop calls it
-        before each checkpoint write and once when the run completes."""
+        before each checkpoint write and once when the run completes,
+        unless the tables already hold the final state (the run ended on
+        a checkpoint boundary, or right after a restore)."""
         ...
 
     def close(self) -> None: ...
@@ -154,10 +157,13 @@ class Coordinator:
         use_batch = self._resolve_compute_path(program)
         compute_path = "batch" if use_batch else "scalar"
         rollbacks_left = config.task_retries
+        # The completed-superstep count the tables last reflected: set up,
+        # resumed, restored by a rollback, or synced for a checkpoint.
+        synced = superstep
         # The session's pool for the whole run: spawned once per session,
-        # not per run or per superstep.  With one worker neither kind
-        # spawns anything: tasks run serially.
-        with self.pools.lease(config.executor, config.n_workers) as executor:
+        # not per run or per superstep.  A one-worker lease spawns nothing:
+        # tasks run serially.
+        with self.pools.lease(config.n_workers) as executor:
             plane = self._build_plane(graph, program, use_batch, executor)
             # The plane may hold shared-memory segments or a registered
             # transform; `plane` is rebound on rollback rebuilds and the
@@ -181,11 +187,13 @@ class Coordinator:
                     try:
                         if done:
                             # Final vertex values, and any messages still
-                            # pending under a superstep cap, reach the tables.
-                            plane.sync_tables(superstep)
+                            # pending under a superstep cap, reach the
+                            # tables, unless they already hold this state.
+                            if synced != superstep:
+                                plane.sync_tables(superstep)
                             break
                         step_started = time.perf_counter()
-                        step = plane.run_superstep(superstep, aggregated, executor)
+                        step = plane.run_superstep(superstep, aggregated)
                         seconds = time.perf_counter() - step_started
                         aggregated = dict(plane.aggregated)
                         checkpoint_seconds = 0.0
@@ -194,6 +202,7 @@ class Coordinator:
                             # checkpoint snapshots them.
                             checkpoint_seconds = plane.sync_tables(superstep)
                             checkpoint_seconds += recovery.write(superstep + 1, aggregated)
+                            synced = superstep + 1
                     except Exception as exc:
                         # A fault that escaped the plane may have left its
                         # state half-stepped; the rollback restores the
@@ -202,6 +211,7 @@ class Coordinator:
                         superstep, aggregated = self._rollback_or_raise(
                             exc, recovery, stats, rollbacks_left
                         )
+                        synced = superstep
                         rollbacks_left -= 1
                         plane.close()
                         plane = self._build_plane(graph, program, use_batch, executor)
@@ -230,7 +240,7 @@ class Coordinator:
                         )
                     superstep += 1
             except BaseException as exc:
-                if not isinstance(exc, Exception):
+                if not isinstance(exc, Exception) and isinstance(executor, ProcessExecutor):
                     # A kill may have cut a worker exchange short: drop the
                     # pool (the next run respawns it) before the plane's
                     # close would talk to its workers.
@@ -256,9 +266,9 @@ class Coordinator:
         # over restored checkpoint state resumes mid-run with the exact
         # inboxes (and delivery order) of the original.
         plane = ShardedDataPlane(self.storage, graph, program, self.config, use_batch)
-        # Under executor="processes" this moves the resident shard arrays
+        # On a worker-process pool this moves the resident shard arrays
         # into shared memory and installs the plane bootstrap in the
-        # worker pool (no-op for serial/thread executors).
+        # workers (no-op for the serial executor).
         plane.bind_executor(executor)
         return plane
 

@@ -13,10 +13,10 @@ analyst needs::
 The database stays fully accessible (``vx.sql(...)``) so graph runs can be
 freely mixed with relational pre-/post-processing — the paper's §3.4.
 
-A ``Vertexica`` is a session: it also owns the worker pools its runs
-lease, spawned on first need and kept between runs.  ``vx.close()`` (or
-leaving ``with Vertexica() as vx:``, or dropping the last reference)
-shuts them down.
+A ``Vertexica`` is a session: it also owns the worker-process pool its
+runs lease, spawned on first need and kept between runs.  ``vx.close()``
+(or leaving ``with Vertexica() as vx:``, or dropping the last reference)
+shuts it down.
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ class Vertexica:
                 its rows) the incremental refresh path will patch before
                 falling back to a full re-extraction.
 
-        Full extractions run with this session's ``executor`` and
-        ``n_workers``, leased from its pools as its runs are.
+        Full extractions run on this session's ``n_workers`` worker
+        processes, leased from its pool as its runs are.
 
         Raises:
             GraphViewError: invalid declaration, duplicate name, or a
@@ -377,9 +377,9 @@ class Vertexica:
 
         Keyword overrides are applied on top of this instance's config,
         e.g. ``vx.run(g, prog, n_partitions=16, input_strategy="join")``.
-        ``executor="processes"`` (with ``data_plane="shards"`` and
-        ``n_workers=N``) runs shard tasks in spawned worker processes over
-        shared-memory vertex state — bit-identical to serial execution.
+        ``n_workers=N`` (with ``data_plane="shards"``) runs shard tasks in
+        N spawned worker processes over shared-memory vertex state —
+        bit-identical to serial execution.
         Fault tolerance rides the same kwargs: ``vx.run(g, prog,
         checkpoint_every=4, checkpoint_dir=d)`` snapshots durable run
         state every 4 supersteps, and ``vx.run(g, prog, resume=True,

@@ -18,8 +18,8 @@ This module keeps the run state resident instead:
    resident arrays — no SQL, no decode — and runs the *same* layer-2
    compute as the SQL plane (:meth:`VertexWorker.compute_decoded`), so
    batch and scalar programs work unchanged.  Shard tasks have no global
-   sort barrier and the kernels are numpy-heavy (GIL released), which is
-   what lets ``n_workers > 1`` actually scale.
+   sort barrier and need nothing from the engine, which is what lets
+   ``n_workers > 1`` run them in worker processes (below).
 3. **Route messages in-plane, delivering once.**  A destination shard
    receives its messages ordered by (destination id, source shard,
    emission order) — exactly the delivery order the SQL plane produces
@@ -60,10 +60,11 @@ reuse it too.
 Relational interop: :meth:`ShardedDataPlane.sync_tables` mirrors the
 resident state into the vertex and message tables.  The coordinator
 calls it before each checkpoint write and once at completion (quiescence
-or the superstep cap), under its rollback guard; between those points
-the tables hold the last sync's state.
+or the superstep cap) unless a checkpoint sync already wrote that state,
+under its rollback guard; between those points the tables hold the last
+sync's state.
 
-**Process-parallel execution** (``executor="processes"``): when the
+**Process-parallel execution** (``n_workers > 1``): when the
 coordinator binds a :class:`~repro.engine.parallel.ProcessExecutor`
 (:meth:`ShardedDataPlane.bind_executor`), the fixed-width shard arrays —
 ids, halt flags, encoded values, validity, CSR edges — are copied into
@@ -78,11 +79,11 @@ between runs; per superstep only a tiny :class:`_ProcessStep`
 descriptor crosses the pipe.  Message inboxes are published into fresh
 shared segments each superstep.  Every shard task returns a
 :class:`ShardTaskOutput` whose aggregator partials are already reduced
-to *scalars* — the shard-resident aggregator fast path, shared by all
-executors — so the barrier reduces a handful of floats, not arrays.
+to *scalars* — the shard-resident aggregator fast path, shared with
+the serial path — so the barrier reduces a handful of floats, not arrays.
 Parent-side apply/route/reduce run in the exact same order as the
-in-process path, which is what keeps ``executor="processes"``
-bit-identical to serial and threaded execution.
+in-process path, which is what keeps process execution bit-identical to
+serial execution.
 """
 
 from __future__ import annotations
@@ -832,7 +833,8 @@ class ShardedDataPlane:
         segment descriptors, armed fault plan — into the worker
         processes, pickled exactly once.  (Called again after a plane
         rebuild: the fresh bootstrap replaces the workers' stale plane.)
-        For serial/thread executors it is a no-op.
+        For the serial executor it is a no-op, and the plane computes its
+        shards in-process.
         """
         if not isinstance(executor, ProcessExecutor):
             return
@@ -957,13 +959,9 @@ class ShardedDataPlane:
     # ------------------------------------------------------------------
     # One superstep
     # ------------------------------------------------------------------
-    def run_superstep(
-        self,
-        superstep: int,
-        aggregated: dict[str, float],
-        executor: PartitionExecutor,
-    ) -> StepStats:
-        """Compute every shard (optionally in parallel), then apply
+    def run_superstep(self, superstep: int, aggregated: dict[str, float]) -> StepStats:
+        """Compute every shard (on the worker processes when
+        :meth:`bind_executor` armed the plane, else serially), then apply
         vertex updates, route messages, and reduce aggregators (into
         :attr:`aggregated`) — the synchronous superstep barrier, minus
         all the SQL.  Tasks hand their messages over in emission order;
@@ -977,37 +975,25 @@ class ShardedDataPlane:
             aggregated=aggregated,
             use_batch=self.use_batch,
         )
+        messages_in = self.pending_messages
         if self._proc_executor is not None:
-            return self._run_superstep_processes(worker)
-        messages_in = self.pending_messages
-        meta = self.meta
-
-        def run_shard(shard: VertexShard, index: int) -> ShardTaskOutput:
-            out = _run_shard_task(shard, index, worker, meta)
-            worker.record_partition_counts(out.ran, out.dropped)
-            return out
-
-        outputs = executor(
-            run_shard, [(shard, shard.index) for shard in self.shards]
-        )
-        return self._finish_superstep(worker, outputs, messages_in)
-
-    def _run_superstep_processes(self, worker: VertexWorker) -> StepStats:
-        """One superstep on the bound :class:`ProcessExecutor`: publish
-        inboxes, dispatch tiny task descriptors, gather
-        :class:`ShardTaskOutput` results, then run the exact same
-        barrier as the in-process path."""
-        messages_in = self.pending_messages
-        step = _ProcessStep(
-            token=self._token,
-            superstep=worker.superstep,
-            use_batch=worker.use_batch,
-            aggregated=dict(worker.aggregated),
-            inboxes=tuple(self._publish_inboxes()),
-        )
-        outputs = self._proc_executor(
-            step, [(shard.index, shard.index) for shard in self.shards]
-        )
+            # Only a tiny descriptor crosses the pipe; the inboxes go
+            # through fresh shared segments.
+            step = _ProcessStep(
+                token=self._token,
+                superstep=superstep,
+                use_batch=worker.use_batch,
+                aggregated=dict(worker.aggregated),
+                inboxes=tuple(self._publish_inboxes()),
+            )
+            outputs = self._proc_executor(
+                step, [(shard.index, shard.index) for shard in self.shards]
+            )
+        else:
+            outputs = [
+                _run_shard_task(shard, shard.index, worker, self.meta)
+                for shard in self.shards
+            ]
         for out in outputs:
             worker.record_partition_counts(out.ran, out.dropped)
         return self._finish_superstep(worker, outputs, messages_in)

@@ -18,7 +18,6 @@ from repro.core.program import VertexProgram
 from repro.core.shards import shard_index
 from repro.core.storage import GraphHandle, GraphStorage
 from repro.core.worker import VertexWorker
-from repro.engine.parallel import PartitionExecutor
 
 __all__ = ["SqlDataPlane"]
 
@@ -74,15 +73,10 @@ class SqlDataPlane:
     # ------------------------------------------------------------------
     # One superstep
     # ------------------------------------------------------------------
-    def run_superstep(
-        self,
-        superstep: int,
-        aggregated: dict[str, float],
-        executor: PartitionExecutor,
-    ) -> StepStats:
-        """Input SQL -> partitioned worker transform -> staging table ->
-        SQL apply of vertex updates, messages and aggregators (into
-        :attr:`aggregated`)."""
+    def run_superstep(self, superstep: int, aggregated: dict[str, float]) -> StepStats:
+        """Input SQL -> partitioned worker transform (its partitions run
+        serially) -> staging table -> SQL apply of vertex updates,
+        messages and aggregators (into :attr:`aggregated`)."""
         config, storage, graph, program = self.config, self.storage, self.graph, self.program
         worker = VertexWorker(
             program,
@@ -114,7 +108,6 @@ class SqlDataPlane:
             partition_by=("vid",),
             order_by=order_by,
             n_partitions=config.n_partitions,
-            executor=executor,
         )
         storage.stage_worker_output(graph, output)
 

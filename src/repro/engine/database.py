@@ -36,7 +36,6 @@ from repro.engine.operators import (
     analyze_tree,
     explain_tree,
 )
-from repro.engine.parallel import PartitionExecutor, serial_executor
 from repro.engine.persistence import checkpoint_catalog, restore_catalog
 from repro.engine.planner import Planner
 from repro.engine.schema import Schema
@@ -369,15 +368,14 @@ class Database:
         partition_by: Sequence[str] = (),
         order_by: Sequence[str] = (),
         n_partitions: int = 1,
-        executor: PartitionExecutor | None = None,
     ) -> RecordBatch:
         """Run a registered transform UDF over the result of ``input_sql``.
 
         The input is hash partitioned on ``partition_by`` into
         ``n_partitions`` buckets, each bucket sorted by ``order_by``, and
-        the UDF invoked once per non-empty bucket (optionally through a
-        parallel ``executor``).  Mirrors Vertica's
-        ``SELECT udf(...) OVER (PARTITION BY ...)`` execution.
+        the UDF invoked once per non-empty bucket, in bucket order.
+        Mirrors Vertica's ``SELECT udf(...) OVER (PARTITION BY ...)``
+        execution.
         """
         udf = self.udfs.get_transform(name)
         source_batch = self.query_batch(input_sql)
@@ -389,7 +387,6 @@ class Database:
             [ColumnRef(c) for c in order_by],
             n_partitions,
             self.functions,
-            executor=executor or serial_executor,
         )
         return op.execute()
 

@@ -1270,7 +1270,6 @@ class TransformOp(Operator):
         sort_exprs: Sequence[Expression],
         n_partitions: int,
         registry: FunctionRegistry,
-        executor: Callable[..., list[RecordBatch]] | None = None,
     ) -> None:
         if n_partitions < 1:
             raise PlanError("n_partitions must be >= 1")
@@ -1281,7 +1280,6 @@ class TransformOp(Operator):
         self.sort_exprs = list(sort_exprs)
         self.n_partitions = n_partitions
         self.registry = registry
-        self.executor = executor
 
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
@@ -1292,10 +1290,7 @@ class TransformOp(Operator):
     def execute(self) -> RecordBatch:
         batch = self.child.execute()
         tasks = self._partitioned_tasks(batch)
-        if self.executor is not None:
-            outputs = self.executor(self.fn, tasks)
-        else:
-            outputs = [self.fn(piece, index) for piece, index in tasks]
+        outputs = [self.fn(piece, index) for piece, index in tasks]
         outputs = [out for out in outputs if out.num_rows]
         if not outputs:
             return RecordBatch.empty(self.schema)

@@ -1,41 +1,38 @@
-"""Worker-execution strategies for transform UDFs and shard tasks.
+"""Worker-execution strategies for shard tasks.
 
 The paper runs "as many workers as the number of cores".  In CPython the
-GIL caps what threads buy us for pure-Python vertex programs, so the engine
-offers three strategies with identical semantics:
+GIL caps what threads buy for pure-Python vertex programs (README's
+"Paper vs measured" has the thread pool's ruling), so the engine offers
+two strategies with identical semantics:
 
-* :func:`serial_executor` — deterministic, zero overhead; the default.
-* :class:`ThreadExecutor` (via :func:`make_thread_executor`) — a real
-  thread pool; useful when tasks release the GIL (numpy-heavy compute)
-  and for exercising the parallel code path in the workers ablation
-  benchmark.
+* :func:`serial_executor` — deterministic, zero overhead; what every
+  one-worker lease hands out, and so what the SQL plane always runs.
 * :class:`ProcessExecutor` — persistent **spawned worker processes**, the
-  strategy that actually escapes the GIL.  Task functions and items must
-  be picklable; heavyweight per-run state crosses the boundary exactly
+  strategy that escapes the GIL.  Task functions and items must be
+  picklable; heavyweight per-run state crosses the boundary exactly
   once through :meth:`ProcessExecutor.install` (the sharded data plane
   installs a bootstrap that attaches shared-memory segments and unpickles
   the program closure at pool start, not per superstep).
 
-All three receive ``(fn, tasks)`` where tasks are ``(item, index)`` pairs —
-record-batch partitions for transform UDFs, resident shards for the
-sharded data plane — and must return outputs in task order so results
-stay deterministic regardless of scheduling.
+Both receive ``(fn, tasks)`` where tasks are ``(item, index)`` pairs —
+resident shards for the sharded data plane, statement units for graph
+view extraction — and return outputs in task order so results stay
+deterministic regardless of scheduling.
 
-Pool-backed executors hold one pool for their whole lifetime, and that
-lifetime is a *session's*: a :class:`SessionPools` (one per
-``Vertexica``) owns at most one pool of each kind and lends it to one
-run at a time (:meth:`SessionPools.lease`), so worker processes are
+A pool lives as long as its *session*: a :class:`SessionPools` (one per
+``Vertexica``) owns at most one :class:`ProcessExecutor` and lends it to
+one run at a time (:meth:`SessionPools.lease`), so worker processes are
 spawned once per session rather than once per run or per superstep.  A
 run's own context crosses in its :meth:`ProcessExecutor.install`
-bootstrap.  Both executors are context managers; exiting (or
-``close()``) shuts the pool down.
+bootstrap.  The executor is a context manager; exiting (or ``close()``)
+shuts the pool down.
 
-Failure contract (shared): the earliest failed task's exception
-propagates with a note naming the task; when sibling tasks also failed,
-a second note enumerates them so secondary failures never vanish
-silently.  A raised ``BaseException`` that is not an ``Exception`` (e.g.
-an injected kill) takes priority — it must tear through the caller's
-``except Exception`` handlers no matter which task slot it came from.
+Failure contract: the earliest failed task's exception propagates with a
+note naming the task; when sibling tasks also failed, a second note
+enumerates them so secondary failures never vanish silently.  A raised
+``BaseException`` that is not an ``Exception`` (e.g. an injected kill)
+takes priority — it must tear through the caller's ``except Exception``
+handlers no matter which task slot it came from.
 
 The seam is deliberately scheduler-shaped: ``install()`` broadcasts
 immutable run context, ``__call__`` submits small picklable task
@@ -51,15 +48,12 @@ import multiprocessing
 import pickle
 import threading
 import traceback
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
 __all__ = [
     "serial_executor",
-    "make_thread_executor",
     "PartitionExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "SessionPools",
     "NO_SESSION",
@@ -81,9 +75,7 @@ def serial_executor(
     return [fn(item, index) for item, index in tasks]
 
 
-def _raise_with_task_context(
-    failures: list[tuple[int, BaseException]], primary_note: str
-) -> None:
+def _raise_with_task_context(failures: list[tuple[int, BaseException]]) -> None:
     """Raise the primary failure from ``failures`` (task-index ordered).
 
     The primary is the earliest non-``Exception`` failure if any (kills
@@ -94,7 +86,7 @@ def _raise_with_task_context(
         ((i, e) for i, e in failures if not isinstance(e, Exception)),
         failures[0],
     )
-    exc.add_note(f"raised by parallel task {index}{primary_note}")
+    exc.add_note(f"raised by parallel task {index} (in a worker process)")
     siblings = [(i, e) for i, e in failures if e is not exc]
     if siblings:
         details = "; ".join(
@@ -102,85 +94,6 @@ def _raise_with_task_context(
         )
         exc.add_note(f"{len(siblings)} sibling task(s) also failed: {details}")
     raise exc
-
-
-class ThreadExecutor:
-    """A pool-backed executor that preserves task order in its output.
-
-    The pool is created lazily on the first multi-task call and then
-    reused for every subsequent call until :meth:`close` — held by the
-    session (:class:`SessionPools`), so threads are spawned once per
-    session, not per run or per superstep.
-
-    Args:
-        n_threads: pool size; values below 1 are clamped to 1.
-    """
-
-    __slots__ = ("n_threads", "_pool", "_lock")
-
-    def __init__(self, n_threads: int) -> None:
-        self.n_threads = max(1, int(n_threads))
-        self._pool: ThreadPoolExecutor | None = None
-        self._lock = threading.Lock()
-
-    def __call__(
-        self,
-        fn: Callable[[Any, int], Any],
-        tasks: Sequence[tuple[Any, int]],
-    ) -> list[Any]:
-        if len(tasks) <= 1 or self.n_threads == 1:
-            return serial_executor(fn, tasks)
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, item, index) for item, index in tasks]
-        # Short-circuit on the first failure instead of draining every
-        # result: cancel still-queued siblings (running ones finish — a
-        # thread cannot be preempted), settle the rest, then gather
-        # *every* settled failure so none is lost.
-        done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-        if not any(
-            future in done
-            and not future.cancelled()
-            and future.exception() is not None
-            for future in futures
-        ):
-            return [future.result() for future in futures]
-        for future in futures:
-            future.cancel()
-        wait(futures)
-        failures = [
-            (index, future.exception())
-            for (_, index), future in zip(tasks, futures)
-            if not future.cancelled() and future.exception() is not None
-        ]
-        _raise_with_task_context(failures, " (siblings cancelled)")
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.n_threads)
-            return self._pool
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent and exception-safe: the pool
-        reference is detached under the lock first, so a concurrent or
-        repeated close sees ``None`` and returns; queued work is
-        cancelled rather than drained).  Later calls fall back to a fresh
-        lazily-created pool, so a closed executor stays usable."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "ThreadExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def make_thread_executor(n_threads: int) -> ThreadExecutor:
-    """A persistent pool-backed executor (see :class:`ThreadExecutor`)."""
-    return ThreadExecutor(n_threads)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +321,7 @@ class ProcessExecutor:
             self.close()
         if failures:
             failures.sort(key=lambda pair: pair[0])
-            _raise_with_task_context(failures, " (in a worker process)")
+            _raise_with_task_context(failures)
         return results
 
     # ------------------------------------------------------------------
@@ -492,53 +405,50 @@ class ProcessExecutor:
 # Session-owned pools
 # ---------------------------------------------------------------------------
 class SessionPools:
-    """The worker pools one session owns: at most one
-    :class:`ProcessExecutor` and one :class:`ThreadExecutor`, kept
-    between runs.
+    """The worker pool one session owns: at most one
+    :class:`ProcessExecutor`, kept between runs.
 
-    :meth:`lease` lends the pool of a kind to one caller at a time; a
-    caller that finds it lent out (a concurrent run on the same session)
-    gets a private pool for the duration of its lease instead of
-    waiting, so two runs never interleave on one set of pipes.
-    :meth:`close` shuts the held pools down; a closed holder keeps
-    working, handing every lease a private pool.
+    :meth:`lease` lends it to one caller at a time; a caller that finds
+    it lent out (a concurrent run on the same session) gets a private
+    pool for the duration of its lease instead of waiting, so two runs
+    never interleave on one set of pipes.  :meth:`close` shuts the held
+    pool down; a closed holder keeps working, handing every lease a
+    private pool.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: kind -> (worker count, pool)
-        self._held: dict[str, tuple[int, ThreadExecutor | ProcessExecutor]] = {}
-        self._leased: set[str] = set()
+        self._held: ProcessExecutor | None = None
+        self._leased = False
         self._closed = False
 
     @contextmanager
-    def lease(
-        self, kind: str, n_workers: int
-    ) -> Iterator[ThreadExecutor | ProcessExecutor]:
-        """Lend the ``kind`` (``"threads"`` or ``"processes"``) pool of
-        ``n_workers`` workers for the ``with`` block.
+    def lease(self, n_workers: int) -> Iterator[PartitionExecutor]:
+        """Lend a pool of ``n_workers`` worker processes for the ``with``
+        block.
 
-        A held pool of another size is closed and replaced.  With
-        ``n_workers <= 1`` the block gets a private executor, which runs
-        tasks serially and spawns nothing, and the held pool is left
-        alone.  An exit through a ``BaseException`` that is not an
-        ``Exception`` (an injected kill, an interrupt) closes the pool —
-        it may have cut a message exchange short — and the next lease
-        respawns it; so does a lost worker (:class:`ProcessExecutor`
-        closes itself then).
+        With ``n_workers <= 1`` the block gets :func:`serial_executor`:
+        nothing is spawned and the held pool is left alone.  A held pool
+        of another size is closed and replaced.  An exit through a
+        ``BaseException`` that is not an ``Exception`` (an injected kill,
+        an interrupt) closes the pool — it may have cut a message
+        exchange short — and the next lease respawns it; so does a lost
+        worker (:class:`ProcessExecutor` closes itself then).
         """
-        factory = ProcessExecutor if kind == "processes" else ThreadExecutor
+        if n_workers <= 1:
+            yield serial_executor
+            return
         stale = None
         with self._lock:
-            shared = n_workers > 1 and not self._closed and kind not in self._leased
+            shared = not self._closed and not self._leased
             if shared:
-                self._leased.add(kind)
-                size, pool = self._held.get(kind, (0, None))
-                if size != n_workers:
-                    stale, pool = pool, factory(n_workers)
-                    self._held[kind] = (n_workers, pool)
+                self._leased = True
+                pool = self._held
+                if pool is None or pool.n_processes != n_workers:
+                    stale, pool = pool, ProcessExecutor(n_workers)
+                    self._held = pool
         if not shared:
-            with factory(n_workers) as private:
+            with ProcessExecutor(n_workers) as private:
                 yield private
             return
         try:
@@ -551,19 +461,22 @@ class SessionPools:
             raise
         finally:
             with self._lock:
-                self._leased.discard(kind)
-                orphaned = self._closed and self._held.pop(kind, None) is not None
+                self._leased = False
+                orphaned = self._closed and self._held is pool
+                if orphaned:
+                    self._held = None
             if orphaned:  # the session closed while the pool was lent out
                 pool.close()
 
     def close(self) -> None:
-        """Shut the held pools down (idempotent).  A pool lent out right
+        """Shut the held pool down (idempotent).  A pool lent out right
         now is shut down when its lease ends."""
         with self._lock:
             self._closed = True
-            idle = [kind for kind in self._held if kind not in self._leased]
-            pools = [self._held.pop(kind)[1] for kind in idle]
-        for pool in pools:
+            pool = None if self._leased else self._held
+            if pool is not None:
+                self._held = None
+        if pool is not None:
             pool.close()
 
 

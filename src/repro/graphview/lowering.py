@@ -21,14 +21,13 @@ pin holds one of:
 them under one lock acquisition, so the extraction reads one consistent
 cut and its bookmarks name exactly the versions it read.  It then maps
 the runner over the units on the executor leased for the session's
-:class:`~repro.core.config.VertexicaConfig` (``n_workers`` workers of
-``config.executor``, from the session's pools as a run's are, so
-process-parallel extraction needs ``data_plane="shards"``, as process
-runs do).  A one-worker lease runs its tasks serially, so nothing
-branches on the executor, and no statement ever touches the live
-catalog.  The private catalog holds only built-in functions: a spec
-expression cannot call a function added with ``db.register_function``,
-on any executor.
+:class:`~repro.core.config.VertexicaConfig`: ``n_workers`` worker
+processes from the session's pool, as a run's are (so parallel
+extraction needs ``data_plane="shards"``, as parallel runs do).  A
+one-worker lease runs its tasks serially, so nothing branches on the
+executor, and no statement ever touches the live catalog.  The private
+catalog holds only built-in functions: a spec expression cannot call a
+function added with ``db.register_function``, on any executor.
 
 A :class:`CoEdgeSpec` without a ``weight`` (a ``COUNT(*)`` of joined
 rows) is lowered through :func:`expand_co_occurrence`, a group-by-``via``
@@ -40,8 +39,8 @@ count decomposes per group.  Spelling the default out as
 hold the expansion to the same rows.
 
 Every executor produces bit-identical per-spec arrays; the determinism
-suite in ``tests/graphview/test_parallel_extraction.py`` locks serial,
-thread, and process lowering to the same bytes.
+suite in ``tests/graphview/test_parallel_extraction.py`` locks serial
+and process lowering to the same bytes.
 """
 
 from __future__ import annotations
@@ -365,10 +364,10 @@ def lower_view(
     """Run every compiled statement of ``view`` and convert the results.
 
     ``config`` (the session's; ``None`` lowers serially) supplies the
-    executor and worker count; the executor is leased from ``pools`` —
-    the session's, the same one its runs use — or, without one, is a
-    private pool.  Every executor produces bit-identical per-spec
-    arrays; see the module docstring.
+    worker count; the executor is leased from ``pools`` — the session's,
+    the same one its runs use — or, without one, is a private pool.
+    Every executor produces bit-identical per-spec arrays; see the
+    module docstring.
     """
     config = config or VertexicaConfig()
     workers = config.n_workers
@@ -384,7 +383,7 @@ def lower_view(
         for pin in _slices(pins.get(spec.table), workers if sliceable else 1):
             units.append((what, sql, pin))
             owners.append(job)
-    with (pools or NO_SESSION).lease(config.executor, workers) as executor:
+    with (pools or NO_SESSION).lease(workers) as executor:
         batches = executor(run_statement, [(unit, i) for i, unit in enumerate(units)])
 
     per_job: list[list[RecordBatch]] = [[] for _ in jobs]

@@ -20,9 +20,9 @@ Two freshness modes:
   :meth:`GraphViewHandle.resolve` (which ``Vertexica.run`` calls) re-runs
   the extraction, so the analysis always sees the current base tables.
 
-A full extraction runs with the executor and worker count of the
-session's :class:`~repro.core.config.VertexicaConfig` (see
-:mod:`repro.graphview.lowering`).
+A full extraction runs with the worker count of the session's
+:class:`~repro.core.config.VertexicaConfig`: serially, or on its worker
+processes (see :mod:`repro.graphview.lowering`).
 
 Both refresh paths produce bit-identical graph tables: full loads store
 edges in canonical ``(src, dst, weight)`` order and the incremental path
@@ -178,10 +178,10 @@ class GraphViewHandle:
     the incremental path for a full re-extraction.
 
     ``config`` is the session's :class:`VertexicaConfig`: full
-    extractions run on its ``executor`` with ``n_workers`` workers, as
-    its runs do; ``None`` extracts serially.  Parallel extractions lease
-    their executor from ``pools`` (the session's); ``None`` gives each
-    one a private pool.
+    extractions run on ``n_workers`` worker processes, as its runs do;
+    ``None`` extracts serially.  Parallel extractions lease the pool
+    from ``pools`` (the session's); ``None`` gives each one a private
+    pool.
     """
 
     def __init__(

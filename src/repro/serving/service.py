@@ -330,9 +330,9 @@ class ServingSession:
         A fresh shadow Vertexica executes each miss, so the live
         database never sees the run's vertex/message/output tables and
         concurrent DML never sees a half-done run.  The shadow leases
-        the live session's worker pool, so misses under
-        ``executor="processes"`` spawn workers once per session, not per
-        miss (a miss that finds the pool lent out runs on a private one).
+        the live session's worker pool, so misses with ``n_workers > 1``
+        spawn workers once per session, not per miss (a miss that finds
+        the pool lent out runs on a private one).
         Cache hits return a result whose stats carry
         ``served_from_cache=True``.
         """

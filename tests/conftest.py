@@ -40,13 +40,20 @@ TESTS = Path(__file__).parent
 #: planes, or kill runs midway; after each of their tests no child process
 #: and no plane segment of this process may survive.
 HYGIENE_SCOPES = (
+    "core/test_batch_parity.py",
+    "core/test_delivery_plan.py",
     "core/test_process_plane.py",
+    "core/test_route_plan.py",
     "core/test_session_pool.py",
+    "core/test_shard_plane.py",
     "core/test_recovery.py",
     "core/test_recovery_fuzz.py",
     "core/test_sender_gather.py",
     "core/test_failure_injection.py",
     "engine/test_parallel.py",
+    "engine/test_result_api.py",
+    "graphview/test_incremental_parity.py",
+    "graphview/test_parallel_extraction.py",
     "serving/",
 )
 

@@ -301,27 +301,31 @@ class TestShardPlaneParity:
     @pytest.mark.parametrize(
         "program_factory,symmetrize,matching", ALL_PROGRAMS_BOTH_PLANES
     )
-    def test_shard_plane_parallel_workers(self, program_factory, symmetrize, matching):
-        """Shard tasks are embarrassingly parallel; a thread pool must
-        not change any result (deterministic routing + barriers)."""
-        serial = run_on_plane("shards", program_factory, symmetrize, matching)
-        threaded = run_on_plane(
-            "shards", program_factory, symmetrize, matching, n_workers=4
-        )
-        assert_runs_identical(serial, threaded)
-
-    @pytest.mark.parametrize(
-        "program_factory,symmetrize,matching", ALL_PROGRAMS_BOTH_PLANES
-    )
     def test_shard_plane_process_workers(self, program_factory, symmetrize, matching):
-        """``executor="processes"`` — shard state in shared memory,
-        compute in spawned worker processes — must be bit-identical to
+        """Worker processes — shard state in shared memory, compute in
+        spawned processes — must be bit-identical to
         serial execution for every shipped program (exact values AND
         per-superstep stats), including the order-sensitive ones."""
         serial = run_on_plane("shards", program_factory, symmetrize, matching)
         processes = run_on_plane(
             "shards", program_factory, symmetrize, matching,
             n_workers=2, executor="processes",
+        )
+        assert_runs_identical(serial, processes)
+
+    @pytest.mark.parametrize(
+        "program_factory,symmetrize,matching", ALL_PROGRAMS_BOTH_PLANES
+    )
+    def test_shard_plane_uneven_worker_split(self, program_factory, symmetrize, matching):
+        """Three worker processes over five shards own 2, 2 and 1 of them:
+        a worker that finishes its batch early must not change any result
+        (exact values AND per-superstep stats)."""
+        serial = run_on_plane(
+            "shards", program_factory, symmetrize, matching, n_partitions=5
+        )
+        processes = run_on_plane(
+            "shards", program_factory, symmetrize, matching,
+            n_partitions=5, n_workers=3, executor="processes",
         )
         assert_runs_identical(serial, processes)
 
@@ -557,18 +561,26 @@ class TestVectorCombiners:
         assert_combined_equals_uncombined(combined, uncombined)
 
     @pytest.mark.parametrize("program_factory", VECTOR_COMBINER_PROGRAMS)
-    def test_combined_parity_across_thread_executor(self, program_factory):
-        serial = run_on_plane("shards", program_factory)
-        threaded = run_on_plane("shards", program_factory, n_workers=4)
-        assert_runs_identical(serial, threaded)
-
-    @pytest.mark.parametrize("program_factory", VECTOR_COMBINER_PROGRAMS)
     def test_combined_parity_across_process_executor(self, program_factory):
         serial = run_on_plane("shards", program_factory)
         processes = run_on_plane(
             "shards", program_factory, n_workers=2, executor="processes"
         )
         assert_runs_identical(serial, processes)
+
+    @pytest.mark.parametrize("program_factory", VECTOR_COMBINER_PROGRAMS)
+    def test_combined_bit_identical_to_uncombined_on_processes(self, program_factory):
+        # Each worker process combines its own shards; the counters the
+        # coordinator sums over them must still say the same rows were
+        # staged and fewer delivered.
+        combined = run_on_plane(
+            "shards", program_factory, n_workers=2, executor="processes"
+        )
+        uncombined = run_on_plane(
+            "shards", program_factory, use_combiner=False,
+            n_workers=2, executor="processes",
+        )
+        assert_combined_equals_uncombined(combined, uncombined)
 
     @pytest.mark.parametrize("program_factory", VECTOR_COMBINER_PROGRAMS)
     def test_batch_scalar_parity(self, program_factory):

@@ -115,8 +115,26 @@ class TestConfig:
         assert config.update_strategy == "update"
 
     def test_with_overrides(self):
-        config = VertexicaConfig().with_overrides(n_partitions=16, n_workers=2)
+        config = VertexicaConfig().with_overrides(
+            n_partitions=16, n_workers=2, data_plane="shards"
+        )
         assert config.n_partitions == 16 and config.n_workers == 2
+
+    def test_thread_executor_removed(self):
+        with pytest.raises(VertexicaError, match="thread executor was removed"):
+            VertexicaConfig(executor="threads").validated()
+
+    def test_parallel_workers_require_the_shard_plane(self):
+        with pytest.raises(VertexicaError, match="data_plane='shards'"):
+            VertexicaConfig(n_workers=2, data_plane="sql").validated()
+
+    def test_benchmark_process_spelling_validates(self):
+        config = VertexicaConfig().with_overrides(
+            data_plane="shards", executor="processes", n_workers=2
+        )
+        assert (config.data_plane, config.executor, config.n_workers) == (
+            "shards", "processes", 2
+        )
 
     @pytest.mark.parametrize(
         "field,value",
@@ -145,7 +163,10 @@ class TestConfig:
 
     def test_numpy_integers_accepted(self):
         config = VertexicaConfig(
-            n_partitions=np.int64(3), n_workers=np.int32(2), max_supersteps=np.uint8(4)
+            n_partitions=np.int64(3),
+            n_workers=np.int32(2),
+            max_supersteps=np.uint8(4),
+            data_plane="shards",
         ).validated()
         assert (config.n_partitions, config.n_workers, config.max_supersteps) == (3, 2, 4)
 

@@ -396,3 +396,4 @@ class TestProcessesReuseTheIndex:
         if os.path.isdir("/dev/shm"):
             assert [n for n in os.listdir("/dev/shm") if n.startswith(shared)] == []
         assert not any(is_shared_memory_view(a) for a in index_arrays(index))
+        vx.close()

@@ -1,13 +1,14 @@
 """The process-parallel shard plane: shared-memory plumbing, fault-plan
 propagation into worker processes, and config gating.
 
-Bit-parity of ``executor="processes"`` against serial/threaded execution
-for every shipped program lives in ``test_batch_parity.py``; this module
+Bit-parity of worker processes against serial execution for every
+shipped program lives in ``test_batch_parity.py``; this module
 covers the machinery around it.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 
@@ -20,7 +21,7 @@ from repro.core.shards import ShardedDataPlane
 from repro.core.shmem import SharedArrayGroup
 from repro.engine.parallel import ProcessExecutor
 from repro.errors import VertexicaError
-from repro.programs import PageRank, ShortestPaths
+from repro.programs import PageRank
 
 
 def _graph(vx: Vertexica, name: str = "g"):
@@ -210,34 +211,37 @@ class TestFailedInstall:
 
 
 class TestExecutorConfig:
-    def test_processes_requires_shard_plane(self):
-        with pytest.raises(VertexicaError, match="data_plane='shards'"):
-            VertexicaConfig(executor="processes").validated()
-
     def test_unknown_executor_rejected(self):
         with pytest.raises(VertexicaError, match="executor"):
             VertexicaConfig(executor="fibers").validated()
 
     @pytest.mark.parametrize(
-        "removed,replacement", [("auto", "'threads'"), ("serial", "n_workers=1")]
+        "removed,replacement", [("auto", "'processes'"), ("serial", "n_workers=1")]
     )
     def test_removed_executor_values_name_their_replacement(self, removed, replacement):
         with pytest.raises(VertexicaError, match=replacement):
             VertexicaConfig(executor=removed).validated()
 
-    def test_threads_match_one_serial_worker(self, vx):
-        g = _graph(vx)
-        serial = vx.run(g, ShortestPaths(source=0), data_plane="shards", n_workers=1)
-        threaded = vx.run(g, ShortestPaths(source=0), data_plane="shards",
-                          executor="threads", n_workers=4)
-        assert serial.values == threaded.values
-
     def test_single_worker_processes_degrades_to_serial(self, vx):
         """``n_workers=1`` under ``executor='processes'`` must not spawn
-        anything (the executor serial-fallbacks) and still be correct."""
+        anything (the lease hands out the serial executor) and still be
+        correct."""
         g = _graph(vx)
         base = vx.run(g, PageRank(iterations=3), data_plane="shards")
         one = vx.run(g, PageRank(iterations=3), data_plane="shards",
                      executor="processes", n_workers=1)
         assert base.values == one.values
+        assert multiprocessing.active_children() == []
+
+    def test_more_workers_than_shards(self, vx):
+        """Three worker processes over two shards: one worker idles every
+        superstep, the result is unchanged, and the pool stays in step
+        across runs."""
+        g = _graph(vx)
+        base = vx.run(g, PageRank(iterations=3), data_plane="shards", n_partitions=2)
+        for _ in range(2):
+            wide = vx.run(g, PageRank(iterations=3), data_plane="shards", n_partitions=2,
+                          executor="processes", n_workers=3)
+            assert wide.values == base.values
+            assert len(multiprocessing.active_children()) == 3
 

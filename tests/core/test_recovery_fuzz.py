@@ -130,9 +130,10 @@ def _transient_supersteps(site, n_supersteps):
     if site in _PINNABLE:
         return list(range(n_supersteps))
     if site == "storage.sync":
-        # the sync before each checkpoint, then the final sync
+        # the sync before each checkpoint, then the final sync, which a
+        # run ending on a checkpoint skips (its tables hold that state)
         before = [s for s in range(n_supersteps) if (s + 1) % EVERY == 0]
-        return before + [n_supersteps]
+        return before + ([n_supersteps] if n_supersteps % EVERY else [])
     # checkpoint.write trips with the completed-superstep count
     return list(range(EVERY, n_supersteps + 1, EVERY))
 

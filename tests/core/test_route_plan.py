@@ -357,7 +357,7 @@ class TestRouteSortsPerTableVersion:
         if vx is None:
             vx = Vertexica(
                 config=VertexicaConfig(
-                    data_plane="shards", n_partitions=N_SHARDS, n_workers=2, executor="threads"
+                    data_plane="shards", n_partitions=N_SHARDS, n_workers=2
                 )
             )
             gate_graph(vx)
@@ -372,6 +372,7 @@ class TestRouteSortsPerTableVersion:
         assert short == long == 2
         assert builds["index"] == builds["plan"] == 2  # one per fresh graph
         again, _ = self._route_sorts(monkeypatch, vx, iterations=8)
+        vx.close()
         assert again == 0
         assert builds["index"] == builds["plan"] == 2  # the same edge table
 
@@ -379,6 +380,7 @@ class TestRouteSortsPerTableVersion:
         _, vx = self._route_sorts(monkeypatch, iterations=3, compute_strategy="scalar")
         assert builds["plan"] == 0
         self._route_sorts(monkeypatch, vx, iterations=3)
+        vx.close()
         assert builds["index"] == builds["plan"] == 1  # the spy does see batch runs
 
 

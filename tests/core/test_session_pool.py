@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import operator
 import os
 import signal
 import threading
@@ -20,6 +21,7 @@ import pytest
 
 from repro.core import Vertexica, VertexicaConfig, faults
 from repro.core.faults import FaultPlan, FaultSpec, InjectedFault, InjectedKill
+from repro.engine.parallel import NO_SESSION, SessionPools, serial_executor
 from repro.programs import ConnectedComponents, PageRank
 
 PROCESSES = dict(data_plane="shards", n_partitions=4, executor="processes", n_workers=2)
@@ -73,6 +75,13 @@ class TestOneSpawnPerSession:
             assert plane_segments() == []
             assert [mapped_planes(pid) for pid in sorted(pids)] == [[], []]
 
+    def test_one_worker_lease_is_the_serial_executor(self):
+        pools = SessionPools()
+        with pools.lease(1) as executor:
+            assert executor is serial_executor
+        pools.close()
+        assert multiprocessing.active_children() == []
+
     def test_single_worker_leaves_the_held_pool_alone(self):
         with Vertexica(config=VertexicaConfig(**PROCESSES)) as vx:
             graph = load(vx)
@@ -91,6 +100,85 @@ class TestOneSpawnPerSession:
             assert len(pids_two) == 2 and len(pids_three) == 3
             assert not pids_two & pids_three  # the two-worker pool is gone
             assert bits(two.values) == bits(three.values)
+
+
+#: Tasks for ``operator.add``, picklable into a worker: each yields item + index.
+TASKS = [(10 * i, i) for i in range(4)]
+SUMS = [11 * i for i in range(4)]
+
+
+class _Kill(BaseException):
+    pass
+
+
+class TestLease:
+    """The pool holder on its own, without a session around it."""
+
+    def test_leases_share_the_held_pool(self):
+        pools = SessionPools()
+        with pools.lease(2) as first:
+            assert first(operator.add, TASKS) == SUMS
+            pids = worker_pids()
+        with pools.lease(2) as second:
+            assert second is first
+            assert second(operator.add, TASKS) == SUMS
+            assert worker_pids() == pids
+        pools.close()
+        assert first._workers == []
+
+    def test_a_nested_lease_gets_a_private_pool_closed_at_its_end(self):
+        pools = SessionPools()
+        with pools.lease(2) as held:
+            held(operator.add, TASKS)
+            with pools.lease(2) as private:
+                assert private is not held
+                assert private(operator.add, TASKS) == SUMS
+                assert len(worker_pids()) == 4
+            assert private._workers == []
+            assert len(worker_pids()) == 2
+        pools.close()
+
+    def test_no_session_leases_a_private_pool_each_time(self):
+        with NO_SESSION.lease(2) as first:
+            assert first(operator.add, TASKS) == SUMS
+        assert first._workers == []
+        with NO_SESSION.lease(2) as second:
+            assert second is not first
+        assert multiprocessing.active_children() == []
+
+    def test_a_kill_through_the_lease_closes_the_pool(self):
+        pools = SessionPools()
+        with pytest.raises(_Kill):
+            with pools.lease(2) as pool:
+                pool(operator.add, TASKS)
+                raise _Kill()
+        assert pool._workers == []
+        # The holder keeps the pool object; the next use respawns it.
+        with pools.lease(2) as again:
+            assert again is pool
+            assert again(operator.add, TASKS) == SUMS
+        pools.close()
+
+    def test_an_exception_through_the_lease_keeps_the_pool(self):
+        pools = SessionPools()
+        with pytest.raises(ValueError):
+            with pools.lease(2) as pool:
+                pool(operator.add, TASKS)
+                pids = worker_pids()
+                raise ValueError("a run failed")
+        assert worker_pids() == pids
+        pools.close()
+        assert pool._workers == []
+
+    def test_closing_while_lent_out_closes_at_the_lease_end(self):
+        pools = SessionPools()
+        with pools.lease(2) as pool:
+            pool(operator.add, TASKS)
+            pools.close()
+            assert len(pool._workers) == 2  # still lent out: left running
+            assert pool(operator.add, TASKS) == SUMS
+        assert pool._workers == []
+        assert multiprocessing.active_children() == []
 
 
 class TestReleasedWithTheSession:
@@ -198,7 +286,7 @@ class TestConcurrentRuns:
             graph = load(vx)
             expected = vx.run(graph, PageRank(iterations=3))
             pids = worker_pids()
-            with vx.pools.lease("processes", 2):
+            with vx.pools.lease(2):
                 private = vx.run(graph, PageRank(iterations=3))
                 assert worker_pids() == pids
             assert bits(private.values) == bits(expected.values)

@@ -8,10 +8,11 @@ relational-interop contract of the shard plane's table sync:
   and message tables holding exactly what the SQL plane leaves there;
 * without checkpointing the tables are written exactly once, at
   completion, and the final relations plus the ``VertexicaResult`` are
-  bit-identical to the SQL plane's.
+  bit-identical to the SQL plane's;
+* with checkpointing they are written at each checkpoint boundary, and
+  at completion only when the run did not just end on one.
 
-Plus: the coordinator's persistent thread pool (one pool per run, not
-per superstep) and the shard partitioning invariants.
+Plus: the shard partitioning invariants.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import pytest
 from repro.core import Vertexica, VertexicaConfig
 from repro.core.shards import ShardedDataPlane
 from repro.core.storage import GraphStorage
-from repro.engine.parallel import ThreadExecutor, make_thread_executor, serial_executor
 from repro.programs import ConnectedComponents, LabelPropagation, PageRank, ShortestPaths
 
 
@@ -142,6 +142,41 @@ class TestHaltSyncObservability:
         # setup_run's initial load is version 1; the final sync makes 2.
         assert vx.db.table(graph.vertex_table).version == 2
 
+    @staticmethod
+    def _recorded_syncs(monkeypatch, tmp_path, every):
+        """The ``superstep`` argument of every table sync in one
+        checkpointed PageRank(iterations=5) run (six supersteps)."""
+        calls = []
+        sync = ShardedDataPlane.sync_tables
+
+        def recording(plane, superstep=None):
+            calls.append(superstep)
+            return sync(plane, superstep)
+
+        monkeypatch.setattr(ShardedDataPlane, "sync_tables", recording)
+        vx, _, result = run_plane(
+            "shards", PageRank(iterations=5),
+            checkpoint_every=every, checkpoint_dir=str(tmp_path / "shards"),
+        )
+        assert result.stats.n_supersteps == 6
+        return calls, vx
+
+    def test_run_ending_on_a_checkpoint_skips_the_final_sync(self, monkeypatch, tmp_path):
+        # Checkpoints after 2, 4 and 6 completed supersteps sync at
+        # supersteps 1, 3 and 5; the last one already wrote the final state.
+        calls, shard_vx = self._recorded_syncs(monkeypatch, tmp_path, every=2)
+        assert calls == [1, 3, 5]
+        sql_vx, _, _ = run_plane(
+            "sql", PageRank(iterations=5),
+            checkpoint_every=2, checkpoint_dir=str(tmp_path / "sql"),
+        )
+        assert vertex_rows(shard_vx) == vertex_rows(sql_vx)
+        assert message_rows(shard_vx) == message_rows(sql_vx)
+
+    def test_run_ending_off_a_checkpoint_syncs_once_at_the_end(self, monkeypatch, tmp_path):
+        calls, _ = self._recorded_syncs(monkeypatch, tmp_path, every=4)
+        assert calls == [3, 6]
+
     def test_values_via_result_match_halt_tables(self):
         vx, _, result = run_plane("shards", ConnectedComponents(), True)
         from_table = {vid: value for vid, value, _ in vertex_rows(vx)}
@@ -192,42 +227,3 @@ class TestShardPartitioning:
             assert len(step.shard_seconds) == 4
             assert step.update_path in ("memory", "none")
             assert step.shard_balance >= 1.0
-
-
-class TestPersistentThreadPool:
-    def test_pool_reused_across_calls(self):
-        executor = make_thread_executor(2)
-        tasks = [(i, i) for i in range(4)]
-        assert executor(lambda item, index: item * 2, tasks) == [0, 2, 4, 6]
-        pool = executor._pool
-        assert pool is not None
-        executor(lambda item, index: item, tasks)
-        assert executor._pool is pool  # same pool, not a fresh one per call
-        executor.close()
-        assert executor._pool is None
-
-    def test_close_is_idempotent_and_reusable(self):
-        executor = make_thread_executor(3)
-        executor.close()
-        executor.close()
-        tasks = [(i, i) for i in range(3)]
-        assert executor(lambda item, index: item + 1, tasks) == [1, 2, 3]
-        executor.close()
-
-    def test_context_manager(self):
-        with make_thread_executor(2) as executor:
-            assert isinstance(executor, ThreadExecutor)
-            out = executor(lambda item, index: index, [(None, 0), (None, 1)])
-        assert out == [0, 1]
-        assert executor._pool is None
-
-    def test_single_task_stays_serial(self):
-        executor = make_thread_executor(4)
-        assert executor(lambda item, index: item, [(7, 0)]) == [7]
-        assert executor._pool is None  # no pool spawned for serial work
-
-    def test_serial_executor_unchanged(self):
-        assert serial_executor(lambda item, index: (item, index), [(5, 0), (6, 1)]) == [
-            (5, 0),
-            (6, 1),
-        ]

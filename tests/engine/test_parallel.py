@@ -1,18 +1,18 @@
-"""Executor error handling: first-failure propagation with task context,
-sibling cancellation, idempotent/exception-safe close — and the
-process-pool executor's ordering, bootstrap, and failure contracts."""
+"""Executor contracts: the serial executor, and the process-pool
+executor's ordering, bootstrap and failure handling (first-failure
+propagation with task context, sibling failures noted) and its
+idempotent, concurrency-safe close."""
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 
 import pytest
 
 from repro.engine.parallel import (
     ProcessExecutor,
-    ThreadExecutor,
+    RemoteTaskError,
     WorkerProcessDied,
     serial_executor,
 )
@@ -30,107 +30,18 @@ class TestSerialExecutor:
         with pytest.raises(ValueError, match="task 0"):
             serial_executor(boom, [(None, 0), (None, 1)])
 
+    def test_stops_at_the_first_failure(self):
+        ran = []
 
-class TestThreadExecutor:
-    def test_order_preserved_across_threads(self):
-        ex = ThreadExecutor(4)
-        try:
-            tasks = [(i, i) for i in range(16)]
+        def boom_at_one(item, index):
+            ran.append(index)
+            if index == 1:
+                raise ValueError("task 1")
+            return item
 
-            def jittered(item, index):
-                time.sleep(0.001 * ((7 - index) % 8))
-                return item * 2
-
-            assert ex(jittered, tasks) == [i * 2 for i in range(16)]
-        finally:
-            ex.close()
-
-    def test_first_failed_task_wins_with_context(self):
-        """The earliest (task-order) failure is what propagates, with a
-        note naming the failed task."""
-        ex = ThreadExecutor(4)
-        try:
-            def boom(item, index):
-                if index == 1:
-                    raise RuntimeError("shard exploded")
-                return item
-
-            with pytest.raises(RuntimeError, match="shard exploded") as excinfo:
-                ex(boom, [(i, i) for i in range(8)])
-            notes = getattr(excinfo.value, "__notes__", [])
-            assert any("parallel task 1" in note for note in notes)
-        finally:
-            ex.close()
-
-    def test_failure_cancels_queued_siblings(self):
-        """With a single worker thread, a failure in the first task must
-        prevent queued siblings from ever starting."""
-        ex = ThreadExecutor(1)
-        ran: list[int] = []
-        try:
-            def boom_first(item, index):
-                ran.append(index)
-                if index == 0:
-                    raise RuntimeError("first task fails")
-                return item
-
-            with pytest.raises(RuntimeError):
-                ex(boom_first, [(i, i) for i in range(6)])
-            # task 0 ran and failed; at most one sibling squeezed in
-            # before the cancellation took effect
-            assert 0 in ran
-            assert len(ran) <= 2
-        finally:
-            ex.close()
-
-    def test_sibling_failures_are_noted(self):
-        """Regression: when several tasks fail, only the first used to be
-        retrieved — the rest were silently dropped with their futures.
-        Now the primary failure carries a note enumerating its siblings."""
-        barrier = threading.Barrier(2)
-        ex = ThreadExecutor(2)
-        try:
-            def boom_both(item, index):
-                barrier.wait(timeout=5)  # both tasks are mid-flight: neither cancellable
-                raise RuntimeError(f"failure {index}")
-
-            with pytest.raises(RuntimeError, match="failure 0") as excinfo:
-                ex(boom_both, [(None, 0), (None, 1)])
-            notes = "\n".join(getattr(excinfo.value, "__notes__", []))
-            assert "parallel task 0" in notes
-            assert "1 sibling task(s) also failed" in notes
-            assert "RuntimeError: failure 1" in notes
-        finally:
-            ex.close()
-
-    def test_close_is_idempotent(self):
-        ex = ThreadExecutor(2)
-        ex([].__class__, [])  # no-op call, no pool yet
-        ex.close()
-        ex.close()  # second close: no error
-
-    def test_usable_after_close(self):
-        ex = ThreadExecutor(2)
-        try:
-            assert ex(lambda item, index: item + index, [(1, 0), (2, 1)]) == [1, 3]
-            ex.close()
-            assert ex(lambda item, index: item + index, [(1, 0), (2, 1)]) == [1, 3]
-        finally:
-            ex.close()
-
-    def test_concurrent_close_is_safe(self):
-        ex = ThreadExecutor(2)
-        ex(lambda item, index: item, [(1, 0), (2, 1)])  # force pool creation
-        threads = [threading.Thread(target=ex.close) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-    def test_context_manager_closes(self):
-        with ThreadExecutor(2) as ex:
-            assert ex(lambda item, index: item, [(1, 0), (2, 1)]) == [1, 2]
-        ex.close()  # already closed by __exit__; still safe
+        with pytest.raises(ValueError, match="task 1"):
+            serial_executor(boom_at_one, [(i, i) for i in range(4)])
+        assert ran == [0, 1]  # later tasks never start
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +77,20 @@ def _boom_at(item, index):
 
 class _TestKill(BaseException):
     pass
+
+
+class _UnpicklableFailure(Exception):
+    """A task failure that cannot cross the pipe: it holds a lock."""
+
+    transient = True
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def _raise_unpicklable(item, index):
+    raise _UnpicklableFailure(f"task {index} holds a lock")
 
 
 def _kill_at(item, index):
@@ -204,6 +129,7 @@ class TestProcessExecutor:
             assert ex(_mul, tasks) == [i * 10 + i for i in range(8)]
             # pool is persistent: a second call reuses the same workers
             assert ex(_mul, tasks) == [i * 10 + i for i in range(8)]
+        assert ex._workers == []  # leaving the block closed the pool
 
     def test_single_task_runs_in_process(self):
         """Serial fallback: nothing pickles, so even closures work."""
@@ -293,3 +219,63 @@ class TestProcessExecutor:
             assert ex(_mul, [(1, 0), (2, 1)]) == [10, 21]  # fresh pool
         finally:
             ex.close()
+
+    def test_concurrent_close_is_safe(self):
+        ex = ProcessExecutor(2)
+        ex(_mul, [(1, 0), (2, 1)])  # force the spawn
+        closers = [threading.Thread(target=ex.close) for _ in range(4)]
+        for closer in closers:
+            closer.start()
+        for closer in closers:
+            closer.join(timeout=30)
+        assert not any(closer.is_alive() for closer in closers)
+        assert ex._workers == []
+
+    def test_more_processes_than_tasks(self):
+        # The third worker gets no batch; its pipe must stay in step for
+        # the next call, which gives it one.
+        with ProcessExecutor(3) as ex:
+            assert ex(_mul, [(1, 0), (2, 1)]) == [10, 21]
+            assert len(ex._workers) == 3
+            tasks = [(i, i) for i in range(7)]
+            assert ex(_mul, tasks) == [i * 10 + i for i in range(7)]
+
+    def test_single_process_pool_never_spawns(self):
+        """One process means serial execution in-process: install only
+        stores the bootstrap, and even closures run."""
+        with ProcessExecutor(1) as ex:
+            ex.install(_SetBootValue(3))
+            assert ex(lambda item, index: item + index, [(1, 0), (2, 1), (3, 2)]) == [1, 3, 5]
+            assert ex._workers == []
+
+    def test_reset_runs_teardown_and_forgets_the_bootstrap(self):
+        with ProcessExecutor(2) as ex:
+            ex.install(_SetBootValue(8))
+            before = ex(_read_boot_value, [(None, i) for i in range(4)])
+            assert {value for _, value in before} == {8}
+            ex.reset(_SetBootValue(0))
+            after = ex(_read_boot_value, [(None, i) for i in range(4)])
+            # Same workers, torn down in place.
+            assert {pid for pid, _ in after} == {pid for pid, _ in before}
+            assert {value for _, value in after} == {0}
+            # A respawned pool replays no bootstrap.
+            ex.close()
+            fresh = ex(_read_boot_value, [(None, i) for i in range(4)])
+            assert {value for _, value in fresh} == {None}
+
+    def test_reset_spawns_nothing(self):
+        ex = ProcessExecutor(2)
+        ex.reset(_SetBootValue(0))
+        assert ex._workers == []
+
+    def test_unpicklable_failure_comes_back_as_a_remote_task_error(self):
+        from repro.core import faults
+
+        with ProcessExecutor(2) as ex:
+            with pytest.raises(RemoteTaskError, match="_UnpicklableFailure: task 0") as excinfo:
+                ex(_raise_unpicklable, [(None, i) for i in range(2)])
+            # The transient flag survives the proxy; so does the remote trace.
+            assert faults.is_transient(excinfo.value)
+            notes = "\n".join(getattr(excinfo.value, "__notes__", []))
+            assert "remote traceback" in notes and "holds a lock" in notes
+            assert ex(_mul, [(1, 0), (2, 1)]) == [10, 21]  # the pool survives

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import Database
-from repro.engine.parallel import make_thread_executor, serial_executor
+from repro.engine.parallel import ProcessExecutor, serial_executor
 from repro.errors import ExecutionError
 
 
@@ -44,6 +44,13 @@ class TestResult:
         assert db.statements_executed == before + 3
 
 
+def _tag_with_index(batch, index):
+    """Module level, so a spawned worker process can unpickle it."""
+    from repro.engine.batch import RecordBatch
+
+    return RecordBatch.from_rows(batch.schema, [(index,)])
+
+
 class TestParallelExecutors:
     def test_serial_preserves_order(self):
         from repro.engine.batch import RecordBatch
@@ -59,23 +66,8 @@ class TestParallelExecutors:
         out = serial_executor(fn, tasks)
         assert [b.to_rows()[0][0] for b in out] == [3, 1, 2]
 
-    def test_thread_pool_preserves_order(self):
-        from repro.engine.batch import RecordBatch
-        from repro.engine.schema import ColumnDef, Schema
-        from repro.engine.types import INTEGER
-
-        schema = Schema([ColumnDef("x", INTEGER)])
-
-        def fn(batch, index):
-            return RecordBatch.from_rows(schema, [(index,)])
-
-        tasks = [(RecordBatch.empty(schema), i) for i in range(16)]
-        with make_thread_executor(4) as executor:
-            out = executor(fn, tasks)
-        assert [b.to_rows()[0][0] for b in out] == list(range(16))
-
-    def test_thread_count_clamped(self):
-        executor = make_thread_executor(0)  # clamps to 1, no crash
+    def test_process_count_clamped(self):
+        executor = ProcessExecutor(0)  # clamps to 1, no crash, spawns nothing
         from repro.engine.batch import RecordBatch
         from repro.engine.schema import ColumnDef, Schema
         from repro.engine.types import INTEGER
@@ -83,3 +75,16 @@ class TestParallelExecutors:
         schema = Schema([ColumnDef("x", INTEGER)])
         out = executor(lambda b, i: b, [(RecordBatch.empty(schema), 0)])
         assert len(out) == 1
+        assert executor.n_processes == 1 and executor._workers == []
+
+    def test_process_pool_preserves_order(self):
+        from repro.engine.batch import RecordBatch
+        from repro.engine.schema import ColumnDef, Schema
+        from repro.engine.types import INTEGER
+
+        schema = Schema([ColumnDef("x", INTEGER)])
+        tasks = [(RecordBatch.empty(schema), i) for i in (5, 3, 1, 4, 2)]
+        with ProcessExecutor(2) as executor:
+            out = executor(_tag_with_index, tasks)
+        assert [b.to_rows()[0][0] for b in out] == [5, 3, 1, 4, 2]
+        assert executor._workers == []

@@ -8,7 +8,6 @@ import pytest
 from repro.engine import Database
 from repro.engine.batch import RecordBatch
 from repro.engine.column import Column
-from repro.engine.parallel import make_thread_executor, serial_executor
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.types import INTEGER
 from repro.errors import UdfError
@@ -26,6 +25,20 @@ def summing_transform(partition: RecordBatch, index: int) -> RecordBatch:
         [
             Column.from_values(INTEGER, [keys[0]]),
             Column.from_values(INTEGER, [sum(values)]),
+        ],
+    )
+
+
+def per_key_transform(partition: RecordBatch, index: int) -> RecordBatch:
+    """Sum the 'v' column of every key the partition holds."""
+    totals: dict[int, int] = {}
+    for key, value in zip(partition.column("k").to_list(), partition.column("v").to_list()):
+        totals[key] = totals.get(key, 0) + value
+    return RecordBatch(
+        OUT_SCHEMA,
+        [
+            Column.from_values(INTEGER, list(totals)),
+            Column.from_values(INTEGER, list(totals.values())),
         ],
     )
 
@@ -88,35 +101,31 @@ class TestTransforms:
         with pytest.raises(UdfError, match="unknown transform"):
             db.run_transform("ghost", "SELECT 1")
 
-    def test_thread_executor_matches_serial(self, loaded):
-        serial = loaded.run_transform(
-            "summer", "SELECT k, v FROM data",
-            partition_by=("k",), n_partitions=3, executor=serial_executor,
+    @pytest.mark.parametrize("n_partitions", [1, 2, 3, 7])
+    def test_partition_count_keeps_each_key_in_one_bucket(self, loaded, n_partitions):
+        loaded.register_transform("per_key", per_key_transform, OUT_SCHEMA)
+        out = loaded.run_transform(
+            "per_key", "SELECT k, v FROM data",
+            partition_by=("k",), n_partitions=n_partitions,
         )
-        with make_thread_executor(4) as executor:
-            threaded = loaded.run_transform(
-                "summer", "SELECT k, v FROM data",
-                partition_by=("k",), n_partitions=3,
-                executor=executor,
-            )
-        as_set = lambda b: set(zip(b.column("key").to_list(), b.column("total").to_list()))
-        assert as_set(serial) == as_set(threaded)
+        assert sorted(zip(out.column("key").to_list(), out.column("total").to_list())) == [
+            (0, 3), (1, 30), (2, 100)
+        ]
 
-    def test_thread_executor_actually_uses_threads(self, loaded):
-        thread_names = set()
+    def test_partitions_run_in_bucket_order_on_the_calling_thread(self, loaded):
+        calls = []
 
         def spy(partition: RecordBatch, index: int) -> RecordBatch:
-            thread_names.add(threading.current_thread().name)
+            calls.append((index, threading.current_thread()))
             return RecordBatch.empty(OUT_SCHEMA)
 
         loaded.register_transform("spy", spy, OUT_SCHEMA)
-        with make_thread_executor(3) as executor:
-            loaded.run_transform(
-                "spy", "SELECT k, v FROM data",
-                partition_by=("k",), n_partitions=3,
-                executor=executor,
-            )
-        assert any("ThreadPool" in name for name in thread_names)
+        loaded.run_transform(
+            "spy", "SELECT k, v FROM data", partition_by=("k",), n_partitions=8
+        )
+        indices = [index for index, _ in calls]
+        assert len(indices) == 3 and indices == sorted(indices)
+        assert all(thread is threading.current_thread() for _, thread in calls)
 
 
 class TestStoredProcedures:

@@ -1,6 +1,6 @@
 """Parallel spec lowering and the co-occurrence expansion.
 
-The contract under test: every executor (serial / threads / processes),
+The contract under test: every executor (serial / worker processes),
 chosen by the session's ``VertexicaConfig`` as its runs are, produces
 **bit-identical** ``{name}_edge`` / ``{name}_node`` tables, and the
 group-by expansion that lowers a ``COUNT(*)`` co-occurrence spec produces
@@ -86,11 +86,10 @@ class TestExecutorParity:
     @pytest.mark.parametrize(
         "config,slice_min_rows",
         [
-            (VertexicaConfig(n_workers=4), 50),
-            (VertexicaConfig(n_workers=2), 10_000),
             (PROCESSES, 200),
+            (PROCESSES, 10_000),
         ],
-        ids=["threads-sliced", "threads-unsliced", "processes"],
+        ids=["processes-sliced", "processes-unsliced"],
     )
     def test_bit_identical_to_serial(self, monkeypatch, config, slice_min_rows):
         monkeypatch.setattr(lowering, "_SLICE_MIN_ROWS", slice_min_rows)
@@ -121,17 +120,17 @@ class TestExecutorParity:
 
     def test_sliced_scan_fans_out(self, monkeypatch):
         monkeypatch.setattr(lowering, "_SLICE_MIN_ROWS", 50)
-        vx = Vertexica(config=VertexicaConfig(n_workers=4))
-        schema = social(vx)
-        handle = vx.create_graph_view("fan", full_view(schema))
+        with Vertexica(config=PROCESSES) as vx:
+            schema = social(vx)
+            handle = vx.create_graph_view("fan", full_view(schema))
         stats = handle.last_extraction
-        assert stats.parallelism == 4
+        assert stats.parallelism == 2
         # Slicing split at least one base-table scan into multiple queries:
         # 6 logical jobs (1 node + 1 directed + 2 undirected + 1 side +
         # 1 self-join) must grow.
         assert stats.num_queries > 6
         assert stats.lower_seconds >= 0.0 and stats.load_seconds >= 0.0
-        assert "workers=4" in stats.summary()
+        assert "workers=2" in stats.summary()
 
     def test_ad_hoc_view_extracts_on_the_run_config(self, monkeypatch):
         # A bare GraphView passed to run() is extracted with the run's
@@ -144,12 +143,14 @@ class TestExecutorParity:
             return lower_view(db, view, config, pools)
 
         monkeypatch.setattr(view_module, "lower_view", recording)
-        vx = Vertexica()
-        view = full_view(social(vx))
-        result = vx.run(view, PageRank(iterations=2), n_workers=2)
-        assert result.values and workers == [2]
-        monkeypatch.undo()
-        assert_tables_identical(serial_tables(vx, "base", view), graph_tables(vx, "adhoc_view"))
+        with Vertexica() as vx:
+            view = full_view(social(vx))
+            result = vx.run(view, PageRank(iterations=2), data_plane="shards", n_workers=2)
+            assert result.values and workers == [2]
+            monkeypatch.undo()
+            assert_tables_identical(
+                serial_tables(vx, "base", view), graph_tables(vx, "adhoc_view")
+            )
 
 
 class TestCoOccurrenceLowering:
@@ -232,8 +233,8 @@ class TestExpansionUnit:
 
 EXECUTORS = pytest.mark.parametrize(
     "config",
-    [VertexicaConfig(), VertexicaConfig(n_workers=4), PROCESSES],
-    ids=["serial", "threads-sliced", "processes"],
+    [VertexicaConfig(), PROCESSES],
+    ids=["serial", "processes"],
 )
 
 

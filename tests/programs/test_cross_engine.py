@@ -69,22 +69,18 @@ class TestPageRankEverywhere:
         for strategy in ("union", "join"):
             for update in ("update", "replace"):
                 for partitions in (1, 4):
-                    for workers in (1, 3):
-                        vx = Vertexica()
-                        g = vx.load_graph("g", src, dst, num_vertices=5)
-                        values = vx.run(
-                            g, PageRank(iterations=4),
-                            input_strategy=strategy,
-                            update_strategy=update,
-                            n_partitions=partitions,
-                            n_workers=workers,
-                        ).values
-                        if expected is None:
-                            expected = values
-                        else:
-                            assert values == expected, (
-                                strategy, update, partitions, workers
-                            )
+                    vx = Vertexica()
+                    g = vx.load_graph("g", src, dst, num_vertices=5)
+                    values = vx.run(
+                        g, PageRank(iterations=4),
+                        input_strategy=strategy,
+                        update_strategy=update,
+                        n_partitions=partitions,
+                    ).values
+                    if expected is None:
+                        expected = values
+                    else:
+                        assert values == expected, (strategy, update, partitions)
 
 
 class TestSsspEverywhere:
