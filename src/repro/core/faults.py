@@ -13,9 +13,9 @@ Sites (see :data:`SITES`):
 * ``storage.apply``  — SQL plane, before staged updates are applied;
 * ``storage.sync``   — shard plane, before resident state is mirrored
   into the relational tables;
-* ``checkpoint.write`` — mid-checkpoint, after the table files are on
-  disk but before the manifest/pointer flip (produces a genuinely torn
-  checkpoint).
+* ``checkpoint.write`` — mid-checkpoint, after the snapshot directory
+  (tables and manifest) is written but before ``LATEST`` names it (leaves
+  a complete but unpublished snapshot behind).
 
 Fault kinds:
 

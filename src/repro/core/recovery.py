@@ -7,34 +7,34 @@ runtime: a :class:`CheckpointPolicy` decides *when* to snapshot, and
 :class:`RunRecovery` durably captures everything a superstep depends on —
 
 * the vertex table (values + halt votes) and the message table (the next
-  superstep's inbox, combiner already applied) via the engine's
-  checkpoint table format (:mod:`repro.engine.persistence`);
+  superstep's inbox, combiner already applied);
 * the aggregator values visible to the next superstep;
 * opaque program state (:meth:`VertexProgram.checkpoint_state` — e.g.
   RNG state for programs that draw during supersteps);
-* a manifest validating the lot: completed-superstep count, graph facts,
-  and a :func:`program_fingerprint` over the program's class, codecs,
-  combiner, aggregators, and scalar parameters (resuming PageRank(d=0.9)
-  from a PageRank(d=0.85) checkpoint must fail loudly, not drift).
+* the facts that validate the lot: completed-superstep count, graph
+  facts, and a :func:`program_fingerprint` over the program's class,
+  codecs, combiner, aggregators, and scalar parameters (resuming
+  PageRank(d=0.9) from a PageRank(d=0.85) checkpoint must fail loudly,
+  not drift).
 
 Both data planes produce *identical* checkpoints (cross-plane parity is a
 repo invariant), so a run checkpointed on one plane may resume on the
 other.
 
-Torn-write discipline: a checkpoint directory ``ckpt-<completed>`` is
-fully written (tables, then manifest) **before** the ``LATEST`` pointer
-file is flipped to it with an atomic rename; superseded directories are
-pruned only after the flip.  A crash mid-write therefore leaves either
-the old pointer (the fresh directory is unreferenced garbage, removed on
-the next load) or the new one — never a half checkpoint that loads.
+A checkpoint is one snapshot of the engine's checkpoint writer
+(:mod:`repro.engine.persistence`): ``ckpt-<completed>`` holds both
+tables, and its manifest's ``metadata`` carries the rest.  The directory
+is fully written **before** the ``LATEST`` pointer is flipped to it
+atomically, and superseded snapshots are pruned only after the flip.  A
+crash mid-write therefore leaves either the old pointer (the fresh
+directory is unreferenced garbage, removed on the next load) or the new
+one — never a half checkpoint that loads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import shutil
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -43,16 +43,11 @@ from repro.core import faults
 from repro.core.program import VertexProgram
 from repro.core.storage import GraphHandle, GraphStorage
 from repro.engine.batch import RecordBatch
-from repro.engine.persistence import read_table_file, write_table_file
-from repro.engine.schema import ColumnDef, Schema
-from repro.engine.types import type_from_name
+from repro.engine.persistence import publish_snapshot, read_snapshot, write_snapshot
 from repro.errors import EngineError, RecoveryError
 
 __all__ = ["CheckpointPolicy", "RunRecovery", "RestoredRun", "program_fingerprint"]
 
-_MANIFEST = "manifest.json"
-_LATEST = "LATEST"
-_FORMAT_VERSION = 1
 #: checkpointed run tables: label -> GraphHandle attribute
 _TABLES = (("vertex", "vertex_table"), ("message", "message_table"))
 
@@ -138,27 +133,7 @@ class RunRecovery:
         seconds spent.  Tables must already reflect that state (the shard
         plane syncs resident arrays first)."""
         started = time.perf_counter()
-        os.makedirs(self.directory, exist_ok=True)
-        name = f"ckpt-{completed:06d}"
-        ckpt_dir = os.path.join(self.directory, name)
-        if os.path.isdir(ckpt_dir):  # stale leftover from a prior run
-            shutil.rmtree(ckpt_dir)
-        os.makedirs(ckpt_dir)
-        db = self.storage.db
-        tables: dict[str, Any] = {}
-        for label, attr in _TABLES:
-            table = db.table(getattr(self.graph, attr))
-            write_table_file(table, os.path.join(ckpt_dir, f"{label}.npz"), compress=False)
-            tables[label] = {
-                "columns": [
-                    {"name": c.name, "type": c.dtype.name, "nullable": c.nullable}
-                    for c in table.schema
-                ],
-                "rows": table.num_rows,
-            }
-        faults.trip("checkpoint.write", superstep=completed)
-        manifest = {
-            "format": _FORMAT_VERSION,
+        metadata = {
             "completed": completed,
             "graph": {
                 "name": self.graph.name,
@@ -168,18 +143,12 @@ class RunRecovery:
             "program": {"name": self.program.name, "fingerprint": self.fingerprint},
             "aggregated": dict(aggregated),
             "program_state": self.program.checkpoint_state(),
-            "tables": tables,
         }
-        with open(os.path.join(ckpt_dir, _MANIFEST), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-        # Atomic pointer flip: the checkpoint "exists" only once LATEST
-        # names it.  Pruning runs after the flip, so a crash anywhere in
-        # here leaves a loadable state behind.
-        pointer_tmp = os.path.join(self.directory, f"{_LATEST}.tmp")
-        with open(pointer_tmp, "w", encoding="utf-8") as fh:
-            fh.write(name)
-        os.replace(pointer_tmp, os.path.join(self.directory, _LATEST))
-        self._prune(keep=name)
+        db = self.storage.db
+        tables = {label: db.table(getattr(self.graph, attr)) for label, attr in _TABLES}
+        name = write_snapshot(self.directory, completed, tables, metadata)
+        faults.trip("checkpoint.write", superstep=completed)
+        publish_snapshot(self.directory, name)
         return time.perf_counter() - started
 
     # ------------------------------------------------------------------
@@ -191,53 +160,29 @@ class RunRecovery:
         cleaned up here).
 
         Raises:
-            RecoveryError: the pointed-to checkpoint is unreadable or was
-                written by a different graph/program.
+            RecoveryError: the published checkpoint is torn or unreadable,
+                or was written by a different graph/program.
         """
-        pointer = os.path.join(self.directory, _LATEST)
-        if not os.path.exists(pointer):
-            self._prune(keep=None)
-            return None
-        with open(pointer, encoding="utf-8") as fh:
-            name = fh.read().strip()
-        ckpt_dir = os.path.join(self.directory, name)
-        manifest_path = os.path.join(ckpt_dir, _MANIFEST)
         try:
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            snapshot = read_snapshot(self.directory)
+        except EngineError as exc:
             raise RecoveryError(
-                f"checkpoint {name!r} is unreadable ({exc}); "
+                f"checkpoint in {self.directory!r} is torn or unreadable ({exc}); "
                 "delete the checkpoint directory to start fresh"
             ) from exc
-        self._validate(manifest, name)
-        tables: dict[str, RecordBatch] = {}
-        for label, _ in _TABLES:
-            meta = manifest["tables"][label]
-            schema = Schema(
-                ColumnDef(c["name"], type_from_name(c["type"]), nullable=c["nullable"])
-                for c in meta["columns"]
-            )
-            try:
-                tables[label] = read_table_file(
-                    os.path.join(ckpt_dir, f"{label}.npz"), schema, meta["rows"]
-                )
-            except EngineError as exc:
-                raise RecoveryError(f"checkpoint {name!r} is torn: {exc}") from exc
-        self._prune(keep=name)
+        if snapshot is None:
+            return None
+        facts = snapshot.metadata
+        self._validate(facts, snapshot.name)
         return RestoredRun(
-            completed=int(manifest["completed"]),
-            aggregated={k: float(v) for k, v in manifest["aggregated"].items()},
-            program_state=dict(manifest["program_state"]),
-            tables=tables,
+            completed=int(facts["completed"]),
+            aggregated={k: float(v) for k, v in facts["aggregated"].items()},
+            program_state=dict(facts["program_state"]),
+            tables={label: snapshot.tables[label].data() for label, _ in _TABLES},
         )
 
-    def _validate(self, manifest: dict[str, Any], name: str) -> None:
-        if manifest.get("format") != _FORMAT_VERSION:
-            raise RecoveryError(
-                f"checkpoint {name!r} has unsupported format {manifest.get('format')!r}"
-            )
-        graph = manifest.get("graph", {})
+    def _validate(self, facts: dict[str, Any], name: str) -> None:
+        graph = facts.get("graph", {})
         if (
             graph.get("name") != self.graph.name
             or graph.get("num_vertices") != self.graph.num_vertices
@@ -250,7 +195,7 @@ class RunRecovery:
                 f"{self.graph.name!r} ({self.graph.num_vertices} vertices, "
                 f"{self.graph.num_edges} edges) from it"
             )
-        recorded = manifest.get("program", {})
+        recorded = facts.get("program", {})
         if recorded.get("fingerprint") != self.fingerprint:
             raise RecoveryError(
                 f"checkpoint {name!r} was written by program "
@@ -268,12 +213,3 @@ class RunRecovery:
         for label, attr in _TABLES:
             db.table(getattr(self.graph, attr)).replace_data(restored.tables[label])
         self.program.restore_state(dict(restored.program_state))
-
-    def _prune(self, keep: str | None) -> None:
-        """Drop every checkpoint directory except ``keep`` — superseded
-        snapshots and torn unreferenced writes alike."""
-        if not os.path.isdir(self.directory):
-            return
-        for entry in os.listdir(self.directory):
-            if entry.startswith("ckpt-") and entry != keep:
-                shutil.rmtree(os.path.join(self.directory, entry), ignore_errors=True)

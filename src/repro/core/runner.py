@@ -49,7 +49,7 @@ from repro.graphview.catalog import MANIFEST_KEY, handle_manifest, view_from_dic
 from repro.graphview.compiler import render_expression
 from repro.graphview.lowering import involved_tables
 from repro.graphview.spec import CoEdgeSpec, EdgeSpec, EdgeSource, GraphView, NodeSpec
-from repro.graphview.view import DEFAULT_DELTA_THRESHOLD, GraphViewHandle
+from repro.graphview.view import GraphViewHandle
 
 __all__ = ["Vertexica", "VertexicaResult"]
 
@@ -175,7 +175,6 @@ class Vertexica:
         edges: EdgeSource | Sequence[EdgeSource] = (),
         materialized: bool = True,
         replace: bool = False,
-        delta_threshold: float = DEFAULT_DELTA_THRESHOLD,
     ) -> GraphViewHandle:
         """Declare (and, when materialized, extract) a graph view.
 
@@ -198,9 +197,6 @@ class Vertexica:
             materialized: extract now and persist (call ``refresh()``
                 after base-table DML); ``False`` re-extracts at every run.
             replace: allow redefining an existing view name.
-            delta_threshold: largest base-table delta (as a fraction of
-                its rows) the incremental refresh path will patch before
-                falling back to a full re-extraction.
 
         Full extractions run on this session's ``n_workers`` worker
         processes, leased from its pool as its runs are.
@@ -226,7 +222,6 @@ class Vertexica:
             name,
             view,
             materialized=materialized,
-            delta_threshold=delta_threshold,
             config=self.config,
             pools=self.pools,
         )
@@ -349,7 +344,6 @@ class Vertexica:
                 entry["name"],
                 view_from_dict(entry["view"]),
                 materialized=entry.get("materialized", True),
-                delta_threshold=entry.get("delta_threshold", DEFAULT_DELTA_THRESHOLD),
                 config=vx.config,
                 pools=vx.pools,
             )

@@ -460,7 +460,7 @@ def _run_shard_task(
     def attempt() -> tuple:
         faults.trip("shard.compute", superstep=worker.superstep, shard=index)
         part = shard.decoded()
-        out, ran = worker.compute_decoded(part, record=False)
+        out, ran = worker.compute_decoded(part)
         return (*out.to_staged(), ran, part.dropped)
 
     def on_retry(exc: BaseException, attempt_no: int, delay: float) -> None:

@@ -54,7 +54,6 @@ table.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
@@ -487,8 +486,8 @@ class _Outputs:
 class VertexWorker:
     """One superstep's worker UDF over a program.
 
-    Thread-safe across partitions: per-partition state is local; shared
-    counters are guarded by a lock (cheap — updated once per partition).
+    Partitions of one worker run one at a time: per-partition state is
+    local, and the run counters are folded in once per partition.
 
     Args:
         input_format: how :meth:`__call__` decodes its relational rows —
@@ -536,7 +535,6 @@ class VertexWorker:
         self.aggregated = aggregated or {}
         self.layout = payload_layout(program)
         self.schema = worker_output_schema(self.layout)
-        self._lock = threading.Lock()
         #: vertices whose compute function ran this superstep
         self.vertices_ran = 0
         #: messages addressed to ids with no vertex row (dropped)
@@ -553,14 +551,12 @@ class VertexWorker:
             part = self._decode_join(partition)
         else:
             raise ProgramError("a worker without an input format only computes decoded partitions")
-        out, _ = self.compute_decoded(part)
-        with self._lock:
-            self.rows_in += partition.num_rows
+        out, ran = self.compute_decoded(part)
+        self.record_partition_counts(ran, part.dropped)
+        self.rows_in += partition.num_rows
         return out.to_batch(self.schema, self.layout, self.program.aggregators)
 
-    def compute_decoded(
-        self, part: _DecodedPartition, record: bool = True
-    ) -> tuple[_Outputs, int]:
+    def compute_decoded(self, part: _DecodedPartition) -> tuple[_Outputs, int]:
         """Layer 2 alone: run the program over an already-decoded
         partition and return the staged outputs plus the number of
         vertices that ran.
@@ -568,12 +564,12 @@ class VertexWorker:
         The SQL-staged path reaches here through :meth:`__call__` (layer
         1 decodes the partition from relational rows); the shard plane
         builds :class:`_DecodedPartition` views straight from resident
-        arrays and calls this directly.  Thread-safe across partitions.
+        arrays and calls this directly.
 
-        ``record=False`` skips the shared run counters so a caller that
-        may *retry* the partition (the shard plane's transient-fault
-        retry loop) can account exactly once via
-        :meth:`record_partition_counts` after it commits to a result.
+        The run counters are left alone: a caller that may *retry* the
+        partition (the shard plane's transient-fault retry loop) accounts
+        exactly once, via :meth:`record_partition_counts`, after it
+        commits to a result.
         """
         out = _Outputs(self.program.vertex_codec, part)
         active = part.active_mask(self.superstep)
@@ -582,15 +578,12 @@ class VertexWorker:
         else:
             ran = self._run_scalar(out, part, active)
         self._reduce_partition_aggregates(out)
-        if record:
-            self.record_partition_counts(ran, part.dropped)
         return out, ran
 
     def record_partition_counts(self, ran: int, dropped: int) -> None:
-        """Fold one partition's outcome into the shared run counters."""
-        with self._lock:
-            self.vertices_ran += ran
-            self.messages_dropped += dropped
+        """Fold one partition's outcome into the run counters."""
+        self.vertices_ran += ran
+        self.messages_dropped += dropped
 
     def _reduce_partition_aggregates(self, out: _Outputs) -> None:
         """Pre-reduce this partition's aggregator contributions to one

@@ -470,8 +470,10 @@ class Database:
     # Checkpoint / recovery
     # ------------------------------------------------------------------
     def checkpoint(self, directory: str, metadata: dict[str, Any] | None = None) -> None:
-        """Persist every table to ``directory`` (see
-        :mod:`repro.engine.persistence` for the format).
+        """Persist every table as a fresh snapshot of ``directory`` and
+        publish it atomically (see :mod:`repro.engine.persistence` for
+        the format): an interrupted call leaves the previous checkpoint
+        in force.
 
         ``metadata`` is an optional JSON-serializable dict stored inside
         the manifest — higher layers persist their own catalogs through it
@@ -482,7 +484,8 @@ class Database:
 
     @classmethod
     def restore(cls, directory: str) -> "Database":
-        """Rebuild a database from a checkpoint directory."""
+        """Rebuild a database from the snapshot a checkpoint directory's
+        ``LATEST`` pointer names."""
         db = cls()
         db.catalog = restore_catalog(directory)
         db._executor = StatementExecutor(db.catalog, db.functions)

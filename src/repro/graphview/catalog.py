@@ -4,10 +4,14 @@ The view registry lives in the Vertexica layer, but durability belongs to
 the engine: :meth:`Vertexica.checkpoint` serializes every registered view
 through these helpers and ships the result as checkpoint *metadata*
 (:func:`repro.engine.persistence.checkpoint_catalog`), so the registry
-rides inside the manifest — covered by the same torn-checkpoint guarantee
-as the tables it describes — and :meth:`Vertexica.restore` rebuilds the
-handles without re-extracting anything: materialized views re-attach to
-their persisted ``{name}_edge`` / ``{name}_node`` tables.
+rides inside the snapshot's manifest — published by the same atomic
+``LATEST`` flip as the tables it describes — and :meth:`Vertexica.restore`
+rebuilds the handles without re-extracting anything: materialized views
+re-attach to their persisted ``{name}_edge`` / ``{name}_node`` tables.
+An entry records a view's name, freshness mode, declaration and
+last-refreshed base-table versions; the refresh threshold is a constant
+(:data:`~repro.graphview.view.DEFAULT_DELTA_THRESHOLD`), so an entry's
+``delta_threshold`` key, if it has one, is ignored.
 
 Everything here is plain JSON-able dicts; no pickle, no code execution.
 """
@@ -103,12 +107,11 @@ def view_fingerprint(view: GraphView) -> str:
 
 def handle_manifest(handle) -> dict[str, Any]:
     """Serialize one :class:`~repro.graphview.view.GraphViewHandle`:
-    declaration, freshness mode, threshold, and the base-table versions it
-    last refreshed against."""
+    declaration, freshness mode, and the base-table versions it last
+    refreshed against."""
     return {
         "name": handle.name,
         "materialized": handle.materialized,
-        "delta_threshold": handle.delta_threshold,
         "view": view_to_dict(handle.view),
         "base_table_versions": handle.base_table_versions(),
     }

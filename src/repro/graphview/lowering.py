@@ -53,7 +53,7 @@ import numpy as np
 from repro.core.config import VertexicaConfig
 from repro.engine.batch import RecordBatch
 from repro.engine.database import Database, PinnedTable
-from repro.engine.operators import run_starts, stable_int_order, unique_ints, value_ranks
+from repro.engine.operators import run_starts, stable_int_order, value_ranks
 from repro.engine.parallel import NO_SESSION, SessionPools
 from repro.errors import EngineError, GraphViewError
 from repro.graphview.compiler import (
@@ -80,11 +80,6 @@ __all__ = [
 #: Pair buffer size above which the streamed expansion compacts its
 #: accumulated per-group contributions into one summed array.
 _EXPANSION_FLUSH_PAIRS = 1 << 21
-
-#: Largest distinct-member universe expanded through the dense
-#: ``member x member`` count matrix (4096**2 int64 = 128 MiB); bigger
-#: universes take the bounded-memory streaming path instead.
-_DENSE_MEMBER_LIMIT = 4096
 
 #: A parallel lowering splits a single-table scan into row slices only
 #: when its base table has at least this many rows (below it, per-task
@@ -142,12 +137,9 @@ def expand_co_occurrence(
     weight: within each ``via`` group, every ordered pair of *distinct*
     members ``(a, b)`` receives ``rows(a) * rows(b)`` joined row pairs,
     summed across groups.  Runs in O(sum of group-pair counts) instead of
-    materializing the join.  When the distinct-member universe is small
-    enough for a dense ``member x member`` accumulator
-    (:data:`_DENSE_MEMBER_LIMIT`), groups sum straight into it via
-    ``np.ix_`` outer products; otherwise per-group contributions stream
-    through a pair buffer compacted at a fixed budget, so peak memory is
-    bounded by the output size plus one flush buffer.
+    materializing the join.  Per-group contributions stream through a
+    pair buffer compacted at a fixed budget, so peak memory is bounded by
+    the output size plus one flush buffer.
 
     Args:
         members: integer member ids (already cast, NULL rows dropped).
@@ -179,10 +171,6 @@ def expand_co_occurrence(
     boundaries = np.flatnonzero(np.diff(gm_g, prepend=gm_g[0] - 1))
     boundaries = np.append(boundaries, len(gm_g))
 
-    univ = unique_ints(gm_m)
-    if len(univ) <= _DENSE_MEMBER_LIMIT:
-        return _expand_dense(univ, gm_m, gm_counts, boundaries)
-
     src_parts: list[np.ndarray] = []
     dst_parts: list[np.ndarray] = []
     count_parts: list[np.ndarray] = []
@@ -209,31 +197,6 @@ def expand_co_occurrence(
         return empty
     (src,), (dst,), (counts,) = _compact_pairs(src_parts, dst_parts, count_parts)
     return src, dst, counts.astype(np.float64)
-
-
-def _expand_dense(
-    univ: np.ndarray,
-    gm_m: np.ndarray,
-    gm_counts: np.ndarray,
-    boundaries: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum every group's ``outer(counts, counts)`` into one dense
-    ``member x member`` matrix — each group touches only its own
-    submatrix (``np.ix_``), so the work is O(sum of group-pair counts)
-    with array constants instead of repeated sort-and-merge passes.
-    ``np.nonzero`` walks the matrix row-major, which IS the canonical
-    ``(src, dst)`` order (``univ`` is sorted ascending)."""
-    matrix = np.zeros((len(univ), len(univ)), dtype=np.int64)
-    codes = np.searchsorted(univ, gm_m)
-    for g in range(len(boundaries) - 1):
-        group_codes = codes[boundaries[g]:boundaries[g + 1]]
-        if len(group_codes) < 2:
-            continue
-        counts = gm_counts[boundaries[g]:boundaries[g + 1]]
-        matrix[np.ix_(group_codes, group_codes)] += np.outer(counts, counts)
-    np.fill_diagonal(matrix, 0)
-    src_idx, dst_idx = np.nonzero(matrix)
-    return univ[src_idx], univ[dst_idx], matrix[src_idx, dst_idx].astype(np.float64)
 
 
 def _compact_pairs(

@@ -15,7 +15,7 @@ Two freshness modes:
   base-table DML — *incrementally* when the engine's change capture can
   hand over the row deltas (see :mod:`repro.graphview.maintenance`),
   falling back to a full re-extraction otherwise or when the deltas
-  exceed ``delta_threshold`` of a base table.
+  exceed :data:`DEFAULT_DELTA_THRESHOLD` of a base table.
 * **virtual** — nothing is extracted up front; every
   :meth:`GraphViewHandle.resolve` (which ``Vertexica.run`` calls) re-runs
   the extraction, so the analysis always sees the current base tables.
@@ -53,9 +53,9 @@ __all__ = ["ExtractionStats", "GraphViewHandle"]
 
 logger = logging.getLogger("repro.graphview")
 
-#: Default ceiling on delta size as a fraction of a base table's rows —
-#: beyond it a refresh re-extracts instead of patching (the crossover
-#: where replaying per-row work stops beating one set-oriented pass).
+#: Ceiling on delta size as a fraction of a base table's rows — beyond
+#: it a refresh re-extracts instead of patching (the crossover where
+#: replaying per-row work stops beating one set-oriented pass).
 DEFAULT_DELTA_THRESHOLD = 0.25
 
 
@@ -173,9 +173,9 @@ class GraphViewHandle:
     view *virtual* — every :meth:`resolve` re-extracts, so runs always
     see current base data.
 
-    ``delta_threshold`` caps how large a base table's delta may grow
-    (as a fraction of its current rows) before :meth:`refresh` abandons
-    the incremental path for a full re-extraction.
+    :data:`DEFAULT_DELTA_THRESHOLD` caps how large a base table's delta
+    may grow (as a fraction of its current rows) before :meth:`refresh`
+    abandons the incremental path for a full re-extraction.
 
     ``config`` is the session's :class:`VertexicaConfig`: full
     extractions run on ``n_workers`` worker processes, as its runs do;
@@ -191,20 +191,16 @@ class GraphViewHandle:
         name: str,
         view: GraphView,
         materialized: bool = True,
-        delta_threshold: float = DEFAULT_DELTA_THRESHOLD,
         config: VertexicaConfig | None = None,
         pools: SessionPools | None = None,
     ) -> None:
         if not name or not name.isidentifier():
             raise GraphViewError(f"graph view name must be an identifier, got {name!r}")
-        if not 0.0 <= delta_threshold <= 1.0:
-            raise GraphViewError("delta_threshold must be within [0, 1]")
         self.db = db
         self.storage = storage
         self.name = name
         self.view = view
         self.materialized = materialized
-        self.delta_threshold = delta_threshold
         self.config = config
         self.pools = pools
         self._handle: GraphHandle | None = None
@@ -234,10 +230,11 @@ class GraphViewHandle:
 
         Args:
             incremental: ``None`` (default) patches from captured row
-                deltas when possible and within :attr:`delta_threshold`,
-                falling back to a full re-extraction otherwise; ``True``
-                insists on the delta path regardless of delta size (still
-                falling back when no deltas are reconstructable);
+                deltas when possible and within
+                :data:`DEFAULT_DELTA_THRESHOLD`, falling back to a full
+                re-extraction otherwise; ``True`` insists on the delta
+                path regardless of delta size (still falling back when no
+                deltas are reconstructable);
                 ``False`` forces a full re-extraction.
 
         The two paths produce bit-identical tables; ``last_extraction``
@@ -249,7 +246,7 @@ class GraphViewHandle:
         wanted_incremental = incremental is not False and self.materialized
         if wanted_incremental:
             handle = self._try_incremental(
-                max_delta_fraction=None if incremental else self.delta_threshold
+                max_delta_fraction=None if incremental else DEFAULT_DELTA_THRESHOLD
             )
             if handle is not None:
                 self.last_fallback_reason = None

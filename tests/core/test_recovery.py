@@ -96,9 +96,11 @@ class TestCheckpointWrites:
         with open(tmp_path / "LATEST", encoding="utf-8") as fh:
             assert fh.read().strip() == "ckpt-000006"
         manifest = json.loads((tmp_path / "ckpt-000006" / "manifest.json").read_text())
-        assert manifest["completed"] == 6
-        assert manifest["graph"]["num_vertices"] == 60
-        assert manifest["program"]["name"] == "PageRank"
+        assert sorted(manifest["tables"]) == ["message", "vertex"]
+        facts = manifest["metadata"]
+        assert facts["completed"] == 6
+        assert facts["graph"]["num_vertices"] == 60
+        assert facts["program"]["name"] == "PageRank"
         assert result.stats.checkpoint_seconds > 0.0
         # per-superstep accounting excludes checkpoint time from compute
         ckpt_steps = [
@@ -166,9 +168,9 @@ class TestKillAndResume:
         assert res.stats.recovered_supersteps == 4
 
     def test_kill_mid_checkpoint_leaves_previous_durable(self, tmp_path, plane):
-        """A kill between table files and the manifest produces a torn,
-        unreferenced directory; resume falls back to the previous pointer
-        and stays bit-identical."""
+        """A kill after the snapshot is written but before ``LATEST``
+        names it leaves an unreferenced directory; resume falls back to
+        the previous pointer and stays bit-identical."""
         vx, g = fresh_run_setup()
         base = vx.run(g, PageRank(iterations=8), **plane)
 
@@ -183,7 +185,7 @@ class TestKillAndResume:
                     checkpoint_dir=str(tmp_path),
                     **plane,
                 )
-        # the torn ckpt-000004 exists but LATEST still names ckpt-000002
+        # ckpt-000004 exists, unpublished: LATEST still names ckpt-000002
         with open(tmp_path / "LATEST", encoding="utf-8") as fh:
             assert fh.read().strip() == "ckpt-000002"
         res = vx2.run(
@@ -470,7 +472,7 @@ class TestManifestValidation:
         self._checkpointed_dir(tmp_path)
         torn = tmp_path / "ckpt-000099"
         torn.mkdir()
-        (torn / "vertex.npz").write_bytes(b"garbage")
+        (torn / "vertex.cols").write_bytes(b"garbage")
         vx, g = fresh_run_setup()
         vx.run(
             g,

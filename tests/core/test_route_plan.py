@@ -118,7 +118,7 @@ def emit(index: ShardIndex, program, superstep: int, halted=frozenset(), use_bat
     staged, emitted = [], []
     for shard in run_shards(index, set(halted)):
         worker = VertexWorker(program, superstep, 64, use_batch=use_batch)
-        out, _ = worker.compute_decoded(shard.decoded(), record=False)
+        out, _ = worker.compute_decoded(shard.decoded())
         updates, messages, _ = out.to_staged()
         staged.append(updates)
         emitted.append(messages)

@@ -329,23 +329,21 @@ class TestFallbacks:
 
     def test_large_delta_falls_back_to_full(self):
         vx = fresh_vertexica(3)
-        handle = vx.create_graph_view(
-            "live", VIEWS["edge_directed"], delta_threshold=0.1
-        )
-        vx.sql("DELETE FROM follows WHERE closeness > 1.0")  # way over 10%
+        handle = vx.create_graph_view("live", VIEWS["edge_directed"])
+        vx.sql("DELETE FROM follows WHERE closeness > 1.0")  # way over 25%
         handle.refresh()
         assert handle.last_extraction.mode == "full"
         assert_view_parity(vx, handle, "shadow_big")
 
     def test_forced_incremental_ignores_threshold(self):
         vx = fresh_vertexica(4)
-        handle = vx.create_graph_view(
-            "live", VIEWS["edge_directed"], delta_threshold=0.0
-        )
-        vx.sql("INSERT INTO follows VALUES (0, 1, 2.0)")
+        handle = vx.create_graph_view("live", VIEWS["edge_directed"])
+        doomed = vx.sql("SELECT COUNT(*) FROM follows WHERE closeness > 1.0").scalar()
+        assert doomed > 0.25 * 300
+        vx.sql("DELETE FROM follows WHERE closeness > 1.0")
         handle.refresh(incremental=True)
         assert handle.last_extraction.mode == "incremental"
-        assert handle.last_extraction.delta_rows == 1
+        assert handle.last_extraction.delta_rows == doomed
         assert_view_parity(vx, handle, "shadow_forced")
 
     def test_forced_full_never_patches(self):
@@ -393,11 +391,10 @@ class TestFallbacks:
         handle = vx.create_graph_view(
             "live",
             GraphView(edges=CoEdgeSpec("likes", member="user_id", via="post_id")),
-            delta_threshold=1.0,
         )
         assert handle.last_extraction.num_edges == 18
         vx.sql("INSERT INTO likes VALUES " + ", ".join(f"({uid}, 99)" for uid in range(20, 25)))
-        handle.refresh()
+        handle.refresh(incremental=True)  # past the size check: the stripes guard decides
         assert handle.last_extraction.mode == "full"
         reason = handle.last_fallback_reason
         assert "25 pair updates" in reason and "view's 18 edges" in reason, reason

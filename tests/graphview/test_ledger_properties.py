@@ -14,7 +14,7 @@ by one merge per refresh.  This module pins:
   three incremental refreshes): no sort, ``np.unique``, ``searchsorted``
   or ``np.insert`` on a structured array anywhere, and no ``np.lexsort``
   over cut-over-sized rows in the graph-view modules;
-* ``expand_co_occurrence`` (dense, streamed and flushed-every-pair)
+* ``expand_co_occurrence`` (streamed, and flushed after every group)
   against a ``dict`` reference, property-based;
 * seeding from unsorted co-occurrence pairs, and the state a fallback
   leaves behind.
@@ -38,7 +38,7 @@ from repro.engine.column import Column
 from repro.engine.operators import _KERNEL_MIN_ROWS
 from repro.engine.types import FLOAT, INTEGER
 from repro.graphview import lowering, maintenance, view as view_module
-from repro.graphview.lowering import _DENSE_MEMBER_LIMIT, expand_co_occurrence
+from repro.graphview.lowering import expand_co_occurrence
 from repro.graphview.view import GraphViewHandle
 
 CUT = _KERNEL_MIN_ROWS
@@ -258,15 +258,12 @@ def reference_expansion(members, vias) -> list[tuple[int, int, float]]:
 
 class TestExpansion:
     @pytest.mark.parametrize(
-        "dense_limit,flush_pairs",
-        [(10**6, 1 << 21), (0, 1 << 21), (0, 1)],
-        ids=["dense", "streamed", "streamed-flush-every-group"],
+        "flush_pairs", [1 << 21, 1], ids=["streamed", "streamed-flush-every-group"]
     )
     @given(co_occurrence_inputs())
-    def test_expansion_equals_dict_reference(self, dense_limit, flush_pairs, case):
+    def test_expansion_equals_dict_reference(self, flush_pairs, case):
         members, vias = case
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lowering, "_DENSE_MEMBER_LIMIT", dense_limit)
             patch.setattr(lowering, "_EXPANSION_FLUSH_PAIRS", flush_pairs)
             src, dst, weight = expand_co_occurrence(members, vias)
         assert (src.dtype, dst.dtype, weight.dtype) == (np.int64, np.int64, np.float64)
@@ -324,9 +321,8 @@ def insert(db, table: str, *columns) -> None:
 
 
 def streamed_co_db(rng) -> Vertexica:
-    """Users 0..4999, each liking two of 700 posts (> _DENSE_MEMBER_LIMIT
-    distinct members: the streamed expansion), and weighted follows with
-    signed zeros among the weights."""
+    """Users 0..4999, each liking two of 700 posts, and weighted follows
+    with signed zeros among the weights."""
     vx = Vertexica()
     vx.sql("CREATE TABLE users (id INTEGER NOT NULL)")
     vx.sql("CREATE TABLE follows (a INTEGER NOT NULL, b INTEGER NOT NULL, w FLOAT NOT NULL)")
@@ -377,8 +373,6 @@ class TestSortGate:
     ):
         rng = np.random.default_rng(5)
         vx = streamed_co_db(rng)
-        members = np.unique(vx.db.query_batch("SELECT user_id FROM likes").column("user_id").values)
-        assert len(members) > _DENSE_MEMBER_LIMIT
         spy = SortSpy(monkeypatch)
         handle = vx.create_graph_view("live", GATE_VIEW)
         assert handle.last_extraction.num_edges > 10 * CUT
@@ -464,8 +458,8 @@ class TestSeedingAndFallbacks:
 
     def test_threshold_fallback_rebuilds_a_capable_columnar_state(self):
         vx = social_vx(22)
-        handle = vx.create_graph_view("live", CO_VIEW, delta_threshold=0.1)
-        vx.sql("DELETE FROM follows WHERE closeness > 1.0")
+        handle = vx.create_graph_view("live", CO_VIEW)
+        vx.sql("DELETE FROM follows WHERE closeness > 1.0")  # over 25% of the rows
         handle.refresh()
         assert handle.last_extraction.mode == "full"
         assert "exceeds" in handle.last_fallback_reason

@@ -157,14 +157,11 @@ class TestCoOccurrenceLowering:
     """The expansion == the ``COUNT(*)`` self-join, byte for byte."""
 
     @pytest.mark.parametrize(
-        "dense_limit,flush_pairs",
-        [(lowering._DENSE_MEMBER_LIMIT, lowering._EXPANSION_FLUSH_PAIRS), (0, 1 << 21), (0, 64)],
-        ids=["dense", "streamed", "streamed-flushed"],
+        "flush_pairs", [1 << 21, 64], ids=["streamed", "streamed-flushed"]
     )
-    def test_expansion_matches_count_selfjoin(self, monkeypatch, dense_limit, flush_pairs):
+    def test_expansion_matches_count_selfjoin(self, monkeypatch, flush_pairs):
         # The streamed path with a 64-pair buffer merges many times over
         # the skewed groups.
-        monkeypatch.setattr(lowering, "_DENSE_MEMBER_LIMIT", dense_limit)
         monkeypatch.setattr(lowering, "_EXPANSION_FLUSH_PAIRS", flush_pairs)
         vx = Vertexica()
         schema = social(vx)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -37,16 +38,31 @@ def checkpoint_dir(tmp_path) -> str:
     return str(tmp_path / "ckpt")
 
 
+def published(directory: str) -> str:
+    """The snapshot directory a checkpoint's ``LATEST`` names."""
+    with open(os.path.join(directory, "LATEST"), encoding="utf-8") as fh:
+        return os.path.join(directory, fh.read().strip())
+
+
+def edit_manifest(directory: str, edit) -> None:
+    path = os.path.join(published(directory), "manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+
+
 class TestRoundTrip:
     def test_materialized_view_round_trips(self, vx, tmp_path):
-        handle = vx.create_graph_view("sv", social_view(), delta_threshold=0.4)
+        handle = vx.create_graph_view("sv", social_view())
         edges_before = vx.sql("SELECT src, dst, weight FROM sv_edge").rows()
         vx.checkpoint(checkpoint_dir(tmp_path))
 
         restored = Vertexica.restore(checkpoint_dir(tmp_path))
         back = restored.graph_view("sv")
         assert back.view == handle.view  # spec equality, field for field
-        assert back.materialized and back.delta_threshold == 0.4
+        assert back.materialized
         # The materialized tables came back intact — no re-extraction ran.
         assert restored.sql("SELECT src, dst, weight FROM sv_edge").rows() == edges_before
         assert back.resolve().num_edges == len(edges_before)
@@ -60,6 +76,33 @@ class TestRoundTrip:
         assert not restored.db.has_table("vv_edge")  # nothing materialized
         restored.sql("INSERT INTO follows VALUES (0, 49, 1.0)")
         assert back.resolve().num_edges > 0  # re-extracts on demand
+
+    def test_entry_with_a_delta_threshold_still_restores(self, vx, tmp_path):
+        # Entries once carried a per-view refresh threshold; it is a
+        # constant now, and an entry that still names one restores as is.
+        handle = vx.create_graph_view("sv", social_view())
+        directory = checkpoint_dir(tmp_path)
+        vx.checkpoint(directory)
+
+        def add_threshold(manifest):
+            manifest["metadata"]["graph_views"][0]["delta_threshold"] = 0.4
+
+        edit_manifest(directory, add_threshold)
+        back = Vertexica.restore(directory).graph_view("sv")
+        assert back.view == handle.view and back.materialized
+
+    def test_repeated_checkpoints_keep_one_snapshot(self, vx, tmp_path):
+        vx.create_graph_view("sv", social_view())
+        directory = checkpoint_dir(tmp_path)
+        vx.checkpoint(directory)
+        vx.sql("INSERT INTO follows VALUES (4, 45, 1.5)")
+        vx.graph_view("sv").refresh()
+        vx.checkpoint(directory)
+        assert sorted(os.listdir(directory)) == ["LATEST", os.path.basename(published(directory))]
+        restored = Vertexica.restore(directory)
+        assert restored.sql("SELECT COUNT(*) FROM follows").scalar() == (
+            vx.sql("SELECT COUNT(*) FROM follows").scalar()
+        )
 
     def test_unknown_view_still_unknown(self, vx, tmp_path):
         vx.checkpoint(checkpoint_dir(tmp_path))
@@ -125,7 +168,7 @@ class TestTornCheckpoints:
         vx.create_graph_view("sv", social_view())
         directory = checkpoint_dir(tmp_path)
         vx.checkpoint(directory)
-        os.remove(os.path.join(directory, "manifest.json"))
+        os.remove(os.path.join(published(directory), "manifest.json"))
         with pytest.raises(EngineError, match="manifest"):
             Vertexica.restore(directory)
 
@@ -133,21 +176,18 @@ class TestTornCheckpoints:
         vx.create_graph_view("sv", social_view())
         directory = checkpoint_dir(tmp_path)
         vx.checkpoint(directory)
-        os.remove(os.path.join(directory, "sv_edge.npz"))
+        os.remove(os.path.join(published(directory), "sv_edge.cols"))
         with pytest.raises(EngineError, match="missing"):
             Vertexica.restore(directory)
 
     def test_corrupt_view_metadata_fails_loudly(self, vx, tmp_path):
-        import json
-
         vx.create_graph_view("sv", social_view())
         directory = checkpoint_dir(tmp_path)
         vx.checkpoint(directory)
-        manifest_path = os.path.join(directory, "manifest.json")
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        manifest["metadata"]["graph_views"][0]["view"]["edges"][0]["kind"] = "wat"
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh)
+
+        def corrupt(manifest):
+            manifest["metadata"]["graph_views"][0]["view"]["edges"][0]["kind"] = "wat"
+
+        edit_manifest(directory, corrupt)
         with pytest.raises(GraphViewError, match="unknown graph-view spec kind"):
             Vertexica.restore(directory)
