@@ -98,7 +98,7 @@ class Vertexica:
         self.config = (config or VertexicaConfig()).validated()
         self.storage = GraphStorage(self.db)
         self._graph_views: dict[str, GraphViewHandle] = {}
-        #: the worker pools runs and view extractions lease
+        #: the worker pools runs lease
         self.pools = pools if pools is not None else SessionPools()
         # Owned pools close with the session; the finalizer holds the
         # pools, not the session, so dropping the last reference suffices.
@@ -198,8 +198,8 @@ class Vertexica:
                 after base-table DML); ``False`` re-extracts at every run.
             replace: allow redefining an existing view name.
 
-        Full extractions run on this session's ``n_workers`` worker
-        processes, leased from its pool as its runs are.
+        Extraction runs in this process, whatever ``n_workers`` says:
+        worker processes run shard tasks only.
 
         Raises:
             GraphViewError: invalid declaration, duplicate name, or a
@@ -216,15 +216,7 @@ class Vertexica:
             # Drop the old extraction so a materialized -> virtual redefine
             # cannot leave stale {name}_edge/{name}_node tables behind.
             displaced.drop()
-        handle = GraphViewHandle(
-            self.db,
-            self.storage,
-            name,
-            view,
-            materialized=materialized,
-            config=self.config,
-            pools=self.pools,
-        )
+        handle = GraphViewHandle(self.db, self.storage, name, view, materialized=materialized)
         if materialized:
             handle.refresh()
         self._graph_views[name] = handle
@@ -344,8 +336,6 @@ class Vertexica:
                 entry["name"],
                 view_from_dict(entry["view"]),
                 materialized=entry.get("materialized", True),
-                config=vx.config,
-                pools=vx.pools,
             )
             if handle.materialized:
                 handle.attach_existing(entry.get("base_table_versions"))
@@ -416,15 +406,7 @@ class Vertexica:
         if isinstance(graph, GraphView):
             name = graph.name or "adhoc_view"
             return resolving(
-                GraphViewHandle(
-                    self.db,
-                    self.storage,
-                    name,
-                    graph,
-                    materialized=False,
-                    config=config,
-                    pools=self.pools,
-                )
+                GraphViewHandle(self.db, self.storage, name, graph, materialized=False)
             )
         if isinstance(graph, str):
             if graph in self._graph_views:

@@ -1028,29 +1028,32 @@ class AggregateOp(Operator):
             return Column(INTEGER, sums_int, counts > 0)
 
         if spec.func in ("SUM", "AVG", "STDDEV"):
-            # Float sums stay pairwise reduceat sums in group order: a
-            # sequential np.bincount / np.add.at sum rounds differently.
-            values = sorted_values.astype(np.float64, copy=False)
-            if nulls:
-                values = np.where(sorted_valid, values, 0.0)
-            sums = np.zeros(n_out, dtype=np.float64)
-            if len(boundaries):
-                sums[present] = np.add.reduceat(values, boundaries)
-            if spec.func == "SUM":
-                return Column(FLOAT, sums, counts > 0)
-            if spec.func == "AVG":
-                valid = counts > 0
-                safe = np.where(valid, counts, 1)
-                return Column(FLOAT, sums / safe, valid)
-            # STDDEV (sample)
-            sq = np.where(sorted_valid, sorted_values.astype(np.float64) ** 2, 0.0)
-            sumsq = np.zeros(n_out, dtype=np.float64)
-            if len(boundaries):
-                sumsq[present] = np.add.reduceat(sq, boundaries)
-            valid = counts > 1
-            safe_n = np.where(valid, counts, 2).astype(np.float64)
-            var = (sumsq - sums**2 / safe_n) / (safe_n - 1.0)
-            return Column(FLOAT, np.sqrt(np.maximum(var, 0.0)), valid)
+            # A group holding both +inf and -inf sums to NaN, IEEE's answer,
+            # which numpy would also warn about.
+            with np.errstate(invalid="ignore"):
+                # Float sums stay pairwise reduceat sums in group order: a
+                # sequential np.bincount / np.add.at sum rounds differently.
+                values = sorted_values.astype(np.float64, copy=False)
+                if nulls:
+                    values = np.where(sorted_valid, values, 0.0)
+                sums = np.zeros(n_out, dtype=np.float64)
+                if len(boundaries):
+                    sums[present] = np.add.reduceat(values, boundaries)
+                if spec.func == "SUM":
+                    return Column(FLOAT, sums, counts > 0)
+                if spec.func == "AVG":
+                    valid = counts > 0
+                    safe = np.where(valid, counts, 1)
+                    return Column(FLOAT, sums / safe, valid)
+                # STDDEV (sample)
+                sq = np.where(sorted_valid, sorted_values.astype(np.float64) ** 2, 0.0)
+                sumsq = np.zeros(n_out, dtype=np.float64)
+                if len(boundaries):
+                    sumsq[present] = np.add.reduceat(sq, boundaries)
+                valid = counts > 1
+                safe_n = np.where(valid, counts, 2).astype(np.float64)
+                var = (sumsq - sums**2 / safe_n) / (safe_n - 1.0)
+                return Column(FLOAT, np.sqrt(np.maximum(var, 0.0)), valid)
 
         if spec.func in ("MIN", "MAX"):
             return self._compute_extremum(

@@ -15,9 +15,8 @@ two strategies with identical semantics:
   the program closure at pool start, not per superstep).
 
 Both receive ``(fn, tasks)`` where tasks are ``(item, index)`` pairs —
-resident shards for the sharded data plane, statement units for graph
-view extraction — and return outputs in task order so results stay
-deterministic regardless of scheduling.
+the resident shards of the sharded data plane — and return outputs in
+task order so results stay deterministic regardless of scheduling.
 
 A pool lives as long as its *session*: a :class:`SessionPools` (one per
 ``Vertexica``) owns at most one :class:`ProcessExecutor` and lends it to

@@ -1,60 +1,44 @@
 """Graph-view lowering: every compiled statement runs over pinned rows.
 
 Each spec compiles (:mod:`repro.graphview.compiler`) to one or two SQL
-statements that name the spec's own base table.  Full extraction and
-incremental refresh run every statement the same way: as a unit
-``(label, sql, pin)`` handed to :func:`run_statement`, which registers
-the :class:`~repro.engine.database.PinnedTable` under its base table's
-own name in a private :class:`Database` — built as a snapshot reader's
-shadow is, by :meth:`Database.from_pins` — and runs the SQL there.  The
-pin holds one of:
+statements that name the spec's own base table.  One function runs
+them: :func:`run_spec` hands each statement to :func:`run_statement`,
+which registers the :class:`~repro.engine.database.PinnedTable` under
+its base table's own name in a private :class:`Database` — built as a
+snapshot reader's shadow is, by :meth:`Database.from_pins` — runs the
+SQL there, and converts the one result batch to the spec's node ids,
+edge triples or co-occurrence side rows.  The pin holds one of:
 
-* **the whole base table** — a full extraction;
-* **one row slice of it** — a parallel extraction splits a single-table
-  scan over a large base table into row slices whose results concatenate
-  back in slice order.  Scans, filters, and projections preserve row
-  order, so the concatenation is bit-identical to the unsliced statement;
-* **a change log's delta rows** — an incremental refresh
-  (:mod:`repro.graphview.maintenance`).
+* **the whole base table** — a full extraction (:func:`lower_view`);
+* **a change log's inserted or deleted delta rows** — an incremental
+  refresh (:mod:`repro.graphview.maintenance`).
 
 :func:`lower_view` arms change capture on the view's base tables and pins
 them under one lock acquisition, so the extraction reads one consistent
-cut and its bookmarks name exactly the versions it read.  It then maps
-the runner over the units on the executor leased for the session's
-:class:`~repro.core.config.VertexicaConfig`: ``n_workers`` worker
-processes from the session's pool, as a run's are (so parallel
-extraction needs ``data_plane="shards"``, as parallel runs do).  A
-one-worker lease runs its tasks serially, so nothing branches on the
-executor, and no statement ever touches the live catalog.  The private
-catalog holds only built-in functions: a spec expression cannot call a
-function added with ``db.register_function``, on any executor.
+cut and its bookmarks name exactly the versions it read.  It then runs
+every spec in-process, in declaration order; no statement ever touches
+the live catalog.  The private catalog holds only built-in functions: a
+spec expression cannot call a function added with
+``db.register_function``.
 
 A :class:`CoEdgeSpec` without a ``weight`` (a ``COUNT(*)`` of joined
 rows) is lowered through :func:`expand_co_occurrence`, a group-by-``via``
 pairwise expansion that replaces the quadratic SQL self-join.  A custom
-aggregate ``weight`` keeps the self-join (:func:`co_edge_query`), which
-reads its base table under two aliases and so is never sliced: only a
+aggregate ``weight`` keeps the self-join (:func:`co_edge_query`): only a
 count decomposes per group.  Spelling the default out as
 ``weight="COUNT(*)"`` reaches the self-join too, which is how the tests
 hold the expansion to the same rows.
-
-Every executor produces bit-identical per-spec arrays; the determinism
-suite in ``tests/graphview/test_parallel_extraction.py`` locks serial
-and process lowering to the same bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import VertexicaConfig
 from repro.engine.batch import RecordBatch
 from repro.engine.database import Database, PinnedTable
 from repro.engine.operators import run_starts, stable_int_order, value_ranks
-from repro.engine.parallel import NO_SESSION, SessionPools
 from repro.errors import EngineError, GraphViewError
 from repro.graphview.compiler import (
     co_edge_query,
@@ -67,29 +51,20 @@ from repro.graphview.spec import CoEdgeSpec, EdgeSpec, GraphView, NodeSpec
 __all__ = [
     "EdgeSpecResult",
     "LoweredExtraction",
-    "Statement",
     "edge_triples_from_batch",
     "expand_co_occurrence",
     "involved_tables",
     "lower_view",
     "node_ids_from_batch",
+    "run_spec",
     "run_statement",
+    "side_rows_from_batch",
     "spec_statements",
 ]
 
 #: Pair buffer size above which the streamed expansion compacts its
 #: accumulated per-group contributions into one summed array.
 _EXPANSION_FLUSH_PAIRS = 1 << 21
-
-#: A parallel lowering splits a single-table scan into row slices only
-#: when its base table has at least this many rows (below it, per-task
-#: overhead beats the parallelism).
-_SLICE_MIN_ROWS = 50_000
-
-#: One graph-view statement as it runs: an error label naming its spec
-#: kind, the compiled SQL, and the pinned rows it reads — ``None`` when
-#: the base table does not exist, so the statement fails naming it.
-Statement = tuple[str, str, PinnedTable | None]
 
 
 @dataclass
@@ -120,7 +95,6 @@ class LoweredExtraction:
     node_parts: list[np.ndarray] = field(default_factory=list)
     edge_parts: list[EdgeSpecResult] = field(default_factory=list)
     num_queries: int = 0
-    parallelism: int = 1
     bookmarks: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
@@ -217,9 +191,10 @@ def _compact_pairs(
 
 
 # ---------------------------------------------------------------------------
-# Batch -> array helpers (shared with incremental maintenance, so both
-# apply identical NULL semantics: NULL endpoints drop the edge, NULL
-# weights default to 1.0, NULL ids drop the node row)
+# Batch -> array helpers (full extraction and incremental refresh both
+# convert through them, so both apply identical NULL semantics: NULL
+# endpoints drop the edge, NULL weights default to 1.0, NULL ids drop the
+# node row, a NULL member or via drops the side row)
 # ---------------------------------------------------------------------------
 def node_ids_from_batch(batch) -> np.ndarray:
     """The non-NULL ``id`` values of a node-query result (multiplicity
@@ -243,6 +218,16 @@ def edge_triples_from_batch(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return src[keep], dst[keep], weight[keep]
 
 
+def side_rows_from_batch(batch) -> tuple[np.ndarray, np.ndarray]:
+    """``(member, via)`` arrays of a co-occurrence side-query result, in
+    row order, with the rows holding a NULL member or via dropped (a NULL
+    never equi-joins).  ``via`` keeps its column's dtype."""
+    member_col = batch.column("member")
+    via_col = batch.column("via")
+    keep = np.asarray(member_col.valid, dtype=bool) & np.asarray(via_col.valid, dtype=bool)
+    return np.asarray(member_col.values, dtype=np.int64)[keep], np.asarray(via_col.values)[keep]
+
+
 # ---------------------------------------------------------------------------
 # Statements and the one runner
 # ---------------------------------------------------------------------------
@@ -263,22 +248,39 @@ def spec_statements(spec) -> list[tuple[str, str]]:
     raise GraphViewError(f"unknown spec type {type(spec).__name__}")
 
 
-def run_statement(statement: Statement, index: int = 0) -> RecordBatch:
-    """Run one graph-view statement over its pinned rows in a private
-    catalog holding nothing else (see the module docstring).
-
-    Module-level so it pickles into process workers; ``index`` is the
-    executor's task index, unused.
+def run_statement(what: str, sql: str, pin: PinnedTable | None) -> RecordBatch:
+    """Run one compiled statement over ``pin`` in a private catalog
+    holding nothing else (see the module docstring); ``pin`` is ``None``
+    when the base table does not exist, so the statement fails naming it.
 
     Raises:
-        GraphViewError: the statement failed — naming the spec kind and
-            the SQL, chained to the engine error.
+        GraphViewError: the statement failed — naming the spec kind
+            ``what`` and the SQL, chained to the engine error.
     """
-    what, sql, pin = statement
     try:
         return Database.from_pins([pin] if pin is not None else []).query_batch(sql)
     except EngineError as exc:
         raise GraphViewError(f"graph-view {what} failed: {exc}\n  SQL: {sql}") from exc
+
+
+def run_spec(spec, pin: PinnedTable | None):
+    """Run one spec's compiled statements over one pin and convert them.
+
+    The one driver of a spec's statements: a full extraction passes the
+    whole base table's pin, an incremental refresh an inserted or a
+    deleted delta pin.  Returns, by spec kind:
+
+    * :class:`NodeSpec` — its non-NULL node ids;
+    * :class:`EdgeSpec`, or a :class:`CoEdgeSpec` with a custom
+      ``weight`` — one ``(src, dst, weight)`` triple per statement;
+    * a :class:`CoEdgeSpec` without one — its ``(member, via)`` side rows.
+    """
+    batches = [run_statement(what, sql, pin) for what, sql in spec_statements(spec)]
+    if isinstance(spec, NodeSpec):
+        return node_ids_from_batch(batches[0])
+    if isinstance(spec, CoEdgeSpec) and spec.weight is None:
+        return side_rows_from_batch(batches[0])
+    return [edge_triples_from_batch(batch) for batch in batches]
 
 
 def involved_tables(view: GraphView) -> list[str]:
@@ -301,68 +303,24 @@ def _pin_base_tables(db: Database, view: GraphView) -> dict[str, PinnedTable]:
         return {t: pins[db.table(t).name] for t in tables}
 
 
-def _slices(pin: PinnedTable | None, workers: int) -> list[PinnedTable | None]:
-    """The pins one statement runs over: the whole table, or — on a
-    parallel lowering, for a base table of at least
-    :data:`_SLICE_MIN_ROWS` rows — up to ``workers`` row slices."""
-    if pin is None:
-        return [pin]
-    num_rows = pin.batch.num_rows
-    n_slices = min(workers, num_rows // _SLICE_MIN_ROWS)
-    if n_slices < 2:
-        return [pin]
-    bounds = [round(num_rows * i / n_slices) for i in range(n_slices + 1)]
-    return [replace(pin, batch=pin.batch.slice(a, b)) for a, b in zip(bounds, bounds[1:])]
-
-
 # ---------------------------------------------------------------------------
 # The driver
 # ---------------------------------------------------------------------------
-def lower_view(
-    db: Database,
-    view: GraphView,
-    config: VertexicaConfig | None = None,
-    pools: SessionPools | None = None,
-) -> LoweredExtraction:
-    """Run every compiled statement of ``view`` and convert the results.
-
-    ``config`` (the session's; ``None`` lowers serially) supplies the
-    worker count; the executor is leased from ``pools`` — the session's,
-    the same one its runs use — or, without one, is a private pool.
-    Every executor produces bit-identical per-spec arrays; see the
-    module docstring.
-    """
-    config = config or VertexicaConfig()
-    workers = config.n_workers
+def lower_view(db: Database, view: GraphView) -> LoweredExtraction:
+    """Run every spec of ``view`` over its pinned base table and convert
+    the results (see the module docstring)."""
     pins = _pin_base_tables(db, view)
     specs = [*view.vertices, *view.edges]
-    compiled = [spec_statements(spec) for spec in specs]
-    jobs = [(spec, what, sql) for spec, stmts in zip(specs, compiled) for what, sql in stmts]
-    units: list[Statement] = []
-    owners: list[int] = []  # per unit, the index of its job
-    for job, (spec, what, sql) in enumerate(jobs):
-        # The self-join pairs rows across its whole table: never sliced.
-        sliceable = not (isinstance(spec, CoEdgeSpec) and spec.weight is not None)
-        for pin in _slices(pins.get(spec.table), workers if sliceable else 1):
-            units.append((what, sql, pin))
-            owners.append(job)
-    with (pools or NO_SESSION).lease(workers) as executor:
-        batches = executor(run_statement, [(unit, i) for i, unit in enumerate(units)])
-
-    per_job: list[list[RecordBatch]] = [[] for _ in jobs]
-    for job, batch in zip(owners, batches):
-        per_job[job].append(batch)
-    results = iter(per_job)
     lowered = LoweredExtraction(
-        num_queries=len(units),
-        parallelism=workers,
+        num_queries=sum(len(spec_statements(spec)) for spec in specs),
         bookmarks={t: (pin.uid, pin.version) for t, pin in pins.items()},
     )
-    for _ in view.vertices:
-        lowered.node_parts.append(_concat_int([node_ids_from_batch(b) for b in next(results)]))
-    for spec, statements in zip(view.edges, compiled[len(view.vertices):]):
+    for spec in view.vertices:
+        lowered.node_parts.append(run_spec(spec, pins.get(spec.table)))
+    for spec in view.edges:
+        rows = run_spec(spec, pins.get(spec.table))
         if isinstance(spec, CoEdgeSpec) and spec.weight is None:
-            member, via = _concat_side(next(results))
+            member, via = rows
             lowered.edge_parts.append(
                 EdgeSpecResult(
                     spec=spec,
@@ -371,50 +329,6 @@ def lower_view(
                     side_via=via,
                 )
             )
-            continue
-        triples = [
-            _concat_triples([edge_triples_from_batch(b) for b in next(results)])
-            for _ in statements
-        ]
-        lowered.edge_parts.append(EdgeSpecResult(spec=spec, triples=triples))
+        else:
+            lowered.edge_parts.append(EdgeSpecResult(spec=spec, triples=rows))
     return lowered
-
-
-def _concat_int(parts: Sequence[np.ndarray]) -> np.ndarray:
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts)
-
-
-def _concat_triples(
-    triples: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if len(triples) == 1:
-        return triples[0]
-    return (
-        np.concatenate([t[0] for t in triples]),
-        np.concatenate([t[1] for t in triples]),
-        np.concatenate([t[2] for t in triples]),
-    )
-
-
-def _concat_side(batches: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Valid ``(member, via)`` rows of the side-query batches, in row
-    order (NULL member or via rows never join — drop them here once)."""
-    member_parts: list[np.ndarray] = []
-    via_parts: list[np.ndarray] = []
-    for batch in batches:
-        member_col = batch.column("member")
-        via_col = batch.column("via")
-        keep = np.asarray(member_col.valid, dtype=bool) & np.asarray(
-            via_col.valid, dtype=bool
-        )
-        member_parts.append(np.asarray(member_col.values, dtype=np.int64)[keep])
-        via_parts.append(np.asarray(via_col.values)[keep])
-    member = (
-        np.concatenate(member_parts) if member_parts else np.empty(0, dtype=np.int64)
-    )
-    via = np.concatenate(via_parts) if via_parts else np.empty(0, dtype=np.int64)
-    return member, via

@@ -7,11 +7,11 @@ the change-capture layer (:mod:`repro.engine.changelog`) already knows
 exactly which rows changed.  This module turns those row deltas into
 graph deltas and patches the materialized tables in place:
 
-* each spec's statements run over the delta rows alone, pinned under
-  the base table's own name in a private catalog — the same SQL text and
-  the same runner (:func:`~repro.graphview.lowering.run_statement`) as a
-  full extraction, so filters/casts/weight expressions produce
-  bit-identical values and the live catalog never gains a table;
+* each spec runs over the delta rows alone, pinned under the base
+  table's own name in a private catalog — through the same spec runner
+  (:func:`~repro.graphview.lowering.run_spec`) as a full extraction, so
+  the SQL text, the filters/casts/weight expressions and the NULL
+  handling are the same and the live catalog never gains a table;
 * the view's edge relation is kept as a sorted multiset: parallel
   ``src`` / ``dst`` (int64) and ``weight`` (float64) columns in canonical
   ``(src, dst, weight)`` order — the same order
@@ -72,14 +72,8 @@ from repro.core.storage import GraphHandle, GraphStorage, weight_order_key
 from repro.engine.changelog import TableDelta
 from repro.engine.database import Database, PinnedTable
 from repro.engine.operators import run_starts, stable_int_order, unique_ints, value_ranks
-from repro.graphview.lowering import (
-    Statement,
-    edge_triples_from_batch,
-    node_ids_from_batch,
-    run_statement,
-    spec_statements,
-)
-from repro.graphview.spec import CoEdgeSpec, EdgeSpec, GraphView
+from repro.graphview.lowering import run_spec, spec_statements
+from repro.graphview.spec import CoEdgeSpec, EdgeSpec, GraphView, NodeSpec
 
 __all__ = [
     "MaintenanceState",
@@ -105,24 +99,16 @@ class _Fallback(Exception):
     """Internal: this delta cannot be applied exactly; do a full refresh."""
 
 
-def _side_pairs_from_batch(batch) -> Rows:
-    """``(via, member)`` int64 columns of a co-occurrence side-query result.
+def _side_ledger_rows(member: np.ndarray, via: np.ndarray) -> Rows:
+    """``(via, member)`` int64 side-ledger columns of a co-occurrence
+    spec's side rows (NULL rows already dropped).
 
-    Rows with a NULL member or NULL via contribute nothing (a NULL never
-    equi-joins and never survives ``member <> member``), matching the
-    full self-join's semantics.  Raises :class:`_Fallback` when the via
-    key is not integer-typed — the sorted side ledger only supports ints.
+    Raises :class:`_Fallback` when the via key is not integer-typed — the
+    sorted side ledger only supports ints.
     """
-    member_col = batch.column("member")
-    via_col = batch.column("via")
-    via_values = np.asarray(via_col.values)
-    if via_values.dtype.kind not in "iu":
+    if via.dtype.kind not in "iu":
         raise _Fallback("co-occurrence via key is not integer-typed")
-    keep = np.asarray(member_col.valid, dtype=bool) & np.asarray(via_col.valid, dtype=bool)
-    return (
-        via_values[keep].astype(np.int64),
-        np.asarray(member_col.values, dtype=np.int64)[keep],
-    )
+    return via.astype(np.int64, copy=False), member
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +545,7 @@ def build_state(
                 if not isinstance(spec, CoEdgeSpec):
                     continue
                 part = edge_parts[index]
-                side = _spec_side_rows(part)
+                side = _side_ledger_rows(part.side_member, part.side_via)
                 (src, dst, weight) = part.triples[0]
                 if not np.all(weight == np.rint(weight)):
                     raise _Fallback("co-occurrence counts are not integral")
@@ -579,15 +565,6 @@ def build_state(
         capable=capable,
         last_fallback_reason=reason,
     )
-
-
-def _spec_side_rows(part) -> Rows:
-    """The (unsorted) ``(via, member)`` side ledger seed for one co spec,
-    reused from the side rows its expansion lowering captured."""
-    vias = np.asarray(part.side_via)
-    if vias.dtype.kind not in "iu":
-        raise _Fallback("co-occurrence via key is not integer-typed")
-    return vias.astype(np.int64, copy=False), np.asarray(part.side_member, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -702,58 +679,55 @@ def _spec_deltas(
 ) -> tuple[Rows, Rows, np.ndarray, np.ndarray, int]:
     """Lower table row deltas to graph deltas across every spec.
 
-    Each spec's statements run over its table's inserted rows and over
-    its deleted rows, pinned without the primary key (a delta multiset
-    may repeat a key: insert, delete, re-insert); an empty side runs
-    nothing.  Returns ``(added_edges, removed_edges, added_node_ids,
-    removed_node_ids, statements)``; edges are ``(src, dst, weight)``
-    columns.
+    Each spec runs through :func:`~repro.graphview.lowering.run_spec`
+    over its table's inserted rows and over its deleted rows, pinned
+    without the primary key (a delta multiset may repeat a key: insert,
+    delete, re-insert); an empty side runs nothing.  Every statement runs
+    before any co-occurrence state moves, so one that raises leaves the
+    state as it was.  Returns ``(added_edges, removed_edges,
+    added_node_ids, removed_node_ids, statements)``; edges are ``(src,
+    dst, weight)`` columns.
     """
     specs = [*view.vertices, *view.edges]
-    units: list[Statement] = []
-    owners: list[tuple[int, int]] = []  # per unit, (spec index, 0 inserted / 1 deleted)
-    for index, spec in enumerate(specs):
+    ran: list[list] = []  # per spec, its (inserted, deleted) results; None: empty side
+    statements = 0
+    for spec in specs:
         delta = deltas[spec.table]
         uid = state.bookmarks[spec.table][0]
-        for side, rows in enumerate((delta.inserted, delta.deleted)):
+        sides = []
+        for rows in (delta.inserted, delta.deleted):
             if rows.num_rows == 0:
+                sides.append(None)
                 continue
             pin = PinnedTable(spec.table, uid, delta.to_version, rows, rows.schema, None)
-            for what, sql in spec_statements(spec):
-                units.append((what, sql, pin))
-                owners.append((index, side))
-    results: dict[tuple[int, int], list] = {}
-    for owner, batch in zip(owners, map(run_statement, units)):
-        results.setdefault(owner, []).append(batch)
+            sides.append(run_spec(spec, pin))
+            statements += len(spec_statements(spec))
+        ran.append(sides)
 
-    def ran(index: int, side: int) -> list:
-        return results.get((index, side), [])
-
-    n_nodes = len(view.vertices)
-    node_ids = [
-        [node_ids_from_batch(b) for index in range(n_nodes) for b in ran(index, side)]
-        for side in (0, 1)
-    ]
-    added_parts: list[Rows] = []
-    removed_parts: list[Rows] = []
-    for edge_index, spec in enumerate(view.edges):
-        index = n_nodes + edge_index
-        if isinstance(spec, EdgeSpec):
-            added_parts.extend(edge_triples_from_batch(b) for b in ran(index, 0))
-            removed_parts.extend(edge_triples_from_batch(b) for b in ran(index, 1))
+    node_ids: tuple[list, list] = ([], [])
+    edge_parts: tuple[list[Rows], list[Rows]] = ([], [])
+    for index, (spec, sides) in enumerate(zip(specs, ran)):
+        if isinstance(spec, NodeSpec):
+            for ids, out in zip(sides, node_ids):
+                if ids is not None:
+                    out.append(ids)
+        elif isinstance(spec, EdgeSpec):
+            for triples, out in zip(sides, edge_parts):
+                out.extend(triples or [])
         else:  # CoEdgeSpec — delta-capable views always carry its state
-            added, removed = state.co_states[edge_index].apply_delta(
-                _side_rows(ran(index, 0)), _side_rows(ran(index, 1)), state.num_edges
+            inserted, deleted = (
+                _NO_EDGES[:2] if side is None else _side_ledger_rows(*side) for side in sides
             )
-            added_parts.append(added)
-            removed_parts.append(removed)
+            co_state = state.co_states[index - len(view.vertices)]
+            added, removed = co_state.apply_delta(inserted, deleted, state.num_edges)
+            edge_parts[0].append(added)
+            edge_parts[1].append(removed)
 
     empty_ids = np.empty(0, dtype=np.int64)
     return (
-        _concat_rows(added_parts),
-        _concat_rows(removed_parts),
+        *(_concat_rows(parts) for parts in edge_parts),
         *(np.concatenate(ids) if ids else empty_ids for ids in node_ids),
-        len(units),
+        statements,
     )
 
 
@@ -761,9 +735,3 @@ def _concat_rows(parts: list[Rows]) -> Rows:
     if not parts:
         return _NO_EDGES
     return tuple(np.concatenate(columns) for columns in zip(*parts))
-
-
-def _side_rows(batches: list) -> Rows:
-    if not batches:
-        return _NO_EDGES[:2]
-    return _side_pairs_from_batch(batches[0])

@@ -20,9 +20,9 @@ Two freshness modes:
   :meth:`GraphViewHandle.resolve` (which ``Vertexica.run`` calls) re-runs
   the extraction, so the analysis always sees the current base tables.
 
-A full extraction runs with the worker count of the session's
-:class:`~repro.core.config.VertexicaConfig`: serially, or on its worker
-processes (see :mod:`repro.graphview.lowering`).
+A full extraction runs in-process, one spec after another, through the
+same spec runner as an incremental refresh (see
+:mod:`repro.graphview.lowering`).
 
 Both refresh paths produce bit-identical graph tables: full loads store
 edges in canonical ``(src, dst, weight)`` order and the incremental path
@@ -38,11 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import VertexicaConfig
 from repro.core.storage import GraphHandle, GraphStorage, canonical_edge_order
 from repro.engine.database import Database
 from repro.engine.operators import unique_ints
-from repro.engine.parallel import SessionPools
 from repro.errors import GraphLoadError, GraphViewError
 from repro.graphview import maintenance
 from repro.graphview.lowering import lower_view
@@ -66,8 +64,9 @@ class ExtractionStats:
     Attributes:
         seconds: wall time of the pass.
         num_vertices, num_edges: sizes of the resulting graph.
-        num_queries: SQL statements issued (0 for a no-op incremental
-            refresh; slice-parallel lowering counts each slice's query).
+        num_queries: SQL statements issued: one per compiled statement on
+            a full extraction, one per statement and non-empty delta side
+            on an incremental refresh (0 for a no-op one).
         mode: ``"full"`` (re-extraction) or ``"incremental"``
             (delta-patched).
         delta_rows: base-table delta rows consumed (incremental only).
@@ -76,7 +75,6 @@ class ExtractionStats:
         load_seconds: time spent sorting and bulk-loading the graph
             tables, plus seeding the maintenance ledgers of a
             materialized view (full mode only).
-        parallelism: worker count the lowering fanned out to (1 = serial).
     """
 
     seconds: float
@@ -87,16 +85,13 @@ class ExtractionStats:
     delta_rows: int = 0
     lower_seconds: float = 0.0
     load_seconds: float = 0.0
-    parallelism: int = 1
 
     def summary(self) -> str:
         """One-line human-readable report."""
         delta = f" delta_rows={self.delta_rows}" if self.mode == "incremental" else ""
-        workers = f" workers={self.parallelism}" if self.parallelism > 1 else ""
         return (
             f"{self.mode} refresh: |V|={self.num_vertices} |E|={self.num_edges} "
-            f"from {self.num_queries} queries in {self.seconds:.3f}s"
-            f"{delta}{workers}"
+            f"from {self.num_queries} queries in {self.seconds:.3f}s{delta}"
         )
 
 
@@ -106,8 +101,6 @@ def _extract_with_state(
     name: str,
     view: GraphView,
     want_state: bool,
-    config: VertexicaConfig | None = None,
-    pools: SessionPools | None = None,
 ) -> tuple[GraphHandle, ExtractionStats, MaintenanceState | None]:
     """Full extraction, optionally also building maintenance state from
     the same per-spec arrays (no base table is scanned twice).
@@ -122,7 +115,7 @@ def _extract_with_state(
     """
     view.validate()
     started = time.perf_counter()
-    lowered = lower_view(db, view, config, pools)
+    lowered = lower_view(db, view)
     lowered_at = time.perf_counter()
     node_parts, edge_parts = lowered.node_parts, lowered.edge_parts
 
@@ -160,7 +153,6 @@ def _extract_with_state(
         mode="full",
         lower_seconds=lowered_at - started,
         load_seconds=finished - lowered_at,
-        parallelism=lowered.parallelism,
     )
     return handle, stats, state
 
@@ -176,12 +168,6 @@ class GraphViewHandle:
     :data:`DEFAULT_DELTA_THRESHOLD` caps how large a base table's delta
     may grow (as a fraction of its current rows) before :meth:`refresh`
     abandons the incremental path for a full re-extraction.
-
-    ``config`` is the session's :class:`VertexicaConfig`: full
-    extractions run on ``n_workers`` worker processes, as its runs do;
-    ``None`` extracts serially.  Parallel extractions lease the pool
-    from ``pools`` (the session's); ``None`` gives each one a private
-    pool.
     """
 
     def __init__(
@@ -191,8 +177,6 @@ class GraphViewHandle:
         name: str,
         view: GraphView,
         materialized: bool = True,
-        config: VertexicaConfig | None = None,
-        pools: SessionPools | None = None,
     ) -> None:
         if not name or not name.isidentifier():
             raise GraphViewError(f"graph view name must be an identifier, got {name!r}")
@@ -201,8 +185,6 @@ class GraphViewHandle:
         self.name = name
         self.view = view
         self.materialized = materialized
-        self.config = config
-        self.pools = pools
         self._handle: GraphHandle | None = None
         self._state: MaintenanceState | None = None
         #: base-table versions carried over from a checkpoint restore
@@ -259,13 +241,7 @@ class GraphViewHandle:
                     "graph view %r: %s", self.name, self.last_fallback_reason
                 )
         handle, stats, state = _extract_with_state(
-            self.db,
-            self.storage,
-            self.name,
-            self.view,
-            want_state=self.materialized,
-            config=self.config,
-            pools=self.pools,
+            self.db, self.storage, self.name, self.view, want_state=self.materialized
         )
         self._handle = handle
         self._state = state

@@ -1,10 +1,13 @@
-"""Direct unit tests for physical operators (bypassing SQL)."""
+"""Direct unit tests for physical operators (bypassing SQL where they can)."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.engine.batch import RecordBatch
 from repro.engine.column import Column
+from repro.engine.database import Database
 from repro.engine.expressions import BinaryOp, ColumnRef, Literal
 from repro.engine.functions import FunctionRegistry
 from repro.engine.operators import (
@@ -175,6 +178,21 @@ class TestAggregateUnit:
             REGISTRY,
         )
         assert op.execute().num_rows == 0
+
+    def test_float_moments_over_both_infinities_are_nan_without_warning(self):
+        # +inf + -inf is NaN, IEEE's answer; numpy must not warn about it
+        # (under -W error the warning would be a crash).
+        db = Database()
+        db.execute("CREATE TABLE t (k INTEGER, x FLOAT)")
+        for row in [(1, np.inf), (1, -np.inf), (1, 2.0), (2, 1.0), (2, 3.0)]:
+            db.execute("INSERT INTO t VALUES (?, ?)", list(row))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = db.execute(
+                "SELECT k, SUM(x), AVG(x), STDDEV(x) FROM t GROUP BY k ORDER BY k"
+            ).rows()
+        assert all(np.isnan(v) for v in rows[0][1:])
+        assert rows[1] == (2, 4.0, 2.0, pytest.approx(np.sqrt(2.0)))
 
     def test_stddev_single_value_is_null(self):
         op = AggregateOp(

@@ -12,10 +12,9 @@ not just multiset-level).
 Run matrix: every spec kind (plain edges, undirected edges, join-derived
 co-occurrence edges, all combined with filtered nodes) × every seed in
 ``INCREMENTAL_FUZZ_SEEDS`` (comma-separated; default one fixed seed for
-tier-1 — CI sweeps more in a separate job), plus the combined view first
-extracted in parallel on two worker processes and refreshed after every
-DML step, and the combined view refreshed
-while a writer thread streams DML into its base tables.  Writes injected
+tier-1 — CI sweeps more in a separate job), plus the combined view
+created and refreshed on a session with two worker processes, and the
+combined view refreshed while a writer thread streams DML into its base tables.  Writes injected
 mid-refresh pin the bookmark contract: a refresh bookmarks exactly the
 versions it read, so a write that lands after the read is the next
 refresh's delta.
@@ -23,6 +22,7 @@ refresh's delta.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import sys
 import threading
@@ -35,7 +35,6 @@ from repro import CoEdgeSpec, EdgeSpec, GraphView, NodeSpec, Vertexica, Vertexic
 from repro.core.storage import GraphStorage
 from repro.datasets import load_social_schema
 from repro.programs import PageRank
-from repro.graphview import lowering
 from repro.graphview.view import GraphViewHandle
 
 SEEDS = [int(s) for s in os.environ.get("INCREMENTAL_FUZZ_SEEDS", "7").split(",")]
@@ -177,29 +176,27 @@ def test_incremental_matches_full_under_random_dml(kind: str, seed: int):
     assert incremental_refreshes >= (N_STEPS // REFRESH_EVERY) // 2
 
 
-PARALLEL_SESSION = VertexicaConfig(data_plane="shards", n_workers=2)
-
-#: DML steps per seed of the parallel-extraction sequence;
-#: each one is followed by a refresh and a parity check.
-PARALLEL_STEPS = 24
+#: DML steps per seed of the worker-session sequence; each one is
+#: followed by a refresh and a parity check.
+WORKER_SESSION_STEPS = 24
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_incremental_refresh_after_parallel_extraction(monkeypatch, seed: int):
-    """A view first extracted in parallel (sliced scans, leased pool)
-    seeds the same maintenance state as a serial one: every refresh of a
-    DML sequence patches in place and equals a serial full extraction."""
-    monkeypatch.setattr(lowering, "_SLICE_MIN_ROWS", 50)
-    with fresh_vertexica(seed, PARALLEL_SESSION) as vx:
+def test_incremental_refresh_on_a_worker_process_session(seed: int):
+    """A session whose runs use two worker processes extracts and
+    maintains its views in-process like any other: every refresh of a DML
+    sequence patches in place, equals a full extraction, and starts no
+    worker process."""
+    config = VertexicaConfig(data_plane="shards", n_workers=2)
+    with fresh_vertexica(seed, config) as vx:
         handle = vx.create_graph_view("live", VIEWS["combined"])
-        assert handle.last_extraction.parallelism == vx.config.n_workers
-        assert handle.last_extraction.num_queries > 3  # the scans were sliced
         rng = np.random.default_rng(seed * 104729 + 3)
-        for step in range(PARALLEL_STEPS):
+        for step in range(WORKER_SESSION_STEPS):
             random_dml(vx, rng)
             handle.refresh(incremental=True)  # no delta-size cut-off: every step patches
             assert handle.last_extraction.mode == "incremental", handle.last_fallback_reason
             assert_view_parity(vx, handle, f"shadow_{step}")
+        assert multiprocessing.active_children() == []
 
 
 #: Refreshes the main thread runs while the writer streams DML, and the

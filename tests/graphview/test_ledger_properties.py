@@ -496,10 +496,10 @@ class TestSeedingAndFallbacks:
         vx.sql("INSERT INTO follows VALUES (2, 3, 1.5)")
         before = set(vx.db.catalog.table_names())
 
-        def boom(statement, index=0):
+        def boom(spec, pin):
             raise RuntimeError("delta query interrupted")
 
-        monkeypatch.setattr(maintenance, "run_statement", boom)
+        monkeypatch.setattr(maintenance, "run_spec", boom)
         with pytest.raises(RuntimeError, match="interrupted"):
             handle.refresh()
         monkeypatch.undo()

@@ -1,11 +1,12 @@
-"""Parallel spec lowering and the co-occurrence expansion.
+"""In-process spec lowering and the co-occurrence expansion.
 
-The contract under test: every executor (serial / worker processes),
-chosen by the session's ``VertexicaConfig`` as its runs are, produces
-**bit-identical** ``{name}_edge`` / ``{name}_node`` tables, and the
-group-by expansion that lowers a ``COUNT(*)`` co-occurrence spec produces
-the same bytes as the SQL self-join, reached by spelling the weight out
-as ``weight="COUNT(*)"``.
+The contract under test: a graph view extracts and refreshes in the
+session's own process, through one spec runner, whatever ``n_workers``
+says (worker processes run shard tasks only); the group-by expansion
+that lowers a ``COUNT(*)`` co-occurrence spec produces the same bytes as
+the SQL self-join, reached by spelling the weight out as
+``weight="COUNT(*)"``; and a failing extraction leaves the live catalog
+as it was.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ def graph_tables(vx: Vertexica, name: str):
 
 
 def serial_tables(vx: Vertexica, name: str, view: GraphView):
-    """Tables of a serial full extraction of ``view`` in ``vx``'s database
-    (a handle with no session config lowers serially)."""
+    """Tables of a full extraction of ``view`` in ``vx``'s database by a
+    bare handle, outside any session."""
     GraphViewHandle(vx.db, vx.storage, name, view).refresh()
     return graph_tables(vx, name)
 
@@ -79,78 +80,138 @@ def assert_tables_identical(a: dict, b: dict) -> None:
         assert a[key].tobytes() == b[key].tobytes(), f"{key} differs"
 
 
-PROCESSES = VertexicaConfig(data_plane="shards", executor="processes", n_workers=2)
+#: A session whose runs use two worker processes on the shard plane.
+SHARD_WORKERS = VertexicaConfig(data_plane="shards", n_workers=2)
+
+
+class TestInProcessExtraction:
+    def test_views_extract_and_refresh_without_worker_processes(self, monkeypatch):
+        # Full extraction runs every compiled statement once; an
+        # incremental refresh runs every statement once per non-empty
+        # delta side; neither spawns a worker process.  The session's
+        # runs still use its two.
+        statements = []
+        run_statement = lowering.run_statement
+
+        def counting(what, sql, pin):
+            statements.append(what)
+            return run_statement(what, sql, pin)
+
+        monkeypatch.setattr(lowering, "run_statement", counting)
+        with Vertexica(config=SHARD_WORKERS) as vx:
+            schema = social(vx)
+            # 1 node + 1 directed + 2 undirected + 1 side statement
+            view = GraphView(
+                vertices=NodeSpec(schema.users_table, key="id"),
+                edges=[
+                    EdgeSpec(schema.follows_table, src="follower_id", dst="followee_id"),
+                    EdgeSpec(schema.follows_table, src="follower_id", dst="followee_id",
+                             directed=False),
+                    CoEdgeSpec(schema.likes_table, member="user_id", via="post_id"),
+                ],
+            )
+            handle = vx.create_graph_view("live", view)
+            assert len(statements) == handle.last_extraction.num_queries == 5
+            assert multiprocessing.active_children() == []
+
+            # follows gains and loses rows (both sides: 2 x 3 statements),
+            # likes only loses them (1 x 1), users is untouched.
+            vx.sql("INSERT INTO follows VALUES (1, 2, 0.5)")
+            vx.sql("DELETE FROM follows WHERE follower_id = 3")
+            vx.sql("DELETE FROM likes WHERE user_id = 4")
+            handle.refresh(incremental=True)
+            assert handle.last_extraction.mode == "incremental", handle.last_fallback_reason
+            assert len(statements) - 5 == handle.last_extraction.num_queries == 7
+            assert multiprocessing.active_children() == []
+
+            handle.refresh(incremental=False)
+            assert len(statements) - 12 == handle.last_extraction.num_queries == 5
+            assert multiprocessing.active_children() == []
+
+            vx.run(handle, PageRank(iterations=2))
+            assert len(multiprocessing.active_children()) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestExecutorParity:
-    @pytest.mark.parametrize(
-        "config,slice_min_rows",
-        [
-            (PROCESSES, 200),
-            (PROCESSES, 10_000),
-        ],
-        ids=["processes-sliced", "processes-unsliced"],
-    )
-    def test_bit_identical_to_serial(self, monkeypatch, config, slice_min_rows):
-        monkeypatch.setattr(lowering, "_SLICE_MIN_ROWS", slice_min_rows)
-        with Vertexica(config=config) as vx:
+    """A session's executor does not reach its views: the tables of a
+    worker-process session are the bytes a bare handle extracts."""
+
+    def test_worker_session_tables_bit_identical_to_serial(self):
+        with Vertexica(config=SHARD_WORKERS) as vx:
             view = full_view(social(vx))
-            handle = vx.create_graph_view("par", view)
-            assert handle.last_extraction.parallelism == config.n_workers
+            vx.create_graph_view("par", view)
             assert_tables_identical(serial_tables(vx, "base", view), graph_tables(vx, "par"))
-
-    def test_process_lowering_leases_the_session_pool(self, monkeypatch):
-        """Process lowering runs on the session's pool, the one its runs
-        use: no second spawn, and the same bytes as serial lowering."""
-
-        def worker_pids() -> set[int]:
-            return {child.pid for child in multiprocessing.active_children()}
-
-        monkeypatch.setattr(lowering, "_SLICE_MIN_ROWS", 200)
-        with Vertexica(config=PROCESSES) as vx:
-            view = full_view(social(vx))
-            handle = vx.create_graph_view("par", view)
-            pids = worker_pids()
-            assert len(pids) == 2
-            vx.run(handle, PageRank(iterations=3))
-            handle.refresh(incremental=False)
-            assert worker_pids() == pids
-            assert_tables_identical(serial_tables(vx, "base", view), graph_tables(vx, "par"))
-        assert multiprocessing.active_children() == []
-
-    def test_sliced_scan_fans_out(self, monkeypatch):
-        monkeypatch.setattr(lowering, "_SLICE_MIN_ROWS", 50)
-        with Vertexica(config=PROCESSES) as vx:
-            schema = social(vx)
-            handle = vx.create_graph_view("fan", full_view(schema))
-        stats = handle.last_extraction
-        assert stats.parallelism == 2
-        # Slicing split at least one base-table scan into multiple queries:
-        # 6 logical jobs (1 node + 1 directed + 2 undirected + 1 side +
-        # 1 self-join) must grow.
-        assert stats.num_queries > 6
-        assert stats.lower_seconds >= 0.0 and stats.load_seconds >= 0.0
-        assert "workers=2" in stats.summary()
 
     def test_ad_hoc_view_extracts_on_the_run_config(self, monkeypatch):
-        # A bare GraphView passed to run() is extracted with the run's
-        # config, overrides included, like the run itself.
-        workers = []
+        # A bare GraphView passed to run() with worker-process overrides
+        # is extracted once, in-process, before the run's workers start,
+        # and holds the bytes a bare handle extracts.
+        children_at_extraction = []
         lower_view = view_module.lower_view
 
-        def recording(db, view, config=None, pools=None):
-            workers.append(config.n_workers)
-            return lower_view(db, view, config, pools)
+        def recording(db, view):
+            children_at_extraction.append(len(multiprocessing.active_children()))
+            return lower_view(db, view)
 
         monkeypatch.setattr(view_module, "lower_view", recording)
         with Vertexica() as vx:
             view = full_view(social(vx))
             result = vx.run(view, PageRank(iterations=2), data_plane="shards", n_workers=2)
-            assert result.values and workers == [2]
+            assert result.values and children_at_extraction == [0]
             monkeypatch.undo()
             assert_tables_identical(
                 serial_tables(vx, "base", view), graph_tables(vx, "adhoc_view")
             )
+
+
+class TestSpecRunner:
+    """:func:`lowering.run_spec` over a whole-table pin, unit by unit."""
+
+    @staticmethod
+    def pinned(vx: Vertexica, table: str):
+        return vx.db.pin_tables([table])[table]
+
+    @pytest.mark.parametrize(
+        "kind,statements",
+        [("node", 1), ("edge", 1), ("undirected", 2), ("co_edge_weighted", 1)],
+    )
+    def test_whole_table_pin_yields_one_result_per_statement(self, kind, statements):
+        vx = Vertexica()
+        schema = social(vx)
+        spec = {
+            "node": NodeSpec(schema.users_table, key="id"),
+            "edge": EdgeSpec(schema.follows_table, src="follower_id", dst="followee_id"),
+            "undirected": EdgeSpec(schema.follows_table, src="follower_id",
+                                   dst="followee_id", directed=False),
+            "co_edge_weighted": CoEdgeSpec(schema.likes_table, member="user_id",
+                                           via="post_id", weight="COUNT(*) * 2"),
+        }[kind]
+        assert len(lowering.spec_statements(spec)) == statements
+        out = lowering.run_spec(spec, self.pinned(vx, spec.table))
+        if kind == "node":
+            count = vx.sql(f"SELECT COUNT(*) FROM {schema.users_table}").scalar()
+            assert out.dtype == np.int64 and len(out) == count
+            return
+        assert len(out) == statements
+        for src, dst, weight in out:
+            assert src.dtype == dst.dtype == np.int64 and weight.dtype == np.float64
+            assert len(src) == len(dst) == len(weight) > 0
+        if kind == "undirected":
+            (s0, d0, _), (s1, d1, _) = out
+            assert np.array_equal(s0, d1) and np.array_equal(d0, s1)
+
+    def test_side_rows_drop_null_member_or_via(self):
+        # The one NULL-dropping side converter: a NULL member or via never
+        # equi-joins, so its row is dropped; via keeps its column's dtype.
+        vx = Vertexica()
+        vx.sql("CREATE TABLE likes (user_id INTEGER, tag VARCHAR)")
+        vx.sql("INSERT INTO likes VALUES (1, 'a'), (NULL, 'a'), (2, NULL), "
+               "(3, 'b'), (2, 'a')")
+        spec = CoEdgeSpec("likes", member="user_id", via="tag")
+        member, via = lowering.run_spec(spec, self.pinned(vx, "likes"))
+        assert member.dtype == np.int64 and member.tolist() == [1, 3, 2]
+        assert via.tolist() == ["a", "b", "a"]
 
 
 class TestCoOccurrenceLowering:
@@ -230,7 +291,7 @@ class TestExpansionUnit:
 
 EXECUTORS = pytest.mark.parametrize(
     "config",
-    [VertexicaConfig(), PROCESSES],
+    [VertexicaConfig(), SHARD_WORKERS],
     ids=["serial", "processes"],
 )
 
@@ -239,9 +300,8 @@ class TestFailureHygiene:
     @EXECUTORS
     def test_failing_extraction_leaves_the_live_catalog_unchanged(self, monkeypatch, config):
         # Every statement runs in a private catalog, so an extraction that
-        # fails (here on sliced scans where the executor slices) registers
-        # no table in the live catalog, not even for a moment.
-        monkeypatch.setattr(lowering, "_SLICE_MIN_ROWS", 50)
+        # fails registers no table in the live catalog, not even for a
+        # moment.
         with Vertexica(config=config) as vx:
             schema = social(vx)
             before = set(vx.db.catalog.table_names())
@@ -262,12 +322,13 @@ class TestFailureHygiene:
                 vx.create_graph_view("poisoned", view)
             assert registered == []
             assert set(vx.db.catalog.table_names()) == before
+            assert multiprocessing.active_children() == []
 
     @EXECUTORS
     def test_spec_expressions_call_only_builtin_functions(self, config):
         # A function registered on the live database is not in the private
-        # catalog a statement runs in: the spec fails, named, on every
-        # executor alike, while the same spec with a built-in extracts.
+        # catalog a statement runs in: the spec fails, named, while the
+        # same spec with a built-in extracts.
         with Vertexica(config=config) as vx:
             schema = social(vx)
             vx.db.register_function("plus_one", lambda x: x + 1.0, [FLOAT], FLOAT)
@@ -281,6 +342,7 @@ class TestFailureHygiene:
                 vx.create_graph_view("udf", view("plus_one(closeness)"))
             handle = vx.create_graph_view("builtin", view("ABS(closeness) + 1.0"))
             assert handle.last_extraction.num_edges > 0
+            assert multiprocessing.active_children() == []
 
     def test_serial_failure_names_the_spec(self):
         vx = Vertexica()
