@@ -2,8 +2,8 @@
 
 Scale is controlled by ``REPRO_BENCH_SCALE`` (default 0.25); graphs are
 generated once per session.  Every benchmark uses
-``benchmark.pedantic(rounds=1)`` — the measured operations are seconds-long
-algorithm runs, so statistical rounds would only multiply wall time.
+``benchmark.pedantic(rounds=1)``: tier-1 runs these cells once each as a
+smoke of the paper's grid, not as a timing study.
 """
 
 from __future__ import annotations
@@ -27,5 +27,5 @@ def twitter(graphs: BenchGraphs) -> Graph:
 
 
 def run_once(benchmark, fn, *args, **kwargs):
-    """One measured round, no warmup — suits multi-second graph runs."""
+    """One measured round, no warmup."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

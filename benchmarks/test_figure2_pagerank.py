@@ -1,8 +1,11 @@
 """F2a — Figure 2(a): PageRank runtime across systems and graphs.
 
 Reproduces the paper's grid: {Graph Database, Apache Giraph, Vertexica,
-Vertexica (SQL)} x {Twitter, GPlus, LiveJournal}-shaped graphs.  The graph
-database runs only the smallest graph (the paper's DNF behaviour).
+Vertexica (SQL)} x {Twitter, GPlus, LiveJournal}-shaped graphs.  Every
+system runs every graph; the paper reported the graph database DNF on
+the two larger ones.  The timed value is the measured wall time; the
+baselines' simulated latency, counted rather than slept, is recorded as
+``charged_s`` in ``extra_info``, and a cell's time is their sum.
 
 Expected shape (paper): graph DB slowest by an order of magnitude;
 Vertexica ~4x faster than Giraph on the smallest graph and comparable on
@@ -12,7 +15,7 @@ the largest; Vertexica (SQL) fastest everywhere.
 import pytest
 
 from conftest import run_once
-from repro.bench.figure2 import GRAPHDB_ONLY_SMALLEST, prepare_system
+from repro.bench.figure2 import prepare_system
 from repro.bench.harness import GRAPH_ORDER, SYSTEM_ORDER
 
 ALGORITHM = "pagerank"
@@ -22,10 +25,7 @@ ALGORITHM = "pagerank"
 @pytest.mark.parametrize("system", SYSTEM_ORDER)
 @pytest.mark.benchmark(group="figure2a-pagerank")
 def test_figure2a(benchmark, graphs, system, graph_name):
-    graph = graphs.by_name(graph_name)
-    smallest = min(graphs.ordered(), key=lambda g: g.num_edges).name
-    if system == "graphdb" and GRAPHDB_ONLY_SMALLEST and graph_name != smallest:
-        pytest.skip("DNF — paper: the graph database runs only the smallest graph")
-    runner = prepare_system(system, graph, ALGORITHM)
-    fingerprint = run_once(benchmark, runner)
+    runner = prepare_system(system, graphs.by_name(graph_name), ALGORITHM)
+    fingerprint, charged = run_once(benchmark, runner)
+    benchmark.extra_info["charged_s"] = charged
     assert fingerprint > 0.0

@@ -2,7 +2,9 @@
 
 Runs PageRank and single-source shortest paths on the three Figure 2
 graphs across all four systems, verifies every system computed the same
-answer, and prints the grid in the paper's layout.
+answer, and prints the grid in the paper's layout.  Each cell is the
+measured wall time plus the simulated latency the baselines charged
+(counted, not slept), which the table lists below the grid.
 
 Scale via REPRO_BENCH_SCALE (default 0.25):
 

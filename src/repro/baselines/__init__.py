@@ -6,8 +6,10 @@
 * :mod:`repro.baselines.graphdb` — a Neo4j-like transactional property-graph
   store with a write-ahead log and traversal-based algorithms.
 
-See README.md, "Paper vs measured", for what each simulation charges for
-and why that preserves the paper's relative ordering.
+Both charge their simulated latencies to exact counters (supersteps,
+store accesses) instead of sleeping them; see README.md, "Paper vs
+measured", for what each simulation charges and where the constants
+come from.
 """
 
 from repro.baselines.giraph import GiraphConfig, GiraphEngine, GiraphResult

@@ -5,10 +5,10 @@ Vertexica, but on a dedicated vertex-centric runtime instead of a
 relational engine: vertices are hash partitioned across workers, messages
 are combined at the sender, serialized (pickled) per worker pair to model
 the network shuffle, and every superstep ends at a synchronization
-barrier with a configurable coordination latency — the costs that
-dominate real Giraph deployments at these graph sizes.
+barrier charged a fixed coordination latency (``BARRIER_LATENCY_S``,
+counted per superstep, never slept).
 """
 
-from repro.baselines.giraph.engine import GiraphConfig, GiraphEngine, GiraphResult
+from repro.baselines.giraph.engine import BARRIER_LATENCY_S, GiraphConfig, GiraphEngine, GiraphResult
 
-__all__ = ["GiraphEngine", "GiraphConfig", "GiraphResult"]
+__all__ = ["BARRIER_LATENCY_S", "GiraphEngine", "GiraphConfig", "GiraphResult"]

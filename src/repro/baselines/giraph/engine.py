@@ -9,10 +9,12 @@ Architecture (mirroring Apache Giraph's compute model):
   as Giraph's ``MessageCombiner`` does;
 * at the barrier, each (sender, receiver) buffer crosses the simulated
   network: it is serialized with :mod:`pickle` and deserialized on the
-  other side (real CPU cost, byte counts recorded), and one configurable
-  coordination latency is charged per superstep — the ZooKeeper barrier
-  + RPC setup cost that dominates Giraph on small inputs and explains
-  the paper's "4x faster on the small graph, comparable on large".
+  other side (real CPU cost, byte counts recorded);
+* each superstep is charged one coordination latency,
+  :data:`BARRIER_LATENCY_S`, for the ZooKeeper barrier + RPC round of a
+  real deployment.  It is a chosen constant, counted rather than slept:
+  ``stats.total_seconds`` is the work done and
+  :attr:`GiraphResult.charged_s` the simulated barrier time.
 
 Execution within a superstep is deterministic: workers are processed in
 index order and vertices in id order, so results are bit-identical to
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -33,10 +35,13 @@ from repro.core.metrics import RunStats, SuperstepStats
 from repro.core.program import VertexProgram
 from repro.errors import BaselineError
 
-__all__ = ["GiraphConfig", "GiraphEngine", "GiraphResult"]
+__all__ = ["BARRIER_LATENCY_S", "GiraphConfig", "GiraphEngine", "GiraphResult"]
 
 #: Safety cap when the program declares no superstep bound.
 SUPERSTEP_SAFETY_LIMIT = 10_000
+
+#: Simulated seconds charged per superstep barrier.
+BARRIER_LATENCY_S = 0.1
 
 
 @dataclass(frozen=True)
@@ -45,26 +50,14 @@ class GiraphConfig:
 
     Attributes:
         n_workers: number of simulated workers (hash partitions).
-        barrier_latency_s: coordination latency charged once per superstep
-            (simulates the ZooKeeper barrier + RPC round of a real
-            deployment; set 0.0 for pure-compute measurements).
-        serialize_messages: pickle/unpickle message buffers between
-            workers (the shuffle's real serialization cost).  Disabling it
-            models an ideal zero-copy network.
-        track_metrics: collect per-superstep statistics.
     """
 
     n_workers: int = 4
-    barrier_latency_s: float = 0.1
-    serialize_messages: bool = True
-    track_metrics: bool = True
 
     def validated(self) -> "GiraphConfig":
         """Self, after invariant checks."""
         if self.n_workers < 1:
             raise BaselineError("n_workers must be >= 1")
-        if self.barrier_latency_s < 0:
-            raise BaselineError("barrier_latency_s must be >= 0")
         return self
 
 
@@ -75,6 +68,11 @@ class GiraphResult:
     values: dict[int, Any]
     stats: RunStats
     bytes_shuffled: int = 0
+
+    @property
+    def charged_s(self) -> float:
+        """Simulated barrier seconds: supersteps run x :data:`BARRIER_LATENCY_S`."""
+        return self.stats.n_supersteps * BARRIER_LATENCY_S
 
 
 class GiraphEngine:
@@ -153,9 +151,8 @@ class GiraphEngine:
     def run(self, program: VertexProgram, graph_name: str = "graph") -> GiraphResult:
         """Execute a vertex program to quiescence (or its superstep cap)."""
         program.validate()
-        config = self.config
         n = self.num_vertices
-        n_workers = config.n_workers
+        n_workers = self.config.n_workers
         stats = RunStats(program=program.name, graph=graph_name)
         started = time.perf_counter()
 
@@ -238,31 +235,26 @@ class GiraphEngine:
                     messages_precombine += len(buffer)
                     if program.combiner is not None:
                         buffer = _combine_buffer(program, buffer)
-                    if config.serialize_messages:
-                        payload = pickle.dumps(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-                        bytes_shuffled += len(payload)
-                        buffer = pickle.loads(payload)
+                    payload = pickle.dumps(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+                    bytes_shuffled += len(payload)
+                    buffer = pickle.loads(payload)
                     messages_out += len(buffer)
                     for dst, sender, value in buffer:
                         inboxes[dst].append((sender, value))
 
-            if config.barrier_latency_s:
-                time.sleep(config.barrier_latency_s)
-
-            if config.track_metrics:
-                stats.supersteps.append(
-                    SuperstepStats(
-                        superstep=superstep,
-                        active_vertices=ran,
-                        messages_in=messages_in,
-                        messages_out=messages_out,
-                        vertex_updates=ran,
-                        update_path="memory",
-                        seconds=time.perf_counter() - step_started,
-                        aggregated=tuple(sorted(aggregated.items())),
-                        messages_precombine=messages_precombine,
-                    )
+            stats.supersteps.append(
+                SuperstepStats(
+                    superstep=superstep,
+                    active_vertices=ran,
+                    messages_in=messages_in,
+                    messages_out=messages_out,
+                    vertex_updates=ran,
+                    update_path="memory",
+                    seconds=time.perf_counter() - step_started,
+                    aggregated=tuple(sorted(aggregated.items())),
+                    messages_precombine=messages_precombine,
                 )
+            )
             superstep += 1
 
         stats.total_seconds = time.perf_counter() - started

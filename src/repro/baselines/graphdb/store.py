@@ -3,24 +3,30 @@
 Mirrors an embedded 2014-era Neo4j: every entity is a heap object with a
 property dictionary, every mutation happens inside a transaction that
 write-ahead-logs its operations and keeps an in-memory undo list, and
-traversal walks per-object adjacency lists.  A configurable capacity cap
-lets the benchmark harness mirror the paper's "the graph database runs
-only for the smallest graph".
+traversal walks per-object adjacency lists.  Every node lookup and
+relationship record read is one store access, counted in ``accesses``;
+the simulated disk cost is that count times :data:`ACCESS_LATENCY_S`.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-import time
+import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.baselines.graphdb.wal import WriteAheadLog
 from repro.errors import GraphDbCapacityError, GraphDbError
 
-__all__ = ["Node", "Relationship", "StoreConfig", "PropertyGraphStore"]
+__all__ = ["ACCESS_LATENCY_S", "Node", "Relationship", "StoreConfig", "PropertyGraphStore"]
+
+#: Simulated seconds per store access (one node lookup or relationship
+#: record read): the disk a 2014 store sat on, which a RAM-resident dict
+#: hides.  The paper's graph database took 589 s for PageRank over 2.28 M
+#: edges, ~258 us per edge; 200 us per access keeps that order.
+ACCESS_LATENCY_S = 200e-6
 
 
 class Relationship:
@@ -58,25 +64,14 @@ class StoreConfig:
     """Store limits and placement.
 
     Attributes:
-        wal_path: WAL file location; ``None`` = a fresh temp file.
+        wal_path: WAL file location; ``None`` = a fresh temp file, deleted
+            when the store is closed or garbage collected.
         max_nodes / max_relationships: capacity caps (``None`` = unlimited).
-            The Figure 2 harness sets these to mirror the paper's DNFs.
-        access_latency_s: simulated store-access latency charged per node
-            lookup and per relationship record read.  The 2014 comparison
-            system was a disk-backed store accessed through a query layer;
-            a RAM-resident Python dict hides that cost entirely, so the
-            store charges a configurable latency per access (accumulated
-            and slept off in ~1 ms chunks to respect OS timer granularity).
-            Default 200 us, matching the paper's implied per-edge cost
-            (589 s PageRank over 2.28 M edges — README.md, "Paper vs
-            measured").  Set 0.0 for pure-algorithm measurements and in
-            unit tests.
     """
 
     wal_path: str | None = None
     max_nodes: int | None = None
     max_relationships: int | None = None
-    access_latency_s: float = 200e-6
 
 
 class _Transaction:
@@ -192,61 +187,46 @@ class PropertyGraphStore:
     def __init__(self, config: StoreConfig | None = None) -> None:
         self.config = config or StoreConfig()
         path = self.config.wal_path
-        if path is None:
+        owns_wal_file = path is None
+        if owns_wal_file:
             fd, path = tempfile.mkstemp(prefix="graphdb_wal_", suffix=".jsonl")
             os.close(fd)
-            self._owns_wal_file = True
-        else:
-            self._owns_wal_file = False
         self.wal = WriteAheadLog(path)
+        self._close_wal = weakref.finalize(self, _close_wal, self.wal, owns_wal_file)
         self._nodes: dict[int, Node] = {}
         self._n_relationships = 0
         self._next_tx_id = 1
         self._active_tx: _Transaction | None = None
-        self._pending_latency = 0.0
-        #: total simulated latency charged so far (observability)
-        self.simulated_latency_s = 0.0
+        #: store accesses so far; each costs :data:`ACCESS_LATENCY_S`
+        self.accesses = 0
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def _charge_access(self, count: int = 1) -> None:
-        """Accumulate ``count`` access latencies; sleep them off in >=1 ms
-        chunks so the simulation is cheap to administer."""
-        latency = self.config.access_latency_s
-        if latency <= 0.0:
-            return
-        charge = latency * count
-        self._pending_latency += charge
-        self.simulated_latency_s += charge
-        if self._pending_latency >= 0.001:
-            time.sleep(self._pending_latency)
-            self._pending_latency = 0.0
-
     def node(self, node_id: int) -> Node:
-        """Look up a node (charges one simulated store access).
+        """Look up a node (one store access).
 
         Raises:
             GraphDbError: unknown id.
         """
-        self._charge_access()
+        self.accesses += 1
         node = self._nodes.get(node_id)
         if node is None:
             raise GraphDbError(f"unknown node {node_id}")
         return node
 
     def out_relationships(self, node_id: int) -> list[Relationship]:
-        """A node's outgoing relationships (charges one access per
-        relationship record, as reading them from store pages would)."""
+        """A node's outgoing relationships (one access for the node, one
+        per relationship record, as reading them from store pages would)."""
         node = self.node(node_id)
-        self._charge_access(len(node.out_rels))
+        self.accesses += len(node.out_rels)
         return node.out_rels
 
     def in_relationships(self, node_id: int) -> list[Relationship]:
-        """A node's incoming relationships (charged like
+        """A node's incoming relationships (counted like
         :meth:`out_relationships`)."""
         node = self.node(node_id)
-        self._charge_access(len(node.in_rels))
+        self.accesses += len(node.in_rels)
         return node.in_rels
 
     def has_node(self, node_id: int) -> bool:
@@ -334,7 +314,7 @@ class PropertyGraphStore:
         The recovered store appends to a fresh temp WAL (not the source
         file) unless ``config`` names one.
         """
-        store = cls(config or StoreConfig(access_latency_s=0.0))
+        store = cls(config)
         with store.transaction() as tx:
             for op in WriteAheadLog.replay(wal_path):
                 if op["op"] == "create_node":
@@ -349,12 +329,19 @@ class PropertyGraphStore:
 
     def close(self) -> None:
         """Close the WAL (and delete it when the store created it)."""
-        self.wal.close()
-        if self._owns_wal_file and os.path.exists(self.wal.path):
-            os.unlink(self.wal.path)
+        self._close_wal()
 
     def __enter__(self) -> "PropertyGraphStore":
         return self
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
+
+
+def _close_wal(wal: WriteAheadLog, delete: bool) -> None:
+    """Close ``wal`` and delete its file when the store created it.  Runs
+    once: from :meth:`PropertyGraphStore.close`, or when an unclosed store
+    is garbage collected, so a temp WAL never outlives its store."""
+    wal.close()
+    if delete and os.path.exists(wal.path):
+        os.unlink(wal.path)

@@ -7,22 +7,22 @@ reproduction.
 """
 
 from repro.bench.harness import (
+    PAGERANK_ITERATIONS,
     BenchGraphs,
     SystemTiming,
     bench_graphs,
     bench_scale,
     format_figure2_table,
-    pagerank_iterations,
 )
 from repro.bench.figure2 import figure2_rows, run_system
 
 __all__ = [
+    "PAGERANK_ITERATIONS",
     "BenchGraphs",
     "SystemTiming",
     "bench_graphs",
     "bench_scale",
     "format_figure2_table",
-    "pagerank_iterations",
     "figure2_rows",
     "run_system",
 ]

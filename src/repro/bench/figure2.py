@@ -2,12 +2,11 @@
 
 Each ``prepare_*`` function performs all loading/setup work and returns a
 zero-argument callable executing only what the paper times: the query.
-The callable returns a result fingerprint so the harness can assert all
-systems agree before trusting any timing.
-
-The graph database runs only the smallest graph, mirroring the paper
-("the graph database runs only for the smallest graph"); on the larger
-ones it reports DNF.
+The callable returns a result fingerprint, so the harness can assert all
+systems agree before trusting any timing, and the simulated seconds the
+system's counters charged during the call.  Every system runs every
+graph; README.md, "Paper vs measured", marks the cells the paper
+reported as DNF.
 """
 
 from __future__ import annotations
@@ -17,13 +16,14 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.baselines.giraph import GiraphConfig, GiraphEngine
+from repro.baselines.giraph import GiraphEngine
 from repro.baselines.graphdb import (
+    ACCESS_LATENCY_S,
     PropertyGraphStore,
     graphdb_pagerank,
     graphdb_shortest_paths,
 )
-from repro.bench.harness import SystemTiming, pagerank_iterations
+from repro.bench.harness import PAGERANK_ITERATIONS, SystemTiming
 from repro.core import Vertexica, VertexicaConfig
 from repro.datasets.generators import Graph
 from repro.programs import PageRank, ShortestPaths
@@ -34,14 +34,10 @@ __all__ = [
     "run_system",
     "figure2_rows",
     "sssp_source",
-    "GRAPHDB_ONLY_SMALLEST",
 ]
 
-#: Mirrors the paper: the transactional graph DB handles only the smallest
-#: dataset.  Set False to force it to run everything (it will, slowly).
-GRAPHDB_ONLY_SMALLEST = True
-
-Runner = Callable[[], float]
+#: The timed call: returns ``(fingerprint, charged seconds)``.
+Runner = Callable[[], tuple[float, float]]
 
 
 def sssp_source(graph: Graph) -> int:
@@ -62,7 +58,7 @@ def _fingerprint(values: dict[int, Any]) -> float:
 
 def _program_for(algorithm: str, graph: Graph) -> Any:
     if algorithm == "pagerank":
-        return PageRank(iterations=pagerank_iterations())
+        return PageRank(iterations=PAGERANK_ITERATIONS)
     return ShortestPaths(source=sssp_source(graph))
 
 
@@ -75,9 +71,9 @@ def _prepare_vertexica(graph: Graph, algorithm: str) -> Runner:
         graph.name, graph.src, graph.dst, num_vertices=graph.num_vertices
     )
 
-    def run() -> float:
+    def run() -> tuple[float, float]:
         result = vx.run(handle, _program_for(algorithm, graph))
-        return _fingerprint(result.values)
+        return _fingerprint(result.values), 0.0
 
     return run
 
@@ -88,24 +84,22 @@ def _prepare_vertexica_sql(graph: Graph, algorithm: str) -> Runner:
         graph.name, graph.src, graph.dst, num_vertices=graph.num_vertices
     )
 
-    def run() -> float:
+    def run() -> tuple[float, float]:
         if algorithm == "pagerank":
-            values = pagerank_sql(vx.db, handle, iterations=pagerank_iterations())
+            values = pagerank_sql(vx.db, handle, iterations=PAGERANK_ITERATIONS)
         else:
             values = shortest_paths_sql(vx.db, handle, sssp_source(graph))
-        return _fingerprint(values)
+        return _fingerprint(values), 0.0
 
     return run
 
 
 def _prepare_giraph(graph: Graph, algorithm: str) -> Runner:
-    engine = GiraphEngine(
-        graph.num_vertices, graph.src, graph.dst, config=GiraphConfig()
-    )
+    engine = GiraphEngine(graph.num_vertices, graph.src, graph.dst)
 
-    def run() -> float:
+    def run() -> tuple[float, float]:
         result = engine.run(_program_for(algorithm, graph), graph_name=graph.name)
-        return _fingerprint(result.values)
+        return _fingerprint(result.values), result.charged_s
 
     return run
 
@@ -118,14 +112,16 @@ def _prepare_graphdb(graph: Graph, algorithm: str) -> Runner:
             if not store.has_node(vertex):
                 tx.create_node(vertex)
 
-    def run() -> float:
+    def run() -> tuple[float, float]:
+        # Only the timed call's accesses are charged, not the load's.
+        accesses = store.accesses
         if algorithm == "pagerank":
             values: dict[int, float] = graphdb_pagerank(
-                store, iterations=pagerank_iterations()
+                store, iterations=PAGERANK_ITERATIONS
             )
         else:
             values = graphdb_shortest_paths(store, sssp_source(graph))
-        return _fingerprint(values)
+        return _fingerprint(values), (store.accesses - accesses) * ACCESS_LATENCY_S
 
     return run
 
@@ -140,16 +136,17 @@ _PREPARERS: dict[str, Callable[[Graph, str], Runner]] = {
 
 def prepare_system(system: str, graph: Graph, algorithm: str) -> Runner:
     """Set up one grid cell (untimed); the returned callable is the timed
-    region and yields the result fingerprint."""
+    region and yields the result fingerprint and the charged seconds."""
     return _PREPARERS[system](graph, algorithm)
 
 
-def run_system(system: str, graph: Graph, algorithm: str) -> tuple[float, float]:
-    """Run one cell; returns ``(seconds, fingerprint)``."""
+def run_system(system: str, graph: Graph, algorithm: str) -> tuple[SystemTiming, float]:
+    """Run one cell; returns its timing and the result fingerprint."""
     runner = prepare_system(system, graph, algorithm)
     started = time.perf_counter()
-    fingerprint = runner()
-    return time.perf_counter() - started, fingerprint
+    fingerprint, charged = runner()
+    measured = time.perf_counter() - started
+    return SystemTiming(system, graph.name, measured, charged), fingerprint
 
 
 def figure2_rows(
@@ -160,22 +157,16 @@ def figure2_rows(
 ) -> list[SystemTiming]:
     """The full grid for one algorithm.
 
-    When ``check_agreement`` is set, systems that produced results on the
-    same graph must agree on the fingerprint to 1e-6 relative tolerance —
-    a guard against benchmarking two different computations.
+    When ``check_agreement`` is set, every system must agree on each
+    graph's fingerprint to 1e-6 relative tolerance — a guard against
+    benchmarking two different computations.
     """
     rows: list[SystemTiming] = []
-    smallest = min(graphs, key=lambda g: g.num_edges).name
     fingerprints: dict[str, list[float]] = {}
     for graph in graphs:
         for system in systems:
-            if system == "graphdb" and GRAPHDB_ONLY_SMALLEST and graph.name != smallest:
-                rows.append(
-                    SystemTiming(system, graph.name, None, note="exceeds capacity")
-                )
-                continue
-            seconds, fingerprint = run_system(system, graph, algorithm)
-            rows.append(SystemTiming(system, graph.name, seconds))
+            timing, fingerprint = run_system(system, graph, algorithm)
+            rows.append(timing)
             fingerprints.setdefault(graph.name, []).append(fingerprint)
     if check_agreement:
         for graph_name, prints in fingerprints.items():

@@ -9,40 +9,35 @@ from repro.programs import PageRank, ShortestPaths
 from repro.programs.pagerank import reference_pagerank
 
 
-def quiet(n, src, dst, **kwargs):
-    return GiraphEngine(
-        n, src, dst,
-        config=GiraphConfig(barrier_latency_s=0.0, **kwargs),
-    )
+def giraph(n, src, dst, **kwargs):
+    return GiraphEngine(n, src, dst, config=GiraphConfig(**kwargs))
 
 
 class TestConstruction:
     def test_csr_adjacency(self, tiny_edges):
         src, dst = tiny_edges
-        engine = quiet(5, src, dst)
+        engine = giraph(5, src, dst)
         edges = engine.out_edges(0)
         assert sorted(e.target for e in edges) == [1, 2]
         assert engine.out_edges(1)[0].weight == 1.0
 
     def test_ragged_arrays_rejected(self):
         with pytest.raises(BaselineError):
-            quiet(3, [0, 1], [1])
+            giraph(3, [0, 1], [1])
 
     def test_out_of_range_endpoint_rejected(self):
         with pytest.raises(BaselineError, match="exceeds num_vertices"):
-            quiet(2, [0], [5])
+            giraph(2, [0], [5])
 
     def test_config_validation(self):
         with pytest.raises(BaselineError):
             GiraphConfig(n_workers=0).validated()
-        with pytest.raises(BaselineError):
-            GiraphConfig(barrier_latency_s=-1).validated()
 
 
 class TestExecution:
     def test_pagerank_matches_oracle(self, tiny_edges):
         src, dst = tiny_edges
-        result = quiet(5, src, dst).run(PageRank(iterations=10))
+        result = giraph(5, src, dst).run(PageRank(iterations=10))
         oracle = reference_pagerank(5, np.array(src), np.array(dst), iterations=10)
         for v in range(5):
             assert result.values[v] == pytest.approx(oracle[v], abs=1e-12)
@@ -50,34 +45,30 @@ class TestExecution:
     def test_worker_count_result_invariant(self, tiny_edges):
         src, dst = tiny_edges
         results = [
-            quiet(5, src, dst, n_workers=w).run(PageRank(iterations=5)).values
+            giraph(5, src, dst, n_workers=w).run(PageRank(iterations=5)).values
             for w in (1, 2, 5)
         ]
         assert results[0] == results[1] == results[2]
 
-    def test_serialization_toggle_result_invariant(self, tiny_edges):
+    def test_shuffle_pickles_and_matches_oracle(self, tiny_edges):
         src, dst = tiny_edges
-        with_pickle = quiet(5, src, dst).run(PageRank(iterations=4))
-        engine = GiraphEngine(
-            5, src, dst,
-            config=GiraphConfig(barrier_latency_s=0.0, serialize_messages=False),
-        )
-        without = engine.run(PageRank(iterations=4))
-        assert with_pickle.values == without.values
-        assert with_pickle.bytes_shuffled > 0
-        assert without.bytes_shuffled == 0
+        result = giraph(5, src, dst).run(PageRank(iterations=4))
+        oracle = reference_pagerank(5, np.array(src), np.array(dst), iterations=4)
+        for v in range(5):
+            assert result.values[v] == pytest.approx(oracle[v], abs=1e-12)
+        assert result.bytes_shuffled > 0
 
     def test_combiner_reduces_shuffled_bytes(self):
         # many vertices pointing at one hub -> SUM combiner collapses them
         n = 40
         src = list(range(1, n))
         dst = [0] * (n - 1)
-        combined = quiet(n, src, dst, n_workers=2).run(PageRank(iterations=3))
+        combined = giraph(n, src, dst, n_workers=2).run(PageRank(iterations=3))
 
         class NoCombinerPageRank(PageRank):
             combiner = None
 
-        raw = quiet(n, src, dst, n_workers=2).run(NoCombinerPageRank(iterations=3))
+        raw = giraph(n, src, dst, n_workers=2).run(NoCombinerPageRank(iterations=3))
         assert combined.bytes_shuffled < raw.bytes_shuffled
         for v in range(n):
             assert combined.values[v] == pytest.approx(raw.values[v], abs=1e-12)
@@ -91,12 +82,12 @@ class TestExecution:
         n = 40
         src = list(range(1, n)) + [0] * (n - 1)
         dst = [0] * (n - 1) + list(range(1, n))
-        combined = quiet(n, src, dst, n_workers=2).run(
+        combined = giraph(n, src, dst, n_workers=2).run(
             MultiSourceSSSP(sources=(1, 2, 3))
         )
         raw_program = MultiSourceSSSP(sources=(1, 2, 3))
         raw_program.combiner = None
-        raw = quiet(n, src, dst, n_workers=2).run(raw_program)
+        raw = giraph(n, src, dst, n_workers=2).run(raw_program)
         assert combined.bytes_shuffled < raw.bytes_shuffled
         assert combined.values == raw.values  # bit-identical, not approx
         pre = sum(s.messages_precombine for s in combined.stats.supersteps)
@@ -104,12 +95,12 @@ class TestExecution:
 
     def test_sssp_terminates_by_quiescence(self, tiny_edges):
         src, dst = tiny_edges
-        result = quiet(5, src, dst).run(ShortestPaths(source=0))
+        result = giraph(5, src, dst).run(ShortestPaths(source=0))
         assert result.values == {0: 0.0, 1: 1.0, 2: 1.0, 3: 2.0, 4: 3.0}
 
     def test_superstep_stats(self, tiny_edges):
         src, dst = tiny_edges
-        result = quiet(5, src, dst).run(PageRank(iterations=3))
+        result = giraph(5, src, dst).run(PageRank(iterations=3))
         stats = result.stats
         assert stats.n_supersteps == 4
         assert stats.supersteps[0].active_vertices == 5
@@ -132,14 +123,12 @@ class TestExecution:
         engine_module.SUPERSTEP_SAFETY_LIMIT = 4
         try:
             with pytest.raises(BaselineError, match="safety limit"):
-                quiet(2, [0], [1]).run(Spinner())
+                giraph(2, [0], [1]).run(Spinner())
         finally:
             engine_module.SUPERSTEP_SAFETY_LIMIT = original
 
     def test_barrier_latency_is_charged(self, tiny_edges):
         src, dst = tiny_edges
-        engine = GiraphEngine(
-            5, src, dst, config=GiraphConfig(barrier_latency_s=0.02)
-        )
-        result = engine.run(PageRank(iterations=2))
-        assert result.stats.total_seconds >= 0.02 * result.stats.n_supersteps
+        result = giraph(5, src, dst).run(PageRank(iterations=2))
+        assert result.stats.n_supersteps == 3
+        assert result.charged_s == 3 * 0.1

@@ -1,5 +1,8 @@
 """Tests for the property-graph store, its WAL, and its algorithms."""
 
+import gc
+import os
+
 import numpy as np
 import pytest
 
@@ -18,44 +21,43 @@ from repro.programs.shortest_paths import reference_sssp
 
 
 class TestStoreBasics:
-    def test_create_and_read(self, fast_store):
-        with fast_store.transaction() as tx:
+    def test_create_and_read(self, graph_store):
+        with graph_store.transaction() as tx:
             tx.create_node(1)
             tx.create_node(2)
             tx.create_relationship(1, 2, "KNOWS", weight=2.5)
-        assert fast_store.num_nodes == 2
-        assert fast_store.num_relationships == 1
-        rel = fast_store.node(1).out_rels[0]
+        assert graph_store.num_nodes == 2
+        assert graph_store.num_relationships == 1
+        rel = graph_store.node(1).out_rels[0]
         assert rel.end == 2 and rel.properties["weight"] == 2.5
-        assert fast_store.node(2).in_rels[0].start == 1
+        assert graph_store.node(2).in_rels[0].start == 1
 
-    def test_duplicate_node_rejected(self, fast_store):
-        with fast_store.transaction() as tx:
+    def test_duplicate_node_rejected(self, graph_store):
+        with graph_store.transaction() as tx:
             tx.create_node(1)
         with pytest.raises(GraphDbError, match="already exists"):
-            with fast_store.transaction() as tx:
+            with graph_store.transaction() as tx:
                 tx.create_node(1)
 
-    def test_unknown_node(self, fast_store):
+    def test_unknown_node(self, graph_store):
         with pytest.raises(GraphDbError, match="unknown node"):
-            fast_store.node(42)
+            graph_store.node(42)
 
-    def test_relationship_needs_endpoints(self, fast_store):
+    def test_relationship_needs_endpoints(self, graph_store):
         with pytest.raises(GraphDbError):
-            with fast_store.transaction() as tx:
+            with graph_store.transaction() as tx:
                 tx.create_relationship(1, 2)
 
-    def test_single_writer(self, fast_store):
-        fast_store.begin()
+    def test_single_writer(self, graph_store):
+        graph_store.begin()
         with pytest.raises(GraphDbError, match="already active"):
-            fast_store.begin()
+            graph_store.begin()
 
     def test_capacity_cap(self, tmp_path):
         store = PropertyGraphStore(
             StoreConfig(
                 wal_path=str(tmp_path / "w.jsonl"),
                 max_nodes=2,
-                access_latency_s=0.0,
             )
         )
         with store.transaction() as tx:
@@ -67,40 +69,40 @@ class TestStoreBasics:
 
 
 class TestTransactions:
-    def test_rollback_undoes_everything(self, fast_store):
-        with fast_store.transaction() as tx:
+    def test_rollback_undoes_everything(self, graph_store):
+        with graph_store.transaction() as tx:
             tx.create_node(1)
             tx.set_property(1, "rank", 0.5)
-        tx = fast_store.begin()
+        tx = graph_store.begin()
         tx.create_node(2)
         tx.create_relationship(1, 2)
         tx.set_property(1, "rank", 0.9)
         tx.rollback()
-        assert not fast_store.has_node(2)
-        assert fast_store.node(1).properties["rank"] == 0.5
-        assert fast_store.node(1).out_rels == []
-        assert fast_store.num_relationships == 0
+        assert not graph_store.has_node(2)
+        assert graph_store.node(1).properties["rank"] == 0.5
+        assert graph_store.node(1).out_rels == []
+        assert graph_store.num_relationships == 0
 
-    def test_context_manager_rolls_back_on_error(self, fast_store):
+    def test_context_manager_rolls_back_on_error(self, graph_store):
         with pytest.raises(RuntimeError):
-            with fast_store.transaction() as tx:
+            with graph_store.transaction() as tx:
                 tx.create_node(5)
                 raise RuntimeError("boom")
-        assert not fast_store.has_node(5)
+        assert not graph_store.has_node(5)
 
-    def test_closed_tx_rejects_reuse(self, fast_store):
-        tx = fast_store.begin()
+    def test_closed_tx_rejects_reuse(self, graph_store):
+        tx = graph_store.begin()
         tx.commit()
         with pytest.raises(GraphDbError, match="closed"):
             tx.commit()
 
-    def test_set_property_undo_removes_new_key(self, fast_store):
-        with fast_store.transaction() as tx:
+    def test_set_property_undo_removes_new_key(self, graph_store):
+        with graph_store.transaction() as tx:
             tx.create_node(1)
-        tx = fast_store.begin()
+        tx = graph_store.begin()
         tx.set_property(1, "fresh", 1)
         tx.rollback()
-        assert "fresh" not in fast_store.node(1).properties
+        assert "fresh" not in graph_store.node(1).properties
 
 
 class TestWal:
@@ -122,23 +124,33 @@ class TestWal:
 
     def test_store_writes_wal(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
-        store = PropertyGraphStore(StoreConfig(wal_path=path, access_latency_s=0.0))
+        store = PropertyGraphStore(StoreConfig(wal_path=path))
         with store.transaction() as tx:
             tx.create_node(1)
         store.close()
         ops = list(WriteAheadLog.replay(path))
         assert ops[0]["op"] == "create_node"
 
+    def test_unclosed_store_deletes_its_temp_wal(self):
+        store = PropertyGraphStore()
+        path = store.wal.path
+        with store.transaction() as tx:
+            tx.create_node(1)
+        assert os.path.exists(path)
+        del store, tx
+        gc.collect()
+        assert not os.path.exists(path)
+
 
 class TestAlgorithms:
     @pytest.fixture
-    def loaded(self, fast_store, small_graph):
-        fast_store.load_edge_list(small_graph.src, small_graph.dst)
-        with fast_store.transaction() as tx:
+    def loaded(self, graph_store, small_graph):
+        graph_store.load_edge_list(small_graph.src, small_graph.dst)
+        with graph_store.transaction() as tx:
             for v in range(small_graph.num_vertices):
-                if not fast_store.has_node(v):
+                if not graph_store.has_node(v):
                     tx.create_node(v)
-        return fast_store, small_graph
+        return graph_store, small_graph
 
     def test_pagerank_matches_oracle(self, loaded):
         store, graph = loaded
@@ -167,15 +179,15 @@ class TestAlgorithms:
         for v in range(graph.num_vertices):
             assert got[v] == oracle[v]
 
-    def test_pagerank_empty_store(self, fast_store):
-        assert graphdb_pagerank(fast_store) == {}
+    def test_pagerank_empty_store(self, graph_store):
+        assert graphdb_pagerank(graph_store) == {}
 
-    def test_simulated_latency_accounted(self, tmp_path, tiny_edges):
+    def test_simulated_latency_accounted(self, graph_store, tiny_edges):
         src, dst = tiny_edges
-        store = PropertyGraphStore(
-            StoreConfig(wal_path=str(tmp_path / "w.jsonl"), access_latency_s=1e-5)
-        )
-        store.load_edge_list(src, dst)
-        graphdb_pagerank(store, iterations=2)
-        assert store.simulated_latency_s > 0
-        store.close()
+        graph_store.load_edge_list(src, dst)
+        # one lookup per endpoint of each of the 7 relationships created
+        assert graph_store.accesses == 14
+        graphdb_pagerank(graph_store, iterations=2)
+        # 5 initial rank writes; per iteration 5 node reads + 7 in-record
+        # reads + 7 neighbour lookups + 5 rank writes; 5 final reads
+        assert graph_store.accesses - 14 == 5 + 2 * (5 + 7 + 7 + 5) + 5 == 58

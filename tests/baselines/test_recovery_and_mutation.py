@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.giraph import GiraphConfig, GiraphEngine
+from repro.baselines.giraph import GiraphEngine
 from repro.baselines.graphdb import PropertyGraphStore, StoreConfig
 from repro.errors import BaselineError
 
@@ -10,7 +10,7 @@ from repro.errors import BaselineError
 class TestWalRecovery:
     def test_recover_rebuilds_committed_state(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
-        store = PropertyGraphStore(StoreConfig(wal_path=path, access_latency_s=0.0))
+        store = PropertyGraphStore(StoreConfig(wal_path=path))
         with store.transaction() as tx:
             tx.create_node(1)
             tx.create_node(2)
@@ -29,7 +29,7 @@ class TestWalRecovery:
         """Simulated crash: a transaction's ops are logged but no commit
         marker was written before the 'crash'."""
         path = str(tmp_path / "wal.jsonl")
-        store = PropertyGraphStore(StoreConfig(wal_path=path, access_latency_s=0.0))
+        store = PropertyGraphStore(StoreConfig(wal_path=path))
         with store.transaction() as tx:
             tx.create_node(1)
         # Crash mid-transaction: ops hit the WAL, commit never does.
@@ -45,7 +45,7 @@ class TestWalRecovery:
 
     def test_recover_preserves_rolled_back_state(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
-        store = PropertyGraphStore(StoreConfig(wal_path=path, access_latency_s=0.0))
+        store = PropertyGraphStore(StoreConfig(wal_path=path))
         with store.transaction() as tx:
             tx.create_node(1)
         tx = store.begin()
@@ -61,9 +61,7 @@ class TestWalRecovery:
 
 class TestGiraphCannotMutate:
     def test_mutation_apis_raise(self):
-        engine = GiraphEngine(
-            3, [0], [1], config=GiraphConfig(barrier_latency_s=0.0)
-        )
+        engine = GiraphEngine(3, [0], [1])
         with pytest.raises(BaselineError, match="cannot mutate"):
             engine.add_edge(1, 2)
         with pytest.raises(BaselineError, match="cannot mutate"):

@@ -122,12 +122,9 @@ def small_graph():
 
 
 @pytest.fixture
-def fast_store(tmp_path) -> PropertyGraphStore:
-    """A property-graph store with simulation latency disabled and its
-    WAL in the test's temp directory."""
-    store = PropertyGraphStore(
-        StoreConfig(wal_path=str(tmp_path / "wal.jsonl"), access_latency_s=0.0)
-    )
+def graph_store(tmp_path) -> PropertyGraphStore:
+    """A property-graph store with its WAL in the test's temp directory."""
+    store = PropertyGraphStore(StoreConfig(wal_path=str(tmp_path / "wal.jsonl")))
     yield store
     store.close()
 

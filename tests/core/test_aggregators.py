@@ -8,7 +8,7 @@ vertex values and messages.
 import numpy as np
 import pytest
 
-from repro.baselines.giraph import GiraphConfig, GiraphEngine
+from repro.baselines.giraph import GiraphEngine
 from repro.core import Vertexica
 from repro.core.api import Vertex
 from repro.core.program import VertexProgram
@@ -95,9 +95,7 @@ class TestGiraphAggregators:
         vx = Vertexica()
         g = vx.load_graph("g", src, dst, num_vertices=5)
         vertexica_stats = vx.run(g, CountingProgram()).stats
-        engine = GiraphEngine(
-            5, src, dst, config=GiraphConfig(barrier_latency_s=0.0)
-        )
+        engine = GiraphEngine(5, src, dst)
         giraph_stats = engine.run(CountingProgram()).stats
         assert (
             vertexica_stats.supersteps[0].aggregated
@@ -106,9 +104,7 @@ class TestGiraphAggregators:
 
     def test_undeclared_rejected(self, tiny_edges):
         src, dst = tiny_edges
-        engine = GiraphEngine(
-            5, src, dst, config=GiraphConfig(barrier_latency_s=0.0)
-        )
+        engine = GiraphEngine(5, src, dst)
         with pytest.raises(BaselineError, match="undeclared"):
             engine.run(UndeclaredAggregator())
 
@@ -142,9 +138,7 @@ class TestAdaptivePageRank:
         vx = Vertexica()
         g = vx.load_graph("g", src, dst, num_vertices=5)
         on_vertexica = vx.run(g, AdaptivePageRank(epsilon=1e-9)).values
-        engine = GiraphEngine(
-            5, src, dst, config=GiraphConfig(barrier_latency_s=0.0)
-        )
+        engine = GiraphEngine(5, src, dst)
         on_giraph = engine.run(AdaptivePageRank(epsilon=1e-9)).values
         for v in range(5):
             assert on_vertexica[v] == pytest.approx(on_giraph[v], abs=1e-12)

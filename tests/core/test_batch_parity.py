@@ -399,10 +399,7 @@ class TestVectorValuePlane:
         gsrc, gdst, gw = _symmetrized(
             np.asarray(src), np.asarray(dst), np.asarray(weights, dtype=np.float64)
         )
-        engine = GiraphEngine(
-            n, gsrc, gdst, gw,
-            config=GiraphConfig(barrier_latency_s=0.0, serialize_messages=True),
-        )
+        engine = GiraphEngine(n, gsrc, gdst, gw)
         giraph_run = engine.run(CollaborativeFiltering(iterations=4, rank=4))
         assert vertexica_run.values == giraph_run.values
 
@@ -597,7 +594,7 @@ class TestVectorCombiners:
         src, dst, weights, n = _plane_graph_data(False)
         engine = GiraphEngine(
             n, src, dst, weights,
-            config=GiraphConfig(n_workers=n_workers, barrier_latency_s=0.0),
+            config=GiraphConfig(n_workers=n_workers),
         )
         return engine.run(program)
 

@@ -37,10 +37,8 @@ def graphs(draw):
     return random_graph(draw)
 
 
-def quiet_giraph(n, src, dst):
-    return GiraphEngine(
-        n, src, dst, config=GiraphConfig(barrier_latency_s=0.0, n_workers=3)
-    )
+def giraph_engine(n, src, dst):
+    return GiraphEngine(n, src, dst, config=GiraphConfig(n_workers=3))
 
 
 class TestPageRankEverywhere:
@@ -54,7 +52,7 @@ class TestPageRankEverywhere:
         vx = Vertexica()
         handle = vx.load_graph("g", src, dst, num_vertices=n)
         vertexica_values = vx.run(handle, PageRank(iterations=5)).values
-        giraph_values = quiet_giraph(n, src, dst).run(PageRank(iterations=5)).values
+        giraph_values = giraph_engine(n, src, dst).run(PageRank(iterations=5)).values
         sql_values = pagerank_sql(vx.db, handle, iterations=5)
 
         for v in range(n):
@@ -92,7 +90,7 @@ class TestSsspEverywhere:
         handle = vx.load_graph("g", src, dst, num_vertices=n)
         program = ShortestPaths(source=0)
         vertexica_values = vx.run(handle, program).values
-        giraph_values = quiet_giraph(n, src, dst).run(ShortestPaths(source=0)).values
+        giraph_values = giraph_engine(n, src, dst).run(ShortestPaths(source=0)).values
         sql_values = shortest_paths_sql(vx.db, handle, 0)
         for v in range(n):
             assert vertexica_values[v] == giraph_values[v] == sql_values[v]
@@ -109,5 +107,5 @@ class TestComponentsEverywhere:
         # mirror the symmetrized edges for the in-memory engine
         sym_src = src + dst
         sym_dst = dst + src
-        giraph_values = quiet_giraph(n, sym_src, sym_dst).run(ConnectedComponents()).values
+        giraph_values = giraph_engine(n, sym_src, sym_dst).run(ConnectedComponents()).values
         assert vertexica_values == giraph_values

@@ -8,7 +8,7 @@ mutate the graph, re-analyze, checkpoint, and recover.
 import numpy as np
 import pytest
 
-from repro.baselines.giraph import GiraphConfig, GiraphEngine
+from repro.baselines.giraph import GiraphEngine
 from repro.core import Vertexica
 from repro.datasets import MetadataSpec, attach_metadata, power_law_graph
 from repro.engine import Database
@@ -38,8 +38,7 @@ class TestEndToEnd:
         vertex_ranks = vx.run(handle, PageRank(iterations=6)).values
         sql_ranks = pagerank_sql(vx.db, handle, iterations=6)
         giraph = GiraphEngine(
-            graph.num_vertices, graph.src, graph.dst,
-            config=GiraphConfig(barrier_latency_s=0.0),
+            graph.num_vertices, graph.src, graph.dst
         ).run(PageRank(iterations=6)).values
         for v in range(graph.num_vertices):
             assert vertex_ranks[v] == pytest.approx(sql_ranks[v], abs=1e-10)
