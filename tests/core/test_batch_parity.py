@@ -384,7 +384,7 @@ class TestVectorValuePlane:
         # The scalar compute is the semantic reference on every engine:
         # the Giraph baseline (no codecs at all) must land on the same
         # factors as the vector-codec relational path.
-        from repro.baselines.giraph import GiraphConfig, GiraphEngine
+        from repro.baselines.giraph import GiraphEngine
 
         src, dst, weights, n = _plane_graph_data(False)
         program = CollaborativeFiltering(iterations=4, rank=4)
